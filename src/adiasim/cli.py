@@ -87,6 +87,8 @@ def _load_run_config(args) -> ScenarioConfig:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV)
     if out_dir:
         config = config.with_(out_dir=out_dir)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigParse(f"--seed must be >= 0, got {args.seed}")
     if args.seed is not None and config.shots > 0:
         config = config.with_(seed=args.seed)
     return config

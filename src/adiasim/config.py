@@ -362,6 +362,9 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")
     if len(set(merged["t_ad"])) != len(merged["t_ad"]):
         errors.append("schedule.t_ad: durations must be distinct")
+    if name == "table1" and len(set(merged["t_ad"])) < 3:
+        errors.append("schedule.t_ad: table1 extrapolates to zero duration and "
+                      "needs at least 3 distinct durations")
 
     dt = merged["dt_us"]
     if not math.isfinite(dt) or dt <= 0.0:
@@ -377,6 +380,8 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
         errors.append(f"simulation.n_samples: must be >= 1, got {merged['n_samples']}")
     if merged["shots"] < 0:
         errors.append(f"simulation.shots: must be >= 0, got {merged['shots']}")
+    if merged["seed"] < 0:
+        errors.append(f"simulation.seed: must be >= 0, got {merged['seed']}")
 
     for q in range(2):
         t1, t2 = merged["t1_us"][q], merged["t2_us"][q]
@@ -387,8 +392,8 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                 f"noise: qubit {q + 1} has T2 = {t2} > 2*T1 = {2 * t1} "
                 f"(negative pure-dephasing rate)"
             )
-        if merged["nth"][q] < 0:
-            errors.append(f"noise.nth: qubit {q + 1} must be >= 0")
+        if not 0 <= merged["nth"][q] < math.inf:
+            errors.append(f"noise.nth: qubit {q + 1} must be finite and >= 0")
 
     for state in merged["initial_states"]:
         if state not in BASIS_LABELS:

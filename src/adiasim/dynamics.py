@@ -11,12 +11,32 @@ microseconds, so the equations of motion carry an explicit 2*pi:
 Decay rates are genuine inverse times (no 2*pi): a qubit with relaxation
 time T1 loses excited-state population as exp(-t/T1).
 
+Both equations are linear, d x/dt = A(t) x, with x the state vector or the
+row-major vectorized density matrix and A the 4x4 generator -2*pi*i*H or
+the 16x16 Liouvillian -2*pi*i*(H (x) I - I (x) H^T) + D.  One RK4 step is
+therefore a fixed matrix built from the generators at the step's start
+(A1), midpoint (A2) and end (A3):
+
+    R = I + h/6 * (K1 + 2*K2 + 2*K3 + K4),
+    K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
+
+Each sample interval is propagated by the product of its step matrices.
+The steps are taken in batches of at most ``_BATCH_STEPS``: one call
+evaluates H at all of a batch's stage times, batched matmuls build its
+R_n, and pairwise reduction multiplies them in time order; batch products
+are folded into the interval map.  Memory thus stays bounded however many
+steps an interval holds.  The interval maps of a sweep schedule depend
+only on (schedule, noise, dt, n_samples), so they are built once and
+shared by every initial state propagated with them.
+
 There is no renormalization during integration; norm/trace drift is
-recorded per sample and an error is raised if it exceeds 1e-4.
+recorded per sample and an error is raised if it exceeds 1e-4 or is not
+finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +62,9 @@ __all__ = [
 BASIS_LABELS = ("00", "01", "10", "11")
 
 _DRIFT_LIMIT = 1e-4
+# Most RK4 steps whose matrices are held at once; bounds peak memory.
+_BATCH_STEPS = 256
+_W = -2.0j * math.pi
 
 
 class StepTooLarge(RuntimeError):
@@ -212,64 +235,6 @@ def _sample_grid(t_ad: float, dt: float, n_samples: int) -> tuple[np.ndarray, in
     return times, steps, interval / steps
 
 
-def _rk4_pure(ham, psi: np.ndarray, t: float, h: float) -> np.ndarray:
-    w = -2.0j * math.pi
-    k1 = w * (ham(t) @ psi)
-    h_mid = ham(t + 0.5 * h)
-    k2 = w * (h_mid @ (psi + 0.5 * h * k1))
-    k3 = w * (h_mid @ (psi + 0.5 * h * k2))
-    k4 = w * (ham(t + h) @ (psi + h * k3))
-    return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _propagate_pure(ham, t_ad: float, psi0: np.ndarray, dt: float, n_samples: int,
-                    schedule: ProtocolSchedule | None) -> Trajectory:
-    psi0 = np.asarray(psi0, dtype=complex).reshape(4)
-    norm0 = float(np.linalg.norm(psi0))
-    if abs(norm0 - 1.0) > 1e-6:
-        raise ValueError(f"initial state norm {norm0} differs from 1 by > 1e-6")
-    times, steps, h = _sample_grid(t_ad, dt, n_samples)
-    states = np.empty((len(times), 4), dtype=complex)
-    drifts = np.empty(len(times))
-    psi = psi0.copy()
-    states[0] = psi
-    drifts[0] = abs(norm0 - 1.0)
-    for k in range(1, len(times)):
-        t = times[k - 1]
-        for step in range(steps):
-            psi = _rk4_pure(ham, psi, t + step * h, h)
-        drift = abs(float(np.linalg.norm(psi)) - 1.0)
-        if drift > _DRIFT_LIMIT:
-            raise StepTooLarge(
-                f"norm drift {drift:.3e} exceeds {_DRIFT_LIMIT:.0e} at "
-                f"t = {times[k]:.4f} us; reduce dt"
-            )
-        states[k] = psi
-        drifts[k] = drift
-    return Trajectory(times=times, states=states, drifts=drifts, schedule=schedule)
-
-
-def propagate_unitary(schedule: ProtocolSchedule, psi0: np.ndarray,
-                      dt: float = 0.002, n_samples: int = 300) -> Trajectory:
-    """Integrate the Schrodinger equation for a sweep protocol.
-
-    ``psi0`` must be normalized.  The trajectory is sampled on a uniform
-    grid of ``n_samples + 1`` points from 0 to t_ad; between samples the
-    integrator takes uniform RK4 steps of size <= dt.
-    """
-    return _propagate_pure(schedule.hamiltonian, schedule.t_ad, psi0, dt,
-                           n_samples, schedule)
-
-
-def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
-                     dt: float = 0.002, n_samples: int = 300) -> Trajectory:
-    """Integrate the Schrodinger equation for an arbitrary H(t) callable.
-
-    ``ham(t)`` must return a 4x4 Hermitian matrix in MHz for t in [0, t_ad].
-    """
-    return _propagate_pure(ham, t_ad, psi0, dt, n_samples, None)
-
-
 def _dissipator_matrix(noise: NoiseModel) -> np.ndarray:
     """Constant superoperator M with D(rho).ravel() == M @ rho.ravel().
 
@@ -286,6 +251,169 @@ def _dissipator_matrix(noise: NoiseModel) -> np.ndarray:
     return m
 
 
+def _liouvillians(hams: np.ndarray, diss: np.ndarray) -> np.ndarray:
+    """Stack of 16x16 Lindblad generators for a stack of Hamiltonians.
+
+    Row-major vectorization: vec(H rho) = kron(H, I) vec(rho) and
+    vec(rho H) = kron(I, H.T) vec(rho).  Both are written through the
+    (a, b, c, d) view of the row index 4a+b and column index 4c+d.
+    """
+    n = len(hams)
+    gen = _W * hams
+    idx = np.arange(4)
+    out = np.zeros((n, 4, 4, 4, 4), dtype=complex)
+    out[:, :, idx, :, idx] = gen  # kron(H, I)[ab, cd] = H[a, c] delta(b, d)
+    out[:, idx, :, idx, :] -= gen.transpose(0, 2, 1)  # kron(I, H.T)[ab, cd] = delta(a, c) H[d, b]
+    out = out.reshape(n, 16, 16)
+    out += diss
+    return out
+
+
+def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices from generators at 2m+1 half-step times.
+
+    Updated in place, so that few batch-sized arrays are alive at once.
+    """
+    a1, a2, a3 = gens[:-2:2], gens[1::2], gens[2::2]
+    k2 = a2 @ a1
+    k2 *= 0.5 * h
+    k2 += a2  # K2 = A2 + (h/2) A2 K1
+    k3 = a2 @ k2
+    k3 *= 0.5 * h
+    k3 += a2  # K3 = A2 + (h/2) A2 K2
+    k4 = a3 @ k3
+    k4 *= h
+    k4 += a3  # K4 = A3 + h A3 K3
+    # R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
+    k2 += k3
+    k2 *= 2.0
+    k2 += a1
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += np.eye(gens.shape[-1])
+    return k2
+
+
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[1] @ mats[0], by pairwise reduction."""
+    while len(mats) > 1:
+        even = len(mats) - len(mats) % 2
+        pairs = mats[1:even:2] @ mats[0:even:2]
+        mats = np.concatenate([pairs, mats[even:]]) if even < len(mats) else pairs
+    return mats[0]
+
+
+def _interval_maps(generators, dim: int, t_ad: float, dt: float,
+                   n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and the RK4 propagator of each sample interval.
+
+    ``generators(times)`` returns the stack of dim x dim generators A(t) at
+    an array of times.
+    """
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
+    maps = np.empty((n_samples, dim, dim), dtype=complex)
+    # An unstable step size can overflow in intervals past the first bad
+    # sample; the drift check there reports it as StepTooLarge.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t0 in enumerate(times[:-1]):
+            for first in range(0, steps, _BATCH_STEPS):
+                m = min(_BATCH_STEPS, steps - first)
+                stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
+                batch = _ordered_product(_step_matrices(generators(stage_times), h))
+                maps[k] = batch if first == 0 else batch @ maps[k]
+    return times, maps
+
+
+@functools.lru_cache(maxsize=1)
+def _schedule_maps(schedule: ProtocolSchedule, noise: NoiseModel | None,
+                   dt: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interval maps of a sweep schedule, shared across initial states.
+
+    ``noise`` None selects the Schrodinger generator, otherwise the
+    Liouvillian.  The returned arrays are read-only.
+    """
+    # A miss: drop the previous entry now rather than after this one is
+    # built, so that only one set of maps is alive at a time.
+    _schedule_maps.cache_clear()
+    if noise is None:
+        generators = lambda t: _W * schedule.hamiltonians(t)
+    else:
+        diss = _dissipator_matrix(noise)
+        generators = lambda t: _liouvillians(schedule.hamiltonians(t), diss)
+    times, maps = _interval_maps(generators, 4 if noise is None else 16,
+                                 schedule.t_ad, dt, n_samples)
+    times.flags.writeable = False
+    maps.flags.writeable = False
+    return times, maps
+
+
+def _evolve(times: np.ndarray, maps: np.ndarray, x0: np.ndarray, drift_of,
+            what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the interval maps in turn, checking drift at every sample."""
+    states = np.empty((len(times), len(x0)), dtype=complex)
+    drifts = np.empty(len(times))
+    states[0] = x0
+    drifts[0] = drift_of(x0)
+    for k in range(1, len(times)):
+        states[k] = maps[k - 1] @ states[k - 1]
+        drift = drift_of(states[k])
+        # Written so that a NaN drift fails the check too.
+        if not drift <= _DRIFT_LIMIT:
+            raise StepTooLarge(
+                f"{what} drift {drift:.3e} exceeds {_DRIFT_LIMIT:.0e} at "
+                f"t = {times[k]:.4f} us; reduce dt"
+            )
+        drifts[k] = drift
+    return states, drifts
+
+
+def _norm_drift(psi: np.ndarray) -> float:
+    return abs(float(np.linalg.norm(psi)) - 1.0)
+
+
+def _trace_drift(rho_vec: np.ndarray) -> float:
+    return abs(float(rho_vec[::5].sum().real) - 1.0)
+
+
+def _pure_initial(psi0: np.ndarray) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=complex).reshape(4)
+    if not _norm_drift(psi0) <= 1e-6:
+        norm0 = float(np.linalg.norm(psi0))
+        raise ValueError(f"initial state norm {norm0} differs from 1 by > 1e-6")
+    return psi0
+
+
+def propagate_unitary(schedule: ProtocolSchedule, psi0: np.ndarray,
+                      dt: float = 0.002, n_samples: int = 300) -> Trajectory:
+    """Integrate the Schrodinger equation for a sweep protocol.
+
+    ``psi0`` must be normalized.  The trajectory is sampled on a uniform
+    grid of ``n_samples + 1`` points from 0 to t_ad; between samples the
+    integrator takes uniform RK4 steps of size <= dt.
+    """
+    psi0 = _pure_initial(psi0)
+    times, maps = _schedule_maps(schedule, None, dt, n_samples)
+    states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
+    return Trajectory(times=times.copy(), states=states, drifts=drifts,
+                      schedule=schedule)
+
+
+def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
+                     dt: float = 0.002, n_samples: int = 300) -> Trajectory:
+    """Integrate the Schrodinger equation for an arbitrary H(t) callable.
+
+    ``ham(t)`` must return a 4x4 Hermitian matrix in MHz for t in [0, t_ad].
+    """
+    psi0 = _pure_initial(psi0)
+
+    def generators(times: np.ndarray) -> np.ndarray:
+        return _W * np.stack([np.asarray(ham(t), dtype=complex) for t in times])
+
+    times, maps = _interval_maps(generators, 4, t_ad, dt, n_samples)
+    states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
+    return Trajectory(times=times, states=states, drifts=drifts, schedule=None)
+
+
 def propagate_lindblad(schedule: ProtocolSchedule, rho0: np.ndarray,
                        noise: NoiseModel, dt: float = 0.002,
                        n_samples: int = 300) -> Trajectory:
@@ -300,43 +428,12 @@ def propagate_lindblad(schedule: ProtocolSchedule, rho0: np.ndarray,
         rho0 = np.outer(rho0, rho0.conj())
     if rho0.shape != (4, 4):
         raise ValueError(f"rho0 must be a 4x4 matrix, got shape {rho0.shape}")
-    if abs(float(np.trace(rho0).real) - 1.0) > 1e-6:
+    if not _trace_drift(rho0.ravel()) <= 1e-6:
         raise ValueError("initial density matrix trace differs from 1 by > 1e-6")
-    if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-8:
+    if not np.max(np.abs(rho0 - rho0.conj().T)) <= 1e-8:
         raise ValueError("initial density matrix is not Hermitian")
 
-    ham = schedule.hamiltonian
-    diss = _dissipator_matrix(noise)
-    w = -2.0j * math.pi
-
-    def rhs(t: float, rho: np.ndarray, h_t: np.ndarray | None = None) -> np.ndarray:
-        h_mat = ham(t) if h_t is None else h_t
-        out = w * (h_mat @ rho - rho @ h_mat)
-        out += (diss @ rho.ravel()).reshape(4, 4)
-        return out
-
-    times, steps, h = _sample_grid(schedule.t_ad, dt, n_samples)
-    states = np.empty((len(times), 4, 4), dtype=complex)
-    drifts = np.empty(len(times))
-    rho = rho0.copy()
-    states[0] = rho
-    drifts[0] = abs(float(np.trace(rho).real) - 1.0)
-    for k in range(1, len(times)):
-        t0 = times[k - 1]
-        for step in range(steps):
-            t = t0 + step * h
-            h_mid = ham(t + 0.5 * h)
-            k1 = rhs(t, rho)
-            k2 = rhs(t, rho + 0.5 * h * k1, h_mid)
-            k3 = rhs(t, rho + 0.5 * h * k2, h_mid)
-            k4 = rhs(t, rho + h * k3, ham(t + h))
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(float(np.trace(rho).real) - 1.0)
-        if drift > _DRIFT_LIMIT:
-            raise StepTooLarge(
-                f"trace drift {drift:.3e} exceeds {_DRIFT_LIMIT:.0e} at "
-                f"t = {times[k]:.4f} us; reduce dt"
-            )
-        states[k] = rho
-        drifts[k] = drift
-    return Trajectory(times=times, states=states, drifts=drifts, schedule=schedule)
+    times, maps = _schedule_maps(schedule, noise, dt, n_samples)
+    states, drifts = _evolve(times, maps, rho0.ravel(), _trace_drift, "trace")
+    return Trajectory(times=times.copy(), states=states.reshape(-1, 4, 4),
+                      drifts=drifts, schedule=schedule)

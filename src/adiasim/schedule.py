@@ -98,25 +98,47 @@ class ProtocolSchedule:
                 raise ValueError("amplitude ramp requires b1, b3 and amp_final")
             derived = self.b1 * self.amp_final + self.b3 * self.amp_final**3
             object.__setattr__(self, "j_final", derived)
+        # Kronecker term sums, built once per (frozen) instance.
+        object.__setattr__(self, "_z_term", self.z1 * _ZI + self.z2 * _IZ)
+        object.__setattr__(self, "_x_term", self.x1 * _XI + self.x2 * _IX)
+        object.__setattr__(self, "_zz_term", self.zz * 0.25 * _ZZ)
 
-    def coupling(self, t: float) -> float:
-        """Exchange coupling j(t) [MHz]."""
-        _check_window(t, self.t_ad)
-        s = min(max(t / self.t_ad, 0.0), 1.0)
+    def _j_of_s(self, s):
+        """Coupling at normalized time s (a float or an array)."""
         if self.j_ramp == "amplitude":
             amp = self.amp_final * s
             return self.b1 * amp + self.b3 * amp**3
         return self.j_final * s
 
+    def _h_of_s(self, s):
+        """H(s)/h; an array s of shape (n, 1, 1) gives an (n, 4, 4) stack."""
+        h = (1.0 - s) * 0.5 * self._z_term
+        h = h + s * 0.5 * self._x_term
+        h = h + self._j_of_s(s) * 0.25 * _XXYY
+        return h + self._zz_term
+
+    def coupling(self, t: float) -> float:
+        """Exchange coupling j(t) [MHz]."""
+        _check_window(t, self.t_ad)
+        return self._j_of_s(min(max(t / self.t_ad, 0.0), 1.0))
+
     def hamiltonian(self, t: float) -> np.ndarray:
         """H(t)/h as a 4x4 complex Hermitian matrix [MHz]."""
         _check_window(t, self.t_ad)
-        s = min(max(t / self.t_ad, 0.0), 1.0)
-        h = (1.0 - s) * 0.5 * (self.z1 * _ZI + self.z2 * _IZ)
-        h = h + s * 0.5 * (self.x1 * _XI + self.x2 * _IX)
-        h = h + self.coupling(t) * 0.25 * _XXYY
-        h = h + self.zz * 0.25 * _ZZ
-        return h
+        return self._h_of_s(min(max(t / self.t_ad, 0.0), 1.0))
+
+    def hamiltonians(self, times) -> np.ndarray:
+        """H(t)/h at every time of a 1-D array, as an (n, 4, 4) stack [MHz].
+
+        Each matrix equals ``hamiltonian(t)`` at the same time, bit for bit
+        under the linear ramp and to rounding under the amplitude ramp.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.size:
+            _check_window(float(times.min()), self.t_ad)
+            _check_window(float(times.max()), self.t_ad)
+        s = np.clip(times / self.t_ad, 0.0, 1.0)
+        return self._h_of_s(s[:, None, None])
 
     def with_(self, **changes) -> "ProtocolSchedule":
         """Return a copy with the given fields replaced."""

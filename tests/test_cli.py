@@ -113,6 +113,22 @@ class TestRunCommand:
         assert "run failed (StepTooLarge)" in err
         assert "reduce dt" in err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n"
+                                     "[simulation]\nshots = 10000\nseed = -1\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "simulation.seed: must be >= 0" in capsys.readouterr().err
+        cfg = write_config(tmp_path, CUSTOM_SMALL + "shots = 100\n", "sampled.ini")
+        assert main(["run", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_table1_with_two_durations_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[scenario]\nname = table1\n\n"
+                                     "[schedule]\nt_ad = 5.0, 10.0\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "at least 3 distinct durations" in capsys.readouterr().err
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -257,6 +273,14 @@ class TestValidateCommand:
         assert "invalid config (2 problem(s)):" in err
         assert "dt too large" in err
         assert "unknown state '02'" in err
+
+    @pytest.mark.parametrize("noise, key", [("nth = inf, 0.01", "noise.nth"),
+                                            ("t1_us = nan, 50", "noise.t1_us"),
+                                            ("t2_us = -inf", "noise: qubit 1")])
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, noise, key):
+        cfg = write_config(tmp_path, f"[scenario]\nname = table1\n\n[noise]\n{noise}\n")
+        assert main(["validate", cfg]) == 2
+        assert key in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "absent.ini")])

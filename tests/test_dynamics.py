@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from adiasim import dynamics
 from adiasim.dynamics import (
     BASIS_LABELS,
     BadIndex,
     NoiseModel,
     StepTooLarge,
     UnphysicalNoise,
+    _dissipator_matrix,
+    _sample_grid,
     basis_state,
     collapse_operators,
     propagate_custom,
@@ -31,6 +34,50 @@ DEFAULT_NOISE = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     return psi / np.linalg.norm(psi)
+
+
+def reference_pure(ham, t_ad, psi0, dt, n_samples):
+    """Sampled states of the step-by-step RK4 loop on |psi>."""
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
+    w = -2.0j * math.pi
+    psi = np.asarray(psi0, dtype=complex)
+    states = [psi]
+    for t0 in times[:-1]:
+        for step in range(steps):
+            t = t0 + step * h
+            k1 = w * (ham(t) @ psi)
+            h_mid = ham(t + 0.5 * h)
+            k2 = w * (h_mid @ (psi + 0.5 * h * k1))
+            k3 = w * (h_mid @ (psi + 0.5 * h * k2))
+            k4 = w * (ham(t + h) @ (psi + h * k3))
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    return np.array(states)
+
+
+def reference_lindblad(schedule, rho0, noise, dt, n_samples):
+    """Sampled states of the step-by-step RK4 loop on rho."""
+    times, steps, h = _sample_grid(schedule.t_ad, dt, n_samples)
+    w = -2.0j * math.pi
+    diss = _dissipator_matrix(noise)
+
+    def rhs(h_mat, rho):
+        return w * (h_mat @ rho - rho @ h_mat) + (diss @ rho.ravel()).reshape(4, 4)
+
+    ham = schedule.hamiltonian
+    rho = np.asarray(rho0, dtype=complex)
+    states = [rho]
+    for t0 in times[:-1]:
+        for step in range(steps):
+            t = t0 + step * h
+            h_mid = ham(t + 0.5 * h)
+            k1 = rhs(ham(t), rho)
+            k2 = rhs(h_mid, rho + 0.5 * h * k1)
+            k3 = rhs(h_mid, rho + 0.5 * h * k2)
+            k4 = rhs(ham(t + h), rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(rho)
+    return np.array(states)
 
 
 class TestBasisAndOperators:
@@ -286,3 +333,72 @@ class TestLindbladPropagation:
         for key in magnitudes[0]:
             seq = [m[key] for m in magnitudes]
             assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])), key
+
+
+AMPLITUDE_RAMP = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, zz=0.2, t_ad=5.0,
+                                  j_ramp="amplitude", b1=2.2, b3=1.5, amp_final=0.6)
+
+
+class TestAgainstStepLoop:
+    """The interval-map propagator against the per-step RK4 loop."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_maps(self):
+        dynamics._schedule_maps.cache_clear()
+        yield
+        dynamics._schedule_maps.cache_clear()
+
+    @pytest.mark.parametrize("schedule", [ProtocolSchedule(t_ad=5.0, **FIG4_KW),
+                                          AMPLITUDE_RAMP], ids=["linear", "amplitude"])
+    def test_unitary(self, schedule):
+        psi0 = basis_state("01")
+        traj = propagate_unitary(schedule, psi0, dt=0.002, n_samples=10)
+        ref = reference_pure(schedule.hamiltonian, schedule.t_ad, psi0, 0.002, 10)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+    def test_lindblad(self):
+        schedule = ProtocolSchedule(t_ad=3.0, **FIG4_KW)
+        noise = NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0), n_th=(0.02, 0.05))
+        rho0 = np.outer(basis_state("11"), basis_state("11"))
+        traj = propagate_lindblad(schedule, rho0, noise, dt=0.002, n_samples=6)
+        ref = reference_lindblad(schedule, rho0, noise, 0.002, 6)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+    def test_custom(self):
+        op_z, op_x = embed_1q(Z, 2), embed_1q(X, 2)
+        ham = lambda t: 1.5 * (1.0 - t / 4.0) * op_z + 1.35 * math.cos(t) * op_x
+        psi0 = basis_state("00")
+        traj = propagate_custom(ham, 4.0, psi0, dt=0.002, n_samples=8)
+        ref = reference_pure(ham, 4.0, psi0, 0.002, 8)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+    def test_interval_spanning_several_batches(self, monkeypatch):
+        schedule = ProtocolSchedule(t_ad=2.0, **FIG4_KW)
+        psi0 = basis_state("10")
+        ref = reference_pure(schedule.hamiltonian, 2.0, psi0, 0.002, 3)
+        # 334 steps per interval: two full batches of 128 and one of 78.
+        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 128)
+        traj = propagate_unitary(schedule, psi0, dt=0.002, n_samples=3)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+        noise = NoiseModel(t1=20.0, t2=15.0, n_th=0.02)
+        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
+        mixed = propagate_lindblad(schedule.with_(t_ad=0.3), psi0, noise,
+                                   dt=0.002, n_samples=2)
+        ref_mixed = reference_lindblad(schedule.with_(t_ad=0.3),
+                                       np.outer(psi0, psi0.conj()), noise, 0.002, 2)
+        assert np.max(np.abs(mixed.states - ref_mixed)) <= 1e-12
+
+    def test_states_sharing_one_schedule_match_independent_runs(self):
+        schedule = ProtocolSchedule(t_ad=5.0, **FIG4_KW)
+        shared = {label: propagate_unitary(schedule, basis_state(label), n_samples=10)
+                  for label in BASIS_LABELS}
+        for label in BASIS_LABELS:
+            dynamics._schedule_maps.cache_clear()
+            alone = propagate_unitary(schedule, basis_state(label), n_samples=10)
+            assert np.array_equal(alone.states, shared[label].states)
+            assert np.array_equal(alone.times, shared[label].times)
+
+    def test_non_finite_state_raises(self):
+        nan_ham = lambda t: np.full((4, 4), np.nan) if t > 0.5 else np.zeros((4, 4))
+        with pytest.raises(StepTooLarge):
+            propagate_custom(nan_ham, 1.0, basis_state("00"), dt=0.005, n_samples=4)

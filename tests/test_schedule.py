@@ -83,6 +83,22 @@ class TestProtocolSchedule:
         # Tiny numerical overshoot of the endpoints is tolerated.
         sch.hamiltonian(10.0 + 1e-12)
         sch.hamiltonian(-1e-14)
+        with pytest.raises(TimeOutOfRange):
+            sch.hamiltonians(np.array([0.0, 5.0, 10.5]))
+        assert sch.hamiltonians(np.array([-1e-14, 10.0 + 1e-12])).shape == (2, 4, 4)
+
+    def test_stacked_hamiltonians_match_scalar(self):
+        rng = np.random.default_rng(12)
+        amplitude = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, t_ad=10.0,
+                                     j_ramp="amplitude", b1=2.2, b3=1.5, amp_final=0.6)
+        for sch in [random_schedule(rng) for _ in range(10)] + [amplitude]:
+            times = np.sort(rng.uniform(0.0, sch.t_ad, size=50))
+            stack = sch.hamiltonians(times)
+            scalar = np.array([sch.hamiltonian(t) for t in times])
+            if sch.j_ramp == "linear":
+                assert np.array_equal(stack, scalar)
+            else:
+                assert np.max(np.abs(stack - scalar)) <= 1e-15
 
     def test_requires_positive_duration(self):
         with pytest.raises(ValueError):
