@@ -2,7 +2,7 @@
 
 Core pieces:
 
-* schedule     — the time-dependent sweep Hamiltonian and chirp model
+* schedule     — the time-dependent sweep Hamiltonian and drive frames
 * dynamics     — Schrodinger / Lindblad RK4 propagation
 * tomography   — correlators, shot sampling, energy estimates, frame rotation
 * analysis     — spectral traces, minimum gap, diabatic slope, LZ formula
@@ -63,15 +63,11 @@ from .mitigation import (
     mitigate_energy,
 )
 from .schedule import (
-    ChirpParams,
     ProtocolSchedule,
     TimeOutOfRange,
-    chirp_phase,
     chirped_frame_hamiltonian,
     constant_frame_hamiltonian,
-    effective_fields,
     frame_rotation_angle,
-    hamiltonian_at,
 )
 from .scenarios import Unwritable, read_trace_config, run_scenario
 from .tomography import (

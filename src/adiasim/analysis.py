@@ -116,22 +116,13 @@ def _track_step(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
 
 def _tracked_eigensystem(schedule, times: np.ndarray):
     """eigh along ``times`` with continuity labels seeded at the first time."""
-    n = len(times)
-    sorted_e = np.empty((n, 4))
-    tracked_e = np.empty((n, 4))
-    tracked_v = np.empty((n, 4, 4), dtype=complex)
-    vals, vecs = np.linalg.eigh(schedule.hamiltonian(times[0]))
-    sorted_e[0] = vals
-    tracked_e[0] = vals
-    tracked_v[0] = vecs
-    prev = vecs
-    for i in range(1, n):
-        vals, vecs = np.linalg.eigh(schedule.hamiltonian(times[i]))
-        sorted_e[i] = vals
-        tvals, tvecs = _track_step(prev, vals, vecs, times[i])
-        tracked_e[i] = tvals
-        tracked_v[i] = tvecs
-        prev = tvecs
+    # Only ``hamiltonian(t)`` is asked of the schedule (see spectral_trace).
+    sorted_e, all_vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(t) for t in times]))
+    tracked_e = sorted_e.copy()
+    tracked_v = all_vecs.copy()
+    for i in range(1, len(times)):
+        tracked_e[i], tracked_v[i] = _track_step(tracked_v[i - 1], sorted_e[i],
+                                                 all_vecs[i], times[i])
     return sorted_e, tracked_e, tracked_v
 
 
@@ -265,9 +256,11 @@ def passage_fidelity(traj: Trajectory, trace: SpectralTrace, level: int = 2) -> 
 
     Returns ``|<v_level(t)|psi(t)>|**2`` (or ``Tr(rho |v><v|)`` for mixed
     states) at every trajectory sample.  ``level`` is a tracked label,
-    1..4, with the labeling convention of ``trace``.  The eigenvectors are
-    re-tracked on the trajectory's own grid; GridMismatch is raised when
-    the trajectory and trace do not share a schedule.
+    1..4, with the labeling convention of ``trace``.  When the trace was
+    built on the trajectory's own times its eigenvectors are used as they
+    are; otherwise they are re-tracked on the trajectory grid, which gives
+    the same vectors.  GridMismatch is raised when the trajectory and trace
+    do not share a schedule.
     """
     if not 1 <= level <= 4:
         raise ValueError(f"level must be in 1..4, got {level}")
@@ -277,7 +270,10 @@ def passage_fidelity(traj: Trajectory, trace: SpectralTrace, level: int = 2) -> 
         raise GridMismatch("trajectory and trace were built from different schedules")
     if abs(traj.times[0]) > 1e-12 or abs(traj.times[-1] - trace.times[-1]) > 1e-9:
         raise GridMismatch("trajectory grid does not span the trace interval")
-    _, _, vecs = _tracked_eigensystem(traj.schedule, traj.times)
+    if np.array_equal(trace.times, traj.times):
+        vecs = trace.vectors
+    else:
+        _, _, vecs = _tracked_eigensystem(traj.schedule, traj.times)
     fid = np.empty(len(traj.times))
     for i in range(len(traj.times)):
         v = vecs[i][:, level - 1]

@@ -117,6 +117,10 @@ _BASE_DEFAULTS = dict(
     format="csv",
 )
 
+# Upper bound on simulation.n_samples: a Lindblad run keeps one 16x16
+# complex map per sample interval, about 410 MB at the bound.
+_MAX_N_SAMPLES = 100_000
+
 # Fields a custom scenario must state explicitly (no physical default).
 _REQUIRED_CUSTOM = ("z1", "z2", "x1", "x2", "t_ad")
 
@@ -376,8 +380,9 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                 f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
                 f"{min(finite_tads) / 100.0}"
             )
-    if merged["n_samples"] < 1:
-        errors.append(f"simulation.n_samples: must be >= 1, got {merged['n_samples']}")
+    if not 1 <= merged["n_samples"] <= _MAX_N_SAMPLES:
+        errors.append(f"simulation.n_samples: must be in 1..{_MAX_N_SAMPLES}, "
+                      f"got {merged['n_samples']}")
     if merged["shots"] < 0:
         errors.append(f"simulation.shots: must be >= 0, got {merged['shots']}")
     if merged["seed"] < 0:

@@ -96,23 +96,19 @@ def _same_shape(a: ProtocolSchedule, b: ProtocolSchedule) -> bool:
 
 def mitigate_energy(runs: Sequence[tuple[ProtocolSchedule, Tomogram]],
                     schedule: ProtocolSchedule | None = None,
-                    mode: str = "per_term",
                     passage_fidelities: Mapping[float, float] | None = None) -> MitigatedEnergy:
     """Extrapolate end-of-protocol energy contributions to zero duration.
 
     ``runs`` pairs each protocol variant (same shape, different t_ad) with
-    its end-of-protocol tomogram.  ``mode`` chooses between per-term
-    extrapolation (default) and extrapolation of the total energy; the two
-    agree identically because the fit is linear in the data, but per-term
-    output enables term-level diagnostics.
+    its end-of-protocol tomogram.  Each energy term is extrapolated on its
+    own, which keeps term-level diagnostics; because the fit is linear in
+    the data, their sum equals the extrapolated total energy.
 
     ``passage_fidelities`` (t_ad -> end fidelity with the adiabatically-
     continued level) is optional; when the runs straddle the 0.5 boundary
     a warning is attached, since mixing diabatic and adiabatic runs in one
     extrapolation is unreliable.
     """
-    if mode not in ("per_term", "total"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not runs:
         raise ValueError("no runs supplied")
     reference = schedule if schedule is not None else runs[0][0]
@@ -134,18 +130,10 @@ def mitigate_energy(runs: Sequence[tuple[ProtocolSchedule, Tomogram]],
 
     contributions: dict[str, float] = {}
     residuals: dict[str, float] = {}
-    if mode == "per_term":
-        for term in _END_TERMS:
-            pts = [(t_ad, est.contributions[term]) for t_ad, est in estimates]
-            value, _, res = extrapolate_quadratic(pts)
-            contributions[term] = value
-            residuals[term] = res
-        energy = sum(contributions.values())
-    else:
-        pts = [(t_ad, est.energy) for t_ad, est in estimates]
-        energy, _, res = extrapolate_quadratic(pts)
-        contributions = {"total": energy}
-        residuals = {"total": res}
+    for term in _END_TERMS:
+        pts = [(t_ad, est.contributions[term]) for t_ad, est in estimates]
+        contributions[term], _, residuals[term] = extrapolate_quadratic(pts)
+    energy = sum(contributions.values())
 
     warning = None
     if passage_fidelities:

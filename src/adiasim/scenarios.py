@@ -22,13 +22,14 @@ import numpy as np
 from ._version import __version__
 from .analysis import (
     NoInteriorMinimum,
+    SpectralTrace,
     WindowOutOfRange,
     _tracked_eigensystem,
     crossing_report,
     initial_level_for_state,
     level_populations,
+    lz_probability,
     passage_fidelity,
-    spectral_trace,
 )
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
@@ -132,24 +133,27 @@ def _measurement_seed(config: ScenarioConfig, *key: int) -> np.random.SeedSequen
 
 def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
                 t_ad_index: int) -> tuple[list[str], list[list[float]], dict]:
-    """Simulate one duration for every initial state; build trace rows."""
+    """Simulate one duration for every initial state; build trace rows.
+
+    One tracked eigensystem on the trajectory times gives the eigenvalue
+    columns, the initial level of each state and its passage fidelity.
+    """
     noise = config.noise_model()
-    trace = spectral_trace(schedule, 1001)
     trajectories = {}
-    levels = {}
-    fidelities = {}
-    for state_index, label in enumerate(config.initial_states):
+    for label in config.initial_states:
         psi0 = basis_state(label)
         if noise is None:
             traj = propagate_unitary(schedule, psi0, config.dt_us, config.n_samples)
         else:
             traj = propagate_lindblad(schedule, psi0, noise, config.dt_us, config.n_samples)
         trajectories[label] = traj
-        levels[label] = initial_level_for_state(trace, psi0)
-        fidelities[label] = passage_fidelity(traj, trace, levels[label])
 
     times = trajectories[config.initial_states[0]].times
-    _, tracked_e, _ = _tracked_eigensystem(schedule, times)
+    trace = SpectralTrace(times, *_tracked_eigensystem(schedule, times), schedule=schedule)
+    fidelities = {
+        label: passage_fidelity(traj, trace, initial_level_for_state(trace, basis_state(label)))
+        for label, traj in trajectories.items()
+    }
 
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
     for label in config.initial_states:
@@ -160,7 +164,7 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
     rows = []
     end_tomograms = {}
     for i, t in enumerate(times):
-        row = [float(t)] + [float(e) for e in tracked_e[i]]
+        row = [float(t)] + [float(e) for e in trace.energies[i]]
         for state_index, label in enumerate(config.initial_states):
             state = trajectories[label].states[i]
             if config.shots == 0:
@@ -177,13 +181,25 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
         rows.append(row)
 
     extras = {
-        "trace": trace,
         "trajectories": trajectories,
-        "levels": levels,
         "fidelities": fidelities,
         "end_tomograms": end_tomograms,
     }
     return columns, rows, extras
+
+
+def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
+    """Simulate and write one trace per duration; return the paths and extras by t_ad."""
+    paths = []
+    extras_by_tad = {}
+    for t_ad_index, t_ad in enumerate(config.t_ad):
+        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, config.schedule(t_ad),
+                                                         t_ad_index)
+        path = os.path.join(config.out_dir,
+                            f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
+        _write_trace(path, config, label, t_ad, columns, rows)
+        paths.append(path)
+    return paths, extras_by_tad
 
 
 def _crossing_payload(schedule: ProtocolSchedule, t_ad_values, extras_by_tad) -> dict:
@@ -200,12 +216,8 @@ def _crossing_payload(schedule: ProtocolSchedule, t_ad_values, extras_by_tad) ->
         "per_t_ad": {},
     }
     for t_ad in t_ad_values:
-        alpha = report.alpha * schedule.t_ad / t_ad
-        gamma = float(np.pi * report.a**2 / (2.0 * alpha))
-        entry = {
-            "gamma": gamma,
-            "p_diabatic_lz": float(np.exp(-2.0 * np.pi * gamma)),
-        }
+        gamma, p_diabatic = lz_probability(report.a, report.alpha * schedule.t_ad / t_ad)
+        entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
         extras = extras_by_tad.get(t_ad)
         if extras is not None:
             sched_t = schedule.with_(t_ad=t_ad)
@@ -219,17 +231,7 @@ def _crossing_payload(schedule: ProtocolSchedule, t_ad_values, extras_by_tad) ->
 
 
 def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
-    paths = []
-    extras_by_tad = {}
-    for t_ad_index, t_ad in enumerate(config.t_ad):
-        schedule = config.schedule(t_ad)
-        columns, rows, extras = _sweep_rows(config, schedule, t_ad_index)
-        extras_by_tad[t_ad] = extras
-        path = os.path.join(config.out_dir,
-                            f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
-        _write_trace(path, config, label, t_ad, columns, rows)
-        paths.append(path)
-
+    paths, extras_by_tad = _run_durations(config, label)
     report = {
         "scenario": label,
         "version": __version__,
@@ -243,19 +245,7 @@ def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
 
 
 def _run_table1(config: ScenarioConfig) -> list[str]:
-    paths = []
-    end_tomograms: dict[str, list] = {label: [] for label in config.initial_states}
-    end_fidelities: dict[str, dict[float, float]] = {label: {} for label in config.initial_states}
-    for t_ad_index, t_ad in enumerate(config.t_ad):
-        schedule = config.schedule(t_ad)
-        columns, rows, extras = _sweep_rows(config, schedule, t_ad_index)
-        for label in config.initial_states:
-            end_tomograms[label].append((schedule, extras["end_tomograms"][label]))
-            end_fidelities[label][t_ad] = float(extras["fidelities"][label][-1])
-        path = os.path.join(config.out_dir,
-                            f"table1_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
-        _write_trace(path, config, "table1", t_ad, columns, rows)
-        paths.append(path)
+    paths, extras_by_tad = _run_durations(config, "table1")
 
     # Exact end-of-protocol reference levels, with and without the static
     # ZZ term: both variants are reported and the one closer to the
@@ -270,8 +260,11 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
 
     states_report = {}
     for label in config.initial_states:
-        mitigated = mitigate_energy(end_tomograms[label],
-                                    passage_fidelities=end_fidelities[label])
+        end_tomograms = [(config.schedule(t_ad), extras_by_tad[t_ad]["end_tomograms"][label])
+                         for t_ad in config.t_ad]
+        end_fidelities = {t_ad: float(extras_by_tad[t_ad]["fidelities"][label][-1])
+                          for t_ad in config.t_ad}
+        mitigated = mitigate_energy(end_tomograms, passage_fidelities=end_fidelities)
         shortest = min(config.t_ad)
         entry = {
             "measured_by_t_ad": {f"{t:g}": v for t, v in sorted(mitigated.measured.items())},
@@ -279,7 +272,7 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
             "extrapolated": mitigated.energy,
             "per_term": mitigated.contributions,
             "fit_residuals": mitigated.residuals,
-            "end_passage_fidelity_by_t_ad": {f"{t:g}": v for t, v in sorted(end_fidelities[label].items())},
+            "end_passage_fidelity_by_t_ad": {f"{t:g}": v for t, v in sorted(end_fidelities.items())},
             "warning": mitigated.warning,
         }
         exact = exact_levels.get(label)

@@ -1,4 +1,4 @@
-"""Time-dependent two-qubit sweep Hamiltonian and chirped-drive model.
+"""Time-dependent two-qubit sweep Hamiltonian and single-qubit drive frames.
 
 The protocol interpolates between a longitudinal configuration at ``t = 0``
 and a transverse one at ``t = t_ad`` while an exchange coupling ramps on:
@@ -16,9 +16,9 @@ alternatively it can follow a cubic-in-amplitude calibration curve
 makes ``j(t)`` slightly superlinear in time.
 
 The single-qubit Z ramp is realized by chirping the drive frequency
-linearly from ``z`` MHz below the qubit up to resonance.  ``ChirpParams``
-and its helpers model that drive phase and the effective fields seen in
-the frame co-moving with the chirp.
+linearly from ``z`` MHz below the qubit up to resonance.  The frame
+helpers give that sweep's Hamiltonian in the frame co-moving with the
+chirp and in the constant-frequency frame, and the angle between them.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .operators import X as _X, Y as _Y, Z as _Z, embed_1q, pauli_2q
 __all__ = [
     "TimeOutOfRange",
     "ProtocolSchedule",
-    "ChirpParams",
-    "hamiltonian_at",
-    "chirp_phase",
-    "effective_fields",
     "frame_rotation_angle",
     "chirped_frame_hamiltonian",
     "constant_frame_hamiltonian",
@@ -155,56 +151,6 @@ class ProtocolSchedule:
         if self.j_ramp == "amplitude":
             kwargs.update(j_ramp="linear", b1=None, b3=None, amp_final=None)
         return self.with_(**kwargs)
-
-
-def hamiltonian_at(schedule: ProtocolSchedule, t: float) -> np.ndarray:
-    """Functional alias for ``schedule.hamiltonian(t)``."""
-    return schedule.hamiltonian(t)
-
-
-@dataclass(frozen=True)
-class ChirpParams:
-    """Linearly chirped drive tone.
-
-    f    : final drive frequency [MHz]
-    z    : initial frequency offset below f [MHz]; the instantaneous drive
-           frequency is f - z*(1 - t/t_ad)
-    phi0 : initial drive phase [rad]
-    t_ad : ramp duration [us]
-    """
-
-    f: float
-    z: float
-    phi0: float = 0.0
-    t_ad: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.t_ad <= 0.0:
-            raise ValueError(f"t_ad must be positive, got {self.t_ad}")
-
-
-def chirp_phase(c: ChirpParams, t: float) -> float:
-    """Accumulated drive phase [rad] at time ``t`` [us].
-
-    phi(t) = phi0 + 2*pi*(f - z)*t + pi*z*t**2/t_ad, so the instantaneous
-    frequency d(phi)/dt / (2*pi) ramps linearly from f - z up to f.
-    """
-    _check_window(t, c.t_ad)
-    return c.phi0 + 2.0 * math.pi * (c.f - c.z) * t + math.pi * c.z * t * t / c.t_ad
-
-
-def effective_fields(c: ChirpParams, amplitude: float, t: float) -> tuple[float, float, float]:
-    """Field coefficients [MHz] in the frame co-moving with the chirp.
-
-    Returns ``(zCoeff, xCoeff, yCoeff)`` such that the single-qubit
-    Hamiltonian in this frame is ``zCoeff*Z + xCoeff*X + yCoeff*Y``:
-    the residual detuning gives ``zCoeff = z*(1 - t/t_ad)/2`` and the
-    drive of instantaneous ``amplitude`` [MHz] is static along the axis
-    set by its initial phase, ``(amplitude/2)*(cos(phi0), sin(phi0))``.
-    """
-    _check_window(t, c.t_ad)
-    z_coeff = 0.5 * c.z * (c.t_ad - t) / c.t_ad
-    return (z_coeff, 0.5 * amplitude * math.cos(c.phi0), 0.5 * amplitude * math.sin(c.phi0))
 
 
 def frame_rotation_angle(z: float, t: float, t_ad: float) -> float:

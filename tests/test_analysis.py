@@ -266,6 +266,22 @@ class TestPassageFidelity:
         assert fid[0] == pytest.approx(1.0, abs=1e-6)
         assert np.all((fid >= -1e-9) & (fid <= 1 + 1e-9))
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_trace_on_trajectory_grid_matches_dense_trace(self, mixed):
+        """A trace on the trajectory's own times lends its vectors; a dense
+        trace is re-tracked on the trajectory grid.  Both agree exactly."""
+        if mixed:
+            traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel.off(),
+                                      n_samples=10)
+        else:
+            traj = propagate_unitary(FIG4, basis_state("01"), n_samples=10)
+        on_grid = spectral_trace(FIG4, n_grid=11)
+        assert np.array_equal(on_grid.times, traj.times)
+        dense = spectral_trace(FIG4)
+        for level in (1, 2, 3, 4):
+            assert np.array_equal(passage_fidelity(traj, on_grid, level),
+                                  passage_fidelity(traj, dense, level))
+
     def test_schedule_mismatch(self):
         trace = spectral_trace(FIG4)
         traj = propagate_unitary(FIG4.with_(t_ad=5.0), basis_state("01"),

@@ -129,6 +129,15 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "at least 3 distinct durations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_samples, rows", [(1, 2), (2, 3)])
+    def test_fewest_samples_write_every_trace(self, tmp_path, n_samples, rows):
+        cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n"
+                                     "[schedule]\nt_ad = 1, 2\n\n"
+                                     f"[simulation]\ndt_us = 0.01\nn_samples = {n_samples}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        for name in ("fig4_trace_tad1.csv", "fig4_trace_tad2.csv"):
+            assert len(data_lines(tmp_path / "o" / name)) == rows
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -281,6 +290,20 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, f"[scenario]\nname = table1\n\n[noise]\n{noise}\n")
         assert main(["validate", cfg]) == 2
         assert key in capsys.readouterr().err
+
+    def test_unbounded_n_samples_exits_2(self, tmp_path, capsys):
+        """Validation caps n_samples before any grid is allocated; only the
+        validator sees these values, nothing is run at or above the cap."""
+        cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n"
+                                     "[simulation]\nn_samples = 1000000000\n")
+        assert main(["validate", cfg]) == 2
+        assert "simulation.n_samples: must be in 1..100000" in capsys.readouterr().err
+        config, errors = validate_config("[scenario]\nname = fig4\n\n"
+                                         "[simulation]\nn_samples = 100000\n")
+        assert errors == [] and config.n_samples == 100000
+        _, errors = validate_config("[scenario]\nname = table1\n\n"
+                                    "[simulation]\nn_samples = 100001\n")
+        assert any("simulation.n_samples" in e for e in errors)
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "absent.ini")])

@@ -117,17 +117,6 @@ class TestMitigateEnergy:
         assert result.energy == pytest.approx(expected, abs=1e-9)
         assert set(result.contributions) == {"x1", "x2", "xx", "yy"}
 
-    def test_total_mode_agrees_with_per_term(self):
-        rng = np.random.default_rng(63)
-        runs = []
-        for t_ad in T_AD_GRID:
-            sch = ProtocolSchedule(t_ad=t_ad, **FIG4_KW)
-            values = {k: rng.uniform(-0.9, 0.9) for k in ("XI", "IX", "XX", "YY")}
-            runs.append((sch, make_tomogram(t_ad, values)))
-        per_term = mitigate_energy(runs, mode="per_term")
-        total = mitigate_energy(runs, mode="total")
-        assert per_term.energy == pytest.approx(total.energy, abs=1e-9)
-
     def test_contributions_sum_to_energy(self):
         rng = np.random.default_rng(64)
         for _ in range(25):

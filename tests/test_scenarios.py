@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from adiasim import analysis, scenarios
+from adiasim.analysis import _tracked_eigensystem
 from adiasim.config import validate_config
 from adiasim.scenarios import (
     CHEVRON_F_CENTER,
@@ -80,6 +82,40 @@ class TestSweepScenarios:
                                                       rel=1e-9)
         assert per_tad["4"]["p_diabatic_lz"] == pytest.approx(
             per_tad["2"]["p_diabatic_lz"] ** 2, rel=1e-9)
+
+
+def count_eigensystems(monkeypatch):
+    """Count tracked-eigensystem builds, wherever the package calls them."""
+    calls = []
+
+    def counted(schedule, times):
+        calls.append(len(times))
+        return _tracked_eigensystem(schedule, times)
+
+    monkeypatch.setattr(analysis, "_tracked_eigensystem", counted)
+    monkeypatch.setattr(scenarios, "_tracked_eigensystem", counted)
+    return calls
+
+
+class TestOneEigensystemPerDuration:
+    def test_fig4_tracks_once_per_duration_plus_crossing_analysis(self, tmp_path,
+                                                                  monkeypatch):
+        calls = count_eigensystems(monkeypatch)
+        config = make_config(
+            "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        # One per duration on the 5 trajectory times, then the crossing
+        # report's coupled and bare 1001-point traces.
+        assert calls == [5, 5, 1001, 1001]
+
+    def test_table1_tracks_once_per_duration(self, tmp_path, monkeypatch):
+        calls = count_eigensystems(monkeypatch)
+        config = make_config(
+            "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        assert calls == [5, 5, 5]
 
 
 @pytest.fixture(scope="module")

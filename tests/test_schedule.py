@@ -1,4 +1,4 @@
-"""Unit tests for the sweep schedule and the chirped-drive frame model."""
+"""Unit tests for the sweep schedule and the single-qubit drive frames."""
 
 import math
 
@@ -7,15 +7,11 @@ import pytest
 
 from adiasim.operators import I2, X, Y, Z, embed_1q, pauli_2q
 from adiasim.schedule import (
-    ChirpParams,
     ProtocolSchedule,
     TimeOutOfRange,
-    chirp_phase,
     chirped_frame_hamiltonian,
     constant_frame_hamiltonian,
-    effective_fields,
     frame_rotation_angle,
-    hamiltonian_at,
 )
 
 N_RANDOM = 120
@@ -120,10 +116,6 @@ class TestProtocolSchedule:
         assert np.allclose(h, np.diag(np.diag(h)).real + 0.5 * 5.0 / 10.0 * (
             sch.x1 * pauli_2q("XI") + sch.x2 * pauli_2q("IX")))
 
-    def test_hamiltonian_at_alias(self):
-        sch = ProtocolSchedule(**FIG4_KW)
-        assert np.allclose(hamiltonian_at(sch, 3.0), sch.hamiltonian(3.0))
-
 
 class TestAmplitudeRamp:
     def test_amplitude_mode_composes_cubic(self):
@@ -154,43 +146,6 @@ class TestAmplitudeRamp:
         times = np.linspace(0.0, 10.0, 50)
         js = [sch.coupling(t) for t in times]
         assert all(b >= a for a, b in zip(js, js[1:]))
-
-
-class TestChirp:
-    def test_phase_at_zero(self):
-        c = ChirpParams(f=1097.0, z=3.0, phi0=0.4, t_ad=10.0)
-        assert chirp_phase(c, 0.0) == pytest.approx(0.4)
-
-    def test_instantaneous_frequency(self):
-        """dphi/dt / (2 pi) = f - z (1 - t/t_ad): starts detuned by -z,
-        ends on resonance."""
-        rng = np.random.default_rng(12)
-        for _ in range(N_RANDOM):
-            c = ChirpParams(
-                f=rng.uniform(500, 2000), z=rng.uniform(-5, 5),
-                phi0=rng.uniform(0, 2 * math.pi), t_ad=rng.uniform(2, 30),
-            )
-            t = rng.uniform(1e-3, c.t_ad - 1e-3)
-            h = 1e-6
-            deriv = (chirp_phase(c, t + h) - chirp_phase(c, t - h)) / (2 * h)
-            expected = 2 * math.pi * (c.f - c.z * (1 - t / c.t_ad))
-            assert deriv == pytest.approx(expected, rel=1e-6)
-
-    def test_effective_fields_endpoints(self):
-        c = ChirpParams(f=1097.0, z=3.0, phi0=0.0, t_ad=10.0)
-        assert effective_fields(c, 2.7, 0.0) == pytest.approx((1.5, 1.35, 0.0))
-        assert effective_fields(c, 2.7, 10.0) == pytest.approx((0.0, 1.35, 0.0))
-        c90 = ChirpParams(f=1097.0, z=3.0, phi0=math.pi / 2, t_ad=10.0)
-        fz, fx, fy = effective_fields(c90, 2.7, 10.0)
-        assert (fz, fy) == pytest.approx((0.0, 1.35))
-        assert fx == pytest.approx(0.0, abs=1e-12)
-
-    def test_chirp_time_window(self):
-        c = ChirpParams(f=1.0, z=1.0, t_ad=5.0)
-        with pytest.raises(TimeOutOfRange):
-            chirp_phase(c, 6.0)
-        with pytest.raises(TimeOutOfRange):
-            effective_fields(c, 1.0, -1.0)
 
 
 class TestFrames:
