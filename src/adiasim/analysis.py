@@ -14,11 +14,11 @@ sorted levels (2, 3), which is the default everywhere a pair is taken.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dynamics import Trajectory
 from .schedule import ProtocolSchedule
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-9
+_PERMS = np.array(list(itertools.permutations(range(4))))
 
 
 class DegenerateTracking(RuntimeError):
@@ -72,10 +73,10 @@ class SpectralTrace:
     sorted_energies : (n, 4) ascending eigenvalues [MHz]
     energies        : (n, 4) tracked (continuity-labeled) eigenvalues;
                       column k follows the level that was k-th lowest at t=0
-    vectors         : (n, 4, 4) tracked eigenvectors, vectors[i][:, k] is the
-                      eigenvector of tracked level k+1 at times[i], with the
-                      global phase fixed so successive overlaps are real
-                      and positive
+    vectors         : (n, 4, 4) tracked eigenvectors: vectors[i][:, k] is the
+                      eigh vector of tracked level k+1 at times[i] times the
+                      unit phase that makes its overlap with vectors[i-1][:, k]
+                      real and positive (vectors[0] keeps eigh's phases)
     schedule        : the schedule the trace was built from (any object with
                       ``t_ad`` and ``hamiltonian(t)``)
     """
@@ -91,38 +92,38 @@ class SpectralTrace:
         return len(self.times)
 
 
-def _track_step(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder/phase-fix the new eigenpairs to continue the previous labels."""
-    overlap = np.abs(prev_vecs.conj().T @ vecs)  # overlap[k, l]
-    for k in range(4):
-        row = np.sort(overlap[k])[::-1]
-        if row[0] - row[1] < _TIE_TOL:
-            raise DegenerateTracking(
-                f"ambiguous level continuation at t = {t:.6f} us: "
-                f"two overlaps of tracked level {k + 1} tie at {row[0]:.6f}"
-            )
-    rows, cols = linear_sum_assignment(-overlap)
-    perm = np.empty(4, dtype=int)
-    perm[rows] = cols
-    new_vals = vals[perm]
-    new_vecs = vecs[:, perm]
-    for k in range(4):
-        phase = np.vdot(prev_vecs[:, k], new_vecs[:, k])
-        if abs(phase) > 0.0:
-            new_vecs[:, k] *= phase.conj() / abs(phase)
-    return new_vals, new_vecs
-
-
 def _tracked_eigensystem(schedule, times: np.ndarray):
-    """eigh along ``times`` with continuity labels seeded at the first time."""
+    """eigh along ``times`` with continuity labels seeded at the first time.
+
+    All steps at once: tracked vectors are sorted ones permuted and phased,
+    so each step's assignment is the best total ``|vecs[i]^H vecs[i+1]|``
+    of the sorted eigenbases over the 24 permutations, and these compose
+    into the labels.  A tracked vector's phase is the running product of
+    ``conj(r)/|r|`` over its raw overlaps r (see SpectralTrace.vectors).
+    """
     # Only ``hamiltonian(t)`` is asked of the schedule (see spectral_trace).
-    sorted_e, all_vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(t) for t in times]))
-    tracked_e = sorted_e.copy()
-    tracked_v = all_vecs.copy()
-    for i in range(1, len(times)):
-        tracked_e[i], tracked_v[i] = _track_step(tracked_v[i - 1], sorted_e[i],
-                                                 all_vecs[i], times[i])
+    sorted_e, vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(t) for t in times]))
+    raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
+    overlap = np.abs(raw)
+    best = np.argmax(overlap[:, np.arange(4), _PERMS].sum(axis=2), axis=1)
+    labels = np.tile(np.arange(4), (len(times), 1))
+    for i, perm in enumerate(_PERMS[best], start=1):
+        labels[i] = perm[labels[i - 1]]
+    top2 = np.sort(overlap, axis=2)[:, :, -2:]
+    tied = top2[:, :, 1] - top2[:, :, 0] < _TIE_TOL
+    if tied.any():
+        i = int(np.argmax(tied.any(axis=1)))
+        k = int(np.argmax(tied[i, labels[i]]))
+        raise DegenerateTracking(
+            f"ambiguous level continuation at t = {times[i + 1]:.6f} us: "
+            f"two overlaps of tracked level {k + 1} tie at {top2[i, labels[i, k], 1]:.6f}"
+        )
+    r = raw[np.arange(len(raw))[:, None], labels[:-1], labels[1:]]
+    unit = np.divide(r.conj(), np.abs(r), out=np.ones_like(r), where=r != 0.0)
+    phase = np.cumprod(np.vstack([np.ones(4), unit]), axis=0)
+    phase /= np.abs(phase)
+    tracked_e = np.take_along_axis(sorted_e, labels, axis=1)
+    tracked_v = np.take_along_axis(vecs, labels[:, None, :], axis=2) * phase[:, None, :]
     return sorted_e, tracked_e, tracked_v
 
 
@@ -274,15 +275,10 @@ def passage_fidelity(traj: Trajectory, trace: SpectralTrace, level: int = 2) -> 
         vecs = trace.vectors
     else:
         _, _, vecs = _tracked_eigensystem(traj.schedule, traj.times)
-    fid = np.empty(len(traj.times))
-    for i in range(len(traj.times)):
-        v = vecs[i][:, level - 1]
-        state = traj.states[i]
-        if traj.is_mixed:
-            fid[i] = float(np.real(v.conj() @ state @ v))
-        else:
-            fid[i] = float(abs(np.vdot(v, state)) ** 2)
-    return fid
+    v = vecs[:, :, level - 1]
+    if traj.is_mixed:
+        return np.real(np.einsum("ij,ijk,ik->i", v.conj(), traj.states, v))
+    return np.abs(np.einsum("ij,ij->i", v.conj(), traj.states)) ** 2
 
 
 def level_populations(state: np.ndarray, schedule: ProtocolSchedule,

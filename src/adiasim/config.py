@@ -361,6 +361,8 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
             continue
         if not math.isfinite(value):
             errors.append(f"schedule.{key}: must be finite, got {value}")
+    if name == "chevron" and merged["j"] <= 0.0:
+        errors.append(f"schedule.j: chevron needs a positive coupling, got {merged['j']}")
     for idx, t_ad in enumerate(merged["t_ad"]):
         if not math.isfinite(t_ad) or t_ad <= 0.0:
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")
@@ -383,6 +385,8 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
     if not 1 <= merged["n_samples"] <= _MAX_N_SAMPLES:
         errors.append(f"simulation.n_samples: must be in 1..{_MAX_N_SAMPLES}, "
                       f"got {merged['n_samples']}")
+    elif name == "chevron" and merged["n_samples"] < 3:
+        errors.append(f"simulation.n_samples: chevron needs at least 3, got {merged['n_samples']}")
     if merged["shots"] < 0:
         errors.append(f"simulation.shots: must be >= 0, got {merged['shots']}")
     if merged["seed"] < 0:

@@ -1,5 +1,6 @@
 """Unit tests for spectral tracing, gap finding, and crossing analysis."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from adiasim.analysis import (
+    _TIE_TOL,
     DegenerateTracking,
     GridMismatch,
     NoInteriorMinimum,
     WindowOutOfRange,
     ZeroSlope,
+    _tracked_eigensystem,
     crossing_report,
     diabatic_slope,
     initial_level_for_state,
@@ -57,6 +60,18 @@ class TwoLevelCrossing:
         return h
 
 
+@dataclass(frozen=True)
+class LineCrossings:
+    """Diagonal stand-in whose four levels are straight lines that all cross
+    one another, so the tracked labels end reversed after several swaps."""
+
+    t_ad: float = 1.0
+
+    def hamiltonian(self, t: float) -> np.ndarray:
+        lines = np.array([0.0, 1.1, 2.3, 3.6]) + t * np.array([5.0, 1.7, -1.9, -4.4])
+        return np.diag(lines).astype(complex)
+
+
 class TestSpectralTrace:
     def test_shapes_and_sorting(self):
         trace = spectral_trace(FIG4, n_grid=101)
@@ -94,6 +109,63 @@ class TestSpectralTrace:
         duck = TwoLevelCrossing(slope=1.0, gap=0.5, t_star=0.75, t_ad=1.0)
         with pytest.raises(DegenerateTracking):
             spectral_trace(duck, n_grid=3)
+
+
+def reference_tracked_eigensystem(schedule, times):
+    """Sequential level tracking, one grid step at a time: each step's
+    overlaps are taken against the previous step's tracked vectors, the
+    assignment is the best of the 24 permutations by brute force, and each
+    new vector is phase-fixed so its overlap with its predecessor is real
+    and positive."""
+    sorted_e, vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(t) for t in times]))
+    tracked_e, tracked_v = sorted_e.copy(), vecs.copy()
+    for i in range(1, len(times)):
+        overlap = np.abs(tracked_v[i - 1].conj().T @ vecs[i])
+        for k in range(4):
+            row = np.sort(overlap[k])[::-1]
+            if row[0] - row[1] < _TIE_TOL:
+                raise DegenerateTracking(
+                    f"ambiguous level continuation at t = {times[i]:.6f} us: "
+                    f"two overlaps of tracked level {k + 1} tie at {row[0]:.6f}"
+                )
+        perm = list(max(itertools.permutations(range(4)),
+                        key=lambda p: sum(overlap[k, p[k]] for k in range(4))))
+        tracked_e[i] = sorted_e[i][perm]
+        tracked_v[i] = vecs[i][:, perm]
+        for k in range(4):
+            phase = np.vdot(tracked_v[i - 1][:, k], tracked_v[i][:, k])
+            if abs(phase) > 0.0:
+                tracked_v[i][:, k] *= phase.conj() / abs(phase)
+    return sorted_e, tracked_e, tracked_v
+
+
+class TestBatchedTracking:
+    """The batched tracker against the sequential reference tracker."""
+
+    @pytest.mark.parametrize("schedule, n_grid", [(FIG4, 1001), (FIG3B, 201),
+                                                  (FIG4.coupling_off(), 1001),
+                                                  (FIG4, 2), (LineCrossings(), 101)])
+    def test_matches_sequential_reference(self, schedule, n_grid):
+        times = np.linspace(0.0, schedule.t_ad, n_grid)
+        sorted_e, tracked_e, tracked_v = _tracked_eigensystem(schedule, times)
+        ref_sorted, ref_e, ref_v = reference_tracked_eigensystem(schedule, times)
+        if isinstance(schedule, LineCrossings):
+            assert np.array_equal(tracked_e[-1], np.sort(tracked_e[-1])[::-1])
+        assert np.array_equal(sorted_e, ref_sorted)
+        assert np.array_equal(tracked_e, ref_e)
+        assert np.max(np.abs(tracked_v - ref_v)) <= 1e-12
+        successive = np.einsum("ijk,ijk->ik", tracked_v[:-1].conj(), tracked_v[1:])
+        assert np.all(np.abs(successive.imag) <= 1e-12)
+        assert np.all(successive.real > 0.0)
+
+    def test_degenerate_message_matches_reference(self):
+        duck = TwoLevelCrossing(slope=1.0, gap=0.5, t_star=0.75, t_ad=1.0)
+        times = np.linspace(0.0, duck.t_ad, 3)
+        with pytest.raises(DegenerateTracking) as expected:
+            reference_tracked_eigensystem(duck, times)
+        with pytest.raises(DegenerateTracking) as got:
+            _tracked_eigensystem(duck, times)
+        assert str(got.value) == str(expected.value)
 
 
 class TestMinGap:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adiasim.cli import main
 from adiasim.config import SCENARIO_NAMES, validate_config
@@ -128,6 +132,20 @@ class TestRunCommand:
                                      "[schedule]\nt_ad = 5.0, 10.0\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "at least 3 distinct durations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("j", ["0.0", "-1.0"])
+    def test_chevron_without_positive_coupling_exits_2(self, tmp_path, capsys, j):
+        cfg = write_config(tmp_path, f"[scenario]\nname = chevron\n\n[schedule]\nj = {j}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "schedule.j: chevron needs a positive coupling" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n_samples, code", [(1, 2), (2, 2), (3, 0)])
+    def test_chevron_needs_four_times(self, tmp_path, capsys, n_samples, code):
+        cfg = write_config(tmp_path, "[scenario]\nname = chevron\n\n"
+                                     f"[simulation]\nn_samples = {n_samples}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+        assert ("simulation.n_samples: chevron" in capsys.readouterr().err) == (code == 2)
 
     @pytest.mark.parametrize("n_samples, rows", [(1, 2), (2, 3)])
     def test_fewest_samples_write_every_trace(self, tmp_path, n_samples, rows):
@@ -325,9 +343,57 @@ class TestIntrospection:
         assert excinfo.value.code == 0
         assert re.match(r"adiasim \d+\.\d+", capsys.readouterr().out)
 
+    def test_run_imports_no_scipy(self, tmp_path):
+        """A run loads numpy only; run in a fresh interpreter because other
+        tests may have imported scipy into this one."""
+        cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2\n\n"
+                                     "[simulation]\nn_samples = 4\n")
+        code = ("import sys\n"
+                "import adiasim.cli\n"
+                f"assert adiasim.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "adiasim.cli", "list-scenarios"],
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0
         assert "fig4" in result.stdout
+
+
+# Schedule values at the edges of the accepted range: zero, negative, tiny,
+# large finite and non-finite.  ``None`` keeps the scenario's preset.
+EDGE_VALUES = st.one_of(st.sampled_from(["0", "-1", "1e-9", "1e6", "inf", "nan"]), st.none())
+NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestExitCodeContract:
+    # The explicit example is a chevron run that only its coupling makes
+    # invalid; generated ones mostly stop earlier in validation.
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @example(name="chevron", fields=dict(z1=None, z2=None, x1=None, x2=None, j="0", zz=None),
+             t_ad="2", n_samples=4)
+    @given(name=st.sampled_from(["chevron", "fig4"]),
+           fields=st.fixed_dictionaries({key: EDGE_VALUES
+                                         for key in ("z1", "z2", "x1", "x2", "j", "zz")}),
+           t_ad=st.sampled_from(["2", "1", "0.5"]),
+           n_samples=st.integers(min_value=1, max_value=10))
+    def test_run_exits_0_2_or_3_and_writes_only_finite_values(self, name, fields,
+                                                              t_ad, n_samples):
+        schedule = "".join(f"{key} = {value}\n" for key, value in fields.items()
+                           if value is not None)
+        text = (f"[scenario]\nname = {name}\n\n[schedule]\n{schedule}t_ad = {t_ad}\n\n"
+                f"[simulation]\nn_samples = {n_samples}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.ini")
+            with open(cfg, "w") as handle:
+                handle.write(text)
+            out = os.path.join(tmp, "o")
+            assert main(["run", cfg, "--out", out]) in (0, 2, 3)
+            for file_name in os.listdir(out) if os.path.isdir(out) else ():
+                with open(os.path.join(out, file_name)) as handle:
+                    assert not NON_FINITE_TOKEN.search(handle.read()), file_name
