@@ -101,8 +101,11 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
     into the labels.  A tracked vector's phase is the running product of
     ``conj(r)/|r|`` over its raw overlaps r (see SpectralTrace.vectors).
     """
-    # Only ``hamiltonian(t)`` is asked of the schedule (see spectral_trace).
-    sorted_e, vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(t) for t in times]))
+    # A schedule without the stacked ``hamiltonians(times)`` needs only
+    # ``hamiltonian(t)`` (see spectral_trace).
+    hams = (schedule.hamiltonians(times) if hasattr(schedule, "hamiltonians")
+            else np.stack([schedule.hamiltonian(t) for t in times]))
+    sorted_e, vecs = np.linalg.eigh(hams)
     raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
     overlap = np.abs(raw)
     best = np.argmax(overlap[:, np.arange(4), _PERMS].sum(axis=2), axis=1)

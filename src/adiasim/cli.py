@@ -29,7 +29,7 @@ from .config import (
     validate_config,
 )
 from .dynamics import StepTooLarge, UnphysicalNoise
-from .scenarios import Unwritable, run_scenario
+from .scenarios import NonFiniteOutput, Unwritable, run_scenario
 
 OUT_DIR_ENV = "ADIASIM_OUT_DIR"
 
@@ -45,6 +45,7 @@ _RUNTIME_ERRORS = (
     WindowOutOfRange,
     ZeroSlope,
     Unwritable,
+    NonFiniteOutput,
 )
 
 

@@ -41,6 +41,7 @@ seed-independent.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -73,14 +74,6 @@ SCENARIO_SUMMARIES = {
     "fig4": "asymmetric sweep (j=1.3 MHz) over a t_ad sweep: diabatic-to-adiabatic crossover",
     "table1": "fig4 sweep with noise from |00> and |11> plus zero-time mitigation report",
     "custom": "user-supplied schedule parameters",
-}
-
-_KNOWN_KEYS = {
-    "scenario": ("name", "initial_states"),
-    "schedule": ("z1", "z2", "x1", "x2", "j", "zz", "t_ad"),
-    "noise": ("enabled", "t1_us", "t2_us", "nth"),
-    "simulation": ("dt_us", "n_samples", "shots", "seed"),
-    "output": ("directory", "format"),
 }
 
 _FIG3 = dict(z1=2.5, z2=1.5, x1=2.0, x2=4.1, zz=0.2)
@@ -120,6 +113,9 @@ _BASE_DEFAULTS = dict(
 # Upper bound on simulation.n_samples: a Lindblad run keeps one 16x16
 # complex map per sample interval, about 410 MB at the bound.
 _MAX_N_SAMPLES = 100_000
+# Upper bound on the RK4 steps of one run over all its durations: at about
+# 4 us per 16x16 Lindblad step (2-CPU x86-64 host), minutes rather than days.
+_MAX_RK4_STEPS = 10**8
 
 # Fields a custom scenario must state explicitly (no physical default).
 _REQUIRED_CUSTOM = ("z1", "z2", "x1", "x2", "t_ad")
@@ -166,39 +162,11 @@ class ScenarioConfig:
 
     def to_text(self) -> str:
         """Canonical INI text that re-parses to this exact config."""
-        fmt = lambda v: repr(float(v))
-        pair = lambda v: ", ".join(repr(float(x)) for x in v)
-        lines = [
-            "[scenario]",
-            f"name = {self.name}",
-            f"initial_states = {', '.join(self.initial_states)}",
-            "",
-            "[schedule]",
-            f"z1 = {fmt(self.z1)}",
-            f"z2 = {fmt(self.z2)}",
-            f"x1 = {fmt(self.x1)}",
-            f"x2 = {fmt(self.x2)}",
-            f"j = {fmt(self.j)}",
-            f"zz = {fmt(self.zz)}",
-            f"t_ad = {pair(self.t_ad)}",
-            "",
-            "[noise]",
-            f"enabled = {'true' if self.noise_enabled else 'false'}",
-            f"t1_us = {pair(self.t1_us)}",
-            f"t2_us = {pair(self.t2_us)}",
-            f"nth = {pair(self.nth)}",
-            "",
-            "[simulation]",
-            f"dt_us = {fmt(self.dt_us)}",
-            f"n_samples = {self.n_samples}",
-            f"shots = {self.shots}",
-            f"seed = {self.seed}",
-            "",
-            "[output]",
-            f"directory = {self.out_dir}",
-            f"format = {self.format}",
-        ]
-        return "\n".join(lines) + "\n"
+        lines = []
+        for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0]):
+            lines += ["", f"[{section}]"]
+            lines += [f"{key} = {fmt(getattr(self, attr))}" for _, key, attr, (_, fmt) in rows]
+        return "\n".join(lines[1:]) + "\n"
 
 
 def _parse_float(raw: str, where: str, errors: list[str]) -> float | None:
@@ -257,6 +225,33 @@ def _parse_bool(raw: str, where: str, errors: list[str]) -> bool | None:
     return None
 
 
+# (parser, formatter) of each kind of field.
+_FLOAT = (_parse_float, lambda value: repr(float(value)))
+_FLOATS = (_parse_float_list, lambda values: ", ".join(repr(float(v)) for v in values))
+_PAIR = (_parse_pair, _FLOATS[1])
+_INT = (_parse_int, str)
+_TEXT = (lambda raw, where, errors: raw.strip(), str)
+
+# Every config-file field, as (section, key, ScenarioConfig attribute,
+# kind), in the order of ScenarioConfig.to_text.
+_FIELDS = (
+    ("scenario", "name", "name", _TEXT),
+    ("scenario", "initial_states", "initial_states",
+     (lambda raw, where, errors: tuple(p.strip() for p in raw.split(",") if p.strip()),
+      ", ".join)),
+    *(("schedule", key, key, _FLOAT) for key in ("z1", "z2", "x1", "x2", "j", "zz")),
+    ("schedule", "t_ad", "t_ad", _FLOATS),
+    ("noise", "enabled", "noise_enabled", (_parse_bool, lambda on: "true" if on else "false")),
+    *(("noise", key, key, _PAIR) for key in ("t1_us", "t2_us", "nth")),
+    ("simulation", "dt_us", "dt_us", _FLOAT),
+    *(("simulation", key, key, _INT) for key in ("n_samples", "shots", "seed")),
+    ("output", "directory", "out_dir", _TEXT),
+    ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str)),
+)
+_KNOWN_KEYS = {section: tuple(row[1] for row in rows)
+               for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0])}
+
+
 def validate_config(text: str, override_name: str | None = None) -> tuple[ScenarioConfig | None, list[str]]:
     """Parse and validate configuration text.
 
@@ -297,7 +292,6 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
 
     merged: dict = dict(_BASE_DEFAULTS)
     merged.update(_PRESETS[name])
-    merged["name"] = name
 
     if name == "custom":
         sched_raw = raw.get("schedule", {})
@@ -305,50 +299,12 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
             if field_name not in sched_raw:
                 errors.append(f"schedule.{field_name}: missing required field for a custom scenario")
 
-    sched = raw.get("schedule", {})
-    for key in ("z1", "z2", "x1", "x2", "j", "zz"):
-        if key in sched:
-            value = _parse_float(sched[key], f"schedule.{key}", errors)
+    for section, key, attr, (parse, _) in _FIELDS:
+        if key in raw.get(section, {}):
+            value = parse(raw[section][key], f"{section}.{key}", errors)
             if value is not None:
-                merged[key] = value
-    if "t_ad" in sched:
-        values = _parse_float_list(sched["t_ad"], "schedule.t_ad", errors)
-        if values is not None:
-            merged["t_ad"] = values
-
-    noise = raw.get("noise", {})
-    if "enabled" in noise:
-        value = _parse_bool(noise["enabled"], "noise.enabled", errors)
-        if value is not None:
-            merged["noise_enabled"] = value
-    for key, target in (("t1_us", "t1_us"), ("t2_us", "t2_us"), ("nth", "nth")):
-        if key in noise:
-            value = _parse_pair(noise[key], f"noise.{key}", errors)
-            if value is not None:
-                merged[target] = value
-
-    sim = raw.get("simulation", {})
-    if "dt_us" in sim:
-        value = _parse_float(sim["dt_us"], "simulation.dt_us", errors)
-        if value is not None:
-            merged["dt_us"] = value
-    for key in ("n_samples", "shots", "seed"):
-        if key in sim:
-            value = _parse_int(sim[key], f"simulation.{key}", errors)
-            if value is not None:
-                merged[key] = value
-
-    scen = raw.get("scenario", {})
-    if "initial_states" in scen:
-        states = tuple(piece.strip() for piece in scen["initial_states"].split(",")
-                       if piece.strip())
-        merged["initial_states"] = states
-
-    out = raw.get("output", {})
-    if "directory" in out:
-        merged["out_dir"] = out["directory"].strip()
-    if "format" in out:
-        merged["format"] = out["format"].strip().lower()
+                merged[attr] = value
+    merged["name"] = name
 
     if "t_ad" not in merged or not merged.get("t_ad"):
         errors.append("schedule.t_ad: missing required field")
@@ -382,11 +338,22 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                 f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
                 f"{min(finite_tads) / 100.0}"
             )
-    if not 1 <= merged["n_samples"] <= _MAX_N_SAMPLES:
+    n_samples = merged["n_samples"]
+    if not 1 <= n_samples <= _MAX_N_SAMPLES:
         errors.append(f"simulation.n_samples: must be in 1..{_MAX_N_SAMPLES}, "
-                      f"got {merged['n_samples']}")
-    elif name == "chevron" and merged["n_samples"] < 3:
-        errors.append(f"simulation.n_samples: chevron needs at least 3, got {merged['n_samples']}")
+                      f"got {n_samples}")
+    elif name == "chevron" and n_samples < 3:
+        errors.append(f"simulation.n_samples: chevron needs at least 3, got {n_samples}")
+    elif math.isfinite(dt) and dt > 0.0:
+        # The step rule of dynamics._sample_grid; a tiny dt can make the
+        # per-interval count inf, which math.ceil refuses.
+        per_interval = [t_ad / n_samples / dt - 1e-12 for t_ad in merged["t_ad"]
+                        if math.isfinite(t_ad) and t_ad > 0.0]
+        steps = sum(n_samples * max(1, math.ceil(x) if math.isfinite(x) else x)
+                    for x in per_interval)
+        if steps > _MAX_RK4_STEPS:
+            errors.append(f"simulation.dt_us: {dt} needs {steps:.3g} RK4 steps over all "
+                          f"durations; at most {_MAX_RK4_STEPS:.0e} are allowed")
     if merged["shots"] < 0:
         errors.append(f"simulation.shots: must be >= 0, got {merged['shots']}")
     if merged["seed"] < 0:
@@ -426,15 +393,7 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
     if merged["shots"] == 0:
         merged["seed"] = 0
 
-    config = ScenarioConfig(
-        name=merged["name"], z1=merged["z1"], z2=merged["z2"], x1=merged["x1"],
-        x2=merged["x2"], j=merged["j"], zz=merged["zz"], t_ad=tuple(merged["t_ad"]),
-        noise_enabled=merged["noise_enabled"], t1_us=tuple(merged["t1_us"]),
-        t2_us=tuple(merged["t2_us"]), nth=tuple(merged["nth"]), dt_us=merged["dt_us"],
-        n_samples=merged["n_samples"], shots=merged["shots"], seed=merged["seed"],
-        initial_states=tuple(merged["initial_states"]), out_dir=merged["out_dir"],
-        format=merged["format"],
-    )
+    config = ScenarioConfig(**merged)
     return config, []
 
 

@@ -20,14 +20,13 @@ therefore a fixed matrix built from the generators at the step's start
     R = I + h/6 * (K1 + 2*K2 + 2*K3 + K4),
     K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
 
-Each sample interval is propagated by the product of its step matrices.
-The steps are taken in batches of at most ``_BATCH_STEPS``: one call
-evaluates H at all of a batch's stage times, batched matmuls build its
-R_n, and pairwise reduction multiplies them in time order; batch products
-are folded into the interval map.  Memory thus stays bounded however many
-steps an interval holds.  The interval maps of a sweep schedule depend
-only on (schedule, noise, dt, n_samples), so they are built once and
-shared by every initial state propagated with them.
+Each sample interval is propagated by the product of its step matrices,
+taken in batches of at most ``_BATCH_STEPS`` and multiplied in time order
+by pairwise reduction, so memory stays bounded however many steps an
+interval holds.  A sweep schedule is affine in s = t/t_ad, so its generator
+is A(s) = G0 + s*G1 and R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built
+once per (schedule, noise, dt, n_samples) and shared by every initial
+state; an arbitrary H(t) callable is evaluated at every stage time.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample and an error is raised if it exceeds 1e-4 or is not
@@ -251,22 +250,14 @@ def _dissipator_matrix(noise: NoiseModel) -> np.ndarray:
     return m
 
 
-def _liouvillians(hams: np.ndarray, diss: np.ndarray) -> np.ndarray:
-    """Stack of 16x16 Lindblad generators for a stack of Hamiltonians.
+def _liouvillian(ham: np.ndarray) -> np.ndarray:
+    """16x16 generator of rho -> -2*pi*i [H, rho] for one Hamiltonian.
 
     Row-major vectorization: vec(H rho) = kron(H, I) vec(rho) and
-    vec(rho H) = kron(I, H.T) vec(rho).  Both are written through the
-    (a, b, c, d) view of the row index 4a+b and column index 4c+d.
+    vec(rho H) = kron(I, H.T) vec(rho).
     """
-    n = len(hams)
-    gen = _W * hams
-    idx = np.arange(4)
-    out = np.zeros((n, 4, 4, 4, 4), dtype=complex)
-    out[:, :, idx, :, idx] = gen  # kron(H, I)[ab, cd] = H[a, c] delta(b, d)
-    out[:, idx, :, idx, :] -= gen.transpose(0, 2, 1)  # kron(I, H.T)[ab, cd] = delta(a, c) H[d, b]
-    out = out.reshape(n, 16, 16)
-    out += diss
-    return out
+    eye = np.eye(4)
+    return _W * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
 
 def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
@@ -294,6 +285,38 @@ def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
     return k2
 
 
+def _step_polynomial(g0: np.ndarray, g1: np.ndarray, h: float,
+                     delta: float) -> np.ndarray:
+    """Coefficients P, shape (5, d, d), of the RK4 step R(s) = I + sum_k s^k P_k.
+
+    The generator is A(s) = g0 + s*g1, and a step of size h from s takes its
+    stages at s, s + delta/2 and s + delta.  Each K_i is carried as the
+    stack of its coefficients in s; a stage raises the degree by one.  The
+    products stay d x d, which BLAS runs on one thread.
+    """
+
+    def stage(b: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
+        # (b + s*g1) + c * (b + s*g1) @ k(s)
+        out = np.zeros((len(k) + 1,) + g0.shape, dtype=complex)
+        out[:-1] = b @ k
+        out[1:] += g1 @ k
+        out *= c
+        out[0] += b
+        out[1] += g1
+        return out
+
+    b_mid = g0 + (0.5 * delta) * g1
+    k1 = np.stack([g0, g1])
+    k2 = stage(b_mid, k1, 0.5 * h)
+    k3 = stage(b_mid, k2, 0.5 * h)
+    poly = stage(g0 + delta * g1, k3, h)  # K4
+    poly[:4] += 2.0 * k3
+    poly[:3] += 2.0 * k2
+    poly[:2] += k1
+    poly *= h / 6.0
+    return poly
+
+
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """mats[-1] @ ... @ mats[1] @ mats[0], by pairwise reduction."""
     while len(mats) > 1:
@@ -303,25 +326,21 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _interval_maps(generators, dim: int, t_ad: float, dt: float,
-                   n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times and the RK4 propagator of each sample interval.
+def _interval_maps(step_matrices, dim: int, times: np.ndarray, steps: int,
+                   h: float) -> np.ndarray:
+    """The RK4 propagator of each sample interval of ``times``.
 
-    ``generators(times)`` returns the stack of dim x dim generators A(t) at
-    an array of times.
+    ``step_matrices(stage_times)`` returns the m dim x dim step matrices of
+    a batch from its 2m+1 half-step times.
     """
-    times, steps, h = _sample_grid(t_ad, dt, n_samples)
-    maps = np.empty((n_samples, dim, dim), dtype=complex)
-    # An unstable step size can overflow in intervals past the first bad
-    # sample; the drift check there reports it as StepTooLarge.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t0 in enumerate(times[:-1]):
-            for first in range(0, steps, _BATCH_STEPS):
-                m = min(_BATCH_STEPS, steps - first)
-                stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
-                batch = _ordered_product(_step_matrices(generators(stage_times), h))
-                maps[k] = batch if first == 0 else batch @ maps[k]
-    return times, maps
+    maps = np.empty((len(times) - 1, dim, dim), dtype=complex)
+    for k, t0 in enumerate(times[:-1]):
+        for first in range(0, steps, _BATCH_STEPS):
+            m = min(_BATCH_STEPS, steps - first)
+            stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
+            batch = _ordered_product(step_matrices(stage_times))
+            maps[k] = batch if first == 0 else batch @ maps[k]
+    return maps
 
 
 @functools.lru_cache(maxsize=1)
@@ -335,13 +354,29 @@ def _schedule_maps(schedule: ProtocolSchedule, noise: NoiseModel | None,
     # A miss: drop the previous entry now rather than after this one is
     # built, so that only one set of maps is alive at a time.
     _schedule_maps.cache_clear()
-    if noise is None:
-        generators = lambda t: _W * schedule.hamiltonians(t)
-    else:
-        diss = _dissipator_matrix(noise)
-        generators = lambda t: _liouvillians(schedule.hamiltonians(t), diss)
-    times, maps = _interval_maps(generators, 4 if noise is None else 16,
-                                 schedule.t_ad, dt, n_samples)
+    times, steps, h = _sample_grid(schedule.t_ad, dt, n_samples)
+    # An unstable step size, or a non-finite schedule field, can overflow
+    # here; the drift check at the first bad sample reports it as
+    # StepTooLarge.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise is None:
+            g0, g1 = _W * schedule.h0, _W * schedule.h1
+        else:
+            g0 = _liouvillian(schedule.h0) + _dissipator_matrix(noise)
+            g1 = _liouvillian(schedule.h1)
+        # Real powers times the real and imaginary parts: the same sums as
+        # a complex product, at half its cost.
+        poly = _step_polynomial(g0, g1, h, h / schedule.t_ad).reshape(5, -1).view(float)
+        eye = np.eye(len(g0))
+
+        def step_matrices(stage_times: np.ndarray) -> np.ndarray:
+            s = stage_times[:-2:2] / schedule.t_ad
+            sums = (np.vander(s, 5, increasing=True) @ poly).view(complex)
+            # I is added after the sum, not folded into P_0, so that the
+            # rounding of one shared P_0 + I does not repeat in every step.
+            return eye + sums.reshape((len(s),) + eye.shape)
+
+        maps = _interval_maps(step_matrices, len(g0), times, steps, h)
     times.flags.writeable = False
     maps.flags.writeable = False
     return times, maps
@@ -405,11 +440,14 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
     ``ham(t)`` must return a 4x4 Hermitian matrix in MHz for t in [0, t_ad].
     """
     psi0 = _pure_initial(psi0)
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
 
-    def generators(times: np.ndarray) -> np.ndarray:
-        return _W * np.stack([np.asarray(ham(t), dtype=complex) for t in times])
+    def step_matrices(stage_times: np.ndarray) -> np.ndarray:
+        gens = _W * np.stack([np.asarray(ham(t), dtype=complex) for t in stage_times])
+        return _step_matrices(gens, h)
 
-    times, maps = _interval_maps(generators, 4, t_ad, dt, n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
+        maps = _interval_maps(step_matrices, 4, times, steps, h)
     states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
     return Trajectory(times=times, states=states, drifts=drifts, schedule=None)
 

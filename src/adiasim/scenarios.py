@@ -15,6 +15,7 @@ produced it.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -44,7 +45,8 @@ from .schedule import (
 )
 from .tomography import energy_from_correlators, measure_tomogram, rotate_frame
 
-__all__ = ["Unwritable", "run_scenario", "read_trace_config", "CHEVRON_F_CENTER"]
+__all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
+           "CHEVRON_F_CENTER"]
 
 # Calibration-scenario constants: swap resonance and synthetic
 # amplitude-model truth used for the round-trip fits.
@@ -54,10 +56,15 @@ CHEVRON_N_FREQ = 41
 _TRUTH_B1, _TRUTH_B3 = 2.2, 1.5
 _TRUTH_C2 = (-0.09, -0.035)
 _TRUTH_C4 = (-0.02, -0.008)
+_MIN_TRACKING_STEPS = 100
 
 
 class Unwritable(OSError):
     """Raised when an output path cannot be created or written."""
+
+
+class NonFiniteOutput(ValueError):
+    """Raised instead of writing a NaN or infinite value to an output file."""
 
 
 def _fmt_tad(t_ad: float) -> str:
@@ -79,8 +86,18 @@ def _write_text(path: str, text: str) -> None:
         raise Unwritable(f"cannot write {path}: {exc}") from exc
 
 
+def _write_json(path: str, payload: dict, indent: int | None = None) -> None:
+    try:
+        text = json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"refusing to write {path}: {exc}") from exc
+    _write_text(path, text + "\n")
+
+
 def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
                  columns: list[str], rows: list[list[float]]) -> None:
+    if not np.isfinite(rows).all():
+        raise NonFiniteOutput(f"refusing to write {path}: a trace value is not finite")
     if config.format == "json":
         payload = {
             "format": "adiasim-trace",
@@ -92,7 +109,7 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
             "columns": columns,
             "rows": rows,
         }
-        _write_text(path, json.dumps(payload) + "\n")
+        _write_json(path, payload)
         return
     lines = [
         f"# adiasim-trace version={__version__}",
@@ -149,7 +166,14 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
         trajectories[label] = traj
 
     times = trajectories[config.initial_states[0]].times
-    trace = SpectralTrace(times, *_tracked_eigensystem(schedule, times), schedule=schedule)
+    # Levels are tracked on at least _MIN_TRACKING_STEPS steps: across a few
+    # long steps the overlaps of successive eigenbases can tie.  The fine
+    # grid holds the trajectory times exactly, at every r-th point.
+    r = math.ceil(_MIN_TRACKING_STEPS / (len(times) - 1))
+    fine = np.linspace(0.0, times[-1], r * (len(times) - 1) + 1)
+    fine[::r] = times
+    levels = (column[::r] for column in _tracked_eigensystem(schedule, fine))
+    trace = SpectralTrace(times, *levels, schedule=schedule)
     fidelities = {
         label: passage_fidelity(traj, trace, initial_level_for_state(trace, basis_state(label)))
         for label, traj in trajectories.items()
@@ -239,7 +263,7 @@ def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
                                       config.t_ad, extras_by_tad),
     }
     report_path = os.path.join(config.out_dir, f"{label}_report.json")
-    _write_text(report_path, json.dumps(report, indent=2) + "\n")
+    _write_json(report_path, report, indent=2)
     paths.append(report_path)
     return paths
 
@@ -295,7 +319,7 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
         "states": states_report,
     }
     report_path = os.path.join(config.out_dir, "table1_report.json")
-    _write_text(report_path, json.dumps(report, indent=2) + "\n")
+    _write_json(report_path, report, indent=2)
     paths.append(report_path)
     return paths
 
@@ -346,9 +370,8 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
             summary["max_abs_iy_constant_raw"] = float(np.max(np.abs(raw_iy)))
 
     report_path = os.path.join(config.out_dir, "fig1_report.json")
-    _write_text(report_path, json.dumps(
-        {"scenario": "fig1", "version": __version__, "summary": summary},
-        indent=2) + "\n")
+    _write_json(report_path, {"scenario": "fig1", "version": __version__, "summary": summary},
+                indent=2)
     paths.append(report_path)
     return paths
 
@@ -413,7 +436,7 @@ def _run_chevron(config: ScenarioConfig) -> list[str]:
         "resonance_shift_at_full_amplitude_mhz": truth.resonance_shift(1.0),
     }
     report_path = os.path.join(config.out_dir, "chevron_report.json")
-    _write_text(report_path, json.dumps(report, indent=2) + "\n")
+    _write_json(report_path, report, indent=2)
     return [map_path, report_path]
 
 

@@ -10,10 +10,8 @@ and a transverse one at ``t = t_ad`` while an exchange coupling ramps on:
 
 with all frequencies in MHz and times in microseconds.  ``h`` is factored
 out: dynamics code multiplies by ``2*pi`` when integrating.  The coupling
-ramp ``j(t)`` is linear by default (``j(0) = 0``, ``j(t_ad) = j_final``);
-alternatively it can follow a cubic-in-amplitude calibration curve
-``j = b1*A + b3*A**3`` with the amplitude ``A`` ramped linearly, which
-makes ``j(t)`` slightly superlinear in time.
+ramps linearly, ``j(t) = (t/t_ad) * j_final``, so with ``s = t/t_ad`` the
+whole Hamiltonian is affine, ``H(s) = H0 + s*H1``.
 
 The single-qubit Z ramp is realized by chirping the drive frequency
 linearly from ``z`` MHz below the qubit up to resonance.  The frame
@@ -24,7 +22,7 @@ chirp and in the constant-frequency frame, and the angle between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,10 +64,9 @@ class ProtocolSchedule:
     j_final: exchange coupling reached at t = t_ad [MHz]
     zz     : static ZZ coefficient [MHz]
     t_ad   : protocol duration [us]
-    j_ramp : "linear" (default) or "amplitude" (cubic calibration curve)
-    b1, b3, amp_final : calibration-curve coefficients and final drive
-        amplitude; required when j_ramp == "amplitude", in which case
-        j_final is derived as b1*amp_final + b3*amp_final**3.
+
+    ``h0`` and ``h1`` (built once per instance, not fields) are the 4x4
+    matrices of H(s)/h = h0 + s*h1 [MHz]; every evaluation reads them.
     """
 
     z1: float
@@ -79,44 +76,24 @@ class ProtocolSchedule:
     j_final: float = 0.0
     zz: float = 0.0
     t_ad: float = 10.0
-    j_ramp: str = "linear"
-    b1: float | None = field(default=None, repr=False)
-    b3: float | None = field(default=None, repr=False)
-    amp_final: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.t_ad <= 0.0:
             raise ValueError(f"t_ad must be positive, got {self.t_ad}")
-        if self.j_ramp not in ("linear", "amplitude"):
-            raise ValueError(f"unknown j_ramp mode {self.j_ramp!r}")
-        if self.j_ramp == "amplitude":
-            if self.b1 is None or self.b3 is None or self.amp_final is None:
-                raise ValueError("amplitude ramp requires b1, b3 and amp_final")
-            derived = self.b1 * self.amp_final + self.b3 * self.amp_final**3
-            object.__setattr__(self, "j_final", derived)
-        # Kronecker term sums, built once per (frozen) instance.
-        object.__setattr__(self, "_z_term", self.z1 * _ZI + self.z2 * _IZ)
-        object.__setattr__(self, "_x_term", self.x1 * _XI + self.x2 * _IX)
-        object.__setattr__(self, "_zz_term", self.zz * 0.25 * _ZZ)
-
-    def _j_of_s(self, s):
-        """Coupling at normalized time s (a float or an array)."""
-        if self.j_ramp == "amplitude":
-            amp = self.amp_final * s
-            return self.b1 * amp + self.b3 * amp**3
-        return self.j_final * s
+        z_term = self.z1 * _ZI + self.z2 * _IZ
+        x_term = self.x1 * _XI + self.x2 * _IX
+        object.__setattr__(self, "h0", 0.5 * z_term + self.zz * 0.25 * _ZZ)
+        object.__setattr__(self, "h1", 0.5 * x_term - 0.5 * z_term
+                           + self.j_final * 0.25 * _XXYY)
 
     def _h_of_s(self, s):
         """H(s)/h; an array s of shape (n, 1, 1) gives an (n, 4, 4) stack."""
-        h = (1.0 - s) * 0.5 * self._z_term
-        h = h + s * 0.5 * self._x_term
-        h = h + self._j_of_s(s) * 0.25 * _XXYY
-        return h + self._zz_term
+        return self.h0 + s * self.h1
 
     def coupling(self, t: float) -> float:
         """Exchange coupling j(t) [MHz]."""
         _check_window(t, self.t_ad)
-        return self._j_of_s(min(max(t / self.t_ad, 0.0), 1.0))
+        return self.j_final * min(max(t / self.t_ad, 0.0), 1.0)
 
     def hamiltonian(self, t: float) -> np.ndarray:
         """H(t)/h as a 4x4 complex Hermitian matrix [MHz]."""
@@ -126,8 +103,7 @@ class ProtocolSchedule:
     def hamiltonians(self, times) -> np.ndarray:
         """H(t)/h at every time of a 1-D array, as an (n, 4, 4) stack [MHz].
 
-        Each matrix equals ``hamiltonian(t)`` at the same time, bit for bit
-        under the linear ramp and to rounding under the amplitude ramp.
+        Each matrix equals ``hamiltonian(t)`` at the same time, bit for bit.
         """
         times = np.asarray(times, dtype=float)
         if times.size:
@@ -147,10 +123,7 @@ class ProtocolSchedule:
         the level crossing opens into an avoided one and the tracked level
         difference is no longer linear through it.
         """
-        kwargs = dict(j_final=0.0, zz=0.0)
-        if self.j_ramp == "amplitude":
-            kwargs.update(j_ramp="linear", b1=None, b3=None, amp_final=None)
-        return self.with_(**kwargs)
+        return self.with_(j_final=0.0, zz=0.0)
 
 
 def frame_rotation_angle(z: float, t: float, t_ad: float) -> float:

@@ -7,11 +7,13 @@ import re
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adiasim import scenarios
 from adiasim.cli import main
 from adiasim.config import SCENARIO_NAMES, validate_config
 from adiasim.scenarios import read_trace_config
@@ -155,6 +157,31 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
         for name in ("fig4_trace_tad1.csv", "fig4_trace_tad2.csv"):
             assert len(data_lines(tmp_path / "o" / name)) == rows
+
+    def test_one_sample_of_uncoupled_sweep_tracks_levels(self, tmp_path):
+        """One trajectory step: every overlap between the Z and X eigenbases
+        is 0.5, so the levels are tracked on a finer grid through it."""
+        cfg = write_config(tmp_path, "[scenario]\nname = custom\n\n[schedule]\n"
+                                     "z1 = 2.5\nz2 = 1.5\nx1 = 2.0\nx2 = 4.1\n"
+                                     "j = 0\nzz = 0\nt_ad = 2\n\n"
+                                     "[simulation]\nn_samples = 1\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in data_lines(tmp_path / "o" / "custom_trace_tad2.csv")]
+        assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+
+    @pytest.mark.parametrize("target, result, unwritten", [
+        ("lz_probability", (math.nan, math.nan), "fig4_report.json"),
+        ("energy_from_correlators", SimpleNamespace(energy=math.nan), "fig4_trace_tad1.csv"),
+    ])
+    def test_non_finite_output_exits_3(self, tmp_path, capsys, monkeypatch,
+                                       target, result, unwritten):
+        monkeypatch.setattr(scenarios, target, lambda *args, **kwargs: result)
+        cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 1\n\n"
+                                     "[simulation]\ndt_us = 0.01\nn_samples = 4\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "run failed (NonFiniteOutput)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / unwritten).exists()
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -322,6 +349,16 @@ class TestValidateCommand:
         _, errors = validate_config("[scenario]\nname = table1\n\n"
                                     "[simulation]\nn_samples = 100001\n")
         assert any("simulation.n_samples" in e for e in errors)
+
+    def test_unbounded_rk4_work_exits_2(self, tmp_path, capsys):
+        """About 6.5e10 steps over table1's durations; only the validator
+        sees this, nothing is run near the bound."""
+        cfg = write_config(tmp_path, "[scenario]\nname = table1\n\n"
+                                     "[simulation]\ndt_us = 1e-9\n")
+        assert main(["validate", cfg]) == 2
+        assert "simulation.dt_us: 1e-09 needs 6.5e+10 RK4 steps" in capsys.readouterr().err
+        _, errors = validate_config("[scenario]\nname = fig4\n\n[simulation]\ndt_us = 5e-324\n")
+        assert any(e.startswith("simulation.dt_us") for e in errors)
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "absent.ini")])

@@ -105,9 +105,9 @@ class TestOneEigensystemPerDuration:
             "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
-        # One per duration on the 5 trajectory times, then the crossing
-        # report's coupled and bare 1001-point traces.
-        assert calls == [5, 5, 1001, 1001]
+        # One per duration on a 101-point grid that holds the 5 trajectory
+        # times, then the crossing report's coupled and bare 1001-point traces.
+        assert calls == [101, 101, 1001, 1001]
 
     def test_table1_tracks_once_per_duration(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
@@ -115,7 +115,7 @@ class TestOneEigensystemPerDuration:
             "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
-        assert calls == [5, 5, 5]
+        assert calls == [101, 101, 101]
 
 
 @pytest.fixture(scope="module")

@@ -85,16 +85,11 @@ class TestProtocolSchedule:
 
     def test_stacked_hamiltonians_match_scalar(self):
         rng = np.random.default_rng(12)
-        amplitude = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, t_ad=10.0,
-                                     j_ramp="amplitude", b1=2.2, b3=1.5, amp_final=0.6)
-        for sch in [random_schedule(rng) for _ in range(10)] + [amplitude]:
+        for sch in [random_schedule(rng) for _ in range(10)]:
             times = np.sort(rng.uniform(0.0, sch.t_ad, size=50))
             stack = sch.hamiltonians(times)
             scalar = np.array([sch.hamiltonian(t) for t in times])
-            if sch.j_ramp == "linear":
-                assert np.array_equal(stack, scalar)
-            else:
-                assert np.max(np.abs(stack - scalar)) <= 1e-15
+            assert np.array_equal(stack, scalar)
 
     def test_requires_positive_duration(self):
         with pytest.raises(ValueError):
@@ -115,37 +110,6 @@ class TestProtocolSchedule:
         h = bare.hamiltonian(5.0)
         assert np.allclose(h, np.diag(np.diag(h)).real + 0.5 * 5.0 / 10.0 * (
             sch.x1 * pauli_2q("XI") + sch.x2 * pauli_2q("IX")))
-
-
-class TestAmplitudeRamp:
-    def test_amplitude_mode_composes_cubic(self):
-        sch = ProtocolSchedule(
-            z1=2.5, z2=1.5, x1=1.0, x2=7.3, zz=0.2, t_ad=10.0,
-            j_ramp="amplitude", b1=2.2, b3=1.5, amp_final=0.6,
-        )
-        assert sch.coupling(0.0) == pytest.approx(0.0)
-        a_mid = 0.6 * 0.5
-        assert sch.coupling(5.0) == pytest.approx(2.2 * a_mid + 1.5 * a_mid**3)
-        full = 2.2 * 0.6 + 1.5 * 0.6**3
-        assert sch.coupling(10.0) == pytest.approx(full)
-        assert sch.j_final == pytest.approx(full)
-
-    def test_amplitude_mode_requires_model(self):
-        with pytest.raises(ValueError):
-            ProtocolSchedule(z1=1, z2=1, x1=1, x2=1, t_ad=10.0, j_ramp="amplitude")
-
-    def test_unknown_ramp_mode(self):
-        with pytest.raises(ValueError):
-            ProtocolSchedule(z1=1, z2=1, x1=1, x2=1, t_ad=10.0, j_ramp="spline")
-
-    def test_amplitude_ramp_is_monotone_for_positive_model(self):
-        sch = ProtocolSchedule(
-            z1=0, z2=3.0, x1=0, x2=2.7, t_ad=10.0,
-            j_ramp="amplitude", b1=2.2, b3=1.5, amp_final=1.0,
-        )
-        times = np.linspace(0.0, 10.0, 50)
-        js = [sch.coupling(t) for t in times]
-        assert all(b >= a for a, b in zip(js, js[1:]))
 
 
 class TestFrames:
