@@ -2,13 +2,13 @@
 
 Decoherence damage grows with the protocol duration, so an observable
 measured at the end of several protocols of different duration t_ad can be
-extrapolated back to t_ad = 0.  Each controlled energy contribution
-(x1<XI>/2, x2<IX>/2, j<XX>/4, j<YY>/4 at the end of the sweep) is fitted
+extrapolated back to t_ad = 0.  Each controlled energy contribution at the
+end of the sweep (the XI, IX, XX and YY terms of the estimator) is fitted
 by a second-order polynomial in t_ad and evaluated at zero; the mitigated
 energy is the sum of the extrapolated contributions.
 
-The z-terms carry a (1 - t/t_ad) prefactor that vanishes at the end of
-the protocol, which is why only the four transverse/coupling terms enter.
+The ZI and IZ coefficients of H(s) vanish at the end of the protocol,
+which is why only the four transverse/coupling terms enter.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .schedule import (
     constant_frame_hamiltonian,
     frame_rotation_angle,
 )
-from .tomography import energy_from_correlators, measure_tomogram, rotate_frame
+from .tomography import CORRELATOR_LABELS, Tomogram, energy_terms, measure_correlators, rotate_correlators
 
 __all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
            "CHEVRON_F_CENTER"]
@@ -57,6 +57,7 @@ _TRUTH_B1, _TRUTH_B3 = 2.2, 1.5
 _TRUTH_C2 = (-0.09, -0.035)
 _TRUTH_C4 = (-0.02, -0.008)
 _MIN_TRACKING_STEPS = 100
+_IX_IY = [CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")]
 
 
 class Unwritable(OSError):
@@ -148,6 +149,14 @@ def _measurement_seed(config: ScenarioConfig, *key: int) -> np.random.SeedSequen
     return np.random.SeedSequence(entropy=config.seed, spawn_key=tuple(key))
 
 
+def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
+    """Correlator columns of a trajectory; sample i is drawn from stream (*key, i)."""
+    seeds = None
+    if config.shots:
+        seeds = [_measurement_seed(config, *key, i) for i in range(len(states))]
+    return measure_correlators(states, config.shots, seeds)
+
+
 def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
                 t_ad_index: int) -> tuple[list[str], list[list[float]], dict]:
     """Simulate one duration for every initial state; build trace rows.
@@ -180,36 +189,20 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
     }
 
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
-    for label in config.initial_states:
+    table = [times, trace.energies]
+    end_tomograms = {}
+    for state_index, label in enumerate(config.initial_states):
         columns.append(f"energy_{label}_mhz")
         columns.extend(f"{term.lower()}_{label}" for term in PAULI_LABELS_2Q)
         columns.append(f"fidelity_{label}")
-
-    rows = []
-    end_tomograms = {}
-    for i, t in enumerate(times):
-        row = [float(t)] + [float(e) for e in trace.energies[i]]
-        for state_index, label in enumerate(config.initial_states):
-            state = trajectories[label].states[i]
-            if config.shots == 0:
-                tom = measure_tomogram(state, float(t))
-            else:
-                seed = _measurement_seed(config, t_ad_index, state_index, i)
-                tom = measure_tomogram(state, float(t), config.shots, seed)
-            estimate = energy_from_correlators(tom, schedule, float(t))
-            row.append(estimate.energy)
-            row.extend(tom[term] for term in PAULI_LABELS_2Q)
-            row.append(float(fidelities[label][i]))
-            if i == len(times) - 1:
-                end_tomograms[label] = tom
-        rows.append(row)
-
-    extras = {
-        "trajectories": trajectories,
-        "fidelities": fidelities,
-        "end_tomograms": end_tomograms,
-    }
-    return columns, rows, extras
+        values = _measure(config, trajectories[label].states, t_ad_index, state_index)
+        energy = energy_terms(values, schedule, times).sum(axis=1)
+        table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
+        end_tomograms[label] = Tomogram(time=float(times[-1]), shots=config.shots,
+                                        values=dict(zip(CORRELATOR_LABELS, values[-1].tolist())))
+    rows = np.column_stack(table).tolist()
+    return columns, rows, {"trajectories": trajectories, "fidelities": fidelities,
+                           "end_tomograms": end_tomograms}
 
 
 def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
@@ -337,37 +330,24 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
     summary: dict[str, float] = {"z_mhz": z, "x_mhz": x, "t_ad_us": t_ad}
     for frame_index, (frame, ham) in enumerate(runs.items()):
         traj = propagate_custom(ham, t_ad, psi0, config.dt_us, config.n_samples)
+        values = _measure(config, traj.states, frame_index, 0)
         columns = ["t_us"] + [term.lower() for term in PAULI_LABELS_2Q]
+        table = [traj.times, values[:, :len(PAULI_LABELS_2Q)]]
+        ix_iy = raw_ix_iy = values[:, _IX_IY]
         if frame == "constant":
             columns += ["theta_rad", "ix_rotated", "iy_rotated"]
-        rows = []
-        ix_values, iy_values = [], []
-        for i, t in enumerate(traj.times):
-            if config.shots == 0:
-                tom = measure_tomogram(traj.states[i], float(t))
-            else:
-                seed = _measurement_seed(config, frame_index, 0, i)
-                tom = measure_tomogram(traj.states[i], float(t), config.shots, seed)
-            row = [float(t)] + [tom[term] for term in PAULI_LABELS_2Q]
-            if frame == "constant":
-                theta = frame_rotation_angle(z, float(t), t_ad)
-                rotated = rotate_frame(tom, 2, theta)
-                row += [theta, rotated["IX"], rotated["IY"]]
-                ix_values.append(rotated["IX"])
-                iy_values.append(rotated["IY"])
-            else:
-                ix_values.append(tom["IX"])
-                iy_values.append(tom["IY"])
-            rows.append(row)
+            theta = frame_rotation_angle(z, traj.times, t_ad)
+            ix_iy = rotate_correlators(values, 2, theta)[:, _IX_IY]
+            table += [theta, ix_iy]
+        rows = np.column_stack(table).tolist()
         path = os.path.join(config.out_dir, f"fig1_{frame}_trace.{_trace_ext(config)}")
         _write_trace(path, config, "fig1", t_ad, columns, rows)
         paths.append(path)
         tag = "rotated" if frame == "constant" else frame
-        summary[f"max_abs_iy_{tag}"] = float(np.max(np.abs(iy_values)))
-        summary[f"final_ix_{tag}"] = float(ix_values[-1])
+        summary[f"max_abs_iy_{tag}"] = float(np.max(np.abs(ix_iy[:, 1])))
+        summary[f"final_ix_{tag}"] = float(ix_iy[-1, 0])
         if frame == "constant":
-            raw_iy = [row[columns.index("iy")] for row in rows]
-            summary["max_abs_iy_constant_raw"] = float(np.max(np.abs(raw_iy)))
+            summary["max_abs_iy_constant_raw"] = float(np.max(np.abs(raw_ix_iy[:, 1])))
 
     report_path = os.path.join(config.out_dir, "fig1_report.json")
     _write_json(report_path, {"scenario": "fig1", "version": __version__, "summary": summary},
@@ -387,11 +367,8 @@ def _run_chevron(config: ScenarioConfig) -> list[str]:
         f_center=CHEVRON_F_CENTER,
     )
     columns = ["f_tc_mhz", "t_us", "p10"]
-    rows = [
-        [float(cmap.f_tc[fi]), float(cmap.times[ti]), float(cmap.populations[fi, ti])]
-        for fi in range(len(cmap.f_tc))
-        for ti in range(len(cmap.times))
-    ]
+    f_grid, t_grid = np.meshgrid(cmap.f_tc, cmap.times, indexing="ij")
+    rows = np.column_stack([f_grid.ravel(), t_grid.ravel(), cmap.populations.ravel()]).tolist()
     map_path = os.path.join(config.out_dir, f"chevron_map.{_trace_ext(config)}")
     _write_trace(map_path, config, "chevron", t_ad, columns, rows)
 

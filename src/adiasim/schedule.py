@@ -90,11 +90,6 @@ class ProtocolSchedule:
         """H(s)/h; an array s of shape (n, 1, 1) gives an (n, 4, 4) stack."""
         return self.h0 + s * self.h1
 
-    def coupling(self, t: float) -> float:
-        """Exchange coupling j(t) [MHz]."""
-        _check_window(t, self.t_ad)
-        return self.j_final * min(max(t / self.t_ad, 0.0), 1.0)
-
     def hamiltonian(self, t: float) -> np.ndarray:
         """H(t)/h as a 4x4 complex Hermitian matrix [MHz]."""
         _check_window(t, self.t_ad)
@@ -126,8 +121,10 @@ class ProtocolSchedule:
         return self.with_(j_final=0.0, zz=0.0)
 
 
-def frame_rotation_angle(z: float, t: float, t_ad: float) -> float:
+def frame_rotation_angle(z: float, t, t_ad: float):
     """Angle [rad] between the chirped frame and the constant-frequency frame.
+
+    ``t`` is a time or an array of times [us]; the angle has its shape.
 
     The difference of the accumulated phases of a chirped tone and a
     constant tone at the final frequency is

@@ -7,8 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -172,7 +172,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("target, result, unwritten", [
         ("lz_probability", (math.nan, math.nan), "fig4_report.json"),
-        ("energy_from_correlators", SimpleNamespace(energy=math.nan), "fig4_trace_tad1.csv"),
+        ("energy_terms", np.full((5, 6), math.nan), "fig4_trace_tad1.csv"),
     ])
     def test_non_finite_output_exits_3(self, tmp_path, capsys, monkeypatch,
                                        target, result, unwritten):

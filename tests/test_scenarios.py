@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from adiasim import analysis, scenarios
+from adiasim import analysis, mitigation, scenarios, tomography
 from adiasim.analysis import _tracked_eigensystem
 from adiasim.config import validate_config
 from adiasim.scenarios import (
@@ -116,6 +116,36 @@ class TestOneEigensystemPerDuration:
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         assert calls == [101, 101, 101]
+
+
+def count_tomography_calls(monkeypatch, *names):
+    """Record the length of the first argument of each call to the named
+    tomography functions, wherever the package refers to them."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(tomography, name)
+
+        def counted(*args, _original=original, _log=calls[name], **kwargs):
+            _log.append(len(args[0]))
+            return _original(*args, **kwargs)
+
+        for module in (tomography, scenarios, mitigation):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestColumnTomography:
+    def test_fig4_measures_each_trajectory_as_one_array(self, tmp_path, monkeypatch):
+        calls = count_tomography_calls(monkeypatch, "measure_tomogram", "energy_from_correlators",
+                                       "measure_correlators", "energy_terms")
+        config = make_config(
+            "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        # No per-sample call: one 5-sample array per duration and state.
+        assert calls == {"measure_tomogram": [], "energy_from_correlators": [],
+                         "measure_correlators": [5, 5], "energy_terms": [5, 5]}
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ def explicit_hamiltonian(sch: ProtocolSchedule, t: float) -> np.ndarray:
     s = t / sch.t_ad
     h = (1.0 - s) * 0.5 * (sch.z1 * np.kron(Z, I2) + sch.z2 * np.kron(I2, Z))
     h = h + s * 0.5 * (sch.x1 * np.kron(X, I2) + sch.x2 * np.kron(I2, X))
-    h = h + sch.coupling(t) * 0.25 * (np.kron(X, X) + np.kron(Y, Y))
+    h = h + (t / sch.t_ad) * sch.j_final * 0.25 * (np.kron(X, X) + np.kron(Y, Y))
     h = h + sch.zz * 0.25 * np.kron(Z, Z)
     return h
 
@@ -57,9 +57,10 @@ class TestProtocolSchedule:
 
     def test_linear_coupling_ramp(self):
         sch = ProtocolSchedule(**FIG4_KW)
-        assert sch.coupling(0.0) == pytest.approx(0.0)
-        assert sch.coupling(5.0) == pytest.approx(0.65)
-        assert sch.coupling(10.0) == pytest.approx(1.3)
+        xx = pauli_2q("XX")
+        # The XX coefficient Tr(XX H)/4 of H(t) is j(t)/4.
+        for t, j in ((0.0, 0.0), (5.0, 0.65), (10.0, 1.3)):
+            assert np.trace(xx @ sch.hamiltonian(t)).real / 4 == pytest.approx(j / 4)
 
     def test_matches_explicit_construction(self):
         rng = np.random.default_rng(11)

@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from adiasim.dynamics import BadIndex, basis_state
+from adiasim.config import validate_config
+from adiasim.dynamics import BadIndex, NoiseModel, basis_state, propagate_lindblad, propagate_unitary
 from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
+from adiasim.scenarios import _measure, _measurement_seed
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import (
+    CORRELATOR_LABELS,
     CROSS_LABELS,
+    ENERGY_TERMS,
     EnergyEstimate,
     MissingTerm,
     Tomogram,
     energy_from_correlators,
+    energy_terms,
     expectation,
+    measure_correlators,
     measure_tomogram,
     rotate_frame,
     sample_expectation,
@@ -24,6 +30,9 @@ N_RANDOM = 100
 
 FIG3_SCHEDULE = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7,
                                  zz=0.2, t_ad=30.0)
+FIG4_SCHEDULE = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3,
+                                 zz=0.2, t_ad=10.0)
+PSI0 = (basis_state("01") + 1j * basis_state("10")) / math.sqrt(2)
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
@@ -176,6 +185,72 @@ class TestTomogram:
         values = {label: 0.0 for label in PAULI_LABELS_2Q[:-1]}
         with pytest.raises(MissingTerm):
             Tomogram(time=0.0, values=values, shots=0)
+
+
+def reference_energy(values: dict, sch: ProtocolSchedule, t: float) -> dict:
+    """The six estimator terms written out from the schedule's parameters."""
+    s = t / sch.t_ad
+    j = s * sch.j_final
+    return {
+        "z1": (1.0 - s) * 0.5 * sch.z1 * values["ZI"],
+        "z2": (1.0 - s) * 0.5 * sch.z2 * values["IZ"],
+        "x1": s * 0.5 * sch.x1 * values["XI"],
+        "x2": s * 0.5 * sch.x2 * values["IX"],
+        "xx": j * 0.25 * values["XX"],
+        "yy": j * 0.25 * values["YY"],
+    }
+
+
+class TestCorrelatorArrays:
+    OPS = [pauli_2q(label) for label in CORRELATOR_LABELS]
+
+    def test_pure_trajectory_matches_per_state_loop(self):
+        traj = propagate_unitary(FIG4_SCHEDULE, PSI0, 0.01, 50)
+        values = measure_correlators(traj.states)
+        assert values.shape == (51, len(CORRELATOR_LABELS))
+        loop = [[np.vdot(psi, op @ psi).real for op in self.OPS] for psi in traj.states]
+        assert np.max(np.abs(values - loop)) <= 1e-12
+
+    def test_mixed_trajectory_matches_per_state_loop(self):
+        noise = NoiseModel(t1=5.0, t2=4.0, n_th=0.05)
+        traj = propagate_lindblad(FIG4_SCHEDULE, PSI0, noise, 0.01, 50)
+        values = measure_correlators(traj.states)
+        loop = [[np.trace(op @ rho).real for op in self.OPS] for rho in traj.states]
+        assert np.max(np.abs(values - loop)) <= 1e-12
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_range_check(self, mixed):
+        states = np.stack([basis_state("00"), PSI0])
+        if mixed:
+            states = np.einsum("ni,nj->nij", states, states.conj())
+        with pytest.raises(ValueError, match="outside"):
+            measure_correlators(1.01 * states)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            measure_correlators(PSI0)
+
+    def test_sampled_columns_match_per_term_streams(self):
+        config, errors = validate_config("[scenario]\nname = fig4\n\n"
+                                         "[simulation]\nshots = 500\nseed = 17\n")
+        assert errors == []
+        traj = propagate_unitary(FIG4_SCHEDULE, PSI0, 0.01, 20)
+        columns = _measure(config, traj.states, 2, 1)
+        loop = [[sample_expectation(psi, label, 500, np.random.default_rng(child))
+                 for label, child in zip(CORRELATOR_LABELS,
+                                         _measurement_seed(config, 2, 1, i).spawn(10))]
+                for i, psi in enumerate(traj.states)]
+        assert np.array_equal(columns, loop)
+
+    @pytest.mark.parametrize("sch", [FIG4_SCHEDULE, FIG3_SCHEDULE], ids=["fig4", "fig3b"])
+    def test_energy_terms_match_reference_formula(self, sch):
+        traj = propagate_unitary(sch, PSI0, 0.01, 40)
+        values = measure_correlators(traj.states)
+        terms = energy_terms(values, sch, traj.times)
+        for row, t, term_row in zip(values, traj.times, terms):
+            reference = reference_energy(dict(zip(CORRELATOR_LABELS, row)), sch, t)
+            assert np.max(np.abs(term_row - [reference[k] for k in ENERGY_TERMS])) <= 1e-12
+            assert abs(term_row.sum() - sum(reference.values())) <= 1e-12
 
 
 class TestEnergyEstimate:
