@@ -2,7 +2,7 @@
 
 Core pieces:
 
-* schedule     — the time-dependent sweep Hamiltonian and drive frames
+* schedule     — the sweep Hamiltonian H(s) and the constant drive frame
 * dynamics     — Schrodinger / Lindblad RK4 propagation
 * tomography   — correlators, shot sampling, energy estimates, frame rotation
 * analysis     — spectral traces, minimum gap, diabatic slope, LZ formula
@@ -65,7 +65,6 @@ from .mitigation import (
 from .schedule import (
     ProtocolSchedule,
     TimeOutOfRange,
-    chirped_frame_hamiltonian,
     constant_frame_hamiltonian,
     frame_rotation_angle,
 )

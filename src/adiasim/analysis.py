@@ -176,25 +176,30 @@ def min_gap(trace: SpectralTrace, pair: tuple[int, int] = (2, 3)) -> tuple[float
         vals = np.linalg.eigvalsh(ham(t))
         return float(vals[hi - 1] - vals[lo - 1])
 
-    # Golden-section refinement inside the bracketing grid cell pair; the
-    # bracket is shrunk far enough that the gap value is converged well
-    # below the 1e-4 MHz tolerance.
-    a, b = float(trace.times[idx - 1]), float(trace.times[idx + 1])
+    # Refined inside the bracketing grid cell pair, far enough that the gap
+    # value is converged well below the 1e-4 MHz tolerance.
+    best_t, best_g = _golden_section(gap_at, float(trace.times[idx - 1]),
+                                    float(trace.times[idx + 1]),
+                                    1e-10 * max(1.0, trace.times[-1]))
+    return float(best_g), float(best_t)
+
+
+def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum ``(x, f(x))`` of a unimodal ``f`` on [a, b], to within ``tol``."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = gap_at(c), gap_at(d)
-    while b - a > 1e-10 * max(1.0, trace.times[-1]):
+    fc, fd = f(c), f(d)
+    while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = gap_at(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = gap_at(d)
-    best_t, best_g = (c, fc) if fc < fd else (d, fd)
-    return float(best_g), float(best_t)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def diabatic_slope(schedule: ProtocolSchedule, pair: tuple[int, int] = (2, 3),

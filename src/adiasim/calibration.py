@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _golden_section
+
 __all__ = [
     "InsufficientSpan",
     "DegenerateBasis",
@@ -43,13 +45,15 @@ class DegenerateBasis(ValueError):
     """Raised when amplitude-fit data cannot distinguish the basis terms."""
 
 
-def swap_population(j: float, delta: float, t: float) -> float:
-    """P_10 after driving for ``t`` us at detuning ``delta`` MHz."""
-    omega_sq = j * j + delta * delta
-    if omega_sq == 0.0:
-        return 0.0
-    contrast = j * j / omega_sq
-    return contrast * math.sin(math.pi * math.sqrt(omega_sq) * t) ** 2
+def swap_population(j: float, delta, t):
+    """P_10 after driving for ``t`` us at detuning ``delta`` MHz.
+
+    ``delta`` and ``t`` may be arrays; the result has their broadcast shape.
+    """
+    omega_sq = j * j + np.square(delta)
+    # omega_sq is 0 only where j is, and then so is the contrast.
+    contrast = j * j / np.where(omega_sq == 0.0, 1.0, omega_sq)
+    return contrast * np.sin(np.pi * np.sqrt(omega_sq) * t) ** 2
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,7 @@ def chevron_map(j: float, detuning_range: tuple[float, float],
         raise ValueError(f"grid must be at least (1, 2), got {grid}")
     detunings = np.linspace(detuning_range[0], detuning_range[1], n_f)
     times = np.linspace(t_range[0], t_range[1], n_t)
-    omega_sq = j * j + detunings**2
-    contrast = j * j / omega_sq
-    phase = np.pi * np.sqrt(omega_sq)[:, None] * times[None, :]
-    populations = contrast[:, None] * np.sin(phase) ** 2
+    populations = swap_population(j, detunings[:, None], times[None, :])
     return ChevronMap(f_tc=f_center + detunings, times=times,
                       populations=populations, f_center=f_center, j=j)
 
@@ -159,25 +160,10 @@ def fit_rabi(observed) -> tuple[float, float, float]:
 
     tol = 1e-10 * max(1.0, abs(lo), abs(hi))
     candidates = np.linspace(lo, hi, 401)
-    errors = [_rabi_objective(f_pts, w_pts, fr)[1] for fr in candidates]
-    best = int(np.argmin(errors))
-    a = candidates[max(best - 1, 0)]
-    b = candidates[min(best + 1, len(candidates) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _rabi_objective(f_pts, w_pts, c)[1]
-    fd = _rabi_objective(f_pts, w_pts, d)[1]
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _rabi_objective(f_pts, w_pts, c)[1]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _rabi_objective(f_pts, w_pts, d)[1]
-    f_res = c if fc < fd else d
+    error = lambda fr: _rabi_objective(f_pts, w_pts, fr)[1]
+    best = int(np.argmin([error(fr) for fr in candidates]))
+    f_res, _ = _golden_section(error, candidates[max(best - 1, 0)],
+                               candidates[min(best + 1, len(candidates) - 1)], tol)
     j_sq, err = _rabi_objective(f_pts, w_pts, f_res)
     # The refinement localizes the minimum only to within ``tol``; a fit
     # closer than that to either span edge is indistinguishable from an

@@ -90,12 +90,7 @@ class MitigatedEnergy:
             raise ValueError("energy does not match the sum of its contributions")
 
 
-def _same_shape(a: ProtocolSchedule, b: ProtocolSchedule) -> bool:
-    return a.with_(t_ad=1.0) == b.with_(t_ad=1.0)
-
-
 def mitigate_energy(runs: Sequence[tuple[ProtocolSchedule, Tomogram]],
-                    schedule: ProtocolSchedule | None = None,
                     passage_fidelities: Mapping[float, float] | None = None) -> MitigatedEnergy:
     """Extrapolate end-of-protocol energy contributions to zero duration.
 
@@ -111,9 +106,10 @@ def mitigate_energy(runs: Sequence[tuple[ProtocolSchedule, Tomogram]],
     """
     if not runs:
         raise ValueError("no runs supplied")
-    reference = schedule if schedule is not None else runs[0][0]
+    h0, h1 = runs[0][0].h0, runs[0][0].h1
     for sched, tom in runs:
-        if not _same_shape(sched, reference):
+        # The shape is H(s) = h0 + s*h1; t_ad does not enter it.
+        if not (np.array_equal(sched.h0, h0) and np.array_equal(sched.h1, h1)):
             raise SchedulesMismatch(
                 f"run with t_ad = {sched.t_ad} us differs from the reference "
                 f"schedule in shape, not just duration"

@@ -37,12 +37,7 @@ from .config import ScenarioConfig, validate_config
 from .dynamics import NoiseModel, basis_state, propagate_custom, propagate_lindblad, propagate_unitary
 from .mitigation import mitigate_energy
 from .operators import PAULI_LABELS_2Q
-from .schedule import (
-    ProtocolSchedule,
-    chirped_frame_hamiltonian,
-    constant_frame_hamiltonian,
-    frame_rotation_angle,
-)
+from .schedule import ProtocolSchedule, constant_frame_hamiltonian, frame_rotation_angle
 from .tomography import CORRELATOR_LABELS, Tomogram, energy_terms, measure_correlators, rotate_correlators
 
 __all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
@@ -157,32 +152,10 @@ def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarra
     return measure_correlators(states, config.shots, seeds)
 
 
-def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
+def _sweep_rows(config: ScenarioConfig, trajectories: dict, trace: SpectralTrace,
                 t_ad_index: int) -> tuple[list[str], list[list[float]], dict]:
-    """Simulate one duration for every initial state; build trace rows.
-
-    One tracked eigensystem on the trajectory times gives the eigenvalue
-    columns, the initial level of each state and its passage fidelity.
-    """
-    noise = config.noise_model()
-    trajectories = {}
-    for label in config.initial_states:
-        psi0 = basis_state(label)
-        if noise is None:
-            traj = propagate_unitary(schedule, psi0, config.dt_us, config.n_samples)
-        else:
-            traj = propagate_lindblad(schedule, psi0, noise, config.dt_us, config.n_samples)
-        trajectories[label] = traj
-
-    times = trajectories[config.initial_states[0]].times
-    # Levels are tracked on at least _MIN_TRACKING_STEPS steps: across a few
-    # long steps the overlaps of successive eigenbases can tie.  The fine
-    # grid holds the trajectory times exactly, at every r-th point.
-    r = math.ceil(_MIN_TRACKING_STEPS / (len(times) - 1))
-    fine = np.linspace(0.0, times[-1], r * (len(times) - 1) + 1)
-    fine[::r] = times
-    levels = (column[::r] for column in _tracked_eigensystem(schedule, fine))
-    trace = SpectralTrace(times, *levels, schedule=schedule)
+    """Trace rows of one duration; the trace gives the eigenvalues, levels and fidelities."""
+    times = trace.times
     fidelities = {
         label: passage_fidelity(traj, trace, initial_level_for_state(trace, basis_state(label)))
         for label, traj in trajectories.items()
@@ -196,7 +169,7 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
         columns.extend(f"{term.lower()}_{label}" for term in PAULI_LABELS_2Q)
         columns.append(f"fidelity_{label}")
         values = _measure(config, trajectories[label].states, t_ad_index, state_index)
-        energy = energy_terms(values, schedule, times).sum(axis=1)
+        energy = energy_terms(values, trace.schedule, times).sum(axis=1)
         table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
         end_tomograms[label] = Tomogram(time=float(times[-1]), shots=config.shots,
                                         values=dict(zip(CORRELATOR_LABELS, values[-1].tolist())))
@@ -206,12 +179,36 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule,
 
 
 def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
-    """Simulate and write one trace per duration; return the paths and extras by t_ad."""
+    """Simulate and write one trace per duration; return the paths and extras by t_ad.
+
+    H depends on t only through s = t/t_ad and every duration samples the
+    same s-grid, so one tracked eigensystem serves all durations.
+    """
+    noise = config.noise_model()
     paths = []
     extras_by_tad = {}
+    levels = None
     for t_ad_index, t_ad in enumerate(config.t_ad):
-        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, config.schedule(t_ad),
-                                                         t_ad_index)
+        schedule = config.schedule(t_ad)
+        trajectories = {}
+        for state in config.initial_states:
+            psi0 = basis_state(state)
+            if noise is None:
+                traj = propagate_unitary(schedule, psi0, config.dt_us, config.n_samples)
+            else:
+                traj = propagate_lindblad(schedule, psi0, noise, config.dt_us, config.n_samples)
+            trajectories[state] = traj
+        times = trajectories[config.initial_states[0]].times
+        if levels is None:
+            # Levels are tracked on at least _MIN_TRACKING_STEPS steps: across
+            # a few long steps the overlaps of successive eigenbases can tie.
+            # The fine grid holds the trajectory times exactly, every r-th point.
+            r = math.ceil(_MIN_TRACKING_STEPS / (len(times) - 1))
+            fine = np.linspace(0.0, times[-1], r * (len(times) - 1) + 1)
+            fine[::r] = times
+            levels = tuple(column[::r] for column in _tracked_eigensystem(schedule, fine))
+        trace = SpectralTrace(times, *levels, schedule=schedule)
+        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, trajectories, trace, t_ad_index)
         path = os.path.join(config.out_dir,
                             f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
         _write_trace(path, config, label, t_ad, columns, rows)
@@ -237,9 +234,8 @@ def _crossing_payload(schedule: ProtocolSchedule, t_ad_values, extras_by_tad) ->
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
         extras = extras_by_tad.get(t_ad)
         if extras is not None:
-            sched_t = schedule.with_(t_ad=t_ad)
             for label, traj in extras["trajectories"].items():
-                pops = level_populations(traj.final_state, sched_t, t_ad)
+                pops = level_populations(traj.final_state, traj.schedule, t_ad)
                 entry[f"p_diabatic_measured_{label}"] = float(pops[2])
                 entry[f"p_adiabatic_measured_{label}"] = float(pops[1])
                 entry[f"end_fidelity_{label}"] = float(extras["fidelities"][label][-1])
@@ -323,13 +319,15 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
     psi0 = basis_state(config.initial_states[0])
     paths = []
 
-    runs = {
-        "chirped": chirped_frame_hamiltonian(z, x, t_ad),
-        "constant": constant_frame_hamiltonian(z, x, t_ad),
-    }
+    # In the chirped frame the sweep is a schedule with qubit 1 idle; the
+    # constant frame's drive axis turns by theta(t), which is not affine in s.
+    chirped = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x, t_ad=t_ad)
+    constant = constant_frame_hamiltonian(z, x, t_ad)
     summary: dict[str, float] = {"z_mhz": z, "x_mhz": x, "t_ad_us": t_ad}
-    for frame_index, (frame, ham) in enumerate(runs.items()):
-        traj = propagate_custom(ham, t_ad, psi0, config.dt_us, config.n_samples)
+    for frame_index, frame in enumerate(("chirped", "constant")):
+        traj = (propagate_unitary(chirped, psi0, config.dt_us, config.n_samples)
+                if frame == "chirped" else
+                propagate_custom(constant, t_ad, psi0, config.dt_us, config.n_samples))
         values = _measure(config, traj.states, frame_index, 0)
         columns = ["t_us"] + [term.lower() for term in PAULI_LABELS_2Q]
         table = [traj.times, values[:, :len(PAULI_LABELS_2Q)]]

@@ -14,9 +14,11 @@ ramps linearly, ``j(t) = (t/t_ad) * j_final``, so with ``s = t/t_ad`` the
 whole Hamiltonian is affine, ``H(s) = H0 + s*H1``.
 
 The single-qubit Z ramp is realized by chirping the drive frequency
-linearly from ``z`` MHz below the qubit up to resonance.  The frame
-helpers give that sweep's Hamiltonian in the frame co-moving with the
-chirp and in the constant-frequency frame, and the angle between them.
+linearly from ``z`` MHz below the qubit up to resonance.  In the frame
+co-moving with the chirp, that sweep is a ProtocolSchedule with the other
+qubit idle (``z1 = x1 = 0`` drives qubit 2 alone).  The frame helpers give
+the same sweep in the constant-frequency frame, and the angle between the
+two frames.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import X as _X, Y as _Y, Z as _Z, embed_1q, pauli_2q
+from .operators import X as _X, Y as _Y, embed_1q, pauli_2q
 
 __all__ = [
     "TimeOutOfRange",
     "ProtocolSchedule",
     "frame_rotation_angle",
-    "chirped_frame_hamiltonian",
     "constant_frame_hamiltonian",
 ]
 
@@ -135,28 +136,8 @@ def frame_rotation_angle(z: float, t, t_ad: float):
     return 2.0 * math.pi * z * t * (1.0 - t / (2.0 * t_ad))
 
 
-def chirped_frame_hamiltonian(z: float, x: float, t_ad: float, qubit: int = 2):
-    """Single-qubit sweep H(t) in the frame co-moving with the chirped drive.
-
-    The residual detuning ramps down while the drive envelope ramps up:
-
-        H(t)/h = (1 - t/t_ad)*(z/2)*Z + (t/t_ad)*(x/2)*X
-
-    on the chosen qubit (the other idles).  Returns ``t -> 4x4 matrix``.
-    """
-    op_z = embed_1q(_Z, qubit)
-    op_x = embed_1q(_X, qubit)
-
-    def ham(t: float) -> np.ndarray:
-        _check_window(t, t_ad)
-        s = min(max(t / t_ad, 0.0), 1.0)
-        return (1.0 - s) * 0.5 * z * op_z + s * 0.5 * x * op_x
-
-    return ham
-
-
 def constant_frame_hamiltonian(z: float, x: float, t_ad: float, qubit: int = 2):
-    """The same sweep viewed from the constant-frequency (final-tone) frame.
+    """The chirped single-qubit sweep viewed from the constant-frequency frame.
 
     The qubit is resonant in this frame, so no Z term remains, but the
     drive axis precesses by the running frame angle ``theta(t)``:

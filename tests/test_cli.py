@@ -409,15 +409,21 @@ NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 class TestExitCodeContract:
-    # The explicit example is a chevron run that only its coupling makes
-    # invalid; generated ones mostly stop earlier in validation.
+    # The explicit examples are a chevron run that only its coupling makes
+    # invalid, a fig1 run whose chirped-frame sweep diverges and a table1 run
+    # whose three durations share one eigensystem; generated ones mostly stop
+    # earlier in validation.
     @settings(derandomize=True, max_examples=30, deadline=None)
     @example(name="chevron", fields=dict(z1=None, z2=None, x1=None, x2=None, j="0", zz=None),
              t_ad="2", n_samples=4)
-    @given(name=st.sampled_from(["chevron", "fig4"]),
+    @example(name="fig1", fields=dict(z1=None, z2=None, x1=None, x2="1e6", j=None, zz=None),
+             t_ad="0.5, 1, 2", n_samples=4)
+    @example(name="table1", fields=dict(z1=None, z2=None, x1=None, x2=None, j=None, zz=None),
+             t_ad="0.5, 1, 2", n_samples=4)
+    @given(name=st.sampled_from(["chevron", "fig4", "fig1", "table1"]),
            fields=st.fixed_dictionaries({key: EDGE_VALUES
                                          for key in ("z1", "z2", "x1", "x2", "j", "zz")}),
-           t_ad=st.sampled_from(["2", "1", "0.5"]),
+           t_ad=st.sampled_from(["2", "1", "0.5", "0.5, 1, 2"]),
            n_samples=st.integers(min_value=1, max_value=10))
     def test_run_exits_0_2_or_3_and_writes_only_finite_values(self, name, fields,
                                                               t_ad, n_samples):

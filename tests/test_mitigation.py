@@ -130,16 +130,16 @@ class TestMitigateEnergy:
                 sum(result.contributions.values()), abs=1e-9)
 
     def test_shape_mismatch_rejected(self):
-        sch_a = ProtocolSchedule(t_ad=5.0, **FIG4_KW)
-        sch_b = ProtocolSchedule(t_ad=10.0, **{**FIG4_KW, "x2": 4.1})
-        sch_c = ProtocolSchedule(t_ad=20.0, **FIG4_KW)
-        runs = [
-            (sch_a, make_tomogram(5.0, {})),
-            (sch_b, make_tomogram(10.0, {})),
-            (sch_c, make_tomogram(20.0, {})),
-        ]
-        with pytest.raises(SchedulesMismatch):
-            mitigate_energy(runs)
+        # Each change moves H(s) = h0 + s*h1: x2 and j_final enter h1, zz h0.
+        for change in ({"x2": 4.1}, {"zz": 0.0}, {"j_final": 1.7}):
+            sch_b = ProtocolSchedule(t_ad=10.0, **{**FIG4_KW, **change})
+            runs = [
+                (ProtocolSchedule(t_ad=5.0, **FIG4_KW), make_tomogram(5.0, {})),
+                (sch_b, make_tomogram(10.0, {})),
+                (ProtocolSchedule(t_ad=20.0, **FIG4_KW), make_tomogram(20.0, {})),
+            ]
+            with pytest.raises(SchedulesMismatch):
+                mitigate_energy(runs)
 
     def test_tomogram_must_be_end_of_protocol(self):
         runs = [

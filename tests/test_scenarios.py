@@ -3,11 +3,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from adiasim import analysis, mitigation, scenarios, tomography
-from adiasim.analysis import _tracked_eigensystem
+from adiasim.analysis import (
+    SpectralTrace,
+    _tracked_eigensystem,
+    initial_level_for_state,
+    passage_fidelity,
+    spectral_trace,
+)
 from adiasim.config import validate_config
+from adiasim.dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
+from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
 from adiasim.scenarios import (
     CHEVRON_F_CENTER,
     Unwritable,
@@ -97,25 +106,92 @@ def count_eigensystems(monkeypatch):
     return calls
 
 
-class TestOneEigensystemPerDuration:
-    def test_fig4_tracks_once_per_duration_plus_crossing_analysis(self, tmp_path,
-                                                                  monkeypatch):
+class TestOneEigensystemPerSweep:
+    def test_fig4_tracks_once_plus_crossing_analysis(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
         config = make_config(
             "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
-        # One per duration on a 101-point grid that holds the 5 trajectory
-        # times, then the crossing report's coupled and bare 1001-point traces.
-        assert calls == [101, 101, 1001, 1001]
+        # One for both durations on a 101-point grid that holds the 5
+        # trajectory times, then the crossing report's coupled and bare
+        # 1001-point traces.
+        assert calls == [101, 1001, 1001]
 
-    def test_table1_tracks_once_per_duration(self, tmp_path, monkeypatch):
+    def test_table1_tracks_once_per_sweep(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
         config = make_config(
             "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
-        assert calls == [101, 101, 101]
+        assert calls == [101]
+
+    @pytest.mark.parametrize("name, t_ads", [("fig4", (2.0, 4.0)), ("table1", (1.0, 2.0, 3.0))])
+    def test_shared_levels_match_each_durations_own(self, tmp_path, name, t_ads):
+        """The e1..e4 and fidelity columns of every duration equal those of
+        levels tracked on that duration's own schedule and 101-point grid."""
+        config = make_config(
+            f"[scenario]\nname = {name}\n\n[schedule]\nt_ad = {', '.join(map(str, t_ads))}\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        noise = config.noise_model()
+        for t_ad in t_ads:
+            table = read_columns(tmp_path / f"{name}_trace_tad{t_ad:g}.csv")
+            schedule = config.schedule(t_ad)
+            own = spectral_trace(schedule, 101)
+            rows = slice(None, None, 25)  # the 5 trajectory times
+            trace = SpectralTrace(own.times[rows], own.sorted_energies[rows],
+                                  own.energies[rows], own.vectors[rows], schedule=schedule)
+            for k in range(4):
+                assert np.max(np.abs(table[f"e{k + 1}_mhz"] - trace.energies[:, k])) <= 1e-12
+            for label in config.initial_states:
+                psi0 = basis_state(label)
+                traj = (propagate_unitary(schedule, psi0, 0.005, 4) if noise is None
+                        else propagate_lindblad(schedule, psi0, noise, 0.005, 4))
+                fidelity = passage_fidelity(traj, trace, initial_level_for_state(trace, psi0))
+                assert np.max(np.abs(table[f"fidelity_{label}"] - fidelity)) <= 1e-12
+
+
+def read_columns(path):
+    """The columns of a CSV trace file, by name."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return dict(zip(lines[0].split(","), values.T))
+
+
+def chirped_frame(z, x, t_ad):
+    """The fig1 sweep in the chirped frame, written out: (1 - s) z/2 Z + s x/2 X
+    on qubit 2."""
+    iz, ix = pauli_2q("IZ"), pauli_2q("IX")
+    return lambda t: (1.0 - t / t_ad) * 0.5 * z * iz + (t / t_ad) * 0.5 * x * ix
+
+
+class TestChirpedFrameAsSchedule:
+    def test_fig1_propagates_each_frame_once_and_matches_written_out_h(self, tmp_path,
+                                                                      monkeypatch):
+        calls = []
+        for name in ("propagate_unitary", "propagate_custom"):
+            original = getattr(scenarios, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scenarios, name, counted)
+        config = make_config("[scenario]\nname = fig1\n\n[simulation]\nn_samples = 100\n",
+                             tmp_path)
+        run_scenario(config)
+        assert sorted(calls) == ["propagate_custom", "propagate_unitary"]
+
+        table = read_columns(tmp_path / "fig1_chirped_trace.csv")
+        ref = propagate_custom(chirped_frame(config.z2, config.x2, config.t_ad[0]),
+                               config.t_ad[0], basis_state(config.initial_states[0]),
+                               config.dt_us, config.n_samples)
+        assert np.max(np.abs(table["t_us"] - ref.times)) <= 1e-12
+        for label in PAULI_LABELS_2Q:
+            op = pauli_2q(label)
+            expected = np.real(np.einsum("ni,ij,nj->n", ref.states.conj(), op, ref.states))
+            assert np.max(np.abs(table[label.lower()] - expected)) <= 1e-12
 
 
 def count_tomography_calls(monkeypatch, *names):

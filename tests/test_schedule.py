@@ -9,7 +9,6 @@ from adiasim.operators import I2, X, Y, Z, embed_1q, pauli_2q
 from adiasim.schedule import (
     ProtocolSchedule,
     TimeOutOfRange,
-    chirped_frame_hamiltonian,
     constant_frame_hamiltonian,
     frame_rotation_angle,
 )
@@ -128,12 +127,14 @@ class TestFrames:
             assert deriv == pytest.approx(2 * math.pi * z * (1 - t / t_ad), rel=1e-6)
 
     def test_chirped_frame_structure(self):
+        """The chirped frame is the sweep schedule with qubit 1 idle:
+        (1 - s) z/2 Z + s x/2 X on qubit 2."""
         z, x, t_ad = 3.0, 2.7, 10.0
-        ham = chirped_frame_hamiltonian(z, x, t_ad, qubit=2)
-        assert np.allclose(ham(0.0), 0.5 * z * embed_1q(Z, 2))
-        assert np.allclose(ham(t_ad), 0.5 * x * embed_1q(X, 2))
-        mid = ham(t_ad / 2)
-        assert np.allclose(mid, 0.25 * z * embed_1q(Z, 2) + 0.25 * x * embed_1q(X, 2))
+        ham = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x, t_ad=t_ad).hamiltonian
+        assert np.allclose(ham(0.0), 0.5 * z * embed_1q(Z, 2), atol=1e-15)
+        assert np.allclose(ham(t_ad / 2), 0.25 * z * embed_1q(Z, 2) + 0.25 * x * embed_1q(X, 2),
+                           atol=1e-15)
+        assert np.allclose(ham(t_ad), 0.5 * x * embed_1q(X, 2), atol=1e-15)
 
     def test_constant_frame_structure(self):
         """In the constant-frequency frame the transverse field rotates with
@@ -151,5 +152,10 @@ class TestFrames:
             assert np.allclose(ham(t), expected, atol=1e-12)
 
     def test_qubit_one_embedding(self):
-        ham = chirped_frame_hamiltonian(3.0, 2.7, 10.0, qubit=1)
-        assert np.allclose(ham(0.0), 1.5 * embed_1q(Z, 1))
+        """With z2 = x2 = 0 the same sweep runs on qubit 1."""
+        z, x, t_ad = 3.0, 2.7, 10.0
+        ham = ProtocolSchedule(z1=z, z2=0.0, x1=x, x2=0.0, t_ad=t_ad).hamiltonian
+        assert np.allclose(ham(0.0), 0.5 * z * embed_1q(Z, 1), atol=1e-15)
+        assert np.allclose(ham(t_ad / 2), 0.25 * z * embed_1q(Z, 1) + 0.25 * x * embed_1q(X, 1),
+                           atol=1e-15)
+        assert np.allclose(ham(t_ad), 0.5 * x * embed_1q(X, 1), atol=1e-15)
