@@ -145,11 +145,10 @@ def _measurement_seed(config: ScenarioConfig, *key: int) -> np.random.SeedSequen
 
 
 def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
-    """Correlator columns of a trajectory; sample i is drawn from stream (*key, i)."""
-    seeds = None
-    if config.shots:
-        seeds = [_measurement_seed(config, *key, i) for i in range(len(states))]
-    return measure_correlators(states, config.shots, seeds)
+    """Correlator columns of a trajectory, sampled from the one stream ``key``."""
+    # Exact mode never touches np.random, whose import is a lazy ~20 ms.
+    seed = _measurement_seed(config, *key) if config.shots else None
+    return measure_correlators(states, config.shots, seed)
 
 
 def _sweep_rows(config: ScenarioConfig, trajectories: dict, trace: SpectralTrace,

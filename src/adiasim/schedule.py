@@ -49,11 +49,13 @@ class TimeOutOfRange(ValueError):
     """Raised when a schedule is evaluated outside [0, t_ad]."""
 
 
-def _check_window(t: float, t_ad: float) -> None:
+def _check_window(times: np.ndarray, t_ad: float) -> None:
+    """Raise TimeOutOfRange unless every time of an array lies in [0, t_ad]."""
     # Tolerate float round-off at the endpoints (e.g. linspace end).
     slack = 1e-9 * max(1.0, t_ad)
-    if t < -slack or t > t_ad + slack:
-        raise TimeOutOfRange(f"t = {t} us outside protocol window [0, {t_ad}] us")
+    for t in (float(times.min()), float(times.max())) if times.size else ():
+        if t < -slack or t > t_ad + slack:
+            raise TimeOutOfRange(f"t = {t} us outside protocol window [0, {t_ad}] us")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class ProtocolSchedule:
 
     def hamiltonian(self, t: float) -> np.ndarray:
         """H(t)/h as a 4x4 complex Hermitian matrix [MHz]."""
-        _check_window(t, self.t_ad)
+        _check_window(np.asarray(t, dtype=float), self.t_ad)
         return self._h_of_s(min(max(t / self.t_ad, 0.0), 1.0))
 
     def hamiltonians(self, times) -> np.ndarray:
@@ -102,9 +104,7 @@ class ProtocolSchedule:
         Each matrix equals ``hamiltonian(t)`` at the same time, bit for bit.
         """
         times = np.asarray(times, dtype=float)
-        if times.size:
-            _check_window(float(times.min()), self.t_ad)
-            _check_window(float(times.max()), self.t_ad)
+        _check_window(times, self.t_ad)
         s = np.clip(times / self.t_ad, 0.0, 1.0)
         return self._h_of_s(s[:, None, None])
 
@@ -145,15 +145,17 @@ def constant_frame_hamiltonian(z: float, x: float, t_ad: float, qubit: int = 2):
         H(t)/h = (t/t_ad)*(x/2)*(cos(theta) X + sin(theta) Y),
         theta(t) = 2*pi*z*t*(1 - t/(2*t_ad)).
 
-    Returns ``t -> 4x4 matrix`` on the chosen qubit (the other idles).
+    Returns ``ham(t)`` on the chosen qubit (the other idles): a 4x4 matrix
+    for a time, an (n, 4, 4) stack for a 1-D array of n times.
     """
     op_x = embed_1q(_X, qubit)
     op_y = embed_1q(_Y, qubit)
 
-    def ham(t: float) -> np.ndarray:
+    def ham(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         _check_window(t, t_ad)
-        s = min(max(t / t_ad, 0.0), 1.0)
-        theta = frame_rotation_angle(z, t, t_ad)
-        return s * 0.5 * x * (math.cos(theta) * op_x + math.sin(theta) * op_y)
+        s = np.clip(t / t_ad, 0.0, 1.0)[..., None, None]
+        theta = frame_rotation_angle(z, t, t_ad)[..., None, None]
+        return s * 0.5 * x * (np.cos(theta) * op_x + np.sin(theta) * op_y)
 
     return ham

@@ -7,6 +7,7 @@ between drive frames.  Shot count 0 means exact expectation values.
 
 Whole trajectories are measured as arrays with one column per entry of
 ``CORRELATOR_LABELS``; the per-sample functions are written on top of them.
+In sampled mode one random stream draws every count of a state stack.
 
 The energy estimator deliberately uses only the six sweep terms P in
 {ZI, IZ, XI, IX, XX, YY}, each weighted by its coefficient Tr(P H(s))/4 in
@@ -100,16 +101,16 @@ def _exact(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
     raise ValueError(f"states must be an (n, 4) or (n, 4, 4) stack, got {states.shape}")
 
 
-def _sample(exact: np.ndarray, shots: int, rngs) -> np.ndarray:
-    """Mean of ``shots`` +-1 outcomes per value, value k drawn from ``rngs[k]``.
+def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Mean of ``shots`` +-1 outcomes per value, all from ``np.random.default_rng(seed)``.
 
     Each shot is +1 with probability (1 + <P>)/2.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p_plus = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
-    n_plus = np.array([rng.binomial(shots, p) for rng, p in zip(rngs, p_plus.flat)])
-    return ((2.0 * n_plus - shots) / shots).reshape(exact.shape)
+    n_plus = np.random.default_rng(seed).binomial(shots, p_plus)
+    return (2.0 * n_plus - shots) / shots
 
 
 def expectation(state: np.ndarray, label: str) -> float:
@@ -123,21 +124,19 @@ def sample_expectation(state: np.ndarray, label: str, shots: int, rng_seed) -> f
     ``rng_seed`` may be an integer seed or a numpy Generator; results are
     deterministic given either.
     """
-    rngs = [np.random.default_rng(rng_seed)]  # a Generator is returned as it is
-    return float(_sample(np.array([expectation(state, label)]), shots, rngs)[0])
+    return float(_sample(np.array([expectation(state, label)]), shots, rng_seed)[0])
 
 
-def measure_correlators(states: np.ndarray, shots: int = 0, seeds=None) -> np.ndarray:
+def measure_correlators(states: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
     """Correlators of a pure (n, 4) or mixed (n, 4, 4) state stack, an (n, 10) array.
 
     Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values.  In
-    sampled mode, term p of state k is measured with the stream
-    ``seeds[k].spawn(10)[p]``, mirroring separate tomography settings per term.
+    sampled mode all n x 10 counts come from one ``binomial`` call on
+    ``np.random.default_rng(seed)``, in row-major order.
     """
     values = _exact(states, _OPS)
     if shots:
-        rngs = [np.random.default_rng(child) for seq in seeds for child in seq.spawn(len(_OPS))]
-        values = _sample(values, shots, rngs)
+        values = _sample(values, shots, seed)
     _check_range(CORRELATOR_LABELS, values, shots)
     return values
 
@@ -146,12 +145,10 @@ def measure_tomogram(state: np.ndarray, t: float, shots: int = 0,
                      rng_seed=None, include_cross: bool = True) -> Tomogram:
     """Build a tomogram of ``state`` at time ``t``.
 
-    shots = 0 gives exact values.  In sampled mode every term is measured
-    with an independent substream of the given seed.
+    shots = 0 gives exact values.  In sampled mode the terms are drawn
+    from one stream of the given seed (see ``measure_correlators``).
     """
-    seeds = [rng_seed if isinstance(rng_seed, np.random.SeedSequence)
-             else np.random.SeedSequence(rng_seed)] if shots else None
-    row = measure_correlators(np.asarray(state)[None], shots, seeds)[0]
+    row = measure_correlators(np.asarray(state)[None], shots, rng_seed)[0]
     labels = CORRELATOR_LABELS if include_cross else PAULI_LABELS_2Q
     return Tomogram(time=t, values=dict(zip(labels, row.tolist())), shots=shots)
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from adiasim import scenarios
 from adiasim.cli import main
 from adiasim.config import SCENARIO_NAMES, validate_config
+from adiasim.operators import PAULI_LABELS_2Q
 from adiasim.scenarios import read_trace_config
 
 CUSTOM_SMALL = """\
@@ -52,6 +54,20 @@ t_ad = 1
 [simulation]
 dt_us = 0.01
 n_samples = 5
+"""
+
+# A sweep whose huge x1 makes RK4 diverge within the first sample interval.
+DIVERGING_FIG4 = """\
+[scenario]
+name = fig4
+
+[schedule]
+x1 = 1e6
+z2 = 1e-9
+t_ad = 0.5, 1, 2
+
+[simulation]
+n_samples = 9
 """
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -118,6 +134,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "run failed (StepTooLarge)" in err
         assert "reduce dt" in err
+
+    def test_diverging_run_exits_3_without_numpy_warnings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DIVERGING_FIG4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "run failed (StepTooLarge)" in err
+        assert "Warning" not in err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n"
@@ -272,6 +299,28 @@ class TestDeterminism:
         assert masked_bytes(tmp_path / "b" / "custom_trace_tad1.csv") == ref
         assert masked_bytes(tmp_path / "c" / "custom_trace_tad1.csv") != ref
 
+    def test_sampled_fig1_reproducible_and_near_exact(self, tmp_path):
+        """A sampled fig1 run repeats byte for byte, and every correlator lies
+        within 6/sqrt(shots) of the exact run's value."""
+        shots = 1000
+        text = "[scenario]\nname = fig1\n\n[simulation]\nn_samples = 100\n"
+        sampled = write_config(tmp_path, text + f"shots = {shots}\nseed = 5\n", "sampled.ini")
+        for sub in ("a", "b"):
+            assert main(["run", sampled, "--out", str(tmp_path / sub)]) == 0
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "exact")]) == 0
+        report = "fig1_report.json"
+        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+        for frame in ("chirped", "constant"):
+            name = f"fig1_{frame}_trace.csv"
+            assert masked_bytes(tmp_path / "a" / name) == masked_bytes(tmp_path / "b" / name)
+            values, exact = (np.array([[float(v) for v in line.split(",")]
+                                       for line in data_lines(tmp_path / sub / name)])
+                             for sub in ("a", "exact"))
+            correlators = slice(1, 1 + len(PAULI_LABELS_2Q))
+            assert np.array_equal(values[:, 0], exact[:, 0])
+            assert np.max(np.abs(values[:, correlators] - exact[:, correlators])) \
+                <= 6.0 / math.sqrt(shots)
+
     def test_embedded_seed_reflects_canonicalization(self, tmp_path):
         cfg = write_config(tmp_path, CUSTOM_SMALL + "seed = 7\n")
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -381,18 +430,20 @@ class TestIntrospection:
         assert re.match(r"adiasim \d+\.\d+", capsys.readouterr().out)
 
     def test_run_imports_no_scipy(self, tmp_path):
-        """A run loads numpy only; run in a fresh interpreter because other
-        tests may have imported scipy into this one."""
+        """A run loads numpy only, and an exact run not even numpy.random
+        (a lazy import of about 20 ms); run in a fresh interpreter because
+        other tests may have imported both into this one."""
         cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2\n\n"
                                      "[simulation]\nn_samples = 4\n")
         code = ("import sys\n"
                 "import adiasim.cli\n"
                 f"assert adiasim.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+                "print('numpy.random' in sys.modules)\n")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+        assert result.stdout.splitlines()[-2:] == ["[]", "False"]
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -364,7 +364,8 @@ class TestAgainstStepLoop:
 
     def test_custom(self):
         op_z, op_x = embed_1q(Z, 2), embed_1q(X, 2)
-        ham = lambda t: 1.5 * (1.0 - t / 4.0) * op_z + 1.35 * math.cos(t) * op_x
+        ham = lambda t: (np.multiply.outer(1.5 * (1.0 - t / 4.0), op_z)
+                         + np.multiply.outer(1.35 * np.cos(t), op_x))
         psi0 = basis_state("00")
         traj = propagate_custom(ham, 4.0, psi0, dt=0.002, n_samples=8)
         ref = reference_pure(ham, 4.0, psi0, 0.002, 8)
@@ -396,8 +397,27 @@ class TestAgainstStepLoop:
             assert np.array_equal(alone.states, shared[label].states)
             assert np.array_equal(alone.times, shared[label].times)
 
+    def test_custom_hamiltonian_called_once_per_batch(self, monkeypatch):
+        """ham receives each batch's 2m+1 stage times as one array, and a
+        callable that returns one 4x4 matrix runs like one that returns the
+        stack."""
+        op = 0.5 * 2.7 * embed_1q(X, 2)
+        calls = []
+
+        def stack(t):
+            calls.append(np.shape(t))
+            return np.broadcast_to(op, np.shape(t) + (4, 4))
+
+        # 334 steps per interval: two full batches of 128 and one of 78.
+        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 128)
+        traj = propagate_custom(stack, 2.0, basis_state("00"), dt=0.002, n_samples=3)
+        assert calls == [(257,), (257,), (157,)] * 3
+        constant = propagate_custom(lambda t: op, 2.0, basis_state("00"), dt=0.002, n_samples=3)
+        assert np.array_equal(constant.states, traj.states)
+
     def test_non_finite_state_raises(self):
-        nan_ham = lambda t: np.full((4, 4), np.nan) if t > 0.5 else np.zeros((4, 4))
+        nan_ham = lambda t: np.multiply.outer(np.where(np.asarray(t) > 0.5, np.nan, 0.0),
+                                              np.ones((4, 4)))
         with pytest.raises(StepTooLarge):
             propagate_custom(nan_ham, 1.0, basis_state("00"), dt=0.005, n_samples=4)
 

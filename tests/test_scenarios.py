@@ -163,7 +163,8 @@ def chirped_frame(z, x, t_ad):
     """The fig1 sweep in the chirped frame, written out: (1 - s) z/2 Z + s x/2 X
     on qubit 2."""
     iz, ix = pauli_2q("IZ"), pauli_2q("IX")
-    return lambda t: (1.0 - t / t_ad) * 0.5 * z * iz + (t / t_ad) * 0.5 * x * ix
+    return lambda t: (np.multiply.outer((1.0 - t / t_ad) * 0.5 * z, iz)
+                      + np.multiply.outer((t / t_ad) * 0.5 * x, ix))
 
 
 class TestChirpedFrameAsSchedule:

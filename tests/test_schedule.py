@@ -151,6 +151,20 @@ class TestFrames:
             )
             assert np.allclose(ham(t), expected, atol=1e-12)
 
+    def test_constant_frame_on_time_array(self):
+        """An array of times gives the stack of the scalar calls and is
+        checked against the protocol window as a whole."""
+        z, x, t_ad = 3.0, 2.7, 10.0
+        ham = constant_frame_hamiltonian(z, x, t_ad, qubit=2)
+        times = np.linspace(0.0, t_ad, 41)
+        stack = ham(times)
+        assert stack.shape == (41, 4, 4)
+        assert ham(2.5).shape == (4, 4)
+        assert np.max(np.abs(stack - np.stack([ham(float(t)) for t in times]))) <= 1e-15
+        for bad in ([-0.1, 1.0], [1.0, t_ad + 0.1]):
+            with pytest.raises(TimeOutOfRange):
+                ham(np.array(bad))
+
     def test_qubit_one_embedding(self):
         """With z2 = x2 = 0 the same sweep runs on qubit 1."""
         z, x, t_ad = 3.0, 2.7, 10.0

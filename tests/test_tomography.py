@@ -230,17 +230,18 @@ class TestCorrelatorArrays:
         with pytest.raises(ValueError, match="stack"):
             measure_correlators(PSI0)
 
-    def test_sampled_columns_match_per_term_streams(self):
+    def test_sampled_columns_are_one_binomial_draw_per_stream(self):
+        """A trajectory's n x 10 counts come from one binomial call on the
+        generator of its stream key, in row-major order."""
         config, errors = validate_config("[scenario]\nname = fig4\n\n"
                                          "[simulation]\nshots = 500\nseed = 17\n")
         assert errors == []
         traj = propagate_unitary(FIG4_SCHEDULE, PSI0, 0.01, 20)
         columns = _measure(config, traj.states, 2, 1)
-        loop = [[sample_expectation(psi, label, 500, np.random.default_rng(child))
-                 for label, child in zip(CORRELATOR_LABELS,
-                                         _measurement_seed(config, 2, 1, i).spawn(10))]
-                for i, psi in enumerate(traj.states)]
-        assert np.array_equal(columns, loop)
+        p_plus = np.clip(0.5 * (1.0 + measure_correlators(traj.states)), 0.0, 1.0)
+        assert p_plus.shape == (21, len(CORRELATOR_LABELS))
+        counts = np.random.default_rng(_measurement_seed(config, 2, 1)).binomial(500, p_plus)
+        assert np.array_equal(columns, (2.0 * counts - 500) / 500)
 
     @pytest.mark.parametrize("sch", [FIG4_SCHEDULE, FIG3_SCHEDULE], ids=["fig4", "fig3b"])
     def test_energy_terms_match_reference_formula(self, sch):
