@@ -31,11 +31,18 @@ A configuration is flat key/value text with named sections:
     directory = out
     format = csv
 
-Built-in scenario names prefill every field; a file only needs to state
-what differs.  ``validate_config`` returns either a fully-defaulted
-``ScenarioConfig`` or the complete list of violations.  In exact mode
-(shots = 0) the seed is canonicalized to 0, keeping outputs manifestly
-seed-independent.
+Each field is one row of ``_FIELDS``: its section and key, how it is
+parsed and printed, its default and its single-value bound.  Parsing,
+defaults, bounds and ``ScenarioConfig.to_text`` all read that table, so
+text printed from a config parses back to it.  A field without a default
+(z1, z2, x1, x2, t_ad) is prefilled by every built-in scenario and must be
+stated by a ``custom`` file; a file only needs to state what differs.
+Checks that span several fields (durations, the dt and RK4-step bounds,
+T2 <= 2*T1, initial states) are written out after the table loop.
+
+``validate_config`` returns either a fully-defaulted ``ScenarioConfig`` or
+the complete list of violations.  In exact mode (shots = 0) the seed is
+canonicalized to 0, keeping outputs manifestly seed-independent.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .dynamics import BASIS_LABELS, NoiseModel
+from .dynamics import BASIS_LABELS, NoiseModel, steps_per_interval
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -63,52 +70,32 @@ class ConfigParse(ValueError):
     """Raised by loaders when a configuration is unusable."""
 
 
-SCENARIO_NAMES = ("fig1", "chevron", "fig3", "fig3a", "fig3b", "fig4", "table1", "custom")
-
-SCENARIO_SUMMARIES = {
-    "fig1": "single-qubit chirped sweep (z=3, x=2.7 MHz), both drive frames",
-    "chevron": "calibration pipeline: chevron map, Rabi/dispersive/coupling fits",
-    "fig3": "both two-qubit sweep variants: crossing (j=0) and avoided crossing (j=1.7)",
-    "fig3a": "two-qubit sweep with coupling off (j=0): levels cross",
-    "fig3b": "two-qubit sweep with j=1.7 MHz: avoided crossing, adiabatic passage",
-    "fig4": "asymmetric sweep (j=1.3 MHz) over a t_ad sweep: diabatic-to-adiabatic crossover",
-    "table1": "fig4 sweep with noise from |00> and |11> plus zero-time mitigation report",
-    "custom": "user-supplied schedule parameters",
-}
-
 _FIG3 = dict(z1=2.5, z2=1.5, x1=2.0, x2=4.1, zz=0.2)
 _FIG4 = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j=1.3, zz=0.2)
 
-# Per-scenario prefills; anything not set here falls back to _BASE_DEFAULTS.
-_PRESETS: dict[str, dict] = {
-    "fig1": dict(z1=0.0, z2=3.0, x1=0.0, x2=2.7, j=0.0, zz=0.0, t_ad=(10.0,),
-                 initial_states=("01",)),
-    "chevron": dict(z1=0.0, z2=0.0, x1=0.0, x2=0.0, j=2.0, zz=0.0, t_ad=(8.0,),
-                    n_samples=160, initial_states=()),
-    "fig3": dict(**_FIG3, j=1.7, t_ad=(30.0,), initial_states=("01", "10", "11")),
-    "fig3a": dict(**_FIG3, j=0.0, t_ad=(30.0,), initial_states=("01", "10", "11")),
-    "fig3b": dict(**_FIG3, j=1.7, t_ad=(30.0,), initial_states=("01", "10", "11")),
-    "fig4": dict(**_FIG4, t_ad=(5.0, 10.0, 20.0, 30.0), initial_states=("01",)),
-    "table1": dict(**_FIG4, t_ad=(5.0, 10.0, 20.0, 30.0), noise_enabled=True,
-                   initial_states=("00", "11")),
-    "custom": dict(),
+# Each scenario's summary and the fields it prefills over the defaults of
+# _FIELDS.
+_SCENARIOS: dict[str, tuple[str, dict]] = {
+    "fig1": ("single-qubit chirped sweep (z=3, x=2.7 MHz), both drive frames",
+             dict(z1=0.0, z2=3.0, x1=0.0, x2=2.7, t_ad=(10.0,))),
+    "chevron": ("calibration pipeline: chevron map, Rabi/dispersive/coupling fits",
+                dict(z1=0.0, z2=0.0, x1=0.0, x2=0.0, j=2.0, t_ad=(8.0,),
+                     n_samples=160, initial_states=())),
+    "fig3": ("both two-qubit sweep variants: crossing (j=0) and avoided crossing (j=1.7)",
+             dict(**_FIG3, j=1.7, t_ad=(30.0,), initial_states=("01", "10", "11"))),
+    "fig3a": ("two-qubit sweep with coupling off (j=0): levels cross",
+              dict(**_FIG3, j=0.0, t_ad=(30.0,), initial_states=("01", "10", "11"))),
+    "fig3b": ("two-qubit sweep with j=1.7 MHz: avoided crossing, adiabatic passage",
+              dict(**_FIG3, j=1.7, t_ad=(30.0,), initial_states=("01", "10", "11"))),
+    "fig4": ("asymmetric sweep (j=1.3 MHz) over a t_ad sweep: diabatic-to-adiabatic crossover",
+             dict(**_FIG4, t_ad=(5.0, 10.0, 20.0, 30.0))),
+    "table1": ("fig4 sweep with noise from |00> and |11> plus zero-time mitigation report",
+               dict(**_FIG4, t_ad=(5.0, 10.0, 20.0, 30.0), noise_enabled=True,
+                    initial_states=("00", "11"))),
+    "custom": ("user-supplied schedule parameters", dict()),
 }
-
-_BASE_DEFAULTS = dict(
-    j=0.0,
-    zz=0.0,
-    noise_enabled=False,
-    t1_us=(50.0, 50.0),
-    t2_us=(40.0, 40.0),
-    nth=(0.01, 0.01),
-    dt_us=0.002,
-    n_samples=300,
-    shots=0,
-    seed=0,
-    initial_states=("01",),
-    out_dir="out",
-    format="csv",
-)
+SCENARIO_NAMES = tuple(_SCENARIOS)
+SCENARIO_SUMMARIES = {name: summary for name, (summary, _) in _SCENARIOS.items()}
 
 # Upper bound on simulation.n_samples: a Lindblad run keeps one 16x16
 # complex map per sample interval, about 410 MB at the bound.
@@ -116,9 +103,6 @@ _MAX_N_SAMPLES = 100_000
 # Upper bound on the RK4 steps of one run over all its durations: at about
 # 4 us per 16x16 Lindblad step (2-CPU x86-64 host), minutes rather than days.
 _MAX_RK4_STEPS = 10**8
-
-# Fields a custom scenario must state explicitly (no physical default).
-_REQUIRED_CUSTOM = ("z1", "z2", "x1", "x2", "t_ad")
 
 
 @dataclass(frozen=True)
@@ -165,7 +149,8 @@ class ScenarioConfig:
         lines = []
         for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0]):
             lines += ["", f"[{section}]"]
-            lines += [f"{key} = {fmt(getattr(self, attr))}" for _, key, attr, (_, fmt) in rows]
+            lines += [f"{key} = {fmt(getattr(self, attr))}"
+                      for _, key, attr, (_, fmt), _, _ in rows]
         return "\n".join(lines[1:]) + "\n"
 
 
@@ -232,21 +217,35 @@ _PAIR = (_parse_pair, _FLOATS[1])
 _INT = (_parse_int, str)
 _TEXT = (lambda raw, where, errors: raw.strip(), str)
 
-# Every config-file field, as (section, key, ScenarioConfig attribute,
-# kind), in the order of ScenarioConfig.to_text.
+# Single-value bounds, as (predicate, error text formatted with the value).
+_FINITE = (math.isfinite, "must be finite, got {!r}")
+_NONNEGATIVE = (lambda value: value >= 0, "must be >= 0, got {!r}")
+
+# Every config-file field, as (section, key, ScenarioConfig attribute, kind,
+# default, bound), in the order of ScenarioConfig.to_text.  A field whose
+# default is None is required: a built-in scenario prefills it and a custom
+# file must state it.  A bound of None means any parsed value is allowed.
 _FIELDS = (
-    ("scenario", "name", "name", _TEXT),
+    ("scenario", "name", "name", _TEXT, None, None),
     ("scenario", "initial_states", "initial_states",
      (lambda raw, where, errors: tuple(p.strip() for p in raw.split(",") if p.strip()),
-      ", ".join)),
-    *(("schedule", key, key, _FLOAT) for key in ("z1", "z2", "x1", "x2", "j", "zz")),
-    ("schedule", "t_ad", "t_ad", _FLOATS),
-    ("noise", "enabled", "noise_enabled", (_parse_bool, lambda on: "true" if on else "false")),
-    *(("noise", key, key, _PAIR) for key in ("t1_us", "t2_us", "nth")),
-    ("simulation", "dt_us", "dt_us", _FLOAT),
-    *(("simulation", key, key, _INT) for key in ("n_samples", "shots", "seed")),
-    ("output", "directory", "out_dir", _TEXT),
-    ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str)),
+      ", ".join), ("01",), None),
+    *(("schedule", key, key, _FLOAT, None, _FINITE) for key in ("z1", "z2", "x1", "x2")),
+    *(("schedule", key, key, _FLOAT, 0.0, _FINITE) for key in ("j", "zz")),
+    ("schedule", "t_ad", "t_ad", _FLOATS, None, None),
+    ("noise", "enabled", "noise_enabled",
+     (_parse_bool, lambda on: "true" if on else "false"), False, None),
+    ("noise", "t1_us", "t1_us", _PAIR, (50.0, 50.0), None),
+    ("noise", "t2_us", "t2_us", _PAIR, (40.0, 40.0), None),
+    ("noise", "nth", "nth", _PAIR, (0.01, 0.01), None),
+    ("simulation", "dt_us", "dt_us", _FLOAT, 0.002,
+     (lambda dt: math.isfinite(dt) and dt > 0.0, "must be positive, got {!r}")),
+    ("simulation", "n_samples", "n_samples", _INT, 300,
+     (lambda n: 1 <= n <= _MAX_N_SAMPLES, f"must be in 1..{_MAX_N_SAMPLES}, got {{!r}}")),
+    *(("simulation", key, key, _INT, 0, _NONNEGATIVE) for key in ("shots", "seed")),
+    ("output", "directory", "out_dir", _TEXT, "out", (bool, "must be nonempty")),
+    ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str), "csv",
+     (lambda fmt: fmt in ("csv", "json"), "must be csv or json, got {!r}")),
 )
 _KNOWN_KEYS = {section: tuple(row[1] for row in rows)
                for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0])}
@@ -278,86 +277,65 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                 errors.append(f"unknown key {section}.{key}")
             else:
                 raw[section][key] = value
+    if override_name is not None:
+        raw.setdefault("scenario", {})["name"] = override_name
 
-    name = override_name if override_name is not None else raw.get("scenario", {}).get("name")
+    name = raw.get("scenario", {}).get("name")
     if name is None:
         errors.append("scenario.name: missing required field")
         return None, errors
     name = name.strip()
-    if name not in SCENARIO_NAMES:
+    if name not in _SCENARIOS:
         errors.append(
             f"scenario.name: unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}"
         )
         return None, errors
 
-    merged: dict = dict(_BASE_DEFAULTS)
-    merged.update(_PRESETS[name])
-
-    if name == "custom":
-        sched_raw = raw.get("schedule", {})
-        for field_name in _REQUIRED_CUSTOM:
-            if field_name not in sched_raw:
-                errors.append(f"schedule.{field_name}: missing required field for a custom scenario")
-
-    for section, key, attr, (parse, _) in _FIELDS:
+    merged = {attr: default for _, _, attr, _, default, _ in _FIELDS if default is not None}
+    merged.update(_SCENARIOS[name][1])
+    out_of_bounds = set()
+    for section, key, attr, (parse, _), _, bound in _FIELDS:
         if key in raw.get(section, {}):
             value = parse(raw[section][key], f"{section}.{key}", errors)
             if value is not None:
                 merged[attr] = value
-    merged["name"] = name
+        elif attr not in merged:
+            errors.append(f"{section}.{key}: missing required field for a custom scenario")
+        if bound is not None and attr in merged and not bound[0](merged[attr]):
+            errors.append(f"{section}.{key}: {bound[1].format(merged[attr])}")
+            out_of_bounds.add(attr)
 
-    if "t_ad" not in merged or not merged.get("t_ad"):
-        errors.append("schedule.t_ad: missing required field")
-        return None, errors
-
-    # Semantic checks (collected, not short-circuited).
-    for key in ("z1", "z2", "x1", "x2", "j", "zz"):
-        value = merged.get(key)
-        if value is None:
-            continue
-        if not math.isfinite(value):
-            errors.append(f"schedule.{key}: must be finite, got {value}")
+    # Checks that span several fields (collected, not short-circuited).
+    t_ads = merged.get("t_ad", ())
     if name == "chevron" and merged["j"] <= 0.0:
         errors.append(f"schedule.j: chevron needs a positive coupling, got {merged['j']}")
-    for idx, t_ad in enumerate(merged["t_ad"]):
+    for idx, t_ad in enumerate(t_ads):
         if not math.isfinite(t_ad) or t_ad <= 0.0:
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")
-    if len(set(merged["t_ad"])) != len(merged["t_ad"]):
+    if len(set(t_ads)) != len(t_ads):
         errors.append("schedule.t_ad: durations must be distinct")
-    if name == "table1" and len(set(merged["t_ad"])) < 3:
+    if name == "table1" and len(set(t_ads)) < 3:
         errors.append("schedule.t_ad: table1 extrapolates to zero duration and "
                       "needs at least 3 distinct durations")
 
-    dt = merged["dt_us"]
-    if not math.isfinite(dt) or dt <= 0.0:
-        errors.append(f"simulation.dt_us: must be positive, got {dt}")
-    else:
-        finite_tads = [t for t in merged["t_ad"] if math.isfinite(t) and t > 0]
-        if finite_tads and dt > min(finite_tads) / 100.0:
-            errors.append(
-                f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
-                f"{min(finite_tads) / 100.0}"
-            )
-    n_samples = merged["n_samples"]
-    if not 1 <= n_samples <= _MAX_N_SAMPLES:
-        errors.append(f"simulation.n_samples: must be in 1..{_MAX_N_SAMPLES}, "
-                      f"got {n_samples}")
-    elif name == "chevron" and n_samples < 3:
+    dt, n_samples = merged["dt_us"], merged["n_samples"]
+    finite_tads = [t for t in t_ads if math.isfinite(t) and t > 0.0]
+    if "dt_us" not in out_of_bounds and finite_tads and dt > min(finite_tads) / 100.0:
+        errors.append(
+            f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
+            f"{min(finite_tads) / 100.0}"
+        )
+    if name == "chevron" and "n_samples" not in out_of_bounds and n_samples < 3:
         errors.append(f"simulation.n_samples: chevron needs at least 3, got {n_samples}")
-    elif math.isfinite(dt) and dt > 0.0:
-        # The step rule of dynamics._sample_grid; a tiny dt can make the
-        # per-interval count inf, which math.ceil refuses.
-        per_interval = [t_ad / n_samples / dt - 1e-12 for t_ad in merged["t_ad"]
-                        if math.isfinite(t_ad) and t_ad > 0.0]
-        steps = sum(n_samples * max(1, math.ceil(x) if math.isfinite(x) else x)
-                    for x in per_interval)
+    elif not out_of_bounds & {"dt_us", "n_samples"}:
+        try:  # a float sum, so that a step count beyond float range reads inf
+            steps = sum(n_samples * float(steps_per_interval(t, dt, n_samples))
+                        for t in finite_tads)
+        except OverflowError:  # t_ad / n_samples / dt is inf
+            steps = math.inf
         if steps > _MAX_RK4_STEPS:
             errors.append(f"simulation.dt_us: {dt} needs {steps:.3g} RK4 steps over all "
                           f"durations; at most {_MAX_RK4_STEPS:.0e} are allowed")
-    if merged["shots"] < 0:
-        errors.append(f"simulation.shots: must be >= 0, got {merged['shots']}")
-    if merged["seed"] < 0:
-        errors.append(f"simulation.seed: must be >= 0, got {merged['seed']}")
 
     for q in range(2):
         t1, t2 = merged["t1_us"][q], merged["t2_us"][q]
@@ -377,13 +355,8 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                 f"scenario.initial_states: unknown state {state!r}; "
                 f"choose from {', '.join(BASIS_LABELS)}"
             )
-    if not merged["initial_states"] and name not in ("chevron",):
+    if not merged["initial_states"] and name != "chevron":
         errors.append("scenario.initial_states: at least one initial state required")
-
-    if merged["format"] not in ("csv", "json"):
-        errors.append(f"output.format: must be csv or json, got {merged['format']!r}")
-    if not merged["out_dir"]:
-        errors.append("output.directory: must be nonempty")
 
     if errors:
         return None, errors

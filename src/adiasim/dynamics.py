@@ -71,7 +71,7 @@ class StepTooLarge(RuntimeError):
 
 
 class UnphysicalNoise(ValueError):
-    """Raised for noise parameters with a negative pure-dephasing rate."""
+    """Raised for noise parameters outside their physical range."""
 
 
 class BadIndex(ValueError):
@@ -135,7 +135,7 @@ class NoiseModel:
         object.__setattr__(self, "t2", _as_pair(t2))
         object.__setattr__(self, "n_th", _as_pair(n_th))
         for q in range(2):
-            if self.t1[q] <= 0 or self.t2[q] <= 0:
+            if not (self.t1[q] > 0 and self.t2[q] > 0):  # also rejects NaN
                 raise UnphysicalNoise(
                     f"qubit {q + 1}: T1 and T2 must be positive (or inf), "
                     f"got T1={self.t1[q]}, T2={self.t2[q]}"
@@ -145,8 +145,8 @@ class NoiseModel:
                     f"qubit {q + 1}: T2 = {self.t2[q]} us exceeds 2*T1 = "
                     f"{2.0 * self.t1[q]} us (negative pure-dephasing rate)"
                 )
-            if self.n_th[q] < 0:
-                raise UnphysicalNoise(f"qubit {q + 1}: n_th must be >= 0")
+            if not 0 <= self.n_th[q] < math.inf:
+                raise UnphysicalNoise(f"qubit {q + 1}: n_th must be finite and >= 0")
 
     @classmethod
     def off(cls) -> "NoiseModel":
@@ -174,16 +174,11 @@ def collapse_operators(noise: NoiseModel) -> list[np.ndarray]:
         t2 = noise.t2[q - 1]
         nth = noise.n_th[q - 1]
         sm, sp, sz = sigma_ops(q)
-        gamma_down = (1.0 + nth) / t1 if math.isfinite(t1) else 0.0
-        gamma_up = nth / t1 if math.isfinite(t1) else 0.0
-        if math.isinf(t2):
-            # T2 not specified: no pure dephasing beyond the T1-induced part.
-            rate_phi = 0.0
-        else:
-            rate_phi = 1.0 / t2 - (0.0 if math.isinf(t1) else 0.5 / t1)
-            if rate_phi < -1e-12:
-                raise UnphysicalNoise(f"qubit {q}: negative pure-dephasing rate")
-            rate_phi = max(rate_phi, 0.0)
+        # An infinite T1 or T2 gives a zero rate (1/inf == 0); an infinite
+        # T2 adds no pure dephasing beyond the T1-induced part.
+        gamma_down = (1.0 + nth) / t1
+        gamma_up = nth / t1
+        rate_phi = max(1.0 / t2 - 0.5 / t1, 0.0)
         if gamma_down > 0.0:
             ops.append(math.sqrt(gamma_down) * sm)
         if gamma_up > 0.0:
@@ -229,9 +224,16 @@ def _sample_grid(t_ad: float, dt: float, n_samples: int) -> tuple[np.ndarray, in
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     times = np.linspace(0.0, t_ad, n_samples + 1)
-    interval = t_ad / n_samples
-    steps = max(1, math.ceil(interval / dt - 1e-12))
-    return times, steps, interval / steps
+    steps = steps_per_interval(t_ad, dt, n_samples)
+    return times, steps, t_ad / n_samples / steps
+
+
+def steps_per_interval(t_ad: float, dt: float, n_samples: int) -> int:
+    """RK4 steps per sample interval: the fewest steps of at most ``dt``.
+
+    Raises OverflowError when t_ad / n_samples / dt is infinite.
+    """
+    return max(1, math.ceil(t_ad / n_samples / dt - 1e-12))
 
 
 def _dissipator_matrix(noise: NoiseModel) -> np.ndarray:

@@ -456,32 +456,59 @@ class TestIntrospection:
 # Schedule values at the edges of the accepted range: zero, negative, tiny,
 # large finite and non-finite.  ``None`` keeps the scenario's preset.
 EDGE_VALUES = st.one_of(st.sampled_from(["0", "-1", "1e-9", "1e6", "inf", "nan"]), st.none())
+# Edge values of the other sections' fields.  dt_us = 1e-9 needs more than
+# 1e8 RK4 steps for every drawn t_ad, so validation stops it before any run.
+OTHER_EDGES = st.fixed_dictionaries({
+    ("noise", "t1_us"): EDGE_VALUES,
+    ("noise", "t2_us"): EDGE_VALUES,
+    ("noise", "nth"): EDGE_VALUES,
+    ("simulation", "dt_us"): st.one_of(
+        st.sampled_from(["0", "-1", "1e-9", "0.005", "inf", "nan"]), st.none()),
+    ("simulation", "shots"): st.one_of(st.sampled_from(["0", "-1", "1", "1000"]), st.none()),
+    ("simulation", "seed"): st.one_of(st.sampled_from(["0", "-1", "7"]), st.none()),
+    ("output", "format"): st.one_of(st.sampled_from(["csv", "json", "xml"]), st.none()),
+})
 NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+# The config echoed into each file (`# cfg:` lines, the JSON "config" string)
+# spells a valid infinite T1 or T2 as inf; only the rest must be finite.
+CONFIG_ECHO = re.compile(r'^# cfg: .*$|"config": "(?:[^"\\]|\\.)*"', re.MULTILINE)
+NO_FIELDS = dict.fromkeys(("z1", "z2", "x1", "x2", "j", "zz"))
 
 
 class TestExitCodeContract:
     # The explicit examples are a chevron run that only its coupling makes
-    # invalid, a fig1 run whose chirped-frame sweep diverges and a table1 run
-    # whose three durations share one eigensystem; generated ones mostly stop
-    # earlier in validation.
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @example(name="chevron", fields=dict(z1=None, z2=None, x1=None, x2=None, j="0", zz=None),
-             t_ad="2", n_samples=4)
-    @example(name="fig1", fields=dict(z1=None, z2=None, x1=None, x2="1e6", j=None, zz=None),
-             t_ad="0.5, 1, 2", n_samples=4)
-    @example(name="table1", fields=dict(z1=None, z2=None, x1=None, x2=None, j=None, zz=None),
-             t_ad="0.5, 1, 2", n_samples=4)
+    # invalid, a fig1 run whose chirped-frame sweep diverges, a table1 run
+    # whose three durations share one eigensystem, a table1 run whose thermal
+    # occupation makes the Lindblad steps diverge (exit 3), and a sampled fig1
+    # run and a three-duration fig4 run that both exit 0.  Generated ones
+    # mostly stop earlier in validation: most edge values of the noise and
+    # simulation fields are out of bounds.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @example(name="chevron", fields=dict(NO_FIELDS, j="0"), t_ad="2", n_samples=4, other={})
+    @example(name="fig1", fields=dict(NO_FIELDS, x2="1e6"), t_ad="0.5, 1, 2", n_samples=4,
+             other={})
+    @example(name="table1", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4, other={})
+    @example(name="table1", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4,
+             other={("noise", "nth"): "1e6"})
+    @example(name="fig1", fields=NO_FIELDS, t_ad="2", n_samples=4,
+             other={("simulation", "shots"): "1000", ("output", "format"): "json"})
+    @example(name="fig4", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4, other={})
     @given(name=st.sampled_from(["chevron", "fig4", "fig1", "table1"]),
-           fields=st.fixed_dictionaries({key: EDGE_VALUES
-                                         for key in ("z1", "z2", "x1", "x2", "j", "zz")}),
+           fields=st.fixed_dictionaries({key: EDGE_VALUES for key in NO_FIELDS}),
            t_ad=st.sampled_from(["2", "1", "0.5", "0.5, 1, 2"]),
-           n_samples=st.integers(min_value=1, max_value=10))
+           n_samples=st.integers(min_value=1, max_value=10),
+           other=OTHER_EDGES)
     def test_run_exits_0_2_or_3_and_writes_only_finite_values(self, name, fields,
-                                                              t_ad, n_samples):
-        schedule = "".join(f"{key} = {value}\n" for key, value in fields.items()
-                           if value is not None)
-        text = (f"[scenario]\nname = {name}\n\n[schedule]\n{schedule}t_ad = {t_ad}\n\n"
-                f"[simulation]\nn_samples = {n_samples}\n")
+                                                              t_ad, n_samples, other):
+        sections = {"schedule": "", "noise": "", "simulation": f"n_samples = {n_samples}\n",
+                    "output": ""}
+        drawn = {**{("schedule", key): value for key, value in fields.items()}, **other}
+        for (section, key), value in drawn.items():
+            if value is not None:
+                sections[section] += f"{key} = {value}\n"
+        sections["schedule"] += f"t_ad = {t_ad}\n"
+        text = f"[scenario]\nname = {name}\n" + "".join(
+            f"\n[{section}]\n{body}" for section, body in sections.items())
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "run.ini")
             with open(cfg, "w") as handle:
@@ -490,4 +517,5 @@ class TestExitCodeContract:
             assert main(["run", cfg, "--out", out]) in (0, 2, 3)
             for file_name in os.listdir(out) if os.path.isdir(out) else ():
                 with open(os.path.join(out, file_name)) as handle:
-                    assert not NON_FINITE_TOKEN.search(handle.read()), file_name
+                    data = CONFIG_ECHO.sub("", handle.read())
+                    assert not NON_FINITE_TOKEN.search(data), file_name

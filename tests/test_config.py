@@ -1,6 +1,7 @@
 """Unit tests for scenario configuration parsing, presets, and validation."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,15 @@ class TestCustomScenario:
         for field in ("z1", "z2", "x1", "x2", "t_ad"):
             assert any(f"schedule.{field}" in e for e in errors), field
 
+    def test_missing_duration_is_named_once_among_other_errors(self):
+        errors = invalid("[scenario]\nname = custom\n\n"
+                         "[schedule]\nz1 = inf\nz2 = 1\nx1 = 1\nx2 = 1\n\n"
+                         "[output]\nformat = xml\n\n[simulation]\nshots = -1\n")
+        assert sum("t_ad" in e for e in errors) == 1
+        for fragment in ("schedule.z1: must be finite", "output.format: must be csv or json",
+                         "simulation.shots: must be >= 0"):
+            assert any(fragment in e for e in errors), fragment
+
     def test_multiple_durations(self):
         config = valid(CUSTOM_MINIMAL.replace("t_ad = 30", "t_ad = 5, 10, 20"))
         assert config.t_ad == (5.0, 10.0, 20.0)
@@ -194,6 +204,14 @@ class TestValidationErrors:
     def test_infinite_frequency_rejected(self):
         errors = invalid(CUSTOM_MINIMAL.replace("z1 = 2.5", "z1 = inf"))
         assert any("schedule.z1" in e and "finite" in e for e in errors)
+
+    def test_step_count_beyond_float_range(self):
+        """A step ratio beyond float range, and finite per-duration counts
+        whose sum is beyond it, both read as inf steps."""
+        for t_ad in ("1e301", "1.5e300, 1e300"):
+            errors = invalid(CUSTOM_MINIMAL.replace("t_ad = 30", f"t_ad = {t_ad}")
+                             + "\n[simulation]\nn_samples = 1\ndt_us = 1e-8\n")
+            assert any("needs inf RK4 steps" in e for e in errors), t_ad
 
     def test_simulation_bounds(self):
         errors = invalid("[scenario]\nname = fig4\n\n[simulation]\n"
@@ -289,6 +307,14 @@ class TestRoundTrip:
         model = noisy.noise_model()
         assert model is not None
         assert model.t1 == (50.0, 50.0)
+
+
+class TestReadmeExample:
+    def test_readme_config_block_is_the_fig4_preset(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration format", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert valid(block).to_text() == preset_text("fig4")
 
 
 class TestLoadConfig:

@@ -133,12 +133,12 @@ class TestNoiseModel:
             NoiseModel(t1=10.0, t2=21.0)
 
     def test_rejects_nonpositive_times(self):
-        with pytest.raises(ValueError):
-            NoiseModel(t1=0.0)
-        with pytest.raises(ValueError):
-            NoiseModel(t1=50.0, t2=-1.0)
-        with pytest.raises(ValueError):
-            NoiseModel(n_th=-0.1)
+        # A NaN time would drop every channel and an infinite n_th would make
+        # every step diverge, so both are rejected with the nonpositive ones.
+        for kwargs in (dict(t1=0.0), dict(t1=50.0, t2=-1.0), dict(n_th=-0.1),
+                       dict(t1=math.nan), dict(t2=math.nan), dict(t1=50.0, n_th=math.inf)):
+            with pytest.raises(UnphysicalNoise):
+                NoiseModel(**kwargs)
 
     def test_collapse_rates(self):
         """Decay sqrt((1+n)/T1), excitation sqrt(n/T1), dephasing
