@@ -4,7 +4,7 @@ Core pieces:
 
 * schedule     — the sweep Hamiltonian H(s) and the constant drive frame
 * dynamics     — Schrodinger / Lindblad RK4 propagation
-* tomography   — correlators, shot sampling, energy estimates, frame rotation
+* tomography   — correlator arrays, shot sampling, the energy estimator, frame rotation
 * analysis     — spectral traces, minimum gap, diabatic slope, LZ formula
 * mitigation   — zero-protocol-time extrapolation of energy contributions
 * calibration  — chevron maps and coupling/dispersive fits
@@ -69,15 +69,5 @@ from .schedule import (
     frame_rotation_angle,
 )
 from .scenarios import Unwritable, read_trace_config, run_scenario
-from .tomography import (
-    EnergyEstimate,
-    MissingTerm,
-    Tomogram,
-    energy_from_correlators,
-    expectation,
-    measure_tomogram,
-    rotate_frame,
-    sample_expectation,
-)
 
 __all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]

@@ -78,7 +78,8 @@ class SpectralTrace:
                       unit phase that makes its overlap with vectors[i-1][:, k]
                       real and positive (vectors[0] keeps eigh's phases)
     schedule        : the schedule the trace was built from (any object with
-                      ``t_ad`` and ``hamiltonian(t)``)
+                      ``t_ad``, the stacked ``hamiltonians(times)`` and, for
+                      ``min_gap``, the single-time ``hamiltonian(t)``)
     """
 
     times: np.ndarray
@@ -101,11 +102,7 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
     into the labels.  A tracked vector's phase is the running product of
     ``conj(r)/|r|`` over its raw overlaps r (see SpectralTrace.vectors).
     """
-    # A schedule without the stacked ``hamiltonians(times)`` needs only
-    # ``hamiltonian(t)`` (see spectral_trace).
-    hams = (schedule.hamiltonians(times) if hasattr(schedule, "hamiltonians")
-            else np.stack([schedule.hamiltonian(t) for t in times]))
-    sorted_e, vecs = np.linalg.eigh(hams)
+    sorted_e, vecs = np.linalg.eigh(schedule.hamiltonians(times))
     raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
     overlap = np.abs(raw)
     best = np.argmax(overlap[:, np.arange(4), _PERMS].sum(axis=2), axis=1)
@@ -133,8 +130,9 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
 def spectral_trace(schedule, n_grid: int = 1001) -> SpectralTrace:
     """Diagonalize H(t) on a uniform grid with continuity-labeled levels.
 
-    ``schedule`` needs a ``t_ad`` attribute and a ``hamiltonian(t)`` method
-    (any ProtocolSchedule qualifies).  Raises DegenerateTracking when the
+    ``schedule`` needs a ``t_ad`` attribute and a ``hamiltonians(times)``
+    method returning the (n, 4, 4) stack of H at an array of times (any
+    ProtocolSchedule qualifies).  Raises DegenerateTracking when the
     label continuation is ambiguous at some step.
     """
     if n_grid < 3:

@@ -148,18 +148,6 @@ class NoiseModel:
             if not 0 <= self.n_th[q] < math.inf:
                 raise UnphysicalNoise(f"qubit {q + 1}: n_th must be finite and >= 0")
 
-    @classmethod
-    def off(cls) -> "NoiseModel":
-        """Noise-free model (all channels disabled)."""
-        return cls()
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when every channel rate is exactly zero."""
-        return all(math.isinf(t) for t in self.t1 + self.t2) and all(
-            n == 0.0 for n in self.n_th
-        )
-
 
 def collapse_operators(noise: NoiseModel) -> list[np.ndarray]:
     """Lindblad operators for the noise model, as 4x4 matrices.

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .schedule import ProtocolSchedule
-from .tomography import Tomogram, energy_from_correlators
+from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms
 
 __all__ = [
     "DegenerateAbscissae",
@@ -90,51 +90,54 @@ class MitigatedEnergy:
             raise ValueError("energy does not match the sum of its contributions")
 
 
-def mitigate_energy(runs: Sequence[tuple[ProtocolSchedule, Tomogram]],
+def mitigate_energy(schedules: Sequence[ProtocolSchedule], end_values: np.ndarray,
                     passage_fidelities: Mapping[float, float] | None = None) -> MitigatedEnergy:
     """Extrapolate end-of-protocol energy contributions to zero duration.
 
-    ``runs`` pairs each protocol variant (same shape, different t_ad) with
-    its end-of-protocol tomogram.  Each energy term is extrapolated on its
-    own, which keeps term-level diagnostics; because the fit is linear in
-    the data, their sum equals the extrapolated total energy.
+    ``schedules`` are the protocol variants (same shape, different t_ad)
+    and row k of ``end_values`` holds the (10,) correlators, in
+    ``CORRELATOR_LABELS`` order, measured at the end of ``schedules[k]``.
+    Each energy term is extrapolated on its own, which keeps term-level
+    diagnostics; because the fit is linear in the data, their sum equals
+    the extrapolated total energy.
 
     ``passage_fidelities`` (t_ad -> end fidelity with the adiabatically-
     continued level) is optional; when the runs straddle the 0.5 boundary
     a warning is attached, since mixing diabatic and adiabatic runs in one
     extrapolation is unreliable.
     """
-    if not runs:
+    if not schedules:
         raise ValueError("no runs supplied")
-    h0, h1 = runs[0][0].h0, runs[0][0].h1
-    for sched, tom in runs:
+    end_values = np.asarray(end_values, dtype=float)
+    if end_values.shape != (len(schedules), len(CORRELATOR_LABELS)):
+        raise ValueError(
+            f"end_values must be a ({len(schedules)}, {len(CORRELATOR_LABELS)}) array, "
+            f"one correlator row per schedule; got shape {end_values.shape}"
+        )
+    h0, h1 = schedules[0].h0, schedules[0].h1
+    for sched in schedules:
         # The shape is H(s) = h0 + s*h1; t_ad does not enter it.
         if not (np.array_equal(sched.h0, h0) and np.array_equal(sched.h1, h1)):
             raise SchedulesMismatch(
                 f"run with t_ad = {sched.t_ad} us differs from the reference "
                 f"schedule in shape, not just duration"
             )
-        if abs(tom.time - sched.t_ad) > 1e-9 * max(1.0, sched.t_ad):
-            raise ValueError(
-                f"tomogram at t = {tom.time} us is not end-of-protocol for "
-                f"t_ad = {sched.t_ad} us"
-            )
 
-    estimates = [(sched.t_ad, energy_from_correlators(tom, sched, sched.t_ad))
-                 for sched, tom in runs]
-    measured = {t_ad: est.energy for t_ad, est in estimates}
+    # Every run ends at s = 1 of the shared shape, so one H serves all rows.
+    t_ads = [sched.t_ad for sched in schedules]
+    terms = energy_terms(end_values, schedules[0], [schedules[0].t_ad] * len(schedules))
+    measured = dict(zip(t_ads, terms.sum(axis=1).tolist()))
 
     contributions: dict[str, float] = {}
     residuals: dict[str, float] = {}
     for term in _END_TERMS:
-        pts = [(t_ad, est.contributions[term]) for t_ad, est in estimates]
+        pts = list(zip(t_ads, terms[:, ENERGY_TERMS.index(term)]))
         contributions[term], _, residuals[term] = extrapolate_quadratic(pts)
     energy = sum(contributions.values())
 
     warning = None
     if passage_fidelities:
-        fids = [passage_fidelities[t_ad] for t_ad, _ in estimates
-                if t_ad in passage_fidelities]
+        fids = [passage_fidelities[t_ad] for t_ad in t_ads if t_ad in passage_fidelities]
         if fids and min(fids) < 0.5 <= max(fids):
             warning = (
                 "runs straddle the diabatic/adiabatic boundary (end passage "

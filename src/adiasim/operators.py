@@ -31,7 +31,6 @@ __all__ = [
     "pauli_1q",
     "pauli_2q",
     "embed_1q",
-    "commutator",
     "dagger",
 ]
 
@@ -82,11 +81,6 @@ def embed_1q(op: np.ndarray, qubit: int) -> np.ndarray:
     if qubit == 2:
         return np.kron(I2, op)
     raise ValueError(f"qubit index must be 1 or 2, got {qubit}")
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``a @ b - b @ a``."""
-    return a @ b - b @ a
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -34,11 +34,11 @@ from .analysis import (
 )
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
-from .dynamics import NoiseModel, basis_state, propagate_custom, propagate_lindblad, propagate_unitary
+from .dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
 from .mitigation import mitigate_energy
 from .operators import PAULI_LABELS_2Q
 from .schedule import ProtocolSchedule, constant_frame_hamiltonian, frame_rotation_angle
-from .tomography import CORRELATOR_LABELS, Tomogram, energy_terms, measure_correlators, rotate_correlators
+from .tomography import CORRELATOR_LABELS, energy_terms, measure_correlators, rotate_correlators
 
 __all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
            "CHEVRON_F_CENTER"]
@@ -162,7 +162,7 @@ def _sweep_rows(config: ScenarioConfig, trajectories: dict, trace: SpectralTrace
 
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
     table = [times, trace.energies]
-    end_tomograms = {}
+    end_values = {}
     for state_index, label in enumerate(config.initial_states):
         columns.append(f"energy_{label}_mhz")
         columns.extend(f"{term.lower()}_{label}" for term in PAULI_LABELS_2Q)
@@ -170,11 +170,10 @@ def _sweep_rows(config: ScenarioConfig, trajectories: dict, trace: SpectralTrace
         values = _measure(config, trajectories[label].states, t_ad_index, state_index)
         energy = energy_terms(values, trace.schedule, times).sum(axis=1)
         table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
-        end_tomograms[label] = Tomogram(time=float(times[-1]), shots=config.shots,
-                                        values=dict(zip(CORRELATOR_LABELS, values[-1].tolist())))
+        end_values[label] = values[-1]
     rows = np.column_stack(table).tolist()
     return columns, rows, {"trajectories": trajectories, "fidelities": fidelities,
-                           "end_tomograms": end_tomograms}
+                           "end_values": end_values}
 
 
 def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
@@ -270,13 +269,13 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
         "11": {"with_zz": float(eig_with[3]), "without_zz": float(eig_without[3])},
     }
 
+    schedules = [config.schedule(t_ad) for t_ad in config.t_ad]
     states_report = {}
     for label in config.initial_states:
-        end_tomograms = [(config.schedule(t_ad), extras_by_tad[t_ad]["end_tomograms"][label])
-                         for t_ad in config.t_ad]
+        end_values = np.array([extras_by_tad[t_ad]["end_values"][label] for t_ad in config.t_ad])
         end_fidelities = {t_ad: float(extras_by_tad[t_ad]["fidelities"][label][-1])
                           for t_ad in config.t_ad}
-        mitigated = mitigate_energy(end_tomograms, passage_fidelities=end_fidelities)
+        mitigated = mitigate_energy(schedules, end_values, passage_fidelities=end_fidelities)
         shortest = min(config.t_ad)
         entry = {
             "measured_by_t_ad": {f"{t:g}": v for t, v in sorted(mitigated.measured.items())},
@@ -300,8 +299,9 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
         "version": __version__,
         "noise": {
             "enabled": config.noise_enabled,
-            "t1_us": list(config.t1_us),
-            "t2_us": list(config.t2_us),
+            # An infinite T1 or T2 disables its channel; JSON writes it as null.
+            "t1_us": [t if math.isfinite(t) else None for t in config.t1_us],
+            "t2_us": [t if math.isfinite(t) else None for t in config.t2_us],
             "nth": list(config.nth),
         },
         "states": states_report,

@@ -37,7 +37,7 @@ from adiasim.schedule import (
     constant_frame_hamiltonian,
     frame_rotation_angle,
 )
-from adiasim.tomography import energy_from_correlators, measure_tomogram, rotate_frame
+from adiasim.tomography import CORRELATOR_LABELS, measure_correlators, rotate_correlators
 
 FIG3B = dict(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
 FIG4 = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
@@ -186,26 +186,22 @@ def test_criterion_6_correlator_signature(capsys):
     adiabatic = ProtocolSchedule(**FIG3B, t_ad=30.0)
     _, t_c = min_gap(spectral_trace(adiabatic))
     traj = propagate_unitary(adiabatic, basis_state("01"), DT, 300)
-    correlators = {"IZ": [], "ZI": []}
-    for i, t in enumerate(traj.times):
-        tom = measure_tomogram(traj.states[i], float(t))
-        correlators["IZ"].append(tom["IZ"])
-        correlators["ZI"].append(tom["ZI"])
+    correlators = dict(zip(CORRELATOR_LABELS, measure_correlators(traj.states).T))
     window = 0.10 * adiabatic.t_ad
     crossings = {}
     ok_crossing = True
     for term in ("IZ", "ZI"):
-        t_cross = _first_sign_change(traj.times, np.array(correlators[term]))
+        t_cross = _first_sign_change(traj.times, correlators[term])
         crossings[term] = t_cross
         ok_crossing &= t_cross is not None and abs(t_cross - t_c) <= window
 
     diabatic = adiabatic.with_(j_final=0.0)
     traj0 = propagate_unitary(diabatic, basis_state("01"), DT, 300)
+    correlators0 = dict(zip(CORRELATOR_LABELS, measure_correlators(traj0.states).T))
     ok_monotone = True
     margins = {}
     for term in ("IZ", "ZI"):
-        values = np.array([measure_tomogram(traj0.states[i], float(t))[term]
-                           for i, t in enumerate(traj0.times)])
+        values = correlators0[term]
         sign0 = math.copysign(1.0, values[0])
         no_flip = float(np.min(values * sign0))
         magnitudes = np.abs(values)
@@ -243,13 +239,13 @@ def test_criterion_7_mitigation_ordinality(capsys):
     residuals = {}
     short_residuals = {}
     details = []
+    schedules = [reference.with_(t_ad=t_ad) for t_ad in durations]
     for label in ("00", "11"):
-        runs = []
-        for t_ad in durations:
-            schedule = reference.with_(t_ad=t_ad)
-            traj = propagate_lindblad(schedule, basis_state(label), noise, DT, 4)
-            runs.append((schedule, measure_tomogram(traj.final_state, t_ad)))
-        mitigated = mitigate_energy(runs)
+        end_states = np.array([
+            propagate_lindblad(schedule, basis_state(label), noise, DT, 4).final_state
+            for schedule in schedules
+        ])
+        mitigated = mitigate_energy(schedules, measure_correlators(end_states))
         variants = exact[label]
         selected = min(variants, key=lambda k: abs(variants[k] - mitigated.energy))
         target = variants[selected]
@@ -384,15 +380,11 @@ def test_criterion_9_frame_transform(capsys):
     z, x, t_ad = 3.0, 2.7, 10.0
     traj = propagate_custom(constant_frame_hamiltonian(z, x, t_ad), t_ad,
                             basis_state("01"), DT, 200)
-    raw_iy, rot_ix, rot_iy = [], [], []
-    for i, t in enumerate(traj.times):
-        tom = measure_tomogram(traj.states[i], float(t))
-        raw_iy.append(tom["IY"])
-        rotated = rotate_frame(tom, 2, frame_rotation_angle(z, float(t), t_ad))
-        rot_ix.append(rotated["IX"])
-        rot_iy.append(rotated["IY"])
+    values = measure_correlators(traj.states)
+    rotated = rotate_correlators(values, 2, frame_rotation_angle(z, traj.times, t_ad))
+    ix, iy = CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")
+    raw_iy, rot_ix, rot_iy = values[:, iy], rotated[:, ix], rotated[:, iy]
 
-    raw_iy = np.array(raw_iy)
     sign_flips = int(np.sum(raw_iy[:-1] * raw_iy[1:] < 0.0))
     spiral_ok = float(np.max(np.abs(raw_iy))) > 0.5 and sign_flips >= 4
     max_rot_iy = float(np.max(np.abs(rot_iy)))
@@ -404,7 +396,7 @@ def test_criterion_9_frame_transform(capsys):
     line = _emit(capsys, 9, ok,
                  f"constant frame spiral: max|IY| = {np.max(np.abs(raw_iy)):.3f}, "
                  f"{sign_flips} sign flips ({'ok' if spiral_ok else 'no spiral'}); "
-                 f"after rotate_frame max|IY| = {max_rot_iy:.6f} < 0.1 "
+                 f"after rotate_correlators max|IY| = {max_rot_iy:.6f} < 0.1 "
                  f"({'ok' if flat_ok else 'violated'}), final IX = "
                  f"{final_rot_ix:.6f} > 0.95 ({'ok' if aligned_ok else 'violated'})")
     assert ok, line

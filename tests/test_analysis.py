@@ -59,6 +59,9 @@ class TwoLevelCrossing:
         h[1, 2] = h[2, 1] = 0.5 * self.gap
         return h
 
+    def hamiltonians(self, times) -> np.ndarray:
+        return np.stack([self.hamiltonian(t) for t in times])
+
 
 @dataclass(frozen=True)
 class LineCrossings:
@@ -70,6 +73,9 @@ class LineCrossings:
     def hamiltonian(self, t: float) -> np.ndarray:
         lines = np.array([0.0, 1.1, 2.3, 3.6]) + t * np.array([5.0, 1.7, -1.9, -4.4])
         return np.diag(lines).astype(complex)
+
+    def hamiltonians(self, times) -> np.ndarray:
+        return np.stack([self.hamiltonian(t) for t in times])
 
 
 class TestSpectralTrace:
@@ -332,7 +338,7 @@ class TestPassageFidelity:
 
     def test_mixed_state_variant(self):
         trace = spectral_trace(FIG4)
-        traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel.off(),
+        traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel(),
                                   n_samples=10)
         fid = passage_fidelity(traj, trace, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-6)
@@ -343,7 +349,7 @@ class TestPassageFidelity:
         """A trace on the trajectory's own times lends its vectors; a dense
         trace is re-tracked on the trajectory grid.  Both agree exactly."""
         if mixed:
-            traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel.off(),
+            traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel(),
                                       n_samples=10)
         else:
             traj = propagate_unitary(FIG4, basis_state("01"), n_samples=10)

@@ -162,6 +162,18 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "at least 3 distinct durations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, other", [("t1_us", "t2_us"), ("t2_us", "t1_us")])
+    def test_table1_with_infinite_noise_time_writes_null(self, tmp_path, field, other):
+        """An infinite T1 or T2 disables its channel; the report writes it as null."""
+        cfg = write_config(tmp_path, "[scenario]\nname = table1\n\n"
+                                     "[schedule]\nt_ad = 0.5, 1, 2\n\n"
+                                     f"[noise]\n{field} = inf\n\n"
+                                     "[simulation]\nn_samples = 4\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        noise = json.loads((tmp_path / "o" / "table1_report.json").read_text())["noise"]
+        assert noise[field] == [None, None]
+        assert all(math.isfinite(t) for t in noise[other] + noise["nth"])
+
     @pytest.mark.parametrize("j", ["0.0", "-1.0"])
     def test_chevron_without_positive_coupling_exits_2(self, tmp_path, capsys, j):
         cfg = write_config(tmp_path, f"[scenario]\nname = chevron\n\n[schedule]\nj = {j}\n")

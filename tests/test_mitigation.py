@@ -12,9 +12,8 @@ from adiasim.mitigation import (
     extrapolate_quadratic,
     mitigate_energy,
 )
-from adiasim.operators import PAULI_LABELS_2Q
 from adiasim.schedule import ProtocolSchedule
-from adiasim.tomography import Tomogram, energy_from_correlators
+from adiasim.tomography import CORRELATOR_LABELS, energy_terms
 
 N_RANDOM = 120
 
@@ -22,10 +21,13 @@ FIG4_KW = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
 T_AD_GRID = (5.0, 10.0, 20.0, 30.0)
 
 
-def make_tomogram(t_ad: float, values: dict) -> Tomogram:
-    full = {label: 0.0 for label in PAULI_LABELS_2Q}
-    full.update(values)
-    return Tomogram(time=t_ad, values=full, shots=0)
+def make_row(values: dict) -> np.ndarray:
+    """A (10,) correlator row: the given labels, every other term 0."""
+    return np.array([values.get(label, 0.0) for label in CORRELATOR_LABELS])
+
+
+def schedules() -> list[ProtocolSchedule]:
+    return [ProtocolSchedule(t_ad=t_ad, **FIG4_KW) for t_ad in T_AD_GRID]
 
 
 class TestExtrapolateQuadratic:
@@ -85,30 +87,26 @@ class TestMitigateEnergy:
     def test_noise_free_runs_change_nothing(self):
         """Identical correlators at every duration extrapolate to themselves."""
         values = {"XI": 0.3, "IX": -0.4, "XX": 0.2, "YY": 0.1}
-        runs = []
-        for t_ad in T_AD_GRID:
-            sch = ProtocolSchedule(t_ad=t_ad, **FIG4_KW)
-            runs.append((sch, make_tomogram(t_ad, values)))
-        result = mitigate_energy(runs)
-        single = energy_from_correlators(runs[0][1], runs[0][0])
-        assert result.energy == pytest.approx(single.energy, abs=1e-9)
-        assert result.measured[5.0] == pytest.approx(single.energy, abs=1e-12)
+        runs = schedules()
+        rows = np.array([make_row(values)] * len(runs))
+        result = mitigate_energy(runs, rows)
+        single = energy_terms(rows[:1], runs[0], [runs[0].t_ad]).sum()
+        assert result.energy == pytest.approx(single, abs=1e-9)
+        assert result.measured[5.0] == pytest.approx(single, abs=1e-12)
 
     def test_recovers_synthetic_quadratic_decay(self):
         """Correlators decaying quadratically in duration extrapolate back to
         their zero-duration values exactly."""
         zero_values = {"XI": 0.5, "IX": -0.8, "XX": 0.3, "YY": 0.25}
         decay = {"XI": 0.01, "IX": 0.02, "XX": 0.005, "YY": 0.004}
-        runs = []
-        for t_ad in T_AD_GRID:
-            sch = ProtocolSchedule(t_ad=t_ad, **FIG4_KW)
-            values = {
-                k: zero_values[k] * (1.0 - decay[k] * t_ad + 1e-4 * t_ad**2)
-                for k in zero_values
-            }
-            runs.append((sch, make_tomogram(t_ad, values)))
-        result = mitigate_energy(runs)
-        sch0 = runs[0][0]
+        runs = schedules()
+        rows = np.array([
+            make_row({k: zero_values[k] * (1.0 - decay[k] * t_ad + 1e-4 * t_ad**2)
+                      for k in zero_values})
+            for t_ad in T_AD_GRID
+        ])
+        result = mitigate_energy(runs, rows)
+        sch0 = runs[0]
         expected = (
             0.5 * sch0.x1 * zero_values["XI"]
             + 0.5 * sch0.x2 * zero_values["IX"]
@@ -120,50 +118,47 @@ class TestMitigateEnergy:
     def test_contributions_sum_to_energy(self):
         rng = np.random.default_rng(64)
         for _ in range(25):
-            runs = []
-            for t_ad in T_AD_GRID:
-                sch = ProtocolSchedule(t_ad=t_ad, **FIG4_KW)
-                values = {k: rng.uniform(-0.9, 0.9) for k in ("XI", "IX", "XX", "YY")}
-                runs.append((sch, make_tomogram(t_ad, values)))
-            result = mitigate_energy(runs)
+            rows = np.array([
+                make_row({k: rng.uniform(-0.9, 0.9) for k in ("XI", "IX", "XX", "YY")})
+                for _ in T_AD_GRID
+            ])
+            result = mitigate_energy(schedules(), rows)
             assert result.energy == pytest.approx(
                 sum(result.contributions.values()), abs=1e-9)
 
     def test_shape_mismatch_rejected(self):
         # Each change moves H(s) = h0 + s*h1: x2 and j_final enter h1, zz h0.
         for change in ({"x2": 4.1}, {"zz": 0.0}, {"j_final": 1.7}):
-            sch_b = ProtocolSchedule(t_ad=10.0, **{**FIG4_KW, **change})
             runs = [
-                (ProtocolSchedule(t_ad=5.0, **FIG4_KW), make_tomogram(5.0, {})),
-                (sch_b, make_tomogram(10.0, {})),
-                (ProtocolSchedule(t_ad=20.0, **FIG4_KW), make_tomogram(20.0, {})),
+                ProtocolSchedule(t_ad=5.0, **FIG4_KW),
+                ProtocolSchedule(t_ad=10.0, **{**FIG4_KW, **change}),
+                ProtocolSchedule(t_ad=20.0, **FIG4_KW),
             ]
             with pytest.raises(SchedulesMismatch):
-                mitigate_energy(runs)
+                mitigate_energy(runs, np.zeros((3, len(CORRELATOR_LABELS))))
 
-    def test_tomogram_must_be_end_of_protocol(self):
-        runs = [
-            (ProtocolSchedule(t_ad=t_ad, **FIG4_KW), make_tomogram(t_ad, {}))
-            for t_ad in T_AD_GRID
-        ]
-        bad_sch = ProtocolSchedule(t_ad=8.0, **FIG4_KW)
-        runs[1] = (bad_sch, make_tomogram(4.0, {}))
-        with pytest.raises(ValueError):
-            mitigate_energy(runs)
+    def test_rows_must_match_schedules(self):
+        """One row of all ten correlators per schedule, or ValueError."""
+        runs = schedules()
+        width = len(CORRELATOR_LABELS)
+        for shape in ((len(runs) - 1, width), (len(runs) + 1, width),
+                      (len(runs), width - 2), (len(runs), width + 1), (width,)):
+            with pytest.raises(ValueError, match="one correlator row per schedule"):
+                mitigate_energy(runs, np.zeros(shape))
+        with pytest.raises(ValueError, match="no runs"):
+            mitigate_energy([], np.zeros((0, width)))
 
     def test_regime_change_warning(self):
-        runs = [
-            (ProtocolSchedule(t_ad=t_ad, **FIG4_KW), make_tomogram(t_ad, {"IX": 0.1}))
-            for t_ad in T_AD_GRID
-        ]
+        runs = schedules()
+        rows = np.array([make_row({"IX": 0.1})] * len(runs))
         fids = {5.0: 0.30, 10.0: 0.49, 20.0: 0.76, 30.0: 0.88}
-        flagged = mitigate_energy(runs, passage_fidelities=fids)
+        flagged = mitigate_energy(runs, rows, passage_fidelities=fids)
         assert flagged.warning is not None
         assert "0.5" in flagged.warning
         all_adiabatic = {t: 0.9 for t in T_AD_GRID}
-        clean = mitigate_energy(runs, passage_fidelities=all_adiabatic)
+        clean = mitigate_energy(runs, rows, passage_fidelities=all_adiabatic)
         assert clean.warning is None
-        assert mitigate_energy(runs).warning is None
+        assert mitigate_energy(runs, rows).warning is None
 
     def test_sum_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -174,12 +169,8 @@ class TestMitigateEnergy:
         """For convexly decaying magnitudes the extrapolated value tends to
         sit at or above the largest measurement.  This is reported, not
         asserted, because quadratic fits can undershoot on non-convex data."""
-        runs = []
-        for t_ad in T_AD_GRID:
-            sch = ProtocolSchedule(t_ad=t_ad, **FIG4_KW)
-            values = {"IX": 0.9 * math.exp(-t_ad / 20.0)}
-            runs.append((sch, make_tomogram(t_ad, values)))
-        result = mitigate_energy(runs)
+        rows = np.array([make_row({"IX": 0.9 * math.exp(-t_ad / 20.0)}) for t_ad in T_AD_GRID])
+        result = mitigate_energy(schedules(), rows)
         largest = max(abs(v) for v in result.measured.values())
         print(f"soft check: |extrapolated| = {abs(result.energy):.6f}, "
               f"largest measured = {largest:.6f}, "

@@ -11,7 +11,6 @@ from adiasim.operators import (
     X,
     Y,
     Z,
-    commutator,
     dagger,
     embed_1q,
     pauli_1q,
@@ -60,7 +59,7 @@ class TestSingleQubit:
         assert np.allclose(SIGMA_MINUS @ e1, e0)
         assert np.allclose(SIGMA_MINUS @ e0, 0.0)
         assert np.allclose(SIGMA_PLUS @ e0, e1)
-        assert np.allclose(commutator(SIGMA_PLUS, SIGMA_MINUS), Z)
+        assert np.allclose(SIGMA_PLUS @ SIGMA_MINUS - SIGMA_MINUS @ SIGMA_PLUS, Z)
 
     @pytest.mark.parametrize("label", ALL_1Q)
     def test_involution(self, label):

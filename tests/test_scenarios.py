@@ -214,15 +214,23 @@ def count_tomography_calls(monkeypatch, *names):
 
 class TestColumnTomography:
     def test_fig4_measures_each_trajectory_as_one_array(self, tmp_path, monkeypatch):
-        calls = count_tomography_calls(monkeypatch, "measure_tomogram", "energy_from_correlators",
-                                       "measure_correlators", "energy_terms")
+        calls = count_tomography_calls(monkeypatch, "measure_correlators", "energy_terms")
         config = make_config(
             "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         # No per-sample call: one 5-sample array per duration and state.
-        assert calls == {"measure_tomogram": [], "energy_from_correlators": [],
-                         "measure_correlators": [5, 5], "energy_terms": [5, 5]}
+        assert calls == {"measure_correlators": [5, 5], "energy_terms": [5, 5]}
+
+    def test_table1_mitigates_each_state_with_one_call(self, tmp_path, monkeypatch):
+        calls = count_tomography_calls(monkeypatch, "measure_correlators", "energy_terms")
+        config = make_config(
+            "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        # One 5-sample array per duration and state (|00> and |11>), then
+        # mitigation reads each state's three end rows in one call.
+        assert calls == {"measure_correlators": [5] * 6, "energy_terms": [5] * 6 + [3, 3]}
 
 
 @pytest.fixture(scope="module")

@@ -14,16 +14,9 @@ from adiasim.tomography import (
     CORRELATOR_LABELS,
     CROSS_LABELS,
     ENERGY_TERMS,
-    EnergyEstimate,
-    MissingTerm,
-    Tomogram,
-    energy_from_correlators,
     energy_terms,
-    expectation,
     measure_correlators,
-    measure_tomogram,
-    rotate_frame,
-    sample_expectation,
+    rotate_correlators,
 )
 
 N_RANDOM = 100
@@ -48,20 +41,40 @@ def random_schedule(rng: np.random.Generator) -> ProtocolSchedule:
     )
 
 
+def labelled(state: np.ndarray, shots: int = 0, seed=None) -> dict:
+    """The correlators of one state (a 4-vector or a 4x4 density matrix), by label."""
+    row = measure_correlators(np.asarray(state)[None], shots, seed)[0]
+    return dict(zip(CORRELATOR_LABELS, row))
+
+
+def correlator(state: np.ndarray, label: str, shots: int = 0, seed=None) -> float:
+    return float(labelled(state, shots, seed)[label])
+
+
+def direct(state: np.ndarray, label: str) -> float:
+    """<P> computed straight from the Pauli matrix, for a pure state."""
+    return float(np.vdot(state, pauli_2q(label) @ state).real)
+
+
+def energy(state: np.ndarray, sch: ProtocolSchedule, t: float) -> float:
+    """Estimated E/h of one state at time t: the row sum of its six terms."""
+    return float(energy_terms(measure_correlators(np.asarray(state)[None]), sch, [t]).sum())
+
+
 class TestExpectation:
     def test_ground_state_zi(self):
-        assert expectation(basis_state("00"), "ZI") == pytest.approx(-1.0)
-        assert expectation(basis_state("00"), "IZ") == pytest.approx(-1.0)
+        assert correlator(basis_state("00"), "ZI") == pytest.approx(-1.0)
+        assert correlator(basis_state("00"), "IZ") == pytest.approx(-1.0)
 
     def test_bell_state_xx(self):
         bell = (basis_state("01") + basis_state("10")) / math.sqrt(2)
-        assert expectation(bell, "XX") == pytest.approx(1.0)
-        assert expectation(bell, "YY") == pytest.approx(1.0)
+        assert correlator(bell, "XX") == pytest.approx(1.0)
+        assert correlator(bell, "YY") == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         rho = np.eye(4, dtype=complex) / 4.0
         for label in PAULI_LABELS_2Q:
-            assert expectation(rho, label) == pytest.approx(0.0, abs=1e-12)
+            assert correlator(rho, label) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_equals_projector(self):
         rng = np.random.default_rng(31)
@@ -69,31 +82,29 @@ class TestExpectation:
             psi = random_pure_state(rng)
             rho = np.outer(psi, psi.conj())
             label = PAULI_LABELS_2Q[rng.integers(len(PAULI_LABELS_2Q))]
-            assert expectation(psi, label) == pytest.approx(
-                expectation(rho, label), abs=1e-12)
+            assert correlator(psi, label) == pytest.approx(
+                correlator(rho, label), abs=1e-12)
 
     def test_result_is_real_and_bounded(self):
         rng = np.random.default_rng(32)
         for _ in range(N_RANDOM):
             psi = random_pure_state(rng)
-            for label in PAULI_LABELS_2Q:
-                val = expectation(psi, label)
-                assert isinstance(val, float)
-                assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
+            values = measure_correlators(psi[None])
+            assert values.dtype == np.float64
+            assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
 
 class TestSampling:
     def test_eigenstate_is_exact_for_any_shots(self):
         for shots in (1, 10, 1000):
-            val = sample_expectation(basis_state("00"), "ZI", shots, rng_seed=0)
-            assert val == -1.0
+            assert correlator(basis_state("00"), "ZI", shots, seed=0) == -1.0
 
     def test_zero_expectation_spread(self):
         """A <P>=0 state sampled with 10000 shots lands within +-0.05
         (5 sigma) for at least 99% of seeds."""
         plus = (basis_state("00") + basis_state("01")) / math.sqrt(2)  # <IZ>=0
         hits = sum(
-            abs(sample_expectation(plus, "IZ", 10_000, rng_seed=seed)) <= 0.05
+            abs(correlator(plus, "IZ", 10_000, seed=seed)) <= 0.05
             for seed in range(200)
         )
         assert hits >= 198
@@ -104,87 +115,72 @@ class TestSampling:
         rng = np.random.default_rng(33)
         psi = random_pure_state(rng)
         label = "IX"
-        exact = expectation(psi, label)
+        exact = correlator(psi, label)
         shots = 100
         n_seeds = 1000
-        draws = [sample_expectation(psi, label, shots, rng_seed=k)
-                 for k in range(n_seeds)]
+        draws = [correlator(psi, label, shots, seed=k) for k in range(n_seeds)]
         sigma = math.sqrt((1.0 - exact**2) / shots)
         assert abs(np.mean(draws) - exact) <= 3.0 * sigma / math.sqrt(n_seeds)
 
     def test_deterministic_given_seed(self):
         psi = (basis_state("00") + 1j * basis_state("11")) / math.sqrt(2)
-        a = sample_expectation(psi, "XX", 500, rng_seed=42)
-        b = sample_expectation(psi, "XX", 500, rng_seed=42)
+        a = correlator(psi, "XX", 500, seed=42)
+        b = correlator(psi, "XX", 500, seed=42)
         assert a == b
-        c = sample_expectation(psi, "XX", 500, rng_seed=43)
+        c = correlator(psi, "XX", 500, seed=43)
         assert a != c  # overwhelmingly likely for 500 shots
 
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError):
-            sample_expectation(basis_state("00"), "ZI", 0, rng_seed=0)
+            measure_correlators(basis_state("00")[None], -1, seed=0)
 
 
 class TestTomogram:
+    """One state's (1, 10) row of ``measure_correlators``."""
+
     def test_contains_all_standard_terms(self):
-        tom = measure_tomogram(basis_state("00"), 0.0)
-        for label in PAULI_LABELS_2Q:
-            assert label in tom.values
-        for label in CROSS_LABELS:
-            assert label in tom.values
-        assert tom.shots == 0
-        assert tom.time == 0.0
+        values = measure_correlators(basis_state("00")[None])
+        assert values.shape == (1, len(CORRELATOR_LABELS))
+        assert CORRELATOR_LABELS == PAULI_LABELS_2Q + CROSS_LABELS
 
     def test_exact_mode_matches_expectation(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
             psi = random_pure_state(rng)
-            tom = measure_tomogram(psi, 1.0)
-            for label in PAULI_LABELS_2Q:
-                assert tom[label] == pytest.approx(expectation(psi, label), abs=1e-12)
-
-    def test_missing_term_raises(self):
-        tom = measure_tomogram(basis_state("00"), 0.0, include_cross=False)
-        with pytest.raises(MissingTerm):
-            tom["XY"]
-        assert tom.get("XY") is None
+            row = measure_correlators(psi[None])[0]
+            for k, label in enumerate(PAULI_LABELS_2Q):
+                assert row[k] == pytest.approx(direct(psi, label), abs=1e-12)
 
     def test_sampled_mode_bounds(self):
         rng = np.random.default_rng(35)
         for seed in range(30):
             psi = random_pure_state(rng)
-            tom = measure_tomogram(psi, 2.0, shots=400, rng_seed=seed)
-            assert tom.shots == 400
+            row = measure_correlators(psi[None], shots=400, seed=seed)[0]
             eps = 3.0 / math.sqrt(400)
-            for label in PAULI_LABELS_2Q:
-                assert -1 - eps <= tom[label] <= 1 + eps
+            for k, label in enumerate(PAULI_LABELS_2Q):
+                assert -1 - eps <= row[k] <= 1 + eps
                 # sampled values also stay within the statistical envelope
                 # of the exact value for these seeds
-                assert abs(tom[label] - expectation(psi, label)) <= 5 * eps
+                assert abs(row[k] - direct(psi, label)) <= 5 * eps
 
     def test_sampled_terms_use_independent_streams(self):
         """Two terms with identical exact expectations should not produce
         identical sampling noise."""
         psi = (basis_state("00") + basis_state("11")) / math.sqrt(2)
-        tom = measure_tomogram(psi, 0.0, shots=400, rng_seed=7)
-        assert tom["XX"] != tom["YY"] or tom["ZI"] != tom["IZ"]
+        row = labelled(psi, shots=400, seed=7)
+        assert row["XX"] != row["YY"] or row["ZI"] != row["IZ"]
 
     def test_sampled_reproducible(self):
         psi = (basis_state("01") + basis_state("10")) / math.sqrt(2)
-        a = measure_tomogram(psi, 0.0, shots=300, rng_seed=11)
-        b = measure_tomogram(psi, 0.0, shots=300, rng_seed=11)
-        assert a.values == b.values
+        a = measure_correlators(psi[None], shots=300, seed=11)
+        b = measure_correlators(psi[None], shots=300, seed=11)
+        assert np.array_equal(a, b)
 
     def test_construction_rejects_out_of_range(self):
-        values = {label: 0.0 for label in PAULI_LABELS_2Q}
-        values["XI"] = 1.5
-        with pytest.raises(ValueError):
-            Tomogram(time=0.0, values=values, shots=0)
-
-    def test_construction_requires_all_terms(self):
-        values = {label: 0.0 for label in PAULI_LABELS_2Q[:-1]}
-        with pytest.raises(MissingTerm):
-            Tomogram(time=0.0, values=values, shots=0)
+        # An over-normalised |+0> reads <XI> = 1.5.
+        plus0 = (basis_state("00") + basis_state("10")) / math.sqrt(2)
+        with pytest.raises(ValueError, match="XI"):
+            measure_correlators(math.sqrt(1.5) * plus0[None])
 
 
 def reference_energy(values: dict, sch: ProtocolSchedule, t: float) -> dict:
@@ -256,20 +252,20 @@ class TestCorrelatorArrays:
 
 class TestEnergyEstimate:
     def test_initial_product_state_energy(self):
-        tom = measure_tomogram(basis_state("00"), 0.0)
-        est = energy_from_correlators(tom, FIG3_SCHEDULE)
-        assert est.energy == pytest.approx(-2.0)
+        assert energy(basis_state("00"), FIG3_SCHEDULE, 0.0) == pytest.approx(-2.0)
 
     def test_contributions_sum_to_energy(self):
+        """With zz = 0 the six terms sum to <psi|H(t)|psi>."""
+        assert ENERGY_TERMS == ("z1", "z2", "x1", "x2", "xx", "yy")
         rng = np.random.default_rng(36)
         for _ in range(N_RANDOM):
             sch = random_schedule(rng)
             t = rng.uniform(0, sch.t_ad)
             psi = random_pure_state(rng)
-            est = energy_from_correlators(measure_tomogram(psi, t), sch)
-            assert est.energy == pytest.approx(sum(est.contributions.values()),
-                                               abs=1e-9)
-            assert set(est.contributions) == {"z1", "z2", "x1", "x2", "xx", "yy"}
+            terms = energy_terms(measure_correlators(psi[None]), sch, [t])
+            assert terms.shape == (1, len(ENERGY_TERMS))
+            expected = (psi.conj() @ sch.hamiltonian(t) @ psi).real
+            assert expected == pytest.approx(terms.sum(), abs=1e-9)
 
     def test_eigenstate_reproduces_eigenvalue_when_zz_zero(self):
         rng = np.random.default_rng(37)
@@ -278,8 +274,7 @@ class TestEnergyEstimate:
             t = rng.uniform(0, sch.t_ad)
             vals, vecs = np.linalg.eigh(sch.hamiltonian(t))
             k = rng.integers(4)
-            est = energy_from_correlators(measure_tomogram(vecs[:, k], t), sch)
-            assert est.energy == pytest.approx(vals[k], abs=1e-6)
+            assert energy(vecs[:, k], sch, t) == pytest.approx(vals[k], abs=1e-6)
 
     def test_zz_term_excluded(self):
         """The estimator reconstructs only the six driven terms, so a ZZ
@@ -287,38 +282,37 @@ class TestEnergyEstimate:
         with_zz = FIG3_SCHEDULE
         without = FIG3_SCHEDULE.with_(zz=0.0)
         psi = basis_state("00")
-        tom = measure_tomogram(psi, 0.0)
-        e_with = energy_from_correlators(tom, with_zz).energy
-        e_without = energy_from_correlators(tom, without).energy
+        e_with = energy(psi, with_zz, 0.0)
+        e_without = energy(psi, without, 0.0)
         assert e_with == pytest.approx(e_without)
         true_with = (psi.conj() @ with_zz.hamiltonian(0.0) @ psi).real
         assert abs(true_with - e_with) == pytest.approx(0.05)  # zz/4
 
     def test_explicit_time_argument(self):
-        tom = measure_tomogram(basis_state("00"), 0.0)
-        est = energy_from_correlators(tom, FIG3_SCHEDULE, t=FIG3_SCHEDULE.t_ad)
-        # At t = t_ad the z-terms have zero weight and |00> has no x signal.
-        assert est.energy == pytest.approx(0.0, abs=1e-12)
+        # Correlators of |00>, weighed at t = t_ad: the z-terms have zero
+        # weight there and |00> has no x signal.
+        assert energy(basis_state("00"), FIG3_SCHEDULE, FIG3_SCHEDULE.t_ad) == pytest.approx(
+            0.0, abs=1e-12)
 
-    def test_sum_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            EnergyEstimate(time=0.0, energy=1.0, contributions={"z1": 0.0})
+
+def rotated(psi: np.ndarray, qubit: int, theta: float) -> dict:
+    """Correlators of one state rotated into another frame, by label."""
+    row = rotate_correlators(measure_correlators(psi[None]), qubit, theta)[0]
+    return dict(zip(CORRELATOR_LABELS, row))
 
 
 class TestRotateFrame:
     def test_zero_angle_identity(self):
         rng = np.random.default_rng(38)
         psi = random_pure_state(rng)
-        tom = measure_tomogram(psi, 3.0)
-        rot = rotate_frame(tom, 2, 0.0)
-        for label, value in tom.values.items():
+        tom, rot = labelled(psi), rotated(psi, 2, 0.0)
+        for label, value in tom.items():
             assert rot[label] == pytest.approx(value, abs=1e-15)
 
     def test_quarter_turn(self):
         rng = np.random.default_rng(39)
         psi = random_pure_state(rng)
-        tom = measure_tomogram(psi, 0.0)
-        rot = rotate_frame(tom, 2, math.pi / 2)
+        tom, rot = labelled(psi), rotated(psi, 2, math.pi / 2)
         assert rot["IX"] == pytest.approx(tom["IY"], abs=1e-12)
         assert rot["IY"] == pytest.approx(-tom["IX"], abs=1e-12)
         assert rot["IZ"] == pytest.approx(tom["IZ"], abs=1e-15)
@@ -329,10 +323,9 @@ class TestRotateFrame:
         rng = np.random.default_rng(40)
         for _ in range(N_RANDOM):
             psi = random_pure_state(rng)
-            tom = measure_tomogram(psi, 0.0)
             theta = rng.uniform(-10, 10)
             qubit = int(rng.integers(1, 3))
-            rot = rotate_frame(tom, qubit, theta)
+            tom, rot = labelled(psi), rotated(psi, qubit, theta)
             if qubit == 1:
                 pairs = [("XI", "YI"), ("XX", "YX"), ("XY", "YY")]
             else:
@@ -344,40 +337,25 @@ class TestRotateFrame:
 
     def test_rotation_composes(self):
         rng = np.random.default_rng(41)
-        psi = random_pure_state(rng)
-        tom = measure_tomogram(psi, 0.0)
-        once = rotate_frame(rotate_frame(tom, 1, 0.3), 1, 0.4)
-        combined = rotate_frame(tom, 1, 0.7)
-        for label in PAULI_LABELS_2Q:
-            assert once[label] == pytest.approx(combined[label], abs=1e-12)
+        values = measure_correlators(random_pure_state(rng)[None])
+        once = rotate_correlators(rotate_correlators(values, 1, 0.3), 1, 0.4)
+        combined = rotate_correlators(values, 1, 0.7)
+        assert np.max(np.abs(once - combined)[:, :len(PAULI_LABELS_2Q)]) <= 1e-12
 
     def test_matches_physically_rotated_state(self):
-        """Rotating the tomogram equals measuring the state conjugated by
+        """Rotating the correlators equals measuring the state conjugated by
         exp(-i theta Z/2) on that qubit."""
         rng = np.random.default_rng(42)
         for _ in range(20):
             psi = random_pure_state(rng)
             theta = rng.uniform(-math.pi, math.pi)
-            rot_tom = rotate_frame(measure_tomogram(psi, 0.0), 2, theta)
+            rot = rotated(psi, 2, theta)
             u1q = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
             u = np.kron(np.eye(2), u1q)
-            direct = measure_tomogram(u @ psi, 0.0)
+            direct_rot = labelled(u @ psi)
             for label in PAULI_LABELS_2Q:
-                assert rot_tom[label] == pytest.approx(direct[label], abs=1e-10)
+                assert rot[label] == pytest.approx(direct_rot[label], abs=1e-10)
 
     def test_bad_qubit_index(self):
-        tom = measure_tomogram(basis_state("00"), 0.0)
         with pytest.raises(BadIndex):
-            rotate_frame(tom, 0, 0.1)
-
-    def test_missing_partner_raises(self):
-        """Rotating a tomogram without the cross terms fails only when a
-        nonzero correlator actually needs its rotation partner."""
-        bell = (basis_state("00") + basis_state("11")) / math.sqrt(2)
-        tom = measure_tomogram(bell, 0.0, include_cross=False)
-        assert abs(tom["XX"]) > 0.5
-        with pytest.raises(MissingTerm):
-            rotate_frame(tom, 1, 0.3)
-        # A state with no transverse two-qubit signal rotates fine.
-        tom0 = measure_tomogram(basis_state("00"), 0.0, include_cross=False)
-        rotate_frame(tom0, 1, 0.3)
+            rotate_correlators(measure_correlators(basis_state("00")[None]), 0, 0.1)
