@@ -9,7 +9,8 @@ Levels are numbered 1..4.  Two labelings coexist:
   branches).
 
 The crossing of interest in the sweep protocol involves the middle pair,
-sorted levels (2, 3), which is the default everywhere a pair is taken.
+sorted levels (2, 3), the one pair the crossing analysis reads.  It reads
+H(s) = h0 + s*h1 directly and tracks no levels.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class SpectralTrace:
                       unit phase that makes its overlap with vectors[i-1][:, k]
                       real and positive (vectors[0] keeps eigh's phases)
     schedule        : the schedule the trace was built from (any object with
-                      ``t_ad``, the stacked ``hamiltonians(times)`` and, for
-                      ``min_gap``, the single-time ``hamiltonian(t)``)
+                      ``t_ad`` and the stacked ``hamiltonians(times)``)
     """
 
     times: np.ndarray
@@ -87,10 +87,6 @@ class SpectralTrace:
     energies: np.ndarray
     vectors: np.ndarray = field(repr=False)
     schedule: object | None = field(default=None, repr=False)
-
-    @property
-    def n_grid(self) -> int:
-        return len(self.times)
 
 
 def _tracked_eigensystem(schedule, times: np.ndarray):
@@ -143,80 +139,65 @@ def spectral_trace(schedule, n_grid: int = 1001) -> SpectralTrace:
                          energies=tracked_e, vectors=tracked_v, schedule=schedule)
 
 
-def _check_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = sorted(pair)
-    if not (1 <= lo <= 4 and 1 <= hi <= 4) or lo == hi:
-        raise ValueError(f"level pair must be two distinct levels in 1..4, got {pair}")
-    return lo, hi
+def _middle_gap(schedule, t: float) -> tuple[float, float]:
+    """E3 - E2 at time ``t`` and its derivative in s = t/t_ad.
 
-
-def min_gap(trace: SpectralTrace, pair: tuple[int, int] = (2, 3)) -> tuple[float, float]:
-    """Minimum separation of two sorted eigenvalue curves.
-
-    Returns ``(a, t_c)``: the gap minimum [MHz] and its time [us], found by
-    golden-section refinement around the coarse grid minimum (gap-value
-    tolerance 1e-4 MHz).  Raises NoInteriorMinimum when the coarse minimum
-    sits on a grid endpoint, i.e. the gap is monotonic over the grid.
+    For H(s) = h0 + s*h1 the Hellmann-Feynman theorem gives dE_k/ds =
+    <k|h1|k>, so one eigh yields the gap and its slope.
     """
-    lo, hi = _check_pair(pair)
-    gaps = trace.sorted_energies[:, hi - 1] - trace.sorted_energies[:, lo - 1]
-    idx = int(np.argmin(gaps))
-    if idx == 0 or idx == trace.n_grid - 1:
+    energies, vecs = np.linalg.eigh(schedule.hamiltonian(t))
+    slopes = np.einsum("ik,ij,jk->k", vecs.conj(), schedule.h1, vecs).real
+    return float(energies[2] - energies[1]), float(slopes[2] - slopes[1])
+
+
+def min_gap(schedule, n_grid: int = 1001) -> tuple[float, float]:
+    """Minimum separation of the middle sorted levels (2, 3).
+
+    ``schedule`` needs ``t_ad``, ``hamiltonians(times)``, ``hamiltonian(t)``
+    and the s-derivative ``h1`` of H (any ProtocolSchedule qualifies).
+    Returns ``(a, t_c)``: the gap minimum [MHz] and its time [us].  One
+    stacked eigvalsh on a uniform grid of ``n_grid`` times finds the coarse
+    minimum; bisection on the sign of the Hellmann-Feynman gap derivative
+    inside the two bracketing grid cells then fixes t_c to float resolution.
+    Raises NoInteriorMinimum when the coarse minimum sits on a grid
+    endpoint, i.e. the gap is monotonic over the grid (always so for fewer
+    than three grid points).
+    """
+    times = np.linspace(0.0, schedule.t_ad, n_grid)
+    levels = np.linalg.eigvalsh(schedule.hamiltonians(times))
+    idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
+    if idx == 0 or idx == n_grid - 1:
         raise NoInteriorMinimum(
-            f"gap of sorted levels {(lo, hi)} is minimal at the grid edge "
-            f"t = {trace.times[idx]:.6f} us; no interior avoided crossing"
+            f"gap of sorted levels (2, 3) is minimal at the grid edge "
+            f"t = {times[idx]:.6f} us; no interior avoided crossing"
         )
-    if trace.schedule is None:
-        raise ValueError("trace carries no schedule; cannot refine the gap")
-    ham = trace.schedule.hamiltonian
-
-    def gap_at(t: float) -> float:
-        vals = np.linalg.eigvalsh(ham(t))
-        return float(vals[hi - 1] - vals[lo - 1])
-
-    # Refined inside the bracketing grid cell pair, far enough that the gap
-    # value is converged well below the 1e-4 MHz tolerance.
-    best_t, best_g = _golden_section(gap_at, float(trace.times[idx - 1]),
-                                    float(trace.times[idx + 1]),
-                                    1e-10 * max(1.0, trace.times[-1]))
-    return float(best_g), float(best_t)
-
-
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum ``(x, f(x))`` of a unimodal ``f`` on [a, b], to within ``tol``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    lo, hi = float(times[idx - 1]), float(times[idx + 1])
+    t_c = 0.5 * (lo + hi)
+    while lo < t_c < hi:
+        if _middle_gap(schedule, t_c)[1] > 0.0:
+            hi = t_c
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+            lo = t_c
+        t_c = 0.5 * (lo + hi)
+    return _middle_gap(schedule, t_c)[0], t_c
 
 
-def diabatic_slope(schedule: ProtocolSchedule, pair: tuple[int, int] = (2, 3),
-                   t_c: float | None = None, window_fraction: float = 0.10,
-                   n_grid: int = 1001) -> float:
+def diabatic_slope(schedule: ProtocolSchedule, t_c: float | None = None,
+                   window_fraction: float = 0.10, n_grid: int = 1001) -> float:
     """Slope magnitude [MHz/us] of the bare crossing-level difference.
 
-    Rebuilds the spectral trace with every two-qubit coupling removed
-    (j = 0 and zz = 0), takes the tracked (continuity-labeled) difference
-    of the pair — a signed quantity that passes through zero at the bare
-    crossing — and fits a line over a window centered on ``t_c`` of total
+    With every two-qubit coupling removed (j = 0 and zz = 0) H is a sum of
+    single-qubit terms with splittings eps_i(s) = sqrt(z_i**2 (1-s)**2 +
+    x_i**2 s**2), and the continuity-labeled middle pair differs by
+    +-(eps1 - eps2), a signed quantity that passes through zero at the bare
+    crossing.  A line is fitted to eps1 - eps2 on the points of a uniform
+    ``n_grid`` grid that lie in a window centered on ``t_c`` of total
     width ``window_fraction * t_ad``.  The zz term must go too: it opens
-    its own tiny avoided crossing which the tracked difference would
-    follow, ruining the linearity of the fit (and the window-stability of
-    the slope) through the crossing.
+    its own tiny avoided crossing, which would bend the difference through
+    the crossing and make the slope depend on the window.
     """
     if t_c is None:
         raise ValueError("t_c is required (obtain it from min_gap)")
-    lo, hi = _check_pair(pair)
     if not 0.0 < window_fraction:
         raise ValueError(f"window_fraction must be positive, got {window_fraction}")
     half = 0.5 * window_fraction * schedule.t_ad
@@ -226,16 +207,17 @@ def diabatic_slope(schedule: ProtocolSchedule, pair: tuple[int, int] = (2, 3),
             f"fit window [{t_min:.4f}, {t_max:.4f}] us exceeds the protocol "
             f"interval [0, {schedule.t_ad}] us"
         )
-    bare = spectral_trace(schedule.coupling_off(), n_grid)
-    mask = (bare.times >= t_min) & (bare.times <= t_max)
-    if int(np.count_nonzero(mask)) < 2:
+    times = np.linspace(0.0, schedule.t_ad, n_grid)
+    times = times[(times >= t_min) & (times <= t_max)]
+    if len(times) < 2:
         raise WindowOutOfRange(
             f"fit window [{t_min:.4f}, {t_max:.4f}] us contains fewer than "
             f"two grid points; increase n_grid"
         )
-    diff = bare.energies[mask, hi - 1] - bare.energies[mask, lo - 1]
-    slope = np.polyfit(bare.times[mask], diff, 1)[0]
-    return float(abs(slope))
+    s = times / schedule.t_ad
+    eps1 = np.hypot(schedule.z1 * (1.0 - s), schedule.x1 * s)
+    eps2 = np.hypot(schedule.z2 * (1.0 - s), schedule.x2 * s)
+    return float(abs(np.polyfit(times, eps1 - eps2, 1)[0]))
 
 
 def lz_probability(a: float, alpha: float) -> tuple[float, float]:
@@ -328,11 +310,9 @@ class CrossingReport:
             raise ValueError("diabatic probability must lie in [0, 1]")
 
 
-def crossing_report(schedule: ProtocolSchedule, pair: tuple[int, int] = (2, 3),
-                    n_grid: int = 1001) -> CrossingReport:
+def crossing_report(schedule: ProtocolSchedule) -> CrossingReport:
     """Full crossing analysis: gap, crossing time, slope, LZ prediction."""
-    trace = spectral_trace(schedule, n_grid)
-    a, t_c = min_gap(trace, pair)
-    alpha = diabatic_slope(schedule, pair, t_c)
+    a, t_c = min_gap(schedule)
+    alpha = diabatic_slope(schedule, t_c)
     gamma, p_diab = lz_probability(a, alpha)
     return CrossingReport(a=a, t_c=t_c, alpha=alpha, gamma=gamma, p_diabatic=p_diab)

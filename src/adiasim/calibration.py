@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _golden_section
-
 __all__ = [
     "InsufficientSpan",
     "DegenerateBasis",
@@ -136,6 +134,24 @@ def _rabi_objective(f_points: np.ndarray, omegas: np.ndarray, f_res: float):
     j_sq = max(float(np.mean(omegas**2 - det_sq)), 0.0)
     model = np.sqrt(j_sq + det_sq)
     return j_sq, float(np.sum((model - omegas) ** 2))
+
+
+def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum ``(x, f(x))`` of a unimodal ``f`` on [a, b], to within ``tol``."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def fit_rabi(observed) -> tuple[float, float, float]:

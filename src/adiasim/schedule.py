@@ -112,15 +112,6 @@ class ProtocolSchedule:
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
-    def coupling_off(self) -> "ProtocolSchedule":
-        """Copy with every two-qubit coupling removed (j = 0 and zz = 0).
-
-        This defines the bare crossing reference: with any coupling left in,
-        the level crossing opens into an avoided one and the tracked level
-        difference is no longer linear through it.
-        """
-        return self.with_(j_final=0.0, zz=0.0)
-
 
 def frame_rotation_angle(z: float, t, t_ad: float):
     """Angle [rad] between the chirped frame and the constant-frequency frame.

@@ -65,10 +65,10 @@ def _within(value: float, target: tuple) -> bool:
 
 def test_criterion_1_minimum_gaps(capsys):
     t0 = time.perf_counter()
-    gap_b, _ = min_gap(spectral_trace(ProtocolSchedule(**FIG3B, t_ad=30.0)))
+    gap_b, _ = min_gap(ProtocolSchedule(**FIG3B, t_ad=30.0))
     elapsed_b = time.perf_counter() - t0
     t0 = time.perf_counter()
-    gap_4, _ = min_gap(spectral_trace(ProtocolSchedule(**FIG4, t_ad=5.0)))
+    gap_4, _ = min_gap(ProtocolSchedule(**FIG4, t_ad=5.0))
     elapsed_4 = time.perf_counter() - t0
 
     ok_b = _within(gap_b, GAP_TARGET_FIG3B)
@@ -87,7 +87,7 @@ def test_criterion_1_minimum_gaps(capsys):
 def test_criterion_2_slope_times_duration(capsys):
     schedule = ProtocolSchedule(**FIG4, t_ad=10.0)
     t0 = time.perf_counter()
-    _, t_c = min_gap(spectral_trace(schedule))
+    _, t_c = min_gap(schedule)
     alpha = diabatic_slope(schedule, t_c=t_c)
     elapsed = time.perf_counter() - t0
     product = alpha * schedule.t_ad
@@ -114,8 +114,7 @@ def test_criterion_3_lz_anchor(capsys):
 def test_criterion_4_dynamics_vs_lz_crossover(capsys):
     t0 = time.perf_counter()
     reference = ProtocolSchedule(**FIG4, t_ad=5.0)
-    trace_ref = spectral_trace(reference)
-    a, t_c = min_gap(trace_ref)
+    a, t_c = min_gap(reference)
     alpha_ref = diabatic_slope(reference, t_c=t_c)
     psi0 = basis_state("01")
 
@@ -184,7 +183,7 @@ def test_criterion_6_correlator_signature(capsys):
     band = 0.03  # sampling-resolution band for the no-coupling run
 
     adiabatic = ProtocolSchedule(**FIG3B, t_ad=30.0)
-    _, t_c = min_gap(spectral_trace(adiabatic))
+    _, t_c = min_gap(adiabatic)
     traj = propagate_unitary(adiabatic, basis_state("01"), DT, 300)
     correlators = dict(zip(CORRELATOR_LABELS, measure_correlators(traj.states).T))
     window = 0.10 * adiabatic.t_ad

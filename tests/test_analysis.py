@@ -14,6 +14,7 @@ from adiasim.analysis import (
     NoInteriorMinimum,
     WindowOutOfRange,
     ZeroSlope,
+    _middle_gap,
     _tracked_eigensystem,
     crossing_report,
     diabatic_slope,
@@ -61,6 +62,11 @@ class TwoLevelCrossing:
 
     def hamiltonians(self, times) -> np.ndarray:
         return np.stack([self.hamiltonian(t) for t in times])
+
+    @property
+    def h1(self) -> np.ndarray:
+        """dH/ds with s = t/t_ad."""
+        return np.diag([0.0, -self.slope * self.t_ad, self.slope * self.t_ad, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ class TestBatchedTracking:
     """The batched tracker against the sequential reference tracker."""
 
     @pytest.mark.parametrize("schedule, n_grid", [(FIG4, 1001), (FIG3B, 201),
-                                                  (FIG4.coupling_off(), 1001),
+                                                  (FIG4.with_(j_final=0.0, zz=0.0), 1001),
                                                   (FIG4, 2), (LineCrossings(), 101)])
     def test_matches_sequential_reference(self, schedule, n_grid):
         times = np.linspace(0.0, schedule.t_ad, n_grid)
@@ -177,64 +183,71 @@ class TestBatchedTracking:
 class TestMinGap:
     def test_two_level_crossing_is_exact(self):
         duck = TwoLevelCrossing(slope=2.0, gap=0.37, t_star=4.0, t_ad=10.0)
-        trace = spectral_trace(duck, n_grid=501)
-        a, t_c = min_gap(trace)
+        a, t_c = min_gap(duck, n_grid=501)
         assert a == pytest.approx(0.37, abs=1e-10)
         assert t_c == pytest.approx(4.0, abs=1e-6)
 
     def test_standard_sweep_gaps(self):
-        a4, tc4 = min_gap(spectral_trace(FIG4))
+        a4, tc4 = min_gap(FIG4)
         assert a4 == pytest.approx(FIG4_GAP, abs=1e-4)
         assert tc4 / FIG4.t_ad == pytest.approx(FIG4_TC_FRACTION, abs=1e-4)
-        a3, tc3 = min_gap(spectral_trace(FIG3B))
+        a3, tc3 = min_gap(FIG3B)
         assert a3 == pytest.approx(FIG3B_GAP, abs=1e-4)
         assert tc3 / FIG3B.t_ad == pytest.approx(FIG3B_TC_FRACTION, abs=1e-4)
 
     def test_refinement_beats_dense_grid(self):
         """The refined minimum is no larger than a 20x denser grid scan."""
-        trace = spectral_trace(FIG4, n_grid=1001)
-        a, _ = min_gap(trace)
+        a, _ = min_gap(FIG4)
         dense = spectral_trace(FIG4, n_grid=20001)
         grid_min = np.min(dense.sorted_energies[:, 2] - dense.sorted_energies[:, 1])
         assert a <= grid_min + 1e-12
         assert a == pytest.approx(grid_min, abs=1e-6)
 
     def test_local_minimum_returned(self):
-        a, t_c = min_gap(spectral_trace(FIG4))
+        a, t_c = min_gap(FIG4)
         for dt in (1e-4, 1e-3):
             for t in (t_c - dt, t_c + dt):
                 vals = np.linalg.eigvalsh(FIG4.hamiltonian(t))
                 assert vals[2] - vals[1] >= a - 1e-12
 
-    def test_other_pairs(self):
-        trace = spectral_trace(FIG4)
-        a12, _ = min_gap(trace, pair=(1, 2))
-        a23, _ = min_gap(trace, pair=(2, 3))
-        assert a12 > a23  # only the middle pair nearly touches
-
     def test_no_interior_minimum(self):
         """A pure longitudinal ramp has monotonically shrinking gaps."""
         ramp = ProtocolSchedule(z1=2.5, z2=1.5, x1=0.0, x2=0.0, t_ad=10.0)
         with pytest.raises(NoInteriorMinimum):
-            min_gap(spectral_trace(ramp))
+            min_gap(ramp)
 
-    def test_pair_validation(self):
-        trace = spectral_trace(FIG4, n_grid=51)
-        with pytest.raises(ValueError):
-            min_gap(trace, pair=(2, 2))
-        with pytest.raises(ValueError):
-            min_gap(trace, pair=(0, 3))
-        with pytest.raises(ValueError):
-            min_gap(trace, pair=(3, 5))
+    @pytest.mark.parametrize("schedule", [FIG3B, FIG4.with_(t_ad=5.0)])
+    def test_crossing_time_is_not_rounding_noise(self, schedule):
+        """An ulp-level change of H moves t_c by no more than rounding:
+        bisection on the sign of the gap derivative ends at float resolution."""
+        _, t_c = min_gap(schedule)
+        _, t_c_nudged = min_gap(schedule.with_(z1=schedule.z1 * (1.0 + 1e-15)))
+        assert abs(t_c_nudged - t_c) <= 1e-12
+
+    @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
+    def test_hellmann_feynman_gap_derivative(self, schedule):
+        """The gap slope in s from <k|h1|k> matches a central difference of eigvalsh."""
+        def gap(t):
+            vals = np.linalg.eigvalsh(schedule.hamiltonian(t))
+            return vals[2] - vals[1]
+
+        _, t_c = min_gap(schedule)
+        h = 1e-6 * schedule.t_ad
+        for t in (0.1 * schedule.t_ad, t_c - 0.01 * schedule.t_ad, t_c,
+                  t_c + 0.01 * schedule.t_ad, 0.9 * schedule.t_ad):
+            value, slope = _middle_gap(schedule, t)
+            assert value == pytest.approx(gap(t), abs=1e-12)
+            central = (gap(t + h) - gap(t - h)) / (2.0 * h) * schedule.t_ad
+            assert slope == pytest.approx(central, abs=1e-6)
 
 
 class TestDiabaticSlope:
     def test_slope_matches_bare_gap_growth(self):
         """Away from the crossing point the bare sorted gap grows linearly at
         the fitted rate on both sides."""
-        _, t_c = min_gap(spectral_trace(FIG4))
+        _, t_c = min_gap(FIG4)
         alpha = diabatic_slope(FIG4, t_c=t_c)
-        bare = FIG4.coupling_off()
+        bare = FIG4.with_(j_final=0.0, zz=0.0)
 
         def bare_diff(t):
             vals = np.linalg.eigvalsh(bare.hamiltonian(t))
@@ -246,7 +259,7 @@ class TestDiabaticSlope:
         assert alpha == pytest.approx(abs(fd_left), rel=5e-2)
 
     def test_standard_sweep_slope(self):
-        _, t_c = min_gap(spectral_trace(FIG4))
+        _, t_c = min_gap(FIG4)
         alpha = diabatic_slope(FIG4, t_c=t_c)
         assert alpha == pytest.approx(FIG4_SLOPE_AT_10US, abs=1e-4)
 
@@ -254,14 +267,14 @@ class TestDiabaticSlope:
         results = {}
         for t_ad in (10.0, 20.0):
             sch = FIG4.with_(t_ad=t_ad)
-            _, t_c = min_gap(spectral_trace(sch))
+            _, t_c = min_gap(sch)
             results[t_ad] = diabatic_slope(sch, t_c=t_c)
         assert results[10.0] == pytest.approx(2.0 * results[20.0], rel=1e-6)
 
     def test_window_stability(self):
         """The fitted slope moves by < 2% when the window is 5% or 15% of
         the protocol instead of 10%."""
-        _, t_c = min_gap(spectral_trace(FIG4))
+        _, t_c = min_gap(FIG4)
         base = diabatic_slope(FIG4, t_c=t_c, window_fraction=0.10)
         for frac in (0.05, 0.15):
             alt = diabatic_slope(FIG4, t_c=t_c, window_fraction=frac)
@@ -276,6 +289,25 @@ class TestDiabaticSlope:
             diabatic_slope(FIG4, t_c=0.3, window_fraction=0.10)
         with pytest.raises(WindowOutOfRange):
             diabatic_slope(FIG4, t_c=9.9, window_fraction=0.10)
+
+    @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
+    def test_closed_form_matches_tracked_bare_levels(self, schedule):
+        """With j = zz = 0 the tracked middle pair differs by +-(eps1 - eps2),
+        eps_i = sqrt(z_i^2 (1-s)^2 + x_i^2 s^2), over the whole sweep, so the
+        fit to the closed form gives the slope of the tracked bare levels."""
+        bare = schedule.with_(j_final=0.0, zz=0.0)
+        times = np.linspace(0.0, schedule.t_ad, 1001)
+        _, tracked_e, _ = _tracked_eigensystem(bare, times)
+        tracked = tracked_e[:, 2] - tracked_e[:, 1]
+        s = times / schedule.t_ad
+        closed = (np.hypot(schedule.z1 * (1 - s), schedule.x1 * s)
+                  - np.hypot(schedule.z2 * (1 - s), schedule.x2 * s))
+        assert min(np.max(np.abs(tracked - closed)), np.max(np.abs(tracked + closed))) <= 1e-12
+
+        _, t_c = min_gap(schedule)
+        window = np.abs(times - t_c) <= 0.05 * schedule.t_ad
+        fitted = abs(np.polyfit(times[window], tracked[window], 1)[0])
+        assert diabatic_slope(schedule, t_c=t_c) == pytest.approx(fitted, abs=1e-12)
 
 
 class TestLzProbability:
@@ -398,8 +430,7 @@ class TestLevelBookkeeping:
 class TestCrossingReport:
     def test_composition(self):
         report = crossing_report(FIG4)
-        trace = spectral_trace(FIG4)
-        a, t_c = min_gap(trace)
+        a, t_c = min_gap(FIG4)
         assert report.a == pytest.approx(a, abs=1e-12)
         assert report.t_c == pytest.approx(t_c, abs=1e-9)
         alpha = diabatic_slope(FIG4, t_c=t_c)

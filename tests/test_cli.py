@@ -209,6 +209,20 @@ class TestRunCommand:
                 for line in data_lines(tmp_path / "o" / "custom_trace_tad2.csv")]
         assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
 
+    def test_crossing_report_needs_no_level_tracking(self, tmp_path):
+        """z1 = 0 leaves the bare levels degenerate at t = 0, where tracking
+        them ties; the crossing report reads H(s) without tracking."""
+        cfg = write_config(tmp_path, "[scenario]\nname = custom\ninitial_states = 01\n\n"
+                                     "[schedule]\nz1 = 0\nz2 = 1.5\nx1 = 1\nx2 = 7.3\n"
+                                     "j = 1.3\nzz = 0\nt_ad = 10\n\n"
+                                     "[simulation]\nn_samples = 50\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        crossing = json.loads((tmp_path / "o" / "custom_report.json").read_text())["crossing"]
+        assert "error" not in crossing
+        numbers = [crossing["min_gap_mhz"], crossing["crossing_time_us"],
+                   crossing["slope_mhz_per_us"], *crossing["per_t_ad"]["10"].values()]
+        assert len(numbers) == 8 and all(math.isfinite(v) for v in numbers)
+
     @pytest.mark.parametrize("target, result, unwritten", [
         ("lz_probability", (math.nan, math.nan), "fig4_report.json"),
         ("energy_terms", np.full((5, 6), math.nan), "fig4_trace_tad1.csv"),

@@ -107,16 +107,23 @@ def count_eigensystems(monkeypatch):
 
 
 class TestOneEigensystemPerSweep:
-    def test_fig4_tracks_once_plus_crossing_analysis(self, tmp_path, monkeypatch):
+    def test_fig4_tracks_once_per_sweep(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
         config = make_config(
             "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         # One for both durations on a 101-point grid that holds the 5
-        # trajectory times, then the crossing report's coupled and bare
-        # 1001-point traces.
-        assert calls == [101, 1001, 1001]
+        # trajectory times; the crossing report tracks no levels.
+        assert calls == [101]
+
+    def test_fig3_tracks_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = count_eigensystems(monkeypatch)
+        config = make_config(
+            "[scenario]\nname = fig3\n\n[schedule]\nt_ad = 2\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        assert calls == [101, 101]  # fig3a, then fig3b
 
     def test_table1_tracks_once_per_sweep(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)

@@ -101,16 +101,6 @@ class TestProtocolSchedule:
         assert other.t_ad == 20.0
         assert other.with_(t_ad=10.0) == sch
 
-    def test_coupling_off_zeroes_both_coupling_terms(self):
-        sch = ProtocolSchedule(**FIG4_KW)
-        bare = sch.coupling_off()
-        assert bare.j_final == 0.0
-        assert bare.zz == 0.0
-        assert bare.z1 == sch.z1 and bare.x2 == sch.x2 and bare.t_ad == sch.t_ad
-        h = bare.hamiltonian(5.0)
-        assert np.allclose(h, np.diag(np.diag(h)).real + 0.5 * 5.0 / 10.0 * (
-            sch.x1 * pauli_2q("XI") + sch.x2 * pauli_2q("IX")))
-
 
 class TestFrames:
     def test_rotation_angle(self):
