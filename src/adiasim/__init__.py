@@ -5,7 +5,7 @@ Core pieces:
 * schedule     — the sweep Hamiltonian H(s) and the constant drive frame
 * dynamics     — Schrodinger / Lindblad RK4 propagation
 * tomography   — correlator arrays, shot sampling, the energy estimator, frame rotation
-* analysis     — spectral traces, minimum gap, diabatic slope, LZ formula
+* analysis     — tracked levels, minimum gap, diabatic slope, LZ formula
 * mitigation   — zero-protocol-time extrapolation of energy contributions
 * calibration  — chevron maps and coupling/dispersive fits
 * config, scenarios, cli — reproducible scenario runs and data files
@@ -15,19 +15,16 @@ from ._version import __version__
 from .analysis import (
     CrossingReport,
     DegenerateTracking,
-    GridMismatch,
     NoInteriorMinimum,
-    SpectralTrace,
     WindowOutOfRange,
     ZeroSlope,
     crossing_report,
     diabatic_slope,
-    initial_level_for_state,
     level_populations,
     lz_probability,
     min_gap,
     passage_fidelity,
-    spectral_trace,
+    tracked_levels,
 )
 from .calibration import (
     ChevronMap,

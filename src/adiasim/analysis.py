@@ -8,20 +8,22 @@ Levels are numbered 1..4.  Two labelings coexist:
   at t = 0 (curves may cross; these are the adiabatically-continued
   branches).
 
-The crossing of interest in the sweep protocol involves the middle pair,
-sorted levels (2, 3), the one pair the crossing analysis reads.  It reads
-H(s) = h0 + s*h1 directly and tracks no levels.
+``tracked_levels`` returns the tracked energies and eigenvectors at a
+trajectory's sample times as two arrays; ``passage_fidelity`` reads a state
+stack against those vectors.  The crossing of interest in the sweep
+protocol involves the middle pair, sorted levels (2, 3), the one pair the
+crossing analysis reads.  It reads H(s) = h0 + s*h1 directly and tracks no
+levels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -29,20 +31,20 @@ __all__ = [
     "NoInteriorMinimum",
     "WindowOutOfRange",
     "ZeroSlope",
-    "GridMismatch",
-    "SpectralTrace",
     "CrossingReport",
-    "spectral_trace",
+    "tracked_levels",
     "min_gap",
     "diabatic_slope",
     "lz_probability",
     "passage_fidelity",
     "crossing_report",
     "level_populations",
-    "initial_level_for_state",
 ]
 
 _TIE_TOL = 1e-9
+# Levels are tracked on at least this many steps: across a few long steps
+# the overlaps of successive eigenbases can tie.
+_MIN_TRACKING_STEPS = 100
 _PERMS = np.array(list(itertools.permutations(range(4))))
 
 
@@ -55,38 +57,12 @@ class NoInteriorMinimum(ValueError):
 
 
 class WindowOutOfRange(ValueError):
-    """Raised when a fit window extends beyond the protocol interval."""
+    """Raised when a fit window extends beyond the protocol interval, holds
+    fewer than two grid points, or holds no crossing of the bare levels."""
 
 
 class ZeroSlope(ValueError):
     """Raised when the LZ formula is evaluated with a vanishing slope."""
-
-
-class GridMismatch(ValueError):
-    """Raised when a trajectory and a spectral trace are incompatible."""
-
-
-@dataclass
-class SpectralTrace:
-    """Eigen-decomposition of H(t) along a uniform grid.
-
-    times           : (n,) grid times [us]
-    sorted_energies : (n, 4) ascending eigenvalues [MHz]
-    energies        : (n, 4) tracked (continuity-labeled) eigenvalues;
-                      column k follows the level that was k-th lowest at t=0
-    vectors         : (n, 4, 4) tracked eigenvectors: vectors[i][:, k] is the
-                      eigh vector of tracked level k+1 at times[i] times the
-                      unit phase that makes its overlap with vectors[i-1][:, k]
-                      real and positive (vectors[0] keeps eigh's phases)
-    schedule        : the schedule the trace was built from (any object with
-                      ``t_ad`` and the stacked ``hamiltonians(times)``)
-    """
-
-    times: np.ndarray
-    sorted_energies: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray = field(repr=False)
-    schedule: object | None = field(default=None, repr=False)
 
 
 def _tracked_eigensystem(schedule, times: np.ndarray):
@@ -96,7 +72,9 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
     so each step's assignment is the best total ``|vecs[i]^H vecs[i+1]|``
     of the sorted eigenbases over the 24 permutations, and these compose
     into the labels.  A tracked vector's phase is the running product of
-    ``conj(r)/|r|`` over its raw overlaps r (see SpectralTrace.vectors).
+    ``conj(r)/|r|`` over its raw overlaps r, which makes its overlap with
+    its predecessor real and positive.  Returns the sorted energies, the
+    tracked energies and the tracked vectors (see tracked_levels).
     """
     sorted_e, vecs = np.linalg.eigh(schedule.hamiltonians(times))
     raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
@@ -123,20 +101,23 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
     return sorted_e, tracked_e, tracked_v
 
 
-def spectral_trace(schedule, n_grid: int = 1001) -> SpectralTrace:
-    """Diagonalize H(t) on a uniform grid with continuity-labeled levels.
+def tracked_levels(schedule, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tracked energies (n, 4) and eigenvectors (n, 4, 4) at uniform ``times``.
 
-    ``schedule`` needs a ``t_ad`` attribute and a ``hamiltonians(times)``
-    method returning the (n, 4, 4) stack of H at an array of times (any
-    ProtocolSchedule qualifies).  Raises DegenerateTracking when the
-    label continuation is ambiguous at some step.
+    Energy column k follows the level that was k-th lowest at ``times[0]``
+    and ``vectors[i][:, k]`` is its eigenvector, phased continuously from
+    eigh's at ``times[0]``.  ``schedule`` needs the stacked
+    ``hamiltonians(times)`` (any ProtocolSchedule qualifies).  The levels
+    are tracked on a grid r times finer than ``times``, with at least
+    _MIN_TRACKING_STEPS steps, that holds every time exactly as its r-th
+    point.  Raises DegenerateTracking when the label continuation is
+    ambiguous at some step.
     """
-    if n_grid < 3:
-        raise ValueError(f"n_grid must be >= 3, got {n_grid}")
-    times = np.linspace(0.0, schedule.t_ad, n_grid)
-    sorted_e, tracked_e, tracked_v = _tracked_eigensystem(schedule, times)
-    return SpectralTrace(times=times, sorted_energies=sorted_e,
-                         energies=tracked_e, vectors=tracked_v, schedule=schedule)
+    r = math.ceil(_MIN_TRACKING_STEPS / (len(times) - 1))
+    fine = np.linspace(times[0], times[-1], r * (len(times) - 1) + 1)
+    fine[::r] = times
+    _, energies, vectors = _tracked_eigensystem(schedule, fine)
+    return energies[::r], vectors[::r]
 
 
 def _middle_gap(schedule, t: float) -> tuple[float, float]:
@@ -182,7 +163,7 @@ def min_gap(schedule, n_grid: int = 1001) -> tuple[float, float]:
     return _middle_gap(schedule, t_c)[0], t_c
 
 
-def diabatic_slope(schedule: ProtocolSchedule, t_c: float | None = None,
+def diabatic_slope(schedule: ProtocolSchedule, t_c: float,
                    window_fraction: float = 0.10, n_grid: int = 1001) -> float:
     """Slope magnitude [MHz/us] of the bare crossing-level difference.
 
@@ -194,10 +175,11 @@ def diabatic_slope(schedule: ProtocolSchedule, t_c: float | None = None,
     ``n_grid`` grid that lie in a window centered on ``t_c`` of total
     width ``window_fraction * t_ad``.  The zz term must go too: it opens
     its own tiny avoided crossing, which would bend the difference through
-    the crossing and make the slope depend on the window.
+    the crossing and make the slope depend on the window.  Raises
+    WindowOutOfRange when eps1 - eps2 keeps one sign over the window: the
+    bare levels do not cross there, and a gap minimum at ``t_c`` is no
+    Landau-Zener crossing.
     """
-    if t_c is None:
-        raise ValueError("t_c is required (obtain it from min_gap)")
     if not 0.0 < window_fraction:
         raise ValueError(f"window_fraction must be positive, got {window_fraction}")
     half = 0.5 * window_fraction * schedule.t_ad
@@ -217,7 +199,13 @@ def diabatic_slope(schedule: ProtocolSchedule, t_c: float | None = None,
     s = times / schedule.t_ad
     eps1 = np.hypot(schedule.z1 * (1.0 - s), schedule.x1 * s)
     eps2 = np.hypot(schedule.z2 * (1.0 - s), schedule.x2 * s)
-    return float(abs(np.polyfit(times, eps1 - eps2, 1)[0]))
+    diff = eps1 - eps2
+    if diff.min() > 0.0 or diff.max() < 0.0:
+        raise WindowOutOfRange(
+            f"bare levels do not cross in the fit window [{t_min:.4f}, {t_max:.4f}] us: "
+            f"eps1 - eps2 stays in [{diff.min():.4g}, {diff.max():.4g}] MHz"
+        )
+    return float(abs(np.polyfit(times, diff, 1)[0]))
 
 
 def lz_probability(a: float, alpha: float) -> tuple[float, float]:
@@ -240,33 +228,21 @@ def lz_probability(a: float, alpha: float) -> tuple[float, float]:
     return gamma, math.exp(-2.0 * math.pi * gamma)
 
 
-def passage_fidelity(traj: Trajectory, trace: SpectralTrace, level: int = 2) -> np.ndarray:
-    """Overlap of a trajectory with one adiabatically-continued level.
+def passage_fidelity(states: np.ndarray, vectors: np.ndarray, level: int) -> np.ndarray:
+    """Overlap of a state stack with one adiabatically-continued level.
 
-    Returns ``|<v_level(t)|psi(t)>|**2`` (or ``Tr(rho |v><v|)`` for mixed
-    states) at every trajectory sample.  ``level`` is a tracked label,
-    1..4, with the labeling convention of ``trace``.  When the trace was
-    built on the trajectory's own times its eigenvectors are used as they
-    are; otherwise they are re-tracked on the trajectory grid, which gives
-    the same vectors.  GridMismatch is raised when the trajectory and trace
-    do not share a schedule.
+    ``states`` is an (n, 4) stack of pure states or an (n, 4, 4) stack of
+    density matrices, and ``vectors`` the (n, 4, 4) tracked eigenvectors at
+    the same times (from ``tracked_levels``).  Returns
+    ``|<v_level(t)|psi(t)>|**2`` (or ``Tr(rho |v><v|)``) at every time;
+    ``level`` is a tracked label, 1..4.
     """
     if not 1 <= level <= 4:
         raise ValueError(f"level must be in 1..4, got {level}")
-    if traj.schedule is None or trace.schedule is None:
-        raise GridMismatch("both trajectory and trace must carry a schedule")
-    if traj.schedule != trace.schedule:
-        raise GridMismatch("trajectory and trace were built from different schedules")
-    if abs(traj.times[0]) > 1e-12 or abs(traj.times[-1] - trace.times[-1]) > 1e-9:
-        raise GridMismatch("trajectory grid does not span the trace interval")
-    if np.array_equal(trace.times, traj.times):
-        vecs = trace.vectors
-    else:
-        _, _, vecs = _tracked_eigensystem(traj.schedule, traj.times)
-    v = vecs[:, :, level - 1]
-    if traj.is_mixed:
-        return np.real(np.einsum("ij,ijk,ik->i", v.conj(), traj.states, v))
-    return np.abs(np.einsum("ij,ij->i", v.conj(), traj.states)) ** 2
+    v = vectors[:, :, level - 1]
+    if states.ndim == 3:
+        return np.real(np.einsum("ij,ijk,ik->i", v.conj(), states, v))
+    return np.abs(np.einsum("ij,ij->i", v.conj(), states)) ** 2
 
 
 def level_populations(state: np.ndarray, schedule: ProtocolSchedule,
@@ -277,13 +253,6 @@ def level_populations(state: np.ndarray, schedule: ProtocolSchedule,
     if state.ndim == 1:
         return np.abs(vecs.conj().T @ state) ** 2
     return np.real(np.diag(vecs.conj().T @ state @ vecs))
-
-
-def initial_level_for_state(trace: SpectralTrace, psi0: np.ndarray) -> int:
-    """Tracked level (1..4) that best overlaps ``psi0`` at t = 0."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    overlaps = np.abs(trace.vectors[0].conj().T @ psi0) ** 2
-    return int(np.argmax(overlaps)) + 1
 
 
 @dataclass(frozen=True)

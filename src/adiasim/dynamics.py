@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ __all__ = [
 
 BASIS_LABELS = ("00", "01", "10", "11")
 
-_DRIFT_LIMIT = 1e-4
+DRIFT_LIMIT = 1e-4
 # Most RK4 steps whose matrices are held at once; bounds peak memory.
 _BATCH_STEPS = 256
 _W = -2.0j * math.pi
@@ -189,7 +189,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     drifts: np.ndarray
-    schedule: ProtocolSchedule | None = field(default=None, repr=False)
 
     @property
     def is_mixed(self) -> bool:
@@ -385,9 +384,9 @@ def _evolve(times: np.ndarray, maps: np.ndarray, x0: np.ndarray, drift_of,
             states[k] = maps[k - 1] @ states[k - 1]
             drift = drift_of(states[k])
             # Written so that a NaN drift fails the check too.
-            if not drift <= _DRIFT_LIMIT:
+            if not drift <= DRIFT_LIMIT:
                 raise StepTooLarge(
-                    f"{what} drift {drift:.3e} exceeds {_DRIFT_LIMIT:.0e} at "
+                    f"{what} drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e} at "
                     f"t = {times[k]:.4f} us; reduce dt"
                 )
             drifts[k] = drift
@@ -421,8 +420,7 @@ def propagate_unitary(schedule: ProtocolSchedule, psi0: np.ndarray,
     psi0 = _pure_initial(psi0)
     times, maps = _schedule_maps(schedule, None, dt, n_samples)
     states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
-    return Trajectory(times=times.copy(), states=states, drifts=drifts,
-                      schedule=schedule)
+    return Trajectory(times=times.copy(), states=states, drifts=drifts)
 
 
 def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
@@ -441,7 +439,7 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
         maps = _interval_maps(step_matrices, 4, times, steps, h)
     states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
-    return Trajectory(times=times, states=states, drifts=drifts, schedule=None)
+    return Trajectory(times=times, states=states, drifts=drifts)
 
 
 def propagate_lindblad(schedule: ProtocolSchedule, rho0: np.ndarray,
@@ -465,5 +463,4 @@ def propagate_lindblad(schedule: ProtocolSchedule, rho0: np.ndarray,
 
     times, maps = _schedule_maps(schedule, noise, dt, n_samples)
     states, drifts = _evolve(times, maps, rho0.ravel(), _trace_drift, "trace")
-    return Trajectory(times=times.copy(), states=states.reshape(-1, 4, 4),
-                      drifts=drifts, schedule=schedule)
+    return Trajectory(times=times.copy(), states=states.reshape(-1, 4, 4), drifts=drifts)

@@ -21,17 +21,7 @@ import os
 import numpy as np
 
 from ._version import __version__
-from .analysis import (
-    NoInteriorMinimum,
-    SpectralTrace,
-    WindowOutOfRange,
-    _tracked_eigensystem,
-    crossing_report,
-    initial_level_for_state,
-    level_populations,
-    lz_probability,
-    passage_fidelity,
-)
+from .analysis import crossing_report, level_populations, lz_probability, passage_fidelity, tracked_levels
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
@@ -51,7 +41,6 @@ CHEVRON_N_FREQ = 41
 _TRUTH_B1, _TRUTH_B3 = 2.2, 1.5
 _TRUTH_C2 = (-0.09, -0.035)
 _TRUTH_C4 = (-0.02, -0.008)
-_MIN_TRACKING_STEPS = 100
 _IX_IY = [CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")]
 
 
@@ -151,24 +140,26 @@ def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarra
     return measure_correlators(states, config.shots, seed)
 
 
-def _sweep_rows(config: ScenarioConfig, trajectories: dict, trace: SpectralTrace,
+def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, trajectories: dict,
+                levels: tuple[np.ndarray, np.ndarray],
                 t_ad_index: int) -> tuple[list[str], list[list[float]], dict]:
-    """Trace rows of one duration; the trace gives the eigenvalues, levels and fidelities."""
-    times = trace.times
-    fidelities = {
-        label: passage_fidelity(traj, trace, initial_level_for_state(trace, basis_state(label)))
-        for label, traj in trajectories.items()
-    }
+    """Trace rows of one duration; ``levels`` are the tracked energies and vectors."""
+    times = trajectories[config.initial_states[0]].times
+    energies, vectors = levels
+    fidelities = {}
+    for label, traj in trajectories.items():
+        level = int(np.argmax(np.abs(vectors[0].conj().T @ basis_state(label)) ** 2)) + 1
+        fidelities[label] = passage_fidelity(traj.states, vectors, level)
 
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
-    table = [times, trace.energies]
+    table = [times, energies]
     end_values = {}
     for state_index, label in enumerate(config.initial_states):
         columns.append(f"energy_{label}_mhz")
         columns.extend(f"{term.lower()}_{label}" for term in PAULI_LABELS_2Q)
         columns.append(f"fidelity_{label}")
         values = _measure(config, trajectories[label].states, t_ad_index, state_index)
-        energy = energy_terms(values, trace.schedule, times).sum(axis=1)
+        energy = energy_terms(values, schedule, times).sum(axis=1)
         table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
         end_values[label] = values[-1]
     rows = np.column_stack(table).tolist()
@@ -180,7 +171,7 @@ def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]
     """Simulate and write one trace per duration; return the paths and extras by t_ad.
 
     H depends on t only through s = t/t_ad and every duration samples the
-    same s-grid, so one tracked eigensystem serves all durations.
+    same s-grid, so the levels tracked for the first duration serve all.
     """
     noise = config.noise_model()
     paths = []
@@ -196,17 +187,10 @@ def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]
             else:
                 traj = propagate_lindblad(schedule, psi0, noise, config.dt_us, config.n_samples)
             trajectories[state] = traj
-        times = trajectories[config.initial_states[0]].times
         if levels is None:
-            # Levels are tracked on at least _MIN_TRACKING_STEPS steps: across
-            # a few long steps the overlaps of successive eigenbases can tie.
-            # The fine grid holds the trajectory times exactly, every r-th point.
-            r = math.ceil(_MIN_TRACKING_STEPS / (len(times) - 1))
-            fine = np.linspace(0.0, times[-1], r * (len(times) - 1) + 1)
-            fine[::r] = times
-            levels = tuple(column[::r] for column in _tracked_eigensystem(schedule, fine))
-        trace = SpectralTrace(times, *levels, schedule=schedule)
-        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, trajectories, trace, t_ad_index)
+            levels = tracked_levels(schedule, traj.times)  # every state shares the grid
+        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, schedule, trajectories,
+                                                         levels, t_ad_index)
         path = os.path.join(config.out_dir,
                             f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
         _write_trace(path, config, label, t_ad, columns, rows)
@@ -214,11 +198,12 @@ def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]
     return paths, extras_by_tad
 
 
-def _crossing_payload(schedule: ProtocolSchedule, t_ad_values, extras_by_tad) -> dict:
+def _crossing_payload(config: ScenarioConfig, extras_by_tad: dict) -> dict:
     """Crossing analysis plus per-duration LZ-vs-simulation comparison."""
+    schedule = config.schedule()
     try:
         report = crossing_report(schedule)
-    except (NoInteriorMinimum, WindowOutOfRange, ValueError) as exc:
+    except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     payload = {
         "min_gap_mhz": report.a,
@@ -227,16 +212,15 @@ def _crossing_payload(schedule: ProtocolSchedule, t_ad_values, extras_by_tad) ->
         "slope_times_t_ad_mhz": report.alpha * schedule.t_ad,
         "per_t_ad": {},
     }
-    for t_ad in t_ad_values:
+    for t_ad in config.t_ad:
         gamma, p_diabatic = lz_probability(report.a, report.alpha * schedule.t_ad / t_ad)
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
-        extras = extras_by_tad.get(t_ad)
-        if extras is not None:
-            for label, traj in extras["trajectories"].items():
-                pops = level_populations(traj.final_state, traj.schedule, t_ad)
-                entry[f"p_diabatic_measured_{label}"] = float(pops[2])
-                entry[f"p_adiabatic_measured_{label}"] = float(pops[1])
-                entry[f"end_fidelity_{label}"] = float(extras["fidelities"][label][-1])
+        extras = extras_by_tad[t_ad]
+        for label, traj in extras["trajectories"].items():
+            pops = level_populations(traj.final_state, config.schedule(t_ad), t_ad)
+            entry[f"p_diabatic_measured_{label}"] = float(pops[2])
+            entry[f"p_adiabatic_measured_{label}"] = float(pops[1])
+            entry[f"end_fidelity_{label}"] = float(extras["fidelities"][label][-1])
         payload["per_t_ad"][f"{t_ad:g}"] = entry
     return payload
 
@@ -246,8 +230,7 @@ def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
     report = {
         "scenario": label,
         "version": __version__,
-        "crossing": _crossing_payload(config.schedule(config.t_ad[0]),
-                                      config.t_ad, extras_by_tad),
+        "crossing": _crossing_payload(config, extras_by_tad),
     }
     report_path = os.path.join(config.out_dir, f"{label}_report.json")
     _write_json(report_path, report, indent=2)

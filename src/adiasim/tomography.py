@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import BadIndex
+from .dynamics import DRIFT_LIMIT, BadIndex
 from .operators import PAULI_LABELS_2Q, pauli_2q
 from .schedule import ProtocolSchedule
 
@@ -38,10 +38,10 @@ _ENERGY_COLUMNS = [_INDEX[label] for label in ("ZI", "IZ", "XI", "IX", "XX", "YY
 def _check_range(values: np.ndarray, shots: int) -> None:
     """Raise ValueError for a correlator outside [-1, 1].
 
-    Sampled correlators may legitimately sit a few standard errors beyond
-    their exact value, so the bound widens by 3/sqrt(shots).
+    Exact ones may exceed it by the norm drift that the propagators accept
+    (about 2*DRIFT_LIMIT), sampled ones by a few standard errors.
     """
-    eps = 1e-9 if shots == 0 else 3.0 / np.sqrt(shots)
+    eps = 3.0 * DRIFT_LIMIT if shots == 0 else 3.0 / np.sqrt(shots)
     bad = np.argwhere(np.abs(values) > 1.0 + eps)
     if bad.size:
         row, col = bad[0]

@@ -15,12 +15,11 @@ import pytest
 
 from adiasim.analysis import (
     diabatic_slope,
-    initial_level_for_state,
     level_populations,
     lz_probability,
     min_gap,
     passage_fidelity,
-    spectral_trace,
+    tracked_levels,
 )
 from adiasim.calibration import fit_coupling, fit_dispersive, fit_rabi
 from adiasim.dynamics import (
@@ -127,9 +126,9 @@ def test_criterion_4_dynamics_vs_lz_crossover(capsys):
         traj = propagate_unitary(schedule, psi0, DT, 60)
         p_diabatic = float(level_populations(traj.final_state, schedule, t_ad)[2])
         diffs[t_ad] = abs(p_diabatic - p_lz)
-        trace = spectral_trace(schedule)
-        level = initial_level_for_state(trace, psi0)
-        fidelities[t_ad] = float(passage_fidelity(traj, trace, level)[-1])
+        _, vectors = tracked_levels(schedule, traj.times)
+        level = int(np.argmax(np.abs(vectors[0].conj().T @ psi0) ** 2)) + 1
+        fidelities[t_ad] = float(passage_fidelity(traj.states, vectors, level)[-1])
     elapsed = time.perf_counter() - t0
 
     worst = max(diffs.values())

@@ -1,4 +1,4 @@
-"""Unit tests for spectral tracing, gap finding, and crossing analysis."""
+"""Unit tests for level tracking, gap finding, and crossing analysis."""
 
 import itertools
 import math
@@ -10,7 +10,6 @@ import pytest
 from adiasim.analysis import (
     _TIE_TOL,
     DegenerateTracking,
-    GridMismatch,
     NoInteriorMinimum,
     WindowOutOfRange,
     ZeroSlope,
@@ -18,12 +17,11 @@ from adiasim.analysis import (
     _tracked_eigensystem,
     crossing_report,
     diabatic_slope,
-    initial_level_for_state,
     level_populations,
     lz_probability,
     min_gap,
     passage_fidelity,
-    spectral_trace,
+    tracked_levels,
 )
 from adiasim.dynamics import NoiseModel, basis_state, propagate_lindblad, propagate_unitary
 from adiasim.schedule import ProtocolSchedule
@@ -84,43 +82,59 @@ class LineCrossings:
         return np.stack([self.hamiltonian(t) for t in times])
 
 
+def levels_on_grid(schedule, n_grid):
+    """Uniform grid of ``n_grid`` times over the sweep and the levels tracked on it."""
+    times = np.linspace(0.0, schedule.t_ad, n_grid)
+    return (times, *tracked_levels(schedule, times))
+
+
 class TestSpectralTrace:
+    """``tracked_levels`` on uniform grids."""
+
     def test_shapes_and_sorting(self):
-        trace = spectral_trace(FIG4, n_grid=101)
-        assert trace.times.shape == (101,)
-        assert trace.sorted_energies.shape == (101, 4)
-        assert trace.energies.shape == (101, 4)
-        assert trace.vectors.shape == (101, 4, 4)
-        assert np.all(np.diff(trace.sorted_energies, axis=1) >= 0)
+        times, energies, vectors = levels_on_grid(FIG4, 101)
+        assert energies.shape == (101, 4)
+        assert vectors.shape == (101, 4, 4)
+        sorted_energies = np.linalg.eigvalsh(FIG4.hamiltonians(times))
         # Tracked energies are a permutation of the sorted ones at each time.
-        assert np.allclose(np.sort(trace.energies, axis=1), trace.sorted_energies)
+        assert np.allclose(np.sort(energies, axis=1), sorted_energies)
 
     def test_vectors_follow_their_energies(self):
-        trace = spectral_trace(FIG3B, n_grid=201)
+        times, energies, vectors = levels_on_grid(FIG3B, 201)
         for i in range(0, 201, 20):
-            h = FIG3B.hamiltonian(trace.times[i])
+            h = FIG3B.hamiltonian(times[i])
             for k in range(4):
-                v = trace.vectors[i][:, k]
-                residual = h @ v - trace.energies[i, k] * v
+                v = vectors[i][:, k]
+                residual = h @ v - energies[i, k] * v
                 assert np.linalg.norm(residual) < 1e-9
 
     def test_tracked_curves_are_smooth(self):
         """Continuity labeling: tracked energies never jump by more than the
         local grid resolution allows, even across the crossing."""
-        trace = spectral_trace(FIG4, n_grid=1001)
-        steps = np.abs(np.diff(trace.energies, axis=0))
+        _, energies, _ = levels_on_grid(FIG4, 1001)
+        steps = np.abs(np.diff(energies, axis=0))
         assert steps.max() < 0.1
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            spectral_trace(FIG4, n_grid=2)
 
     def test_degenerate_tracking_detected(self):
         """If the eigenbasis turns by exactly 45 degrees between grid points,
-        the overlap assignment is ambiguous and must be reported."""
-        duck = TwoLevelCrossing(slope=1.0, gap=0.5, t_star=0.75, t_ad=1.0)
+        the overlap assignment is ambiguous and must be reported.  The 128
+        steps of 1/128 are at least 100, so the levels are tracked on this
+        grid itself, and the crossing sits halfway between two of its times."""
+        duck = TwoLevelCrossing(slope=1.0, gap=2.0 / 256, t_star=0.75 + 1.0 / 256, t_ad=1.0)
         with pytest.raises(DegenerateTracking):
-            spectral_trace(duck, n_grid=3)
+            levels_on_grid(duck, 129)
+
+    @pytest.mark.parametrize("n_grid", [2, 11, 101, 201])
+    def test_levels_at_each_time_of_the_refined_grid(self, n_grid):
+        """Short grids are tracked on a grid of at least 100 steps that holds
+        every time; the levels at those times are its r-th rows."""
+        times, energies, vectors = levels_on_grid(FIG4, n_grid)
+        r = math.ceil(100 / (n_grid - 1))
+        fine = np.linspace(0.0, FIG4.t_ad, r * (n_grid - 1) + 1)
+        fine[::r] = times
+        _, fine_energies, fine_vectors = _tracked_eigensystem(FIG4, fine)
+        assert np.array_equal(energies, fine_energies[::r])
+        assert np.array_equal(vectors, fine_vectors[::r])
 
 
 def reference_tracked_eigensystem(schedule, times):
@@ -198,8 +212,8 @@ class TestMinGap:
     def test_refinement_beats_dense_grid(self):
         """The refined minimum is no larger than a 20x denser grid scan."""
         a, _ = min_gap(FIG4)
-        dense = spectral_trace(FIG4, n_grid=20001)
-        grid_min = np.min(dense.sorted_energies[:, 2] - dense.sorted_energies[:, 1])
+        dense = np.linalg.eigvalsh(FIG4.hamiltonians(np.linspace(0.0, FIG4.t_ad, 20001)))
+        grid_min = np.min(dense[:, 2] - dense[:, 1])
         assert a <= grid_min + 1e-12
         assert a == pytest.approx(grid_min, abs=1e-6)
 
@@ -281,7 +295,7 @@ class TestDiabaticSlope:
             assert abs(alt - base) / base < 0.02
 
     def test_requires_crossing_time(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             diabatic_slope(FIG4)
 
     def test_window_out_of_range(self):
@@ -355,55 +369,33 @@ class TestLzProbability:
 
 class TestPassageFidelity:
     def test_adiabatic_run_stays_on_level(self):
-        trace = spectral_trace(FIG3B)
         traj = propagate_unitary(FIG3B, basis_state("01"), n_samples=40)
-        fid = passage_fidelity(traj, trace, level=2)
+        _, vectors = tracked_levels(FIG3B, traj.times)
+        fid = passage_fidelity(traj.states, vectors, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-9)
         assert fid[-1] > 0.95
         assert fid.min() > 0.5
 
     def test_levels_partition_unity(self):
-        trace = spectral_trace(FIG4)
         traj = propagate_unitary(FIG4, basis_state("01"), n_samples=20)
-        total = sum(passage_fidelity(traj, trace, level=k) for k in (1, 2, 3, 4))
+        _, vectors = tracked_levels(FIG4, traj.times)
+        total = sum(passage_fidelity(traj.states, vectors, level=k) for k in (1, 2, 3, 4))
         assert np.allclose(total, 1.0, atol=1e-7)
 
     def test_mixed_state_variant(self):
-        trace = spectral_trace(FIG4)
         traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel(),
                                   n_samples=10)
-        fid = passage_fidelity(traj, trace, level=2)
+        _, vectors = tracked_levels(FIG4, traj.times)
+        fid = passage_fidelity(traj.states, vectors, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-6)
         assert np.all((fid >= -1e-9) & (fid <= 1 + 1e-9))
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_trace_on_trajectory_grid_matches_dense_trace(self, mixed):
-        """A trace on the trajectory's own times lends its vectors; a dense
-        trace is re-tracked on the trajectory grid.  Both agree exactly."""
-        if mixed:
-            traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel(),
-                                      n_samples=10)
-        else:
-            traj = propagate_unitary(FIG4, basis_state("01"), n_samples=10)
-        on_grid = spectral_trace(FIG4, n_grid=11)
-        assert np.array_equal(on_grid.times, traj.times)
-        dense = spectral_trace(FIG4)
-        for level in (1, 2, 3, 4):
-            assert np.array_equal(passage_fidelity(traj, on_grid, level),
-                                  passage_fidelity(traj, dense, level))
-
-    def test_schedule_mismatch(self):
-        trace = spectral_trace(FIG4)
-        traj = propagate_unitary(FIG4.with_(t_ad=5.0), basis_state("01"),
-                                 n_samples=10)
-        with pytest.raises(GridMismatch):
-            passage_fidelity(traj, trace)
-
     def test_level_bounds(self):
-        trace = spectral_trace(FIG4)
         traj = propagate_unitary(FIG4, basis_state("01"), n_samples=10)
-        with pytest.raises(ValueError):
-            passage_fidelity(traj, trace, level=5)
+        _, vectors = tracked_levels(FIG4, traj.times)
+        for level in (0, 5):
+            with pytest.raises(ValueError):
+                passage_fidelity(traj.states, vectors, level=level)
 
 
 class TestLevelBookkeeping:
@@ -421,10 +413,11 @@ class TestLevelBookkeeping:
     def test_initial_levels_of_basis_states(self):
         """At t = 0 the sweep Hamiltonian is diagonal and orders the basis
         states as 00 < 01 < 10 < 11."""
-        trace = spectral_trace(FIG4, n_grid=51)
+        _, _, vectors = levels_on_grid(FIG4, 51)
         expected = {"00": 1, "01": 2, "10": 3, "11": 4}
         for label, level in expected.items():
-            assert initial_level_for_state(trace, basis_state(label)) == level
+            overlaps = np.abs(vectors[0].conj().T @ basis_state(label)) ** 2
+            assert int(np.argmax(overlaps)) + 1 == level
 
 
 class TestCrossingReport:

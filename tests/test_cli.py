@@ -211,16 +211,25 @@ class TestRunCommand:
 
     def test_crossing_report_needs_no_level_tracking(self, tmp_path):
         """z1 = 0 leaves the bare levels degenerate at t = 0, where tracking
-        them ties; the crossing report reads H(s) without tracking."""
-        cfg = write_config(tmp_path, "[scenario]\nname = custom\ninitial_states = 01\n\n"
-                                     "[schedule]\nz1 = 0\nz2 = 1.5\nx1 = 1\nx2 = 7.3\n"
-                                     "j = 1.3\nzz = 0\nt_ad = 10\n\n"
-                                     "[simulation]\nn_samples = 50\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
-        crossing = json.loads((tmp_path / "o" / "custom_report.json").read_text())["crossing"]
-        assert "error" not in crossing
-        numbers = [crossing["min_gap_mhz"], crossing["crossing_time_us"],
-                   crossing["slope_mhz_per_us"], *crossing["per_t_ad"]["10"].values()]
+        them ties; the crossing report reads H(s) without tracking.  With
+        x1 = 1, x2 = 7.3 the bare levels never cross, so the report holds an
+        error and the run still exits 0; with x1 and x2 swapped they cross
+        and every number of the report is finite."""
+        def crossing(x1, x2, out):
+            cfg = write_config(tmp_path, "[scenario]\nname = custom\ninitial_states = 01\n\n"
+                                         f"[schedule]\nz1 = 0\nz2 = 1.5\nx1 = {x1}\nx2 = {x2}\n"
+                                         "j = 1.3\nzz = 0\nt_ad = 10\n\n"
+                                         "[simulation]\nn_samples = 50\n", name=f"{out}.ini")
+            assert main(["run", cfg, "--out", str(tmp_path / out)]) == 0
+            return json.loads((tmp_path / out / "custom_report.json").read_text())["crossing"]
+
+        assert crossing(1, 7.3, "apart")["error"].startswith(
+            "WindowOutOfRange: bare levels do not cross")
+        crossed = crossing(7.3, 1.0, "crossed")
+        assert crossed["min_gap_mhz"] == pytest.approx(0.1113, abs=1e-4)
+        assert crossed["crossing_time_us"] == pytest.approx(1.714, abs=1e-3)
+        numbers = [crossed["min_gap_mhz"], crossed["crossing_time_us"],
+                   crossed["slope_mhz_per_us"], *crossed["per_t_ad"]["10"].values()]
         assert len(numbers) == 8 and all(math.isfinite(v) for v in numbers)
 
     @pytest.mark.parametrize("target, result, unwritten", [
@@ -535,6 +544,60 @@ class TestExitCodeContract:
         sections["schedule"] += f"t_ad = {t_ad}\n"
         text = f"[scenario]\nname = {name}\n" + "".join(
             f"\n[{section}]\n{body}" for section, body in sections.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.ini")
+            with open(cfg, "w") as handle:
+                handle.write(text)
+            out = os.path.join(tmp, "o")
+            assert main(["run", cfg, "--out", out]) in (0, 2, 3)
+            for file_name in os.listdir(out) if os.path.isdir(out) else ():
+                with open(os.path.join(out, file_name)) as handle:
+                    data = CONFIG_ECHO.sub("", handle.read())
+                    assert not NON_FINITE_TOKEN.search(data), file_name
+
+
+# Each preset cut to short durations and 4 samples, so that a run takes
+# milliseconds.  A drawn t_ad replaces the first duration.
+SHORT_PRESETS = {"fig1": "1", "chevron": "1", "fig3": "1", "fig4": "1, 2", "table1": "1, 2, 3"}
+# Extremes of each field: values at and beyond both ends of its accepted
+# range, and inf and nan.  No accepted draw comes near the 1e8-step bound:
+# dt_us = 1e-9 needs 1e9 steps and stops in validation, and the longest run
+# takes 6e4 steps (table1 at dt_us = 1e-4).
+ONE_FIELD_EXTREMES = [
+    (field, value) for field, values in {
+        **{("schedule", key): ("-1e6", "-1", "0", "1e-9", "1e6", "inf", "nan")
+           for key in NO_FIELDS},
+        ("schedule", "t_ad"): ("1e-9", "0.25", "1e6", "inf", "nan"),
+        ("noise", "t1_us"): ("1e-9", "1e-3", "1e6", "inf", "nan"),
+        ("noise", "t2_us"): ("1e-9", "1e-3", "1e6", "inf", "nan"),
+        ("noise", "nth"): ("0", "1e-9", "1e6", "inf", "nan"),
+        ("simulation", "dt_us"): ("1e-9", "1e-4", "0.01", "inf", "nan"),
+        ("simulation", "n_samples"): ("0", "1", "3", "1000", "1000000"),
+        ("simulation", "shots"): ("-1", "1", "1000000", "1e6"),
+        ("simulation", "seed"): ("-1", "1", "4294967296", "1e6"),
+    }.items() for value in values
+]
+
+
+class TestOneExtremeField:
+    # Most draws reach run_scenario, so the runtime guards are exercised:
+    # finite extremes of the schedule fields make RK4 diverge (exit 3) or
+    # run (exit 0).  The example is a fig1 run whose norm drift, far inside
+    # the propagators' limit, puts <ZI> at -1 - 7e-9.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @example(name="fig1", extreme=(("simulation", "dt_us"), "0.01"))
+    @given(name=st.sampled_from(sorted(SHORT_PRESETS)), extreme=st.sampled_from(ONE_FIELD_EXTREMES))
+    def test_one_extreme_field_exits_0_2_or_3_with_finite_outputs(self, name, extreme):
+        (section, key), value = extreme
+        durations = SHORT_PRESETS[name].split(", ")
+        sections = {"schedule": {"t_ad": ", ".join(durations)}, "noise": {},
+                    "simulation": {"n_samples": "4"}}
+        if key == "t_ad":
+            value = ", ".join([value] + durations[1:])
+        sections[section][key] = value
+        text = f"[scenario]\nname = {name}\n" + "".join(
+            f"\n[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for sec, body in sections.items())
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "run.ini")
             with open(cfg, "w") as handle:

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from adiasim import analysis, mitigation, scenarios, tomography
-from adiasim.analysis import (
-    SpectralTrace,
-    _tracked_eigensystem,
-    initial_level_for_state,
-    passage_fidelity,
-    spectral_trace,
-)
+from adiasim.analysis import _tracked_eigensystem, passage_fidelity, tracked_levels
 from adiasim.config import validate_config
 from adiasim.dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
 from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
@@ -102,7 +96,6 @@ def count_eigensystems(monkeypatch):
         return _tracked_eigensystem(schedule, times)
 
     monkeypatch.setattr(analysis, "_tracked_eigensystem", counted)
-    monkeypatch.setattr(scenarios, "_tracked_eigensystem", counted)
     return calls
 
 
@@ -145,17 +138,15 @@ class TestOneEigensystemPerSweep:
         for t_ad in t_ads:
             table = read_columns(tmp_path / f"{name}_trace_tad{t_ad:g}.csv")
             schedule = config.schedule(t_ad)
-            own = spectral_trace(schedule, 101)
-            rows = slice(None, None, 25)  # the 5 trajectory times
-            trace = SpectralTrace(own.times[rows], own.sorted_energies[rows],
-                                  own.energies[rows], own.vectors[rows], schedule=schedule)
+            energies, vectors = tracked_levels(schedule, np.linspace(0.0, t_ad, 5))
             for k in range(4):
-                assert np.max(np.abs(table[f"e{k + 1}_mhz"] - trace.energies[:, k])) <= 1e-12
+                assert np.max(np.abs(table[f"e{k + 1}_mhz"] - energies[:, k])) <= 1e-12
             for label in config.initial_states:
                 psi0 = basis_state(label)
                 traj = (propagate_unitary(schedule, psi0, 0.005, 4) if noise is None
                         else propagate_lindblad(schedule, psi0, noise, 0.005, 4))
-                fidelity = passage_fidelity(traj, trace, initial_level_for_state(trace, psi0))
+                level = int(np.argmax(np.abs(vectors[0].conj().T @ psi0) ** 2)) + 1
+                fidelity = passage_fidelity(traj.states, vectors, level)
                 assert np.max(np.abs(table[f"fidelity_{label}"] - fidelity)) <= 1e-12
 
 

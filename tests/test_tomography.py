@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from adiasim.config import validate_config
-from adiasim.dynamics import BadIndex, NoiseModel, basis_state, propagate_lindblad, propagate_unitary
+from adiasim.dynamics import (
+    DRIFT_LIMIT,
+    BadIndex,
+    NoiseModel,
+    basis_state,
+    propagate_lindblad,
+    propagate_unitary,
+)
 from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
 from adiasim.scenarios import _measure, _measurement_seed
 from adiasim.schedule import ProtocolSchedule
@@ -221,6 +228,15 @@ class TestCorrelatorArrays:
             states = np.einsum("ni,nj->nij", states, states.conj())
         with pytest.raises(ValueError, match="outside"):
             measure_correlators(1.01 * states)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_range_allows_the_drift_the_propagators_accept(self, mixed):
+        """A state whose norm or trace is off by DRIFT_LIMIT still measures."""
+        scale = 1.0 + DRIFT_LIMIT
+        psi = basis_state("10")
+        state = scale * np.outer(psi, psi) if mixed else scale * psi
+        zi = measure_correlators(state[None])[0, CORRELATOR_LABELS.index("ZI")]
+        assert abs(zi) == pytest.approx(scale if mixed else scale**2, abs=1e-15)
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError, match="stack"):
