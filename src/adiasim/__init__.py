@@ -13,7 +13,6 @@ Core pieces:
 
 from ._version import __version__
 from .analysis import (
-    CrossingReport,
     DegenerateTracking,
     NoInteriorMinimum,
     WindowOutOfRange,
@@ -55,7 +54,6 @@ from .dynamics import (
 from .mitigation import (
     DegenerateAbscissae,
     MitigatedEnergy,
-    SchedulesMismatch,
     extrapolate_quadratic,
     mitigate_energy,
 )

@@ -1,26 +1,28 @@
 """Instantaneous spectra, level tracking, gap/slope extraction, LZ formula.
 
+Everything here works in the sweep parameter s in [0, 1] of H(s), never
+with a duration: a run of duration t_ad crosses at t = s_c*t_ad, and a
+slope in s [MHz] over t_ad is its slope in time [MHz/us].
+
 Levels are numbered 1..4.  Two labelings coexist:
 
-* sorted levels  — ascending eigenvalue at each time (curves never cross);
+* sorted levels  — ascending eigenvalue at each s (curves never cross);
 * tracked levels — continuity labels assigned by maximal overlap between
-  eigenvectors at consecutive grid times, seeded by the ascending order
-  at t = 0 (curves may cross; these are the adiabatically-continued
+  eigenvectors at consecutive grid points, seeded by the ascending order
+  at the first one (curves may cross; these are the adiabatically-continued
   branches).
 
 ``tracked_levels`` returns the tracked energies and eigenvectors at a
-trajectory's sample times as two arrays; ``passage_fidelity`` reads a state
+trajectory's sample points as two arrays; ``passage_fidelity`` reads a state
 stack against those vectors.  The crossing of interest in the sweep
 protocol involves the middle pair, sorted levels (2, 3), the one pair the
-crossing analysis reads.  It reads H(s) = h0 + s*h1 directly and tracks no
-levels.
+crossing analysis reads.  It reads H(s) directly and tracks no levels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,6 @@ __all__ = [
     "NoInteriorMinimum",
     "WindowOutOfRange",
     "ZeroSlope",
-    "CrossingReport",
     "tracked_levels",
     "min_gap",
     "diabatic_slope",
@@ -57,7 +58,7 @@ class NoInteriorMinimum(ValueError):
 
 
 class WindowOutOfRange(ValueError):
-    """Raised when a fit window extends beyond the protocol interval, holds
+    """Raised when a fit window extends beyond s in [0, 1], holds
     fewer than two grid points, or holds no crossing of the bare levels."""
 
 
@@ -65,8 +66,8 @@ class ZeroSlope(ValueError):
     """Raised when the LZ formula is evaluated with a vanishing slope."""
 
 
-def _tracked_eigensystem(schedule, times: np.ndarray):
-    """eigh along ``times`` with continuity labels seeded at the first time.
+def _tracked_eigensystem(schedule, s: np.ndarray):
+    """eigh along ``s`` with continuity labels seeded at the first point.
 
     All steps at once: tracked vectors are sorted ones permuted and phased,
     so each step's assignment is the best total ``|vecs[i]^H vecs[i+1]|``
@@ -76,11 +77,11 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
     its predecessor real and positive.  Returns the sorted energies, the
     tracked energies and the tracked vectors (see tracked_levels).
     """
-    sorted_e, vecs = np.linalg.eigh(schedule.hamiltonians(times))
+    sorted_e, vecs = np.linalg.eigh(schedule.hamiltonian(s))
     raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
     overlap = np.abs(raw)
     best = np.argmax(overlap[:, np.arange(4), _PERMS].sum(axis=2), axis=1)
-    labels = np.tile(np.arange(4), (len(times), 1))
+    labels = np.tile(np.arange(4), (len(s), 1))
     for i, perm in enumerate(_PERMS[best], start=1):
         labels[i] = perm[labels[i - 1]]
     top2 = np.sort(overlap, axis=2)[:, :, -2:]
@@ -89,7 +90,7 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
         i = int(np.argmax(tied.any(axis=1)))
         k = int(np.argmax(tied[i, labels[i]]))
         raise DegenerateTracking(
-            f"ambiguous level continuation at t = {times[i + 1]:.6f} us: "
+            f"ambiguous level continuation at s = {s[i + 1]:.6f}: "
             f"two overlaps of tracked level {k + 1} tie at {top2[i, labels[i, k], 1]:.6f}"
         )
     r = raw[np.arange(len(raw))[:, None], labels[:-1], labels[1:]]
@@ -101,32 +102,34 @@ def _tracked_eigensystem(schedule, times: np.ndarray):
     return sorted_e, tracked_e, tracked_v
 
 
-def tracked_levels(schedule, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tracked energies (n, 4) and eigenvectors (n, 4, 4) at uniform ``times``.
+def tracked_levels(schedule, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tracked energies (n, 4) and eigenvectors (n, 4, 4) at uniform points ``s``.
 
-    Energy column k follows the level that was k-th lowest at ``times[0]``
-    and ``vectors[i][:, k]`` is its eigenvector, phased continuously from
-    eigh's at ``times[0]``.  ``schedule`` needs the stacked
-    ``hamiltonians(times)`` (any ProtocolSchedule qualifies).  The levels
-    are tracked on a grid r times finer than ``times``, with at least
-    _MIN_TRACKING_STEPS steps, that holds every time exactly as its r-th
-    point.  Raises DegenerateTracking when the label continuation is
-    ambiguous at some step.
+    Energy column k follows the level that was k-th lowest at ``s[0]`` and
+    ``vectors[i][:, k]`` is its eigenvector, phased continuously from eigh's
+    at ``s[0]``.  ``schedule`` needs ``hamiltonian(s)`` for an array of s
+    (any ProtocolSchedule qualifies).  The levels are tracked on a grid r
+    times finer than ``s``, with at least _MIN_TRACKING_STEPS steps, that
+    holds every point exactly as its r-th point.  Raises ValueError for
+    fewer than two points, and DegenerateTracking when the label
+    continuation is ambiguous at some step.
     """
-    r = math.ceil(_MIN_TRACKING_STEPS / (len(times) - 1))
-    fine = np.linspace(times[0], times[-1], r * (len(times) - 1) + 1)
-    fine[::r] = times
+    if len(s) < 2:
+        raise ValueError(f"tracked_levels needs at least two points s, got {len(s)}")
+    r = math.ceil(_MIN_TRACKING_STEPS / (len(s) - 1))
+    fine = np.linspace(s[0], s[-1], r * (len(s) - 1) + 1)
+    fine[::r] = s
     _, energies, vectors = _tracked_eigensystem(schedule, fine)
     return energies[::r], vectors[::r]
 
 
-def _middle_gap(schedule, t: float) -> tuple[float, float]:
-    """E3 - E2 at time ``t`` and its derivative in s = t/t_ad.
+def _middle_gap(schedule, s: float) -> tuple[float, float]:
+    """E3 - E2 at ``s`` and its derivative in s.
 
     For H(s) = h0 + s*h1 the Hellmann-Feynman theorem gives dE_k/ds =
     <k|h1|k>, so one eigh yields the gap and its slope.
     """
-    energies, vecs = np.linalg.eigh(schedule.hamiltonian(t))
+    energies, vecs = np.linalg.eigh(schedule.hamiltonian(s))
     slopes = np.einsum("ik,ij,jk->k", vecs.conj(), schedule.h1, vecs).real
     return float(energies[2] - energies[1]), float(slopes[2] - slopes[1])
 
@@ -134,78 +137,77 @@ def _middle_gap(schedule, t: float) -> tuple[float, float]:
 def min_gap(schedule, n_grid: int = 1001) -> tuple[float, float]:
     """Minimum separation of the middle sorted levels (2, 3).
 
-    ``schedule`` needs ``t_ad``, ``hamiltonians(times)``, ``hamiltonian(t)``
-    and the s-derivative ``h1`` of H (any ProtocolSchedule qualifies).
-    Returns ``(a, t_c)``: the gap minimum [MHz] and its time [us].  One
-    stacked eigvalsh on a uniform grid of ``n_grid`` times finds the coarse
-    minimum; bisection on the sign of the Hellmann-Feynman gap derivative
-    inside the two bracketing grid cells then fixes t_c to float resolution.
-    Raises NoInteriorMinimum when the coarse minimum sits on a grid
-    endpoint, i.e. the gap is monotonic over the grid (always so for fewer
-    than three grid points).
+    ``schedule`` needs ``hamiltonian(s)`` and the s-derivative ``h1`` of H
+    (any ProtocolSchedule qualifies).  Returns ``(a, s_c)``: the gap
+    minimum [MHz] and where it lies in s.  One stacked eigvalsh on a
+    uniform grid of ``n_grid`` points in [0, 1] finds the coarse minimum;
+    bisection on the sign of the Hellmann-Feynman gap derivative inside the
+    two bracketing grid cells then fixes s_c to float resolution.  Raises
+    NoInteriorMinimum when the coarse minimum sits on a grid endpoint, i.e.
+    the gap is monotonic over the grid (always so for fewer than three grid
+    points).
     """
-    times = np.linspace(0.0, schedule.t_ad, n_grid)
-    levels = np.linalg.eigvalsh(schedule.hamiltonians(times))
+    grid = np.linspace(0.0, 1.0, n_grid)
+    levels = np.linalg.eigvalsh(schedule.hamiltonian(grid))
     idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
     if idx == 0 or idx == n_grid - 1:
         raise NoInteriorMinimum(
             f"gap of sorted levels (2, 3) is minimal at the grid edge "
-            f"t = {times[idx]:.6f} us; no interior avoided crossing"
+            f"s = {grid[idx]:.6f}; no interior avoided crossing"
         )
-    lo, hi = float(times[idx - 1]), float(times[idx + 1])
-    t_c = 0.5 * (lo + hi)
-    while lo < t_c < hi:
-        if _middle_gap(schedule, t_c)[1] > 0.0:
-            hi = t_c
+    lo, hi = float(grid[idx - 1]), float(grid[idx + 1])
+    s_c = 0.5 * (lo + hi)
+    while lo < s_c < hi:
+        if _middle_gap(schedule, s_c)[1] > 0.0:
+            hi = s_c
         else:
-            lo = t_c
-        t_c = 0.5 * (lo + hi)
-    return _middle_gap(schedule, t_c)[0], t_c
+            lo = s_c
+        s_c = 0.5 * (lo + hi)
+    return _middle_gap(schedule, s_c)[0], s_c
 
 
-def diabatic_slope(schedule: ProtocolSchedule, t_c: float,
+def diabatic_slope(schedule: ProtocolSchedule, s_c: float,
                    window_fraction: float = 0.10, n_grid: int = 1001) -> float:
-    """Slope magnitude [MHz/us] of the bare crossing-level difference.
+    """Slope magnitude |d(eps1 - eps2)/ds| [MHz] of the bare crossing levels.
 
     With every two-qubit coupling removed (j = 0 and zz = 0) H is a sum of
     single-qubit terms with splittings eps_i(s) = sqrt(z_i**2 (1-s)**2 +
     x_i**2 s**2), and the continuity-labeled middle pair differs by
     +-(eps1 - eps2), a signed quantity that passes through zero at the bare
     crossing.  A line is fitted to eps1 - eps2 on the points of a uniform
-    ``n_grid`` grid that lie in a window centered on ``t_c`` of total
-    width ``window_fraction * t_ad``.  The zz term must go too: it opens
-    its own tiny avoided crossing, which would bend the difference through
-    the crossing and make the slope depend on the window.  Raises
+    ``n_grid`` grid in [0, 1] that lie in a window of width
+    ``window_fraction`` centered on ``s_c``.  The zz term must go too: it
+    opens its own tiny avoided crossing, which would bend the difference
+    through the crossing and make the slope depend on the window.  Raises
     WindowOutOfRange when eps1 - eps2 keeps one sign over the window: the
-    bare levels do not cross there, and a gap minimum at ``t_c`` is no
+    bare levels do not cross there, and a gap minimum at ``s_c`` is no
     Landau-Zener crossing.
     """
     if not 0.0 < window_fraction:
         raise ValueError(f"window_fraction must be positive, got {window_fraction}")
-    half = 0.5 * window_fraction * schedule.t_ad
-    t_min, t_max = t_c - half, t_c + half
-    if t_min < 0.0 or t_max > schedule.t_ad:
+    half = 0.5 * window_fraction
+    s_min, s_max = s_c - half, s_c + half
+    if s_min < 0.0 or s_max > 1.0:
         raise WindowOutOfRange(
-            f"fit window [{t_min:.4f}, {t_max:.4f}] us exceeds the protocol "
-            f"interval [0, {schedule.t_ad}] us"
+            f"fit window [{s_min:.4f}, {s_max:.4f}] exceeds the protocol "
+            f"interval s in [0, 1]"
         )
-    times = np.linspace(0.0, schedule.t_ad, n_grid)
-    times = times[(times >= t_min) & (times <= t_max)]
-    if len(times) < 2:
+    s = np.linspace(0.0, 1.0, n_grid)
+    s = s[(s >= s_min) & (s <= s_max)]
+    if len(s) < 2:
         raise WindowOutOfRange(
-            f"fit window [{t_min:.4f}, {t_max:.4f}] us contains fewer than "
+            f"fit window [{s_min:.4f}, {s_max:.4f}] contains fewer than "
             f"two grid points; increase n_grid"
         )
-    s = times / schedule.t_ad
     eps1 = np.hypot(schedule.z1 * (1.0 - s), schedule.x1 * s)
     eps2 = np.hypot(schedule.z2 * (1.0 - s), schedule.x2 * s)
     diff = eps1 - eps2
     if diff.min() > 0.0 or diff.max() < 0.0:
         raise WindowOutOfRange(
-            f"bare levels do not cross in the fit window [{t_min:.4f}, {t_max:.4f}] us: "
+            f"bare levels do not cross in the fit window [{s_min:.4f}, {s_max:.4f}]: "
             f"eps1 - eps2 stays in [{diff.min():.4g}, {diff.max():.4g}] MHz"
         )
-    return float(abs(np.polyfit(times, diff, 1)[0]))
+    return float(abs(np.polyfit(s, diff, 1)[0]))
 
 
 def lz_probability(a: float, alpha: float) -> tuple[float, float]:
@@ -246,42 +248,20 @@ def passage_fidelity(states: np.ndarray, vectors: np.ndarray, level: int) -> np.
 
 
 def level_populations(state: np.ndarray, schedule: ProtocolSchedule,
-                      t: float) -> np.ndarray:
-    """Populations of the four sorted instantaneous levels at time ``t``."""
-    _, vecs = np.linalg.eigh(schedule.hamiltonian(t))
+                      s: float) -> np.ndarray:
+    """Populations of the four sorted instantaneous levels of H(s)."""
+    _, vecs = np.linalg.eigh(schedule.hamiltonian(s))
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         return np.abs(vecs.conj().T @ state) ** 2
     return np.real(np.diag(vecs.conj().T @ state @ vecs))
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    """Summary of one avoided crossing of a sweep protocol.
+def crossing_report(schedule: ProtocolSchedule) -> tuple[float, float, float]:
+    """Crossing analysis: ``(a, s_c, slope)`` from min_gap and diabatic_slope.
 
-    a          : minimum gap [MHz]
-    t_c        : crossing time [us]
-    alpha      : bare-level-difference slope magnitude [MHz/us]
-    gamma      : LZ exponent (dimensionless)
-    p_diabatic : diabatic transition probability
+    The LZ prediction of a run of duration t_ad is
+    ``lz_probability(a, slope / t_ad)``.
     """
-
-    a: float
-    t_c: float
-    alpha: float
-    gamma: float
-    p_diabatic: float
-
-    def __post_init__(self) -> None:
-        if self.a < 0.0 or self.gamma < 0.0:
-            raise ValueError("gap and exponent must be nonnegative")
-        if not 0.0 <= self.p_diabatic <= 1.0:
-            raise ValueError("diabatic probability must lie in [0, 1]")
-
-
-def crossing_report(schedule: ProtocolSchedule) -> CrossingReport:
-    """Full crossing analysis: gap, crossing time, slope, LZ prediction."""
-    a, t_c = min_gap(schedule)
-    alpha = diabatic_slope(schedule, t_c)
-    gamma, p_diab = lz_probability(a, alpha)
-    return CrossingReport(a=a, t_c=t_c, alpha=alpha, gamma=gamma, p_diabatic=p_diab)
+    a, s_c = min_gap(schedule)
+    return a, s_c, diabatic_slope(schedule, s_c)

@@ -129,11 +129,10 @@ class ScenarioConfig:
     out_dir: str
     format: str
 
-    def schedule(self, t_ad: float | None = None) -> ProtocolSchedule:
-        """ProtocolSchedule for one duration (default: the first listed)."""
-        duration = self.t_ad[0] if t_ad is None else t_ad
+    def schedule(self) -> ProtocolSchedule:
+        """The sweep shape H(s) shared by every listed duration."""
         return ProtocolSchedule(z1=self.z1, z2=self.z2, x1=self.x1, x2=self.x2,
-                                j_final=self.j, zz=self.zz, t_ad=duration)
+                                j_final=self.j, zz=self.zz)
 
     def noise_model(self) -> NoiseModel | None:
         """NoiseModel when noise is enabled, else None."""

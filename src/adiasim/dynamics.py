@@ -23,10 +23,10 @@ therefore a fixed matrix built from the generators at the step's start
 Each sample interval is propagated by the product of its step matrices,
 taken in batches of at most ``_BATCH_STEPS`` and multiplied in time order
 by pairwise reduction, so memory stays bounded however many steps an
-interval holds.  A sweep schedule is affine in s = t/t_ad, so its generator
-is A(s) = G0 + s*G1 and R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built
-once per (schedule, noise, dt, n_samples) and shared by every initial
-state; an arbitrary H(t) callable is called once per batch of stage times.
+interval holds.  A sweep of duration t_ad is affine in s = t/t_ad, so its
+generator is A(s) = G0 + s*G1 and R(s) = I + sum_{k=0..4} s^k P_k, with the
+P_k built once per (schedule, t_ad, noise, dt, n_samples) and shared by every
+initial state; an arbitrary H(t) callable is called once per batch.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample and an error is raised if it exceeds 1e-4 or is not
@@ -204,6 +204,8 @@ class Trajectory:
 
 
 def _sample_grid(t_ad: float, dt: float, n_samples: int) -> tuple[np.ndarray, int, float]:
+    if not (math.isfinite(t_ad) and t_ad > 0.0):
+        raise ValueError(f"t_ad must be positive and finite, got {t_ad}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > t_ad / 100.0 + 1e-15:
@@ -333,7 +335,7 @@ def _interval_maps(step_matrices, dim: int, times: np.ndarray, steps: int,
 
 
 @functools.lru_cache(maxsize=1)
-def _schedule_maps(schedule: ProtocolSchedule, noise: NoiseModel | None,
+def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None,
                    dt: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Interval maps of a sweep schedule, shared across initial states.
 
@@ -343,7 +345,7 @@ def _schedule_maps(schedule: ProtocolSchedule, noise: NoiseModel | None,
     # A miss: drop the previous entry now rather than after this one is
     # built, so that only one set of maps is alive at a time.
     _schedule_maps.cache_clear()
-    times, steps, h = _sample_grid(schedule.t_ad, dt, n_samples)
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
     # An unstable step size, or a non-finite schedule field, can overflow
     # here; the drift check at the first bad sample reports it as
     # StepTooLarge.
@@ -355,11 +357,11 @@ def _schedule_maps(schedule: ProtocolSchedule, noise: NoiseModel | None,
             g1 = _liouvillian(schedule.h1)
         # Real powers times the real and imaginary parts: the same sums as
         # a complex product, at half its cost.
-        poly = _step_polynomial(g0, g1, h, h / schedule.t_ad).reshape(5, -1).view(float)
+        poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1).view(float)
         eye = np.eye(len(g0))
 
         def step_matrices(stage_times: np.ndarray) -> np.ndarray:
-            s = stage_times[:-2:2] / schedule.t_ad
+            s = stage_times[:-2:2] / t_ad
             sums = (np.vander(s, 5, increasing=True) @ poly).view(complex)
             # I is added after the sum, not folded into P_0, so that the
             # rounding of one shared P_0 + I does not repeat in every step.
@@ -409,16 +411,16 @@ def _pure_initial(psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
-def propagate_unitary(schedule: ProtocolSchedule, psi0: np.ndarray,
+def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
                       dt: float = 0.002, n_samples: int = 300) -> Trajectory:
-    """Integrate the Schrodinger equation for a sweep protocol.
+    """Integrate the Schrodinger equation for a sweep of duration ``t_ad`` [us].
 
     ``psi0`` must be normalized.  The trajectory is sampled on a uniform
     grid of ``n_samples + 1`` points from 0 to t_ad; between samples the
     integrator takes uniform RK4 steps of size <= dt.
     """
     psi0 = _pure_initial(psi0)
-    times, maps = _schedule_maps(schedule, None, dt, n_samples)
+    times, maps = _schedule_maps(schedule, t_ad, None, dt, n_samples)
     states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
     return Trajectory(times=times.copy(), states=states, drifts=drifts)
 
@@ -442,10 +444,10 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
     return Trajectory(times=times, states=states, drifts=drifts)
 
 
-def propagate_lindblad(schedule: ProtocolSchedule, rho0: np.ndarray,
+def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, rho0: np.ndarray,
                        noise: NoiseModel, dt: float = 0.002,
                        n_samples: int = 300) -> Trajectory:
-    """Integrate the Lindblad master equation for a sweep protocol.
+    """Integrate the Lindblad master equation for a sweep of duration ``t_ad`` [us].
 
     ``rho0`` may be given as a density matrix or as a pure-state vector
     (converted to its projector).  With a trivial noise model this reduces
@@ -461,6 +463,6 @@ def propagate_lindblad(schedule: ProtocolSchedule, rho0: np.ndarray,
     if not np.max(np.abs(rho0 - rho0.conj().T)) <= 1e-8:
         raise ValueError("initial density matrix is not Hermitian")
 
-    times, maps = _schedule_maps(schedule, noise, dt, n_samples)
+    times, maps = _schedule_maps(schedule, t_ad, noise, dt, n_samples)
     states, drifts = _evolve(times, maps, rho0.ravel(), _trace_drift, "trace")
     return Trajectory(times=times.copy(), states=states.reshape(-1, 4, 4), drifts=drifts)

@@ -7,8 +7,9 @@ end of the sweep (the XI, IX, XX and YY terms of the estimator) is fitted
 by a second-order polynomial in t_ad and evaluated at zero; the mitigated
 energy is the sum of the extrapolated contributions.
 
-The ZI and IZ coefficients of H(s) vanish at the end of the protocol,
-which is why only the four transverse/coupling terms enter.
+Every run sweeps the same H(s) and only its duration differs, so each
+run's end row is weighed with H(1).  The ZI and IZ coefficients of H(s)
+vanish there, which is why only the four transverse/coupling terms enter.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms
 
 __all__ = [
     "DegenerateAbscissae",
-    "SchedulesMismatch",
     "MitigatedEnergy",
     "extrapolate_quadratic",
     "mitigate_energy",
@@ -34,10 +34,6 @@ _END_TERMS = ("x1", "x2", "xx", "yy")
 
 class DegenerateAbscissae(ValueError):
     """Raised when fewer than three distinct abscissae are supplied."""
-
-
-class SchedulesMismatch(ValueError):
-    """Raised when mitigation runs do not share the same schedule shape."""
 
 
 def extrapolate_quadratic(points: Sequence[tuple[float, float]]) -> tuple[float, np.ndarray, float]:
@@ -90,42 +86,31 @@ class MitigatedEnergy:
             raise ValueError("energy does not match the sum of its contributions")
 
 
-def mitigate_energy(schedules: Sequence[ProtocolSchedule], end_values: np.ndarray,
+def mitigate_energy(schedule: ProtocolSchedule, t_ads: Sequence[float], end_values: np.ndarray,
                     passage_fidelities: Mapping[float, float] | None = None) -> MitigatedEnergy:
     """Extrapolate end-of-protocol energy contributions to zero duration.
 
-    ``schedules`` are the protocol variants (same shape, different t_ad)
-    and row k of ``end_values`` holds the (10,) correlators, in
-    ``CORRELATOR_LABELS`` order, measured at the end of ``schedules[k]``.
-    Each energy term is extrapolated on its own, which keeps term-level
-    diagnostics; because the fit is linear in the data, their sum equals
-    the extrapolated total energy.
+    ``schedule`` is the sweep shape shared by every run, ``t_ads`` the
+    run durations [us], and row k of ``end_values`` holds the (10,)
+    correlators, in ``CORRELATOR_LABELS`` order, measured at the end of the
+    run of duration ``t_ads[k]``.  Each energy term is extrapolated on its
+    own, which keeps term-level diagnostics; because the fit is linear in
+    the data, their sum equals the extrapolated total energy.
 
     ``passage_fidelities`` (t_ad -> end fidelity with the adiabatically-
     continued level) is optional; when the runs straddle the 0.5 boundary
     a warning is attached, since mixing diabatic and adiabatic runs in one
     extrapolation is unreliable.
     """
-    if not schedules:
+    if not t_ads:
         raise ValueError("no runs supplied")
     end_values = np.asarray(end_values, dtype=float)
-    if end_values.shape != (len(schedules), len(CORRELATOR_LABELS)):
+    if end_values.shape != (len(t_ads), len(CORRELATOR_LABELS)):
         raise ValueError(
-            f"end_values must be a ({len(schedules)}, {len(CORRELATOR_LABELS)}) array, "
-            f"one correlator row per schedule; got shape {end_values.shape}"
+            f"end_values must be a ({len(t_ads)}, {len(CORRELATOR_LABELS)}) array, "
+            f"one correlator row per duration; got shape {end_values.shape}"
         )
-    h0, h1 = schedules[0].h0, schedules[0].h1
-    for sched in schedules:
-        # The shape is H(s) = h0 + s*h1; t_ad does not enter it.
-        if not (np.array_equal(sched.h0, h0) and np.array_equal(sched.h1, h1)):
-            raise SchedulesMismatch(
-                f"run with t_ad = {sched.t_ad} us differs from the reference "
-                f"schedule in shape, not just duration"
-            )
-
-    # Every run ends at s = 1 of the shared shape, so one H serves all rows.
-    t_ads = [sched.t_ad for sched in schedules]
-    terms = energy_terms(end_values, schedules[0], [schedules[0].t_ad] * len(schedules))
+    terms = energy_terms(end_values, schedule, np.ones(len(t_ads)))
     measured = dict(zip(t_ads, terms.sum(axis=1).tolist()))
 
     contributions: dict[str, float] = {}

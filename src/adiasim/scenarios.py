@@ -140,8 +140,8 @@ def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarra
     return measure_correlators(states, config.shots, seed)
 
 
-def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, trajectories: dict,
-                levels: tuple[np.ndarray, np.ndarray],
+def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, t_ad: float,
+                trajectories: dict, levels: tuple[np.ndarray, np.ndarray],
                 t_ad_index: int) -> tuple[list[str], list[list[float]], dict]:
     """Trace rows of one duration; ``levels`` are the tracked energies and vectors."""
     times = trajectories[config.initial_states[0]].times
@@ -159,7 +159,7 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, trajectories
         columns.extend(f"{term.lower()}_{label}" for term in PAULI_LABELS_2Q)
         columns.append(f"fidelity_{label}")
         values = _measure(config, trajectories[label].states, t_ad_index, state_index)
-        energy = energy_terms(values, schedule, times).sum(axis=1)
+        energy = energy_terms(values, schedule, times / t_ad).sum(axis=1)
         table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
         end_values[label] = values[-1]
     rows = np.column_stack(table).tolist()
@@ -170,26 +170,25 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, trajectories
 def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
     """Simulate and write one trace per duration; return the paths and extras by t_ad.
 
-    H depends on t only through s = t/t_ad and every duration samples the
-    same s-grid, so the levels tracked for the first duration serve all.
+    Every duration sweeps the same H(s) on the same n_samples + 1 points of
+    s, so one set of tracked levels serves all.
     """
     noise = config.noise_model()
+    schedule = config.schedule()
+    levels = tracked_levels(schedule, np.linspace(0.0, 1.0, config.n_samples + 1))
     paths = []
     extras_by_tad = {}
-    levels = None
     for t_ad_index, t_ad in enumerate(config.t_ad):
-        schedule = config.schedule(t_ad)
         trajectories = {}
         for state in config.initial_states:
             psi0 = basis_state(state)
             if noise is None:
-                traj = propagate_unitary(schedule, psi0, config.dt_us, config.n_samples)
+                traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
             else:
-                traj = propagate_lindblad(schedule, psi0, noise, config.dt_us, config.n_samples)
+                traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
+                                          config.n_samples)
             trajectories[state] = traj
-        if levels is None:
-            levels = tracked_levels(schedule, traj.times)  # every state shares the grid
-        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, schedule, trajectories,
+        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, schedule, t_ad, trajectories,
                                                          levels, t_ad_index)
         path = os.path.join(config.out_dir,
                             f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
@@ -202,22 +201,24 @@ def _crossing_payload(config: ScenarioConfig, extras_by_tad: dict) -> dict:
     """Crossing analysis plus per-duration LZ-vs-simulation comparison."""
     schedule = config.schedule()
     try:
-        report = crossing_report(schedule)
+        a, s_c, slope = crossing_report(schedule)
     except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
+    # The report's times and slopes in us are those of the first duration.
+    t_ad0 = config.t_ad[0]
     payload = {
-        "min_gap_mhz": report.a,
-        "crossing_time_us": report.t_c,
-        "slope_mhz_per_us": report.alpha,
-        "slope_times_t_ad_mhz": report.alpha * schedule.t_ad,
+        "min_gap_mhz": a,
+        "crossing_time_us": s_c * t_ad0,
+        "slope_mhz_per_us": slope / t_ad0,
+        "slope_times_t_ad_mhz": slope,
         "per_t_ad": {},
     }
     for t_ad in config.t_ad:
-        gamma, p_diabatic = lz_probability(report.a, report.alpha * schedule.t_ad / t_ad)
+        gamma, p_diabatic = lz_probability(a, slope / t_ad)
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
         extras = extras_by_tad[t_ad]
         for label, traj in extras["trajectories"].items():
-            pops = level_populations(traj.final_state, config.schedule(t_ad), t_ad)
+            pops = level_populations(traj.final_state, schedule, 1.0)
             entry[f"p_diabatic_measured_{label}"] = float(pops[2])
             entry[f"p_adiabatic_measured_{label}"] = float(pops[1])
             entry[f"end_fidelity_{label}"] = float(extras["fidelities"][label][-1])
@@ -244,21 +245,21 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
     # Exact end-of-protocol reference levels, with and without the static
     # ZZ term: both variants are reported and the one closer to the
     # extrapolated value is flagged.
-    sched_end = config.schedule(config.t_ad[0])
-    eig_with = np.linalg.eigvalsh(sched_end.hamiltonian(sched_end.t_ad))
-    eig_without = np.linalg.eigvalsh(sched_end.with_(zz=0.0).hamiltonian(sched_end.t_ad))
+    schedule = config.schedule()
+    eig_with = np.linalg.eigvalsh(schedule.hamiltonian(1.0))
+    eig_without = np.linalg.eigvalsh(schedule.with_(zz=0.0).hamiltonian(1.0))
     exact_levels = {
         "00": {"with_zz": float(eig_with[0]), "without_zz": float(eig_without[0])},
         "11": {"with_zz": float(eig_with[3]), "without_zz": float(eig_without[3])},
     }
 
-    schedules = [config.schedule(t_ad) for t_ad in config.t_ad]
     states_report = {}
     for label in config.initial_states:
         end_values = np.array([extras_by_tad[t_ad]["end_values"][label] for t_ad in config.t_ad])
         end_fidelities = {t_ad: float(extras_by_tad[t_ad]["fidelities"][label][-1])
                           for t_ad in config.t_ad}
-        mitigated = mitigate_energy(schedules, end_values, passage_fidelities=end_fidelities)
+        mitigated = mitigate_energy(schedule, config.t_ad, end_values,
+                                    passage_fidelities=end_fidelities)
         shortest = min(config.t_ad)
         entry = {
             "measured_by_t_ad": {f"{t:g}": v for t, v in sorted(mitigated.measured.items())},
@@ -303,11 +304,11 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
 
     # In the chirped frame the sweep is a schedule with qubit 1 idle; the
     # constant frame's drive axis turns by theta(t), which is not affine in s.
-    chirped = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x, t_ad=t_ad)
+    chirped = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x)
     constant = constant_frame_hamiltonian(z, x, t_ad)
     summary: dict[str, float] = {"z_mhz": z, "x_mhz": x, "t_ad_us": t_ad}
     for frame_index, frame in enumerate(("chirped", "constant")):
-        traj = (propagate_unitary(chirped, psi0, config.dt_us, config.n_samples)
+        traj = (propagate_unitary(chirped, t_ad, psi0, config.dt_us, config.n_samples)
                 if frame == "chirped" else
                 propagate_custom(constant, t_ad, psi0, config.dt_us, config.n_samples))
         values = _measure(config, traj.states, frame_index, 0)

@@ -1,24 +1,24 @@
-"""Time-dependent two-qubit sweep Hamiltonian and single-qubit drive frames.
+"""The two-qubit sweep Hamiltonian H(s) and single-qubit drive frames.
 
-The protocol interpolates between a longitudinal configuration at ``t = 0``
-and a transverse one at ``t = t_ad`` while an exchange coupling ramps on:
+As the sweep parameter s runs from 0 to 1, the protocol interpolates from
+longitudinal to transverse fields while an exchange coupling ramps on:
 
-    H(t)/h [MHz] = (1 - t/t_ad) * (z1*ZI + z2*IZ) / 2
-                 + (t/t_ad)     * (x1*XI + x2*IX) / 2
-                 + j(t)         * (XX + YY) / 4
-                 + zz           * ZZ / 4
+    H(s)/h [MHz] = (1 - s) * (z1*ZI + z2*IZ) / 2
+                 + s       * (x1*XI + x2*IX) / 2
+                 + s       * j_final * (XX + YY) / 4
+                 + zz      * ZZ / 4
 
-with all frequencies in MHz and times in microseconds.  ``h`` is factored
-out: dynamics code multiplies by ``2*pi`` when integrating.  The coupling
-ramps linearly, ``j(t) = (t/t_ad) * j_final``, so with ``s = t/t_ad`` the
-whole Hamiltonian is affine, ``H(s) = H0 + s*H1``.
+with all frequencies in MHz.  ``h`` is factored out: dynamics code
+multiplies by ``2*pi`` when integrating.  H is affine, ``H(s) = H0 + s*H1``.
+A schedule holds no duration: a run of duration t_ad [us], an argument of
+the propagators, reaches s = t/t_ad at time t.
 
 The single-qubit Z ramp is realized by chirping the drive frequency
 linearly from ``z`` MHz below the qubit up to resonance.  In the frame
 co-moving with the chirp, that sweep is a ProtocolSchedule with the other
 qubit idle (``z1 = x1 = 0`` drives qubit 2 alone).  The frame helpers give
 the same sweep in the constant-frequency frame, and the angle between the
-two frames.
+two frames, in physical time.
 """
 
 from __future__ import annotations
@@ -46,27 +46,27 @@ _ZZ = pauli_2q("ZZ")
 
 
 class TimeOutOfRange(ValueError):
-    """Raised when a schedule is evaluated outside [0, t_ad]."""
+    """Raised when H(s) is evaluated outside [0, 1] or a frame outside [0, t_ad]."""
 
 
-def _check_window(times: np.ndarray, t_ad: float) -> None:
-    """Raise TimeOutOfRange unless every time of an array lies in [0, t_ad]."""
+def _check_window(values: np.ndarray, end: float) -> None:
+    """Raise TimeOutOfRange unless every value of an array lies in [0, end]."""
     # Tolerate float round-off at the endpoints (e.g. linspace end).
-    slack = 1e-9 * max(1.0, t_ad)
-    for t in (float(times.min()), float(times.max())) if times.size else ():
-        if t < -slack or t > t_ad + slack:
-            raise TimeOutOfRange(f"t = {t} us outside protocol window [0, {t_ad}] us")
+    slack = 1e-9 * max(1.0, end)
+    for v in (float(values.min()), float(values.max())) if values.size else ():
+        # Written so that NaN fails the check too.
+        if not -slack <= v <= end + slack:
+            raise TimeOutOfRange(f"{v} outside protocol window [0, {end}]")
 
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Parameters of one sweep protocol.
+    """Shape of one sweep protocol, H(s) for s in [0, 1].
 
-    z1, z2 : longitudinal splittings at t = 0 [MHz]
-    x1, x2 : transverse splittings at t = t_ad [MHz]
-    j_final: exchange coupling reached at t = t_ad [MHz]
+    z1, z2 : longitudinal splittings at s = 0 [MHz]
+    x1, x2 : transverse splittings at s = 1 [MHz]
+    j_final: exchange coupling reached at s = 1 [MHz]
     zz     : static ZZ coefficient [MHz]
-    t_ad   : protocol duration [us]
 
     ``h0`` and ``h1`` (built once per instance, not fields) are the 4x4
     matrices of H(s)/h = h0 + s*h1 [MHz]; every evaluation reads them.
@@ -78,35 +78,20 @@ class ProtocolSchedule:
     x2: float
     j_final: float = 0.0
     zz: float = 0.0
-    t_ad: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.t_ad <= 0.0:
-            raise ValueError(f"t_ad must be positive, got {self.t_ad}")
         z_term = self.z1 * _ZI + self.z2 * _IZ
         x_term = self.x1 * _XI + self.x2 * _IX
         object.__setattr__(self, "h0", 0.5 * z_term + self.zz * 0.25 * _ZZ)
         object.__setattr__(self, "h1", 0.5 * x_term - 0.5 * z_term
                            + self.j_final * 0.25 * _XXYY)
 
-    def _h_of_s(self, s):
-        """H(s)/h; an array s of shape (n, 1, 1) gives an (n, 4, 4) stack."""
-        return self.h0 + s * self.h1
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """H(t)/h as a 4x4 complex Hermitian matrix [MHz]."""
-        _check_window(np.asarray(t, dtype=float), self.t_ad)
-        return self._h_of_s(min(max(t / self.t_ad, 0.0), 1.0))
-
-    def hamiltonians(self, times) -> np.ndarray:
-        """H(t)/h at every time of a 1-D array, as an (n, 4, 4) stack [MHz].
-
-        Each matrix equals ``hamiltonian(t)`` at the same time, bit for bit.
-        """
-        times = np.asarray(times, dtype=float)
-        _check_window(times, self.t_ad)
-        s = np.clip(times / self.t_ad, 0.0, 1.0)
-        return self._h_of_s(s[:, None, None])
+    def hamiltonian(self, s) -> np.ndarray:
+        """H(s)/h [MHz]: a 4x4 Hermitian matrix for a scalar s, an (n, 4, 4)
+        stack for a 1-D array of n values, each row equal to the scalar call's."""
+        s = np.asarray(s, dtype=float)
+        _check_window(s, 1.0)
+        return self.h0 + np.clip(s, 0.0, 1.0)[..., None, None] * self.h1
 
     def with_(self, **changes) -> "ProtocolSchedule":
         """Return a copy with the given fields replaced."""

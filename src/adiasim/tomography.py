@@ -85,12 +85,12 @@ def measure_correlators(states: np.ndarray, shots: int = 0, seed=None) -> np.nda
     return values
 
 
-def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, times) -> np.ndarray:
-    """The six estimator terms of (n, 10) correlators at n times, an (n, 6) array.
+def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarray:
+    """The six estimator terms of (n, 10) correlators at n sweep points s, an (n, 6) array.
 
     Columns follow ``ENERGY_TERMS``; the energy is the row sum.
     """
-    weights = np.einsum("pij,nji->np", _OPS[_ENERGY_COLUMNS], schedule.hamiltonians(times))
+    weights = np.einsum("pij,nji->np", _OPS[_ENERGY_COLUMNS], schedule.hamiltonian(s))
     return weights.real / 4.0 * values[:, _ENERGY_COLUMNS]
 
 

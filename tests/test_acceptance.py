@@ -64,10 +64,10 @@ def _within(value: float, target: tuple) -> bool:
 
 def test_criterion_1_minimum_gaps(capsys):
     t0 = time.perf_counter()
-    gap_b, _ = min_gap(ProtocolSchedule(**FIG3B, t_ad=30.0))
+    gap_b, _ = min_gap(ProtocolSchedule(**FIG3B))
     elapsed_b = time.perf_counter() - t0
     t0 = time.perf_counter()
-    gap_4, _ = min_gap(ProtocolSchedule(**FIG4, t_ad=5.0))
+    gap_4, _ = min_gap(ProtocolSchedule(**FIG4))
     elapsed_4 = time.perf_counter() - t0
 
     ok_b = _within(gap_b, GAP_TARGET_FIG3B)
@@ -84,12 +84,13 @@ def test_criterion_1_minimum_gaps(capsys):
 
 
 def test_criterion_2_slope_times_duration(capsys):
-    schedule = ProtocolSchedule(**FIG4, t_ad=10.0)
+    schedule = ProtocolSchedule(**FIG4)
     t0 = time.perf_counter()
-    _, t_c = min_gap(schedule)
-    alpha = diabatic_slope(schedule, t_c=t_c)
+    _, s_c = min_gap(schedule)
+    # The slope in s is the slope in time times the duration.
+    product = diabatic_slope(schedule, s_c=s_c)
     elapsed = time.perf_counter() - t0
-    product = alpha * schedule.t_ad
+    alpha = product / 10.0
 
     ok_value = _within(product, SLOPE_PRODUCT_TARGET)
     ok_time = elapsed < 1.0
@@ -112,21 +113,20 @@ def test_criterion_3_lz_anchor(capsys):
 
 def test_criterion_4_dynamics_vs_lz_crossover(capsys):
     t0 = time.perf_counter()
-    reference = ProtocolSchedule(**FIG4, t_ad=5.0)
-    a, t_c = min_gap(reference)
-    alpha_ref = diabatic_slope(reference, t_c=t_c)
+    schedule = ProtocolSchedule(**FIG4)
+    a, s_c = min_gap(schedule)
+    slope = diabatic_slope(schedule, s_c=s_c)
     psi0 = basis_state("01")
 
     diffs = {}
     fidelities = {}
     for t_ad in (5.0, 10.0, 15.0, 20.0, 30.0):
-        schedule = reference.with_(t_ad=t_ad)
-        # The bare-level slope scales as 1/t_ad for a fixed parameter ramp.
-        _, p_lz = lz_probability(a, alpha_ref * reference.t_ad / t_ad)
-        traj = propagate_unitary(schedule, psi0, DT, 60)
-        p_diabatic = float(level_populations(traj.final_state, schedule, t_ad)[2])
+        # The bare-level slope in time is the slope in s over t_ad.
+        _, p_lz = lz_probability(a, slope / t_ad)
+        traj = propagate_unitary(schedule, t_ad, psi0, DT, 60)
+        p_diabatic = float(level_populations(traj.final_state, schedule, 1.0)[2])
         diffs[t_ad] = abs(p_diabatic - p_lz)
-        _, vectors = tracked_levels(schedule, traj.times)
+        _, vectors = tracked_levels(schedule, traj.times / t_ad)
         level = int(np.argmax(np.abs(vectors[0].conj().T @ psi0) ** 2)) + 1
         fidelities[t_ad] = float(passage_fidelity(traj.states, vectors, level)[-1])
     elapsed = time.perf_counter() - t0
@@ -149,9 +149,9 @@ def test_criterion_4_dynamics_vs_lz_crossover(capsys):
 
 
 def test_criterion_5_end_point_eigenvalues(capsys):
-    schedule = ProtocolSchedule(**FIG4, t_ad=5.0)
-    with_zz = np.linalg.eigvalsh(schedule.hamiltonian(schedule.t_ad))
-    without_zz = np.linalg.eigvalsh(schedule.with_(zz=0.0).hamiltonian(schedule.t_ad))
+    schedule = ProtocolSchedule(**FIG4)
+    with_zz = np.linalg.eigvalsh(schedule.hamiltonian(1.0))
+    without_zz = np.linalg.eigvalsh(schedule.with_(zz=0.0).hamiltonian(1.0))
 
     ground = {"with_zz": float(with_zz[0]), "without_zz": float(without_zz[0])}
     top = {"with_zz": float(with_zz[3]), "without_zz": float(without_zz[3])}
@@ -181,11 +181,13 @@ def _first_sign_change(times: np.ndarray, values: np.ndarray) -> float | None:
 def test_criterion_6_correlator_signature(capsys):
     band = 0.03  # sampling-resolution band for the no-coupling run
 
-    adiabatic = ProtocolSchedule(**FIG3B, t_ad=30.0)
-    _, t_c = min_gap(adiabatic)
-    traj = propagate_unitary(adiabatic, basis_state("01"), DT, 300)
+    t_ad = 30.0
+    adiabatic = ProtocolSchedule(**FIG3B)
+    s_c = min_gap(adiabatic)[1]
+    t_c = s_c * t_ad
+    traj = propagate_unitary(adiabatic, t_ad, basis_state("01"), DT, 300)
     correlators = dict(zip(CORRELATOR_LABELS, measure_correlators(traj.states).T))
-    window = 0.10 * adiabatic.t_ad
+    window = 0.10 * t_ad
     crossings = {}
     ok_crossing = True
     for term in ("IZ", "ZI"):
@@ -194,7 +196,7 @@ def test_criterion_6_correlator_signature(capsys):
         ok_crossing &= t_cross is not None and abs(t_cross - t_c) <= window
 
     diabatic = adiabatic.with_(j_final=0.0)
-    traj0 = propagate_unitary(diabatic, basis_state("01"), DT, 300)
+    traj0 = propagate_unitary(diabatic, t_ad, basis_state("01"), DT, 300)
     correlators0 = dict(zip(CORRELATOR_LABELS, measure_correlators(traj0.states).T))
     ok_monotone = True
     margins = {}
@@ -222,11 +224,11 @@ def test_criterion_6_correlator_signature(capsys):
 
 def test_criterion_7_mitigation_ordinality(capsys):
     noise = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
-    reference = ProtocolSchedule(**FIG4, t_ad=5.0)
+    schedule = ProtocolSchedule(**FIG4)
     durations = (5.0, 10.0, 20.0, 30.0)
 
-    end_h = reference.hamiltonian(reference.t_ad)
-    end_h_nozz = reference.with_(zz=0.0).hamiltonian(reference.t_ad)
+    end_h = schedule.hamiltonian(1.0)
+    end_h_nozz = schedule.with_(zz=0.0).hamiltonian(1.0)
     exact = {
         "00": {"with_zz": float(np.linalg.eigvalsh(end_h)[0]),
                "without_zz": float(np.linalg.eigvalsh(end_h_nozz)[0])},
@@ -237,13 +239,12 @@ def test_criterion_7_mitigation_ordinality(capsys):
     residuals = {}
     short_residuals = {}
     details = []
-    schedules = [reference.with_(t_ad=t_ad) for t_ad in durations]
     for label in ("00", "11"):
         end_states = np.array([
-            propagate_lindblad(schedule, basis_state(label), noise, DT, 4).final_state
-            for schedule in schedules
+            propagate_lindblad(schedule, t_ad, basis_state(label), noise, DT, 4).final_state
+            for t_ad in durations
         ])
-        mitigated = mitigate_energy(schedules, measure_correlators(end_states))
+        mitigated = mitigate_energy(schedule, durations, measure_correlators(end_states))
         variants = exact[label]
         selected = min(variants, key=lambda k: abs(variants[k] - mitigated.energy))
         target = variants[selected]
@@ -299,10 +300,10 @@ def test_criterion_8_property_suites(capsys):
         schedule = ProtocolSchedule(
             z1=rng.uniform(0.5, 4.0), z2=rng.uniform(0.5, 4.0),
             x1=rng.uniform(0.5, 8.0), x2=rng.uniform(0.5, 8.0),
-            j_final=rng.uniform(0.0, 2.0), zz=rng.uniform(0.0, 0.5), t_ad=1.0)
+            j_final=rng.uniform(0.0, 2.0), zz=rng.uniform(0.0, 0.5))
         psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi0 /= np.linalg.norm(psi0)
-        traj = propagate_unitary(schedule, psi0, 0.002, 2)
+        traj = propagate_unitary(schedule, 1.0, psi0, 0.002, 2)
         norm_ok &= traj.max_drift < 1e-6
     checks.append(("norm preservation", norm_ok))
 
@@ -313,9 +314,9 @@ def test_criterion_8_property_suites(capsys):
         schedule = ProtocolSchedule(
             z1=rng.uniform(0.5, 4.0), z2=rng.uniform(0.5, 4.0),
             x1=rng.uniform(0.5, 8.0), x2=rng.uniform(0.5, 8.0),
-            j_final=rng.uniform(0.0, 2.0), zz=rng.uniform(0.0, 0.5), t_ad=0.5)
+            j_final=rng.uniform(0.0, 2.0), zz=rng.uniform(0.0, 0.5))
         label = ("00", "01", "10", "11")[rng.integers(4)]
-        traj = propagate_lindblad(schedule, basis_state(label), noise, 0.005, 2)
+        traj = propagate_lindblad(schedule, 0.5, basis_state(label), noise, 0.005, 2)
         rho = traj.final_state
         trace_ok &= abs(np.trace(rho).real - 1.0) < 1e-6
         trace_ok &= np.allclose(rho, rho.conj().T, atol=1e-9)
@@ -325,9 +326,9 @@ def test_criterion_8_property_suites(capsys):
     # Integrator convergence order via dt-halving against a dt/4 reference,
     # judged on the linear state error (the squared-overlap metric would
     # double the apparent order).
-    schedule = ProtocolSchedule(**FIG4, t_ad=5.0)
+    schedule = ProtocolSchedule(**FIG4)
     psi0 = basis_state("01")
-    finals = {dt: propagate_unitary(schedule, psi0, dt, 2).final_state
+    finals = {dt: propagate_unitary(schedule, 5.0, psi0, dt, 2).final_state
               for dt in (0.002, 0.001, 0.0005)}
     err = {dt: float(np.linalg.norm(finals[dt] - finals[0.0005]))
            for dt in (0.002, 0.001)}

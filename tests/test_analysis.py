@@ -26,8 +26,8 @@ from adiasim.analysis import (
 from adiasim.dynamics import NoiseModel, basis_state, propagate_lindblad, propagate_unitary
 from adiasim.schedule import ProtocolSchedule
 
-FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2, t_ad=30.0)
-FIG4 = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2, t_ad=10.0)
+FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
+FIG4 = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
 
 # Frozen regression values for the two standard sweep configurations,
 # cross-checked below against grid scans and the exact two-level model.
@@ -40,31 +40,27 @@ FIG4_SLOPE_AT_10US = 0.726164
 
 @dataclass(frozen=True)
 class TwoLevelCrossing:
-    """Minimal schedule stand-in: a linear crossing of the middle pair with
-    exactly known gap, plus two far-detuned spectator levels."""
+    """Minimal schedule stand-in: a linear crossing of the middle pair at
+    ``s_star`` with exactly known gap, plus two far-detuned spectator levels."""
 
     slope: float
     gap: float
-    t_star: float
-    t_ad: float
+    s_star: float
 
-    def hamiltonian(self, t: float) -> np.ndarray:
-        h = np.zeros((4, 4), dtype=complex)
-        h[0, 0] = -50.0
-        h[3, 3] = 50.0
-        d = self.slope * (t - self.t_star)
-        h[1, 1] = -d
-        h[2, 2] = d
-        h[1, 2] = h[2, 1] = 0.5 * self.gap
+    def hamiltonian(self, s) -> np.ndarray:
+        d = self.slope * (np.asarray(s, dtype=float) - self.s_star)
+        h = np.zeros(d.shape + (4, 4), dtype=complex)
+        h[..., 0, 0] = -50.0
+        h[..., 3, 3] = 50.0
+        h[..., 1, 1] = -d
+        h[..., 2, 2] = d
+        h[..., 1, 2] = h[..., 2, 1] = 0.5 * self.gap
         return h
-
-    def hamiltonians(self, times) -> np.ndarray:
-        return np.stack([self.hamiltonian(t) for t in times])
 
     @property
     def h1(self) -> np.ndarray:
-        """dH/ds with s = t/t_ad."""
-        return np.diag([0.0, -self.slope * self.t_ad, self.slope * self.t_ad, 0.0]).astype(complex)
+        """dH/ds."""
+        return np.diag([0.0, -self.slope, self.slope, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -72,37 +68,33 @@ class LineCrossings:
     """Diagonal stand-in whose four levels are straight lines that all cross
     one another, so the tracked labels end reversed after several swaps."""
 
-    t_ad: float = 1.0
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        lines = np.array([0.0, 1.1, 2.3, 3.6]) + t * np.array([5.0, 1.7, -1.9, -4.4])
-        return np.diag(lines).astype(complex)
-
-    def hamiltonians(self, times) -> np.ndarray:
-        return np.stack([self.hamiltonian(t) for t in times])
+    def hamiltonian(self, s) -> np.ndarray:
+        lines = (np.array([0.0, 1.1, 2.3, 3.6])
+                 + np.asarray(s, dtype=float)[..., None] * np.array([5.0, 1.7, -1.9, -4.4]))
+        return (lines[..., None] * np.eye(4)).astype(complex)
 
 
 def levels_on_grid(schedule, n_grid):
-    """Uniform grid of ``n_grid`` times over the sweep and the levels tracked on it."""
-    times = np.linspace(0.0, schedule.t_ad, n_grid)
-    return (times, *tracked_levels(schedule, times))
+    """Uniform grid of ``n_grid`` points over s in [0, 1] and the levels tracked on it."""
+    s = np.linspace(0.0, 1.0, n_grid)
+    return (s, *tracked_levels(schedule, s))
 
 
 class TestSpectralTrace:
     """``tracked_levels`` on uniform grids."""
 
     def test_shapes_and_sorting(self):
-        times, energies, vectors = levels_on_grid(FIG4, 101)
+        s, energies, vectors = levels_on_grid(FIG4, 101)
         assert energies.shape == (101, 4)
         assert vectors.shape == (101, 4, 4)
-        sorted_energies = np.linalg.eigvalsh(FIG4.hamiltonians(times))
-        # Tracked energies are a permutation of the sorted ones at each time.
+        sorted_energies = np.linalg.eigvalsh(FIG4.hamiltonian(s))
+        # Tracked energies are a permutation of the sorted ones at each point.
         assert np.allclose(np.sort(energies, axis=1), sorted_energies)
 
     def test_vectors_follow_their_energies(self):
-        times, energies, vectors = levels_on_grid(FIG3B, 201)
+        s, energies, vectors = levels_on_grid(FIG3B, 201)
         for i in range(0, 201, 20):
-            h = FIG3B.hamiltonian(times[i])
+            h = FIG3B.hamiltonian(s[i])
             for k in range(4):
                 v = vectors[i][:, k]
                 residual = h @ v - energies[i, k] * v
@@ -119,39 +111,44 @@ class TestSpectralTrace:
         """If the eigenbasis turns by exactly 45 degrees between grid points,
         the overlap assignment is ambiguous and must be reported.  The 128
         steps of 1/128 are at least 100, so the levels are tracked on this
-        grid itself, and the crossing sits halfway between two of its times."""
-        duck = TwoLevelCrossing(slope=1.0, gap=2.0 / 256, t_star=0.75 + 1.0 / 256, t_ad=1.0)
+        grid itself, and the crossing sits halfway between two of its points."""
+        duck = TwoLevelCrossing(slope=1.0, gap=2.0 / 256, s_star=0.75 + 1.0 / 256)
         with pytest.raises(DegenerateTracking):
             levels_on_grid(duck, 129)
 
     @pytest.mark.parametrize("n_grid", [2, 11, 101, 201])
     def test_levels_at_each_time_of_the_refined_grid(self, n_grid):
         """Short grids are tracked on a grid of at least 100 steps that holds
-        every time; the levels at those times are its r-th rows."""
-        times, energies, vectors = levels_on_grid(FIG4, n_grid)
+        every point; the levels at those points are its r-th rows."""
+        s, energies, vectors = levels_on_grid(FIG4, n_grid)
         r = math.ceil(100 / (n_grid - 1))
-        fine = np.linspace(0.0, FIG4.t_ad, r * (n_grid - 1) + 1)
-        fine[::r] = times
+        fine = np.linspace(0.0, 1.0, r * (n_grid - 1) + 1)
+        fine[::r] = s
         _, fine_energies, fine_vectors = _tracked_eigensystem(FIG4, fine)
         assert np.array_equal(energies, fine_energies[::r])
         assert np.array_equal(vectors, fine_vectors[::r])
 
+    @pytest.mark.parametrize("s", [np.array([0.0]), np.array([])])
+    def test_rejects_fewer_than_two_points(self, s):
+        with pytest.raises(ValueError, match="at least two points s, got"):
+            tracked_levels(FIG4, s)
 
-def reference_tracked_eigensystem(schedule, times):
+
+def reference_tracked_eigensystem(schedule, s):
     """Sequential level tracking, one grid step at a time: each step's
     overlaps are taken against the previous step's tracked vectors, the
     assignment is the best of the 24 permutations by brute force, and each
     new vector is phase-fixed so its overlap with its predecessor is real
     and positive."""
-    sorted_e, vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(t) for t in times]))
+    sorted_e, vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(v) for v in s]))
     tracked_e, tracked_v = sorted_e.copy(), vecs.copy()
-    for i in range(1, len(times)):
+    for i in range(1, len(s)):
         overlap = np.abs(tracked_v[i - 1].conj().T @ vecs[i])
         for k in range(4):
             row = np.sort(overlap[k])[::-1]
             if row[0] - row[1] < _TIE_TOL:
                 raise DegenerateTracking(
-                    f"ambiguous level continuation at t = {times[i]:.6f} us: "
+                    f"ambiguous level continuation at s = {s[i]:.6f}: "
                     f"two overlaps of tracked level {k + 1} tie at {row[0]:.6f}"
                 )
         perm = list(max(itertools.permutations(range(4)),
@@ -172,9 +169,9 @@ class TestBatchedTracking:
                                                   (FIG4.with_(j_final=0.0, zz=0.0), 1001),
                                                   (FIG4, 2), (LineCrossings(), 101)])
     def test_matches_sequential_reference(self, schedule, n_grid):
-        times = np.linspace(0.0, schedule.t_ad, n_grid)
-        sorted_e, tracked_e, tracked_v = _tracked_eigensystem(schedule, times)
-        ref_sorted, ref_e, ref_v = reference_tracked_eigensystem(schedule, times)
+        s = np.linspace(0.0, 1.0, n_grid)
+        sorted_e, tracked_e, tracked_v = _tracked_eigensystem(schedule, s)
+        ref_sorted, ref_e, ref_v = reference_tracked_eigensystem(schedule, s)
         if isinstance(schedule, LineCrossings):
             assert np.array_equal(tracked_e[-1], np.sort(tracked_e[-1])[::-1])
         assert np.array_equal(sorted_e, ref_sorted)
@@ -185,73 +182,72 @@ class TestBatchedTracking:
         assert np.all(successive.real > 0.0)
 
     def test_degenerate_message_matches_reference(self):
-        duck = TwoLevelCrossing(slope=1.0, gap=0.5, t_star=0.75, t_ad=1.0)
-        times = np.linspace(0.0, duck.t_ad, 3)
+        duck = TwoLevelCrossing(slope=1.0, gap=0.5, s_star=0.75)
+        s = np.linspace(0.0, 1.0, 3)
         with pytest.raises(DegenerateTracking) as expected:
-            reference_tracked_eigensystem(duck, times)
+            reference_tracked_eigensystem(duck, s)
         with pytest.raises(DegenerateTracking) as got:
-            _tracked_eigensystem(duck, times)
+            _tracked_eigensystem(duck, s)
         assert str(got.value) == str(expected.value)
 
 
 class TestMinGap:
     def test_two_level_crossing_is_exact(self):
-        duck = TwoLevelCrossing(slope=2.0, gap=0.37, t_star=4.0, t_ad=10.0)
-        a, t_c = min_gap(duck, n_grid=501)
+        duck = TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4)
+        a, s_c = min_gap(duck, n_grid=501)
         assert a == pytest.approx(0.37, abs=1e-10)
-        assert t_c == pytest.approx(4.0, abs=1e-6)
+        assert s_c == pytest.approx(0.4, abs=1e-7)
 
     def test_standard_sweep_gaps(self):
-        a4, tc4 = min_gap(FIG4)
+        a4, sc4 = min_gap(FIG4)
         assert a4 == pytest.approx(FIG4_GAP, abs=1e-4)
-        assert tc4 / FIG4.t_ad == pytest.approx(FIG4_TC_FRACTION, abs=1e-4)
-        a3, tc3 = min_gap(FIG3B)
+        assert sc4 == pytest.approx(FIG4_TC_FRACTION, abs=1e-4)
+        a3, sc3 = min_gap(FIG3B)
         assert a3 == pytest.approx(FIG3B_GAP, abs=1e-4)
-        assert tc3 / FIG3B.t_ad == pytest.approx(FIG3B_TC_FRACTION, abs=1e-4)
+        assert sc3 == pytest.approx(FIG3B_TC_FRACTION, abs=1e-4)
 
     def test_refinement_beats_dense_grid(self):
         """The refined minimum is no larger than a 20x denser grid scan."""
         a, _ = min_gap(FIG4)
-        dense = np.linalg.eigvalsh(FIG4.hamiltonians(np.linspace(0.0, FIG4.t_ad, 20001)))
+        dense = np.linalg.eigvalsh(FIG4.hamiltonian(np.linspace(0.0, 1.0, 20001)))
         grid_min = np.min(dense[:, 2] - dense[:, 1])
         assert a <= grid_min + 1e-12
         assert a == pytest.approx(grid_min, abs=1e-6)
 
     def test_local_minimum_returned(self):
-        a, t_c = min_gap(FIG4)
-        for dt in (1e-4, 1e-3):
-            for t in (t_c - dt, t_c + dt):
-                vals = np.linalg.eigvalsh(FIG4.hamiltonian(t))
+        a, s_c = min_gap(FIG4)
+        for ds in (1e-5, 1e-4):
+            for s in (s_c - ds, s_c + ds):
+                vals = np.linalg.eigvalsh(FIG4.hamiltonian(s))
                 assert vals[2] - vals[1] >= a - 1e-12
 
     def test_no_interior_minimum(self):
         """A pure longitudinal ramp has monotonically shrinking gaps."""
-        ramp = ProtocolSchedule(z1=2.5, z2=1.5, x1=0.0, x2=0.0, t_ad=10.0)
+        ramp = ProtocolSchedule(z1=2.5, z2=1.5, x1=0.0, x2=0.0)
         with pytest.raises(NoInteriorMinimum):
             min_gap(ramp)
 
-    @pytest.mark.parametrize("schedule", [FIG3B, FIG4.with_(t_ad=5.0)])
+    @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_crossing_time_is_not_rounding_noise(self, schedule):
-        """An ulp-level change of H moves t_c by no more than rounding:
+        """An ulp-level change of H moves s_c by no more than rounding:
         bisection on the sign of the gap derivative ends at float resolution."""
-        _, t_c = min_gap(schedule)
-        _, t_c_nudged = min_gap(schedule.with_(z1=schedule.z1 * (1.0 + 1e-15)))
-        assert abs(t_c_nudged - t_c) <= 1e-12
+        _, s_c = min_gap(schedule)
+        _, s_c_nudged = min_gap(schedule.with_(z1=schedule.z1 * (1.0 + 1e-15)))
+        assert abs(s_c_nudged - s_c) <= 1e-13
 
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_hellmann_feynman_gap_derivative(self, schedule):
         """The gap slope in s from <k|h1|k> matches a central difference of eigvalsh."""
-        def gap(t):
-            vals = np.linalg.eigvalsh(schedule.hamiltonian(t))
+        def gap(s):
+            vals = np.linalg.eigvalsh(schedule.hamiltonian(s))
             return vals[2] - vals[1]
 
-        _, t_c = min_gap(schedule)
-        h = 1e-6 * schedule.t_ad
-        for t in (0.1 * schedule.t_ad, t_c - 0.01 * schedule.t_ad, t_c,
-                  t_c + 0.01 * schedule.t_ad, 0.9 * schedule.t_ad):
-            value, slope = _middle_gap(schedule, t)
-            assert value == pytest.approx(gap(t), abs=1e-12)
-            central = (gap(t + h) - gap(t - h)) / (2.0 * h) * schedule.t_ad
+        _, s_c = min_gap(schedule)
+        h = 1e-6
+        for s in (0.1, s_c - 0.01, s_c, s_c + 0.01, 0.9):
+            value, slope = _middle_gap(schedule, s)
+            assert value == pytest.approx(gap(s), abs=1e-12)
+            central = (gap(s + h) - gap(s - h)) / (2.0 * h)
             assert slope == pytest.approx(central, abs=1e-6)
 
 
@@ -259,39 +255,31 @@ class TestDiabaticSlope:
     def test_slope_matches_bare_gap_growth(self):
         """Away from the crossing point the bare sorted gap grows linearly at
         the fitted rate on both sides."""
-        _, t_c = min_gap(FIG4)
-        alpha = diabatic_slope(FIG4, t_c=t_c)
+        _, s_c = min_gap(FIG4)
+        alpha = diabatic_slope(FIG4, s_c=s_c)
         bare = FIG4.with_(j_final=0.0, zz=0.0)
 
-        def bare_diff(t):
-            vals = np.linalg.eigvalsh(bare.hamiltonian(t))
+        def bare_diff(s):
+            vals = np.linalg.eigvalsh(bare.hamiltonian(s))
             return vals[2] - vals[1]
 
-        fd_right = (bare_diff(t_c + 0.15) - bare_diff(t_c + 0.05)) / 0.1
-        fd_left = (bare_diff(t_c - 0.05) - bare_diff(t_c - 0.15)) / 0.1
+        fd_right = (bare_diff(s_c + 0.015) - bare_diff(s_c + 0.005)) / 0.01
+        fd_left = (bare_diff(s_c - 0.005) - bare_diff(s_c - 0.015)) / 0.01
         assert alpha == pytest.approx(fd_right, rel=5e-2)
         assert alpha == pytest.approx(abs(fd_left), rel=5e-2)
 
     def test_standard_sweep_slope(self):
-        _, t_c = min_gap(FIG4)
-        alpha = diabatic_slope(FIG4, t_c=t_c)
-        assert alpha == pytest.approx(FIG4_SLOPE_AT_10US, abs=1e-4)
-
-    def test_slope_scales_inversely_with_duration(self):
-        results = {}
-        for t_ad in (10.0, 20.0):
-            sch = FIG4.with_(t_ad=t_ad)
-            _, t_c = min_gap(sch)
-            results[t_ad] = diabatic_slope(sch, t_c=t_c)
-        assert results[10.0] == pytest.approx(2.0 * results[20.0], rel=1e-6)
+        _, s_c = min_gap(FIG4)
+        alpha = diabatic_slope(FIG4, s_c=s_c)
+        assert alpha / 10.0 == pytest.approx(FIG4_SLOPE_AT_10US, abs=1e-4)
 
     def test_window_stability(self):
         """The fitted slope moves by < 2% when the window is 5% or 15% of
         the protocol instead of 10%."""
-        _, t_c = min_gap(FIG4)
-        base = diabatic_slope(FIG4, t_c=t_c, window_fraction=0.10)
+        _, s_c = min_gap(FIG4)
+        base = diabatic_slope(FIG4, s_c=s_c, window_fraction=0.10)
         for frac in (0.05, 0.15):
-            alt = diabatic_slope(FIG4, t_c=t_c, window_fraction=frac)
+            alt = diabatic_slope(FIG4, s_c=s_c, window_fraction=frac)
             assert abs(alt - base) / base < 0.02
 
     def test_requires_crossing_time(self):
@@ -300,9 +288,9 @@ class TestDiabaticSlope:
 
     def test_window_out_of_range(self):
         with pytest.raises(WindowOutOfRange):
-            diabatic_slope(FIG4, t_c=0.3, window_fraction=0.10)
+            diabatic_slope(FIG4, s_c=0.03, window_fraction=0.10)
         with pytest.raises(WindowOutOfRange):
-            diabatic_slope(FIG4, t_c=9.9, window_fraction=0.10)
+            diabatic_slope(FIG4, s_c=0.99, window_fraction=0.10)
 
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_closed_form_matches_tracked_bare_levels(self, schedule):
@@ -310,18 +298,17 @@ class TestDiabaticSlope:
         eps_i = sqrt(z_i^2 (1-s)^2 + x_i^2 s^2), over the whole sweep, so the
         fit to the closed form gives the slope of the tracked bare levels."""
         bare = schedule.with_(j_final=0.0, zz=0.0)
-        times = np.linspace(0.0, schedule.t_ad, 1001)
-        _, tracked_e, _ = _tracked_eigensystem(bare, times)
+        s = np.linspace(0.0, 1.0, 1001)
+        _, tracked_e, _ = _tracked_eigensystem(bare, s)
         tracked = tracked_e[:, 2] - tracked_e[:, 1]
-        s = times / schedule.t_ad
         closed = (np.hypot(schedule.z1 * (1 - s), schedule.x1 * s)
                   - np.hypot(schedule.z2 * (1 - s), schedule.x2 * s))
         assert min(np.max(np.abs(tracked - closed)), np.max(np.abs(tracked + closed))) <= 1e-12
 
-        _, t_c = min_gap(schedule)
-        window = np.abs(times - t_c) <= 0.05 * schedule.t_ad
-        fitted = abs(np.polyfit(times[window], tracked[window], 1)[0])
-        assert diabatic_slope(schedule, t_c=t_c) == pytest.approx(fitted, abs=1e-12)
+        _, s_c = min_gap(schedule)
+        window = np.abs(s - s_c) <= 0.05
+        fitted = abs(np.polyfit(s[window], tracked[window], 1)[0])
+        assert diabatic_slope(schedule, s_c=s_c) == pytest.approx(fitted, abs=1e-12)
 
 
 class TestLzProbability:
@@ -369,30 +356,30 @@ class TestLzProbability:
 
 class TestPassageFidelity:
     def test_adiabatic_run_stays_on_level(self):
-        traj = propagate_unitary(FIG3B, basis_state("01"), n_samples=40)
-        _, vectors = tracked_levels(FIG3B, traj.times)
+        traj = propagate_unitary(FIG3B, 30.0, basis_state("01"), n_samples=40)
+        _, vectors = tracked_levels(FIG3B, traj.times / 30.0)
         fid = passage_fidelity(traj.states, vectors, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-9)
         assert fid[-1] > 0.95
         assert fid.min() > 0.5
 
     def test_levels_partition_unity(self):
-        traj = propagate_unitary(FIG4, basis_state("01"), n_samples=20)
-        _, vectors = tracked_levels(FIG4, traj.times)
+        traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=20)
+        _, vectors = tracked_levels(FIG4, traj.times / 10.0)
         total = sum(passage_fidelity(traj.states, vectors, level=k) for k in (1, 2, 3, 4))
         assert np.allclose(total, 1.0, atol=1e-7)
 
     def test_mixed_state_variant(self):
-        traj = propagate_lindblad(FIG4, basis_state("01"), NoiseModel(),
+        traj = propagate_lindblad(FIG4, 10.0, basis_state("01"), NoiseModel(),
                                   n_samples=10)
-        _, vectors = tracked_levels(FIG4, traj.times)
+        _, vectors = tracked_levels(FIG4, traj.times / 10.0)
         fid = passage_fidelity(traj.states, vectors, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-6)
         assert np.all((fid >= -1e-9) & (fid <= 1 + 1e-9))
 
     def test_level_bounds(self):
-        traj = propagate_unitary(FIG4, basis_state("01"), n_samples=10)
-        _, vectors = tracked_levels(FIG4, traj.times)
+        traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=10)
+        _, vectors = tracked_levels(FIG4, traj.times / 10.0)
         for level in (0, 5):
             with pytest.raises(ValueError):
                 passage_fidelity(traj.states, vectors, level=level)
@@ -404,14 +391,14 @@ class TestLevelBookkeeping:
         for _ in range(100):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
-            t = rng.uniform(0, FIG4.t_ad)
-            pops = level_populations(psi, FIG4, t)
+            s = rng.uniform(0, 1)
+            pops = level_populations(psi, FIG4, s)
             assert pops.shape == (4,)
             assert np.all(pops >= -1e-12)
             assert np.sum(pops) == pytest.approx(1.0, abs=1e-9)
 
     def test_initial_levels_of_basis_states(self):
-        """At t = 0 the sweep Hamiltonian is diagonal and orders the basis
+        """At s = 0 the sweep Hamiltonian is diagonal and orders the basis
         states as 00 < 01 < 10 < 11."""
         _, _, vectors = levels_on_grid(FIG4, 51)
         expected = {"00": 1, "01": 2, "10": 3, "11": 4}
@@ -422,17 +409,12 @@ class TestLevelBookkeeping:
 
 class TestCrossingReport:
     def test_composition(self):
-        report = crossing_report(FIG4)
-        a, t_c = min_gap(FIG4)
-        assert report.a == pytest.approx(a, abs=1e-12)
-        assert report.t_c == pytest.approx(t_c, abs=1e-9)
-        alpha = diabatic_slope(FIG4, t_c=t_c)
-        assert report.alpha == pytest.approx(alpha, abs=1e-12)
-        assert report.p_diabatic == pytest.approx(
-            math.exp(-2 * math.pi * report.gamma), abs=1e-12)
+        a, s_c, slope = crossing_report(FIG4)
+        assert (a, s_c) == min_gap(FIG4)
+        assert slope == diabatic_slope(FIG4, s_c=s_c)
 
     def test_invariants_enforced(self):
-        report = crossing_report(FIG3B)
-        assert 0 <= report.p_diabatic <= 1
-        assert report.gamma >= 0
-        assert report.a >= 0
+        a, s_c, slope = crossing_report(FIG3B)
+        assert a >= 0
+        assert 0 < s_c < 1
+        assert slope > 0

@@ -299,9 +299,10 @@ class TestRoundTrip:
     def test_derived_objects(self):
         config = valid("[scenario]\nname = fig4\n")
         sched = config.schedule()
-        assert sched.t_ad == 5.0
-        assert sched.j_final == 1.3
-        assert config.schedule(20.0).t_ad == 20.0
+        assert (sched.z1, sched.z2, sched.x1, sched.x2) == (2.5, 1.5, 1.0, 7.3)
+        assert (sched.j_final, sched.zz) == (1.3, 0.2)
+        # The schedule is the sweep shape; each duration enters the propagators.
+        assert not hasattr(sched, "t_ad")
         assert config.noise_model() is None
         noisy = valid("[scenario]\nname = table1\n")
         model = noisy.noise_model()
@@ -315,6 +316,21 @@ class TestReadmeExample:
         section = readme.split("### Configuration format", 1)[1]
         block = section.split("```ini\n", 1)[1].split("```", 1)[0]
         assert valid(block).to_text() == preset_text("fig4")
+
+    def test_readme_library_block_runs(self):
+        """The README's library example runs as written on the fig4 sweep
+        shape: its gap and slope are those of the fig4 report."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        names: dict = {}
+        exec(block, names)
+        assert names["a"] == pytest.approx(0.2315, abs=1e-4)
+        assert names["s_c"] * names["t_ad"] == pytest.approx(3.2018, abs=1e-4)
+        assert names["slope"] == pytest.approx(7.2616, abs=1e-4)
+        assert 0.0 < names["p"] < 1.0
+        assert names["traj"].times[-1] == names["t_ad"] == 15.0
+        assert names["traj"].max_drift < 1e-6
 
 
 class TestLoadConfig:

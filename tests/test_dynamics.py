@@ -27,9 +27,10 @@ from adiasim.operators import X, Z, embed_1q, pauli_2q
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators
 
-FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2, t_ad=30.0)
+FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
 FIG4_KW = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
-ZERO_FIELD = ProtocolSchedule(z1=0.0, z2=0.0, x1=0.0, x2=0.0, t_ad=10.0)
+FIG4 = ProtocolSchedule(**FIG4_KW)
+ZERO_FIELD = ProtocolSchedule(z1=0.0, z2=0.0, x1=0.0, x2=0.0)
 DEFAULT_NOISE = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
 
 
@@ -57,16 +58,21 @@ def reference_pure(ham, t_ad, psi0, dt, n_samples):
     return np.array(states)
 
 
-def reference_lindblad(schedule, rho0, noise, dt, n_samples):
+def in_time(schedule, t_ad):
+    """H(t) of a sweep of duration t_ad, evaluated as H(s = t/t_ad)."""
+    return lambda t: schedule.hamiltonian(t / t_ad)
+
+
+def reference_lindblad(schedule, t_ad, rho0, noise, dt, n_samples):
     """Sampled states of the step-by-step RK4 loop on rho."""
-    times, steps, h = _sample_grid(schedule.t_ad, dt, n_samples)
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
     w = -2.0j * math.pi
     diss = _dissipator_matrix(noise)
 
     def rhs(h_mat, rho):
         return w * (h_mat @ rho - rho @ h_mat) + (diss @ rho.ravel()).reshape(4, 4)
 
-    ham = schedule.hamiltonian
+    ham = in_time(schedule, t_ad)
     rho = np.asarray(rho0, dtype=complex)
     states = [rho]
     for t0 in times[:-1]:
@@ -170,32 +176,32 @@ class TestNoiseModel:
 
 class TestUnitaryPropagation:
     def test_sample_grid(self):
-        traj = propagate_unitary(ZERO_FIELD, basis_state("00"), n_samples=25)
+        traj = propagate_unitary(ZERO_FIELD, 10.0, basis_state("00"), n_samples=25)
         assert traj.times.shape == (26,)
-        assert traj.times[0] == 0.0 and traj.times[-1] == ZERO_FIELD.t_ad
-        assert np.allclose(np.diff(traj.times), ZERO_FIELD.t_ad / 25)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 10.0
+        assert np.allclose(np.diff(traj.times), 10.0 / 25)
         assert traj.states.shape == (26, 4)
         assert not traj.is_mixed
 
     def test_norm_preserved_on_long_sweep(self):
-        traj = propagate_unitary(FIG3B, basis_state("01"), n_samples=40)
+        traj = propagate_unitary(FIG3B, 30.0, basis_state("01"), n_samples=40)
         assert traj.max_drift < 1e-6
 
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
-            propagate_unitary(ZERO_FIELD, 2.0 * basis_state("00"))
+            propagate_unitary(ZERO_FIELD, 10.0, 2.0 * basis_state("00"))
 
     def test_rejects_coarse_step(self):
         with pytest.raises(ValueError):
-            propagate_unitary(ZERO_FIELD, basis_state("00"), dt=0.2)
+            propagate_unitary(ZERO_FIELD, 10.0, basis_state("00"), dt=0.2)
 
     def test_step_too_large_on_stiff_problem(self):
-        stiff = ProtocolSchedule(z1=400.0, z2=1.0, x1=1.0, x2=1.0, t_ad=1.0)
+        stiff = ProtocolSchedule(z1=400.0, z2=1.0, x1=1.0, x2=1.0)
         with pytest.raises(StepTooLarge):
-            propagate_unitary(stiff, basis_state("00"), dt=0.01, n_samples=20)
+            propagate_unitary(stiff, 1.0, basis_state("00"), dt=0.01, n_samples=20)
 
     def test_energy_conserved_for_constant_hamiltonian(self):
-        h0 = FIG3B.hamiltonian(12.0)
+        h0 = FIG3B.hamiltonian(0.4)
         rng = np.random.default_rng(21)
         for _ in range(5):
             psi0 = random_pure_state(rng)
@@ -227,9 +233,8 @@ class TestUnitaryPropagation:
     def test_halving_dt_settles_fidelity(self):
         """At the default step the result is converged: halving dt moves the
         (normalized) final-state fidelity by less than 1e-8."""
-        sch = ProtocolSchedule(t_ad=10.0, **FIG4_KW)
-        a = propagate_unitary(sch, basis_state("01"), dt=0.002, n_samples=10).final_state
-        b = propagate_unitary(sch, basis_state("01"), dt=0.001, n_samples=10).final_state
+        a = propagate_unitary(FIG4, 10.0, basis_state("01"), dt=0.002, n_samples=10).final_state
+        b = propagate_unitary(FIG4, 10.0, basis_state("01"), dt=0.001, n_samples=10).final_state
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         assert 1.0 - abs(np.vdot(a, b)) ** 2 < 1e-8
@@ -237,20 +242,19 @@ class TestUnitaryPropagation:
     def test_convergence_order_is_fourth(self):
         """Errors of the dt and dt/2 runs, measured against a dt/4 reference,
         shrink by ~2^4."""
-        sch = ProtocolSchedule(t_ad=5.0, **FIG4_KW)
         psi0 = basis_state("01")
-        ref = propagate_unitary(sch, psi0, dt=0.0005, n_samples=4).final_state
+        ref = propagate_unitary(FIG4, 5.0, psi0, dt=0.0005, n_samples=4).final_state
         err1 = np.linalg.norm(
-            propagate_unitary(sch, psi0, dt=0.002, n_samples=4).final_state - ref)
+            propagate_unitary(FIG4, 5.0, psi0, dt=0.002, n_samples=4).final_state - ref)
         err2 = np.linalg.norm(
-            propagate_unitary(sch, psi0, dt=0.001, n_samples=4).final_state - ref)
+            propagate_unitary(FIG4, 5.0, psi0, dt=0.001, n_samples=4).final_state - ref)
         order = math.log2(err1 / err2)
         assert 3.5 <= order <= 4.5
 
 
 class TestLindbladPropagation:
     def test_pure_input_becomes_projector(self):
-        traj = propagate_lindblad(ZERO_FIELD, basis_state("01"), NoiseModel(),
+        traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("01"), NoiseModel(),
                                   n_samples=4)
         assert traj.is_mixed
         rho0 = traj.states[0]
@@ -259,11 +263,10 @@ class TestLindbladPropagation:
     def test_rejects_bad_density_matrix(self):
         bad = np.eye(4, dtype=complex)  # trace 4
         with pytest.raises(ValueError):
-            propagate_lindblad(ZERO_FIELD, bad, NoiseModel(), n_samples=4)
+            propagate_lindblad(ZERO_FIELD, 10.0, bad, NoiseModel(), n_samples=4)
 
     def test_trace_and_hermiticity_preserved(self):
-        traj = propagate_lindblad(FIG3B.with_(t_ad=6.0), basis_state("11"),
-                                  DEFAULT_NOISE, n_samples=12)
+        traj = propagate_lindblad(FIG3B, 6.0, basis_state("11"), DEFAULT_NOISE, n_samples=12)
         for rho in traj.states:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
@@ -274,7 +277,7 @@ class TestLindbladPropagation:
         true inverse time, with no 2 pi factor."""
         t1 = 8.0
         noise = NoiseModel(t1=t1, t2=2 * t1, n_th=0.0)
-        traj = propagate_lindblad(ZERO_FIELD, basis_state("01"), noise, n_samples=20)
+        traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("01"), noise, n_samples=20)
         for t, rho in zip(traj.times, traj.states):
             expected = math.exp(-t / t1)
             assert rho[1, 1].real == pytest.approx(expected, rel=1e-4)
@@ -285,7 +288,7 @@ class TestLindbladPropagation:
         t2 = 7.0
         noise = NoiseModel(t1=(math.inf, math.inf), t2=(t2, t2), n_th=0.0)
         plus = (basis_state("00") + basis_state("01")) / math.sqrt(2)
-        traj = propagate_lindblad(ZERO_FIELD, plus, noise, n_samples=20)
+        traj = propagate_lindblad(ZERO_FIELD, 10.0, plus, noise, n_samples=20)
         diag0 = np.diag(traj.states[0]).real
         for t, rho in zip(traj.times, traj.states):
             assert np.allclose(np.diag(rho).real, diag0, atol=1e-10)
@@ -296,7 +299,7 @@ class TestLindbladPropagation:
         population n_th / (1 + 2 n_th)."""
         nth = 0.05
         noise = NoiseModel(t1=1.0, t2=2.0, n_th=nth)
-        traj = propagate_lindblad(ZERO_FIELD, basis_state("00"), noise,
+        traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("00"), noise,
                                   dt=0.002, n_samples=10)
         rho_end = traj.final_state
         expected = nth / (1 + 2 * nth)
@@ -306,9 +309,8 @@ class TestLindbladPropagation:
         assert p2 == pytest.approx(expected, abs=1e-4)
 
     def test_matches_unitary_when_noise_off(self):
-        sch = ProtocolSchedule(t_ad=5.0, **FIG4_KW)
-        pure = propagate_unitary(sch, basis_state("01"), n_samples=10)
-        mixed = propagate_lindblad(sch, basis_state("01"), NoiseModel(),
+        pure = propagate_unitary(FIG4, 5.0, basis_state("01"), n_samples=10)
+        mixed = propagate_lindblad(FIG4, 5.0, basis_state("01"), NoiseModel(),
                                    n_samples=10)
         # The two integrators discretize different equations, so they agree
         # only to the step error, not exactly.
@@ -322,10 +324,9 @@ class TestLindbladPropagation:
         gets longer (more time to decohere)."""
         magnitudes = []
         for t_ad in (5.0, 10.0, 20.0, 30.0):
-            sch = ProtocolSchedule(t_ad=t_ad, **FIG4_KW)
-            traj = propagate_lindblad(sch, basis_state("11"), DEFAULT_NOISE,
+            traj = propagate_lindblad(FIG4, t_ad, basis_state("11"), DEFAULT_NOISE,
                                       n_samples=10)
-            terms = energy_terms(measure_correlators(traj.final_state[None]), sch, [t_ad])[0]
+            terms = energy_terms(measure_correlators(traj.final_state[None]), FIG4, [1.0])[0]
             magnitudes.append(dict(zip(ENERGY_TERMS, np.abs(terms))))
         for key in magnitudes[0]:
             seq = [m[key] for m in magnitudes]
@@ -341,20 +342,18 @@ class TestAgainstStepLoop:
         yield
         dynamics._schedule_maps.cache_clear()
 
-    @pytest.mark.parametrize("schedule", [ProtocolSchedule(t_ad=5.0, **FIG4_KW)],
-                             ids=["linear"])
+    @pytest.mark.parametrize("schedule", [FIG4], ids=["linear"])
     def test_unitary(self, schedule):
         psi0 = basis_state("01")
-        traj = propagate_unitary(schedule, psi0, dt=0.002, n_samples=10)
-        ref = reference_pure(schedule.hamiltonian, schedule.t_ad, psi0, 0.002, 10)
+        traj = propagate_unitary(schedule, 5.0, psi0, dt=0.002, n_samples=10)
+        ref = reference_pure(in_time(schedule, 5.0), 5.0, psi0, 0.002, 10)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
     def test_lindblad(self):
-        schedule = ProtocolSchedule(t_ad=3.0, **FIG4_KW)
         noise = NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0), n_th=(0.02, 0.05))
         rho0 = np.outer(basis_state("11"), basis_state("11"))
-        traj = propagate_lindblad(schedule, rho0, noise, dt=0.002, n_samples=6)
-        ref = reference_lindblad(schedule, rho0, noise, 0.002, 6)
+        traj = propagate_lindblad(FIG4, 3.0, rho0, noise, dt=0.002, n_samples=6)
+        ref = reference_lindblad(FIG4, 3.0, rho0, noise, 0.002, 6)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
     def test_custom(self):
@@ -367,28 +366,24 @@ class TestAgainstStepLoop:
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
     def test_interval_spanning_several_batches(self, monkeypatch):
-        schedule = ProtocolSchedule(t_ad=2.0, **FIG4_KW)
         psi0 = basis_state("10")
-        ref = reference_pure(schedule.hamiltonian, 2.0, psi0, 0.002, 3)
+        ref = reference_pure(in_time(FIG4, 2.0), 2.0, psi0, 0.002, 3)
         # 334 steps per interval: two full batches of 128 and one of 78.
         monkeypatch.setattr(dynamics, "_BATCH_STEPS", 128)
-        traj = propagate_unitary(schedule, psi0, dt=0.002, n_samples=3)
+        traj = propagate_unitary(FIG4, 2.0, psi0, dt=0.002, n_samples=3)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
         noise = NoiseModel(t1=20.0, t2=15.0, n_th=0.02)
         monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
-        mixed = propagate_lindblad(schedule.with_(t_ad=0.3), psi0, noise,
-                                   dt=0.002, n_samples=2)
-        ref_mixed = reference_lindblad(schedule.with_(t_ad=0.3),
-                                       np.outer(psi0, psi0.conj()), noise, 0.002, 2)
+        mixed = propagate_lindblad(FIG4, 0.3, psi0, noise, dt=0.002, n_samples=2)
+        ref_mixed = reference_lindblad(FIG4, 0.3, np.outer(psi0, psi0.conj()), noise, 0.002, 2)
         assert np.max(np.abs(mixed.states - ref_mixed)) <= 1e-12
 
     def test_states_sharing_one_schedule_match_independent_runs(self):
-        schedule = ProtocolSchedule(t_ad=5.0, **FIG4_KW)
-        shared = {label: propagate_unitary(schedule, basis_state(label), n_samples=10)
+        shared = {label: propagate_unitary(FIG4, 5.0, basis_state(label), n_samples=10)
                   for label in BASIS_LABELS}
         for label in BASIS_LABELS:
             dynamics._schedule_maps.cache_clear()
-            alone = propagate_unitary(schedule, basis_state(label), n_samples=10)
+            alone = propagate_unitary(FIG4, 5.0, basis_state(label), n_samples=10)
             assert np.array_equal(alone.states, shared[label].states)
             assert np.array_equal(alone.times, shared[label].times)
 
@@ -425,25 +420,25 @@ class TestStepPolynomial:
                                                         n_th=(0.02, 0.05))],
                              ids=["schrodinger", "lindblad"])
     def test_matches_steps_from_stage_generators(self, noise):
-        schedule = ProtocolSchedule(t_ad=5.0, **FIG4_KW)
+        t_ad = 5.0
         h = 0.002
         w = -2.0j * math.pi
         eye = np.eye(4)
 
         def generator(t):
-            ham = schedule.hamiltonian(t)
+            ham = FIG4.hamiltonian(t / t_ad)
             if noise is None:
                 return w * ham
             return (w * (np.kron(ham, eye) - np.kron(eye, ham.T))
                     + _dissipator_matrix(noise))
 
-        g0, g1 = generator(0.0), generator(schedule.t_ad) - generator(0.0)
-        poly = _step_polynomial(g0, g1, h, h / schedule.t_ad)
+        g0, g1 = generator(0.0), generator(t_ad) - generator(0.0)
+        poly = _step_polynomial(g0, g1, h, h / t_ad)
         # Step starts: the last step ends at s = 1.
-        s = np.random.default_rng(21).uniform(0.0, 1.0 - h / schedule.t_ad, size=20)
+        s = np.random.default_rng(21).uniform(0.0, 1.0 - h / t_ad, size=20)
         powers = np.vander(s, 5, increasing=True)
         steps = np.eye(len(g0)) + np.einsum("nk,kij->nij", powers, poly)
         for s_n, step in zip(s, steps):
-            t = s_n * schedule.t_ad
+            t = s_n * t_ad
             gens = np.stack([generator(t), generator(t + 0.5 * h), generator(t + h)])
             assert np.max(np.abs(step - _step_matrices(gens, h)[0])) <= 1e-14

@@ -8,7 +8,6 @@ import pytest
 from adiasim.mitigation import (
     DegenerateAbscissae,
     MitigatedEnergy,
-    SchedulesMismatch,
     extrapolate_quadratic,
     mitigate_energy,
 )
@@ -26,8 +25,7 @@ def make_row(values: dict) -> np.ndarray:
     return np.array([values.get(label, 0.0) for label in CORRELATOR_LABELS])
 
 
-def schedules() -> list[ProtocolSchedule]:
-    return [ProtocolSchedule(t_ad=t_ad, **FIG4_KW) for t_ad in T_AD_GRID]
+SCHEDULE = ProtocolSchedule(**FIG4_KW)
 
 
 class TestExtrapolateQuadratic:
@@ -87,10 +85,9 @@ class TestMitigateEnergy:
     def test_noise_free_runs_change_nothing(self):
         """Identical correlators at every duration extrapolate to themselves."""
         values = {"XI": 0.3, "IX": -0.4, "XX": 0.2, "YY": 0.1}
-        runs = schedules()
-        rows = np.array([make_row(values)] * len(runs))
-        result = mitigate_energy(runs, rows)
-        single = energy_terms(rows[:1], runs[0], [runs[0].t_ad]).sum()
+        rows = np.array([make_row(values)] * len(T_AD_GRID))
+        result = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
+        single = energy_terms(rows[:1], SCHEDULE, [1.0]).sum()
         assert result.energy == pytest.approx(single, abs=1e-9)
         assert result.measured[5.0] == pytest.approx(single, abs=1e-12)
 
@@ -99,14 +96,13 @@ class TestMitigateEnergy:
         their zero-duration values exactly."""
         zero_values = {"XI": 0.5, "IX": -0.8, "XX": 0.3, "YY": 0.25}
         decay = {"XI": 0.01, "IX": 0.02, "XX": 0.005, "YY": 0.004}
-        runs = schedules()
         rows = np.array([
             make_row({k: zero_values[k] * (1.0 - decay[k] * t_ad + 1e-4 * t_ad**2)
                       for k in zero_values})
             for t_ad in T_AD_GRID
         ])
-        result = mitigate_energy(runs, rows)
-        sch0 = runs[0]
+        result = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
+        sch0 = SCHEDULE
         expected = (
             0.5 * sch0.x1 * zero_values["XI"]
             + 0.5 * sch0.x2 * zero_values["IX"]
@@ -122,43 +118,30 @@ class TestMitigateEnergy:
                 make_row({k: rng.uniform(-0.9, 0.9) for k in ("XI", "IX", "XX", "YY")})
                 for _ in T_AD_GRID
             ])
-            result = mitigate_energy(schedules(), rows)
+            result = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
             assert result.energy == pytest.approx(
                 sum(result.contributions.values()), abs=1e-9)
 
-    def test_shape_mismatch_rejected(self):
-        # Each change moves H(s) = h0 + s*h1: x2 and j_final enter h1, zz h0.
-        for change in ({"x2": 4.1}, {"zz": 0.0}, {"j_final": 1.7}):
-            runs = [
-                ProtocolSchedule(t_ad=5.0, **FIG4_KW),
-                ProtocolSchedule(t_ad=10.0, **{**FIG4_KW, **change}),
-                ProtocolSchedule(t_ad=20.0, **FIG4_KW),
-            ]
-            with pytest.raises(SchedulesMismatch):
-                mitigate_energy(runs, np.zeros((3, len(CORRELATOR_LABELS))))
-
     def test_rows_must_match_schedules(self):
-        """One row of all ten correlators per schedule, or ValueError."""
-        runs = schedules()
+        """One row of all ten correlators per duration, or ValueError."""
+        n = len(T_AD_GRID)
         width = len(CORRELATOR_LABELS)
-        for shape in ((len(runs) - 1, width), (len(runs) + 1, width),
-                      (len(runs), width - 2), (len(runs), width + 1), (width,)):
-            with pytest.raises(ValueError, match="one correlator row per schedule"):
-                mitigate_energy(runs, np.zeros(shape))
+        for shape in ((n - 1, width), (n + 1, width), (n, width - 2), (n, width + 1), (width,)):
+            with pytest.raises(ValueError, match="one correlator row per duration"):
+                mitigate_energy(SCHEDULE, T_AD_GRID, np.zeros(shape))
         with pytest.raises(ValueError, match="no runs"):
-            mitigate_energy([], np.zeros((0, width)))
+            mitigate_energy(SCHEDULE, [], np.zeros((0, width)))
 
     def test_regime_change_warning(self):
-        runs = schedules()
-        rows = np.array([make_row({"IX": 0.1})] * len(runs))
+        rows = np.array([make_row({"IX": 0.1})] * len(T_AD_GRID))
         fids = {5.0: 0.30, 10.0: 0.49, 20.0: 0.76, 30.0: 0.88}
-        flagged = mitigate_energy(runs, rows, passage_fidelities=fids)
+        flagged = mitigate_energy(SCHEDULE, T_AD_GRID, rows, passage_fidelities=fids)
         assert flagged.warning is not None
         assert "0.5" in flagged.warning
         all_adiabatic = {t: 0.9 for t in T_AD_GRID}
-        clean = mitigate_energy(runs, rows, passage_fidelities=all_adiabatic)
+        clean = mitigate_energy(SCHEDULE, T_AD_GRID, rows, passage_fidelities=all_adiabatic)
         assert clean.warning is None
-        assert mitigate_energy(runs, rows).warning is None
+        assert mitigate_energy(SCHEDULE, T_AD_GRID, rows).warning is None
 
     def test_sum_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -170,7 +153,7 @@ class TestMitigateEnergy:
         sit at or above the largest measurement.  This is reported, not
         asserted, because quadratic fits can undershoot on non-convex data."""
         rows = np.array([make_row({"IX": 0.9 * math.exp(-t_ad / 20.0)}) for t_ad in T_AD_GRID])
-        result = mitigate_energy(schedules(), rows)
+        result = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
         largest = max(abs(v) for v in result.measured.values())
         print(f"soft check: |extrapolated| = {abs(result.energy):.6f}, "
               f"largest measured = {largest:.6f}, "

@@ -128,23 +128,24 @@ class TestOneEigensystemPerSweep:
 
     @pytest.mark.parametrize("name, t_ads", [("fig4", (2.0, 4.0)), ("table1", (1.0, 2.0, 3.0))])
     def test_shared_levels_match_each_durations_own(self, tmp_path, name, t_ads):
-        """The e1..e4 and fidelity columns of every duration equal those of
-        levels tracked on that duration's own schedule and 101-point grid."""
+        """The e1..e4 and fidelity columns of every duration, read from levels
+        tracked once on s = linspace(0, 1), equal those of levels tracked on
+        that duration's own trajectory times t / t_ad."""
         config = make_config(
             f"[scenario]\nname = {name}\n\n[schedule]\nt_ad = {', '.join(map(str, t_ads))}\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         noise = config.noise_model()
+        schedule = config.schedule()
         for t_ad in t_ads:
             table = read_columns(tmp_path / f"{name}_trace_tad{t_ad:g}.csv")
-            schedule = config.schedule(t_ad)
-            energies, vectors = tracked_levels(schedule, np.linspace(0.0, t_ad, 5))
+            energies, vectors = tracked_levels(schedule, np.linspace(0.0, t_ad, 5) / t_ad)
             for k in range(4):
                 assert np.max(np.abs(table[f"e{k + 1}_mhz"] - energies[:, k])) <= 1e-12
             for label in config.initial_states:
                 psi0 = basis_state(label)
-                traj = (propagate_unitary(schedule, psi0, 0.005, 4) if noise is None
-                        else propagate_lindblad(schedule, psi0, noise, 0.005, 4))
+                traj = (propagate_unitary(schedule, t_ad, psi0, 0.005, 4) if noise is None
+                        else propagate_lindblad(schedule, t_ad, psi0, noise, 0.005, 4))
                 level = int(np.argmax(np.abs(vectors[0].conj().T @ psi0) ** 2)) + 1
                 fidelity = passage_fidelity(traj.states, vectors, level)
                 assert np.max(np.abs(table[f"fidelity_{label}"] - fidelity)) <= 1e-12

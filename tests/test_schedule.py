@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from adiasim.dynamics import NoiseModel, basis_state, propagate_custom, propagate_lindblad, propagate_unitary
 from adiasim.operators import I2, X, Y, Z, embed_1q, pauli_2q
 from adiasim.schedule import (
     ProtocolSchedule,
@@ -15,15 +16,14 @@ from adiasim.schedule import (
 
 N_RANDOM = 120
 
-FIG4_KW = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2, t_ad=10.0)
+FIG4_KW = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
 
 
-def explicit_hamiltonian(sch: ProtocolSchedule, t: float) -> np.ndarray:
+def explicit_hamiltonian(sch: ProtocolSchedule, s: float) -> np.ndarray:
     """Independent construction of the sweep Hamiltonian from raw kron calls."""
-    s = t / sch.t_ad
     h = (1.0 - s) * 0.5 * (sch.z1 * np.kron(Z, I2) + sch.z2 * np.kron(I2, Z))
     h = h + s * 0.5 * (sch.x1 * np.kron(X, I2) + sch.x2 * np.kron(I2, X))
-    h = h + (t / sch.t_ad) * sch.j_final * 0.25 * (np.kron(X, X) + np.kron(Y, Y))
+    h = h + s * sch.j_final * 0.25 * (np.kron(X, X) + np.kron(Y, Y))
     h = h + sch.zz * 0.25 * np.kron(Z, Z)
     return h
 
@@ -36,7 +36,6 @@ def random_schedule(rng: np.random.Generator) -> ProtocolSchedule:
         x2=rng.uniform(-8, 8),
         j_final=rng.uniform(-3, 3),
         zz=rng.uniform(-0.5, 0.5),
-        t_ad=rng.uniform(1.0, 40.0),
     )
 
 
@@ -46,7 +45,7 @@ class TestProtocolSchedule:
         h0 = sch.hamiltonian(0.0)
         expected0 = 0.5 * (2.5 * pauli_2q("ZI") + 1.5 * pauli_2q("IZ")) + 0.05 * pauli_2q("ZZ")
         assert np.allclose(h0, expected0, atol=1e-14)
-        h1 = sch.hamiltonian(sch.t_ad)
+        h1 = sch.hamiltonian(1.0)
         expected1 = (
             0.5 * (1.0 * pauli_2q("XI") + 7.3 * pauli_2q("IX"))
             + 1.3 * 0.25 * (pauli_2q("XX") + pauli_2q("YY"))
@@ -57,49 +56,59 @@ class TestProtocolSchedule:
     def test_linear_coupling_ramp(self):
         sch = ProtocolSchedule(**FIG4_KW)
         xx = pauli_2q("XX")
-        # The XX coefficient Tr(XX H)/4 of H(t) is j(t)/4.
-        for t, j in ((0.0, 0.0), (5.0, 0.65), (10.0, 1.3)):
-            assert np.trace(xx @ sch.hamiltonian(t)).real / 4 == pytest.approx(j / 4)
+        # The XX coefficient Tr(XX H)/4 of H(s) is j(s)/4.
+        for s, j in ((0.0, 0.0), (0.5, 0.65), (1.0, 1.3)):
+            assert np.trace(xx @ sch.hamiltonian(s)).real / 4 == pytest.approx(j / 4)
 
     def test_matches_explicit_construction(self):
         rng = np.random.default_rng(11)
         for _ in range(N_RANDOM):
             sch = random_schedule(rng)
-            t = rng.uniform(0.0, sch.t_ad)
-            h = sch.hamiltonian(t)
-            assert np.allclose(h, explicit_hamiltonian(sch, t), atol=1e-12)
+            s = rng.uniform(0.0, 1.0)
+            h = sch.hamiltonian(s)
+            assert np.allclose(h, explicit_hamiltonian(sch, s), atol=1e-12)
             assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     def test_time_window(self):
         sch = ProtocolSchedule(**FIG4_KW)
-        with pytest.raises(TimeOutOfRange):
-            sch.hamiltonian(-0.5)
-        with pytest.raises(TimeOutOfRange):
-            sch.hamiltonian(10.5)
+        for bad in (-0.05, 1.05, math.nan):
+            with pytest.raises(TimeOutOfRange):
+                sch.hamiltonian(bad)
         # Tiny numerical overshoot of the endpoints is tolerated.
-        sch.hamiltonian(10.0 + 1e-12)
+        sch.hamiltonian(1.0 + 1e-12)
         sch.hamiltonian(-1e-14)
-        with pytest.raises(TimeOutOfRange):
-            sch.hamiltonians(np.array([0.0, 5.0, 10.5]))
-        assert sch.hamiltonians(np.array([-1e-14, 10.0 + 1e-12])).shape == (2, 4, 4)
+        for bad in (1.05, math.nan):
+            with pytest.raises(TimeOutOfRange):
+                sch.hamiltonian(np.array([0.0, 0.5, bad]))
+        assert sch.hamiltonian(np.array([-1e-14, 1.0 + 1e-12])).shape == (2, 4, 4)
 
     def test_stacked_hamiltonians_match_scalar(self):
         rng = np.random.default_rng(12)
         for sch in [random_schedule(rng) for _ in range(10)]:
-            times = np.sort(rng.uniform(0.0, sch.t_ad, size=50))
-            stack = sch.hamiltonians(times)
-            scalar = np.array([sch.hamiltonian(t) for t in times])
+            s = np.sort(rng.uniform(0.0, 1.0, size=50))
+            stack = sch.hamiltonian(s)
+            scalar = np.array([sch.hamiltonian(float(v)) for v in s])
             assert np.array_equal(stack, scalar)
 
     def test_requires_positive_duration(self):
-        with pytest.raises(ValueError):
-            ProtocolSchedule(z1=1, z2=1, x1=1, x2=1, t_ad=0.0)
+        """A schedule has no duration; every propagator requires a positive,
+        finite one, even with a step small enough for it."""
+        sch = ProtocolSchedule(z1=1, z2=1, x1=1, x2=1)
+        psi0 = basis_state("01")
+        for t_ad in (0.0, -1.0, math.inf, math.nan):
+            runs = (lambda: propagate_unitary(sch, t_ad, psi0, 1e-16, 4),
+                    lambda: propagate_lindblad(sch, t_ad, psi0, NoiseModel(), 1e-16, 4),
+                    lambda: propagate_custom(lambda t: sch.h0, t_ad, psi0, 1e-16, 4))
+            for run in runs:
+                with pytest.raises(ValueError, match="t_ad must be positive and finite"):
+                    run()
 
     def test_with_replaces_fields(self):
         sch = ProtocolSchedule(**FIG4_KW)
-        other = sch.with_(t_ad=20.0)
-        assert other.t_ad == 20.0
-        assert other.with_(t_ad=10.0) == sch
+        other = sch.with_(zz=0.0, j_final=2.0)
+        assert (other.zz, other.j_final) == (0.0, 2.0)
+        assert not np.array_equal(other.h1, sch.h1)
+        assert other.with_(zz=0.2, j_final=1.3) == sch
 
 
 class TestFrames:
@@ -119,12 +128,12 @@ class TestFrames:
     def test_chirped_frame_structure(self):
         """The chirped frame is the sweep schedule with qubit 1 idle:
         (1 - s) z/2 Z + s x/2 X on qubit 2."""
-        z, x, t_ad = 3.0, 2.7, 10.0
-        ham = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x, t_ad=t_ad).hamiltonian
+        z, x = 3.0, 2.7
+        ham = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x).hamiltonian
         assert np.allclose(ham(0.0), 0.5 * z * embed_1q(Z, 2), atol=1e-15)
-        assert np.allclose(ham(t_ad / 2), 0.25 * z * embed_1q(Z, 2) + 0.25 * x * embed_1q(X, 2),
+        assert np.allclose(ham(0.5), 0.25 * z * embed_1q(Z, 2) + 0.25 * x * embed_1q(X, 2),
                            atol=1e-15)
-        assert np.allclose(ham(t_ad), 0.5 * x * embed_1q(X, 2), atol=1e-15)
+        assert np.allclose(ham(1.0), 0.5 * x * embed_1q(X, 2), atol=1e-15)
 
     def test_constant_frame_structure(self):
         """In the constant-frequency frame the transverse field rotates with
@@ -151,15 +160,15 @@ class TestFrames:
         assert stack.shape == (41, 4, 4)
         assert ham(2.5).shape == (4, 4)
         assert np.max(np.abs(stack - np.stack([ham(float(t)) for t in times]))) <= 1e-15
-        for bad in ([-0.1, 1.0], [1.0, t_ad + 0.1]):
+        for bad in ([-0.1, 1.0], [1.0, t_ad + 0.1], [1.0, math.nan]):
             with pytest.raises(TimeOutOfRange):
                 ham(np.array(bad))
 
     def test_qubit_one_embedding(self):
         """With z2 = x2 = 0 the same sweep runs on qubit 1."""
-        z, x, t_ad = 3.0, 2.7, 10.0
-        ham = ProtocolSchedule(z1=z, z2=0.0, x1=x, x2=0.0, t_ad=t_ad).hamiltonian
+        z, x = 3.0, 2.7
+        ham = ProtocolSchedule(z1=z, z2=0.0, x1=x, x2=0.0).hamiltonian
         assert np.allclose(ham(0.0), 0.5 * z * embed_1q(Z, 1), atol=1e-15)
-        assert np.allclose(ham(t_ad / 2), 0.25 * z * embed_1q(Z, 1) + 0.25 * x * embed_1q(X, 1),
+        assert np.allclose(ham(0.5), 0.25 * z * embed_1q(Z, 1) + 0.25 * x * embed_1q(X, 1),
                            atol=1e-15)
-        assert np.allclose(ham(t_ad), 0.5 * x * embed_1q(X, 1), atol=1e-15)
+        assert np.allclose(ham(1.0), 0.5 * x * embed_1q(X, 1), atol=1e-15)

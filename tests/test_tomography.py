@@ -28,10 +28,9 @@ from adiasim.tomography import (
 
 N_RANDOM = 100
 
-FIG3_SCHEDULE = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7,
-                                 zz=0.2, t_ad=30.0)
-FIG4_SCHEDULE = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3,
-                                 zz=0.2, t_ad=10.0)
+FIG3_SCHEDULE = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
+FIG4_SCHEDULE = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
+T_AD = {FIG3_SCHEDULE: 30.0, FIG4_SCHEDULE: 10.0}
 PSI0 = (basis_state("01") + 1j * basis_state("10")) / math.sqrt(2)
 
 
@@ -44,7 +43,7 @@ def random_schedule(rng: np.random.Generator) -> ProtocolSchedule:
     return ProtocolSchedule(
         z1=rng.uniform(-5, 5), z2=rng.uniform(-5, 5),
         x1=rng.uniform(-8, 8), x2=rng.uniform(-8, 8),
-        j_final=rng.uniform(-3, 3), zz=0.0, t_ad=rng.uniform(1.0, 40.0),
+        j_final=rng.uniform(-3, 3), zz=0.0,
     )
 
 
@@ -63,9 +62,9 @@ def direct(state: np.ndarray, label: str) -> float:
     return float(np.vdot(state, pauli_2q(label) @ state).real)
 
 
-def energy(state: np.ndarray, sch: ProtocolSchedule, t: float) -> float:
-    """Estimated E/h of one state at time t: the row sum of its six terms."""
-    return float(energy_terms(measure_correlators(np.asarray(state)[None]), sch, [t]).sum())
+def energy(state: np.ndarray, sch: ProtocolSchedule, s: float) -> float:
+    """Estimated E/h of one state at sweep point s: the row sum of its six terms."""
+    return float(energy_terms(measure_correlators(np.asarray(state)[None]), sch, [s]).sum())
 
 
 class TestExpectation:
@@ -190,9 +189,8 @@ class TestTomogram:
             measure_correlators(math.sqrt(1.5) * plus0[None])
 
 
-def reference_energy(values: dict, sch: ProtocolSchedule, t: float) -> dict:
+def reference_energy(values: dict, sch: ProtocolSchedule, s: float) -> dict:
     """The six estimator terms written out from the schedule's parameters."""
-    s = t / sch.t_ad
     j = s * sch.j_final
     return {
         "z1": (1.0 - s) * 0.5 * sch.z1 * values["ZI"],
@@ -208,7 +206,7 @@ class TestCorrelatorArrays:
     OPS = [pauli_2q(label) for label in CORRELATOR_LABELS]
 
     def test_pure_trajectory_matches_per_state_loop(self):
-        traj = propagate_unitary(FIG4_SCHEDULE, PSI0, 0.01, 50)
+        traj = propagate_unitary(FIG4_SCHEDULE, 10.0, PSI0, 0.01, 50)
         values = measure_correlators(traj.states)
         assert values.shape == (51, len(CORRELATOR_LABELS))
         loop = [[np.vdot(psi, op @ psi).real for op in self.OPS] for psi in traj.states]
@@ -216,7 +214,7 @@ class TestCorrelatorArrays:
 
     def test_mixed_trajectory_matches_per_state_loop(self):
         noise = NoiseModel(t1=5.0, t2=4.0, n_th=0.05)
-        traj = propagate_lindblad(FIG4_SCHEDULE, PSI0, noise, 0.01, 50)
+        traj = propagate_lindblad(FIG4_SCHEDULE, 10.0, PSI0, noise, 0.01, 50)
         values = measure_correlators(traj.states)
         loop = [[np.trace(op @ rho).real for op in self.OPS] for rho in traj.states]
         assert np.max(np.abs(values - loop)) <= 1e-12
@@ -248,7 +246,7 @@ class TestCorrelatorArrays:
         config, errors = validate_config("[scenario]\nname = fig4\n\n"
                                          "[simulation]\nshots = 500\nseed = 17\n")
         assert errors == []
-        traj = propagate_unitary(FIG4_SCHEDULE, PSI0, 0.01, 20)
+        traj = propagate_unitary(FIG4_SCHEDULE, 10.0, PSI0, 0.01, 20)
         columns = _measure(config, traj.states, 2, 1)
         p_plus = np.clip(0.5 * (1.0 + measure_correlators(traj.states)), 0.0, 1.0)
         assert p_plus.shape == (21, len(CORRELATOR_LABELS))
@@ -257,11 +255,12 @@ class TestCorrelatorArrays:
 
     @pytest.mark.parametrize("sch", [FIG4_SCHEDULE, FIG3_SCHEDULE], ids=["fig4", "fig3b"])
     def test_energy_terms_match_reference_formula(self, sch):
-        traj = propagate_unitary(sch, PSI0, 0.01, 40)
+        t_ad = T_AD[sch]
+        traj = propagate_unitary(sch, t_ad, PSI0, 0.01, 40)
         values = measure_correlators(traj.states)
-        terms = energy_terms(values, sch, traj.times)
+        terms = energy_terms(values, sch, traj.times / t_ad)
         for row, t, term_row in zip(values, traj.times, terms):
-            reference = reference_energy(dict(zip(CORRELATOR_LABELS, row)), sch, t)
+            reference = reference_energy(dict(zip(CORRELATOR_LABELS, row)), sch, t / t_ad)
             assert np.max(np.abs(term_row - [reference[k] for k in ENERGY_TERMS])) <= 1e-12
             assert abs(term_row.sum() - sum(reference.values())) <= 1e-12
 
@@ -271,26 +270,26 @@ class TestEnergyEstimate:
         assert energy(basis_state("00"), FIG3_SCHEDULE, 0.0) == pytest.approx(-2.0)
 
     def test_contributions_sum_to_energy(self):
-        """With zz = 0 the six terms sum to <psi|H(t)|psi>."""
+        """With zz = 0 the six terms sum to <psi|H(s)|psi>."""
         assert ENERGY_TERMS == ("z1", "z2", "x1", "x2", "xx", "yy")
         rng = np.random.default_rng(36)
         for _ in range(N_RANDOM):
             sch = random_schedule(rng)
-            t = rng.uniform(0, sch.t_ad)
+            s = rng.uniform(0, 1)
             psi = random_pure_state(rng)
-            terms = energy_terms(measure_correlators(psi[None]), sch, [t])
+            terms = energy_terms(measure_correlators(psi[None]), sch, [s])
             assert terms.shape == (1, len(ENERGY_TERMS))
-            expected = (psi.conj() @ sch.hamiltonian(t) @ psi).real
+            expected = (psi.conj() @ sch.hamiltonian(s) @ psi).real
             assert expected == pytest.approx(terms.sum(), abs=1e-9)
 
     def test_eigenstate_reproduces_eigenvalue_when_zz_zero(self):
         rng = np.random.default_rng(37)
         for _ in range(N_RANDOM):
             sch = random_schedule(rng)  # zz = 0
-            t = rng.uniform(0, sch.t_ad)
-            vals, vecs = np.linalg.eigh(sch.hamiltonian(t))
+            s = rng.uniform(0, 1)
+            vals, vecs = np.linalg.eigh(sch.hamiltonian(s))
             k = rng.integers(4)
-            assert energy(vecs[:, k], sch, t) == pytest.approx(vals[k], abs=1e-6)
+            assert energy(vecs[:, k], sch, s) == pytest.approx(vals[k], abs=1e-6)
 
     def test_zz_term_excluded(self):
         """The estimator reconstructs only the six driven terms, so a ZZ
@@ -305,9 +304,9 @@ class TestEnergyEstimate:
         assert abs(true_with - e_with) == pytest.approx(0.05)  # zz/4
 
     def test_explicit_time_argument(self):
-        # Correlators of |00>, weighed at t = t_ad: the z-terms have zero
+        # Correlators of |00>, weighed at s = 1: the z-terms have zero
         # weight there and |00> has no x signal.
-        assert energy(basis_state("00"), FIG3_SCHEDULE, FIG3_SCHEDULE.t_ad) == pytest.approx(
+        assert energy(basis_state("00"), FIG3_SCHEDULE, 1.0) == pytest.approx(
             0.0, abs=1e-12)
 
 
