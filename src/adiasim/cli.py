@@ -72,16 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> str:
+    """The text of a UTF-8 config file; ConfigParse if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParse(f"cannot read config {path}: {exc}") from exc
+
+
 def _load_run_config(args) -> ScenarioConfig:
     if args.config is None and args.scenario is None:
         raise ConfigParse("provide a config file, --scenario, or both")
-    text = ""
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigParse(f"cannot read config {args.config}: {exc}") from exc
+    text = "" if args.config is None else _read_config(args.config)
     config, errors = validate_config(text, override_name=args.scenario)
     if config is None:
         raise ConfigParse("; ".join(errors))
@@ -114,10 +117,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
+        text = _read_config(args.config)
+    except ConfigParse as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     config, errors = validate_config(text)
     if config is None:

@@ -374,7 +374,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     config, errors = validate_config(text)
     if config is None:

@@ -21,12 +21,15 @@ therefore a fixed matrix built from the generators at the step's start
     K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
 
 Each sample interval is propagated by the product of its step matrices,
-taken in batches of at most ``_BATCH_STEPS`` and multiplied in time order
-by pairwise reduction, so memory stays bounded however many steps an
-interval holds.  A sweep of duration t_ad is affine in s = t/t_ad, so its
-generator is A(s) = G0 + s*G1 and R(s) = I + sum_{k=0..4} s^k P_k, with the
-P_k built once per (schedule, t_ad, noise, dt, n_samples) and shared by every
-initial state; an arbitrary H(t) callable is called once per batch.
+multiplied in time order by pairwise reduction.  Every interval has the same
+number of steps, so whole intervals are built together in groups whose
+batch holds at most ``_BATCH_STEPS`` step matrices; an interval of more
+steps is a group of one, built from several batches.  Memory stays bounded
+however many steps an interval holds.  A sweep of duration t_ad is affine
+in s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
+R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per (schedule,
+t_ad, noise, dt, n_samples) and shared by every initial state; an arbitrary
+H(t) callable is called once per batch.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample and an error is raised if it exceeds 1e-4 or is not
@@ -256,7 +259,7 @@ def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
 
     Updated in place, so that few batch-sized arrays are alive at once.
     """
-    a1, a2, a3 = gens[:-2:2], gens[1::2], gens[2::2]
+    a1, a2, a3 = gens[..., :-2:2, :, :], gens[..., 1::2, :, :], gens[..., 2::2, :, :]
     k2 = a2 @ a1
     k2 *= 0.5 * h
     k2 += a2  # K2 = A2 + (h/2) A2 K1
@@ -309,28 +312,38 @@ def _step_polynomial(g0: np.ndarray, g1: np.ndarray, h: float,
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[1] @ mats[0], by pairwise reduction."""
-    while len(mats) > 1:
-        even = len(mats) - len(mats) % 2
-        pairs = mats[1:even:2] @ mats[0:even:2]
-        mats = np.concatenate([pairs, mats[even:]]) if even < len(mats) else pairs
-    return mats[0]
+    """The time-ordered product of ``mats`` along axis -3, by pairwise reduction.
+
+    For a stack of shape (..., m, d, d) this is mats[..., m-1, :, :] @ ... @
+    mats[..., 0, :, :], paired the same way for every leading index.
+    """
+    while mats.shape[-3] > 1:
+        n = mats.shape[-3]
+        even = n - n % 2
+        pairs = mats[..., 1:even:2, :, :] @ mats[..., 0:even:2, :, :]
+        mats = np.concatenate([pairs, mats[..., even:, :, :]], axis=-3) if even < n else pairs
+    return mats[..., 0, :, :]
 
 
 def _interval_maps(step_matrices, dim: int, times: np.ndarray, steps: int,
                    h: float) -> np.ndarray:
     """The RK4 propagator of each sample interval of ``times``.
 
-    ``step_matrices(stage_times)`` returns the m dim x dim step matrices of
-    a batch from its 2m+1 half-step times.
+    The intervals are built in groups of max(1, _BATCH_STEPS // steps).
+    ``step_matrices(stage_times)`` gets a batch's (g, 2m+1) half-step times,
+    one row per interval of the group, and returns its (g, m, dim, dim)
+    step matrices.
     """
-    maps = np.empty((len(times) - 1, dim, dim), dtype=complex)
-    for k, t0 in enumerate(times[:-1]):
+    starts = times[:-1]
+    group = max(1, _BATCH_STEPS // steps)
+    maps = np.empty((len(starts), dim, dim), dtype=complex)
+    for k in range(0, len(starts), group):
+        t0 = starts[k:k + group, None]
         for first in range(0, steps, _BATCH_STEPS):
             m = min(_BATCH_STEPS, steps - first)
             stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
             batch = _ordered_product(step_matrices(stage_times))
-            maps[k] = batch if first == 0 else batch @ maps[k]
+            maps[k:k + group] = batch if first == 0 else batch @ maps[k:k + group]
     return maps
 
 
@@ -361,11 +374,11 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
         eye = np.eye(len(g0))
 
         def step_matrices(stage_times: np.ndarray) -> np.ndarray:
-            s = stage_times[:-2:2] / t_ad
-            sums = (np.vander(s, 5, increasing=True) @ poly).view(complex)
+            s = stage_times[:, :-2:2] / t_ad
+            sums = (np.vander(s.ravel(), 5, increasing=True) @ poly).view(complex)
             # I is added after the sum, not folded into P_0, so that the
             # rounding of one shared P_0 + I does not repeat in every step.
-            return eye + sums.reshape((len(s),) + eye.shape)
+            return eye + sums.reshape(s.shape + eye.shape)
 
         maps = _interval_maps(step_matrices, len(g0), times, steps, h)
     times.flags.writeable = False
@@ -429,14 +442,17 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
                      dt: float = 0.002, n_samples: int = 300) -> Trajectory:
     """Integrate the Schrodinger equation for an arbitrary H(t) callable.
 
-    ``ham(times)`` gets each batch's n stage times in [0, t_ad] as a 1-D array and
-    returns an (n, 4, 4) stack of Hermitian matrices [MHz], or one 4x4 for all.
+    ``ham(times)`` gets one group's n stage times in [0, t_ad] as a 1-D array,
+    the 2m+1 half-step times of each interval of the group in turn, so that
+    a boundary between two intervals appears twice.  It returns an (n, 4, 4)
+    stack of Hermitian matrices [MHz], or one 4x4 for all.
     """
     psi0 = _pure_initial(psi0)
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
 
     def step_matrices(stage_times: np.ndarray) -> np.ndarray:
-        return _step_matrices(_W * np.broadcast_to(ham(stage_times), (len(stage_times), 4, 4)), h)
+        hams = np.broadcast_to(ham(stage_times.ravel()), (stage_times.size, 4, 4))
+        return _step_matrices(_W * hams.reshape(stage_times.shape + (4, 4)), h)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
         maps = _interval_maps(step_matrices, 4, times, steps, h)

@@ -127,6 +127,14 @@ class TestRunCommand:
         assert rc == 2
         assert "dt too large" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe" + CUSTOM_SMALL.encode())
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STIFF_CONFIG)
         rc = main(["run", cfg, "--out", str(tmp_path / "o")])
@@ -448,6 +456,12 @@ class TestValidateCommand:
         rc = main(["validate", str(tmp_path / "absent.ini")])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe" + CUSTOM_SMALL.encode())
+        assert main(["validate", str(path)]) == 2
+        assert "config error: cannot read" in capsys.readouterr().err
 
 
 class TestIntrospection:

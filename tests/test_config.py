@@ -344,6 +344,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigParse, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe" + CUSTOM_MINIMAL.encode())
+        with pytest.raises(ConfigParse, match="cannot read"):
+            load_config(str(path))
+
     def test_invalid_content(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\nname = fig4\n\n[simulation]\ndt_us = 0.06\n")

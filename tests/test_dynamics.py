@@ -378,6 +378,23 @@ class TestAgainstStepLoop:
         ref_mixed = reference_lindblad(FIG4, 0.3, np.outer(psi0, psi0.conj()), noise, 0.002, 2)
         assert np.max(np.abs(mixed.states - ref_mixed)) <= 1e-12
 
+    @pytest.mark.parametrize("propagate", [
+        lambda: propagate_unitary(FIG4, 2.0, basis_state("01"), dt=0.002, n_samples=10),
+        lambda: propagate_lindblad(FIG4, 2.0, basis_state("11"), DEFAULT_NOISE, dt=0.002,
+                                   n_samples=10),
+        lambda: propagate_custom(in_time(FIG4, 2.0), 2.0, basis_state("10"), dt=0.002,
+                                 n_samples=10),
+    ], ids=["unitary", "lindblad", "custom"])
+    def test_grouped_intervals_match_one_interval_per_batch(self, monkeypatch, propagate):
+        """10 intervals of 100 steps, built one per batch and then in groups
+        of 3, 3, 3 and 1, give the same states bit for bit."""
+        runs = []
+        for batch_steps in (100, 300):
+            monkeypatch.setattr(dynamics, "_BATCH_STEPS", batch_steps)
+            dynamics._schedule_maps.cache_clear()
+            runs.append(propagate())
+        assert np.array_equal(runs[0].states, runs[1].states)
+
     def test_states_sharing_one_schedule_match_independent_runs(self):
         shared = {label: propagate_unitary(FIG4, 5.0, basis_state(label), n_samples=10)
                   for label in BASIS_LABELS}
@@ -404,6 +421,19 @@ class TestAgainstStepLoop:
         assert calls == [(257,), (257,), (157,)] * 3
         constant = propagate_custom(lambda t: op, 2.0, basis_state("00"), dt=0.002, n_samples=3)
         assert np.array_equal(constant.states, traj.states)
+
+    def test_custom_hamiltonian_called_once_per_group(self):
+        """17 steps per interval: groups of 256 // 17 = 15 intervals, so 300
+        samples take 20 calls, each with 15 intervals' 35 stage times."""
+        op = 0.5 * 2.7 * embed_1q(X, 2)
+        calls = []
+
+        def stack(t):
+            calls.append(np.shape(t))
+            return np.broadcast_to(op, np.shape(t) + (4, 4))
+
+        propagate_custom(stack, 10.0, basis_state("00"), dt=0.002, n_samples=300)
+        assert calls == [(525,)] * 20
 
     def test_non_finite_state_raises(self):
         nan_ham = lambda t: np.multiply.outer(np.where(np.asarray(t) > 0.5, np.nan, 0.0),
