@@ -30,6 +30,7 @@ from .config import (
 )
 from .dynamics import StepTooLarge, UnphysicalNoise
 from .scenarios import NonFiniteOutput, Unwritable, run_scenario
+from .tomography import CorrelatorOutOfRange
 
 OUT_DIR_ENV = "ADIASIM_OUT_DIR"
 
@@ -46,6 +47,7 @@ _RUNTIME_ERRORS = (
     ZeroSlope,
     Unwritable,
     NonFiniteOutput,
+    CorrelatorOutOfRange,
 )
 
 

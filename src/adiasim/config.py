@@ -97,11 +97,11 @@ _SCENARIOS: dict[str, tuple[str, dict]] = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 SCENARIO_SUMMARIES = {name: summary for name, (summary, _) in _SCENARIOS.items()}
 
-# Upper bound on simulation.n_samples: a Lindblad run keeps one 16x16
-# complex map per sample interval, about 410 MB at the bound.
+# Upper bound on simulation.n_samples: a Lindblad run keeps one real 16x16
+# map per sample interval, about 205 MB at the bound.
 _MAX_N_SAMPLES = 100_000
-# Upper bound on the RK4 steps of one run over all its durations: at about
-# 4 us per 16x16 Lindblad step (2-CPU x86-64 host), minutes rather than days.
+# Upper bound on the RK4 steps of one run over all its durations: at 0.9-1.2
+# us per real 16x16 Lindblad step (2-CPU x86-64 host), minutes, not days.
 _MAX_RK4_STEPS = 10**8
 
 

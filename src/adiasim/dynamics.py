@@ -11,11 +11,13 @@ microseconds, so the equations of motion carry an explicit 2*pi:
 Decay rates are genuine inverse times (no 2*pi): a qubit with relaxation
 time T1 loses excited-state population as exp(-t/T1).
 
-Both equations are linear, d x/dt = A(t) x, with x the state vector or the
-row-major vectorized density matrix and A the 4x4 generator -2*pi*i*H or
-the 16x16 Liouvillian -2*pi*i*(H (x) I - I (x) H^T) + D.  One RK4 step is
-therefore a fixed matrix built from the generators at the step's start
-(A1), midpoint (A2) and end (A3):
+Both equations are linear, d x/dt = A(t) x.  A pure state x is the complex
+4-vector and A = -2*pi*i*H.  A density matrix is its real Pauli vector r,
+rho = sum_k r_k sigma_k / 4 over the 16 two-qubit Paulis (II first), so
+r_k = <sigma_k> and r_II = Tr rho; A is the real 16x16 Pauli transfer
+matrix T_qr = Tr(sigma_q L(sigma_r)) / 4 of the Lindblad generator L.  One
+RK4 step is therefore a fixed matrix built from the generators at the
+step's start (A1), midpoint (A2) and end (A3):
 
     R = I + h/6 * (K1 + 2*K2 + 2*K3 + K4),
     K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
@@ -32,8 +34,8 @@ t_ad, noise, dt, n_samples) and shared by every initial state; an arbitrary
 H(t) callable is called once per batch.
 
 There is no renormalization during integration; norm/trace drift is
-recorded per sample and an error is raised if it exceeds 1e-4 or is not
-finite.
+recorded per sample, and once a trajectory is built an error is raised at
+the first sample whose drift exceeds 1e-4 or is not finite.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SIGMA_MINUS, SIGMA_PLUS, Z, dagger, embed_1q
+from .operators import SIGMA_MINUS, SIGMA_PLUS, Z, dagger, embed_1q, pauli_2q
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -67,6 +69,8 @@ DRIFT_LIMIT = 1e-4
 # Most RK4 steps whose matrices are held at once; bounds peak memory.
 _BATCH_STEPS = 256
 _W = -2.0j * math.pi
+# The 16 two-qubit Paulis, II first: the basis of a density matrix's Pauli vector.
+_PAULIS = np.stack([pauli_2q(a + b) for a in "IXYZ" for b in "IXYZ"])
 
 
 class StepTooLarge(RuntimeError):
@@ -228,30 +232,17 @@ def steps_per_interval(t_ad: float, dt: float, n_samples: int) -> int:
     return max(1, math.ceil(t_ad / n_samples / dt - 1e-12))
 
 
-def _dissipator_matrix(noise: NoiseModel) -> np.ndarray:
-    """Constant superoperator M with D(rho).ravel() == M @ rho.ravel().
+def _pauli_generator(ham: np.ndarray, lops=()) -> np.ndarray:
+    """Real 16x16 T with T_qr = Tr(sigma_q L(sigma_r)) / 4 over ``_PAULIS``.
 
-    Uses the row-major vectorization identity
-    vec(A rho B) = kron(A, B.T) vec(rho).
+    L(rho) = -2*pi*i [H, rho] + sum_L (L rho L+ - {L+ L, rho} / 2) maps a
+    Hermitian rho to a Hermitian one, so every T_qr is real.
     """
-    eye = np.eye(4, dtype=complex)
-    m = np.zeros((16, 16), dtype=complex)
-    for lop in collapse_operators(noise):
-        ld = dagger(lop)
-        ldl = ld @ lop
-        m += np.kron(lop, ld.T)
-        m -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-    return m
-
-
-def _liouvillian(ham: np.ndarray) -> np.ndarray:
-    """16x16 generator of rho -> -2*pi*i [H, rho] for one Hamiltonian.
-
-    Row-major vectorization: vec(H rho) = kron(H, I) vec(rho) and
-    vec(rho H) = kron(I, H.T) vec(rho).
-    """
-    eye = np.eye(4)
-    return _W * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    images = _W * (ham @ _PAULIS - _PAULIS @ ham)
+    for lop in lops:
+        ldl = dagger(lop) @ lop
+        images += lop @ _PAULIS @ dagger(lop) - 0.5 * (ldl @ _PAULIS + _PAULIS @ ldl)
+    return np.einsum("qij,rji->qr", _PAULIS, images).real / 4.0
 
 
 def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
@@ -291,7 +282,7 @@ def _step_polynomial(g0: np.ndarray, g1: np.ndarray, h: float,
 
     def stage(b: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
         # (b + s*g1) + c * (b + s*g1) @ k(s)
-        out = np.zeros((len(k) + 1,) + g0.shape, dtype=complex)
+        out = np.zeros((len(k) + 1,) + g0.shape, dtype=g0.dtype)
         out[:-1] = b @ k
         out[1:] += g1 @ k
         out *= c
@@ -325,24 +316,25 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def _interval_maps(step_matrices, dim: int, times: np.ndarray, steps: int,
-                   h: float) -> np.ndarray:
+def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float) -> np.ndarray:
     """The RK4 propagator of each sample interval of ``times``.
 
     The intervals are built in groups of max(1, _BATCH_STEPS // steps).
     ``step_matrices(stage_times)`` gets a batch's (g, 2m+1) half-step times,
-    one row per interval of the group, and returns its (g, m, dim, dim)
-    step matrices.
+    one row per interval of the group, and returns its (g, m, d, d) step
+    matrices, whose shape and dtype the maps take.
     """
     starts = times[:-1]
     group = max(1, _BATCH_STEPS // steps)
-    maps = np.empty((len(starts), dim, dim), dtype=complex)
+    maps = None
     for k in range(0, len(starts), group):
         t0 = starts[k:k + group, None]
         for first in range(0, steps, _BATCH_STEPS):
             m = min(_BATCH_STEPS, steps - first)
             stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
             batch = _ordered_product(step_matrices(stage_times))
+            if maps is None:
+                maps = np.empty((len(starts),) + batch.shape[1:], dtype=batch.dtype)
             maps[k:k + group] = batch if first == 0 else batch @ maps[k:k + group]
     return maps
 
@@ -352,8 +344,9 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
                    dt: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Interval maps of a sweep schedule, shared across initial states.
 
-    ``noise`` None selects the Schrodinger generator, otherwise the
-    Liouvillian.  The returned arrays are read-only.
+    ``noise`` None selects the complex Schrodinger generator, otherwise the
+    real Pauli transfer matrix of the Lindblad generator; the maps take the
+    generator's dtype.  The returned arrays are read-only.
     """
     # A miss: drop the previous entry now rather than after this one is
     # built, so that only one set of maps is alive at a time.
@@ -366,21 +359,21 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
         if noise is None:
             g0, g1 = _W * schedule.h0, _W * schedule.h1
         else:
-            g0 = _liouvillian(schedule.h0) + _dissipator_matrix(noise)
-            g1 = _liouvillian(schedule.h1)
-        # Real powers times the real and imaginary parts: the same sums as
-        # a complex product, at half its cost.
+            g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
+            g1 = _pauli_generator(schedule.h1)
+        # For a complex generator, real powers times the real and imaginary
+        # parts: the same sums as a complex product, at half its cost.
         poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1).view(float)
         eye = np.eye(len(g0))
 
         def step_matrices(stage_times: np.ndarray) -> np.ndarray:
             s = stage_times[:, :-2:2] / t_ad
-            sums = (np.vander(s.ravel(), 5, increasing=True) @ poly).view(complex)
+            sums = (np.vander(s.ravel(), 5, increasing=True) @ poly).view(g0.dtype)
             # I is added after the sum, not folded into P_0, so that the
             # rounding of one shared P_0 + I does not repeat in every step.
             return eye + sums.reshape(s.shape + eye.shape)
 
-        maps = _interval_maps(step_matrices, len(g0), times, steps, h)
+        maps = _interval_maps(step_matrices, times, steps, h)
     times.flags.writeable = False
     maps.flags.writeable = False
     return times, maps
@@ -388,32 +381,30 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
 
 def _evolve(times: np.ndarray, maps: np.ndarray, x0: np.ndarray, drift_of,
             what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the interval maps in turn, checking drift at every sample."""
-    states = np.empty((len(times), len(x0)), dtype=complex)
-    drifts = np.empty(len(times))
+    """Apply the interval maps in turn, then check the drift of every sample."""
+    states = np.empty((len(times), len(x0)), dtype=maps.dtype)
     states[0] = x0
-    drifts[0] = drift_of(x0)
     # A diverging state may overflow; the drift check reports it as StepTooLarge.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
             states[k] = maps[k - 1] @ states[k - 1]
-            drift = drift_of(states[k])
-            # Written so that a NaN drift fails the check too.
-            if not drift <= DRIFT_LIMIT:
-                raise StepTooLarge(
-                    f"{what} drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e} at "
-                    f"t = {times[k]:.4f} us; reduce dt"
-                )
-            drifts[k] = drift
+        drifts = drift_of(states)
+    # Written so that a NaN drift fails the check too.
+    bad = np.flatnonzero(~(drifts <= DRIFT_LIMIT))
+    if bad.size:
+        raise StepTooLarge(
+            f"{what} drift {drifts[bad[0]]:.3e} exceeds {DRIFT_LIMIT:.0e} at "
+            f"t = {times[bad[0]]:.4f} us; reduce dt"
+        )
     return states, drifts
 
 
-def _norm_drift(psi: np.ndarray) -> float:
-    return abs(float(np.linalg.norm(psi)) - 1.0)
+def _norm_drift(psi: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
 
 
-def _trace_drift(rho_vec: np.ndarray) -> float:
-    return abs(float(rho_vec[::5].sum().real) - 1.0)
+def _trace_drift(r: np.ndarray) -> np.ndarray:
+    return np.abs(r[..., 0] - 1.0)
 
 
 def _pure_initial(psi0: np.ndarray) -> np.ndarray:
@@ -455,7 +446,7 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
         return _step_matrices(_W * hams.reshape(stage_times.shape + (4, 4)), h)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
-        maps = _interval_maps(step_matrices, 4, times, steps, h)
+        maps = _interval_maps(step_matrices, times, steps, h)
     states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
     return Trajectory(times=times, states=states, drifts=drifts)
 
@@ -474,11 +465,13 @@ def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, rho0: np.ndarray
         rho0 = np.outer(rho0, rho0.conj())
     if rho0.shape != (4, 4):
         raise ValueError(f"rho0 must be a 4x4 matrix, got shape {rho0.shape}")
-    if not _trace_drift(rho0.ravel()) <= 1e-6:
+    r0 = np.einsum("kij,ji->k", _PAULIS, rho0).real
+    if not _trace_drift(r0) <= 1e-6:
         raise ValueError("initial density matrix trace differs from 1 by > 1e-6")
     if not np.max(np.abs(rho0 - rho0.conj().T)) <= 1e-8:
         raise ValueError("initial density matrix is not Hermitian")
 
     times, maps = _schedule_maps(schedule, t_ad, noise, dt, n_samples)
-    states, drifts = _evolve(times, maps, rho0.ravel(), _trace_drift, "trace")
-    return Trajectory(times=times.copy(), states=states.reshape(-1, 4, 4), drifts=drifts)
+    r, drifts = _evolve(times, maps, r0, _trace_drift, "trace")
+    states = np.einsum("nk,kij->nij", r, _PAULIS) / 4.0
+    return Trajectory(times=times.copy(), states=states, drifts=drifts)

@@ -22,7 +22,7 @@ from .dynamics import DRIFT_LIMIT, BadIndex
 from .operators import PAULI_LABELS_2Q, pauli_2q
 from .schedule import ProtocolSchedule
 
-__all__ = ["measure_correlators", "energy_terms", "rotate_correlators",
+__all__ = ["measure_correlators", "energy_terms", "rotate_correlators", "CorrelatorOutOfRange",
            "CROSS_LABELS", "CORRELATOR_LABELS", "ENERGY_TERMS"]
 
 CROSS_LABELS = ("XY", "YX")
@@ -35,8 +35,12 @@ _OPS = np.stack([pauli_2q(label) for label in CORRELATOR_LABELS])
 _ENERGY_COLUMNS = [_INDEX[label] for label in ("ZI", "IZ", "XI", "IX", "XX", "YY")]
 
 
+class CorrelatorOutOfRange(ValueError):
+    """Raised when a measured correlator lies outside [-1, 1] beyond its tolerance."""
+
+
 def _check_range(values: np.ndarray, shots: int) -> None:
-    """Raise ValueError for a correlator outside [-1, 1].
+    """Raise CorrelatorOutOfRange for a correlator outside [-1, 1].
 
     Exact ones may exceed it by the norm drift that the propagators accept
     (about 2*DRIFT_LIMIT), sampled ones by a few standard errors.
@@ -45,8 +49,8 @@ def _check_range(values: np.ndarray, shots: int) -> None:
     bad = np.argwhere(np.abs(values) > 1.0 + eps)
     if bad.size:
         row, col = bad[0]
-        raise ValueError(f"correlator {CORRELATOR_LABELS[col]} = {values[row, col]} "
-                         f"outside [-1, 1] range")
+        raise CorrelatorOutOfRange(f"correlator {CORRELATOR_LABELS[col]} = "
+                                   f"{values[row, col]} outside [-1, 1] range")
 
 
 def _exact(states: np.ndarray, ops: np.ndarray) -> np.ndarray:

@@ -70,6 +70,21 @@ t_ad = 0.5, 1, 2
 n_samples = 9
 """
 
+# table1 with a large x2, where the Lindblad RK4 steps at dt_us = 0.01 leave
+# their stability region and the correlators grow outside [-1, 1].
+UNSTABLE_TABLE1 = """\
+[scenario]
+name = table1
+
+[schedule]
+x2 = {x2}
+t_ad = 1, 2, 3
+
+[simulation]
+dt_us = 0.01
+n_samples = 20
+"""
+
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
 
@@ -153,6 +168,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "run failed (StepTooLarge)" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("x2", ["55", "60"])
+    def test_correlator_out_of_range_exits_3(self, tmp_path, capsys, x2):
+        cfg = write_config(tmp_path, UNSTABLE_TABLE1.format(x2=x2))
+        rc = main(["run", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "run failed (CorrelatorOutOfRange)" in err
+        assert "outside [-1, 1] range" in err
+        assert "Traceback" not in err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n"
@@ -528,8 +553,9 @@ class TestExitCodeContract:
     # The explicit examples are a chevron run that only its coupling makes
     # invalid, a fig1 run whose chirped-frame sweep diverges, a table1 run
     # whose three durations share one eigensystem, a table1 run whose thermal
-    # occupation makes the Lindblad steps diverge (exit 3), and a sampled fig1
-    # run and a three-duration fig4 run that both exit 0.  Generated ones
+    # occupation makes the Lindblad steps diverge (exit 3), a table1 run whose
+    # large x2 drives its correlators outside [-1, 1] (exit 3), and a sampled
+    # fig1 run and a three-duration fig4 run that both exit 0.  Generated ones
     # mostly stop earlier in validation: most edge values of the noise and
     # simulation fields are out of bounds.
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -539,6 +565,8 @@ class TestExitCodeContract:
     @example(name="table1", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4, other={})
     @example(name="table1", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4,
              other={("noise", "nth"): "1e6"})
+    @example(name="table1", fields=dict(NO_FIELDS, x2="55"), t_ad="1, 2, 3", n_samples=20,
+             other={("simulation", "dt_us"): "0.01"})
     @example(name="fig1", fields=NO_FIELDS, t_ad="2", n_samples=4,
              other={("simulation", "shots"): "1000", ("output", "format"): "json"})
     @example(name="fig4", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4, other={})

@@ -12,7 +12,8 @@ from adiasim.dynamics import (
     NoiseModel,
     StepTooLarge,
     UnphysicalNoise,
-    _dissipator_matrix,
+    _PAULIS,
+    _pauli_generator,
     _sample_grid,
     _step_matrices,
     _step_polynomial,
@@ -63,14 +64,24 @@ def in_time(schedule, t_ad):
     return lambda t: schedule.hamiltonian(t / t_ad)
 
 
+def lindblad_rhs(ham, lops, rho):
+    """-2 pi i [H, rho] + sum_L (L rho L+ - {L+ L, rho} / 2), as 4x4 matrices."""
+    out = -2.0j * math.pi * (ham @ rho - rho @ ham)
+    for lop in lops:
+        ldl = lop.conj().T @ lop
+        out += lop @ rho @ lop.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return out
+
+
+def pauli_vector(rho):
+    """r_k = Tr(P_k rho) over the generator's Pauli basis."""
+    return np.einsum("kij,ji->k", _PAULIS, rho).real
+
+
 def reference_lindblad(schedule, t_ad, rho0, noise, dt, n_samples):
     """Sampled states of the step-by-step RK4 loop on rho."""
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
-    w = -2.0j * math.pi
-    diss = _dissipator_matrix(noise)
-
-    def rhs(h_mat, rho):
-        return w * (h_mat @ rho - rho @ h_mat) + (diss @ rho.ravel()).reshape(4, 4)
+    lops = collapse_operators(noise)
 
     ham = in_time(schedule, t_ad)
     rho = np.asarray(rho0, dtype=complex)
@@ -79,10 +90,10 @@ def reference_lindblad(schedule, t_ad, rho0, noise, dt, n_samples):
         for step in range(steps):
             t = t0 + step * h
             h_mid = ham(t + 0.5 * h)
-            k1 = rhs(ham(t), rho)
-            k2 = rhs(h_mid, rho + 0.5 * h * k1)
-            k3 = rhs(h_mid, rho + 0.5 * h * k2)
-            k4 = rhs(ham(t + h), rho + h * k3)
+            k1 = lindblad_rhs(ham(t), lops, rho)
+            k2 = lindblad_rhs(h_mid, lops, rho + 0.5 * h * k1)
+            k3 = lindblad_rhs(h_mid, lops, rho + 0.5 * h * k2)
+            k4 = lindblad_rhs(ham(t + h), lops, rho + h * k3)
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(rho)
     return np.array(states)
@@ -272,6 +283,27 @@ class TestLindbladPropagation:
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
 
+    def test_states_are_exactly_hermitian(self):
+        """Each rho is rebuilt from a real Pauli vector, so rho = rho+ bit for bit."""
+        noise = NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0), n_th=(0.02, 0.05))
+        for label in BASIS_LABELS:
+            rho = propagate_lindblad(FIG4, 5.0, basis_state(label), noise, n_samples=30).states
+            assert np.array_equal(rho, rho.conj().swapaxes(1, 2)), label
+
+    def test_pauli_generator_matches_master_equation(self):
+        """T @ r(rho) is the Pauli vector of -2 pi i [H, rho] + D(rho)."""
+        rng = np.random.default_rng(16)
+        lops = collapse_operators(NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0),
+                                             n_th=(0.02, 0.05)))
+        for ham in (FIG4.hamiltonian(0.3), FIG3B.hamiltonian(1.0)):
+            gen = _pauli_generator(ham, lops)
+            assert gen.dtype == float
+            for _ in range(5):
+                a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                rho = a + a.conj().T
+                expected = pauli_vector(lindblad_rhs(ham, lops, rho))
+                assert np.max(np.abs(gen @ pauli_vector(rho) - expected)) <= 1e-12
+
     def test_t1_decay_closed_form(self):
         """Free decay of the excited qubit follows exp(-t/T1): the rate is a
         true inverse time, with no 2 pi factor."""
@@ -452,15 +484,12 @@ class TestStepPolynomial:
     def test_matches_steps_from_stage_generators(self, noise):
         t_ad = 5.0
         h = 0.002
-        w = -2.0j * math.pi
-        eye = np.eye(4)
 
         def generator(t):
             ham = FIG4.hamiltonian(t / t_ad)
             if noise is None:
-                return w * ham
-            return (w * (np.kron(ham, eye) - np.kron(eye, ham.T))
-                    + _dissipator_matrix(noise))
+                return -2.0j * math.pi * ham
+            return _pauli_generator(ham, collapse_operators(noise))
 
         g0, g1 = generator(0.0), generator(t_ad) - generator(0.0)
         poly = _step_polynomial(g0, g1, h, h / t_ad)
