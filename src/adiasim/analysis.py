@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from .operators import PAULI_BASIS
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -233,28 +234,29 @@ def lz_probability(a: float, alpha: float) -> tuple[float, float]:
 def passage_fidelity(states: np.ndarray, vectors: np.ndarray, level: int) -> np.ndarray:
     """Overlap of a state stack with one adiabatically-continued level.
 
-    ``states`` is an (n, 4) stack of pure states or an (n, 4, 4) stack of
-    density matrices, and ``vectors`` the (n, 4, 4) tracked eigenvectors at
-    the same times (from ``tracked_levels``).  Returns
-    ``|<v_level(t)|psi(t)>|**2`` (or ``Tr(rho |v><v|)``) at every time;
-    ``level`` is a tracked label, 1..4.
+    ``states`` is an (n, 4) stack of pure states or an (n, 16) stack of Pauli
+    vectors r, and ``vectors`` the (n, 4, 4) tracked eigenvectors at the same
+    times (from ``tracked_levels``).  Returns ``|<v_level(t)|psi(t)>|**2`` (or
+    ``Tr(rho |v><v|) = sum_k r_k <v|P_k|v> / 4``) at every time; ``level`` is
+    a tracked label, 1..4.
     """
     if not 1 <= level <= 4:
         raise ValueError(f"level must be in 1..4, got {level}")
     v = vectors[:, :, level - 1]
-    if states.ndim == 3:
-        return np.real(np.einsum("ij,ijk,ik->i", v.conj(), states, v))
+    if states.shape[-1] == len(PAULI_BASIS):
+        # Two plain einsums: one optimized einsum would call multithreaded BLAS.
+        weights = np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real
+        return np.einsum("nk,nk->n", states, weights) / 4.0
     return np.abs(np.einsum("ij,ij->i", v.conj(), states)) ** 2
 
 
 def level_populations(state: np.ndarray, schedule: ProtocolSchedule,
                       s: float) -> np.ndarray:
-    """Populations of the four sorted instantaneous levels of H(s)."""
+    """Populations of the four sorted levels of H(s) in a pure state or a Pauli vector."""
     _, vecs = np.linalg.eigh(schedule.hamiltonian(s))
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return np.abs(vecs.conj().T @ state) ** 2
-    return np.real(np.diag(vecs.conj().T @ state @ vecs))
+    if len(state) == len(PAULI_BASIS):
+        return np.einsum("k,il,kij,jl->l", state, vecs.conj(), PAULI_BASIS, vecs).real / 4.0
+    return np.abs(vecs.conj().T @ state) ** 2
 
 
 def crossing_report(schedule: ProtocolSchedule) -> tuple[float, float, float]:

@@ -26,6 +26,7 @@ from .config import (
     SCENARIO_NAMES,
     SCENARIO_SUMMARIES,
     ScenarioConfig,
+    read_config_text,
     validate_config,
 )
 from .dynamics import StepTooLarge, UnphysicalNoise
@@ -74,19 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> str:
-    """The text of a UTF-8 config file; ConfigParse if it cannot be read."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-
-
 def _load_run_config(args) -> ScenarioConfig:
     if args.config is None and args.scenario is None:
         raise ConfigParse("provide a config file, --scenario, or both")
-    text = "" if args.config is None else _read_config(args.config)
+    text = "" if args.config is None else read_config_text(args.config)
     config, errors = validate_config(text, override_name=args.scenario)
     if config is None:
         raise ConfigParse("; ".join(errors))
@@ -119,7 +111,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        text = _read_config(args.config)
+        text = read_config_text(args.config)
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

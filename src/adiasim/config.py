@@ -62,6 +62,7 @@ __all__ = [
     "SCENARIO_SUMMARIES",
     "validate_config",
     "load_config",
+    "read_config_text",
     "preset_text",
 ]
 
@@ -100,6 +101,8 @@ SCENARIO_SUMMARIES = {name: summary for name, (summary, _) in _SCENARIOS.items()
 # Upper bound on simulation.n_samples: a Lindblad run keeps one real 16x16
 # map per sample interval, about 205 MB at the bound.
 _MAX_N_SAMPLES = 100_000
+# Upper bound on simulation.shots: numpy draws each count as a C int64.
+_MAX_SHOTS = 2**63 - 1
 # Upper bound on the RK4 steps of one run over all its durations: at 0.9-1.2
 # us per real 16x16 Lindblad step (2-CPU x86-64 host), minutes, not days.
 _MAX_RK4_STEPS = 10**8
@@ -241,7 +244,9 @@ _FIELDS = (
      (lambda dt: math.isfinite(dt) and dt > 0.0, "must be positive, got {!r}")),
     ("simulation", "n_samples", "n_samples", _INT, 300,
      (lambda n: 1 <= n <= _MAX_N_SAMPLES, f"must be in 1..{_MAX_N_SAMPLES}, got {{!r}}")),
-    *(("simulation", key, key, _INT, 0, _NONNEGATIVE) for key in ("shots", "seed")),
+    ("simulation", "shots", "shots", _INT, 0,
+     (lambda n: 0 <= n <= _MAX_SHOTS, f"must be >= 0 and at most {_MAX_SHOTS}, got {{!r}}")),
+    ("simulation", "seed", "seed", _INT, 0, _NONNEGATIVE),
     ("output", "directory", "out_dir", _TEXT, "out", (bool, "must be nonempty")),
     ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str), "csv",
      (lambda fmt: fmt in ("csv", "json"), "must be csv or json, got {!r}")),
@@ -354,6 +359,8 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                 f"scenario.initial_states: unknown state {state!r}; "
                 f"choose from {', '.join(BASIS_LABELS)}"
             )
+    if len(set(merged["initial_states"])) != len(merged["initial_states"]):
+        errors.append("scenario.initial_states: states must be distinct")
     if not merged["initial_states"] and name != "chevron":
         errors.append("scenario.initial_states: at least one initial state required")
 
@@ -369,14 +376,18 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
     return config, []
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Read and validate a config file; raise ConfigParse on any violation."""
+def read_config_text(path: str) -> str:
+    """The text of a UTF-8 config file; ConfigParse if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-    config, errors = validate_config(text)
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """Read and validate a config file; raise ConfigParse on any violation."""
+    config, errors = validate_config(read_config_text(path))
     if config is None:
         raise ConfigParse("; ".join(errors))
     return config

@@ -1,4 +1,4 @@
-"""Propagation of pure states (Schrodinger) and density matrices (Lindblad).
+"""Propagation of pure states (Schrodinger) and of mixed states (Lindblad).
 
 Fixed-step RK4 with the Hamiltonian evaluated at the substage times
 (t, t + dt/2, t + dt).  Hamiltonians are stored as H/h in MHz and times in
@@ -12,12 +12,12 @@ Decay rates are genuine inverse times (no 2*pi): a qubit with relaxation
 time T1 loses excited-state population as exp(-t/T1).
 
 Both equations are linear, d x/dt = A(t) x.  A pure state x is the complex
-4-vector and A = -2*pi*i*H.  A density matrix is its real Pauli vector r,
-rho = sum_k r_k sigma_k / 4 over the 16 two-qubit Paulis (II first), so
-r_k = <sigma_k> and r_II = Tr rho; A is the real 16x16 Pauli transfer
-matrix T_qr = Tr(sigma_q L(sigma_r)) / 4 of the Lindblad generator L.  One
-RK4 step is therefore a fixed matrix built from the generators at the
-step's start (A1), midpoint (A2) and end (A3):
+4-vector and A = -2*pi*i*H.  A mixed state is its real Pauli vector r over
+``operators.PAULI_BASIS``, rho = sum_k r_k sigma_k / 4, so r_k = <sigma_k>
+and r_II = Tr rho; a Lindblad run returns r at every sample.  A is the real
+16x16 Pauli transfer matrix T_qr = Tr(sigma_q L(sigma_r)) / 4 of the
+Lindblad generator L.  One RK4 step is therefore a fixed matrix built from
+the generators at the step's start (A1), midpoint (A2) and end (A3):
 
     R = I + h/6 * (K1 + 2*K2 + 2*K3 + K4),
     K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SIGMA_MINUS, SIGMA_PLUS, Z, dagger, embed_1q, pauli_2q
+from .operators import PAULI_BASIS as _PAULIS, SIGMA_MINUS, SIGMA_PLUS, Z, dagger, embed_1q
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -69,8 +69,6 @@ DRIFT_LIMIT = 1e-4
 # Most RK4 steps whose matrices are held at once; bounds peak memory.
 _BATCH_STEPS = 256
 _W = -2.0j * math.pi
-# The 16 two-qubit Paulis, II first: the basis of a density matrix's Pauli vector.
-_PAULIS = np.stack([pauli_2q(a + b) for a in "IXYZ" for b in "IXYZ"])
 
 
 class StepTooLarge(RuntimeError):
@@ -189,17 +187,13 @@ class Trajectory:
 
     times  : (n_samples+1,) sample times, 0 .. t_ad [us]
     states : (n_samples+1, 4) complex amplitudes for pure runs, or
-             (n_samples+1, 4, 4) density matrices for Lindblad runs
-    drifts : |norm - 1| (pure) or |trace - 1| (mixed) at each sample
+             (n_samples+1, 16) real Pauli vectors r for Lindblad runs
+    drifts : |norm - 1| (pure) or |r_II - 1| (Lindblad) at each sample
     """
 
     times: np.ndarray
     states: np.ndarray
     drifts: np.ndarray
-
-    @property
-    def is_mixed(self) -> bool:
-        return self.states.ndim == 3
 
     @property
     def final_state(self) -> np.ndarray:
@@ -451,27 +445,17 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
     return Trajectory(times=times, states=states, drifts=drifts)
 
 
-def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, rho0: np.ndarray,
+def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
                        noise: NoiseModel, dt: float = 0.002,
                        n_samples: int = 300) -> Trajectory:
     """Integrate the Lindblad master equation for a sweep of duration ``t_ad`` [us].
 
-    ``rho0`` may be given as a density matrix or as a pure-state vector
-    (converted to its projector).  With a trivial noise model this reduces
+    ``psi0`` must be normalized; the states of the trajectory are its real
+    Pauli vectors r, r_k = <P_k>.  With a trivial noise model this reduces
     to the unitary evolution of propagate_unitary.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim == 1:
-        rho0 = np.outer(rho0, rho0.conj())
-    if rho0.shape != (4, 4):
-        raise ValueError(f"rho0 must be a 4x4 matrix, got shape {rho0.shape}")
-    r0 = np.einsum("kij,ji->k", _PAULIS, rho0).real
-    if not _trace_drift(r0) <= 1e-6:
-        raise ValueError("initial density matrix trace differs from 1 by > 1e-6")
-    if not np.max(np.abs(rho0 - rho0.conj().T)) <= 1e-8:
-        raise ValueError("initial density matrix is not Hermitian")
-
+    psi0 = _pure_initial(psi0)
+    r0 = np.einsum("i,kij,j->k", psi0.conj(), _PAULIS, psi0).real
     times, maps = _schedule_maps(schedule, t_ad, noise, dt, n_samples)
-    r, drifts = _evolve(times, maps, r0, _trace_drift, "trace")
-    states = np.einsum("nk,kij->nij", r, _PAULIS) / 4.0
+    states, drifts = _evolve(times, maps, r0, _trace_drift, "trace")
     return Trajectory(times=times.copy(), states=states, drifts=drifts)

@@ -28,6 +28,8 @@ __all__ = [
     "SIGMA_PLUS",
     "PAULI_1Q",
     "PAULI_LABELS_2Q",
+    "PAULI_BASIS_LABELS",
+    "PAULI_BASIS",
     "pauli_1q",
     "pauli_2q",
     "embed_1q",
@@ -66,6 +68,11 @@ def pauli_2q(label: str) -> np.ndarray:
     if len(label) != 2:
         raise ValueError(f"two-qubit label must have two letters, got {label!r}")
     return np.kron(pauli_1q(label[0]), pauli_1q(label[1]))
+
+
+# The 16 two-qubit Paulis, II first: the basis of a Pauli vector, r_k = <P_k>.
+PAULI_BASIS_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
+PAULI_BASIS = np.stack([pauli_2q(label) for label in PAULI_BASIS_LABELS])
 
 
 def embed_1q(op: np.ndarray, qubit: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Whole trajectories are measured as (n, 10) arrays, one row per sample and
 one column per entry of ``CORRELATOR_LABELS``: the eight recorded
 correlators {XI, IX, YI, IY, ZI, IZ, XX, YY} plus the cross terms XY and
 YX, which are needed to rotate two-qubit correlators between drive frames.
-Shot count 0 means exact expectation values; in sampled mode one random
-stream draws every count of a state stack.
+Shot count 0 means exact values: <psi|P|psi> of a pure state, or ten columns
+of a Lindblad run's Pauli vectors, which hold every <P>.  In sampled mode one
+random stream draws every count of a state stack.
 
 The energy estimator deliberately uses only the six sweep terms P in
 {ZI, IZ, XI, IX, XX, YY}, each weighted by its coefficient Tr(P H(s))/4 in
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import DRIFT_LIMIT, BadIndex
-from .operators import PAULI_LABELS_2Q, pauli_2q
+from .operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q
 from .schedule import ProtocolSchedule
 
 __all__ = ["measure_correlators", "energy_terms", "rotate_correlators", "CorrelatorOutOfRange",
@@ -31,7 +32,8 @@ CORRELATOR_LABELS = PAULI_LABELS_2Q + CROSS_LABELS
 ENERGY_TERMS = ("z1", "z2", "x1", "x2", "xx", "yy")
 
 _INDEX = {label: k for k, label in enumerate(CORRELATOR_LABELS)}
-_OPS = np.stack([pauli_2q(label) for label in CORRELATOR_LABELS])
+_COLUMNS = [PAULI_BASIS_LABELS.index(label) for label in CORRELATOR_LABELS]
+_OPS = PAULI_BASIS[_COLUMNS]
 _ENERGY_COLUMNS = [_INDEX[label] for label in ("ZI", "IZ", "XI", "IX", "XX", "YY")]
 
 
@@ -53,14 +55,14 @@ def _check_range(values: np.ndarray, shots: int) -> None:
                                    f"{values[row, col]} outside [-1, 1] range")
 
 
-def _exact(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Real part of <P> for every state of a stack and every operator of ``ops``."""
-    states = np.asarray(states, dtype=complex)
+def _exact(states: np.ndarray) -> np.ndarray:
+    """<P> for every state of a pure (n, 4) or Pauli-vector (n, 16) stack, an (n, 10) array."""
+    states = np.asarray(states)
     if states.ndim == 2 and states.shape[1] == 4:
-        return np.einsum("ni,pij,nj->np", states.conj(), ops, states).real
-    if states.ndim == 3 and states.shape[1:] == (4, 4):
-        return np.einsum("pij,nji->np", ops, states).real
-    raise ValueError(f"states must be an (n, 4) or (n, 4, 4) stack, got {states.shape}")
+        return np.einsum("ni,pij,nj->np", states.conj(), _OPS, states).real
+    if states.ndim == 2 and states.shape[1] == len(PAULI_BASIS):
+        return states[:, _COLUMNS]
+    raise ValueError(f"states must be an (n, 4) or (n, 16) stack, got {states.shape}")
 
 
 def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -76,13 +78,13 @@ def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
 
 
 def measure_correlators(states: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
-    """Correlators of a pure (n, 4) or mixed (n, 4, 4) state stack, an (n, 10) array.
+    """Correlators of a pure (n, 4) or Pauli-vector (n, 16) state stack, an (n, 10) array.
 
     Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values.  In
     sampled mode all n x 10 counts come from one ``binomial`` call on
     ``np.random.default_rng(seed)``, in row-major order.
     """
-    values = _exact(states, _OPS)
+    values = _exact(states)
     if shots:
         values = _sample(values, shots, seed)
     _check_range(values, shots)

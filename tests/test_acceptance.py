@@ -30,7 +30,7 @@ from adiasim.dynamics import (
     propagate_unitary,
 )
 from adiasim.mitigation import extrapolate_quadratic, mitigate_energy
-from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
+from adiasim.operators import PAULI_BASIS, PAULI_LABELS_2Q, pauli_2q
 from adiasim.schedule import (
     ProtocolSchedule,
     constant_frame_hamiltonian,
@@ -317,7 +317,8 @@ def test_criterion_8_property_suites(capsys):
             j_final=rng.uniform(0.0, 2.0), zz=rng.uniform(0.0, 0.5))
         label = ("00", "01", "10", "11")[rng.integers(4)]
         traj = propagate_lindblad(schedule, 0.5, basis_state(label), noise, 0.005, 2)
-        rho = traj.final_state
+        r = traj.final_state
+        rho = np.einsum("k,kij->ij", r, PAULI_BASIS) / 4.0
         trace_ok &= abs(np.trace(rho).real - 1.0) < 1e-6
         trace_ok &= np.allclose(rho, rho.conj().T, atol=1e-9)
         trace_ok &= float(np.linalg.eigvalsh(rho).min()) > -1e-8

@@ -477,6 +477,25 @@ class TestValidateCommand:
         _, errors = validate_config("[scenario]\nname = fig4\n\n[simulation]\ndt_us = 5e-324\n")
         assert any(e.startswith("simulation.dt_us") for e in errors)
 
+    @pytest.mark.parametrize("text, key", [
+        ("[scenario]\nname = fig1\n\n[simulation]\nshots = 100000000000000000000\n"
+         "n_samples = 10\n", "simulation.shots"),
+        ("[scenario]\nname = fig4\ninitial_states = 01, 01\n", "scenario.initial_states"),
+        ("[scenario]\nname = table1\ninitial_states = 00, 00\n", "scenario.initial_states"),
+    ], ids=["shots-beyond-int64", "fig4-repeated-state", "table1-repeated-state"])
+    def test_config_error_exits_2_from_validate_and_run(self, tmp_path, capsys, text, key):
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_shot_count_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n[simulation]\n"
+                                     "shots = 9223372036854775807\nn_samples = 10\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "absent.ini")])
         assert rc == 2

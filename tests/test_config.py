@@ -193,6 +193,12 @@ class TestValidationErrors:
         errors = invalid(CUSTOM_MINIMAL.replace("t_ad = 30", "t_ad = 10, 10"))
         assert any("distinct" in e for e in errors)
 
+    def test_duplicate_initial_states(self):
+        errors = invalid("[scenario]\nname = fig4\ninitial_states = 01, 01\n")
+        assert "scenario.initial_states: states must be distinct" in errors
+        errors = invalid("[scenario]\nname = table1\ninitial_states = 00, 11, 00\n")
+        assert any("scenario.initial_states" in e and "distinct" in e for e in errors)
+
     def test_non_numeric_field(self):
         errors = invalid(CUSTOM_MINIMAL.replace("z1 = 2.5", "z1 = fast"))
         assert any("schedule.z1" in e and "not a number" in e for e in errors)
@@ -218,6 +224,16 @@ class TestValidationErrors:
                          "n_samples = 0\nshots = -1\n")
         assert any("n_samples" in e for e in errors)
         assert any("shots" in e for e in errors)
+
+    def test_shots_bounded_by_int64(self):
+        """numpy draws the counts with a C int64 shot count."""
+        errors = invalid("[scenario]\nname = fig1\n\n[simulation]\n"
+                         "shots = 100000000000000000000\n")
+        assert any(e.startswith("simulation.shots: must be >= 0 and at most 9223372036854775807")
+                   for e in errors)
+        config = valid("[scenario]\nname = fig1\n\n[simulation]\n"
+                       "shots = 9223372036854775807\n")
+        assert config.shots == 2**63 - 1
 
     def test_noise_consistency(self):
         errors = invalid("[scenario]\nname = table1\n\n[noise]\n"

@@ -12,7 +12,6 @@ from adiasim.dynamics import (
     NoiseModel,
     StepTooLarge,
     UnphysicalNoise,
-    _PAULIS,
     _pauli_generator,
     _sample_grid,
     _step_matrices,
@@ -24,7 +23,7 @@ from adiasim.dynamics import (
     propagate_unitary,
     sigma_ops,
 )
-from adiasim.operators import X, Z, embed_1q, pauli_2q
+from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, X, Z, embed_1q, pauli_2q
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators
 
@@ -74,8 +73,18 @@ def lindblad_rhs(ham, lops, rho):
 
 
 def pauli_vector(rho):
-    """r_k = Tr(P_k rho) over the generator's Pauli basis."""
-    return np.einsum("kij,ji->k", _PAULIS, rho).real
+    """r_k = Tr(P_k rho) over the Pauli basis, for one rho or a stack."""
+    return np.einsum("kij,...ji->...k", PAULI_BASIS, rho).real
+
+
+def density_matrix(r):
+    """rho = sum_k r_k P_k / 4, for one Pauli vector or a stack."""
+    return np.einsum("...k,kij->...ij", r, PAULI_BASIS) / 4.0
+
+
+def column(label):
+    """Index of a two-qubit Pauli in a Pauli vector."""
+    return PAULI_BASIS_LABELS.index(label)
 
 
 def reference_lindblad(schedule, t_ad, rho0, noise, dt, n_samples):
@@ -192,7 +201,7 @@ class TestUnitaryPropagation:
         assert traj.times[0] == 0.0 and traj.times[-1] == 10.0
         assert np.allclose(np.diff(traj.times), 10.0 / 25)
         assert traj.states.shape == (26, 4)
-        assert not traj.is_mixed
+        assert traj.states.dtype == complex
 
     def test_norm_preserved_on_long_sweep(self):
         traj = propagate_unitary(FIG3B, 30.0, basis_state("01"), n_samples=40)
@@ -267,27 +276,39 @@ class TestLindbladPropagation:
     def test_pure_input_becomes_projector(self):
         traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("01"), NoiseModel(),
                                   n_samples=4)
-        assert traj.is_mixed
-        rho0 = traj.states[0]
-        assert np.allclose(rho0, np.outer(basis_state("01"), basis_state("01")))
+        r0 = traj.states[0]
+        assert np.allclose(r0, pauli_vector(np.outer(basis_state("01"), basis_state("01"))))
 
     def test_rejects_bad_density_matrix(self):
         bad = np.eye(4, dtype=complex)  # trace 4
         with pytest.raises(ValueError):
             propagate_lindblad(ZERO_FIELD, 10.0, bad, NoiseModel(), n_samples=4)
 
+    def test_states_are_real_pauli_vectors(self):
+        """States are (n+1, 16) real r, and r_II = Tr rho stays 1 exactly:
+        RK4 conserves the trace, a linear invariant, bit for bit."""
+        traj = propagate_lindblad(FIG4, 5.0, basis_state("11"), DEFAULT_NOISE, n_samples=30)
+        assert traj.states.shape == (31, 16)
+        assert traj.states.dtype == np.float64
+        assert np.all(traj.states[:, column("II")] == 1.0)
+        assert np.all(traj.drifts == 0.0)
+
     def test_trace_and_hermiticity_preserved(self):
         traj = propagate_lindblad(FIG3B, 6.0, basis_state("11"), DEFAULT_NOISE, n_samples=12)
-        for rho in traj.states:
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+        for r in traj.states:
+            rho = density_matrix(r)
+            assert r[column("II")] == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
 
     def test_states_are_exactly_hermitian(self):
-        """Each rho is rebuilt from a real Pauli vector, so rho = rho+ bit for bit."""
+        """The states are real Pauli vectors, so rho = sum_k r_k P_k / 4 is
+        Hermitian bit for bit."""
         noise = NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0), n_th=(0.02, 0.05))
         for label in BASIS_LABELS:
-            rho = propagate_lindblad(FIG4, 5.0, basis_state(label), noise, n_samples=30).states
+            r = propagate_lindblad(FIG4, 5.0, basis_state(label), noise, n_samples=30).states
+            assert r.dtype == np.float64, label
+            rho = density_matrix(r)
             assert np.array_equal(rho, rho.conj().swapaxes(1, 2)), label
 
     def test_pauli_generator_matches_master_equation(self):
@@ -310,9 +331,10 @@ class TestLindbladPropagation:
         t1 = 8.0
         noise = NoiseModel(t1=t1, t2=2 * t1, n_th=0.0)
         traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("01"), noise, n_samples=20)
-        for t, rho in zip(traj.times, traj.states):
+        for t, r in zip(traj.times, traj.states):
             expected = math.exp(-t / t1)
-            assert rho[1, 1].real == pytest.approx(expected, rel=1e-4)
+            # P(qubit 2 excited) = (1 + <IZ>) / 2, and qubit 1 stays in |0>.
+            assert 0.5 * (1.0 + r[column("IZ")]) == pytest.approx(expected, rel=1e-4)
 
     def test_pure_dephasing_closed_form(self):
         """With only dephasing, coherences decay as exp(-t/T2) while the
@@ -321,10 +343,13 @@ class TestLindbladPropagation:
         noise = NoiseModel(t1=(math.inf, math.inf), t2=(t2, t2), n_th=0.0)
         plus = (basis_state("00") + basis_state("01")) / math.sqrt(2)
         traj = propagate_lindblad(ZERO_FIELD, 10.0, plus, noise, n_samples=20)
-        diag0 = np.diag(traj.states[0]).real
-        for t, rho in zip(traj.times, traj.states):
-            assert np.allclose(np.diag(rho).real, diag0, atol=1e-10)
-            assert rho[0, 1].real == pytest.approx(0.5 * math.exp(-t / t2), rel=1e-6)
+        diagonal = [column(label) for label in ("II", "IZ", "ZI", "ZZ")]
+        for t, r in zip(traj.times, traj.states):
+            # The populations are the Z-type components of r; the coherence
+            # Re rho[0, 1] of |00> and |01> is (<IX> - <ZX>) / 4.
+            assert np.allclose(r[diagonal], traj.states[0, diagonal], atol=1e-10)
+            coherence = 0.25 * (r[column("IX")] - r[column("ZX")])
+            assert coherence == pytest.approx(0.5 * math.exp(-t / t2), rel=1e-6)
 
     def test_thermal_steady_state(self):
         """With thermal excitation the qubit relaxes to excited-state
@@ -333,10 +358,10 @@ class TestLindbladPropagation:
         noise = NoiseModel(t1=1.0, t2=2.0, n_th=nth)
         traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("00"), noise,
                                   dt=0.002, n_samples=10)
-        rho_end = traj.final_state
+        r_end = traj.final_state
         expected = nth / (1 + 2 * nth)
-        p1 = rho_end[2, 2].real + rho_end[3, 3].real  # qubit 1 excited marginal
-        p2 = rho_end[1, 1].real + rho_end[3, 3].real  # qubit 2 excited marginal
+        p1 = 0.5 * (1.0 + r_end[column("ZI")])  # qubit 1 excited marginal
+        p2 = 0.5 * (1.0 + r_end[column("IZ")])  # qubit 2 excited marginal
         assert p1 == pytest.approx(expected, abs=1e-4)
         assert p2 == pytest.approx(expected, abs=1e-4)
 
@@ -346,9 +371,11 @@ class TestLindbladPropagation:
                                    n_samples=10)
         # The two integrators discretize different equations, so they agree
         # only to the step error, not exactly.
-        for psi, rho in zip(pure.states, mixed.states):
-            assert np.allclose(np.outer(psi, psi.conj()), rho, atol=1e-5)
-            assert (psi.conj() @ rho @ psi).real == pytest.approx(1.0, abs=1e-6)
+        for psi, r in zip(pure.states, mixed.states):
+            r_pure = pauli_vector(np.outer(psi, psi.conj()))
+            assert np.allclose(r_pure, r, atol=1e-5)
+            # <psi|rho|psi> = sum_k r_k <psi|P_k|psi> / 4
+            assert r @ r_pure / 4.0 == pytest.approx(1.0, abs=1e-6)
 
     def test_contributions_fade_with_longer_protocols(self):
         """With noise on, the end-of-sweep magnitude of every energy
@@ -383,10 +410,10 @@ class TestAgainstStepLoop:
 
     def test_lindblad(self):
         noise = NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0), n_th=(0.02, 0.05))
-        rho0 = np.outer(basis_state("11"), basis_state("11"))
-        traj = propagate_lindblad(FIG4, 3.0, rho0, noise, dt=0.002, n_samples=6)
-        ref = reference_lindblad(FIG4, 3.0, rho0, noise, 0.002, 6)
-        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+        psi0 = basis_state("11")
+        traj = propagate_lindblad(FIG4, 3.0, psi0, noise, dt=0.002, n_samples=6)
+        ref = reference_lindblad(FIG4, 3.0, np.outer(psi0, psi0.conj()), noise, 0.002, 6)
+        assert np.max(np.abs(traj.states - pauli_vector(ref))) <= 1e-12
 
     def test_custom(self):
         op_z, op_x = embed_1q(Z, 2), embed_1q(X, 2)
@@ -408,7 +435,7 @@ class TestAgainstStepLoop:
         monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
         mixed = propagate_lindblad(FIG4, 0.3, psi0, noise, dt=0.002, n_samples=2)
         ref_mixed = reference_lindblad(FIG4, 0.3, np.outer(psi0, psi0.conj()), noise, 0.002, 2)
-        assert np.max(np.abs(mixed.states - ref_mixed)) <= 1e-12
+        assert np.max(np.abs(mixed.states - pauli_vector(ref_mixed))) <= 1e-12
 
     @pytest.mark.parametrize("propagate", [
         lambda: propagate_unitary(FIG4, 2.0, basis_state("01"), dt=0.002, n_samples=10),

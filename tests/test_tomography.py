@@ -14,7 +14,7 @@ from adiasim.dynamics import (
     propagate_lindblad,
     propagate_unitary,
 )
-from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
+from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q, pauli_2q
 from adiasim.scenarios import _measure, _measurement_seed
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import (
@@ -47,8 +47,13 @@ def random_schedule(rng: np.random.Generator) -> ProtocolSchedule:
     )
 
 
+def pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """r_k = Tr(P_k rho) over the Pauli basis, for one rho or a stack."""
+    return np.einsum("kij,...ji->...k", PAULI_BASIS, rho).real
+
+
 def labelled(state: np.ndarray, shots: int = 0, seed=None) -> dict:
-    """The correlators of one state (a 4-vector or a 4x4 density matrix), by label."""
+    """The correlators of one state (a 4-vector or a Pauli vector of 16), by label."""
     row = measure_correlators(np.asarray(state)[None], shots, seed)[0]
     return dict(zip(CORRELATOR_LABELS, row))
 
@@ -78,18 +83,18 @@ class TestExpectation:
         assert correlator(bell, "YY") == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
-        rho = np.eye(4, dtype=complex) / 4.0
+        r = pauli_vector(np.eye(4, dtype=complex) / 4.0)
         for label in PAULI_LABELS_2Q:
-            assert correlator(rho, label) == pytest.approx(0.0, abs=1e-12)
+            assert correlator(r, label) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_equals_projector(self):
         rng = np.random.default_rng(31)
         for _ in range(N_RANDOM):
             psi = random_pure_state(rng)
-            rho = np.outer(psi, psi.conj())
+            r = pauli_vector(np.outer(psi, psi.conj()))
             label = PAULI_LABELS_2Q[rng.integers(len(PAULI_LABELS_2Q))]
             assert correlator(psi, label) == pytest.approx(
-                correlator(rho, label), abs=1e-12)
+                correlator(r, label), abs=1e-12)
 
     def test_result_is_real_and_bounded(self):
         rng = np.random.default_rng(32)
@@ -216,14 +221,32 @@ class TestCorrelatorArrays:
         noise = NoiseModel(t1=5.0, t2=4.0, n_th=0.05)
         traj = propagate_lindblad(FIG4_SCHEDULE, 10.0, PSI0, noise, 0.01, 50)
         values = measure_correlators(traj.states)
-        loop = [[np.trace(op @ rho).real for op in self.OPS] for rho in traj.states]
+        # Tr(P rho) with rho = sum_k r_k P_k / 4 rebuilt from each Pauli vector.
+        loop = [[np.trace(op @ np.einsum("k,kij->ij", r, PAULI_BASIS)).real / 4.0
+                 for op in self.OPS] for r in traj.states]
         assert np.max(np.abs(values - loop)) <= 1e-12
+
+    def test_lindblad_correlators_are_columns_of_r(self):
+        noise = NoiseModel(t1=5.0, t2=4.0, n_th=0.05)
+        traj = propagate_lindblad(FIG4_SCHEDULE, 10.0, PSI0, noise, 0.01, 50)
+        columns = [PAULI_BASIS_LABELS.index(label) for label in CORRELATOR_LABELS]
+        assert np.array_equal(measure_correlators(traj.states), traj.states[:, columns])
+
+    def test_density_matrices_are_refused(self):
+        """A mixed state is a Pauli vector: neither an (n, 4, 4) stack nor a
+        4x4 initial state is read, not even a valid projector."""
+        states = np.stack([basis_state("00"), PSI0])
+        projectors = np.einsum("ni,nj->nij", states, states.conj())
+        with pytest.raises(ValueError, match="stack"):
+            measure_correlators(projectors)
+        with pytest.raises(ValueError):
+            propagate_lindblad(FIG4_SCHEDULE, 10.0, projectors[0], NoiseModel(), 0.01, 4)
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_range_check(self, mixed):
         states = np.stack([basis_state("00"), PSI0])
         if mixed:
-            states = np.einsum("ni,nj->nij", states, states.conj())
+            states = pauli_vector(np.einsum("ni,nj->nij", states, states.conj()))
         with pytest.raises(ValueError, match="outside"):
             measure_correlators(1.01 * states)
 
@@ -232,7 +255,7 @@ class TestCorrelatorArrays:
         """A state whose norm or trace is off by DRIFT_LIMIT still measures."""
         scale = 1.0 + DRIFT_LIMIT
         psi = basis_state("10")
-        state = scale * np.outer(psi, psi) if mixed else scale * psi
+        state = scale * pauli_vector(np.outer(psi, psi)) if mixed else scale * psi
         zi = measure_correlators(state[None])[0, CORRELATOR_LABELS.index("ZI")]
         assert abs(zi) == pytest.approx(scale if mixed else scale**2, abs=1e-15)
 
