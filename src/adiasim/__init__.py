@@ -49,7 +49,6 @@ from .dynamics import (
     propagate_custom,
     propagate_lindblad,
     propagate_unitary,
-    sigma_ops,
 )
 from .mitigation import (
     DegenerateAbscissae,

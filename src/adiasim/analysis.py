@@ -48,6 +48,10 @@ _TIE_TOL = 1e-9
 # the overlaps of successive eigenbases can tie.
 _MIN_TRACKING_STEPS = 100
 _PERMS = np.array(list(itertools.permutations(range(4))))
+# The uniform grid in s of the crossing analysis, and the width in s of the
+# slope fit window.
+_GRID = np.linspace(0.0, 1.0, 1001)
+_SLOPE_WINDOW = 0.10
 
 
 class DegenerateTracking(RuntimeError):
@@ -59,8 +63,8 @@ class NoInteriorMinimum(ValueError):
 
 
 class WindowOutOfRange(ValueError):
-    """Raised when a fit window extends beyond s in [0, 1], holds
-    fewer than two grid points, or holds no crossing of the bare levels."""
+    """Raised when a fit window extends beyond s in [0, 1] or holds no
+    crossing of the bare levels."""
 
 
 class ZeroSlope(ValueError):
@@ -135,28 +139,26 @@ def _middle_gap(schedule, s: float) -> tuple[float, float]:
     return float(energies[2] - energies[1]), float(slopes[2] - slopes[1])
 
 
-def min_gap(schedule, n_grid: int = 1001) -> tuple[float, float]:
+def min_gap(schedule) -> tuple[float, float]:
     """Minimum separation of the middle sorted levels (2, 3).
 
     ``schedule`` needs ``hamiltonian(s)`` and the s-derivative ``h1`` of H
     (any ProtocolSchedule qualifies).  Returns ``(a, s_c)``: the gap
-    minimum [MHz] and where it lies in s.  One stacked eigvalsh on a
-    uniform grid of ``n_grid`` points in [0, 1] finds the coarse minimum;
-    bisection on the sign of the Hellmann-Feynman gap derivative inside the
-    two bracketing grid cells then fixes s_c to float resolution.  Raises
+    minimum [MHz] and where it lies in s.  One stacked eigvalsh on the
+    uniform 1001-point grid in [0, 1] finds the coarse minimum; bisection on
+    the sign of the Hellmann-Feynman gap derivative inside the two
+    bracketing grid cells then fixes s_c to float resolution.  Raises
     NoInteriorMinimum when the coarse minimum sits on a grid endpoint, i.e.
-    the gap is monotonic over the grid (always so for fewer than three grid
-    points).
+    the gap is monotonic over the grid.
     """
-    grid = np.linspace(0.0, 1.0, n_grid)
-    levels = np.linalg.eigvalsh(schedule.hamiltonian(grid))
+    levels = np.linalg.eigvalsh(schedule.hamiltonian(_GRID))
     idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
-    if idx == 0 or idx == n_grid - 1:
+    if idx == 0 or idx == len(_GRID) - 1:
         raise NoInteriorMinimum(
             f"gap of sorted levels (2, 3) is minimal at the grid edge "
-            f"s = {grid[idx]:.6f}; no interior avoided crossing"
+            f"s = {_GRID[idx]:.6f}; no interior avoided crossing"
         )
-    lo, hi = float(grid[idx - 1]), float(grid[idx + 1])
+    lo, hi = float(_GRID[idx - 1]), float(_GRID[idx + 1])
     s_c = 0.5 * (lo + hi)
     while lo < s_c < hi:
         if _middle_gap(schedule, s_c)[1] > 0.0:
@@ -167,39 +169,29 @@ def min_gap(schedule, n_grid: int = 1001) -> tuple[float, float]:
     return _middle_gap(schedule, s_c)[0], s_c
 
 
-def diabatic_slope(schedule: ProtocolSchedule, s_c: float,
-                   window_fraction: float = 0.10, n_grid: int = 1001) -> float:
+def diabatic_slope(schedule: ProtocolSchedule, s_c: float) -> float:
     """Slope magnitude |d(eps1 - eps2)/ds| [MHz] of the bare crossing levels.
 
     With every two-qubit coupling removed (j = 0 and zz = 0) H is a sum of
     single-qubit terms with splittings eps_i(s) = sqrt(z_i**2 (1-s)**2 +
     x_i**2 s**2), and the continuity-labeled middle pair differs by
     +-(eps1 - eps2), a signed quantity that passes through zero at the bare
-    crossing.  A line is fitted to eps1 - eps2 on the points of a uniform
-    ``n_grid`` grid in [0, 1] that lie in a window of width
-    ``window_fraction`` centered on ``s_c``.  The zz term must go too: it
-    opens its own tiny avoided crossing, which would bend the difference
-    through the crossing and make the slope depend on the window.  Raises
-    WindowOutOfRange when eps1 - eps2 keeps one sign over the window: the
-    bare levels do not cross there, and a gap minimum at ``s_c`` is no
+    crossing.  A line is fitted to eps1 - eps2 on the about 100 points of
+    min_gap's grid in a window of width 0.1 centered on ``s_c``.  The zz term
+    must go too: it opens its own tiny avoided crossing, which would bend the
+    difference through the crossing and make the slope depend on the window.
+    Raises WindowOutOfRange when eps1 - eps2 keeps one sign over the window:
+    the bare levels do not cross there, and a gap minimum at ``s_c`` is no
     Landau-Zener crossing.
     """
-    if not 0.0 < window_fraction:
-        raise ValueError(f"window_fraction must be positive, got {window_fraction}")
-    half = 0.5 * window_fraction
+    half = 0.5 * _SLOPE_WINDOW
     s_min, s_max = s_c - half, s_c + half
     if s_min < 0.0 or s_max > 1.0:
         raise WindowOutOfRange(
             f"fit window [{s_min:.4f}, {s_max:.4f}] exceeds the protocol "
             f"interval s in [0, 1]"
         )
-    s = np.linspace(0.0, 1.0, n_grid)
-    s = s[(s >= s_min) & (s <= s_max)]
-    if len(s) < 2:
-        raise WindowOutOfRange(
-            f"fit window [{s_min:.4f}, {s_max:.4f}] contains fewer than "
-            f"two grid points; increase n_grid"
-        )
+    s = _GRID[(_GRID >= s_min) & (_GRID <= s_max)]
     eps1 = np.hypot(schedule.z1 * (1.0 - s), schedule.x1 * s)
     eps2 = np.hypot(schedule.z2 * (1.0 - s), schedule.x2 * s)
     diff = eps1 - eps2

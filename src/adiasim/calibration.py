@@ -34,6 +34,9 @@ __all__ = [
     "fit_coupling",
 ]
 
+# Zero-padding factor of oscillation_frequency's Fourier transform.
+_PAD_FACTOR = 8
+
 
 class InsufficientSpan(ValueError):
     """Raised when Rabi data does not bracket the resonance."""
@@ -62,15 +65,11 @@ class ChevronMap:
                   nonzero center was given, detuning otherwise
     times       : (n_t,) drive times [us]
     populations : (n_f, n_t) P_10 values in [0, 1]
-    f_center    : resonance frequency used to build the map [MHz]
-    j           : exchange coupling used to build the map [MHz]
     """
 
     f_tc: np.ndarray
     times: np.ndarray
     populations: np.ndarray
-    f_center: float
-    j: float
 
     def __post_init__(self) -> None:
         if np.any(self.populations < -1e-9) or np.any(self.populations > 1.0 + 1e-9):
@@ -94,16 +93,14 @@ def chevron_map(j: float, detuning_range: tuple[float, float],
     detunings = np.linspace(detuning_range[0], detuning_range[1], n_f)
     times = np.linspace(t_range[0], t_range[1], n_t)
     populations = swap_population(j, detunings[:, None], times[None, :])
-    return ChevronMap(f_tc=f_center + detunings, times=times,
-                      populations=populations, f_center=f_center, j=j)
+    return ChevronMap(f_tc=f_center + detunings, times=times, populations=populations)
 
 
-def oscillation_frequency(times: np.ndarray, values: np.ndarray,
-                          pad_factor: int = 8) -> float:
+def oscillation_frequency(times: np.ndarray, values: np.ndarray) -> float:
     """Dominant oscillation frequency [MHz] of a uniformly sampled record.
 
-    Discrete Fourier transform of the mean-subtracted record, zero-padded
-    by ``pad_factor`` for grid refinement, followed by quadratic
+    Discrete Fourier transform of the mean-subtracted record, zero-padded to
+    eight times its length for grid refinement, followed by quadratic
     interpolation of the log-magnitude around the peak bin.
     """
     times = np.asarray(times, dtype=float)
@@ -114,7 +111,7 @@ def oscillation_frequency(times: np.ndarray, values: np.ndarray,
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("time axis must be uniform")
     data = values - values.mean()
-    n_fft = pad_factor * len(data)
+    n_fft = _PAD_FACTOR * len(data)
     spectrum = np.abs(np.fft.rfft(data, n=n_fft))
     freqs = np.fft.rfftfreq(n_fft, d=dt)
     peak = int(np.argmax(spectrum[1:])) + 1

@@ -37,8 +37,10 @@ defaults, bounds and ``ScenarioConfig.to_text`` all read that table, so
 text printed from a config parses back to it.  A field without a default
 (z1, z2, x1, x2, t_ad) is prefilled by every built-in scenario and must be
 stated by a ``custom`` file; a file only needs to state what differs.
-Checks that span several fields (durations, the dt and RK4-step bounds,
-T2 <= 2*T1, initial states) are written out after the table loop.
+Checks that span several fields are written out after the table loop:
+distinct durations (three or more for table1, one for fig1 and chevron),
+the dt and RK4-step bounds (not for chevron, which integrates nothing),
+T2 <= 2*T1, and distinct initial states (one for fig1, none for chevron).
 
 ``validate_config`` returns either a fully-defaulted ``ScenarioConfig`` or
 the complete list of violations.  In exact mode (shots = 0) the seed is
@@ -63,7 +65,6 @@ __all__ = [
     "validate_config",
     "load_config",
     "read_config_text",
-    "preset_text",
 ]
 
 
@@ -318,19 +319,24 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")
     if len(set(t_ads)) != len(t_ads):
         errors.append("schedule.t_ad: durations must be distinct")
+    if name in ("fig1", "chevron") and len(t_ads) > 1:
+        errors.append(f"schedule.t_ad: {name} takes one duration, got {len(t_ads)}")
     if name == "table1" and len(set(t_ads)) < 3:
         errors.append("schedule.t_ad: table1 extrapolates to zero duration and "
                       "needs at least 3 distinct durations")
 
+    # chevron integrates nothing, so only the RK4 runs of the others bound dt.
     dt, n_samples = merged["dt_us"], merged["n_samples"]
     finite_tads = [t for t in t_ads if math.isfinite(t) and t > 0.0]
-    if "dt_us" not in out_of_bounds and finite_tads and dt > min(finite_tads) / 100.0:
+    if (name != "chevron" and "dt_us" not in out_of_bounds and finite_tads
+            and dt > min(finite_tads) / 100.0):
         errors.append(
             f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
             f"{min(finite_tads) / 100.0}"
         )
-    if name == "chevron" and "n_samples" not in out_of_bounds and n_samples < 3:
-        errors.append(f"simulation.n_samples: chevron needs at least 3, got {n_samples}")
+    if name == "chevron":
+        if "n_samples" not in out_of_bounds and n_samples < 3:
+            errors.append(f"simulation.n_samples: chevron needs at least 3, got {n_samples}")
     elif not out_of_bounds & {"dt_us", "n_samples"}:
         try:  # a float sum, so that a step count beyond float range reads inf
             steps = sum(n_samples * float(steps_per_interval(t, dt, n_samples))
@@ -361,7 +367,12 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
             )
     if len(set(merged["initial_states"])) != len(merged["initial_states"]):
         errors.append("scenario.initial_states: states must be distinct")
-    if not merged["initial_states"] and name != "chevron":
+    n_states = len(merged["initial_states"])
+    if name == "chevron" and n_states:
+        errors.append("scenario.initial_states: chevron takes no initial state")
+    elif name == "fig1" and n_states > 1:
+        errors.append(f"scenario.initial_states: fig1 takes one state, got {n_states}")
+    elif not n_states and name != "chevron":
         errors.append("scenario.initial_states: at least one initial state required")
 
     if errors:
@@ -391,13 +402,3 @@ def load_config(path: str) -> ScenarioConfig:
     if config is None:
         raise ConfigParse("; ".join(errors))
     return config
-
-
-def preset_text(name: str) -> str:
-    """Canonical config text for a built-in scenario."""
-    if name not in SCENARIO_NAMES:
-        raise ConfigParse(f"unknown scenario {name!r}")
-    config, errors = validate_config(f"[scenario]\nname = {name}\n")
-    if config is None:
-        raise ConfigParse("; ".join(errors))
-    return config.to_text()

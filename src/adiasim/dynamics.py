@@ -56,7 +56,6 @@ __all__ = [
     "NoiseModel",
     "Trajectory",
     "basis_state",
-    "sigma_ops",
     "collapse_operators",
     "propagate_unitary",
     "propagate_lindblad",
@@ -80,7 +79,7 @@ class UnphysicalNoise(ValueError):
 
 
 class BadIndex(ValueError):
-    """Raised for a qubit index outside {1, 2} or an unknown basis label."""
+    """Raised for an unknown basis label."""
 
 
 def basis_state(label: str) -> np.ndarray:
@@ -92,21 +91,6 @@ def basis_state(label: str) -> np.ndarray:
     psi = np.zeros(4, dtype=complex)
     psi[idx] = 1.0
     return psi
-
-
-def sigma_ops(qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (sigma-, sigma+, sigma_z) for one qubit as 4x4 operators.
-
-    ``qubit`` is 1-based.  sigma- lowers toward |0> (sigma-|1> = |0>),
-    and [sigma+, sigma-] = sigma_z with Z = diag(-1, +1).
-    """
-    if qubit not in (1, 2):
-        raise BadIndex(f"qubit index must be 1 or 2, got {qubit}")
-    return (
-        embed_1q(SIGMA_MINUS, qubit),
-        embed_1q(SIGMA_PLUS, qubit),
-        embed_1q(Z, qubit),
-    )
 
 
 def _as_pair(value) -> tuple[float, float]:
@@ -158,26 +142,26 @@ def collapse_operators(noise: NoiseModel) -> list[np.ndarray]:
     """Lindblad operators for the noise model, as 4x4 matrices.
 
     Per qubit: relaxation sqrt((1+n_th)/T1) sigma-, thermal excitation
-    sqrt(n_th/T1) sigma+, pure dephasing sqrt(1/(2*T_phi)) sigma_z.
-    Channels with zero rate are omitted.
+    sqrt(n_th/T1) sigma+, pure dephasing sqrt(1/(2*T_phi)) sigma_z, with
+    sigma- lowering toward |0> and sigma_z = Z = diag(-1, +1).  Channels
+    with zero rate are omitted.
     """
     ops: list[np.ndarray] = []
     for q in (1, 2):
         t1 = noise.t1[q - 1]
         t2 = noise.t2[q - 1]
         nth = noise.n_th[q - 1]
-        sm, sp, sz = sigma_ops(q)
         # An infinite T1 or T2 gives a zero rate (1/inf == 0); an infinite
         # T2 adds no pure dephasing beyond the T1-induced part.
         gamma_down = (1.0 + nth) / t1
         gamma_up = nth / t1
         rate_phi = max(1.0 / t2 - 0.5 / t1, 0.0)
         if gamma_down > 0.0:
-            ops.append(math.sqrt(gamma_down) * sm)
+            ops.append(math.sqrt(gamma_down) * embed_1q(SIGMA_MINUS, q))
         if gamma_up > 0.0:
-            ops.append(math.sqrt(gamma_up) * sp)
+            ops.append(math.sqrt(gamma_up) * embed_1q(SIGMA_PLUS, q))
         if rate_phi > 0.0:
-            ops.append(math.sqrt(0.5 * rate_phi) * sz)
+            ops.append(math.sqrt(0.5 * rate_phi) * embed_1q(Z, q))
     return ops
 
 
@@ -402,7 +386,9 @@ def _trace_drift(r: np.ndarray) -> np.ndarray:
 
 
 def _pure_initial(psi0: np.ndarray) -> np.ndarray:
-    psi0 = np.asarray(psi0, dtype=complex).reshape(4)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (4,):
+        raise ValueError(f"initial state must have shape (4,), got {psi0.shape}")
     if not _norm_drift(psi0) <= 1e-6:
         norm0 = float(np.linalg.norm(psi0))
         raise ValueError(f"initial state norm {norm0} differs from 1 by > 1e-6")
@@ -413,9 +399,9 @@ def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
                       dt: float = 0.002, n_samples: int = 300) -> Trajectory:
     """Integrate the Schrodinger equation for a sweep of duration ``t_ad`` [us].
 
-    ``psi0`` must be normalized.  The trajectory is sampled on a uniform
-    grid of ``n_samples + 1`` points from 0 to t_ad; between samples the
-    integrator takes uniform RK4 steps of size <= dt.
+    ``psi0`` must be a normalized 4-vector.  The trajectory is sampled on a
+    uniform grid of ``n_samples + 1`` points from 0 to t_ad; between samples
+    the integrator takes uniform RK4 steps of size <= dt.
     """
     psi0 = _pure_initial(psi0)
     times, maps = _schedule_maps(schedule, t_ad, None, dt, n_samples)
@@ -450,9 +436,9 @@ def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray
                        n_samples: int = 300) -> Trajectory:
     """Integrate the Lindblad master equation for a sweep of duration ``t_ad`` [us].
 
-    ``psi0`` must be normalized; the states of the trajectory are its real
-    Pauli vectors r, r_k = <P_k>.  With a trivial noise model this reduces
-    to the unitary evolution of propagate_unitary.
+    ``psi0`` must be a normalized 4-vector; the states of the trajectory are
+    its real Pauli vectors r, r_k = <P_k>.  With a trivial noise model this
+    reduces to the unitary evolution of propagate_unitary.
     """
     psi0 = _pure_initial(psi0)
     r0 = np.einsum("i,kij,j->k", psi0.conj(), _PAULIS, psi0).real

@@ -26,11 +26,9 @@ __all__ = [
     "Z",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
-    "PAULI_1Q",
     "PAULI_LABELS_2Q",
     "PAULI_BASIS_LABELS",
     "PAULI_BASIS",
-    "pauli_1q",
     "pauli_2q",
     "embed_1q",
     "dagger",
@@ -45,29 +43,22 @@ Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
-PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
+_PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 # The eight correlators recorded by the tomography layer, in file order.
 PAULI_LABELS_2Q = ("XI", "IX", "YI", "IY", "ZI", "IZ", "XX", "YY")
-
-
-def pauli_1q(label: str) -> np.ndarray:
-    """Return the single-qubit Pauli matrix for ``label`` in {I, X, Y, Z}."""
-    try:
-        return PAULI_1Q[label].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli label {label!r}") from None
 
 
 def pauli_2q(label: str) -> np.ndarray:
     """Return the two-qubit Pauli product for a two-letter ``label``.
 
     The first letter acts on qubit 1 (left tensor factor), the second on
-    qubit 2, e.g. ``pauli_2q("ZI") = kron(Z, I)``.
+    qubit 2, e.g. ``pauli_2q("ZI") = kron(Z, I)``.  Each letter is one of
+    I, X, Y and Z.
     """
-    if len(label) != 2:
-        raise ValueError(f"two-qubit label must have two letters, got {label!r}")
-    return np.kron(pauli_1q(label[0]), pauli_1q(label[1]))
+    if len(label) != 2 or not set(label) <= set(_PAULI_1Q):
+        raise ValueError(f"unknown two-qubit Pauli label {label!r}")
+    return np.kron(_PAULI_1Q[label[0]], _PAULI_1Q[label[1]])
 
 
 # The 16 two-qubit Paulis, II first: the basis of a Pauli vector, r_k = <P_k>.

@@ -129,14 +129,10 @@ def _trace_ext(config: ScenarioConfig) -> str:
     return "json" if config.format == "json" else "csv"
 
 
-def _measurement_seed(config: ScenarioConfig, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=config.seed, spawn_key=tuple(key))
-
-
 def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
     """Correlator columns of a trajectory, sampled from the one stream ``key``."""
     # Exact mode never touches np.random, whose import is a lazy ~20 ms.
-    seed = _measurement_seed(config, *key) if config.shots else None
+    seed = np.random.SeedSequence(entropy=config.seed, spawn_key=key) if config.shots else None
     return measure_correlators(states, config.shots, seed)
 
 
@@ -318,7 +314,7 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
         if frame == "constant":
             columns += ["theta_rad", "ix_rotated", "iy_rotated"]
             theta = frame_rotation_angle(z, traj.times, t_ad)
-            ix_iy = rotate_correlators(values, 2, theta)[:, _IX_IY]
+            ix_iy = rotate_correlators(values, theta)[:, _IX_IY]
             table += [theta, ix_iy]
         rows = np.column_stack(table).tolist()
         path = os.path.join(config.out_dir, f"fig1_{frame}_trace.{_trace_ext(config)}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import X as _X, Y as _Y, embed_1q, pauli_2q
+from .operators import pauli_2q
 
 __all__ = [
     "TimeOutOfRange",
@@ -41,6 +41,7 @@ _ZI = pauli_2q("ZI")
 _IZ = pauli_2q("IZ")
 _XI = pauli_2q("XI")
 _IX = pauli_2q("IX")
+_IY = pauli_2q("IY")
 _XXYY = pauli_2q("XX") + pauli_2q("YY")
 _ZZ = pauli_2q("ZZ")
 
@@ -112,7 +113,7 @@ def frame_rotation_angle(z: float, t, t_ad: float):
     return 2.0 * math.pi * z * t * (1.0 - t / (2.0 * t_ad))
 
 
-def constant_frame_hamiltonian(z: float, x: float, t_ad: float, qubit: int = 2):
+def constant_frame_hamiltonian(z: float, x: float, t_ad: float):
     """The chirped single-qubit sweep viewed from the constant-frequency frame.
 
     The qubit is resonant in this frame, so no Z term remains, but the
@@ -121,17 +122,15 @@ def constant_frame_hamiltonian(z: float, x: float, t_ad: float, qubit: int = 2):
         H(t)/h = (t/t_ad)*(x/2)*(cos(theta) X + sin(theta) Y),
         theta(t) = 2*pi*z*t*(1 - t/(2*t_ad)).
 
-    Returns ``ham(t)`` on the chosen qubit (the other idles): a 4x4 matrix
-    for a time, an (n, 4, 4) stack for a 1-D array of n times.
+    Returns ``ham(t)`` on qubit 2 (qubit 1 idles, as in fig1): a 4x4
+    matrix for a time, an (n, 4, 4) stack for a 1-D array of n times.
     """
-    op_x = embed_1q(_X, qubit)
-    op_y = embed_1q(_Y, qubit)
 
     def ham(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         _check_window(t, t_ad)
         s = np.clip(t / t_ad, 0.0, 1.0)[..., None, None]
         theta = frame_rotation_angle(z, t, t_ad)[..., None, None]
-        return s * 0.5 * x * (np.cos(theta) * op_x + np.sin(theta) * op_y)
+        return s * 0.5 * x * (np.cos(theta) * _IX + np.sin(theta) * _IY)
 
     return ham

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import DRIFT_LIMIT, BadIndex
+from .dynamics import DRIFT_LIMIT
 from .operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q
 from .schedule import ProtocolSchedule
 
@@ -35,6 +35,8 @@ _INDEX = {label: k for k, label in enumerate(CORRELATOR_LABELS)}
 _COLUMNS = [PAULI_BASIS_LABELS.index(label) for label in CORRELATOR_LABELS]
 _OPS = PAULI_BASIS[_COLUMNS]
 _ENERGY_COLUMNS = [_INDEX[label] for label in ("ZI", "IZ", "XI", "IX", "XX", "YY")]
+# (X-like, Y-like) label pairs that mix under a Z rotation of qubit 2.
+_ROTATED_PAIRS = (("IX", "IY"), ("XX", "XY"), ("YX", "YY"))
 
 
 class CorrelatorOutOfRange(ValueError):
@@ -100,24 +102,16 @@ def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarra
     return weights.real / 4.0 * values[:, _ENERGY_COLUMNS]
 
 
-def _rotated_pairs(qubit: int) -> list[tuple[str, str]]:
-    """(X-like, Y-like) label pairs that mix under a Z rotation of ``qubit``."""
-    if qubit == 1:
-        return [("XI", "YI"), ("XX", "YX"), ("XY", "YY")]
-    if qubit == 2:
-        return [("IX", "IY"), ("XX", "XY"), ("YX", "YY")]
-    raise BadIndex(f"qubit index must be 1 or 2, got {qubit}")
-
-
-def rotate_correlators(values: np.ndarray, qubit: int, theta) -> np.ndarray:
-    """Rotate one qubit's frame of (n, 10) correlators about Z by ``theta`` (one per row).
+def rotate_correlators(values: np.ndarray, theta) -> np.ndarray:
+    """Rotate qubit 2's frame of (n, 10) correlators about Z by ``theta`` (one per row).
 
     <X>' = cos(theta)<X> + sin(theta)<Y> and <Y>' = -sin(theta)<X> +
-    cos(theta)<Y> for the chosen qubit; Z terms are unchanged.
+    cos(theta)<Y> for qubit 2, the driven qubit of fig1; terms with I or Z on
+    qubit 2 are unchanged.
     """
     c, s = np.cos(theta), np.sin(theta)
     rotated = np.array(values, dtype=float)
-    for x_lab, y_lab in _rotated_pairs(qubit):
+    for x_lab, y_lab in _ROTATED_PAIRS:
         vx, vy = values[:, _INDEX[x_lab]], values[:, _INDEX[y_lab]]
         rotated[:, _INDEX[x_lab]] = c * vx + s * vy
         rotated[:, _INDEX[y_lab]] = -s * vx + c * vy

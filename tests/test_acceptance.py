@@ -381,7 +381,7 @@ def test_criterion_9_frame_transform(capsys):
     traj = propagate_custom(constant_frame_hamiltonian(z, x, t_ad), t_ad,
                             basis_state("01"), DT, 200)
     values = measure_correlators(traj.states)
-    rotated = rotate_correlators(values, 2, frame_rotation_angle(z, traj.times, t_ad))
+    rotated = rotate_correlators(values, frame_rotation_angle(z, traj.times, t_ad))
     ix, iy = CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")
     raw_iy, rot_ix, rot_iy = values[:, iy], rotated[:, ix], rotated[:, iy]
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from adiasim import analysis
 from adiasim.analysis import (
     _TIE_TOL,
     DegenerateTracking,
@@ -194,7 +195,7 @@ class TestBatchedTracking:
 class TestMinGap:
     def test_two_level_crossing_is_exact(self):
         duck = TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4)
-        a, s_c = min_gap(duck, n_grid=501)
+        a, s_c = min_gap(duck)
         assert a == pytest.approx(0.37, abs=1e-10)
         assert s_c == pytest.approx(0.4, abs=1e-7)
 
@@ -273,13 +274,15 @@ class TestDiabaticSlope:
         alpha = diabatic_slope(FIG4, s_c=s_c)
         assert alpha / 10.0 == pytest.approx(FIG4_SLOPE_AT_10US, abs=1e-4)
 
-    def test_window_stability(self):
+    def test_window_stability(self, monkeypatch):
         """The fitted slope moves by < 2% when the window is 5% or 15% of
         the protocol instead of 10%."""
         _, s_c = min_gap(FIG4)
-        base = diabatic_slope(FIG4, s_c=s_c, window_fraction=0.10)
+        assert analysis._SLOPE_WINDOW == 0.10
+        base = diabatic_slope(FIG4, s_c=s_c)
         for frac in (0.05, 0.15):
-            alt = diabatic_slope(FIG4, s_c=s_c, window_fraction=frac)
+            monkeypatch.setattr(analysis, "_SLOPE_WINDOW", frac)
+            alt = diabatic_slope(FIG4, s_c=s_c)
             assert abs(alt - base) / base < 0.02
 
     def test_requires_crossing_time(self):
@@ -288,9 +291,9 @@ class TestDiabaticSlope:
 
     def test_window_out_of_range(self):
         with pytest.raises(WindowOutOfRange):
-            diabatic_slope(FIG4, s_c=0.03, window_fraction=0.10)
+            diabatic_slope(FIG4, s_c=0.03)
         with pytest.raises(WindowOutOfRange):
-            diabatic_slope(FIG4, s_c=0.99, window_fraction=0.10)
+            diabatic_slope(FIG4, s_c=0.99)
 
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_closed_form_matches_tracked_bare_levels(self, schedule):

@@ -86,7 +86,7 @@ class TestChevronMap:
                          f_center=1097.0)
         assert cm.f_tc[0] == pytest.approx(1096.0)
         assert cm.f_tc[-1] == pytest.approx(1098.0)
-        assert cm.f_center == 1097.0
+        assert cm.f_tc[2] == pytest.approx(1097.0)
         # Populations depend only on the detuning, not the absolute center.
         base = chevron_map(1.0, (-1.0, 1.0), (0.0, 1.0), grid=(5, 11))
         np.testing.assert_allclose(cm.populations, base.populations, atol=1e-15)
@@ -120,7 +120,7 @@ class TestChevronMap:
     def test_constructor_rejects_out_of_range_population(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ChevronMap(f_tc=np.array([0.0]), times=np.array([0.0, 1.0]),
-                       populations=np.array([[0.0, 1.5]]), f_center=0.0, j=1.0)
+                       populations=np.array([[0.0, 1.5]]))
 
 
 class TestOscillationFrequency:

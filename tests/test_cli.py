@@ -221,6 +221,14 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
         assert ("simulation.n_samples: chevron" in capsys.readouterr().err) == (code == 2)
 
+    def test_chevron_has_no_step_bounds(self, tmp_path):
+        """chevron integrates nothing, so neither dt <= t_ad/100 nor the RK4
+        step bound applies to it."""
+        for text in ("[schedule]\nt_ad = 0.1\n", "[simulation]\ndt_us = 1e-9\n"):
+            cfg = write_config(tmp_path, "[scenario]\nname = chevron\n\n" + text)
+            assert main(["validate", cfg]) == 0
+            assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("n_samples, rows", [(1, 2), (2, 3)])
     def test_fewest_samples_write_every_trace(self, tmp_path, n_samples, rows):
         cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n"
@@ -482,7 +490,14 @@ class TestValidateCommand:
          "n_samples = 10\n", "simulation.shots"),
         ("[scenario]\nname = fig4\ninitial_states = 01, 01\n", "scenario.initial_states"),
         ("[scenario]\nname = table1\ninitial_states = 00, 00\n", "scenario.initial_states"),
-    ], ids=["shots-beyond-int64", "fig4-repeated-state", "table1-repeated-state"])
+        ("[scenario]\nname = fig1\n\n[schedule]\nt_ad = 10, 20\n", "schedule.t_ad: fig1"),
+        ("[scenario]\nname = fig1\ninitial_states = 00, 01\n", "scenario.initial_states: fig1"),
+        ("[scenario]\nname = chevron\n\n[schedule]\nt_ad = 8, 9\n", "schedule.t_ad: chevron"),
+        ("[scenario]\nname = chevron\ninitial_states = 00\n",
+         "scenario.initial_states: chevron"),
+    ], ids=["shots-beyond-int64", "fig4-repeated-state", "table1-repeated-state",
+            "fig1-two-durations", "fig1-two-states", "chevron-two-durations",
+            "chevron-with-state"])
     def test_config_error_exits_2_from_validate_and_run(self, tmp_path, capsys, text, key):
         cfg = write_config(tmp_path, text)
         assert main(["validate", cfg]) == 2
@@ -550,7 +565,8 @@ class TestIntrospection:
 # large finite and non-finite.  ``None`` keeps the scenario's preset.
 EDGE_VALUES = st.one_of(st.sampled_from(["0", "-1", "1e-9", "1e6", "inf", "nan"]), st.none())
 # Edge values of the other sections' fields.  dt_us = 1e-9 needs more than
-# 1e8 RK4 steps for every drawn t_ad, so validation stops it before any run.
+# 1e8 RK4 steps for every drawn t_ad, so validation stops it before any run
+# except chevron's, which integrates nothing.
 OTHER_EDGES = st.fixed_dictionaries({
     ("noise", "t1_us"): EDGE_VALUES,
     ("noise", "t2_us"): EDGE_VALUES,
@@ -570,13 +586,15 @@ NO_FIELDS = dict.fromkeys(("z1", "z2", "x1", "x2", "j", "zz"))
 
 class TestExitCodeContract:
     # The explicit examples are a chevron run that only its coupling makes
-    # invalid, a fig1 run whose chirped-frame sweep diverges, a table1 run
-    # whose three durations share one eigensystem, a table1 run whose thermal
-    # occupation makes the Lindblad steps diverge (exit 3), a table1 run whose
-    # large x2 drives its correlators outside [-1, 1] (exit 3), and a sampled
-    # fig1 run and a three-duration fig4 run that both exit 0.  Generated ones
-    # mostly stop earlier in validation: most edge values of the noise and
-    # simulation fields are out of bounds.
+    # invalid, a three-duration fig1 run that validation stops (exit 2: fig1
+    # takes one duration; test_diverging_fig1_exits_3 pins its diverging
+    # one-duration twin), a table1 run whose three durations share one
+    # eigensystem, a table1 run whose thermal occupation makes the Lindblad
+    # steps diverge (exit 3), a table1 run whose large x2 drives its
+    # correlators outside [-1, 1] (exit 3), and a sampled fig1 run and a
+    # three-duration fig4 run that both exit 0.  Generated ones mostly stop
+    # earlier in validation: most edge values of the noise and simulation
+    # fields are out of bounds, and fig1 and chevron take one duration.
     @settings(derandomize=True, max_examples=100, deadline=None)
     @example(name="chevron", fields=dict(NO_FIELDS, j="0"), t_ad="2", n_samples=4, other={})
     @example(name="fig1", fields=dict(NO_FIELDS, x2="1e6"), t_ad="0.5, 1, 2", n_samples=4,
@@ -616,6 +634,13 @@ class TestExitCodeContract:
                     data = CONFIG_ECHO.sub("", handle.read())
                     assert not NON_FINITE_TOKEN.search(data), file_name
 
+    def test_diverging_fig1_exits_3(self, tmp_path, capsys):
+        """fig1's chirped-frame sweep with x2 = 1e6 diverges in RK4."""
+        cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n[schedule]\nx2 = 1e6\n"
+                                     "t_ad = 0.5\n\n[simulation]\nn_samples = 4\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "run failed (StepTooLarge)" in capsys.readouterr().err
+
 
 def run_with_finite_outputs(text: str) -> int:
     """Exit code of ``adiasim run`` on a config text, after checking that
@@ -638,8 +663,9 @@ def run_with_finite_outputs(text: str) -> int:
 SHORT_PRESETS = {"fig1": "1", "chevron": "1", "fig3": "1", "fig4": "1, 2", "table1": "1, 2, 3"}
 # Extremes of each field: values at and beyond both ends of its accepted
 # range, and inf and nan.  No accepted draw comes near the 1e8-step bound:
-# dt_us = 1e-9 needs 1e9 steps and stops in validation, and the longest run
-# takes 6e4 steps (table1 at dt_us = 1e-4).
+# dt_us = 1e-9 needs 1e9 steps and stops in validation (chevron accepts it
+# and integrates nothing), and the longest run takes 6e4 steps (table1 at
+# dt_us = 1e-4).
 ONE_FIELD_EXTREMES = [
     (field, value) for field, values in {
         **{("schedule", key): ("-1e6", "-1", "0", "1e-9", "1e6", "inf", "nan")

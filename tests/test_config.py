@@ -11,7 +11,6 @@ from adiasim.config import (
     SCENARIO_SUMMARIES,
     ScenarioConfig,
     load_config,
-    preset_text,
     validate_config,
 )
 
@@ -117,15 +116,15 @@ class TestPresets:
         assert config.j == 1.3
 
     def test_preset_text_round_trips(self):
+        """Each built-in preset prints canonical text that parses back to it;
+        custom has no preset, and an unknown name none either."""
         for name in SCENARIO_NAMES:
             if name == "custom":
-                with pytest.raises(ConfigParse):
-                    preset_text(name)
+                invalid(f"[scenario]\nname = {name}\n")
                 continue
-            text = preset_text(name)
-            assert valid(text) == valid(text)
-        with pytest.raises(ConfigParse, match="unknown scenario"):
-            preset_text("fig9")
+            preset = valid(f"[scenario]\nname = {name}\n")
+            assert valid(preset.to_text()) == preset
+        assert any("unknown scenario" in e for e in invalid("[scenario]\nname = fig9\n"))
 
 
 class TestCustomScenario:
@@ -262,6 +261,30 @@ class TestValidationErrors:
         errors = invalid("[scenario]\nname = fig4\ninitial_states =\n")
         assert any("at least one initial state" in e for e in errors)
 
+    def test_fig1_takes_one_duration_and_one_state(self):
+        """fig1 runs one state at one duration; a list it would drop is an error."""
+        errors = invalid("[scenario]\nname = fig1\ninitial_states = 00, 01\n\n"
+                         "[schedule]\nt_ad = 10, 20\n")
+        assert "schedule.t_ad: fig1 takes one duration, got 2" in errors
+        assert "scenario.initial_states: fig1 takes one state, got 2" in errors
+        config = valid("[scenario]\nname = fig1\ninitial_states = 10\n\n"
+                       "[schedule]\nt_ad = 20\n")
+        assert (config.initial_states, config.t_ad) == (("10",), (20.0,))
+
+    def test_chevron_takes_one_duration_and_no_state(self):
+        errors = invalid("[scenario]\nname = chevron\n\n[schedule]\nt_ad = 8, 9\n")
+        assert errors == ["schedule.t_ad: chevron takes one duration, got 2"]
+        errors = invalid("[scenario]\nname = chevron\ninitial_states = 00\n")
+        assert errors == ["scenario.initial_states: chevron takes no initial state"]
+        assert valid("[scenario]\nname = chevron\ninitial_states =\n").initial_states == ()
+
+    def test_chevron_has_no_step_bounds(self):
+        """chevron integrates nothing: a duration below 100 dt and a dt that
+        would need more than 1e8 RK4 steps are both accepted."""
+        assert valid("[scenario]\nname = chevron\n\n[schedule]\nt_ad = 0.1\n").t_ad == (0.1,)
+        config = valid("[scenario]\nname = chevron\n\n[simulation]\ndt_us = 1e-9\n")
+        assert config.dt_us == 1e-9
+
     def test_output_validation(self):
         errors = invalid("[scenario]\nname = fig4\n\n[output]\nformat = xml\n")
         assert any("csv or json" in e for e in errors)
@@ -331,7 +354,7 @@ class TestReadmeExample:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Configuration format", 1)[1]
         block = section.split("```ini\n", 1)[1].split("```", 1)[0]
-        assert valid(block).to_text() == preset_text("fig4")
+        assert valid(block).to_text() == valid("[scenario]\nname = fig4\n").to_text()
 
     def test_readme_library_block_runs(self):
         """The README's library example runs as written on the fig4 sweep

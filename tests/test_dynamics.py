@@ -21,9 +21,17 @@ from adiasim.dynamics import (
     propagate_custom,
     propagate_lindblad,
     propagate_unitary,
-    sigma_ops,
 )
-from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, X, Z, embed_1q, pauli_2q
+from adiasim.operators import (
+    PAULI_BASIS,
+    PAULI_BASIS_LABELS,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    X,
+    Z,
+    embed_1q,
+    pauli_2q,
+)
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators
 
@@ -108,6 +116,16 @@ def reference_lindblad(schedule, t_ad, rho0, noise, dt, n_samples):
     return np.array(states)
 
 
+def channel_operators(qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma-, sigma+, sigma_z) of one qubit, read off the collapse operators
+    of a noise model whose decay, excitation and dephasing rates are 2, 1 and
+    1/2, so that the operators carry the factors sqrt(2), 1 and 1/2."""
+    ops = collapse_operators(NoiseModel(t1=1.0, t2=1.0, n_th=1.0))
+    assert len(ops) == 6
+    down, up, dephasing = ops[3 * (qubit - 1):3 * qubit]
+    return down / math.sqrt(2.0), up, 2.0 * dephasing
+
+
 class TestBasisAndOperators:
     def test_basis_states(self):
         for idx, label in enumerate(BASIS_LABELS):
@@ -120,20 +138,16 @@ class TestBasisAndOperators:
 
     @pytest.mark.parametrize("qubit", [1, 2])
     def test_ladder_commutator(self, qubit):
-        lower, raise_, sz = sigma_ops(qubit)
+        lower, raise_, sz = channel_operators(qubit)
         assert np.allclose(raise_ @ lower - lower @ raise_, sz)
         assert np.allclose(sz, embed_1q(Z, qubit))
 
     def test_lowering_action(self):
-        lower2, _, _ = sigma_ops(2)
+        lower2, _, _ = channel_operators(2)
         assert np.allclose(lower2 @ basis_state("01"), basis_state("00"))
         assert np.allclose(lower2 @ basis_state("00"), 0.0)
-        lower1, _, _ = sigma_ops(1)
+        lower1, _, _ = channel_operators(1)
         assert np.allclose(lower1 @ basis_state("11"), basis_state("01"))
-
-    def test_sigma_ops_bad_qubit(self):
-        with pytest.raises(BadIndex):
-            sigma_ops(3)
 
 
 class TestNoiseModel:
@@ -172,7 +186,7 @@ class TestNoiseModel:
         t1, t2, nth = 50.0, 40.0, 0.01
         ops = collapse_operators(NoiseModel(t1=t1, t2=t2, n_th=nth))
         assert len(ops) == 6  # decay, excitation, dephasing per qubit
-        lower1, raise1, sz1 = sigma_ops(1)
+        lower1, raise1, sz1 = (embed_1q(op, 1) for op in (SIGMA_MINUS, SIGMA_PLUS, Z))
         rate_down = math.sqrt((1 + nth) / t1)
         rate_up = math.sqrt(nth / t1)
         rate_phi = math.sqrt(0.5 * (1 / t2 - 0.5 / t1))
@@ -210,6 +224,14 @@ class TestUnitaryPropagation:
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
             propagate_unitary(ZERO_FIELD, 10.0, 2.0 * basis_state("00"))
+
+    def test_requires_state_vector(self):
+        """A 2x2 matrix has four entries but is no two-qubit state."""
+        rho = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"shape \(4,\), got \(2, 2\)"):
+            propagate_unitary(FIG3B, 1.0, rho, 0.01, 2)
+        with pytest.raises(ValueError, match=r"shape \(4,\), got \(2, 2\)"):
+            propagate_lindblad(FIG3B, 1.0, rho, NoiseModel(t1=50.0, t2=40.0), 0.01, 2)
 
     def test_rejects_coarse_step(self):
         with pytest.raises(ValueError):

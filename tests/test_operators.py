@@ -13,7 +13,6 @@ from adiasim.operators import (
     Z,
     dagger,
     embed_1q,
-    pauli_1q,
     pauli_2q,
 )
 
@@ -63,14 +62,13 @@ class TestSingleQubit:
 
     @pytest.mark.parametrize("label", ALL_1Q)
     def test_involution(self, label):
-        p = pauli_1q(label)
+        p = dict(zip(ALL_1Q, (I2, X, Y, Z)))[label]
         assert np.allclose(p @ p, I2)
 
     def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            pauli_1q("Q")
-        with pytest.raises(ValueError):
-            pauli_2q("XYZ")
+        for label in ("QI", "IQ", "XYZ", "X", "xi"):
+            with pytest.raises(ValueError, match="unknown two-qubit Pauli label"):
+                pauli_2q(label)
 
 
 class TestTwoQubit:
@@ -87,6 +85,13 @@ class TestTwoQubit:
         assert np.allclose(pauli_2q("IZ"), np.kron(I2, Z))
         assert np.allclose(embed_1q(X, 1), pauli_2q("XI"))
         assert np.allclose(embed_1q(Y, 2), pauli_2q("IY"))
+
+    def test_embed_rejects_bad_qubit_and_shape(self):
+        for qubit in (0, 3):
+            with pytest.raises(ValueError, match="qubit index must be 1 or 2"):
+                embed_1q(X, qubit)
+        with pytest.raises(ValueError, match="2x2 operator"):
+            embed_1q(np.eye(4), 1)
 
     def test_exchange_action_on_01(self):
         """(XX + YY)|01> = 2|10>, checked against explicitly built matrices."""

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import adiasim
@@ -38,3 +39,13 @@ def test_scan_sees_private_imports(tmp_path):
         "mod.py:2 imports _tracked_eigensystem from analysis",
         "mod.py:3 imports _W from adiasim.dynamics",
     ]
+
+
+def test_every_exported_name_exists():
+    """Each name in a module's ``__all__`` resolves, so ``import *`` works."""
+    modules = [adiasim] + [importlib.import_module(f"adiasim.{path.stem}")
+                           for path in sorted(PACKAGE_DIR.glob("*.py"))
+                           if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

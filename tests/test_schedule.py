@@ -139,7 +139,7 @@ class TestFrames:
         """In the constant-frequency frame the transverse field rotates with
         the accumulated phase difference between the two frames."""
         z, x, t_ad = 3.0, 2.7, 10.0
-        ham = constant_frame_hamiltonian(z, x, t_ad, qubit=2)
+        ham = constant_frame_hamiltonian(z, x, t_ad)
         rng = np.random.default_rng(14)
         for _ in range(N_RANDOM):
             t = rng.uniform(0.0, t_ad)
@@ -154,7 +154,7 @@ class TestFrames:
         """An array of times gives the stack of the scalar calls and is
         checked against the protocol window as a whole."""
         z, x, t_ad = 3.0, 2.7, 10.0
-        ham = constant_frame_hamiltonian(z, x, t_ad, qubit=2)
+        ham = constant_frame_hamiltonian(z, x, t_ad)
         times = np.linspace(0.0, t_ad, 41)
         stack = ham(times)
         assert stack.shape == (41, 4, 4)

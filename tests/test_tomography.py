@@ -8,14 +8,13 @@ import pytest
 from adiasim.config import validate_config
 from adiasim.dynamics import (
     DRIFT_LIMIT,
-    BadIndex,
     NoiseModel,
     basis_state,
     propagate_lindblad,
     propagate_unitary,
 )
 from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q, pauli_2q
-from adiasim.scenarios import _measure, _measurement_seed
+from adiasim.scenarios import _measure
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import (
     CORRELATOR_LABELS,
@@ -273,7 +272,8 @@ class TestCorrelatorArrays:
         columns = _measure(config, traj.states, 2, 1)
         p_plus = np.clip(0.5 * (1.0 + measure_correlators(traj.states)), 0.0, 1.0)
         assert p_plus.shape == (21, len(CORRELATOR_LABELS))
-        counts = np.random.default_rng(_measurement_seed(config, 2, 1)).binomial(500, p_plus)
+        stream = np.random.SeedSequence(entropy=config.seed, spawn_key=(2, 1))
+        counts = np.random.default_rng(stream).binomial(500, p_plus)
         assert np.array_equal(columns, (2.0 * counts - 500) / 500)
 
     @pytest.mark.parametrize("sch", [FIG4_SCHEDULE, FIG3_SCHEDULE], ids=["fig4", "fig3b"])
@@ -333,9 +333,9 @@ class TestEnergyEstimate:
             0.0, abs=1e-12)
 
 
-def rotated(psi: np.ndarray, qubit: int, theta: float) -> dict:
-    """Correlators of one state rotated into another frame, by label."""
-    row = rotate_correlators(measure_correlators(psi[None]), qubit, theta)[0]
+def rotated(psi: np.ndarray, theta: float) -> dict:
+    """Correlators of one state with qubit 2 rotated into another frame, by label."""
+    row = rotate_correlators(measure_correlators(psi[None]), theta)[0]
     return dict(zip(CORRELATOR_LABELS, row))
 
 
@@ -343,32 +343,28 @@ class TestRotateFrame:
     def test_zero_angle_identity(self):
         rng = np.random.default_rng(38)
         psi = random_pure_state(rng)
-        tom, rot = labelled(psi), rotated(psi, 2, 0.0)
+        tom, rot = labelled(psi), rotated(psi, 0.0)
         for label, value in tom.items():
             assert rot[label] == pytest.approx(value, abs=1e-15)
 
     def test_quarter_turn(self):
         rng = np.random.default_rng(39)
         psi = random_pure_state(rng)
-        tom, rot = labelled(psi), rotated(psi, 2, math.pi / 2)
+        tom, rot = labelled(psi), rotated(psi, math.pi / 2)
         assert rot["IX"] == pytest.approx(tom["IY"], abs=1e-12)
         assert rot["IY"] == pytest.approx(-tom["IX"], abs=1e-12)
         assert rot["IZ"] == pytest.approx(tom["IZ"], abs=1e-15)
         assert rot["XX"] == pytest.approx(tom["XY"], abs=1e-12)
         assert rot["XY"] == pytest.approx(-tom["XX"], abs=1e-12)
+        assert (rot["XI"], rot["YI"]) == (tom["XI"], tom["YI"])  # qubit 1 stays
 
     def test_preserves_transverse_norm(self):
         rng = np.random.default_rng(40)
         for _ in range(N_RANDOM):
             psi = random_pure_state(rng)
             theta = rng.uniform(-10, 10)
-            qubit = int(rng.integers(1, 3))
-            tom, rot = labelled(psi), rotated(psi, qubit, theta)
-            if qubit == 1:
-                pairs = [("XI", "YI"), ("XX", "YX"), ("XY", "YY")]
-            else:
-                pairs = [("IX", "IY"), ("XX", "XY"), ("YX", "YY")]
-            for a, b in pairs:
+            tom, rot = labelled(psi), rotated(psi, theta)
+            for a, b in [("IX", "IY"), ("XX", "XY"), ("YX", "YY")]:
                 before = tom[a] ** 2 + tom[b] ** 2
                 after = rot[a] ** 2 + rot[b] ** 2
                 assert after == pytest.approx(before, abs=1e-12)
@@ -376,24 +372,20 @@ class TestRotateFrame:
     def test_rotation_composes(self):
         rng = np.random.default_rng(41)
         values = measure_correlators(random_pure_state(rng)[None])
-        once = rotate_correlators(rotate_correlators(values, 1, 0.3), 1, 0.4)
-        combined = rotate_correlators(values, 1, 0.7)
+        once = rotate_correlators(rotate_correlators(values, 0.3), 0.4)
+        combined = rotate_correlators(values, 0.7)
         assert np.max(np.abs(once - combined)[:, :len(PAULI_LABELS_2Q)]) <= 1e-12
 
     def test_matches_physically_rotated_state(self):
         """Rotating the correlators equals measuring the state conjugated by
-        exp(-i theta Z/2) on that qubit."""
+        exp(-i theta Z/2) on qubit 2."""
         rng = np.random.default_rng(42)
         for _ in range(20):
             psi = random_pure_state(rng)
             theta = rng.uniform(-math.pi, math.pi)
-            rot = rotated(psi, 2, theta)
+            rot = rotated(psi, theta)
             u1q = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
             u = np.kron(np.eye(2), u1q)
             direct_rot = labelled(u @ psi)
             for label in PAULI_LABELS_2Q:
                 assert rot[label] == pytest.approx(direct_rot[label], abs=1e-10)
-
-    def test_bad_qubit_index(self):
-        with pytest.raises(BadIndex):
-            rotate_correlators(measure_correlators(basis_state("00")[None]), 0, 0.1)
