@@ -38,9 +38,11 @@ text printed from a config parses back to it.  A field without a default
 (z1, z2, x1, x2, t_ad) is prefilled by every built-in scenario and must be
 stated by a ``custom`` file; a file only needs to state what differs.
 Checks that span several fields are written out after the table loop:
-distinct durations (three or more for table1, one for fig1 and chevron),
-the dt and RK4-step bounds (not for chevron, which integrates nothing),
-T2 <= 2*T1, and distinct initial states (one for fig1, none for chevron).
+zeros in the schedule fields that fig1 and chevron do not use and no noise
+for either, distinct durations (three or more for table1, one for fig1 and
+chevron), the dt and RK4-step bounds (not for chevron, which integrates
+nothing), T2 <= 2*T1, and distinct initial states (one for fig1, none for
+chevron).
 
 ``validate_config`` returns either a fully-defaulted ``ScenarioConfig`` or
 the complete list of violations.  In exact mode (shots = 0) the seed is
@@ -98,6 +100,10 @@ _SCENARIOS: dict[str, tuple[str, dict]] = {
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 SCENARIO_SUMMARIES = {name: summary for name, (summary, _) in _SCENARIOS.items()}
+
+# Schedule fields that fig1 and chevron do not use, and so require to be 0;
+# neither takes noise.
+_UNUSED_FIELDS = {"fig1": ("z1", "x1", "j", "zz"), "chevron": ("z1", "z2", "x1", "x2", "zz")}
 
 # Upper bound on simulation.n_samples: a Lindblad run keeps one real 16x16
 # map per sample interval, about 205 MB at the bound.
@@ -314,6 +320,12 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
     t_ads = merged.get("t_ad", ())
     if name == "chevron" and merged["j"] <= 0.0:
         errors.append(f"schedule.j: chevron needs a positive coupling, got {merged['j']}")
+    for key in _UNUSED_FIELDS.get(name, ()):
+        if key not in out_of_bounds and merged[key] != 0.0:
+            errors.append(f"schedule.{key}: {name} does not use it and needs 0, "
+                          f"got {merged[key]}")
+    if name in _UNUSED_FIELDS and merged["noise_enabled"]:
+        errors.append(f"noise.enabled: {name} takes no noise, got true")
     for idx, t_ad in enumerate(t_ads):
         if not math.isfinite(t_ad) or t_ad <= 0.0:
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")

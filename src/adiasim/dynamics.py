@@ -26,8 +26,12 @@ Each sample interval is propagated by the product of its step matrices,
 multiplied in time order by pairwise reduction.  Every interval has the same
 number of steps, so whole intervals are built together in groups whose
 batch holds at most ``_BATCH_STEPS`` step matrices; an interval of more
-steps is a group of one, built from several batches.  Memory stays bounded
-however many steps an interval holds.  A sweep of duration t_ad is affine
+steps is a group of one, built from several batches.  A map build
+allocates its working memory once and reuses it for every group and batch:
+the step stack of one batch, (g, m, d, d) with g*m <= ``_BATCH_STEPS`` or
+g = 1, a scratch stack of half its steps, between which the levels of the
+reduction alternate, and the maps themselves.  Memory stays bounded however
+many steps an interval holds.  A sweep of duration t_ad is affine
 in s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
 R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per (schedule,
 t_ad, noise, dt, n_samples) and shared by every initial state; an arbitrary
@@ -280,40 +284,62 @@ def _step_polynomial(g0: np.ndarray, g1: np.ndarray, h: float,
     return poly
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """The time-ordered product of ``mats`` along axis -3, by pairwise reduction.
+def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the time-ordered product of ``mats`` along axis 1 into ``out``.
 
-    For a stack of shape (..., m, d, d) this is mats[..., m-1, :, :] @ ... @
-    mats[..., 0, :, :], paired the same way for every leading index.
+    For a stack of shape (g, m, d, d) this is mats[:, m-1] @ ... @ mats[:, 0],
+    by pairwise reduction, paired the same way for every leading index.  Each
+    level goes back and forth between ``mats``, which it overwrites, and
+    ``scratch``, of shape (g, >= ceil(m/2), d, d); the last goes into ``out``.
     """
-    while mats.shape[-3] > 1:
-        n = mats.shape[-3]
-        even = n - n % 2
-        pairs = mats[..., 1:even:2, :, :] @ mats[..., 0:even:2, :, :]
-        mats = np.concatenate([pairs, mats[..., even:, :, :]], axis=-3) if even < n else pairs
-    return mats[..., 0, :, :]
+    src, dst = mats, scratch
+    n = mats.shape[1]
+    while n > 2:
+        half, odd = divmod(n, 2)
+        np.matmul(src[:, 1:n - odd:2], src[:, 0:n - odd:2], out=dst[:, :half])
+        if odd:
+            dst[:, half] = src[:, n - 1]
+        src, dst, n = dst, src, half + odd
+    if n == 2:
+        np.matmul(src[:, 1], src[:, 0], out=out)
+    else:
+        out[...] = src[:, 0]
 
 
-def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float) -> np.ndarray:
-    """The RK4 propagator of each sample interval of ``times``.
+def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float, d: int,
+                   dtype) -> np.ndarray:
+    """The RK4 propagator of each sample interval of ``times``, as (d, d) ``dtype``.
 
     The intervals are built in groups of max(1, _BATCH_STEPS // steps).
-    ``step_matrices(stage_times)`` gets a batch's (g, 2m+1) half-step times,
-    one row per interval of the group, and returns its (g, m, d, d) step
-    matrices, whose shape and dtype the maps take.
+    ``step_matrices(stage_times, out)`` gets a batch's (g, 2m+1) half-step
+    times, one row per interval of the group, and writes its step matrices
+    into ``out``, a C-contiguous (g, m, d, d) view of the step stack.  The
+    step stack, the scratch stack of the reduction and the maps are
+    allocated once and reused by every group and batch.
     """
     starts = times[:-1]
     group = max(1, _BATCH_STEPS // steps)
-    maps = None
+    size = min(group, len(starts))
+    m_max = min(_BATCH_STEPS, steps)
+    # The stack holds one batch: size * m_max <= _BATCH_STEPS, or size = 1.
+    # A group of several intervals takes one batch of m_max steps, so every
+    # stack[:g, :m] below is contiguous, as step_matrices needs.
+    stack = np.empty((size, m_max, d, d), dtype)
+    scratch = np.empty((size, (m_max + 1) // 2, d, d), dtype)
+    maps = np.empty((len(starts), d, d), dtype)
+    product = np.empty((1, d, d), dtype)  # a later batch of a one-interval group
     for k in range(0, len(starts), group):
         t0 = starts[k:k + group, None]
+        g = len(t0)
         for first in range(0, steps, _BATCH_STEPS):
             m = min(_BATCH_STEPS, steps - first)
             stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
-            batch = _ordered_product(step_matrices(stage_times))
-            if maps is None:
-                maps = np.empty((len(starts),) + batch.shape[1:], dtype=batch.dtype)
-            maps[k:k + group] = batch if first == 0 else batch @ maps[k:k + group]
+            step_matrices(stage_times, stack[:g, :m])
+            if first == 0:
+                _ordered_product(stack[:g, :m], scratch[:g], maps[k:k + g])
+            else:
+                _ordered_product(stack[:g, :m], scratch[:g], product)
+                np.matmul(product, maps[k:k + g], out=maps[k:k + g])
     return maps
 
 
@@ -344,14 +370,15 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
         poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1).view(float)
         eye = np.eye(len(g0))
 
-        def step_matrices(stage_times: np.ndarray) -> np.ndarray:
+        def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
             s = stage_times[:, :-2:2] / t_ad
-            sums = (np.vander(s.ravel(), 5, increasing=True) @ poly).view(g0.dtype)
+            np.matmul(np.vander(s.ravel(), 5, increasing=True), poly,
+                      out=out.reshape(s.size, -1).view(float))
             # I is added after the sum, not folded into P_0, so that the
             # rounding of one shared P_0 + I does not repeat in every step.
-            return eye + sums.reshape(s.shape + eye.shape)
+            out += eye
 
-        maps = _interval_maps(step_matrices, times, steps, h)
+        maps = _interval_maps(step_matrices, times, steps, h, len(g0), g0.dtype)
     times.flags.writeable = False
     maps.flags.writeable = False
     return times, maps
@@ -421,12 +448,12 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
     psi0 = _pure_initial(psi0)
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
 
-    def step_matrices(stage_times: np.ndarray) -> np.ndarray:
+    def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
         hams = np.broadcast_to(ham(stage_times.ravel()), (stage_times.size, 4, 4))
-        return _step_matrices(_W * hams.reshape(stage_times.shape + (4, 4)), h)
+        out[...] = _step_matrices(_W * hams.reshape(stage_times.shape + (4, 4)), h)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
-        maps = _interval_maps(step_matrices, times, steps, h)
+        maps = _interval_maps(step_matrices, times, steps, h, 4, complex)
     states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
     return Trajectory(times=times, states=states, drifts=drifts)
 

@@ -80,9 +80,11 @@ def _write_json(path: str, payload: dict, indent: int | None = None) -> None:
 
 
 def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
-                 columns: list[str], rows: list[list[float]]) -> None:
-    if not np.isfinite(rows).all():
+                 columns: list[str], table: np.ndarray) -> None:
+    """Write the (rows, columns) array ``table`` as a CSV or JSON trace."""
+    if not np.isfinite(table).all():
         raise NonFiniteOutput(f"refusing to write {path}: a trace value is not finite")
+    rows = table.tolist()
     if config.format == "json":
         payload = {
             "format": "adiasim-trace",
@@ -138,8 +140,8 @@ def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarra
 
 def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, t_ad: float,
                 trajectories: dict, levels: tuple[np.ndarray, np.ndarray],
-                t_ad_index: int) -> tuple[list[str], list[list[float]], dict]:
-    """Trace rows of one duration; ``levels`` are the tracked energies and vectors."""
+                t_ad_index: int) -> tuple[list[str], np.ndarray, dict]:
+    """Trace table of one duration; ``levels`` are the tracked energies and vectors."""
     times = trajectories[config.initial_states[0]].times
     energies, vectors = levels
     fidelities = {}
@@ -158,9 +160,8 @@ def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, t_ad: float,
         energy = energy_terms(values, schedule, times / t_ad).sum(axis=1)
         table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
         end_values[label] = values[-1]
-    rows = np.column_stack(table).tolist()
-    return columns, rows, {"trajectories": trajectories, "fidelities": fidelities,
-                           "end_values": end_values}
+    extras = {"trajectories": trajectories, "fidelities": fidelities, "end_values": end_values}
+    return columns, np.column_stack(table), extras
 
 
 def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
@@ -184,11 +185,11 @@ def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]
                 traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
                                           config.n_samples)
             trajectories[state] = traj
-        columns, rows, extras_by_tad[t_ad] = _sweep_rows(config, schedule, t_ad, trajectories,
-                                                         levels, t_ad_index)
+        columns, table, extras_by_tad[t_ad] = _sweep_rows(config, schedule, t_ad, trajectories,
+                                                          levels, t_ad_index)
         path = os.path.join(config.out_dir,
                             f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
-        _write_trace(path, config, label, t_ad, columns, rows)
+        _write_trace(path, config, label, t_ad, columns, table)
         paths.append(path)
     return paths, extras_by_tad
 
@@ -316,9 +317,8 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
             theta = frame_rotation_angle(z, traj.times, t_ad)
             ix_iy = rotate_correlators(values, theta)[:, _IX_IY]
             table += [theta, ix_iy]
-        rows = np.column_stack(table).tolist()
         path = os.path.join(config.out_dir, f"fig1_{frame}_trace.{_trace_ext(config)}")
-        _write_trace(path, config, "fig1", t_ad, columns, rows)
+        _write_trace(path, config, "fig1", t_ad, columns, np.column_stack(table))
         paths.append(path)
         tag = "rotated" if frame == "constant" else frame
         summary[f"max_abs_iy_{tag}"] = float(np.max(np.abs(ix_iy[:, 1])))
@@ -345,9 +345,9 @@ def _run_chevron(config: ScenarioConfig) -> list[str]:
     )
     columns = ["f_tc_mhz", "t_us", "p10"]
     f_grid, t_grid = np.meshgrid(cmap.f_tc, cmap.times, indexing="ij")
-    rows = np.column_stack([f_grid.ravel(), t_grid.ravel(), cmap.populations.ravel()]).tolist()
+    table = np.column_stack([f_grid.ravel(), t_grid.ravel(), cmap.populations.ravel()])
     map_path = os.path.join(config.out_dir, f"chevron_map.{_trace_ext(config)}")
-    _write_trace(map_path, config, "chevron", t_ad, columns, rows)
+    _write_trace(map_path, config, "chevron", t_ad, columns, table)
 
     omegas = [(float(cmap.f_tc[fi]),
                oscillation_frequency(cmap.times, cmap.populations[fi]))

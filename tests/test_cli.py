@@ -495,9 +495,18 @@ class TestValidateCommand:
         ("[scenario]\nname = chevron\n\n[schedule]\nt_ad = 8, 9\n", "schedule.t_ad: chevron"),
         ("[scenario]\nname = chevron\ninitial_states = 00\n",
          "scenario.initial_states: chevron"),
+        *((f"[scenario]\nname = fig1\n\n[schedule]\n{key} = 0.5\n",
+           f"schedule.{key}: fig1 does not use it") for key in ("z1", "x1", "j", "zz")),
+        *((f"[scenario]\nname = chevron\n\n[schedule]\n{key} = 0.5\n",
+           f"schedule.{key}: chevron does not use it")
+          for key in ("z1", "z2", "x1", "x2", "zz")),
+        ("[scenario]\nname = fig1\n\n[noise]\nenabled = true\n", "noise.enabled: fig1"),
+        ("[scenario]\nname = chevron\n\n[noise]\nenabled = true\n", "noise.enabled: chevron"),
     ], ids=["shots-beyond-int64", "fig4-repeated-state", "table1-repeated-state",
             "fig1-two-durations", "fig1-two-states", "chevron-two-durations",
-            "chevron-with-state"])
+            "chevron-with-state", "fig1-z1", "fig1-x1", "fig1-j", "fig1-zz", "chevron-z1",
+            "chevron-z2", "chevron-x1", "chevron-x2", "chevron-zz", "fig1-noise",
+            "chevron-noise"])
     def test_config_error_exits_2_from_validate_and_run(self, tmp_path, capsys, text, key):
         cfg = write_config(tmp_path, text)
         assert main(["validate", cfg]) == 2
@@ -505,6 +514,25 @@ class TestValidateCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, schedule, state", [
+        ("fig1", "z1 = 0.0\nz2 = 3.0\nx1 = 0.0\nx2 = 2.7\nj = 0.0\nzz = 0.0\n", "01"),
+        ("chevron", "z1 = 0.0\nz2 = 0.0\nx1 = 0.0\nx2 = 0.0\nj = 2.0\nzz = 0.0\n", ""),
+    ])
+    def test_fig1_and_chevron_accept_their_unused_fields_as_zeros(self, tmp_path, name,
+                                                                    schedule, state):
+        """The preset, and a config laid out as a sampled benchmark run: every
+        schedule field stated, the unused ones as zeros, noise off, shots and
+        a seed (which chevron, being exact, ignores)."""
+        preset = write_config(tmp_path, f"[scenario]\nname = {name}\n", "preset.ini")
+        assert main(["validate", preset]) == 0
+        cfg = write_config(tmp_path, f"[scenario]\nname = {name}\ninitial_states = {state}\n\n"
+                                     f"[schedule]\n{schedule}t_ad = 1\n\n"
+                                     "[noise]\nenabled = false\n\n"
+                                     "[simulation]\ndt_us = 0.01\nn_samples = 10\n"
+                                     "shots = 10000\nseed = 5\n\n[output]\nformat = json\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_largest_shot_count_runs(self, tmp_path):
         cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n[simulation]\n"
@@ -723,3 +751,49 @@ class TestOneExtremeField:
         assert code in (0, 2, 3)
         if (name, z, x) == ("custom", "2", "3"):
             assert code == 3
+
+
+# Durations of at most 2 us at dt_us = 0.01, which every duration's dt <=
+# t_ad/100 bound admits; table1 takes all three.
+IN_BOUNDS_TADS = ("1", "1.5", "2")
+IN_BOUNDS_FIELD = st.sampled_from(["-2.5", "-1", "0", "0.2", "1.3", "2.5", "4.1", "7.3"])
+IN_BOUNDS_TIME = st.floats(min_value=5.0, max_value=100.0).map(lambda t: round(t, 2))
+# Per qubit: T1, T2 as a fraction of 2*T1 (so T2 <= 2*T1), and n_th.
+IN_BOUNDS_NOISE = st.lists(st.tuples(IN_BOUNDS_TIME, st.floats(min_value=0.05, max_value=0.99),
+                                     st.floats(min_value=0.0, max_value=0.1)),
+                           min_size=2, max_size=2)
+
+
+class TestInBoundsRuns:
+    # Every draw passes validation, so every one reaches run_scenario and
+    # checks the runtime guards rather than the validator: a run either
+    # writes only finite values (exit 0) or stops with a named runtime
+    # error (exit 3), never with a traceback.
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["fig4", "table1", "custom"]),
+           fields=st.fixed_dictionaries({key: IN_BOUNDS_FIELD for key in NO_FIELDS}),
+           t_ad=st.lists(st.sampled_from(IN_BOUNDS_TADS), min_size=1, max_size=3, unique=True),
+           states=st.lists(st.sampled_from(["00", "01", "10", "11"]), min_size=1, max_size=4,
+                           unique=True),
+           n_samples=st.integers(min_value=1, max_value=10),
+           noise=st.one_of(st.none(), IN_BOUNDS_NOISE),
+           shots=st.sampled_from([0, 1, 1000]),
+           seed=st.integers(min_value=0, max_value=2**32),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_in_bounds_config_exits_0_or_3_with_finite_outputs(
+            self, name, fields, t_ad, states, n_samples, noise, shots, seed, fmt):
+        if name == "table1":
+            t_ad = IN_BOUNDS_TADS
+        text = (f"[scenario]\nname = {name}\ninitial_states = {', '.join(states)}\n\n"
+                "[schedule]\n" + "".join(f"{key} = {value}\n" for key, value in fields.items())
+                + f"t_ad = {', '.join(t_ad)}\n\n")
+        if noise is not None:
+            pair = lambda values: ", ".join(repr(v) for v in values)
+            t1 = [t for t, _, _ in noise]
+            t2 = [round(frac * 2.0 * t, 3) for t, frac, _ in noise]
+            text += (f"[noise]\nenabled = true\nt1_us = {pair(t1)}\nt2_us = {pair(t2)}\n"
+                     f"nth = {pair(nth for _, _, nth in noise)}\n\n")
+        text += (f"[simulation]\ndt_us = 0.01\nn_samples = {n_samples}\nshots = {shots}\n"
+                 f"seed = {seed}\n\n[output]\nformat = {fmt}\n")
+        assert validate_config(text)[1] == []
+        assert run_with_finite_outputs(text) in (0, 3)

@@ -523,6 +523,110 @@ class TestAgainstStepLoop:
             propagate_custom(nan_ham, 1.0, basis_state("00"), dt=0.005, n_samples=4)
 
 
+def allocating_ordered_product(mats):
+    """Pairwise time-ordered product along axis -3 with a new array per level."""
+    while mats.shape[-3] > 1:
+        n = mats.shape[-3]
+        even = n - n % 2
+        pairs = mats[..., 1:even:2, :, :] @ mats[..., 0:even:2, :, :]
+        mats = np.concatenate([pairs, mats[..., even:, :, :]], axis=-3) if even < n else pairs
+    return mats[..., 0, :, :]
+
+
+def allocating_interval_maps(step_matrices, times, steps, h):
+    """Interval maps from freshly returned (g, m, d, d) step stacks."""
+    starts = times[:-1]
+    group = max(1, dynamics._BATCH_STEPS // steps)
+    maps = None
+    for k in range(0, len(starts), group):
+        t0 = starts[k:k + group, None]
+        for first in range(0, steps, dynamics._BATCH_STEPS):
+            m = min(dynamics._BATCH_STEPS, steps - first)
+            stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
+            batch = allocating_ordered_product(step_matrices(stage_times))
+            if maps is None:
+                maps = np.empty((len(starts),) + batch.shape[1:], dtype=batch.dtype)
+            maps[k:k + group] = batch if first == 0 else batch @ maps[k:k + group]
+    return maps
+
+
+def near_identity_steps(d, dtype, seed):
+    """Step matrices I + 0.05 cos(s B) of the step starts s, for a fixed random B."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(d, d))
+    if dtype == complex:
+        base = base + 1j * rng.normal(size=(d, d))
+    return lambda stage_times: (np.eye(d)
+                                + 0.05 * np.cos(stage_times[:, :-2:2, None, None] * base))
+
+
+class TestBufferedReduction:
+    """The interval maps built in reused buffers against the reduction that
+    allocates a new array per level and per batch, bit for bit."""
+
+    @pytest.mark.parametrize("d, dtype", [(4, complex), (16, float)],
+                             ids=["complex4", "real16"])
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_ordered_product_matches_allocating_reduction(self, d, dtype, group):
+        rng = np.random.default_rng(d + group)
+        for m in range(1, 18):
+            mats = np.eye(d) + 0.1 * rng.normal(size=(group, m, d, d))
+            if dtype == complex:
+                mats = mats + 0.1j * rng.normal(size=(group, m, d, d))
+            expected = allocating_ordered_product(mats)
+            scratch = np.empty((group, (m + 1) // 2, d, d), dtype)
+            out = np.empty((group, d, d), dtype)
+            dynamics._ordered_product(mats.copy(), scratch, out)
+            assert np.array_equal(out, expected), m
+
+    @pytest.mark.parametrize("d, dtype", [(4, complex), (16, float)],
+                             ids=["complex4", "real16"])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 12])
+    def test_interval_maps_match_allocating_build(self, monkeypatch, d, dtype, steps):
+        """Batches of 5 step matrices: groups of 5 and of 2 intervals whose
+        last group is short (7 intervals), one interval per batch, and
+        intervals of two and three batches."""
+        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
+        make = near_identity_steps(d, dtype, seed=steps)
+
+        def fill(stage_times, out):
+            out[...] = make(stage_times)
+
+        times = np.linspace(0.0, 1.0, 8)
+        h = 1.0 / 7 / steps
+        expected = allocating_interval_maps(make, times, steps, h)
+        maps = dynamics._interval_maps(fill, times, steps, h, d, dtype)
+        assert maps.dtype == dtype
+        assert np.array_equal(maps, expected)
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["schrodinger", "lindblad"])
+    @pytest.mark.parametrize("t_ad, n_samples, steps", [(1.05, 15, 7), (1.02, 51, 2)])
+    def test_schedule_maps_match_allocating_build(self, monkeypatch, noise, t_ad, n_samples,
+                                                  steps):
+        """The sweep's step matrices written into the step stack, in batches
+        of 5: intervals of two batches, and groups of 2 with a short last one."""
+        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
+        dynamics._schedule_maps.cache_clear()
+        _, maps = dynamics._schedule_maps(FIG4, t_ad, noise, 0.01, n_samples)
+        dynamics._schedule_maps.cache_clear()
+        built = {}
+
+        def allocating(fill, times, steps, h, d, dtype):
+            def make(stage_times):
+                out = np.empty(stage_times[:, :-2:2].shape + (d, d), dtype)
+                fill(stage_times, out)
+                return out
+            built["steps"] = steps
+            built["maps"] = allocating_interval_maps(make, times, steps, h)
+            return built["maps"].copy()
+
+        monkeypatch.setattr(dynamics, "_interval_maps", allocating)
+        dynamics._schedule_maps(FIG4, t_ad, noise, 0.01, n_samples)
+        dynamics._schedule_maps.cache_clear()
+        assert built["steps"] == steps
+        assert np.array_equal(maps, built["maps"])
+
+
 class TestStepPolynomial:
     """I + sum_k s^k P_k against the RK4 step built from the generators at
     the three stage times of a step from s."""
