@@ -19,7 +19,6 @@ from .analysis import (
     ZeroSlope,
     crossing_report,
     diabatic_slope,
-    level_populations,
     lz_probability,
     min_gap,
     passage_fidelity,
@@ -52,7 +51,6 @@ from .dynamics import (
 )
 from .mitigation import (
     DegenerateAbscissae,
-    MitigatedEnergy,
     extrapolate_quadratic,
     mitigate_energy,
 )

@@ -14,9 +14,11 @@ Levels are numbered 1..4.  Two labelings coexist:
 
 ``tracked_levels`` returns the tracked energies and eigenvectors at a
 trajectory's sample points as two arrays; ``passage_fidelity`` reads a state
-stack against those vectors.  The crossing of interest in the sweep
-protocol involves the middle pair, sorted levels (2, 3), the one pair the
-crossing analysis reads.  It reads H(s) directly and tracks no levels.
+stack against those vectors.  Sorted level k at row i is tracked column
+``argsort(energies[i])[k - 1]``, so a one-row read gives its population.
+The crossing of interest in the sweep protocol involves the middle pair,
+sorted levels (2, 3), the one pair the crossing analysis reads.  It reads
+H(s) directly and tracks no levels.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "lz_probability",
     "passage_fidelity",
     "crossing_report",
-    "level_populations",
 ]
 
 _TIE_TOL = 1e-9
@@ -240,15 +241,6 @@ def passage_fidelity(states: np.ndarray, vectors: np.ndarray, level: int) -> np.
         weights = np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real
         return np.einsum("nk,nk->n", states, weights) / 4.0
     return np.abs(np.einsum("ij,ij->i", v.conj(), states)) ** 2
-
-
-def level_populations(state: np.ndarray, schedule: ProtocolSchedule,
-                      s: float) -> np.ndarray:
-    """Populations of the four sorted levels of H(s) in a pure state or a Pauli vector."""
-    _, vecs = np.linalg.eigh(schedule.hamiltonian(s))
-    if len(state) == len(PAULI_BASIS):
-        return np.einsum("k,il,kij,jl->l", state, vecs.conj(), PAULI_BASIS, vecs).real / 4.0
-    return np.abs(vecs.conj().T @ state) ** 2
 
 
 def crossing_report(schedule: ProtocolSchedule) -> tuple[float, float, float]:

@@ -38,11 +38,11 @@ text printed from a config parses back to it.  A field without a default
 (z1, z2, x1, x2, t_ad) is prefilled by every built-in scenario and must be
 stated by a ``custom`` file; a file only needs to state what differs.
 Checks that span several fields are written out after the table loop:
-zeros in the schedule fields that fig1 and chevron do not use and no noise
-for either, distinct durations (three or more for table1, one for fig1 and
-chevron), the dt and RK4-step bounds (not for chevron, which integrates
-nothing), T2 <= 2*T1, and distinct initial states (one for fig1, none for
-chevron).
+the preset values of the fields that fig1 and chevron do not use and no
+noise for either, durations with distinct labels (three or more for
+table1, one for fig1 and chevron), the dt and RK4-step bounds (not for
+chevron, which integrates nothing), T2 <= 2*T1, and distinct initial
+states (one for fig1, none for chevron).
 
 ``validate_config`` returns either a fully-defaulted ``ScenarioConfig`` or
 the complete list of violations.  In exact mode (shots = 0) the seed is
@@ -101,9 +101,11 @@ _SCENARIOS: dict[str, tuple[str, dict]] = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 SCENARIO_SUMMARIES = {name: summary for name, (summary, _) in _SCENARIOS.items()}
 
-# Schedule fields that fig1 and chevron do not use, and so require to be 0;
-# neither takes noise.
-_UNUSED_FIELDS = {"fig1": ("z1", "x1", "j", "zz"), "chevron": ("z1", "z2", "x1", "x2", "zz")}
+# Fields that fig1 and chevron do not use, and so require at their preset
+# value (0 for the schedule fields, 0.002 for chevron's dt_us); neither
+# takes noise.
+_UNUSED_FIELDS = {"fig1": ("z1", "x1", "j", "zz"),
+                  "chevron": ("z1", "z2", "x1", "x2", "zz", "dt_us")}
 
 # Upper bound on simulation.n_samples: a Lindblad run keeps one real 16x16
 # map per sample interval, about 205 MB at the bound.
@@ -258,6 +260,7 @@ _FIELDS = (
     ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str), "csv",
      (lambda fmt: fmt in ("csv", "json"), "must be csv or json, got {!r}")),
 )
+_SECTION = {key: section for section, key, *_ in _FIELDS}
 _KNOWN_KEYS = {section: tuple(row[1] for row in rows)
                for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0])}
 
@@ -302,8 +305,9 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
         )
         return None, errors
 
-    merged = {attr: default for _, _, attr, _, default, _ in _FIELDS if default is not None}
-    merged.update(_SCENARIOS[name][1])
+    preset = {attr: default for _, _, attr, _, default, _ in _FIELDS if default is not None}
+    preset.update(_SCENARIOS[name][1])
+    merged = dict(preset)
     out_of_bounds = set()
     for section, key, attr, (parse, _), _, bound in _FIELDS:
         if key in raw.get(section, {}):
@@ -321,16 +325,23 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
     if name == "chevron" and merged["j"] <= 0.0:
         errors.append(f"schedule.j: chevron needs a positive coupling, got {merged['j']}")
     for key in _UNUSED_FIELDS.get(name, ()):
-        if key not in out_of_bounds and merged[key] != 0.0:
-            errors.append(f"schedule.{key}: {name} does not use it and needs 0, "
-                          f"got {merged[key]}")
+        if key not in out_of_bounds and merged[key] != preset[key]:
+            errors.append(f"{_SECTION[key]}.{key}: {name} does not use it and needs "
+                          f"{preset[key]:g}, got {merged[key]}")
     if name in _UNUSED_FIELDS and merged["noise_enabled"]:
         errors.append(f"noise.enabled: {name} takes no noise, got true")
     for idx, t_ad in enumerate(t_ads):
         if not math.isfinite(t_ad) or t_ad <= 0.0:
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")
-    if len(set(t_ads)) != len(t_ads):
-        errors.append("schedule.t_ad: durations must be distinct")
+    # File names and report keys label a duration with its %g text.
+    labels: dict[str, float] = {}
+    for t_ad in t_ads:
+        label = f"{t_ad:g}"
+        if label in labels:
+            errors.append(f"schedule.t_ad: durations must be distinct in 6 significant "
+                          f"digits, got {labels[label]!r} and {t_ad!r}")
+            break
+        labels[label] = t_ad
     if name in ("fig1", "chevron") and len(t_ads) > 1:
         errors.append(f"schedule.t_ad: {name} takes one duration, got {len(t_ads)}")
     if name == "table1" and len(set(t_ads)) < 3:

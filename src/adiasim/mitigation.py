@@ -3,9 +3,10 @@
 Decoherence damage grows with the protocol duration, so an observable
 measured at the end of several protocols of different duration t_ad can be
 extrapolated back to t_ad = 0.  Each controlled energy contribution at the
-end of the sweep (the XI, IX, XX and YY terms of the estimator) is fitted
-by a second-order polynomial in t_ad and evaluated at zero; the mitigated
-energy is the sum of the extrapolated contributions.
+end of the sweep (the XI, IX, XX and YY terms of the estimator, named in
+``END_TERMS``) is fitted by a second-order polynomial in t_ad and evaluated
+at zero; the mitigated energy is the sum of the extrapolated contributions.
+All terms are fitted by one least-squares solve with one column each.
 
 Every run sweeps the same H(s) and only its duration differs, so each
 run's end row is weighed with H(1).  The ZI and IZ coefficients of H(s)
@@ -14,8 +15,7 @@ vanish there, which is why only the four transverse/coupling terms enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,85 +24,55 @@ from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms
 
 __all__ = [
     "DegenerateAbscissae",
-    "MitigatedEnergy",
+    "END_TERMS",
     "extrapolate_quadratic",
     "mitigate_energy",
 ]
 
-_END_TERMS = ("x1", "x2", "xx", "yy")
+END_TERMS = ("x1", "x2", "xx", "yy")
+_END_COLUMNS = [ENERGY_TERMS.index(term) for term in END_TERMS]
 
 
 class DegenerateAbscissae(ValueError):
     """Raised when fewer than three distinct abscissae are supplied."""
 
 
-def extrapolate_quadratic(points: Sequence[tuple[float, float]]) -> tuple[float, np.ndarray, float]:
-    """Least-squares quadratic fit, evaluated at zero abscissa.
+def extrapolate_quadratic(t: Sequence[float], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares quadratic fits in ``t``, evaluated at zero abscissa.
 
-    ``points`` is a sequence of (t, value) pairs with at least three
-    distinct t.  Returns ``(value_at_zero, coefficients, residual)`` where
-    coefficients are (c0, c1, c2) of v(t) = c0 + c1*t + c2*t**2 and
-    residual is the L2 norm of the fit residuals (zero to machine
-    precision for exactly three points).  The fit is solved on abscissae
-    rescaled to [0, 1] for conditioning.
+    ``t`` holds n abscissae, at least three of them distinct, and ``values``
+    is an (n,) array or an (n, k) array whose k columns are fitted at once.
+    Returns ``(at_zero, residuals)``, each of shape () or (k,): the fitted
+    c0 of v(t) = c0 + c1*t + c2*t**2, and the L2 norm of the fit residuals
+    (zero to machine precision for exactly three points).  One lstsq solves
+    every column on abscissae scaled by their largest magnitude, for conditioning.
     """
-    pts = [(float(t), float(v)) for t, v in points]
-    t_arr = np.array([p[0] for p in pts])
-    v_arr = np.array([p[1] for p in pts])
-    if len(set(t_arr.tolist())) < 3:
-        raise DegenerateAbscissae(
-            f"need at least 3 distinct abscissae, got {sorted(set(t_arr.tolist()))}"
-        )
-    t_max = float(np.max(np.abs(t_arr)))
-    u = t_arr / t_max
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(values, dtype=float)
+    distinct = np.unique(t)
+    if len(distinct) < 3:
+        raise DegenerateAbscissae(f"need at least 3 distinct abscissae, got {distinct.tolist()}")
+    u = t / np.max(np.abs(t))
     basis = np.column_stack([np.ones_like(u), u, u * u])
-    coeff_u, *_ = np.linalg.lstsq(basis, v_arr, rcond=None)
-    residual = float(np.linalg.norm(basis @ coeff_u - v_arr))
-    coeffs = np.array([coeff_u[0], coeff_u[1] / t_max, coeff_u[2] / t_max**2])
-    return float(coeffs[0]), coeffs, residual
+    coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    return coeffs[0], np.linalg.norm(basis @ coeffs - values, axis=0)
 
 
-@dataclass(frozen=True)
-class MitigatedEnergy:
-    """Extrapolation result for one initial state.
-
-    contributions : per-term value at t_ad = 0 (keys x1, x2, xx, yy)
-    energy        : their sum [MHz]
-    residuals     : per-term fit residual (L2)
-    measured      : per-t_ad unmitigated end-of-protocol energies [MHz]
-    warning       : set when the runs straddle the adiabatic/diabatic
-                    boundary, which breaks the smooth-in-t_ad assumption
-    """
-
-    energy: float
-    contributions: dict[str, float]
-    residuals: dict[str, float] = field(repr=False)
-    measured: dict[float, float] = field(repr=False)
-    warning: str | None = None
-
-    def __post_init__(self) -> None:
-        total = sum(self.contributions.values())
-        if abs(total - self.energy) > 1e-9:
-            raise ValueError("energy does not match the sum of its contributions")
-
-
-def mitigate_energy(schedule: ProtocolSchedule, t_ads: Sequence[float], end_values: np.ndarray,
-                    passage_fidelities: Mapping[float, float] | None = None) -> MitigatedEnergy:
+def mitigate_energy(schedule: ProtocolSchedule, t_ads: Sequence[float],
+                    end_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extrapolate end-of-protocol energy contributions to zero duration.
 
     ``schedule`` is the sweep shape shared by every run, ``t_ads`` the
     run durations [us], and row k of ``end_values`` holds the (10,)
     correlators, in ``CORRELATOR_LABELS`` order, measured at the end of the
-    run of duration ``t_ads[k]``.  Each energy term is extrapolated on its
-    own, which keeps term-level diagnostics; because the fit is linear in
-    the data, their sum equals the extrapolated total energy.
-
-    ``passage_fidelities`` (t_ad -> end fidelity with the adiabatically-
-    continued level) is optional; when the runs straddle the 0.5 boundary
-    a warning is attached, since mixing diabatic and adiabatic runs in one
-    extrapolation is unreliable.
+    run of duration ``t_ads[k]``.  Returns ``(measured, per_term,
+    residuals)``: the (n,) unmitigated end energies [MHz] in ``t_ads``
+    order, and the (4,) values at t_ad = 0 and fit residuals of the terms
+    in ``END_TERMS`` order.  Each term is extrapolated on its own, which
+    keeps term-level diagnostics; because the fit is linear in the data,
+    ``per_term.sum()`` is the extrapolated total energy.
     """
-    if not t_ads:
+    if len(t_ads) == 0:
         raise ValueError("no runs supplied")
     end_values = np.asarray(end_values, dtype=float)
     if end_values.shape != (len(t_ads), len(CORRELATOR_LABELS)):
@@ -111,22 +81,5 @@ def mitigate_energy(schedule: ProtocolSchedule, t_ads: Sequence[float], end_valu
             f"one correlator row per duration; got shape {end_values.shape}"
         )
     terms = energy_terms(end_values, schedule, np.ones(len(t_ads)))
-    measured = dict(zip(t_ads, terms.sum(axis=1).tolist()))
-
-    contributions: dict[str, float] = {}
-    residuals: dict[str, float] = {}
-    for term in _END_TERMS:
-        pts = list(zip(t_ads, terms[:, ENERGY_TERMS.index(term)]))
-        contributions[term], _, residuals[term] = extrapolate_quadratic(pts)
-    energy = sum(contributions.values())
-
-    warning = None
-    if passage_fidelities:
-        fids = [passage_fidelities[t_ad] for t_ad in t_ads if t_ad in passage_fidelities]
-        if fids and min(fids) < 0.5 <= max(fids):
-            warning = (
-                "runs straddle the diabatic/adiabatic boundary (end passage "
-                "fidelities span 0.5); zero-time extrapolation mixes regimes"
-            )
-    return MitigatedEnergy(energy=energy, contributions=contributions,
-                           residuals=residuals, measured=measured, warning=warning)
+    per_term, residuals = extrapolate_quadratic(t_ads, terms[:, _END_COLUMNS])
+    return terms.sum(axis=1), per_term, residuals

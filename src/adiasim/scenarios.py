@@ -21,11 +21,11 @@ import os
 import numpy as np
 
 from ._version import __version__
-from .analysis import crossing_report, level_populations, lz_probability, passage_fidelity, tracked_levels
+from .analysis import crossing_report, lz_probability, passage_fidelity, tracked_levels
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
-from .mitigation import mitigate_energy
+from .mitigation import END_TERMS, mitigate_energy
 from .operators import PAULI_LABELS_2Q
 from .schedule import ProtocolSchedule, constant_frame_hamiltonian, frame_rotation_angle
 from .tomography import CORRELATOR_LABELS, energy_terms, measure_correlators, rotate_correlators
@@ -138,67 +138,60 @@ def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarra
     return measure_correlators(states, config.shots, seed)
 
 
-def _sweep_rows(config: ScenarioConfig, schedule: ProtocolSchedule, t_ad: float,
-                trajectories: dict, levels: tuple[np.ndarray, np.ndarray],
-                t_ad_index: int) -> tuple[list[str], np.ndarray, dict]:
-    """Trace table of one duration; ``levels`` are the tracked energies and vectors."""
-    times = trajectories[config.initial_states[0]].times
-    energies, vectors = levels
-    fidelities = {}
-    for label, traj in trajectories.items():
-        level = int(np.argmax(np.abs(vectors[0].conj().T @ basis_state(label)) ** 2)) + 1
-        fidelities[label] = passage_fidelity(traj.states, vectors, level)
-
-    columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
-    table = [times, energies]
-    end_values = {}
-    for state_index, label in enumerate(config.initial_states):
-        columns.append(f"energy_{label}_mhz")
-        columns.extend(f"{term.lower()}_{label}" for term in PAULI_LABELS_2Q)
-        columns.append(f"fidelity_{label}")
-        values = _measure(config, trajectories[label].states, t_ad_index, state_index)
-        energy = energy_terms(values, schedule, times / t_ad).sum(axis=1)
-        table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelities[label]]
-        end_values[label] = values[-1]
-    extras = {"trajectories": trajectories, "fidelities": fidelities, "end_values": end_values}
-    return columns, np.column_stack(table), extras
-
-
-def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], dict]:
-    """Simulate and write one trace per duration; return the paths and extras by t_ad.
+def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], tuple, tuple]:
+    """Simulate and write one trace per duration.
 
     Every duration sweeps the same H(s) on the same n_samples + 1 points of
-    s, so one set of tracked levels serves all.
+    s, so one set of tracked levels serves all.  Returns the paths, those
+    levels, and the end rows as three arrays indexed [duration, state]: the
+    (10,) correlators, the passage fidelity and the final state.
     """
     noise = config.noise_model()
     schedule = config.schedule()
-    levels = tracked_levels(schedule, np.linspace(0.0, 1.0, config.n_samples + 1))
-    paths = []
-    extras_by_tad = {}
+    energies, vectors = levels = tracked_levels(schedule, np.linspace(0.0, 1.0, config.n_samples + 1))
+    # Each state follows the tracked level it overlaps most at s = 0.
+    start_levels = [int(np.argmax(np.abs(vectors[0].conj().T @ basis_state(state)) ** 2)) + 1
+                    for state in config.initial_states]
+    paths, end_values, end_fidelities, finals = [], [], [], []
     for t_ad_index, t_ad in enumerate(config.t_ad):
-        trajectories = {}
-        for state in config.initial_states:
+        columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
+        table = [energies]
+        for state_index, (state, level) in enumerate(zip(config.initial_states, start_levels)):
             psi0 = basis_state(state)
             if noise is None:
                 traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
             else:
                 traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
                                           config.n_samples)
-            trajectories[state] = traj
-        columns, table, extras_by_tad[t_ad] = _sweep_rows(config, schedule, t_ad, trajectories,
-                                                          levels, t_ad_index)
+            fidelity = passage_fidelity(traj.states, vectors, level)
+            values = _measure(config, traj.states, t_ad_index, state_index)
+            energy = energy_terms(values, schedule, traj.times / t_ad).sum(axis=1)
+            columns.append(f"energy_{state}_mhz")
+            columns.extend(f"{term.lower()}_{state}" for term in PAULI_LABELS_2Q)
+            columns.append(f"fidelity_{state}")
+            table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelity]
+            end_values.append(values[-1])
+            end_fidelities.append(fidelity[-1])
+            finals.append(traj.final_state)
         path = os.path.join(config.out_dir,
                             f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
-        _write_trace(path, config, label, t_ad, columns, table)
+        _write_trace(path, config, label, t_ad, columns, np.column_stack([traj.times] + table))
         paths.append(path)
-    return paths, extras_by_tad
+    shape = (len(config.t_ad), len(config.initial_states))
+    ends = (np.reshape(end_values, shape + (-1,)), np.reshape(end_fidelities, shape),
+            np.reshape(finals, shape + (-1,)))
+    return paths, levels, ends
 
 
-def _crossing_payload(config: ScenarioConfig, extras_by_tad: dict) -> dict:
-    """Crossing analysis plus per-duration LZ-vs-simulation comparison."""
-    schedule = config.schedule()
+def _crossing_payload(config: ScenarioConfig, levels: tuple[np.ndarray, np.ndarray],
+                      end_fidelities: np.ndarray, finals: np.ndarray) -> dict:
+    """Crossing analysis plus per-duration LZ-vs-simulation comparison.
+
+    The measured populations are those of sorted levels 3 (diabatic) and 2
+    (adiabatic) at s = 1, read from the tracked levels there.
+    """
     try:
-        a, s_c, slope = crossing_report(schedule)
+        a, s_c, slope = crossing_report(config.schedule())
     except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     # The report's times and slopes in us are those of the first duration.
@@ -210,25 +203,26 @@ def _crossing_payload(config: ScenarioConfig, extras_by_tad: dict) -> dict:
         "slope_times_t_ad_mhz": slope,
         "per_t_ad": {},
     }
-    for t_ad in config.t_ad:
+    energies, vectors = levels
+    sorted_level = np.argsort(energies[-1]) + 1
+    for i, t_ad in enumerate(config.t_ad):
         gamma, p_diabatic = lz_probability(a, slope / t_ad)
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
-        extras = extras_by_tad[t_ad]
-        for label, traj in extras["trajectories"].items():
-            pops = level_populations(traj.final_state, schedule, 1.0)
-            entry[f"p_diabatic_measured_{label}"] = float(pops[2])
-            entry[f"p_adiabatic_measured_{label}"] = float(pops[1])
-            entry[f"end_fidelity_{label}"] = float(extras["fidelities"][label][-1])
+        for j, label in enumerate(config.initial_states):
+            for kind, k in (("diabatic", 2), ("adiabatic", 1)):
+                entry[f"p_{kind}_measured_{label}"] = float(
+                    passage_fidelity(finals[i, j][None], vectors[-1:], sorted_level[k])[0])
+            entry[f"end_fidelity_{label}"] = float(end_fidelities[i, j])
         payload["per_t_ad"][f"{t_ad:g}"] = entry
     return payload
 
 
 def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
-    paths, extras_by_tad = _run_durations(config, label)
+    paths, levels, (_, end_fidelities, finals) = _run_durations(config, label)
     report = {
         "scenario": label,
         "version": __version__,
-        "crossing": _crossing_payload(config, extras_by_tad),
+        "crossing": _crossing_payload(config, levels, end_fidelities, finals),
     }
     report_path = os.path.join(config.out_dir, f"{label}_report.json")
     _write_json(report_path, report, indent=2)
@@ -237,7 +231,7 @@ def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
 
 
 def _run_table1(config: ScenarioConfig) -> list[str]:
-    paths, extras_by_tad = _run_durations(config, "table1")
+    paths, _, (end_values, end_fidelities, _) = _run_durations(config, "table1")
 
     # Exact end-of-protocol reference levels, with and without the static
     # ZZ term: both variants are reported and the one closer to the
@@ -250,29 +244,30 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
         "11": {"with_zz": float(eig_with[3]), "without_zz": float(eig_without[3])},
     }
 
+    order = np.argsort(config.t_ad)
+    keys = [f"{config.t_ad[k]:g}" for k in order]
     states_report = {}
-    for label in config.initial_states:
-        end_values = np.array([extras_by_tad[t_ad]["end_values"][label] for t_ad in config.t_ad])
-        end_fidelities = {t_ad: float(extras_by_tad[t_ad]["fidelities"][label][-1])
-                          for t_ad in config.t_ad}
-        mitigated = mitigate_energy(schedule, config.t_ad, end_values,
-                                    passage_fidelities=end_fidelities)
-        shortest = min(config.t_ad)
+    for j, label in enumerate(config.initial_states):
+        measured, per_term, residuals = mitigate_energy(schedule, config.t_ad, end_values[:, j])
+        fidelities = end_fidelities[:, j]
+        extrapolated = float(per_term.sum())
         entry = {
-            "measured_by_t_ad": {f"{t:g}": v for t, v in sorted(mitigated.measured.items())},
-            "shortest_t_ad_value": mitigated.measured[shortest],
-            "extrapolated": mitigated.energy,
-            "per_term": mitigated.contributions,
-            "fit_residuals": mitigated.residuals,
-            "end_passage_fidelity_by_t_ad": {f"{t:g}": v for t, v in sorted(end_fidelities.items())},
-            "warning": mitigated.warning,
+            "measured_by_t_ad": dict(zip(keys, measured[order].tolist())),
+            "shortest_t_ad_value": float(measured[order[0]]),
+            "extrapolated": extrapolated,
+            "per_term": dict(zip(END_TERMS, per_term.tolist())),
+            "fit_residuals": dict(zip(END_TERMS, residuals.tolist())),
+            "end_passage_fidelity_by_t_ad": dict(zip(keys, fidelities[order].tolist())),
+            # Mixing diabatic and adiabatic runs in one extrapolation is unreliable.
+            "warning": ("runs straddle the diabatic/adiabatic boundary (end passage "
+                        "fidelities span 0.5); zero-time extrapolation mixes regimes"
+                        if fidelities.min() < 0.5 <= fidelities.max() else None),
         }
         exact = exact_levels.get(label)
         if exact is not None:
-            closer = min(exact, key=lambda k: abs(exact[k] - mitigated.energy))
-            entry["exact"] = dict(exact)
-            entry["exact"]["closer_to_extrapolated"] = closer
-            entry["exact"]["selected_value"] = exact[closer]
+            closer = min(exact, key=lambda k: abs(exact[k] - extrapolated))
+            entry["exact"] = dict(exact, closer_to_extrapolated=closer,
+                                  selected_value=exact[closer])
         states_report[label] = entry
 
     report = {

@@ -18,13 +18,13 @@ from adiasim.analysis import (
     _tracked_eigensystem,
     crossing_report,
     diabatic_slope,
-    level_populations,
     lz_probability,
     min_gap,
     passage_fidelity,
     tracked_levels,
 )
 from adiasim.dynamics import NoiseModel, basis_state, propagate_lindblad, propagate_unitary
+from adiasim.operators import PAULI_BASIS
 from adiasim.schedule import ProtocolSchedule
 
 FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
@@ -390,15 +390,22 @@ class TestPassageFidelity:
 
 class TestLevelBookkeeping:
     def test_populations_sum_to_one(self):
+        """The one-row fidelities of the four tracked levels at any s sum to
+        1, for pure states and for the Pauli vectors of mixed states."""
         rng = np.random.default_rng(53)
         for _ in range(100):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
-            s = rng.uniform(0, 1)
-            pops = level_populations(psi, FIG4, s)
-            assert pops.shape == (4,)
-            assert np.all(pops >= -1e-12)
-            assert np.sum(pops) == pytest.approx(1.0, abs=1e-9)
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            r = np.einsum("kij,ji->k", PAULI_BASIS, rho).real
+            _, vectors = tracked_levels(FIG4, np.array([0.0, rng.uniform(0, 1)]))
+            for state in (psi, r):
+                pops = np.array([passage_fidelity(state[None], vectors[-1:], level)[0]
+                                 for level in (1, 2, 3, 4)])
+                assert np.all(pops >= -1e-12)
+                assert np.sum(pops) == pytest.approx(1.0, abs=1e-9)
 
     def test_initial_levels_of_basis_states(self):
         """At s = 0 the sweep Hamiltonian is diagonal and orders the basis

@@ -222,12 +222,10 @@ class TestRunCommand:
         assert ("simulation.n_samples: chevron" in capsys.readouterr().err) == (code == 2)
 
     def test_chevron_has_no_step_bounds(self, tmp_path):
-        """chevron integrates nothing, so neither dt <= t_ad/100 nor the RK4
-        step bound applies to it."""
-        for text in ("[schedule]\nt_ad = 0.1\n", "[simulation]\ndt_us = 1e-9\n"):
-            cfg = write_config(tmp_path, "[scenario]\nname = chevron\n\n" + text)
-            assert main(["validate", cfg]) == 0
-            assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        """chevron integrates nothing, so dt <= t_ad/100 does not apply to it."""
+        cfg = write_config(tmp_path, "[scenario]\nname = chevron\n\n[schedule]\nt_ad = 0.1\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("n_samples, rows", [(1, 2), (2, 3)])
     def test_fewest_samples_write_every_trace(self, tmp_path, n_samples, rows):
@@ -502,11 +500,19 @@ class TestValidateCommand:
           for key in ("z1", "z2", "x1", "x2", "zz")),
         ("[scenario]\nname = fig1\n\n[noise]\nenabled = true\n", "noise.enabled: fig1"),
         ("[scenario]\nname = chevron\n\n[noise]\nenabled = true\n", "noise.enabled: chevron"),
+        *((f"[scenario]\nname = chevron\n\n[simulation]\ndt_us = {dt}\n",
+           "simulation.dt_us: chevron does not use it") for dt in ("0.5", "1e-9")),
+        ("[scenario]\nname = fig4\n\n[schedule]\nt_ad = 10, 10.000001, 5\n",
+         "schedule.t_ad: durations must be distinct in 6 significant digits, "
+         "got 10.0 and 10.000001"),
+        ("[scenario]\nname = table1\n\n[schedule]\nt_ad = 10, 10.000001, 5, 20\n",
+         "durations must be distinct"),
     ], ids=["shots-beyond-int64", "fig4-repeated-state", "table1-repeated-state",
             "fig1-two-durations", "fig1-two-states", "chevron-two-durations",
             "chevron-with-state", "fig1-z1", "fig1-x1", "fig1-j", "fig1-zz", "chevron-z1",
             "chevron-z2", "chevron-x1", "chevron-x2", "chevron-zz", "fig1-noise",
-            "chevron-noise"])
+            "chevron-noise", "chevron-dt", "chevron-tiny-dt", "fig4-same-labels",
+            "table1-same-labels"])
     def test_config_error_exits_2_from_validate_and_run(self, tmp_path, capsys, text, key):
         cfg = write_config(tmp_path, text)
         assert main(["validate", cfg]) == 2
@@ -529,7 +535,7 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, f"[scenario]\nname = {name}\ninitial_states = {state}\n\n"
                                      f"[schedule]\n{schedule}t_ad = 1\n\n"
                                      "[noise]\nenabled = false\n\n"
-                                     "[simulation]\ndt_us = 0.01\nn_samples = 10\n"
+                                     "[simulation]\ndt_us = 0.002\nn_samples = 10\n"
                                      "shots = 10000\nseed = 5\n\n[output]\nformat = json\n")
         assert main(["validate", cfg]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -691,8 +697,8 @@ def run_with_finite_outputs(text: str) -> int:
 SHORT_PRESETS = {"fig1": "1", "chevron": "1", "fig3": "1", "fig4": "1, 2", "table1": "1, 2, 3"}
 # Extremes of each field: values at and beyond both ends of its accepted
 # range, and inf and nan.  No accepted draw comes near the 1e8-step bound:
-# dt_us = 1e-9 needs 1e9 steps and stops in validation (chevron accepts it
-# and integrates nothing), and the longest run takes 6e4 steps (table1 at
+# dt_us = 1e-9 needs 1e9 steps and stops in validation (chevron takes only
+# its preset 0.002), and the longest run takes 6e4 steps (table1 at
 # dt_us = 1e-4).
 ONE_FIELD_EXTREMES = [
     (field, value) for field, values in {

@@ -189,8 +189,14 @@ class TestValidationErrors:
         assert any("schedule.t_ad[1]" in e for e in errors)
 
     def test_duplicate_durations(self):
+        """File names and report keys label a duration with %g, so durations
+        that agree in 6 significant digits are one duration twice."""
         errors = invalid(CUSTOM_MINIMAL.replace("t_ad = 30", "t_ad = 10, 10"))
         assert any("distinct" in e for e in errors)
+        errors = invalid("[scenario]\nname = fig4\n\n[schedule]\nt_ad = 10, 10.000001, 5\n")
+        assert errors == ["schedule.t_ad: durations must be distinct in 6 significant digits, "
+                          "got 10.0 and 10.000001"]
+        valid("[scenario]\nname = fig4\n\n[schedule]\nt_ad = 10, 10.0001, 5\n")
 
     def test_duplicate_initial_states(self):
         errors = invalid("[scenario]\nname = fig4\ninitial_states = 01, 01\n")
@@ -279,11 +285,16 @@ class TestValidationErrors:
         assert valid("[scenario]\nname = chevron\ninitial_states =\n").initial_states == ()
 
     def test_chevron_has_no_step_bounds(self):
-        """chevron integrates nothing: a duration below 100 dt and a dt that
-        would need more than 1e8 RK4 steps are both accepted."""
+        """chevron integrates nothing: a duration below 100 dt is accepted."""
         assert valid("[scenario]\nname = chevron\n\n[schedule]\nt_ad = 0.1\n").t_ad == (0.1,)
-        config = valid("[scenario]\nname = chevron\n\n[simulation]\ndt_us = 1e-9\n")
-        assert config.dt_us == 1e-9
+
+    def test_chevron_takes_only_its_preset_dt(self):
+        """chevron ignores dt_us, so a stated dt_us must be the preset 0.002."""
+        assert valid("[scenario]\nname = chevron\n\n[simulation]\ndt_us = 0.002\n").dt_us == 0.002
+        for dt in ("0.5", "1e-9", "0.001"):
+            errors = invalid(f"[scenario]\nname = chevron\n\n[simulation]\ndt_us = {dt}\n")
+            assert errors == [f"simulation.dt_us: chevron does not use it and needs 0.002, "
+                              f"got {float(dt)}"]
 
     def test_output_validation(self):
         errors = invalid("[scenario]\nname = fig4\n\n[output]\nformat = xml\n")

@@ -87,6 +87,33 @@ class TestSweepScenarios:
             per_tad["2"]["p_diabatic_lz"] ** 2, rel=1e-9)
 
 
+def sorted_level_populations(state, schedule, s):
+    """Populations of the four sorted levels of H(s) in a pure state, from
+    an eigh of its own."""
+    _, vecs = np.linalg.eigh(schedule.hamiltonian(s))
+    return np.abs(vecs.conj().T @ state) ** 2
+
+
+class TestCrossingPopulations:
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4"])
+    def test_measured_populations_are_sorted_end_levels(self, tmp_path, name):
+        """p_diabatic_measured and p_adiabatic_measured, read from the tracked
+        levels at s = 1, are the populations of sorted levels 3 and 2 of H(1)."""
+        config = make_config(f"[scenario]\nname = {name}\n\n[simulation]\nn_samples = 10\n",
+                             tmp_path)
+        run_scenario(config)
+        per_t_ad = load_report(tmp_path / f"{name}_report.json")["crossing"]["per_t_ad"]
+        schedule = config.schedule()
+        for t_ad in config.t_ad:
+            entry = per_t_ad[f"{t_ad:g}"]
+            for label in config.initial_states:
+                final = propagate_unitary(schedule, t_ad, basis_state(label), config.dt_us,
+                                          10).final_state
+                pops = sorted_level_populations(final, schedule, 1.0)
+                assert abs(entry[f"p_diabatic_measured_{label}"] - pops[2]) <= 1e-12
+                assert abs(entry[f"p_adiabatic_measured_{label}"] - pops[1]) <= 1e-12
+
+
 def count_eigensystems(monkeypatch):
     """Count tracked-eigensystem builds, wherever the package calls them."""
     calls = []
@@ -296,6 +323,60 @@ class TestMitigationScenario:
         assert exact["with_zz"] != exact["without_zz"]
         assert exact["with_zz"] < 0.0
         assert report["states"]["11"]["exact"]["with_zz"] > 0.0
+
+
+    def test_regime_change_warning(self, tmp_path):
+        """In the default table1 the |11> runs straddle an end passage
+        fidelity of 0.5 and carry the warning; the |00> runs do not."""
+        config = make_config("[scenario]\nname = table1\n\n[simulation]\nn_samples = 4\n",
+                             tmp_path)
+        run_scenario(config)
+        states = load_report(tmp_path / "table1_report.json")["states"]
+        fidelities = states["11"]["end_passage_fidelity_by_t_ad"].values()
+        assert min(fidelities) < 0.5 <= max(fidelities)
+        assert states["11"]["warning"] == (
+            "runs straddle the diabatic/adiabatic boundary (end passage "
+            "fidelities span 0.5); zero-time extrapolation mixes regimes")
+        assert states["00"]["warning"] is None
+
+
+class TestReportLayout:
+    """JSON readers take the report keys in the order they are written."""
+
+    def test_sweep_report_key_order(self, tmp_path):
+        config = make_config(
+            "[scenario]\nname = fig4\ninitial_states = 01, 11\n\n[schedule]\nt_ad = 4, 2\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        report = load_report(tmp_path / "fig4_report.json")
+        assert list(report) == ["scenario", "version", "crossing"]
+        assert list(report["crossing"]) == ["min_gap_mhz", "crossing_time_us", "slope_mhz_per_us",
+                                            "slope_times_t_ad_mhz", "per_t_ad"]
+        assert list(report["crossing"]["per_t_ad"]) == ["4", "2"]
+        assert list(report["crossing"]["per_t_ad"]["2"]) == [
+            "gamma", "p_diabatic_lz",
+            "p_diabatic_measured_01", "p_adiabatic_measured_01", "end_fidelity_01",
+            "p_diabatic_measured_11", "p_adiabatic_measured_11", "end_fidelity_11"]
+
+    def test_table1_report_key_order(self, tmp_path):
+        config = make_config(
+            "[scenario]\nname = table1\ninitial_states = 11, 01, 00\n\n[schedule]\n"
+            "t_ad = 3, 1, 2\n\n[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        report = load_report(tmp_path / "table1_report.json")
+        assert list(report) == ["scenario", "version", "noise", "states"]
+        assert list(report["noise"]) == ["enabled", "t1_us", "t2_us", "nth"]
+        assert list(report["states"]) == ["11", "01", "00"]
+        for label, entry in report["states"].items():
+            keys = ["measured_by_t_ad", "shortest_t_ad_value", "extrapolated", "per_term",
+                    "fit_residuals", "end_passage_fidelity_by_t_ad", "warning"]
+            assert list(entry) == keys + ([] if label == "01" else ["exact"])
+            assert list(entry["measured_by_t_ad"]) == ["1", "2", "3"]
+            assert list(entry["end_passage_fidelity_by_t_ad"]) == ["1", "2", "3"]
+            assert list(entry["per_term"]) == list(entry["fit_residuals"]) == [
+                "x1", "x2", "xx", "yy"]
+        assert list(report["states"]["00"]["exact"]) == [
+            "with_zz", "without_zz", "closer_to_extrapolated", "selected_value"]
 
 
 class TestChirpScenario:
