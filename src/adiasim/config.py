@@ -37,12 +37,9 @@ defaults, bounds and ``ScenarioConfig.to_text`` all read that table, so
 text printed from a config parses back to it.  A field without a default
 (z1, z2, x1, x2, t_ad) is prefilled by every built-in scenario and must be
 stated by a ``custom`` file; a file only needs to state what differs.
-Checks that span several fields are written out after the table loop:
-the preset values of the fields that fig1 and chevron do not use and no
-noise for either, durations with distinct labels (three or more for
-table1, one for fig1 and chevron), the dt and RK4-step bounds (not for
-chevron, which integrates nothing), T2 <= 2*T1, and distinct initial
-states (one for fig1, none for chevron).
+Each scenario is one row of ``_SCENARIOS``: its preset, how many durations
+and initial states it takes, the fields it does not use (held at their
+preset) and its own bounds; every check that spans fields reads that row.
 
 ``validate_config`` returns either a fully-defaulted ``ScenarioConfig`` or
 the complete list of violations.  In exact mode (shots = 0) the seed is
@@ -55,8 +52,9 @@ import configparser
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .dynamics import BASIS_LABELS, NoiseModel, steps_per_interval
+from .dynamics import BASIS_LABELS, NoiseModel, noise_violations, steps_per_interval
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -74,38 +72,52 @@ class ConfigParse(ValueError):
     """Raised by loaders when a configuration is unusable."""
 
 
-_FIG3 = dict(z1=2.5, z2=1.5, x1=2.0, x2=4.1, zz=0.2)
-_FIG4 = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j=1.3, zz=0.2)
+class _Scenario(NamedTuple):
+    """What one scenario takes, read by ``validate_config``."""
 
-# Each scenario's summary and the fields it prefills over the defaults of
-# _FIELDS.
-_SCENARIOS: dict[str, tuple[str, dict]] = {
-    "fig1": ("single-qubit chirped sweep (z=3, x=2.7 MHz), both drive frames",
-             dict(z1=0.0, z2=3.0, x1=0.0, x2=2.7, t_ad=(10.0,))),
-    "chevron": ("calibration pipeline: chevron map, Rabi/dispersive/coupling fits",
-                dict(z1=0.0, z2=0.0, x1=0.0, x2=0.0, j=2.0, t_ad=(8.0,),
-                     n_samples=160, initial_states=())),
-    "fig3": ("both two-qubit sweep variants: crossing (j=0) and avoided crossing (j=1.7)",
-             dict(**_FIG3, j=1.7, t_ad=(30.0,), initial_states=("01", "10", "11"))),
-    "fig3a": ("two-qubit sweep with coupling off (j=0): levels cross",
-              dict(**_FIG3, j=0.0, t_ad=(30.0,), initial_states=("01", "10", "11"))),
-    "fig3b": ("two-qubit sweep with j=1.7 MHz: avoided crossing, adiabatic passage",
-              dict(**_FIG3, j=1.7, t_ad=(30.0,), initial_states=("01", "10", "11"))),
-    "fig4": ("asymmetric sweep (j=1.3 MHz) over a t_ad sweep: diabatic-to-adiabatic crossover",
-             dict(**_FIG4, t_ad=(5.0, 10.0, 20.0, 30.0))),
-    "table1": ("fig4 sweep with noise from |00> and |11> plus zero-time mitigation report",
-               dict(**_FIG4, t_ad=(5.0, 10.0, 20.0, 30.0), noise_enabled=True,
-                    initial_states=("00", "11"))),
-    "custom": ("user-supplied schedule parameters", dict()),
+    summary: str
+    preset: dict  # fields prefilled over the defaults of _FIELDS
+    durations: tuple[int, float] = (1, math.inf)  # (min distinct, max) count of t_ad
+    states: tuple[int, float] = (1, math.inf)  # (min, max) count of initial states
+    # Fields the scenario does not use, held at their preset.  One that holds
+    # dt_us integrates nothing, so the dt and RK4-step bounds skip it.
+    fixed: tuple[str, ...] = ()
+    bounds: dict = {}  # attribute -> (predicate, error text), as in _FIELDS
+
+
+_FIG3 = dict(z1=2.5, z2=1.5, x1=2.0, x2=4.1, zz=0.2, t_ad=(30.0,),
+             initial_states=("01", "10", "11"))
+_FIG4 = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j=1.3, zz=0.2, t_ad=(5.0, 10.0, 20.0, 30.0))
+_SCENARIOS = {
+    "fig1": _Scenario("single-qubit chirped sweep (z=3, x=2.7 MHz), both drive frames",
+                      dict(z1=0.0, z2=3.0, x1=0.0, x2=2.7, t_ad=(10.0,)),
+                      durations=(1, 1), states=(1, 1),
+                      fixed=("z1", "x1", "j", "zz", "noise_enabled")),
+    "chevron": _Scenario(
+        "calibration pipeline: chevron map, Rabi/dispersive/coupling fits",
+        dict(z1=0.0, z2=0.0, x1=0.0, x2=0.0, j=2.0, t_ad=(8.0,), n_samples=160,
+             initial_states=()),
+        durations=(1, 1), states=(0, 0),
+        fixed=("z1", "z2", "x1", "x2", "zz", "noise_enabled", "dt_us"),
+        bounds={"j": (lambda j: j > 0.0, "chevron needs a positive coupling, got {!r}"),
+                "n_samples": (lambda n: n >= 3, "chevron needs at least 3, got {!r}")}),
+    "fig3": _Scenario("both two-qubit sweep variants: crossing (j=0) and avoided crossing (j=1.7)",
+                      dict(**_FIG3, j=1.7)),
+    "fig3a": _Scenario("two-qubit sweep with coupling off (j=0): levels cross",
+                       dict(**_FIG3, j=0.0)),
+    "fig3b": _Scenario("two-qubit sweep with j=1.7 MHz: avoided crossing, adiabatic passage",
+                       dict(**_FIG3, j=1.7)),
+    "fig4": _Scenario("asymmetric sweep (j=1.3 MHz) over a t_ad sweep: "
+                      "diabatic-to-adiabatic crossover", _FIG4),
+    "table1": _Scenario("fig4 sweep with noise from |00> and |11> plus zero-time mitigation report",
+                        dict(**_FIG4, noise_enabled=True, initial_states=("00", "11")),
+                        durations=(3, math.inf)),
+    "custom": _Scenario("user-supplied schedule parameters", {}),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
-SCENARIO_SUMMARIES = {name: summary for name, (summary, _) in _SCENARIOS.items()}
-
-# Fields that fig1 and chevron do not use, and so require at their preset
-# value (0 for the schedule fields, 0.002 for chevron's dt_us); neither
-# takes noise.
-_UNUSED_FIELDS = {"fig1": ("z1", "x1", "j", "zz"),
-                  "chevron": ("z1", "z2", "x1", "x2", "zz", "dt_us")}
+SCENARIO_SUMMARIES = {name: row.summary for name, row in _SCENARIOS.items()}
+# Where validate_config reports each kind of broken noise rule.
+_NOISE_WHERE = {"t1/t2": "noise", "n_th": "noise.nth"}
 
 # Upper bound on simulation.n_samples: a Lindblad run keeps one real 16x16
 # map per sample interval, about 205 MB at the bound.
@@ -260,7 +272,6 @@ _FIELDS = (
     ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str), "csv",
      (lambda fmt: fmt in ("csv", "json"), "must be csv or json, got {!r}")),
 )
-_SECTION = {key: section for section, key, *_ in _FIELDS}
 _KNOWN_KEYS = {section: tuple(row[1] for row in rows)
                for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0])}
 
@@ -299,37 +310,39 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
         errors.append("scenario.name: missing required field")
         return None, errors
     name = name.strip()
-    if name not in _SCENARIOS:
-        errors.append(
-            f"scenario.name: unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}"
-        )
+    row = _SCENARIOS.get(name)
+    if row is None:
+        errors.append(f"scenario.name: unknown scenario {name!r}; "
+                      f"choose from {', '.join(SCENARIO_NAMES)}")
         return None, errors
 
     preset = {attr: default for _, _, attr, _, default, _ in _FIELDS if default is not None}
-    preset.update(_SCENARIOS[name][1])
+    preset.update(row.preset)
     merged = dict(preset)
     out_of_bounds = set()
-    for section, key, attr, (parse, _), _, bound in _FIELDS:
+    for section, key, attr, (parse, fmt), _, bound in _FIELDS:
+        where = f"{section}.{key}"
         if key in raw.get(section, {}):
-            value = parse(raw[section][key], f"{section}.{key}", errors)
+            value = parse(raw[section][key], where, errors)
             if value is not None:
                 merged[attr] = value
         elif attr not in merged:
-            errors.append(f"{section}.{key}: missing required field for a custom scenario")
-        if bound is not None and attr in merged and not bound[0](merged[attr]):
-            errors.append(f"{section}.{key}: {bound[1].format(merged[attr])}")
-            out_of_bounds.add(attr)
+            errors.append(f"{where}: missing required field for a custom scenario")
+        if attr not in merged:  # missing, or unparseable without a preset
+            continue
+        # A value is reported by the first bound it breaks; an unused field keeps its preset.
+        for ok, text in filter(None, (bound, row.bounds.get(attr))):
+            if not ok(merged[attr]):
+                errors.append(f"{where}: {text.format(merged[attr])}")
+                out_of_bounds.add(attr)
+                break
+        else:
+            if attr in row.fixed and merged[attr] != preset[attr]:
+                errors.append(f"{where}: {name} does not use it and needs "
+                              f"{fmt(preset[attr])}, got {fmt(merged[attr])}")
 
     # Checks that span several fields (collected, not short-circuited).
     t_ads = merged.get("t_ad", ())
-    if name == "chevron" and merged["j"] <= 0.0:
-        errors.append(f"schedule.j: chevron needs a positive coupling, got {merged['j']}")
-    for key in _UNUSED_FIELDS.get(name, ()):
-        if key not in out_of_bounds and merged[key] != preset[key]:
-            errors.append(f"{_SECTION[key]}.{key}: {name} does not use it and needs "
-                          f"{preset[key]:g}, got {merged[key]}")
-    if name in _UNUSED_FIELDS and merged["noise_enabled"]:
-        errors.append(f"noise.enabled: {name} takes no noise, got true")
     for idx, t_ad in enumerate(t_ads):
         if not math.isfinite(t_ad) or t_ad <= 0.0:
             errors.append(f"schedule.t_ad[{idx}]: must be positive and finite, got {t_ad}")
@@ -342,60 +355,45 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
                           f"digits, got {labels[label]!r} and {t_ad!r}")
             break
         labels[label] = t_ad
-    if name in ("fig1", "chevron") and len(t_ads) > 1:
+    fewest, most = row.durations
+    if len(t_ads) > most:  # a row takes one duration or any number
         errors.append(f"schedule.t_ad: {name} takes one duration, got {len(t_ads)}")
-    if name == "table1" and len(set(t_ads)) < 3:
-        errors.append("schedule.t_ad: table1 extrapolates to zero duration and "
-                      "needs at least 3 distinct durations")
+    if t_ads and len(set(t_ads)) < fewest:
+        errors.append(f"schedule.t_ad: {name} needs at least {fewest} distinct durations")
 
-    # chevron integrates nothing, so only the RK4 runs of the others bound dt.
     dt, n_samples = merged["dt_us"], merged["n_samples"]
     finite_tads = [t for t in t_ads if math.isfinite(t) and t > 0.0]
-    if (name != "chevron" and "dt_us" not in out_of_bounds and finite_tads
-            and dt > min(finite_tads) / 100.0):
-        errors.append(
-            f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
-            f"{min(finite_tads) / 100.0}"
-        )
-    if name == "chevron":
-        if "n_samples" not in out_of_bounds and n_samples < 3:
-            errors.append(f"simulation.n_samples: chevron needs at least 3, got {n_samples}")
-    elif not out_of_bounds & {"dt_us", "n_samples"}:
-        try:  # a float sum, so that a step count beyond float range reads inf
-            steps = sum(n_samples * float(steps_per_interval(t, dt, n_samples))
-                        for t in finite_tads)
-        except OverflowError:  # t_ad / n_samples / dt is inf
-            steps = math.inf
-        if steps > _MAX_RK4_STEPS:
-            errors.append(f"simulation.dt_us: {dt} needs {steps:.3g} RK4 steps over all "
-                          f"durations; at most {_MAX_RK4_STEPS:.0e} are allowed")
+    if finite_tads and "dt_us" not in out_of_bounds.union(row.fixed):
+        if dt > min(finite_tads) / 100.0:
+            errors.append(f"simulation.dt_us: dt too large; need dt <= min(t_ad)/100 = "
+                          f"{min(finite_tads) / 100.0}")
+        if "n_samples" not in out_of_bounds:
+            try:  # a float sum, so that a step count beyond float range reads inf
+                steps = sum(n_samples * float(steps_per_interval(t, dt, n_samples))
+                            for t in finite_tads)
+            except OverflowError:  # t_ad / n_samples / dt is inf
+                steps = math.inf
+            if steps > _MAX_RK4_STEPS:
+                errors.append(f"simulation.dt_us: {dt} needs {steps:.3g} RK4 steps over all "
+                              f"durations; at most {_MAX_RK4_STEPS:.0e} are allowed")
 
     for q in range(2):
-        t1, t2 = merged["t1_us"][q], merged["t2_us"][q]
-        if t1 <= 0 or t2 <= 0:
-            errors.append(f"noise: qubit {q + 1} T1/T2 must be positive (use inf to disable)")
-        elif math.isfinite(t2) and t2 > 2.0 * t1:
-            errors.append(
-                f"noise: qubit {q + 1} has T2 = {t2} > 2*T1 = {2 * t1} "
-                f"(negative pure-dephasing rate)"
-            )
-        if not 0 <= merged["nth"][q] < math.inf:
-            errors.append(f"noise.nth: qubit {q + 1} must be finite and >= 0")
+        broken = noise_violations(merged["t1_us"][q], merged["t2_us"][q], merged["nth"][q])
+        errors += [f"{_NOISE_WHERE[rule]}: qubit {q + 1}: {reason}"
+                   for rule, reason in broken.items()]
 
-    for state in merged["initial_states"]:
+    states = merged["initial_states"]
+    for state in states:
         if state not in BASIS_LABELS:
-            errors.append(
-                f"scenario.initial_states: unknown state {state!r}; "
-                f"choose from {', '.join(BASIS_LABELS)}"
-            )
-    if len(set(merged["initial_states"])) != len(merged["initial_states"]):
+            errors.append(f"scenario.initial_states: unknown state {state!r}; "
+                          f"choose from {', '.join(BASIS_LABELS)}")
+    if len(set(states)) != len(states):
         errors.append("scenario.initial_states: states must be distinct")
-    n_states = len(merged["initial_states"])
-    if name == "chevron" and n_states:
-        errors.append("scenario.initial_states: chevron takes no initial state")
-    elif name == "fig1" and n_states > 1:
-        errors.append(f"scenario.initial_states: fig1 takes one state, got {n_states}")
-    elif not n_states and name != "chevron":
+    fewest, most = row.states
+    if len(states) > most:  # a row takes no state or one
+        errors.append(f"scenario.initial_states: {name} takes no initial state" if most == 0
+                      else f"scenario.initial_states: {name} takes one state, got {len(states)}")
+    elif len(states) < fewest:
         errors.append("scenario.initial_states: at least one initial state required")
 
     if errors:

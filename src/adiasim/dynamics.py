@@ -128,18 +128,21 @@ class NoiseModel:
         object.__setattr__(self, "t2", _as_pair(t2))
         object.__setattr__(self, "n_th", _as_pair(n_th))
         for q in range(2):
-            if not (self.t1[q] > 0 and self.t2[q] > 0):  # also rejects NaN
-                raise UnphysicalNoise(
-                    f"qubit {q + 1}: T1 and T2 must be positive (or inf), "
-                    f"got T1={self.t1[q]}, T2={self.t2[q]}"
-                )
-            if math.isfinite(self.t2[q]) and self.t2[q] > 2.0 * self.t1[q]:
-                raise UnphysicalNoise(
-                    f"qubit {q + 1}: T2 = {self.t2[q]} us exceeds 2*T1 = "
-                    f"{2.0 * self.t1[q]} us (negative pure-dephasing rate)"
-                )
-            if not 0 <= self.n_th[q] < math.inf:
-                raise UnphysicalNoise(f"qubit {q + 1}: n_th must be finite and >= 0")
+            if broken := noise_violations(self.t1[q], self.t2[q], self.n_th[q]):
+                raise UnphysicalNoise(f"qubit {q + 1}: {'; '.join(broken.values())}")
+
+
+def noise_violations(t1: float, t2: float, n_th: float) -> dict[str, str]:
+    """Why one qubit's T1, T2 [us] and n_th are unphysical, keyed "t1/t2" or "n_th"."""
+    broken = {}
+    if not (t1 > 0 and t2 > 0):  # also rejects NaN
+        broken["t1/t2"] = f"T1 and T2 must be positive (or inf), got T1={t1}, T2={t2}"
+    elif math.isfinite(t2) and t2 > 2.0 * t1:
+        broken["t1/t2"] = (f"T2 = {t2} us exceeds 2*T1 = {2.0 * t1} us "
+                           "(negative pure-dephasing rate)")
+    if not 0 <= n_th < math.inf:
+        broken["n_th"] = f"n_th must be finite and >= 0, got {n_th}"
+    return broken
 
 
 def collapse_operators(noise: NoiseModel) -> list[np.ndarray]:

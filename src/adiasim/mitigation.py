@@ -49,9 +49,9 @@ def extrapolate_quadratic(t: Sequence[float], values: np.ndarray) -> tuple[np.nd
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
-    distinct = np.unique(t)
+    distinct = sorted(set(t.tolist()))  # np.unique would import numpy.ma
     if len(distinct) < 3:
-        raise DegenerateAbscissae(f"need at least 3 distinct abscissae, got {distinct.tolist()}")
+        raise DegenerateAbscissae(f"need at least 3 distinct abscissae, got {distinct}")
     u = t / np.max(np.abs(t))
     basis = np.column_stack([np.ones_like(u), u, u * u])
     coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)

@@ -5,6 +5,8 @@ directory: trace files (one per protocol duration) with the sampled
 correlators, estimated energies, exact eigenvalues and passage fidelities,
 plus a JSON report with the scenario's derived quantities (crossing
 analysis, mitigation table, calibration fits, frame-rotation summary).
+The files of a run are published together once all are written, so a
+failed run leaves the directory as it was.
 
 Trace files embed the effective configuration in their header, prefixed
 ``# cfg:`` in CSV mode or under the ``"config"`` key in JSON mode, so a
@@ -14,6 +16,7 @@ produced it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -63,9 +66,16 @@ def _ensure_dir(path: str) -> None:
         raise Unwritable(f"cannot create output directory {path}: {exc}") from exc
 
 
+def _staged(path: str) -> str:
+    """The hidden name under which ``path`` is written until its run succeeds."""
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.partial")
+
+
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to the staged name of ``path`` (see ``_Outputs``)."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(_staged(path), "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
         raise Unwritable(f"cannot write {path}: {exc}") from exc
@@ -127,8 +137,44 @@ def read_trace_config(path: str) -> ScenarioConfig:
     return config
 
 
-def _trace_ext(config: ScenarioConfig) -> str:
-    return "json" if config.format == "json" else "csv"
+class _Outputs:
+    """The files of one run, published together when the run succeeds.
+
+    Each file is written under its staged name; ``publish`` renames every
+    one onto its final name and ``discard`` removes them, so a failed run
+    leaves the output directory as it was.
+    """
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.paths: list[str] = []
+
+    def _path(self, name: str) -> str:
+        self.paths.append(os.path.join(self.out_dir, name))
+        return self.paths[-1]
+
+    def trace(self, config: ScenarioConfig, label: str, stem: str, t_ad: float,
+              columns: list[str], table: np.ndarray) -> None:
+        """Write ``stem`` plus the format's extension; its header echoes ``config``."""
+        ext = "json" if config.format == "json" else "csv"
+        _write_trace(self._path(f"{stem}.{ext}"), config, label, t_ad, columns, table)
+
+    def report(self, label: str, payload: dict) -> None:
+        _write_json(self._path(f"{label}_report.json"),
+                    {"scenario": label, "version": __version__, **payload}, indent=2)
+
+    def publish(self) -> list[str]:
+        for path in self.paths:
+            try:
+                os.replace(_staged(path), path)
+            except OSError as exc:
+                raise Unwritable(f"cannot write {path}: {exc}") from exc
+        return self.paths
+
+    def discard(self) -> None:
+        for path in self.paths:
+            with contextlib.suppress(OSError):  # a staged file may not exist yet
+                os.remove(_staged(path))
 
 
 def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
@@ -138,12 +184,12 @@ def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarra
     return measure_correlators(states, config.shots, seed)
 
 
-def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], tuple, tuple]:
+def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[tuple, tuple]:
     """Simulate and write one trace per duration.
 
     Every duration sweeps the same H(s) on the same n_samples + 1 points of
-    s, so one set of tracked levels serves all.  Returns the paths, those
-    levels, and the end rows as three arrays indexed [duration, state]: the
+    s, so one set of tracked levels serves all.  Returns those levels and
+    the end rows as three arrays indexed [duration, state]: the
     (10,) correlators, the passage fidelity and the final state.
     """
     noise = config.noise_model()
@@ -152,7 +198,7 @@ def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], tuple
     # Each state follows the tracked level it overlaps most at s = 0.
     start_levels = [int(np.argmax(np.abs(vectors[0].conj().T @ basis_state(state)) ** 2)) + 1
                     for state in config.initial_states]
-    paths, end_values, end_fidelities, finals = [], [], [], []
+    end_values, end_fidelities, finals = [], [], []
     for t_ad_index, t_ad in enumerate(config.t_ad):
         columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
         table = [energies]
@@ -173,14 +219,12 @@ def _run_durations(config: ScenarioConfig, label: str) -> tuple[list[str], tuple
             end_values.append(values[-1])
             end_fidelities.append(fidelity[-1])
             finals.append(traj.final_state)
-        path = os.path.join(config.out_dir,
-                            f"{label}_trace_tad{_fmt_tad(t_ad)}.{_trace_ext(config)}")
-        _write_trace(path, config, label, t_ad, columns, np.column_stack([traj.times] + table))
-        paths.append(path)
+        out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns,
+                  np.column_stack([traj.times] + table))
     shape = (len(config.t_ad), len(config.initial_states))
     ends = (np.reshape(end_values, shape + (-1,)), np.reshape(end_fidelities, shape),
             np.reshape(finals, shape + (-1,)))
-    return paths, levels, ends
+    return levels, ends
 
 
 def _crossing_payload(config: ScenarioConfig, levels: tuple[np.ndarray, np.ndarray],
@@ -217,21 +261,18 @@ def _crossing_payload(config: ScenarioConfig, levels: tuple[np.ndarray, np.ndarr
     return payload
 
 
-def _run_sweep(config: ScenarioConfig, label: str) -> list[str]:
-    paths, levels, (_, end_fidelities, finals) = _run_durations(config, label)
-    report = {
-        "scenario": label,
-        "version": __version__,
-        "crossing": _crossing_payload(config, levels, end_fidelities, finals),
-    }
-    report_path = os.path.join(config.out_dir, f"{label}_report.json")
-    _write_json(report_path, report, indent=2)
-    paths.append(report_path)
-    return paths
+def _run_sweep(config: ScenarioConfig, label: str, out: _Outputs) -> None:
+    levels, (_, end_fidelities, finals) = _run_durations(config, label, out)
+    out.report(label, {"crossing": _crossing_payload(config, levels, end_fidelities, finals)})
 
 
-def _run_table1(config: ScenarioConfig) -> list[str]:
-    paths, _, (end_values, end_fidelities, _) = _run_durations(config, "table1")
+def _run_fig3(config: ScenarioConfig, label: str, out: _Outputs) -> None:
+    _run_sweep(config.with_(j=0.0), "fig3a", out)
+    _run_sweep(config, "fig3b", out)
+
+
+def _run_table1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
+    _, (end_values, end_fidelities, _) = _run_durations(config, label, out)
 
     # Exact end-of-protocol reference levels, with and without the static
     # ZZ term: both variants are reported and the one closer to the
@@ -247,7 +288,7 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
     order = np.argsort(config.t_ad)
     keys = [f"{config.t_ad[k]:g}" for k in order]
     states_report = {}
-    for j, label in enumerate(config.initial_states):
+    for j, state in enumerate(config.initial_states):
         measured, per_term, residuals = mitigate_energy(schedule, config.t_ad, end_values[:, j])
         fidelities = end_fidelities[:, j]
         extrapolated = float(per_term.sum())
@@ -263,16 +304,14 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
                         "fidelities span 0.5); zero-time extrapolation mixes regimes"
                         if fidelities.min() < 0.5 <= fidelities.max() else None),
         }
-        exact = exact_levels.get(label)
+        exact = exact_levels.get(state)
         if exact is not None:
             closer = min(exact, key=lambda k: abs(exact[k] - extrapolated))
             entry["exact"] = dict(exact, closer_to_extrapolated=closer,
                                   selected_value=exact[closer])
-        states_report[label] = entry
+        states_report[state] = entry
 
-    report = {
-        "scenario": "table1",
-        "version": __version__,
+    out.report(label, {
         "noise": {
             "enabled": config.noise_enabled,
             # An infinite T1 or T2 disables its channel; JSON writes it as null.
@@ -281,18 +320,13 @@ def _run_table1(config: ScenarioConfig) -> list[str]:
             "nth": list(config.nth),
         },
         "states": states_report,
-    }
-    report_path = os.path.join(config.out_dir, "table1_report.json")
-    _write_json(report_path, report, indent=2)
-    paths.append(report_path)
-    return paths
+    })
 
 
-def _run_fig1(config: ScenarioConfig) -> list[str]:
+def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     z, x = config.z2, config.x2
     t_ad = config.t_ad[0]
     psi0 = basis_state(config.initial_states[0])
-    paths = []
 
     # In the chirped frame the sweep is a schedule with qubit 1 idle; the
     # constant frame's drive axis turns by theta(t), which is not affine in s.
@@ -312,23 +346,17 @@ def _run_fig1(config: ScenarioConfig) -> list[str]:
             theta = frame_rotation_angle(z, traj.times, t_ad)
             ix_iy = rotate_correlators(values, theta)[:, _IX_IY]
             table += [theta, ix_iy]
-        path = os.path.join(config.out_dir, f"fig1_{frame}_trace.{_trace_ext(config)}")
-        _write_trace(path, config, "fig1", t_ad, columns, np.column_stack(table))
-        paths.append(path)
+        out.trace(config, label, f"{label}_{frame}_trace", t_ad, columns, np.column_stack(table))
         tag = "rotated" if frame == "constant" else frame
         summary[f"max_abs_iy_{tag}"] = float(np.max(np.abs(ix_iy[:, 1])))
         summary[f"final_ix_{tag}"] = float(ix_iy[-1, 0])
         if frame == "constant":
             summary["max_abs_iy_constant_raw"] = float(np.max(np.abs(raw_ix_iy[:, 1])))
 
-    report_path = os.path.join(config.out_dir, "fig1_report.json")
-    _write_json(report_path, {"scenario": "fig1", "version": __version__, "summary": summary},
-                indent=2)
-    paths.append(report_path)
-    return paths
+    out.report(label, {"summary": summary})
 
 
-def _run_chevron(config: ScenarioConfig) -> list[str]:
+def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     j_true = config.j
     t_ad = config.t_ad[0]
     cmap = chevron_map(
@@ -341,8 +369,7 @@ def _run_chevron(config: ScenarioConfig) -> list[str]:
     columns = ["f_tc_mhz", "t_us", "p10"]
     f_grid, t_grid = np.meshgrid(cmap.f_tc, cmap.times, indexing="ij")
     table = np.column_stack([f_grid.ravel(), t_grid.ravel(), cmap.populations.ravel()])
-    map_path = os.path.join(config.out_dir, f"chevron_map.{_trace_ext(config)}")
-    _write_trace(map_path, config, "chevron", t_ad, columns, table)
+    out.trace(config, label, f"{label}_map", t_ad, columns, table)
 
     omegas = [(float(cmap.f_tc[fi]),
                oscillation_frequency(cmap.times, cmap.populations[fi]))
@@ -356,9 +383,7 @@ def _run_chevron(config: ScenarioConfig) -> list[str]:
     shift_data_q1 = [truth.dispersive_shift(a, 1) for a in amps]
     c2_fit, c4_fit, shift_res = fit_dispersive(amps, shift_data_q1)
 
-    report = {
-        "scenario": "chevron",
-        "version": __version__,
+    out.report(label, {
         "map": {
             "j_true_mhz": j_true,
             "f_center_mhz": CHEVRON_F_CENTER,
@@ -383,25 +408,27 @@ def _run_chevron(config: ScenarioConfig) -> list[str]:
             "c2_fit": c2_fit, "c4_fit": c4_fit, "residual": shift_res,
         },
         "resonance_shift_at_full_amplitude_mhz": truth.resonance_shift(1.0),
-    }
-    report_path = os.path.join(config.out_dir, "chevron_report.json")
-    _write_json(report_path, report, indent=2)
-    return [map_path, report_path]
+    })
+
+
+# The runner of each scenario, called with its config, its name and the outputs.
+_RUNNERS = {"fig1": _run_fig1, "chevron": _run_chevron, "table1": _run_table1, "fig3": _run_fig3,
+            "fig3a": _run_sweep, "fig3b": _run_sweep, "fig4": _run_sweep, "custom": _run_sweep}
 
 
 def run_scenario(config: ScenarioConfig) -> list[str]:
-    """Execute a scenario; return the list of written file paths."""
+    """Execute a scenario; return the list of written file paths.
+
+    A run that fails leaves the output directory as it was.
+    """
+    runner = _RUNNERS.get(config.name)
+    if runner is None:
+        raise ValueError(f"unknown scenario {config.name!r}")
     _ensure_dir(config.out_dir)
-    if config.name == "fig1":
-        return _run_fig1(config)
-    if config.name == "chevron":
-        return _run_chevron(config)
-    if config.name == "table1":
-        return _run_table1(config)
-    if config.name == "fig3":
-        paths = _run_sweep(config.with_(j=0.0), "fig3a")
-        paths += _run_sweep(config, "fig3b")
-        return paths
-    if config.name in ("fig3a", "fig3b", "fig4", "custom"):
-        return _run_sweep(config, config.name)
-    raise ValueError(f"unknown scenario {config.name!r}")
+    out = _Outputs(config.out_dir)
+    try:
+        runner(config, config.name, out)
+        return out.publish()
+    except BaseException:
+        out.discard()
+        raise

@@ -283,6 +283,7 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "run failed (NonFiniteOutput)" in capsys.readouterr().err
         assert not (tmp_path / "o" / unwritten).exists()
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -291,6 +292,40 @@ class TestRunCommand:
                    "--out", str(blocker / "sub")])
         assert rc == 3
         assert "run failed (Unwritable)" in capsys.readouterr().err
+
+
+def snapshot(directory) -> dict:
+    """Every entry of a directory, hidden ones too, with its bytes."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestStagedOutputs:
+    """A run writes its files under hidden names and renames them onto their
+    final names only once all of them are written."""
+
+    @pytest.mark.parametrize("earlier", [{}, {"notes.txt": b"unrelated\n",
+                                             "table1_report.json": b"{}\n"}],
+                             ids=["empty", "earlier-run"])
+    def test_failed_run_leaves_directory_as_it_was(self, tmp_path, capsys, earlier):
+        """table1 fails at its third duration, after two traces are written."""
+        out = tmp_path / "o"
+        out.mkdir()
+        for name, content in earlier.items():
+            (out / name).write_bytes(content)
+        cfg = write_config(tmp_path, UNSTABLE_TABLE1.format(x2=55))
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert "run failed (CorrelatorOutOfRange)" in capsys.readouterr().err
+        assert snapshot(out) == earlier
+
+    def test_successful_run_leaves_no_staged_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[scenario]\nname = fig3\n\n[schedule]\nt_ad = 1\n\n"
+                                     "[simulation]\ndt_us = 0.01\nn_samples = 4\n")
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        written = [line.strip() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert sorted(snapshot(out)) == sorted(os.path.basename(path) for path in written)
+        assert sorted(snapshot(out)) == ["fig3a_report.json", "fig3a_trace_tad1.csv",
+                                         "fig3b_report.json", "fig3b_trace_tad1.csv"]
 
 
 class TestTraceFiles:
@@ -573,19 +608,24 @@ class TestIntrospection:
 
     def test_run_imports_no_scipy(self, tmp_path):
         """A run loads numpy only, and an exact run not even numpy.random
-        (a lazy import of about 20 ms); run in a fresh interpreter because
-        other tests may have imported both into this one."""
-        cfg = write_config(tmp_path, "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2\n\n"
-                                     "[simulation]\nn_samples = 4\n")
-        code = ("import sys\n"
-                "import adiasim.cli\n"
-                f"assert adiasim.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-                "print('numpy.random' in sys.modules)\n")
-        result = subprocess.run([sys.executable, "-c", code],
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-2:] == ["[]", "False"]
+        (a lazy import of about 20 ms) or numpy.ma; run in a fresh
+        interpreter because other tests may have imported them into this one."""
+        for name, text in (
+                ("fig4", "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2\n\n"
+                         "[simulation]\nn_samples = 4\n"),
+                ("table1", "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 1.5, 2\n\n"
+                           "[simulation]\ndt_us = 0.01\nn_samples = 4\n")):
+            cfg = write_config(tmp_path, text, f"{name}.ini")
+            code = ("import sys\n"
+                    "import adiasim.cli\n"
+                    f"assert adiasim.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / name)!r}]) == 0\n"
+                    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+                    "print('numpy.random' in sys.modules)\n"
+                    "print('numpy.ma' in sys.modules)\n")
+            result = subprocess.run([sys.executable, "-c", code],
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-3:] == ["[]", "False", "False"], name
 
     def test_module_entry_point(self):
         result = subprocess.run(

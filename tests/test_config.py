@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from adiasim.cli import main
 from adiasim.config import (
+    _FIELDS,
+    _SCENARIOS,
     ConfigParse,
     SCENARIO_NAMES,
     SCENARIO_SUMMARIES,
@@ -13,6 +16,7 @@ from adiasim.config import (
     load_config,
     validate_config,
 )
+from adiasim.dynamics import NoiseModel, UnphysicalNoise
 
 CUSTOM_MINIMAL = """\
 [scenario]
@@ -315,6 +319,77 @@ class TestValidationErrors:
     def test_malformed_ini_reports_parse_error(self):
         errors = invalid("not an ini file at all\n")
         assert any("parse error" in e for e in errors)
+
+
+BUILT_IN = [name for name in SCENARIO_NAMES if name != "custom"]
+
+
+def refused_fields(tmp_path, capsys, text: str) -> set:
+    """The fields that ``adiasim validate`` names, after checking it exits 2."""
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    problems = capsys.readouterr().err.splitlines()[1:]
+    return {problem.removeprefix("  - ").split(":")[0] for problem in problems}
+
+
+class TestScenarioRows:
+    """Each row of _SCENARIOS: its preset, its counts and its fixed fields."""
+
+    @pytest.mark.parametrize("name", BUILT_IN)
+    def test_row_bounds_are_enforced(self, tmp_path, capsys, name):
+        """One duration or state beyond each count bound, and each fixed field
+        off its preset, is refused naming only that field."""
+        row = _SCENARIOS[name]
+        preset = valid(f"[scenario]\nname = {name}\n")
+        durations = lambda n: ", ".join(str(10.0 + k) for k in range(n))
+        states = lambda n: ", ".join(["00", "01", "10", "11"][:n])
+        cases = []
+        for field, count, (fewest, most) in (("schedule.t_ad", durations, row.durations),
+                                             ("scenario.initial_states", states, row.states)):
+            cases += [(field, count(fewest - 1))] if fewest > 0 else []
+            cases += [(field, count(most + 1))] if most < math.inf else []
+        for section, key, attr, (_, fmt), *_ in _FIELDS:
+            if attr in row.fixed:
+                value = getattr(preset, attr)
+                changed = (not value) if isinstance(value, bool) else value + 0.5
+                cases.append((f"{section}.{key}", fmt(changed)))
+        assert len(cases) >= 1 + len(row.fixed)
+        for field, value in cases:
+            section, key = field.split(".")
+            text = (f"[scenario]\nname = {name}\n"
+                    + ("" if section == "scenario" else f"\n[{section}]\n") + f"{key} = {value}\n")
+            assert refused_fields(tmp_path, capsys, text) == {field}, text
+
+    @pytest.mark.parametrize("kwargs, accepted", [
+        *((kwargs, False) for kwargs in (
+            dict(t1=0.0), dict(t1=50.0, t2=-1.0), dict(n_th=-0.1), dict(t1=math.nan),
+            dict(t2=math.nan), dict(t1=50.0, n_th=math.inf), dict(t1=10.0, t2=21.0))),
+        *((kwargs, True) for kwargs in (
+            dict(), dict(t1=10.0, t2=20.0), dict(t1=50.0, t2=40.0, n_th=0.01),
+            dict(t1=math.inf, t2=5.0))),
+    ])
+    def test_noise_model_and_validation_agree(self, kwargs, accepted):
+        try:
+            NoiseModel(**kwargs)
+        except UnphysicalNoise:
+            model_accepts = False
+        else:
+            model_accepts = True
+        noise = dict(dict(t1=math.inf, t2=math.inf, n_th=0.0), **kwargs)
+        config, _ = validate_config("[scenario]\nname = table1\n\n[noise]\n"
+                                    f"t1_us = {noise['t1']!r}\nt2_us = {noise['t2']!r}\n"
+                                    f"nth = {noise['n_th']!r}\n")
+        assert model_accepts == (config is not None) == accepted
+
+    def test_noise_violations_of_both_qubits_reported(self):
+        errors = invalid("[scenario]\nname = table1\n\n[noise]\n"
+                         "t1_us = 0, -1\nnth = -0.1, inf\n")
+        for prefix in ("noise: qubit 1:", "noise: qubit 2:",
+                       "noise.nth: qubit 1:", "noise.nth: qubit 2:"):
+            assert sum(e.startswith(prefix) for e in errors) == 1, prefix
+        errors = invalid("[scenario]\nname = table1\n\n[noise]\nt1_us = 10\nt2_us = 25, 30\n")
+        assert [e.split(" = ")[0] for e in errors] == ["noise: qubit 1: T2", "noise: qubit 2: T2"]
 
 
 class TestExactModeSeed:
