@@ -11,8 +11,13 @@ microseconds, so the equations of motion carry an explicit 2*pi:
 Decay rates are genuine inverse times (no 2*pi): a qubit with relaxation
 time T1 loses excited-state population as exp(-t/T1).
 
-Both equations are linear, d x/dt = A(t) x.  A pure state x is the complex
-4-vector and A = -2*pi*i*H.  A mixed state is its real Pauli vector r over
+Both equations are linear, d x/dt = A(t) x.  A pure state psi = u + i*v is
+the real 8-vector x = [u; v], and -2*pi*i*H acts on it as the real 8x8
+
+    A = 2*pi * [[Im H, Re H], [-Re H, Im H]],
+
+so that every product below is a real one; the propagators return the
+complex psi.  A mixed state is its real Pauli vector r over
 ``operators.PAULI_BASIS``, rho = sum_k r_k sigma_k / 4, so r_k = <sigma_k>
 and r_II = Tr rho; a Lindblad run returns r at every sample.  A is the real
 16x16 Pauli transfer matrix T_qr = Tr(sigma_q L(sigma_r)) / 4 of the
@@ -230,6 +235,16 @@ def _pauli_generator(ham: np.ndarray, lops=()) -> np.ndarray:
     return np.einsum("qij,rji->qr", _PAULIS, images).real / 4.0
 
 
+def _schrodinger_generator(ham: np.ndarray) -> np.ndarray:
+    """-2*pi*i*H as the real (..., 8, 8) map of [Re psi; Im psi], for a (..., 4, 4) H."""
+    gen = np.empty(ham.shape[:-2] + (8, 8))
+    gen[..., :4, :4] = gen[..., 4:, 4:] = ham.imag
+    gen[..., :4, 4:] = ham.real
+    gen[..., 4:, :4] = -ham.real
+    gen *= 2.0 * math.pi
+    return gen
+
+
 def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
     """RK4 step matrices from generators at 2m+1 half-step times.
 
@@ -309,9 +324,9 @@ def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> 
         out[...] = src[:, 0]
 
 
-def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float, d: int,
-                   dtype) -> np.ndarray:
-    """The RK4 propagator of each sample interval of ``times``, as (d, d) ``dtype``.
+def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float,
+                   d: int) -> np.ndarray:
+    """The RK4 propagator of each sample interval of ``times``, as a real (d, d).
 
     The intervals are built in groups of max(1, _BATCH_STEPS // steps).
     ``step_matrices(stage_times, out)`` gets a batch's (g, 2m+1) half-step
@@ -327,10 +342,10 @@ def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float, d: in
     # The stack holds one batch: size * m_max <= _BATCH_STEPS, or size = 1.
     # A group of several intervals takes one batch of m_max steps, so every
     # stack[:g, :m] below is contiguous, as step_matrices needs.
-    stack = np.empty((size, m_max, d, d), dtype)
-    scratch = np.empty((size, (m_max + 1) // 2, d, d), dtype)
-    maps = np.empty((len(starts), d, d), dtype)
-    product = np.empty((1, d, d), dtype)  # a later batch of a one-interval group
+    stack = np.empty((size, m_max, d, d))
+    scratch = np.empty((size, (m_max + 1) // 2, d, d))
+    maps = np.empty((len(starts), d, d))
+    product = np.empty((1, d, d))  # a later batch of a one-interval group
     for k in range(0, len(starts), group):
         t0 = starts[k:k + group, None]
         g = len(t0)
@@ -351,9 +366,9 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
                    dt: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Interval maps of a sweep schedule, shared across initial states.
 
-    ``noise`` None selects the complex Schrodinger generator, otherwise the
-    real Pauli transfer matrix of the Lindblad generator; the maps take the
-    generator's dtype.  The returned arrays are read-only.
+    ``noise`` None selects the real 8x8 Schrodinger generator, otherwise the
+    real Pauli transfer matrix of the Lindblad generator.  The returned
+    arrays are read-only.
     """
     # A miss: drop the previous entry now rather than after this one is
     # built, so that only one set of maps is alive at a time.
@@ -364,24 +379,22 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
     # StepTooLarge.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise is None:
-            g0, g1 = _W * schedule.h0, _W * schedule.h1
+            g0, g1 = _schrodinger_generator(schedule.h0), _schrodinger_generator(schedule.h1)
         else:
             g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
             g1 = _pauli_generator(schedule.h1)
-        # For a complex generator, real powers times the real and imaginary
-        # parts: the same sums as a complex product, at half its cost.
-        poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1).view(float)
+        poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1)
         eye = np.eye(len(g0))
 
         def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
             s = stage_times[:, :-2:2] / t_ad
             np.matmul(np.vander(s.ravel(), 5, increasing=True), poly,
-                      out=out.reshape(s.size, -1).view(float))
+                      out=out.reshape(s.size, -1))
             # I is added after the sum, not folded into P_0, so that the
             # rounding of one shared P_0 + I does not repeat in every step.
             out += eye
 
-        maps = _interval_maps(step_matrices, times, steps, h, len(g0), g0.dtype)
+        maps = _interval_maps(step_matrices, times, steps, h, len(g0))
     times.flags.writeable = False
     maps.flags.writeable = False
     return times, maps
@@ -390,7 +403,7 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
 def _evolve(times: np.ndarray, maps: np.ndarray, x0: np.ndarray, drift_of,
             what: str) -> tuple[np.ndarray, np.ndarray]:
     """Apply the interval maps in turn, then check the drift of every sample."""
-    states = np.empty((len(times), len(x0)), dtype=maps.dtype)
+    states = np.empty((len(times), len(x0)))
     states[0] = x0
     # A diverging state may overflow; the drift check reports it as StepTooLarge.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,6 +438,13 @@ def _pure_initial(psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
+def _evolve_pure(times: np.ndarray, maps: np.ndarray, psi0: np.ndarray) -> Trajectory:
+    """``_evolve`` on [Re psi; Im psi], whose norm is that of psi; states back as complex."""
+    x, drifts = _evolve(times, maps, np.concatenate([psi0.real, psi0.imag]), _norm_drift,
+                        "norm")
+    return Trajectory(times=times, states=x[:, :4] + 1j * x[:, 4:], drifts=drifts)
+
+
 def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
                       dt: float = 0.002, n_samples: int = 300) -> Trajectory:
     """Integrate the Schrodinger equation for a sweep of duration ``t_ad`` [us].
@@ -435,8 +455,7 @@ def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
     """
     psi0 = _pure_initial(psi0)
     times, maps = _schedule_maps(schedule, t_ad, None, dt, n_samples)
-    states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
-    return Trajectory(times=times.copy(), states=states, drifts=drifts)
+    return _evolve_pure(times.copy(), maps, psi0)
 
 
 def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
@@ -453,12 +472,12 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
 
     def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
         hams = np.broadcast_to(ham(stage_times.ravel()), (stage_times.size, 4, 4))
-        out[...] = _step_matrices(_W * hams.reshape(stage_times.shape + (4, 4)), h)
+        gens = _schrodinger_generator(hams.reshape(stage_times.shape + (4, 4)))
+        out[...] = _step_matrices(gens, h)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
-        maps = _interval_maps(step_matrices, times, steps, h, 4, complex)
-    states, drifts = _evolve(times, maps, psi0, _norm_drift, "norm")
-    return Trajectory(times=times, states=states, drifts=drifts)
+        maps = _interval_maps(step_matrices, times, steps, h, 8)
+    return _evolve_pure(times, maps, psi0)
 
 
 def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,

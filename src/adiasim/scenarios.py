@@ -17,6 +17,7 @@ produced it.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -59,11 +60,18 @@ def _fmt_tad(t_ad: float) -> str:
     return f"{t_ad:g}".replace(".", "p").replace("-", "m")
 
 
-def _ensure_dir(path: str) -> None:
+def _make_dirs(path: str) -> list[str]:
+    """Create directory ``path`` and its missing parents; return those created, deepest first."""
+    missing = []
+    level = os.path.abspath(path)
+    while not os.path.isdir(level):
+        missing.append(level)
+        level = os.path.dirname(level)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise Unwritable(f"cannot create output directory {path}: {exc}") from exc
+    return missing
 
 
 def _staged(path: str) -> str:
@@ -72,11 +80,13 @@ def _staged(path: str) -> str:
     return os.path.join(head, f".{tail}.partial")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to the staged name of ``path`` (see ``_Outputs``)."""
+def _write_text(path: str, chunks) -> None:
+    """Write the byte strings of ``chunks`` in turn to the staged name of
+    ``path`` (see ``_Outputs``)."""
     try:
-        with open(_staged(path), "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with open(_staged(path), "wb") as handle:
+            # writelines drops each chunk before it takes the next.
+            handle.writelines(chunks)
     except OSError as exc:
         raise Unwritable(f"cannot write {path}: {exc}") from exc
 
@@ -86,7 +96,104 @@ def _write_json(path: str, payload: dict, indent: int | None = None) -> None:
         text = json.dumps(payload, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutput(f"refusing to write {path}: {exc}") from exc
-    _write_text(path, text + "\n")
+    _write_text(path, [(text + "\n").encode()])
+
+
+# Rows of a CSV trace formatted and written at a time: the writer's memory.
+_BLOCK_ROWS = 4096
+# Decimal exponents E that _decimal_digits covers: 1e-99 <= |v| < 1e100.
+_E_MIN, _E_MAX = -99, 99
+
+
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi is the double nearest to it, lo the one nearest to the rest."""
+    if k >= 0:
+        hi = float(10**k)
+        return hi, float(10**k - int(hi))
+    den = 10**-k
+    hi = 1 / den  # int true division rounds correctly
+    num, hi_den = hi.as_integer_ratio()
+    return hi, (hi_den - num * den) / (hi_den * den)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into two halves of at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# 10**(16 - E) for E = _E_MIN .. _E_MAX, and the halves of its hi part.
+_POW_HI, _POW_LO = (np.array(p) for p in
+                    zip(*(_power_of_ten(16 - e) for e in range(_E_MIN, _E_MAX + 1))))
+_POW_HH, _POW_HL = _split(_POW_HI)
+
+
+def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits D and the exponent E of format(v, ".16e") for
+    each value, as int64, and where they are exact.
+
+    With E = floor(log10 |v|), D is the integer nearest to
+    y = |v| * 10**(16 - E), which lies in [1e16, 1e17).  y is p + tail:
+    p = |v| * hi is a double above 2**53, hence an integer; Dekker's exact
+    product gives its rounding error, and |v| * lo adds the rest of the
+    power of ten, so tail is within 1e-14.  A value is not exact when its
+    tail is within 1e-9 of a half (a tie, or too close to tell), when D is
+    not safely inside (1e16, 1e17) (log10 off by one next to a power of
+    ten, or a carry into the next power), or when E lies outside
+    [_E_MIN, _E_MAX].  Zero is exact, with D = E = 0.
+    """
+    zero = values == 0.0
+    a = np.abs(values)
+    with np.errstate(divide="ignore"):
+        exponent = np.floor(np.log10(a))
+    covered = (exponent >= _E_MIN) & (exponent <= _E_MAX)
+    # A value not covered takes the placeholder 1.0, so that nothing overflows.
+    exponent = np.where(covered, exponent, 0.0).astype(np.int64)
+    a[~covered] = 1.0
+    k = exponent - _E_MIN
+    p = a * _POW_HI[k]
+    a_hi, a_lo = _split(a)
+    hh, hl = _POW_HH[k], _POW_HL[k]
+    tail = ((a_hi * hh - p) + a_hi * hl + a_lo * hh) + a_lo * hl + a * _POW_LO[k]
+    rounded = np.rint(tail)
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    exact = zero | (covered & (digits > 10**16) & (digits < 10**17 - 1)
+                    & (np.abs(tail - rounded) < 0.5 - 1e-9))
+    digits[zero] = 0
+    return digits, exponent, exact
+
+
+def _csv_lines(block: np.ndarray) -> np.ndarray:
+    """The CSV lines of a 2-D float array, as the uint8 bytes that writing
+    each value as format(v, ".16e") gives.
+
+    Each value fills a 25-byte slot, "-d.dddddddddddddddde-ddd" and a
+    separator, whose zero bytes are padding.  ``_decimal_digits`` gives the
+    digits; format() itself writes the values where they are not exact.
+    """
+    values = block.ravel()
+    digits, exponent, exact = _decimal_digits(values)
+    out = np.zeros((values.size, 25), np.uint8)
+    out[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    for col in range(18, 2, -1):
+        digits, digit = np.divmod(digits, 10)
+        out[:, col] = digit + ord("0")
+    out[:, 1] = digits + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 19] = ord("e")
+    out[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
+    magnitude = np.abs(exponent)  # two digits: |E| <= 99
+    out[:, 22] = magnitude // 10 + ord("0")
+    out[:, 23] = magnitude % 10 + ord("0")
+    for i in np.flatnonzero(~exact):
+        text = format(float(values[i]), ".16e").encode()
+        out[i, :24] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    separators = out.reshape(block.shape + (25,))[..., 24]
+    separators[:, :-1] = ord(",")
+    separators[:, -1] = ord("\n")
+    return out[out != 0]
 
 
 def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
@@ -94,7 +201,6 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
     """Write the (rows, columns) array ``table`` as a CSV or JSON trace."""
     if not np.isfinite(table).all():
         raise NonFiniteOutput(f"refusing to write {path}: a trace value is not finite")
-    rows = table.tolist()
     if config.format == "json":
         payload = {
             "format": "adiasim-trace",
@@ -104,7 +210,7 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
             "seed": config.seed,
             "config": config.to_text(),
             "columns": columns,
-            "rows": rows,
+            "rows": table.tolist(),
         }
         _write_json(path, payload)
         return
@@ -115,8 +221,8 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
     lines.extend(f"# cfg: {cfg_line}" for cfg_line in config.to_text().splitlines())
     lines.append(",".join(columns))
     # 17 significant digits: lossless round-trip for doubles, fixed layout.
-    lines.extend(",".join(format(v, ".16e") for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    body = (_csv_lines(table[k:k + _BLOCK_ROWS]) for k in range(0, len(table), _BLOCK_ROWS))
+    _write_text(path, itertools.chain([("\n".join(lines) + "\n").encode()], body))
 
 
 def read_trace_config(path: str) -> ScenarioConfig:
@@ -140,14 +246,16 @@ def read_trace_config(path: str) -> ScenarioConfig:
 class _Outputs:
     """The files of one run, published together when the run succeeds.
 
-    Each file is written under its staged name; ``publish`` renames every
-    one onto its final name and ``discard`` removes them, so a failed run
-    leaves the output directory as it was.
+    The output directory is created with its missing parents.  Each file is
+    written under its staged name; ``publish`` renames every one onto its
+    final name and ``discard`` removes them and the directories created, so
+    a failed run leaves the file system as it was.
     """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.paths: list[str] = []
+        self.created = _make_dirs(out_dir)
 
     def _path(self, name: str) -> str:
         self.paths.append(os.path.join(self.out_dir, name))
@@ -175,6 +283,9 @@ class _Outputs:
         for path in self.paths:
             with contextlib.suppress(OSError):  # a staged file may not exist yet
                 os.remove(_staged(path))
+        for directory in self.created:
+            with contextlib.suppress(OSError):  # left alone if something else is in it
+                os.rmdir(directory)
 
 
 def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
@@ -419,12 +530,11 @@ _RUNNERS = {"fig1": _run_fig1, "chevron": _run_chevron, "table1": _run_table1, "
 def run_scenario(config: ScenarioConfig) -> list[str]:
     """Execute a scenario; return the list of written file paths.
 
-    A run that fails leaves the output directory as it was.
+    A run that fails leaves the output directory as it was, and creates none.
     """
     runner = _RUNNERS.get(config.name)
     if runner is None:
         raise ValueError(f"unknown scenario {config.name!r}")
-    _ensure_dir(config.out_dir)
     out = _Outputs(config.out_dir)
     try:
         runner(config, config.name, out)

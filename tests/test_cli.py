@@ -283,7 +283,7 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "run failed (NonFiniteOutput)" in capsys.readouterr().err
         assert not (tmp_path / "o" / unwritten).exists()
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()  # the run created it, and removed it
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -316,6 +316,14 @@ class TestStagedOutputs:
         assert main(["run", cfg, "--out", str(out)]) == 3
         assert "run failed (CorrelatorOutOfRange)" in capsys.readouterr().err
         assert snapshot(out) == earlier
+
+    @pytest.mark.parametrize("out", ["o", "new/deeper/o"])
+    def test_failed_run_creates_no_directory(self, tmp_path, capsys, out):
+        """The same failing table1 into an output directory that does not exist."""
+        cfg = write_config(tmp_path, UNSTABLE_TABLE1.format(x2=55))
+        assert main(["run", cfg, "--out", str(tmp_path / out)]) == 3
+        assert "run failed (CorrelatorOutOfRange)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_successful_run_leaves_no_staged_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scenario]\nname = fig3\n\n[schedule]\nt_ad = 1\n\n"

@@ -523,6 +523,40 @@ class TestAgainstStepLoop:
             propagate_custom(nan_ham, 1.0, basis_state("00"), dt=0.005, n_samples=4)
 
 
+def complex_interval_maps(ham, t_ad, dt, n_samples):
+    """Interval maps of -2 pi i H(t) as complex 4x4 products, one interval at a time."""
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
+    maps = []
+    for t0 in times[:-1]:
+        stage_times = t0 + np.arange(2 * steps + 1) * (0.5 * h)
+        gens = -2.0j * math.pi * np.array([ham(t) for t in stage_times])
+        maps.append(allocating_ordered_product(_step_matrices(gens[None], h))[0])
+    return times, maps
+
+
+class TestRealForm:
+    """Pure states are propagated as [Re psi; Im psi] by real 8x8 maps and
+    returned as complex amplitudes."""
+
+    @pytest.mark.parametrize("kind", ["unitary", "custom"])
+    def test_states_match_complex_maps(self, kind):
+        psi0 = random_pure_state(np.random.default_rng(4))
+        ham = in_time(FIG4, 3.0)
+        if kind == "unitary":
+            dynamics._schedule_maps.cache_clear()
+            traj = propagate_unitary(FIG4, 3.0, psi0, dt=0.002, n_samples=12)
+        else:
+            traj = propagate_custom(ham, 3.0, psi0, dt=0.002, n_samples=12)
+        times, maps = complex_interval_maps(ham, 3.0, 0.002, 12)
+        states = [psi0]
+        for step in maps:
+            states.append(step @ states[-1])
+        assert traj.states.dtype == complex
+        assert traj.states.shape == (13, 4)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.states - np.array(states))) <= 1e-12
+
+
 def allocating_ordered_product(mats):
     """Pairwise time-ordered product along axis -3 with a new array per level."""
     while mats.shape[-3] > 1:
@@ -550,12 +584,9 @@ def allocating_interval_maps(step_matrices, times, steps, h):
     return maps
 
 
-def near_identity_steps(d, dtype, seed):
+def near_identity_steps(d, seed):
     """Step matrices I + 0.05 cos(s B) of the step starts s, for a fixed random B."""
-    rng = np.random.default_rng(seed)
-    base = rng.normal(size=(d, d))
-    if dtype == complex:
-        base = base + 1j * rng.normal(size=(d, d))
+    base = np.random.default_rng(seed).normal(size=(d, d))
     return lambda stage_times: (np.eye(d)
                                 + 0.05 * np.cos(stage_times[:, :-2:2, None, None] * base))
 
@@ -564,8 +595,8 @@ class TestBufferedReduction:
     """The interval maps built in reused buffers against the reduction that
     allocates a new array per level and per batch, bit for bit."""
 
-    @pytest.mark.parametrize("d, dtype", [(4, complex), (16, float)],
-                             ids=["complex4", "real16"])
+    @pytest.mark.parametrize("d, dtype", [(4, complex), (8, float), (16, float)],
+                             ids=["complex4", "real8", "real16"])
     @pytest.mark.parametrize("group", [1, 3])
     def test_ordered_product_matches_allocating_reduction(self, d, dtype, group):
         rng = np.random.default_rng(d + group)
@@ -579,15 +610,16 @@ class TestBufferedReduction:
             dynamics._ordered_product(mats.copy(), scratch, out)
             assert np.array_equal(out, expected), m
 
-    @pytest.mark.parametrize("d, dtype", [(4, complex), (16, float)],
-                             ids=["complex4", "real16"])
+    # The maps are real: 8x8 for a pure state [Re psi; Im psi], 16x16 for a
+    # Pauli vector.
+    @pytest.mark.parametrize("d", [8, 16], ids=["real8", "real16"])
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 12])
-    def test_interval_maps_match_allocating_build(self, monkeypatch, d, dtype, steps):
+    def test_interval_maps_match_allocating_build(self, monkeypatch, d, steps):
         """Batches of 5 step matrices: groups of 5 and of 2 intervals whose
         last group is short (7 intervals), one interval per batch, and
         intervals of two and three batches."""
         monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
-        make = near_identity_steps(d, dtype, seed=steps)
+        make = near_identity_steps(d, seed=steps)
 
         def fill(stage_times, out):
             out[...] = make(stage_times)
@@ -595,8 +627,8 @@ class TestBufferedReduction:
         times = np.linspace(0.0, 1.0, 8)
         h = 1.0 / 7 / steps
         expected = allocating_interval_maps(make, times, steps, h)
-        maps = dynamics._interval_maps(fill, times, steps, h, d, dtype)
-        assert maps.dtype == dtype
+        maps = dynamics._interval_maps(fill, times, steps, h, d)
+        assert maps.dtype == float
         assert np.array_equal(maps, expected)
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["schrodinger", "lindblad"])
@@ -611,9 +643,9 @@ class TestBufferedReduction:
         dynamics._schedule_maps.cache_clear()
         built = {}
 
-        def allocating(fill, times, steps, h, d, dtype):
+        def allocating(fill, times, steps, h, d):
             def make(stage_times):
-                out = np.empty(stage_times[:, :-2:2].shape + (d, d), dtype)
+                out = np.empty(stage_times[:, :-2:2].shape + (d, d))
                 fill(stage_times, out)
                 return out
             built["steps"] = steps
@@ -641,7 +673,7 @@ class TestStepPolynomial:
         def generator(t):
             ham = FIG4.hamiltonian(t / t_ad)
             if noise is None:
-                return -2.0j * math.pi * ham
+                return dynamics._schrodinger_generator(ham)
             return _pauli_generator(ham, collapse_operators(noise))
 
         g0, g1 = generator(0.0), generator(t_ad) - generator(0.0)

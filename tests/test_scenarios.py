@@ -2,9 +2,15 @@
 
 import json
 import math
+import sys
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiasim import analysis, mitigation, scenarios, tomography
 from adiasim.analysis import _tracked_eigensystem, passage_fidelity, tracked_levels
@@ -474,3 +480,127 @@ class TestTraceConfigRecovery:
         config = make_config("[scenario]\nname = chevron\n", blocker / "sub")
         with pytest.raises(Unwritable):
             run_scenario(config)
+
+
+def format_rows(block):
+    """The reference CSV lines of a 2-D array: ",".join(format(v, ".16e")) per row."""
+    return [",".join(format(v, ".16e") for v in row) for row in np.asarray(block).tolist()]
+
+
+def kernel_rows(block):
+    lines = scenarios._csv_lines(np.asarray(block, dtype=float)).tobytes().decode()
+    assert lines.endswith("\n")
+    return lines.split("\n")[:-1]
+
+
+def half_way_values():
+    """Doubles (2n+1)/2^k whose exact decimal expansion has 18 significant
+    digits, the last a 5: exact ties at 17 digits, which format() rounds
+    half to even.  Every one for k >= 23, where 10**(16 - E) is not a
+    double, and 20 random ones for each smaller k."""
+    rng = np.random.default_rng(18)
+    values = []
+    for k in range(2, 26):
+        first, last = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        odd = range(first | 1, last, 2)
+        picks = odd if len(odd) <= 100 else [odd[int(i)] for i in rng.integers(0, len(odd), 20)]
+        values += [n / 2**k for n in picks]
+    assert all(len(Decimal(v).as_tuple().digits) == 18 and Decimal(v).as_tuple().digits[-1] == 5
+               for v in values)
+    return values
+
+
+def near_half_way_values():
+    """Doubles whose scaled value y = |v| * 10**(16 - E) lies within 1e-9 of
+    a half-integer without being one, so that their 18th digit is a 5 (or a
+    4) followed by nines (or zeros).  10**(16 - E) is not a double for any of
+    them, so the kernel computes y with a rounding error.  Small values are
+    v = n / 2**(m + s), with y = n * 5**m / 2**s; large ones are
+    v = n * 2**(t + m - 1), with y = n * 2**(t - 1) / 5**m."""
+    values = []
+    for m in range(23, 48):
+        for s in range(30, 54):
+            for offset in (1, -1):
+                n = (2**(s - 1) + offset) * pow(5**m, -1, 2**s) % 2**s
+                n += max(0, -(-(-(-10**16 * 2**s // 5**m) - n) // 2**s)) * 2**s
+                stop = min(2**53, -(-10**17 * 2**s // 5**m))
+                values += [n / 2**(m + s) for n in range(n, stop, 2**s)[:4]]
+    for m in (22, 23, 24):
+        for t in range(30, 60):
+            for offset in (1, -1):
+                odd = -offset * pow(5**m, -1, 2**t) % 2**t  # 2D + 1 modulo 2**t
+                first = odd + -(-(2 * 10**16 - odd) // 2**t) * 2**t
+                for two_d in range(first, 2 * 10**17, 2**t)[:4]:
+                    n = (two_d * 5**m + offset) // 2**t
+                    if n < 2**53:
+                        values.append(float(n * 2**(t + m - 1)))
+    for v in values:
+        y = Fraction(v) * Fraction(10) ** (16 - math.floor(math.log10(v)))
+        assert 0 < abs(y - math.floor(y) - Fraction(1, 2)) < 1e-9, v
+    return values
+
+
+def powers_of_ten():
+    """float(1e{k}) for every k that gives a nonzero double, and its neighbours."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+FAMILIES = {
+    "signed-zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310, -4.9406564584124654e-322],
+    "extremes": [sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+                 -sys.float_info.min],
+    "powers-of-ten": powers_of_ten(),
+    "half-way": half_way_values(),
+    "near-half-way": near_half_way_values(),
+}
+
+
+class TestCsvFormatting:
+    """The vectorized CSV body against format(v, ".16e"), row by row."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_families(self, family):
+        values = np.asarray(FAMILIES[family], dtype=float)
+        for width in (1, 3):
+            block = np.resize(values, (-(-len(values) // width), width))
+            block = np.concatenate([block, -block])
+            assert kernel_rows(block) == format_rows(block)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=3, max_size=3), min_size=1, max_size=20))
+    def test_finite_floats(self, rows):
+        assert kernel_rows(rows) == format_rows(rows)
+
+
+class TestCsvWriter:
+    @pytest.fixture
+    def config(self, tmp_path):
+        return make_config("[scenario]\nname = fig4\n", tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, scenarios._BLOCK_ROWS, scenarios._BLOCK_ROWS + 1],
+                             ids=["one-row", "one-block", "block-plus-one"])
+    def test_block_edges(self, tmp_path, config, rows):
+        table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-20, 1e5]
+        path = str(tmp_path / "trace.csv")
+        scenarios._write_trace(path, config, "fig4", 2.0, ["a", "b", "c"], table)
+        with open(scenarios._staged(path), encoding="utf-8") as handle:
+            text = handle.read()
+        assert text.endswith("\na,b,c\n" + "\n".join(format_rows(table)) + "\n")
+
+    def test_memory_bounded_by_one_block(self, tmp_path, config):
+        """A 50 000-row table is written with no more memory than one block:
+        its text alone would take 50 000 * 39 * 24 bytes (47 MB)."""
+        def peak(rows):
+            table = np.random.default_rng(rows).normal(size=(rows, 39))
+            tracemalloc.start()
+            try:
+                scenarios._write_trace(str(tmp_path / "trace.csv"), config, "fig4", 2.0,
+                                       [f"c{k}" for k in range(39)], table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= 1.1 * peak(scenarios._BLOCK_ROWS)
