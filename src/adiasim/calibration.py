@@ -96,41 +96,46 @@ def chevron_map(j: float, detuning_range: tuple[float, float],
     return ChevronMap(f_tc=f_center + detunings, times=times, populations=populations)
 
 
-def oscillation_frequency(times: np.ndarray, values: np.ndarray) -> float:
+def oscillation_frequency(times: np.ndarray, values: np.ndarray) -> float | np.ndarray:
     """Dominant oscillation frequency [MHz] of a uniformly sampled record.
 
     Discrete Fourier transform of the mean-subtracted record, zero-padded to
     eight times its length for grid refinement, followed by quadratic
-    interpolation of the log-magnitude around the peak bin.
+    interpolation of the log-magnitude around the peak bin.  ``values`` is
+    one record (a float is returned) or an (n, len(times)) stack of records
+    on the same time axis (an (n,) array is returned, each entry equal to
+    that record's own call).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(times) != len(values) or len(times) < 4:
+    if values.ndim not in (1, 2) or values.shape[-1] != len(times) or len(times) < 4:
         raise ValueError("need at least 4 samples with matching time axis")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("time axis must be uniform")
-    data = values - values.mean()
-    n_fft = _PAD_FACTOR * len(data)
-    spectrum = np.abs(np.fft.rfft(data, n=n_fft))
+    records = values.reshape(-1, len(times))
+    data = records - records.mean(axis=1, keepdims=True)
+    n_fft = _PAD_FACTOR * len(times)
+    spectrum = np.abs(np.fft.rfft(data, n=n_fft, axis=1))
     freqs = np.fft.rfftfreq(n_fft, d=dt)
-    peak = int(np.argmax(spectrum[1:])) + 1
-    if 1 <= peak < len(spectrum) - 1:
-        lm, l0, lp = np.log(spectrum[peak - 1:peak + 2] + 1e-300)
-        denom = lm - 2.0 * l0 + lp
-        shift = 0.5 * (lm - lp) / denom if denom != 0.0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    return float(freqs[peak] + shift * (freqs[1] - freqs[0]))
+    peak = np.argmax(spectrum[:, 1:], axis=1) + 1
+    # The bins around the peak; a peak in the last bin is not interpolated.
+    interior = peak < spectrum.shape[1] - 1
+    around = np.minimum(peak, spectrum.shape[1] - 2)[:, None] + np.arange(-1, 2)
+    lm, l0, lp = np.log(np.take_along_axis(spectrum, around, axis=1) + 1e-300).T
+    denom = lm - 2.0 * l0 + lp
+    shift = np.divide(0.5 * (lm - lp), denom, out=np.zeros_like(denom), where=denom != 0.0)
+    shift = np.where(interior, np.clip(shift, -0.5, 0.5), 0.0)
+    omega = freqs[peak] + shift * (freqs[1] - freqs[0])
+    return float(omega[0]) if values.ndim == 1 else omega
 
 
-def _rabi_objective(f_points: np.ndarray, omegas: np.ndarray, f_res: float):
-    """Best-fit j^2 and squared error for a fixed resonance candidate."""
-    det_sq = (f_points - f_res) ** 2
-    j_sq = max(float(np.mean(omegas**2 - det_sq)), 0.0)
-    model = np.sqrt(j_sq + det_sq)
-    return j_sq, float(np.sum((model - omegas) ** 2))
+def _rabi_objective(f_points: np.ndarray, omegas: np.ndarray, f_res):
+    """Best-fit j^2 and squared error for a resonance candidate f_res, or
+    for each of an array of them at once."""
+    det_sq = (f_points - np.asarray(f_res)[..., None]) ** 2
+    j_sq = np.maximum(np.mean(omegas**2 - det_sq, axis=-1), 0.0)
+    return j_sq, np.sum((np.sqrt(j_sq[..., None] + det_sq) - omegas) ** 2, axis=-1)
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -173,8 +178,8 @@ def fit_rabi(observed) -> tuple[float, float, float]:
 
     tol = 1e-10 * max(1.0, abs(lo), abs(hi))
     candidates = np.linspace(lo, hi, 401)
+    best = int(np.argmin(_rabi_objective(f_pts, w_pts, candidates)[1]))
     error = lambda fr: _rabi_objective(f_pts, w_pts, fr)[1]
-    best = int(np.argmin([error(fr) for fr in candidates]))
     f_res, _ = _golden_section(error, candidates[max(best - 1, 0)],
                                candidates[min(best + 1, len(candidates) - 1)], tol)
     j_sq, err = _rabi_objective(f_pts, w_pts, f_res)

@@ -17,6 +17,7 @@ produced it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -91,15 +92,18 @@ def _write_text(path: str, chunks) -> None:
         raise Unwritable(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path: str, payload: dict, indent: int | None = None) -> None:
+def _json_text(path: str, payload: dict, indent: int | None = None) -> str:
     try:
-        text = json.dumps(payload, indent=indent, allow_nan=False)
+        return json.dumps(payload, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutput(f"refusing to write {path}: {exc}") from exc
-    _write_text(path, [(text + "\n").encode()])
 
 
-# Rows of a CSV trace formatted and written at a time: the writer's memory.
+def _write_json(path: str, payload: dict, indent: int | None = None) -> None:
+    _write_text(path, [(_json_text(path, payload, indent) + "\n").encode()])
+
+
+# Rows of a trace formatted and written at a time: the writer's memory.
 _BLOCK_ROWS = 4096
 # Decimal exponents E that _decimal_digits covers: 1e-99 <= |v| < 1e100.
 _E_MIN, _E_MAX = -99, 99
@@ -123,77 +127,253 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-# 10**(16 - E) for E = _E_MIN .. _E_MAX, and the halves of its hi part.
-_POW_HI, _POW_LO = (np.array(p) for p in
-                    zip(*(_power_of_ten(16 - e) for e in range(_E_MIN, _E_MAX + 1))))
-_POW_HH, _POW_HL = _split(_POW_HI)
+# Rows hi, lo and the two halves of hi, of 10**(16 - E) for E = _E_MIN .. _E_MAX.
+_POWERS = np.array([_power_of_ten(16 - e) for e in range(_E_MIN, _E_MAX + 1)]).T
+_POWERS = np.vstack([_POWERS, _split(_POWERS[0])])
 
 
-def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 17 significant digits D and the exponent E of format(v, ".16e") for
-    each value, as int64, and where they are exact.
+def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's scaled magnitude y = |v| * 10**(16 - E), E = floor(log10 |v|),
+    as the int64 D nearest to it plus the rest y - D, with E and where D is safe.
 
-    With E = floor(log10 |v|), D is the integer nearest to
-    y = |v| * 10**(16 - E), which lies in [1e16, 1e17).  y is p + tail:
+    y lies in [1e16, 1e17), so D has 17 digits.  y is p + tail:
     p = |v| * hi is a double above 2**53, hence an integer; Dekker's exact
     product gives its rounding error, and |v| * lo adds the rest of the
-    power of ten, so tail is within 1e-14.  A value is not exact when its
-    tail is within 1e-9 of a half (a tie, or too close to tell), when D is
-    not safely inside (1e16, 1e17) (log10 off by one next to a power of
-    ten, or a carry into the next power), or when E lies outside
-    [_E_MIN, _E_MAX].  Zero is exact, with D = E = 0.
+    power of ten, so tail, and with it the rest, is within 1e-14.  D is not
+    safe when it is not safely inside (1e16, 1e17) (log10 off by one next to
+    a power of ten, or a carry into the next power), or when E lies outside
+    [_E_MIN, _E_MAX].  Zero is safe, with D = E = 0 and rest 0.  The arrays
+    are built in place: a temporary as large as the values costs more than
+    the arithmetic on it.
     """
-    zero = values == 0.0
     a = np.abs(values)
     with np.errstate(divide="ignore"):
-        exponent = np.floor(np.log10(a))
+        exponent = np.log10(a)
+    np.floor(exponent, out=exponent)
     covered = (exponent >= _E_MIN) & (exponent <= _E_MAX)
     # A value not covered takes the placeholder 1.0, so that nothing overflows.
-    exponent = np.where(covered, exponent, 0.0).astype(np.int64)
-    a[~covered] = 1.0
-    k = exponent - _E_MIN
-    p = a * _POW_HI[k]
+    uncovered = np.flatnonzero(~covered)
+    a[uncovered], exponent[uncovered] = 1.0, 0.0
+    exponent = exponent.astype(np.int64)
+    hi, lo, hh, hl = np.take(_POWERS, exponent - _E_MIN, axis=1)
+    p = a * hi
     a_hi, a_lo = _split(a)
-    hh, hl = _POW_HH[k], _POW_HL[k]
-    tail = ((a_hi * hh - p) + a_hi * hl + a_lo * hh) + a_lo * hl + a * _POW_LO[k]
+    # tail = ((a_hi*hh - p) + a_hi*hl + a_lo*hh) + a_lo*hl + a*lo, term by term.
+    tail = a_hi * hh
+    tail -= p
+    tail += a_hi * hl
+    hh *= a_lo
+    tail += hh
+    hl *= a_lo
+    tail += hl
+    lo *= a
+    tail += lo
     rounded = np.rint(tail)
-    digits = p.astype(np.int64) + rounded.astype(np.int64)
-    exact = zero | (covered & (digits > 10**16) & (digits < 10**17 - 1)
-                    & (np.abs(tail - rounded) < 0.5 - 1e-9))
-    digits[zero] = 0
-    return digits, exponent, exact
+    tail -= rounded
+    digits = p.astype(np.int64)
+    digits += rounded.astype(np.int64)
+    zero = np.flatnonzero(values == 0.0)
+    digits[zero], tail[zero] = 0, 0.0
+    safe = (digits > 10**16) & (digits < 10**17 - 1) & covered
+    safe[zero] = True
+    return digits, tail, exponent, safe
+
+
+def _digit_words(numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each int64 in [0, 1e17): the first as its ASCII byte,
+    and the other 16 as two rows of ASCII words, 8 digits in the bytes of an
+    int64 with the first in the lowest byte, so that the words lie in memory
+    as text.
+
+    Every word holds a number below 1e8.  It is split into two lanes of 32
+    bits, its quotient by 10**4 and the remainder, then each lane into two of
+    16 bits by 100, and each of those into bytes by 10.  A lane's quotient is
+    a multiplication by a rounded-up reciprocal, exact below 10**4 (100).
+    """
+    high = numbers // 10**8
+    lead = high // 10**8
+    words = np.empty((2, len(numbers)), np.uint64)
+    np.subtract(high, lead * 10**8, out=words[0], casting="unsafe")
+    np.subtract(numbers, high * 10**8, out=words[1], casting="unsafe")
+    high = words // 10**4
+    words -= high * 10**4
+    words <<= 32
+    words |= high
+    for factor, shift, mask, divisor, width in ((5243, 19, 0x0000007F0000007F, 100, 16),
+                                                (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(words, factor, out=high)
+        high >>= shift
+        high &= mask
+        words -= high * divisor
+        words <<= width
+        words |= high
+    words |= 0x3030303030303030
+    lead += ord("0")
+    return lead, words.view(np.int64)
+
+
+def _write_texts(fields: np.ndarray, where: np.ndarray, texts: list[str]) -> None:
+    """Overwrite the rows ``where`` of the (values, bytes) array ``fields`` by
+    ``texts``, padded with zero bytes."""
+    if texts:
+        fields[where] = np.array(texts, f"S{fields.shape[1]}").view(np.uint8).reshape(len(texts), -1)
+
+
+def _text(slots: np.ndarray) -> np.ndarray:
+    """The bytes of ``slots`` without their zero bytes, as a uint8 array."""
+    # translate scans the bytes faster than a boolean mask selects them.
+    return np.frombuffer(slots.tobytes().translate(None, b"\0"), np.uint8)
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """"e-XX" for E = _E_MIN .. _E_MAX as the bytes of an int64, at index E - _E_MIN."""
+    return np.array([int.from_bytes(b"e%+03d" % e, "little") for e in range(_E_MIN, _E_MAX + 1)])
 
 
 def _csv_lines(block: np.ndarray) -> np.ndarray:
     """The CSV lines of a 2-D float array, as the uint8 bytes that writing
     each value as format(v, ".16e") gives.
 
-    Each value fills a 25-byte slot, "-d.dddddddddddddddde-ddd" and a
-    separator, whose zero bytes are padding.  ``_decimal_digits`` gives the
-    digits; format() itself writes the values where they are not exact.
+    Each value fills a slot of four 8-byte words, "-d." and padding, 16
+    digits, "e-dd" and the separator; its zero bytes are padding.
+    ``_decimal_digits`` gives the digits; format() itself writes the values
+    where they are not exact: not safe, or with a rest within 1e-9 of a half
+    (a tie, or too close to tell).
     """
     values = block.ravel()
-    digits, exponent, exact = _decimal_digits(values)
-    out = np.zeros((values.size, 25), np.uint8)
-    out[:, 0] = np.where(np.signbit(values), ord("-"), 0)
-    for col in range(18, 2, -1):
-        digits, digit = np.divmod(digits, 10)
-        out[:, col] = digit + ord("0")
-    out[:, 1] = digits + ord("0")
-    out[:, 2] = ord(".")
-    out[:, 19] = ord("e")
-    out[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
-    magnitude = np.abs(exponent)  # two digits: |E| <= 99
-    out[:, 22] = magnitude // 10 + ord("0")
-    out[:, 23] = magnitude % 10 + ord("0")
-    for i in np.flatnonzero(~exact):
-        text = format(float(values[i]), ".16e").encode()
-        out[i, :24] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
-    separators = out.reshape(block.shape + (25,))[..., 24]
-    separators[:, :-1] = ord(",")
-    separators[:, -1] = ord("\n")
-    return out[out != 0]
+    digits, rest, exponent, safe = _decimal_digits(values)
+    lead, (middle, tail) = _digit_words(digits)
+    out = np.empty((values.size, 4), np.int64)
+    out[:, 0] = np.signbit(values) * ord("-") | lead << 8 | ord(".") << 16
+    out[:, 1] = middle
+    out[:, 2] = tail
+    out[:, 3] = _exponent_words()[exponent - _E_MIN]
+    inexact = np.flatnonzero(~safe | (np.abs(rest) >= 0.5 - 1e-9))
+    _write_texts(out.view(np.uint8)[:, :28], inexact, [format(v, ".16e") for v in values[inexact].tolist()])
+    separators = out.reshape(block.shape + (4,))[..., 3]
+    separators[:, :-1] |= ord(",") << 32
+    separators[:, -1] |= ord("\n") << 32
+    return _text(out)
+
+
+@functools.cache
+def _json_slot_table() -> np.ndarray:
+    """The parts of a ``_json_rows`` slot that depend only on a value's
+    sign, its point P = E + 1 (clipped to [-5, 17]) and its digit count k.
+
+    Rows (8, 782), one column per (sign, P, k): the fixed bytes of word 0;
+    the masks of the digit words 1 and 2 before the point and after it;
+    the point, in word 1 or 2; and the shift, 8 bits when there is a point
+    among the digits.  The digit words hold the digits after the first.
+    """
+    negative, point, k = np.arange(2)[:, None, None], np.arange(-5, 18)[:, None], np.arange(1, 18)
+    positional = (point > -4) & (point <= 16)
+    # Of the 16 digits after the first: those before the point, and all shown.
+    split = np.where(positional, np.maximum(point, 1), 1) - 1
+    shown = np.where(positional, np.maximum(k, point + 1), k) - 1
+    dotted = np.where(positional, point >= 1, k > 1)
+    low_bytes = np.array([(1 << 8 * i) - 1 for i in range(8)] + [-1])
+    upto = lambda end, offset: low_bytes[np.minimum(np.maximum(end - offset, 0), 8)]
+    small = positional & (point <= 0)  # 0.000ddd
+    zeros = upto(np.where(small, -point, 0), 0) & 0x303030
+    dot = lambda offset: np.where(dotted & (split >= offset) & (split < offset + 8),
+                                  ord(".") << 8 * (split - offset) % 64, 0)
+    rows = [negative * ord("-") << 8 | np.where(small, ord("0") << 16 | ord(".") << 24, 0) | zeros << 32,
+            upto(split, 0), upto(split, 8),
+            upto(shown, 0) & ~upto(split, 0), upto(shown, 8) & ~upto(split, 8),
+            dot(0), dot(8), dotted * 8]
+    table = np.empty((8, 2, 23, 17), np.int64)
+    for row, value in zip(table, rows):
+        row[...] = value
+    return table.reshape(8, -1)
+
+
+def _json_rows(block: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D float array, each "[v, v], ", in the uint8 bytes that
+    json.dumps(block.tolist()) writes: each value as repr(v).
+
+    repr writes the fewest significant digits k that read back as v, the
+    ones nearest to v.  With y = D + rest from ``_decimal_digits`` and h half
+    the spacing of the doubles at |v| in units of y, the integers in
+    [y - h, y + h] are [D + a, D + b], and k is the least for which they
+    hold a multiple of 10**(17 - k): (D + b) % 10**(17 - k) <= b - a.  That
+    test only turns true as k grows, so five probes find k bit by bit.  The
+    digits are those of the nearest such multiple M: k of them, the last
+    nonzero as k is least, or "1" and E + 1 when M is 1e17.  repr itself
+    writes the value where this is not exact: not safe, a power of two (its
+    interval is not symmetric), y - h or y + h within 1e-6 of an integer, y
+    within 1e-9 of a tie between two multiples at k, or E + 1 = 100.  Zero
+    is "0.0".
+
+    Each value fills a slot of four 8-byte words, whose zero bytes are
+    padding: "[" in a row's first column, the sign, "0." and up to 3 zeros,
+    and the first digit; then the other digits, with the point among them
+    unless it came before the first; "e-XX"; and ", " or "], ".  The value
+    is positional when -4 < E + 1 <= 16, and "d.ddde+XX" otherwise, as in
+    repr.
+    """
+    values = block.ravel()
+    digits, rest, exponent, safe = _decimal_digits(values)
+    bits = values.view(np.int64)
+    # h: the spacing of the doubles at |v| is 2**-52 times its power of two.
+    half = np.minimum((bits & 0x7FF0000000000000).view(np.float64) * 2.0**-53
+                      * _POWERS[0, exponent - _E_MIN], 12.0)  # below 11.1 where safe
+    low_end, high_end = rest - half, rest + half
+    unsure = ~safe | ((bits & (2**52 - 1)) == 0)
+    for end in (low_end, high_end):
+        unsure |= np.abs(np.rint(end) - end) < 1e-6
+    top = digits + np.floor(high_end).astype(np.int64)
+    width = np.maximum(np.floor(high_end) - np.ceil(low_end), 0.0).astype(np.int64)
+    # 10**(17 - k), and 1 for every k >= 17, where the test always holds.
+    steps = 10 ** np.maximum(17 - np.arange(32), 0)
+    fewer = np.zeros_like(digits)  # k - 1
+    for bit in (16, 8, 4, 2, 1):
+        fewer += (top % steps[fewer + bit] > width) * bit
+    step = steps[fewer + 1]
+    below = digits % step
+    over = (2 * below - step) + 2.0 * rest  # twice the distance past the midpoint
+    # At step 1, y half-way below D is a tie too.
+    unsure |= (np.abs(over) < 2e-9) | (np.abs(2.0 * rest + 1.0) < 2e-9)
+    multiple = digits - below + step * (over > 0)
+    carry = np.flatnonzero(multiple == 10**17)
+    multiple[carry], exponent[carry], fewer[carry] = 10**16, exponent[carry] + 1, 0
+    unsure[carry] |= exponent[carry] > _E_MAX  # "e+100" would not fit its slot
+    zero = np.flatnonzero(values == 0.0)
+    multiple[zero], exponent[zero], fewer[zero] = 0, -1, 0
+    unsure[zero] = False
+
+    point = np.clip(exponent + 1, -5, 17)
+    code = (np.signbit(values) * 23 + point + 5) * 17 + fewer
+    head, before1, before2, after1, after2, dot1, dot2, shift = np.take(_json_slot_table(), code, axis=1)
+    lead, (middle, tail) = _digit_words(multiple)
+    # Digits before the point stay in words 1 and 2; those after it move up
+    # by the point's byte, and word 3 takes the byte pushed out of word 2.
+    after1 &= middle
+    after2 &= tail
+    carried = 64 - shift
+    scientific = (point <= -4) | (point > 16)
+    out = np.empty((values.size, 4), np.int64)
+    out[:, 0] = head | lead << 56
+    out[:, 1] = middle & before1 | after1 << shift | dot1
+    out[:, 2] = tail & before2 | after2 << shift | after1 >> carried | dot2
+    exponents = _exponent_words()[np.minimum(exponent, _E_MAX) - _E_MIN] * scientific
+    out[:, 3] = after2 >> carried | exponents << 8
+    fallback = np.flatnonzero(unsure)
+    _write_texts(out.view(np.uint8)[:, 1:29], fallback, [repr(v) for v in values[fallback].tolist()])
+    slots = out.reshape(block.shape + (4,))
+    slots[:, 0, 0] |= ord("[")
+    slots[:, :-1, 3] |= int.from_bytes(b", ", "little") << 40
+    slots[:, -1, 3] |= int.from_bytes(b"], ", "little") << 40
+    return _text(out)
+
+
+def _json_body(table: np.ndarray):
+    """The rows of a JSON trace, "[v, v], [v, v]", formatted a block at a time."""
+    for k in range(0, len(table), _BLOCK_ROWS):
+        rows = _json_rows(table[k:k + _BLOCK_ROWS])
+        # The last row's separator "], " becomes its closing "]".
+        yield rows if k + _BLOCK_ROWS < len(table) else rows[:-2]
 
 
 def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
@@ -202,7 +382,7 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
     if not np.isfinite(table).all():
         raise NonFiniteOutput(f"refusing to write {path}: a trace value is not finite")
     if config.format == "json":
-        payload = {
+        head = _json_text(path, {
             "format": "adiasim-trace",
             "version": __version__,
             "scenario": label,
@@ -210,9 +390,10 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
             "seed": config.seed,
             "config": config.to_text(),
             "columns": columns,
-            "rows": table.tolist(),
-        }
-        _write_json(path, payload)
+        })
+        # "rows" is the last key; its rows are spliced in block by block.
+        _write_text(path, itertools.chain([f'{head[:-1]}, "rows": ['.encode()],
+                                          _json_body(table), [b"]}\n"]))
         return
     lines = [
         f"# adiasim-trace version={__version__}",
@@ -482,9 +663,7 @@ def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     table = np.column_stack([f_grid.ravel(), t_grid.ravel(), cmap.populations.ravel()])
     out.trace(config, label, f"{label}_map", t_ad, columns, table)
 
-    omegas = [(float(cmap.f_tc[fi]),
-               oscillation_frequency(cmap.times, cmap.populations[fi]))
-              for fi in range(len(cmap.f_tc))]
+    omegas = list(zip(cmap.f_tc.tolist(), oscillation_frequency(cmap.times, cmap.populations).tolist()))
     j_fit, f_res_fit, residual = fit_rabi(omegas)
 
     amps = np.linspace(0.0, 1.0, 11)

@@ -41,7 +41,6 @@ _ZI = pauli_2q("ZI")
 _IZ = pauli_2q("IZ")
 _XI = pauli_2q("XI")
 _IX = pauli_2q("IX")
-_IY = pauli_2q("IY")
 _XXYY = pauli_2q("XX") + pauli_2q("YY")
 _ZZ = pauli_2q("ZZ")
 
@@ -129,8 +128,16 @@ def constant_frame_hamiltonian(z: float, x: float, t_ad: float):
     def ham(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         _check_window(t, t_ad)
-        s = np.clip(t / t_ad, 0.0, 1.0)[..., None, None]
-        theta = frame_rotation_angle(z, t, t_ad)[..., None, None]
-        return s * 0.5 * x * (np.cos(theta) * _IX + np.sin(theta) * _IY)
+        theta = frame_rotation_angle(z, t, t_ad)
+        # _check_window lets a stage time pass t_ad by rounding; s stays at 1.
+        amplitude = np.clip(t / t_ad, 0.0, 1.0) * 0.5 * x
+        re, im = amplitude * np.cos(theta), amplitude * np.sin(theta)
+        # cos(theta) IX + sin(theta) IY on qubit 2: entries (0, 1) and (2, 3)
+        # are re - i im, entries (1, 0) and (3, 2) re + i im.
+        h = np.zeros(t.shape + (4, 4), dtype=complex)
+        h.real[..., 0, 1] = h.real[..., 1, 0] = h.real[..., 2, 3] = h.real[..., 3, 2] = re
+        h.imag[..., 1, 0] = h.imag[..., 3, 2] = im
+        h.imag[..., 0, 1] = h.imag[..., 2, 3] = -im
+        return h
 
     return ham

@@ -17,6 +17,7 @@ from adiasim.calibration import (
     oscillation_frequency,
     swap_population,
 )
+from adiasim.calibration import _rabi_objective
 
 N_RANDOM = 100
 
@@ -160,6 +161,22 @@ class TestOscillationFrequency:
         with pytest.raises(ValueError, match="uniform"):
             oscillation_frequency(times, np.cos(times))
 
+    def test_stack_of_records_equals_each_record(self):
+        """A chevron's columns in one call give each column's own call, bit for bit."""
+        cmap = chevron_map(2.0, (-6.0, 6.0), (0.0, 8.0), (41, 161), f_center=1097.0)
+        batched = oscillation_frequency(cmap.times, cmap.populations)
+        single = [oscillation_frequency(cmap.times, record) for record in cmap.populations]
+        assert batched.shape == (41,)
+        assert all(isinstance(value, float) for value in single)
+        assert np.array_equal(batched, single)
+
+    def test_stack_must_match_time_axis(self):
+        times = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="matching time axis"):
+            oscillation_frequency(times, np.zeros((3, 7)))
+        with pytest.raises(ValueError, match="matching time axis"):
+            oscillation_frequency(times, np.zeros((2, 3, 8)))
+
 
 class TestFitRabi:
     def test_round_trip_noiseless_hyperbola(self):
@@ -201,6 +218,24 @@ class TestFitRabi:
             assert j_fit == pytest.approx(j, abs=1e-6)
             assert f_fit == pytest.approx(f_res, abs=1e-6)
             assert residual < 1e-6
+
+    def test_candidate_scan_matches_one_candidate_at_a_time(self):
+        """The broadcast errors of the coarse scan are those of the formula
+        evaluated for one candidate at a time, so the scan picks the same one."""
+        rng = np.random.default_rng(33)
+        f_points = np.linspace(1091.0, 1103.0, 41)
+        omegas = np.hypot(2.0, f_points - 1097.3) + rng.normal(0.0, 0.01, f_points.size)
+        candidates = np.linspace(f_points[0], f_points[-1], 401)
+        _, errors = _rabi_objective(f_points, omegas, candidates)
+
+        def one(f_res):
+            det_sq = (f_points - f_res) ** 2
+            j_sq = max(float(np.mean(omegas**2 - det_sq)), 0.0)
+            return float(np.sum((np.sqrt(j_sq + det_sq) - omegas) ** 2))
+
+        reference = [one(f_res) for f_res in candidates]
+        assert np.array_equal(errors, reference)
+        assert np.argmin(errors) == np.argmin(reference)
 
     def test_noisy_data_keeps_residual(self):
         rng = np.random.default_rng(32)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -598,6 +599,92 @@ class TestCsvWriter:
             tracemalloc.start()
             try:
                 scenarios._write_trace(str(tmp_path / "trace.csv"), config, "fig4", 2.0,
+                                       [f"c{k}" for k in range(39)], table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= 1.1 * peak(scenarios._BLOCK_ROWS)
+
+
+def json_body(block):
+    """The rows that _write_trace writes into a JSON trace, as json.dumps writes a list."""
+    block = np.asarray(block, dtype=float)
+    return "[" + b"".join(bytes(chunk) for chunk in scenarios._json_body(block)).decode() + "]"
+
+
+def neighbours(values):
+    """Each value and the doubles one ulp below and above it."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        around = [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    around = np.concatenate(around)
+    return around[np.isfinite(around)]
+
+
+JSON_FAMILIES = {
+    **FAMILIES,
+    "smallest-and-largest": neighbours([5e-324, sys.float_info.min, sys.float_info.max]),
+    "powers-of-two": neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "tenths": np.concatenate([np.arange(-1000, 1001) * 0.1, [1092.5, -1092.5]]),
+    # repr turns from positional to exponent form below 1e-4 and from 1e16 on.
+    "layout-switches": neighbours(np.concatenate([
+        np.linspace(9e-6, 1.1e-5, 41), np.linspace(9e-5, 1.1e-4, 41), [1e-5, 1e-4, 1e16, 1e17],
+        np.linspace(9.9e15, 1.01e16, 41), np.linspace(9.9e16, 1.01e17, 41)])),
+    "integers": neighbours(np.concatenate([
+        np.arange(-1000, 1001), np.random.default_rng(24).integers(-2**53, 2**53, 2000),
+        [2.0**53, 2.0**53 - 1, 10.0**15, 10.0**15 - 1, 123456789012345.0]])),
+}
+
+
+class TestJsonFormatting:
+    """The JSON rows against json.dumps of the table's list, byte for byte."""
+
+    @pytest.mark.parametrize("family", JSON_FAMILIES)
+    def test_families(self, family):
+        values = np.asarray(JSON_FAMILIES[family], dtype=float)
+        for width in (1, 3):
+            block = np.resize(values, (-(-len(values) // width), width))
+            block = np.concatenate([block, -block])
+            assert json_body(block) == json.dumps(block.tolist())
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=3, max_size=3), min_size=1, max_size=20))
+    def test_finite_floats(self, rows):
+        assert json_body(rows) == json.dumps(rows)
+
+
+class TestJsonWriter:
+    @pytest.fixture
+    def config(self, tmp_path):
+        return make_config("[scenario]\nname = chevron\n\n[output]\nformat = json\n", tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, scenarios._BLOCK_ROWS, scenarios._BLOCK_ROWS + 1],
+                             ids=["one-row", "one-block", "block-plus-one"])
+    def test_block_edges(self, tmp_path, config, rows):
+        """The file is json.dumps of the whole payload, and reads back."""
+        table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-20, 1e5]
+        path = str(tmp_path / "trace.json")
+        scenarios._write_trace(path, config, "chevron", 2.0, ["a", "b", "c"], table)
+        with open(scenarios._staged(path), encoding="utf-8") as handle:
+            text = handle.read()
+        payload = {"format": "adiasim-trace", "version": scenarios.__version__,
+                   "scenario": "chevron", "t_ad_us": 2.0, "seed": config.seed,
+                   "config": config.to_text(), "columns": ["a", "b", "c"], "rows": table.tolist()}
+        assert text == json.dumps(payload) + "\n"
+        assert json.loads(text)["rows"] == table.tolist()
+        os.replace(scenarios._staged(path), path)
+        assert read_trace_config(path) == config
+
+    def test_memory_bounded_by_one_block(self, tmp_path, config):
+        """A 50 000-row table is written with no more memory than one block:
+        json.dumps would first build its list of 1.95 million floats."""
+        def peak(rows):
+            table = np.random.default_rng(rows).normal(size=(rows, 39))
+            tracemalloc.start()
+            try:
+                scenarios._write_trace(str(tmp_path / "trace.json"), config, "chevron", 2.0,
                                        [f"c{k}" for k in range(39)], table)
                 return tracemalloc.get_traced_memory()[1]
             finally:

@@ -164,6 +164,23 @@ class TestFrames:
             with pytest.raises(TimeOutOfRange):
                 ham(np.array(bad))
 
+    def test_constant_frame_equals_pauli_sum(self):
+        """The eight entries written directly are those of
+        s * x/2 * (cos(theta) IX + sin(theta) IY), bit for bit."""
+        z, x, t_ad = 3.0, 2.7, 10.0
+        ham = constant_frame_hamiltonian(z, x, t_ad)
+
+        def pauli_sum(t):
+            s = np.clip(t / t_ad, 0.0, 1.0)[..., None, None]
+            theta = frame_rotation_angle(z, t, t_ad)[..., None, None]
+            return s * 0.5 * x * (np.cos(theta) * pauli_2q("IX") + np.sin(theta) * pauli_2q("IY"))
+
+        times = np.random.default_rng(15).uniform(0.0, t_ad, 525)
+        assert np.array_equal(ham(times), pauli_sum(times))
+        assert np.array_equal(ham(3.7), pauli_sum(np.asarray(3.7)))
+        # A time past t_ad by rounding, which _check_window lets pass, keeps s = 1.
+        assert np.array_equal(ham(t_ad * (1 + 1e-15)), pauli_sum(np.asarray(t_ad * (1 + 1e-15))))
+
     def test_qubit_one_embedding(self):
         """With z2 = x2 = 0 the same sweep runs on qubit 1."""
         z, x = 3.0, 2.7
