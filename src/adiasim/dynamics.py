@@ -31,16 +31,17 @@ Each sample interval is propagated by the product of its step matrices,
 multiplied in time order by pairwise reduction.  Every interval has the same
 number of steps, so whole intervals are built together in groups whose
 batch holds at most ``_BATCH_STEPS`` step matrices; an interval of more
-steps is a group of one, built from several batches.  A map build
-allocates its working memory once and reuses it for every group and batch:
-the step stack of one batch, (g, m, d, d) with g*m <= ``_BATCH_STEPS`` or
-g = 1, a scratch stack of half its steps, between which the levels of the
-reduction alternate, and the maps themselves.  Memory stays bounded however
-many steps an interval holds.  A sweep of duration t_ad is affine
-in s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
-R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per (schedule,
-t_ad, noise, dt, n_samples) and shared by every initial state; an arbitrary
-H(t) callable is called once per batch.
+steps is a group of one, built from several batches.  The propagators take
+one state or a (k, 4) stack, and a group's maps are applied to every state
+of the stack as soon as they are built, then overwritten by the next
+group's: the working memory is allocated once per call and holds the step
+stack of one batch, (g, m, d, d) with g*m <= ``_BATCH_STEPS`` or g = 1, a
+scratch stack of half its steps, between which the levels of the reduction
+alternate, and one group's maps.  It stays bounded however many steps an
+interval or samples a run holds.  A sweep of duration t_ad is affine in
+s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
+R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per call; an
+arbitrary H(t) callable is called once per batch.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample, and once a trajectory is built an error is raised at
@@ -49,7 +50,6 @@ the first sample whose drift exceeds 1e-4 or is not finite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -183,8 +183,10 @@ class Trajectory:
 
     times  : (n_samples+1,) sample times, 0 .. t_ad [us]
     states : (n_samples+1, 4) complex amplitudes for pure runs, or
-             (n_samples+1, 16) real Pauli vectors r for Lindblad runs
-    drifts : |norm - 1| (pure) or |r_II - 1| (Lindblad) at each sample
+             (n_samples+1, 16) real Pauli vectors r for Lindblad runs; a
+             (k, 4) stack of initial states gives (n_samples+1, k, 4|16)
+    drifts : |norm - 1| (pure) or |r_II - 1| (Lindblad) at each sample,
+             (n_samples+1,) or (n_samples+1, k)
     """
 
     times: np.ndarray
@@ -324,18 +326,22 @@ def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> 
         out[...] = src[:, 0]
 
 
-def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float,
-                   d: int) -> np.ndarray:
-    """The RK4 propagator of each sample interval of ``times``, as a real (d, d).
+def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.ndarray,
+               drift_of, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Carry the (d,) state or (k, d) states ``x0`` over ``times``.
 
-    The intervals are built in groups of max(1, _BATCH_STEPS // steps).
+    Returns the (n+1,) + x0.shape states and their drifts.  The interval maps
+    are built in groups of max(1, _BATCH_STEPS // steps) intervals.
     ``step_matrices(stage_times, out)`` gets a batch's (g, 2m+1) half-step
     times, one row per interval of the group, and writes its step matrices
-    into ``out``, a C-contiguous (g, m, d, d) view of the step stack.  The
-    step stack, the scratch stack of the reduction and the maps are
-    allocated once and reused by every group and batch.
+    into ``out``, a C-contiguous (g, m, d, d) view of the step stack.  A
+    group's maps are applied to every state as soon as they are built and
+    then overwritten by the next group's; the step stack, the scratch stack
+    of the reduction and one group's maps, allocated once, are all the
+    working memory.
     """
     starts = times[:-1]
+    d = x0.shape[-1]
     group = max(1, _BATCH_STEPS // steps)
     size = min(group, len(starts))
     m_max = min(_BATCH_STEPS, steps)
@@ -344,39 +350,48 @@ def _interval_maps(step_matrices, times: np.ndarray, steps: int, h: float,
     # stack[:g, :m] below is contiguous, as step_matrices needs.
     stack = np.empty((size, m_max, d, d))
     scratch = np.empty((size, (m_max + 1) // 2, d, d))
-    maps = np.empty((len(starts), d, d))
+    maps = np.empty((size, d, d))
     product = np.empty((1, d, d))  # a later batch of a one-interval group
-    for k in range(0, len(starts), group):
-        t0 = starts[k:k + group, None]
-        g = len(t0)
-        for first in range(0, steps, _BATCH_STEPS):
-            m = min(_BATCH_STEPS, steps - first)
-            stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
-            step_matrices(stage_times, stack[:g, :m])
-            if first == 0:
-                _ordered_product(stack[:g, :m], scratch[:g], maps[k:k + g])
-            else:
-                _ordered_product(stack[:g, :m], scratch[:g], product)
-                np.matmul(product, maps[k:k + g], out=maps[k:k + g])
-    return maps
+    states = np.empty((len(times),) + x0.shape)
+    states[0] = x0
+    columns = states[..., None]  # each state a (d, 1) column: one gemv per state
+    # An unstable step size, a non-finite H or a diverging state may
+    # overflow; the drift check at the first bad sample reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, len(starts), group):
+            t0 = starts[k:k + group, None]
+            g = len(t0)
+            for first in range(0, steps, _BATCH_STEPS):
+                m = min(_BATCH_STEPS, steps - first)
+                stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
+                step_matrices(stage_times, stack[:g, :m])
+                if first == 0:
+                    _ordered_product(stack[:g, :m], scratch[:g], maps[:g])
+                else:
+                    _ordered_product(stack[:g, :m], scratch[:g], product)
+                    np.matmul(product, maps[:g], out=maps[:g])
+            for i in range(g):
+                np.matmul(maps[i], columns[k + i], out=columns[k + i + 1])
+        drifts = drift_of(states)
+    # Written so that a NaN drift fails the check too.
+    bad = np.flatnonzero(~(drifts <= DRIFT_LIMIT))
+    if bad.size:
+        raise StepTooLarge(
+            f"{what} drift {drifts.flat[bad[0]]:.3e} exceeds {DRIFT_LIMIT:.0e} at "
+            f"t = {times[np.unravel_index(bad[0], drifts.shape)[0]]:.4f} us; reduce dt"
+        )
+    return states, drifts
 
 
-@functools.lru_cache(maxsize=1)
-def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None,
-                   dt: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interval maps of a sweep schedule, shared across initial states.
+def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt: float,
+           n_samples: int, x0: np.ndarray, drift_of, what: str) -> tuple[np.ndarray, ...]:
+    """Times, states and drifts of ``_propagate`` over a sweep of duration ``t_ad``.
 
     ``noise`` None selects the real 8x8 Schrodinger generator, otherwise the
-    real Pauli transfer matrix of the Lindblad generator.  The returned
-    arrays are read-only.
+    real Pauli transfer matrix of the Lindblad generator.
     """
-    # A miss: drop the previous entry now rather than after this one is
-    # built, so that only one set of maps is alive at a time.
-    _schedule_maps.cache_clear()
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
-    # An unstable step size, or a non-finite schedule field, can overflow
-    # here; the drift check at the first bad sample reports it as
-    # StepTooLarge.
+    # A non-finite schedule field can overflow here; _propagate reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise is None:
             g0, g1 = _schrodinger_generator(schedule.h0), _schrodinger_generator(schedule.h1)
@@ -384,40 +399,17 @@ def _schedule_maps(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | 
             g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
             g1 = _pauli_generator(schedule.h1)
         poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1)
-        eye = np.eye(len(g0))
+    eye = np.eye(len(g0))
 
-        def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
-            s = stage_times[:, :-2:2] / t_ad
-            np.matmul(np.vander(s.ravel(), 5, increasing=True), poly,
-                      out=out.reshape(s.size, -1))
-            # I is added after the sum, not folded into P_0, so that the
-            # rounding of one shared P_0 + I does not repeat in every step.
-            out += eye
+    def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
+        s = stage_times[:, :-2:2] / t_ad
+        np.matmul(np.vander(s.ravel(), 5, increasing=True), poly,
+                  out=out.reshape(s.size, -1))
+        # I is added after the sum, not folded into P_0, so that the
+        # rounding of one shared P_0 + I does not repeat in every step.
+        out += eye
 
-        maps = _interval_maps(step_matrices, times, steps, h, len(g0))
-    times.flags.writeable = False
-    maps.flags.writeable = False
-    return times, maps
-
-
-def _evolve(times: np.ndarray, maps: np.ndarray, x0: np.ndarray, drift_of,
-            what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the interval maps in turn, then check the drift of every sample."""
-    states = np.empty((len(times), len(x0)))
-    states[0] = x0
-    # A diverging state may overflow; the drift check reports it as StepTooLarge.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(times)):
-            states[k] = maps[k - 1] @ states[k - 1]
-        drifts = drift_of(states)
-    # Written so that a NaN drift fails the check too.
-    bad = np.flatnonzero(~(drifts <= DRIFT_LIMIT))
-    if bad.size:
-        raise StepTooLarge(
-            f"{what} drift {drifts[bad[0]]:.3e} exceeds {DRIFT_LIMIT:.0e} at "
-            f"t = {times[bad[0]]:.4f} us; reduce dt"
-        )
-    return states, drifts
+    return (times,) + _propagate(step_matrices, times, steps, h, x0, drift_of, what)
 
 
 def _norm_drift(psi: np.ndarray) -> np.ndarray:
@@ -429,43 +421,43 @@ def _trace_drift(r: np.ndarray) -> np.ndarray:
 
 
 def _pure_initial(psi0: np.ndarray) -> np.ndarray:
+    """A normalized (4,) state or (k, 4) stack of them, as complex."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (4,):
-        raise ValueError(f"initial state must have shape (4,), got {psi0.shape}")
-    if not _norm_drift(psi0) <= 1e-6:
-        norm0 = float(np.linalg.norm(psi0))
-        raise ValueError(f"initial state norm {norm0} differs from 1 by > 1e-6")
+    if psi0.ndim not in (1, 2) or psi0.shape[-1] != 4 or not psi0.size:
+        raise ValueError(f"initial state must have shape (4,), got {psi0.shape}; "
+                         "a stack of states has shape (k, 4)")
+    norms = np.linalg.norm(psi0, axis=-1, keepdims=True)
+    bad = ~(np.abs(norms - 1.0) <= 1e-6)
+    if bad.any():
+        raise ValueError(f"initial state norm {norms[bad][0]} differs from 1 by > 1e-6")
     return psi0
-
-
-def _evolve_pure(times: np.ndarray, maps: np.ndarray, psi0: np.ndarray) -> Trajectory:
-    """``_evolve`` on [Re psi; Im psi], whose norm is that of psi; states back as complex."""
-    x, drifts = _evolve(times, maps, np.concatenate([psi0.real, psi0.imag]), _norm_drift,
-                        "norm")
-    return Trajectory(times=times, states=x[:, :4] + 1j * x[:, 4:], drifts=drifts)
 
 
 def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
                       dt: float = 0.002, n_samples: int = 300) -> Trajectory:
     """Integrate the Schrodinger equation for a sweep of duration ``t_ad`` [us].
 
-    ``psi0`` must be a normalized 4-vector.  The trajectory is sampled on a
-    uniform grid of ``n_samples + 1`` points from 0 to t_ad; between samples
-    the integrator takes uniform RK4 steps of size <= dt.
+    ``psi0`` is a normalized 4-vector, or a (k, 4) stack of them propagated
+    together.  The trajectory is sampled on a uniform grid of
+    ``n_samples + 1`` points from 0 to t_ad; between samples the integrator
+    takes uniform RK4 steps of size <= dt.
     """
     psi0 = _pure_initial(psi0)
-    times, maps = _schedule_maps(schedule, t_ad, None, dt, n_samples)
-    return _evolve_pure(times.copy(), maps, psi0)
+    times, x, drifts = _sweep(schedule, t_ad, None, dt, n_samples,
+                              np.concatenate([psi0.real, psi0.imag], axis=-1), _norm_drift,
+                              "norm")
+    return Trajectory(times=times, states=x[..., :4] + 1j * x[..., 4:], drifts=drifts)
 
 
 def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
                      dt: float = 0.002, n_samples: int = 300) -> Trajectory:
     """Integrate the Schrodinger equation for an arbitrary H(t) callable.
 
-    ``ham(times)`` gets one group's n stage times in [0, t_ad] as a 1-D array,
-    the 2m+1 half-step times of each interval of the group in turn, so that
-    a boundary between two intervals appears twice.  It returns an (n, 4, 4)
-    stack of Hermitian matrices [MHz], or one 4x4 for all.
+    ``psi0`` is as for propagate_unitary.  ``ham(times)`` gets one group's n
+    stage times in [0, t_ad] as a 1-D array, the 2m+1 half-step times of
+    each interval of the group in turn, so that a boundary between two
+    intervals appears twice.  It returns an (n, 4, 4) stack of Hermitian
+    matrices [MHz], or one 4x4 for all.
     """
     psi0 = _pure_initial(psi0)
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
@@ -475,9 +467,9 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
         gens = _schrodinger_generator(hams.reshape(stage_times.shape + (4, 4)))
         out[...] = _step_matrices(gens, h)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _schedule_maps
-        maps = _interval_maps(step_matrices, times, steps, h, 8)
-    return _evolve_pure(times, maps, psi0)
+    x, drifts = _propagate(step_matrices, times, steps, h,
+                           np.concatenate([psi0.real, psi0.imag], axis=-1), _norm_drift, "norm")
+    return Trajectory(times=times, states=x[..., :4] + 1j * x[..., 4:], drifts=drifts)
 
 
 def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
@@ -485,12 +477,12 @@ def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray
                        n_samples: int = 300) -> Trajectory:
     """Integrate the Lindblad master equation for a sweep of duration ``t_ad`` [us].
 
-    ``psi0`` must be a normalized 4-vector; the states of the trajectory are
-    its real Pauli vectors r, r_k = <P_k>.  With a trivial noise model this
-    reduces to the unitary evolution of propagate_unitary.
+    ``psi0`` is as for propagate_unitary; the states of the trajectory are
+    the real Pauli vectors r, r_k = <P_k>, of each.  With a trivial noise
+    model this reduces to the unitary evolution of propagate_unitary.
     """
     psi0 = _pure_initial(psi0)
-    r0 = np.einsum("i,kij,j->k", psi0.conj(), _PAULIS, psi0).real
-    times, maps = _schedule_maps(schedule, t_ad, noise, dt, n_samples)
-    states, drifts = _evolve(times, maps, r0, _trace_drift, "trace")
-    return Trajectory(times=times.copy(), states=states, drifts=drifts)
+    r0 = np.einsum("...i,kij,...j->...k", psi0.conj(), _PAULIS, psi0).real
+    times, states, drifts = _sweep(schedule, t_ad, noise, dt, n_samples, r0, _trace_drift,
+                                   "trace")
+    return Trajectory(times=times, states=states, drifts=drifts)

@@ -414,10 +414,9 @@ def read_trace_config(path: str) -> ScenarioConfig:
         if first == "{":
             text = json.load(handle)["config"]
         else:
-            cfg_lines = [line[len("# cfg: "):] if line.startswith("# cfg: ") else ""
-                         for line in handle.read().splitlines()
-                         if line.startswith("# cfg:")]
-            text = "\n".join(line for line in cfg_lines)
+            # A blank line may have lost its trailing space: "# cfg:"[7:] is "".
+            text = "\n".join(line[len("# cfg: "):] for line in handle.read().splitlines()
+                              if line.startswith("# cfg:"))
     config, errors = validate_config(text)
     if config is None:
         raise ValueError(f"embedded config in {path} is invalid: {'; '.join(errors)}")
@@ -487,22 +486,22 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     noise = config.noise_model()
     schedule = config.schedule()
     energies, vectors = levels = tracked_levels(schedule, np.linspace(0.0, 1.0, config.n_samples + 1))
+    psi0 = np.array([basis_state(state) for state in config.initial_states])
     # Each state follows the tracked level it overlaps most at s = 0.
-    start_levels = [int(np.argmax(np.abs(vectors[0].conj().T @ basis_state(state)) ** 2)) + 1
-                    for state in config.initial_states]
+    start_levels = np.argmax(np.abs(vectors[0].conj().T @ psi0.T) ** 2, axis=0) + 1
     end_values, end_fidelities, finals = [], [], []
     for t_ad_index, t_ad in enumerate(config.t_ad):
+        if noise is None:
+            traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
+        else:
+            traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
+                                      config.n_samples)
         columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
         table = [energies]
         for state_index, (state, level) in enumerate(zip(config.initial_states, start_levels)):
-            psi0 = basis_state(state)
-            if noise is None:
-                traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
-            else:
-                traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
-                                          config.n_samples)
-            fidelity = passage_fidelity(traj.states, vectors, level)
-            values = _measure(config, traj.states, t_ad_index, state_index)
+            states = traj.states[:, state_index]
+            fidelity = passage_fidelity(states, vectors, level)
+            values = _measure(config, states, t_ad_index, state_index)
             energy = energy_terms(values, schedule, traj.times / t_ad).sum(axis=1)
             columns.append(f"energy_{state}_mhz")
             columns.extend(f"{term.lower()}_{state}" for term in PAULI_LABELS_2Q)
@@ -510,7 +509,7 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
             table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelity]
             end_values.append(values[-1])
             end_fidelities.append(fidelity[-1])
-            finals.append(traj.final_state)
+        finals.append(traj.final_state)
         out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns,
                   np.column_stack([traj.times] + table))
     shape = (len(config.t_ad), len(config.initial_states))

@@ -302,9 +302,18 @@ class TestLindbladPropagation:
         assert np.allclose(r0, pauli_vector(np.outer(basis_state("01"), basis_state("01"))))
 
     def test_rejects_bad_density_matrix(self):
-        bad = np.eye(4, dtype=complex)  # trace 4
-        with pytest.raises(ValueError):
-            propagate_lindblad(ZERO_FIELD, 10.0, bad, NoiseModel(), n_samples=4)
+        """A trace-1 density matrix is no stack of normalized states: the
+        rows of I/4 have norm 1/4, and three rows of |00><00| are zero."""
+        for rho in (np.eye(4) / 4, np.outer(basis_state("00"), basis_state("00"))):
+            with pytest.raises(ValueError, match="norm"):
+                propagate_lindblad(ZERO_FIELD, 10.0, rho, NoiseModel(), n_samples=4)
+
+    def test_identity_is_the_stack_of_basis_states(self):
+        stacked = propagate_lindblad(FIG4, 1.0, np.eye(4), DEFAULT_NOISE, n_samples=4)
+        for j, label in enumerate(BASIS_LABELS):
+            alone = propagate_lindblad(FIG4, 1.0, basis_state(label), DEFAULT_NOISE,
+                                       n_samples=4)
+            assert np.array_equal(stacked.states[:, j], alone.states)
 
     def test_states_are_real_pauli_vectors(self):
         """States are (n+1, 16) real r, and r_II = Tr rho stays 1 exactly:
@@ -417,12 +426,6 @@ class TestLindbladPropagation:
 class TestAgainstStepLoop:
     """The interval-map propagator against the per-step RK4 loop."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_maps(self):
-        dynamics._schedule_maps.cache_clear()
-        yield
-        dynamics._schedule_maps.cache_clear()
-
     @pytest.mark.parametrize("schedule", [FIG4], ids=["linear"])
     def test_unitary(self, schedule):
         psi0 = basis_state("01")
@@ -472,18 +475,42 @@ class TestAgainstStepLoop:
         runs = []
         for batch_steps in (100, 300):
             monkeypatch.setattr(dynamics, "_BATCH_STEPS", batch_steps)
-            dynamics._schedule_maps.cache_clear()
             runs.append(propagate())
         assert np.array_equal(runs[0].states, runs[1].states)
 
     def test_states_sharing_one_schedule_match_independent_runs(self):
-        shared = {label: propagate_unitary(FIG4, 5.0, basis_state(label), n_samples=10)
-                  for label in BASIS_LABELS}
-        for label in BASIS_LABELS:
-            dynamics._schedule_maps.cache_clear()
-            alone = propagate_unitary(FIG4, 5.0, basis_state(label), n_samples=10)
-            assert np.array_equal(alone.states, shared[label].states)
-            assert np.array_equal(alone.times, shared[label].times)
+        """A (k, 4) stack is propagated in one call, and each row's states,
+        drifts and times equal those of its own single-state call."""
+        psi0 = np.array([random_pure_state(np.random.default_rng(seed)) for seed in range(3)])
+        runs = {
+            "unitary": lambda psi: propagate_unitary(FIG4, 5.0, psi, n_samples=10),
+            "lindblad": lambda psi: propagate_lindblad(FIG4, 5.0, psi, DEFAULT_NOISE,
+                                                       n_samples=10),
+            "custom": lambda psi: propagate_custom(in_time(FIG4, 5.0), 5.0, psi,
+                                                   n_samples=10),
+        }
+        for kind, run in runs.items():
+            stacked = run(psi0)
+            width = 16 if kind == "lindblad" else 4
+            assert stacked.states.shape == (11, 3, width), kind
+            assert stacked.drifts.shape == (11, 3), kind
+            for j, psi in enumerate(psi0):
+                alone = run(psi)
+                assert np.array_equal(stacked.states[:, j], alone.states), kind
+                assert np.array_equal(stacked.drifts[:, j], alone.drifts), kind
+                assert np.array_equal(stacked.times, alone.times), kind
+
+    @pytest.mark.parametrize("psi0, match", [
+        (np.ones((2, 2, 4)) / 2, r"shape \(4,\), got \(2, 2, 4\)"),
+        (np.zeros((0, 4)), r"shape \(4,\), got \(0, 4\)"),
+        (np.array([[1.0, 0, 0, 0], [0.6, 0.8, 0, 0], [0.5, 0.5, 0.5, 0.6]]), "norm"),
+    ], ids=["three-dimensional", "empty", "one-unnormalized-row"])
+    def test_rejects_bad_stack(self, psi0, match):
+        for run in (lambda: propagate_unitary(FIG4, 1.0, psi0, n_samples=4),
+                    lambda: propagate_custom(in_time(FIG4, 1.0), 1.0, psi0, n_samples=4),
+                    lambda: propagate_lindblad(FIG4, 1.0, psi0, DEFAULT_NOISE, n_samples=4)):
+            with pytest.raises(ValueError, match=match):
+                run()
 
     def test_custom_hamiltonian_called_once_per_batch(self, monkeypatch):
         """ham receives each batch's 2m+1 stage times as one array, and a
@@ -543,7 +570,6 @@ class TestRealForm:
         psi0 = random_pure_state(np.random.default_rng(4))
         ham = in_time(FIG4, 3.0)
         if kind == "unitary":
-            dynamics._schedule_maps.cache_clear()
             traj = propagate_unitary(FIG4, 3.0, psi0, dt=0.002, n_samples=12)
         else:
             traj = propagate_custom(ham, 3.0, psi0, dt=0.002, n_samples=12)
@@ -584,6 +610,19 @@ def allocating_interval_maps(step_matrices, times, steps, h):
     return maps
 
 
+def applied_state_by_state(maps, x0):
+    """The (n+1, k, d) states of each row of x0 carried through the maps, one
+    matrix-vector product at a time."""
+    states = [x0]
+    for step in maps:
+        states.append(np.array([step @ x for x in states[-1]]))
+    return np.array(states)
+
+
+def no_drift(states):
+    return np.zeros(states.shape[:-1])
+
+
 def near_identity_steps(d, seed):
     """Step matrices I + 0.05 cos(s B) of the step starts s, for a fixed random B."""
     base = np.random.default_rng(seed).normal(size=(d, d))
@@ -617,7 +656,8 @@ class TestBufferedReduction:
     def test_interval_maps_match_allocating_build(self, monkeypatch, d, steps):
         """Batches of 5 step matrices: groups of 5 and of 2 intervals whose
         last group is short (7 intervals), one interval per batch, and
-        intervals of two and three batches."""
+        intervals of two and three batches.  The streamed states equal the
+        allocating build's maps applied to each state in turn."""
         monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
         make = near_identity_steps(d, seed=steps)
 
@@ -626,10 +666,12 @@ class TestBufferedReduction:
 
         times = np.linspace(0.0, 1.0, 8)
         h = 1.0 / 7 / steps
-        expected = allocating_interval_maps(make, times, steps, h)
-        maps = dynamics._interval_maps(fill, times, steps, h, d)
-        assert maps.dtype == float
-        assert np.array_equal(maps, expected)
+        x0 = np.random.default_rng(steps).normal(size=(3, d))
+        expected = applied_state_by_state(allocating_interval_maps(make, times, steps, h), x0)
+        states, drifts = dynamics._propagate(fill, times, steps, h, x0, no_drift, "test")
+        assert states.dtype == float
+        assert drifts.shape == (8, 3)
+        assert np.array_equal(states, expected)
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["schrodinger", "lindblad"])
     @pytest.mark.parametrize("t_ad, n_samples, steps", [(1.05, 15, 7), (1.02, 51, 2)])
@@ -638,25 +680,31 @@ class TestBufferedReduction:
         """The sweep's step matrices written into the step stack, in batches
         of 5: intervals of two batches, and groups of 2 with a short last one."""
         monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
-        dynamics._schedule_maps.cache_clear()
-        _, maps = dynamics._schedule_maps(FIG4, t_ad, noise, 0.01, n_samples)
-        dynamics._schedule_maps.cache_clear()
-        built = {}
+        streamed = dynamics._propagate
+        seen = {}
 
-        def allocating(fill, times, steps, h, d):
-            def make(stage_times):
-                out = np.empty(stage_times[:, :-2:2].shape + (d, d))
-                fill(stage_times, out)
-                return out
-            built["steps"] = steps
-            built["maps"] = allocating_interval_maps(make, times, steps, h)
-            return built["maps"].copy()
+        def spy(*args):
+            seen["args"] = args
+            seen["states"], drifts = streamed(*args)
+            return seen["states"], drifts
 
-        monkeypatch.setattr(dynamics, "_interval_maps", allocating)
-        dynamics._schedule_maps(FIG4, t_ad, noise, 0.01, n_samples)
-        dynamics._schedule_maps.cache_clear()
-        assert built["steps"] == steps
-        assert np.array_equal(maps, built["maps"])
+        monkeypatch.setattr(dynamics, "_propagate", spy)
+        psi0 = np.array([basis_state("01"), random_pure_state(np.random.default_rng(5))])
+        if noise is None:
+            propagate_unitary(FIG4, t_ad, psi0, 0.01, n_samples)
+        else:
+            propagate_lindblad(FIG4, t_ad, psi0, noise, 0.01, n_samples)
+        fill, times, streamed_steps, h, x0 = seen["args"][:5]
+        d = 8 if noise is None else 16
+
+        def make(stage_times):
+            out = np.empty(stage_times[:, :-2:2].shape + (d, d))
+            fill(stage_times, out)
+            return out
+
+        assert streamed_steps == steps
+        maps = allocating_interval_maps(make, times, steps, h)
+        assert np.array_equal(seen["states"], applied_state_by_state(maps, x0))
 
 
 class TestStepPolynomial:

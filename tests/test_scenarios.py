@@ -228,6 +228,27 @@ class TestChirpedFrameAsSchedule:
             assert np.max(np.abs(table[label.lower()] - expected)) <= 1e-12
 
 
+class TestOnePropagationPerDuration:
+    @pytest.mark.parametrize("name, propagator, states", [
+        ("fig3b", "propagate_unitary", 3), ("fig4", "propagate_unitary", 1),
+        ("table1", "propagate_lindblad", 2)])
+    def test_states_of_a_duration_share_one_call(self, tmp_path, monkeypatch, name,
+                                                 propagator, states):
+        """Each duration's initial states go to the propagator as one stack."""
+        calls = []
+        original = getattr(scenarios, propagator)
+
+        def counted(schedule, t_ad, psi0, *args):
+            calls.append((t_ad, np.shape(psi0)))
+            return original(schedule, t_ad, psi0, *args)
+
+        monkeypatch.setattr(scenarios, propagator, counted)
+        config = make_config(f"[scenario]\nname = {name}\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
+                             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        assert calls == [(t_ad, (states, 4)) for t_ad in (1.0, 2.0, 3.0)]
+
+
 def count_tomography_calls(monkeypatch, *names):
     """Record the length of the first argument of each call to the named
     tomography functions, wherever the package refers to them."""
@@ -466,6 +487,18 @@ class TestTraceConfigRecovery:
                         "t_us\n0.0\n")
         with pytest.raises(ValueError, match="embedded config"):
             read_trace_config(str(path))
+
+    def test_blank_lines_without_trailing_space(self, tmp_path):
+        """A trace whose blank "# cfg: " lines lost their trailing space, as
+        an editor that strips trailing whitespace leaves them, still reads
+        back."""
+        config = make_config("[scenario]\nname = fig4\n" + FAST_OVERRIDES, tmp_path)
+        path = tmp_path / "fig4_trace_tad2.csv"
+        run_scenario(config)
+        lines = path.read_text().splitlines()
+        assert "# cfg: " in lines
+        path.write_text("\n".join(line.rstrip() for line in lines) + "\n")
+        assert read_trace_config(str(path)) == config
 
     def test_fractional_duration_in_filename(self, tmp_path):
         config = make_config(
