@@ -231,9 +231,10 @@ def _exponent_words() -> np.ndarray:
     return np.array([int.from_bytes(b"e%+03d" % e, "little") for e in range(_E_MIN, _E_MAX + 1)])
 
 
-def _csv_lines(block: np.ndarray) -> np.ndarray:
-    """The CSV lines of a 2-D float array, as the uint8 bytes that writing
-    each value as format(v, ".16e") gives.
+def _lines(block: np.ndarray, comma: bytes, newline: bytes) -> np.ndarray:
+    """The rows of a 2-D float array as uint8 bytes: each value written as
+    format(v, ".16e"), followed by ``comma``, or by ``newline`` at the end of
+    its row (each at most 4 bytes).
 
     Each value fills a slot of four 8-byte words, "-d." and padding, 16
     digits, "e-dd" and the separator; its zero bytes are padding.
@@ -252,133 +253,18 @@ def _csv_lines(block: np.ndarray) -> np.ndarray:
     inexact = np.flatnonzero(~safe | (np.abs(rest) >= 0.5 - 1e-9))
     _write_texts(out.view(np.uint8)[:, :28], inexact, [format(v, ".16e") for v in values[inexact].tolist()])
     separators = out.reshape(block.shape + (4,))[..., 3]
-    separators[:, :-1] |= ord(",") << 32
-    separators[:, -1] |= ord("\n") << 32
+    separators[:, :-1] |= int.from_bytes(comma, "little") << 32
+    separators[:, -1] |= int.from_bytes(newline, "little") << 32
     return _text(out)
-
-
-@functools.cache
-def _json_slot_table() -> np.ndarray:
-    """The parts of a ``_json_rows`` slot that depend only on a value's
-    sign, its point P = E + 1 (clipped to [-5, 17]) and its digit count k.
-
-    Rows (8, 782), one column per (sign, P, k): the fixed bytes of word 0;
-    the masks of the digit words 1 and 2 before the point and after it;
-    the point, in word 1 or 2; and the shift, 8 bits when there is a point
-    among the digits.  The digit words hold the digits after the first.
-    """
-    negative, point, k = np.arange(2)[:, None, None], np.arange(-5, 18)[:, None], np.arange(1, 18)
-    positional = (point > -4) & (point <= 16)
-    # Of the 16 digits after the first: those before the point, and all shown.
-    split = np.where(positional, np.maximum(point, 1), 1) - 1
-    shown = np.where(positional, np.maximum(k, point + 1), k) - 1
-    dotted = np.where(positional, point >= 1, k > 1)
-    low_bytes = np.array([(1 << 8 * i) - 1 for i in range(8)] + [-1])
-    upto = lambda end, offset: low_bytes[np.minimum(np.maximum(end - offset, 0), 8)]
-    small = positional & (point <= 0)  # 0.000ddd
-    zeros = upto(np.where(small, -point, 0), 0) & 0x303030
-    dot = lambda offset: np.where(dotted & (split >= offset) & (split < offset + 8),
-                                  ord(".") << 8 * (split - offset) % 64, 0)
-    rows = [negative * ord("-") << 8 | np.where(small, ord("0") << 16 | ord(".") << 24, 0) | zeros << 32,
-            upto(split, 0), upto(split, 8),
-            upto(shown, 0) & ~upto(split, 0), upto(shown, 8) & ~upto(split, 8),
-            dot(0), dot(8), dotted * 8]
-    table = np.empty((8, 2, 23, 17), np.int64)
-    for row, value in zip(table, rows):
-        row[...] = value
-    return table.reshape(8, -1)
-
-
-def _json_rows(block: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D float array, each "[v, v], ", in the uint8 bytes that
-    json.dumps(block.tolist()) writes: each value as repr(v).
-
-    repr writes the fewest significant digits k that read back as v, the
-    ones nearest to v.  With y = D + rest from ``_decimal_digits`` and h half
-    the spacing of the doubles at |v| in units of y, the integers in
-    [y - h, y + h] are [D + a, D + b], and k is the least for which they
-    hold a multiple of 10**(17 - k): (D + b) % 10**(17 - k) <= b - a.  That
-    test only turns true as k grows, so five probes find k bit by bit.  The
-    digits are those of the nearest such multiple M: k of them, the last
-    nonzero as k is least, or "1" and E + 1 when M is 1e17.  repr itself
-    writes the value where this is not exact: not safe, a power of two (its
-    interval is not symmetric), y - h or y + h within 1e-6 of an integer, y
-    within 1e-9 of a tie between two multiples at k, or E + 1 = 100.  Zero
-    is "0.0".
-
-    Each value fills a slot of four 8-byte words, whose zero bytes are
-    padding: "[" in a row's first column, the sign, "0." and up to 3 zeros,
-    and the first digit; then the other digits, with the point among them
-    unless it came before the first; "e-XX"; and ", " or "], ".  The value
-    is positional when -4 < E + 1 <= 16, and "d.ddde+XX" otherwise, as in
-    repr.
-    """
-    values = block.ravel()
-    digits, rest, exponent, safe = _decimal_digits(values)
-    bits = values.view(np.int64)
-    # h: the spacing of the doubles at |v| is 2**-52 times its power of two.
-    half = np.minimum((bits & 0x7FF0000000000000).view(np.float64) * 2.0**-53
-                      * _POWERS[0, exponent - _E_MIN], 12.0)  # below 11.1 where safe
-    low_end, high_end = rest - half, rest + half
-    unsure = ~safe | ((bits & (2**52 - 1)) == 0)
-    for end in (low_end, high_end):
-        unsure |= np.abs(np.rint(end) - end) < 1e-6
-    top = digits + np.floor(high_end).astype(np.int64)
-    width = np.maximum(np.floor(high_end) - np.ceil(low_end), 0.0).astype(np.int64)
-    # 10**(17 - k), and 1 for every k >= 17, where the test always holds.
-    steps = 10 ** np.maximum(17 - np.arange(32), 0)
-    fewer = np.zeros_like(digits)  # k - 1
-    for bit in (16, 8, 4, 2, 1):
-        fewer += (top % steps[fewer + bit] > width) * bit
-    step = steps[fewer + 1]
-    below = digits % step
-    over = (2 * below - step) + 2.0 * rest  # twice the distance past the midpoint
-    # At step 1, y half-way below D is a tie too.
-    unsure |= (np.abs(over) < 2e-9) | (np.abs(2.0 * rest + 1.0) < 2e-9)
-    multiple = digits - below + step * (over > 0)
-    carry = np.flatnonzero(multiple == 10**17)
-    multiple[carry], exponent[carry], fewer[carry] = 10**16, exponent[carry] + 1, 0
-    unsure[carry] |= exponent[carry] > _E_MAX  # "e+100" would not fit its slot
-    zero = np.flatnonzero(values == 0.0)
-    multiple[zero], exponent[zero], fewer[zero] = 0, -1, 0
-    unsure[zero] = False
-
-    point = np.clip(exponent + 1, -5, 17)
-    code = (np.signbit(values) * 23 + point + 5) * 17 + fewer
-    head, before1, before2, after1, after2, dot1, dot2, shift = np.take(_json_slot_table(), code, axis=1)
-    lead, (middle, tail) = _digit_words(multiple)
-    # Digits before the point stay in words 1 and 2; those after it move up
-    # by the point's byte, and word 3 takes the byte pushed out of word 2.
-    after1 &= middle
-    after2 &= tail
-    carried = 64 - shift
-    scientific = (point <= -4) | (point > 16)
-    out = np.empty((values.size, 4), np.int64)
-    out[:, 0] = head | lead << 56
-    out[:, 1] = middle & before1 | after1 << shift | dot1
-    out[:, 2] = tail & before2 | after2 << shift | after1 >> carried | dot2
-    exponents = _exponent_words()[np.minimum(exponent, _E_MAX) - _E_MIN] * scientific
-    out[:, 3] = after2 >> carried | exponents << 8
-    fallback = np.flatnonzero(unsure)
-    _write_texts(out.view(np.uint8)[:, 1:29], fallback, [repr(v) for v in values[fallback].tolist()])
-    slots = out.reshape(block.shape + (4,))
-    slots[:, 0, 0] |= ord("[")
-    slots[:, :-1, 3] |= int.from_bytes(b", ", "little") << 40
-    slots[:, -1, 3] |= int.from_bytes(b"], ", "little") << 40
-    return _text(out)
-
-
-def _json_body(table: np.ndarray):
-    """The rows of a JSON trace, "[v, v], [v, v]", formatted a block at a time."""
-    for k in range(0, len(table), _BLOCK_ROWS):
-        rows = _json_rows(table[k:k + _BLOCK_ROWS])
-        # The last row's separator "], " becomes its closing "]".
-        yield rows if k + _BLOCK_ROWS < len(table) else rows[:-2]
 
 
 def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
                  columns: list[str], table: np.ndarray) -> None:
-    """Write the (rows, columns) array ``table`` as a CSV or JSON trace."""
+    """Write the (rows, columns) array ``table`` as a CSV or JSON trace.
+
+    Both hold each value as format(v, ".16e"): 17 significant digits, which
+    read back as the same double, in a fixed layout.
+    """
     if not np.isfinite(table).all():
         raise NonFiniteOutput(f"refusing to write {path}: a trace value is not finite")
     if config.format == "json":
@@ -391,19 +277,23 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
             "config": config.to_text(),
             "columns": columns,
         })
-        # "rows" is the last key; its rows are spliced in block by block.
-        _write_text(path, itertools.chain([f'{head[:-1]}, "rows": ['.encode()],
-                                          _json_body(table), [b"]}\n"]))
-        return
-    lines = [
-        f"# adiasim-trace version={__version__}",
-        f"# scenario={label} t_ad_us={t_ad!r} seed={config.seed}",
-    ]
-    lines.extend(f"# cfg: {cfg_line}" for cfg_line in config.to_text().splitlines())
-    lines.append(",".join(columns))
-    # 17 significant digits: lossless round-trip for doubles, fixed layout.
-    body = (_csv_lines(table[k:k + _BLOCK_ROWS]) for k in range(0, len(table), _BLOCK_ROWS))
-    _write_text(path, itertools.chain([("\n".join(lines) + "\n").encode()], body))
+        # "rows" is the last key.  Each row ends "], [", and the last row's
+        # ", [" gives way to the closing "]}".
+        head = f'{head[:-1]}, "rows": [['
+        comma, newline, cut, end = b", ", b"], [", -3, b"]}\n"
+    else:
+        lines = [
+            f"# adiasim-trace version={__version__}",
+            f"# scenario={label} t_ad_us={t_ad!r} seed={config.seed}",
+        ]
+        lines.extend(f"# cfg: {cfg_line}" for cfg_line in config.to_text().splitlines())
+        lines.append(",".join(columns))
+        head = "\n".join(lines) + "\n"
+        comma, newline, cut, end = b",", b"\n", None, b""
+    # No block is held in a local: each is dropped once it is written.
+    body = (_lines(table[k:k + _BLOCK_ROWS], comma, newline)[:None if k + _BLOCK_ROWS < len(table) else cut]
+            for k in range(0, len(table), _BLOCK_ROWS))
+    _write_text(path, itertools.chain([head.encode()], body, [end]))
 
 
 def read_trace_config(path: str) -> ScenarioConfig:

@@ -394,6 +394,11 @@ class TestTraceFiles:
         recovered = read_trace_config(str(trace))
         assert recovered.format == "json"
         assert recovered.out_dir == out
+        # The same run in CSV: the two traces carry the same value texts.
+        assert main(["run", write_config(tmp_path, CUSTOM_SMALL, "csv.ini"),
+                     "--out", str(tmp_path / "c")]) == 0
+        csv_rows = [line.split(",") for line in data_lines(tmp_path / "c" / "custom_trace_tad1.csv")]
+        assert json.loads(trace.read_text(), parse_float=str)["rows"] == csv_rows
 
 
 class TestDeterminism:

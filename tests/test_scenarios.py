@@ -516,15 +516,24 @@ class TestTraceConfigRecovery:
             run_scenario(config)
 
 
+# The kernel's (comma, newline) for CSV lines and for JSON rows.
+SEPARATORS = [(",", "\n"), (", ", "], [")]
+
+
 def format_rows(block):
-    """The reference CSV lines of a 2-D array: ",".join(format(v, ".16e")) per row."""
-    return [",".join(format(v, ".16e") for v in row) for row in np.asarray(block).tolist()]
+    """The reference text of each value of a 2-D array: format(v, ".16e"), row by row."""
+    return [[format(v, ".16e") for v in row] for row in np.asarray(block).tolist()]
 
 
-def kernel_rows(block):
-    lines = scenarios._csv_lines(np.asarray(block, dtype=float)).tobytes().decode()
-    assert lines.endswith("\n")
-    return lines.split("\n")[:-1]
+def format_text(block, comma=",", newline="\n"):
+    """The reference rows of a 2-D array, each value followed by ``comma``, or
+    by ``newline`` at the end of its row."""
+    return "".join(comma.join(row) + newline for row in format_rows(block))
+
+
+def kernel_text(block, comma=",", newline="\n"):
+    block = np.asarray(block, dtype=float)
+    return scenarios._lines(block, comma.encode(), newline.encode()).tobytes().decode()
 
 
 def half_way_values():
@@ -580,6 +589,15 @@ def powers_of_ten():
     return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
 
 
+def neighbours(values):
+    """Each value and the doubles one ulp below and above it."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        around = [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    around = np.concatenate(around)
+    return around[np.isfinite(around)]
+
+
 FAMILIES = {
     "signed-zeros": [0.0, -0.0],
     "subnormals": [5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310, -4.9406564584124654e-322],
@@ -588,25 +606,45 @@ FAMILIES = {
     "powers-of-ten": powers_of_ten(),
     "half-way": half_way_values(),
     "near-half-way": near_half_way_values(),
+    "smallest-and-largest": neighbours([5e-324, sys.float_info.min, sys.float_info.max]),
+    "powers-of-two": neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "tenths": np.concatenate([np.arange(-1000, 1001) * 0.1, [1092.5, -1092.5]]),
+    "layout-switches": neighbours(np.concatenate([
+        np.linspace(9e-6, 1.1e-5, 41), np.linspace(9e-5, 1.1e-4, 41), [1e-5, 1e-4, 1e16, 1e17],
+        np.linspace(9.9e15, 1.01e16, 41), np.linspace(9.9e16, 1.01e17, 41)])),
+    "integers": neighbours(np.concatenate([
+        np.arange(-1000, 1001), np.random.default_rng(24).integers(-2**53, 2**53, 2000),
+        [2.0**53, 2.0**53 - 1, 10.0**15, 10.0**15 - 1, 123456789012345.0]])),
 }
 
 
+def family_blocks(family):
+    """The family's values and their negatives, in one column and in three."""
+    values = np.asarray(FAMILIES[family], dtype=float)
+    for width in (1, 3):
+        block = np.resize(values, (-(-len(values) // width), width))
+        yield np.concatenate([block, -block])
+
+
+FINITE_ROWS = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=3, max_size=3), min_size=1, max_size=20)
+
+
 class TestCsvFormatting:
-    """The vectorized CSV body against format(v, ".16e"), row by row."""
+    """The vectorized row kernel against format(v, ".16e"), with the CSV and
+    the JSON separators."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_families(self, family):
-        values = np.asarray(FAMILIES[family], dtype=float)
-        for width in (1, 3):
-            block = np.resize(values, (-(-len(values) // width), width))
-            block = np.concatenate([block, -block])
-            assert kernel_rows(block) == format_rows(block)
+        for block in family_blocks(family):
+            for comma, newline in SEPARATORS:
+                assert kernel_text(block, comma, newline) == format_text(block, comma, newline)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                             min_size=3, max_size=3), min_size=1, max_size=20))
+    @given(FINITE_ROWS)
     def test_finite_floats(self, rows):
-        assert kernel_rows(rows) == format_rows(rows)
+        for comma, newline in SEPARATORS:
+            assert kernel_text(rows, comma, newline) == format_text(rows, comma, newline)
 
 
 class TestCsvWriter:
@@ -622,7 +660,7 @@ class TestCsvWriter:
         scenarios._write_trace(path, config, "fig4", 2.0, ["a", "b", "c"], table)
         with open(scenarios._staged(path), encoding="utf-8") as handle:
             text = handle.read()
-        assert text.endswith("\na,b,c\n" + "\n".join(format_rows(table)) + "\n")
+        assert text.endswith("\na,b,c\n" + format_text(table))
 
     def test_memory_bounded_by_one_block(self, tmp_path, config):
         """A 50 000-row table is written with no more memory than one block:
@@ -640,52 +678,29 @@ class TestCsvWriter:
         assert peak(50_000) <= 1.1 * peak(scenarios._BLOCK_ROWS)
 
 
-def json_body(block):
-    """The rows that _write_trace writes into a JSON trace, as json.dumps writes a list."""
-    block = np.asarray(block, dtype=float)
-    return "[" + b"".join(bytes(chunk) for chunk in scenarios._json_body(block)).decode() + "]"
+def json_rows(block):
+    """The JSON list of a 2-D array's rows, spliced from the kernel's rows as
+    _write_trace splices them."""
+    return json.loads("[[" + kernel_text(block, ", ", "], [")[:-3] + "]")
 
 
-def neighbours(values):
-    """Each value and the doubles one ulp below and above it."""
-    values = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore"):
-        around = [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
-    around = np.concatenate(around)
-    return around[np.isfinite(around)]
-
-
-JSON_FAMILIES = {
-    **FAMILIES,
-    "smallest-and-largest": neighbours([5e-324, sys.float_info.min, sys.float_info.max]),
-    "powers-of-two": neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
-    "tenths": np.concatenate([np.arange(-1000, 1001) * 0.1, [1092.5, -1092.5]]),
-    # repr turns from positional to exponent form below 1e-4 and from 1e16 on.
-    "layout-switches": neighbours(np.concatenate([
-        np.linspace(9e-6, 1.1e-5, 41), np.linspace(9e-5, 1.1e-4, 41), [1e-5, 1e-4, 1e16, 1e17],
-        np.linspace(9.9e15, 1.01e16, 41), np.linspace(9.9e16, 1.01e17, 41)])),
-    "integers": neighbours(np.concatenate([
-        np.arange(-1000, 1001), np.random.default_rng(24).integers(-2**53, 2**53, 2000),
-        [2.0**53, 2.0**53 - 1, 10.0**15, 10.0**15 - 1, 123456789012345.0]])),
-}
+def same_doubles(rows, table):
+    """Equal floats, the signs of zeros included."""
+    return rows == table.tolist() and np.array_equal(np.signbit(rows), np.signbit(table))
 
 
 class TestJsonFormatting:
-    """The JSON rows against json.dumps of the table's list, byte for byte."""
+    """JSON rows read back as the very doubles they were written from."""
 
-    @pytest.mark.parametrize("family", JSON_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_families(self, family):
-        values = np.asarray(JSON_FAMILIES[family], dtype=float)
-        for width in (1, 3):
-            block = np.resize(values, (-(-len(values) // width), width))
-            block = np.concatenate([block, -block])
-            assert json_body(block) == json.dumps(block.tolist())
+        for block in family_blocks(family):
+            assert same_doubles(json_rows(block), block)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                             min_size=3, max_size=3), min_size=1, max_size=20))
+    @given(FINITE_ROWS)
     def test_finite_floats(self, rows):
-        assert json_body(rows) == json.dumps(rows)
+        assert same_doubles(json_rows(rows), np.asarray(rows))
 
 
 class TestJsonWriter:
@@ -696,17 +711,20 @@ class TestJsonWriter:
     @pytest.mark.parametrize("rows", [1, scenarios._BLOCK_ROWS, scenarios._BLOCK_ROWS + 1],
                              ids=["one-row", "one-block", "block-plus-one"])
     def test_block_edges(self, tmp_path, config, rows):
-        """The file is json.dumps of the whole payload, and reads back."""
+        """The text before "rows" is json.dumps of the other keys, each value
+        is written as format(v, ".16e"), and the rows read back as the table."""
         table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-20, 1e5]
+        table[-1, 1] = -0.0
         path = str(tmp_path / "trace.json")
         scenarios._write_trace(path, config, "chevron", 2.0, ["a", "b", "c"], table)
         with open(scenarios._staged(path), encoding="utf-8") as handle:
             text = handle.read()
-        payload = {"format": "adiasim-trace", "version": scenarios.__version__,
-                   "scenario": "chevron", "t_ad_us": 2.0, "seed": config.seed,
-                   "config": config.to_text(), "columns": ["a", "b", "c"], "rows": table.tolist()}
-        assert text == json.dumps(payload) + "\n"
-        assert json.loads(text)["rows"] == table.tolist()
+        head = {"format": "adiasim-trace", "version": scenarios.__version__,
+                "scenario": "chevron", "t_ad_us": 2.0, "seed": config.seed,
+                "config": config.to_text(), "columns": ["a", "b", "c"]}
+        rows = "], [".join(", ".join(row) for row in format_rows(table))
+        assert text == f'{json.dumps(head)[:-1]}, "rows": [[{rows}]]}}\n'
+        assert same_doubles(json.loads(text)["rows"], table)
         os.replace(scenarios._staged(path), path)
         assert read_trace_config(path) == config
 
