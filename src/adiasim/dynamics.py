@@ -40,8 +40,9 @@ scratch stack of half its steps, between which the levels of the reduction
 alternate, and one group's maps.  It stays bounded however many steps an
 interval or samples a run holds.  A sweep of duration t_ad is affine in
 s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
-R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per call; an
-arbitrary H(t) callable is called once per batch.
+R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per call by the
+same step formula on coefficient stacks in s; an arbitrary H(t) callable is
+called once per batch.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample, and once a trajectory is built an error is raised at
@@ -247,61 +248,41 @@ def _schrodinger_generator(ham: np.ndarray) -> np.ndarray:
     return gen
 
 
-def _step_matrices(gens: np.ndarray, h: float) -> np.ndarray:
-    """RK4 step matrices from generators at 2m+1 half-step times.
+def _rk4_step(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float,
+              mul=np.matmul) -> np.ndarray:
+    """R - I of the RK4 step in the module docstring, as h/6 (K4 + 2 K3 + 2 K2 + K1).
 
+    ``mul`` is the product of the stage generators ``a1..a3``: ``np.matmul``
+    for stacks of matrices, ``_poly_matmul`` for coefficient stacks in s.
     Updated in place, so that few batch-sized arrays are alive at once.
     """
-    a1, a2, a3 = gens[..., :-2:2, :, :], gens[..., 1::2, :, :], gens[..., 2::2, :, :]
-    k2 = a2 @ a1
+    k2 = mul(a2, a1)
     k2 *= 0.5 * h
-    k2 += a2  # K2 = A2 + (h/2) A2 K1
-    k3 = a2 @ k2
+    k2 += a2
+    k3 = mul(a2, k2)
     k3 *= 0.5 * h
-    k3 += a2  # K3 = A2 + (h/2) A2 K2
-    k4 = a3 @ k3
+    k3 += a2
+    k4 = mul(a3, k3)
     k4 *= h
-    k4 += a3  # K4 = A3 + h A3 K3
-    # R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
-    k2 += k3
+    k4 += a3
+    k3 *= 2.0
+    k4 += k3
     k2 *= 2.0
-    k2 += a1
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += np.eye(gens.shape[-1])
-    return k2
+    k4 += k2
+    k4 += a1
+    k4 *= h / 6.0
+    return k4
 
 
-def _step_polynomial(g0: np.ndarray, g1: np.ndarray, h: float,
-                     delta: float) -> np.ndarray:
-    """Coefficients P, shape (5, d, d), of the RK4 step R(s) = I + sum_k s^k P_k.
+def _poly_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of two polynomials in s given as (5, d, d) coefficient stacks.
 
-    The generator is A(s) = g0 + s*g1, and a step of size h from s takes its
-    stages at s, s + delta/2 and s + delta.  Each K_i is carried as the
-    stack of its coefficients in s; a stage raises the degree by one.  The
-    products stay d x d, which BLAS runs on one thread.
+    Terms past s^4 are dropped: the RK4 step of an affine generator has none.
     """
-
-    def stage(b: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
-        # (b + s*g1) + c * (b + s*g1) @ k(s)
-        out = np.zeros((len(k) + 1,) + g0.shape, dtype=g0.dtype)
-        out[:-1] = b @ k
-        out[1:] += g1 @ k
-        out *= c
-        out[0] += b
-        out[1] += g1
-        return out
-
-    b_mid = g0 + (0.5 * delta) * g1
-    k1 = np.stack([g0, g1])
-    k2 = stage(b_mid, k1, 0.5 * h)
-    k3 = stage(b_mid, k2, 0.5 * h)
-    poly = stage(g0 + delta * g1, k3, h)  # K4
-    poly[:4] += 2.0 * k3
-    poly[:3] += 2.0 * k2
-    poly[:2] += k1
-    poly *= h / 6.0
-    return poly
+    out = p[0] @ q
+    for i in range(1, len(p)):
+        out[i:] += p[i] @ q[:-i]
+    return out
 
 
 def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
@@ -384,21 +365,28 @@ def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.nd
 
 
 def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt: float,
-           n_samples: int, x0: np.ndarray, drift_of, what: str) -> tuple[np.ndarray, ...]:
+           n_samples: int, x0: np.ndarray) -> tuple[np.ndarray, ...]:
     """Times, states and drifts of ``_propagate`` over a sweep of duration ``t_ad``.
 
-    ``noise`` None selects the real 8x8 Schrodinger generator, otherwise the
-    real Pauli transfer matrix of the Lindblad generator.
+    ``noise`` None selects the real 8x8 Schrodinger generator and the norm
+    drift, otherwise the real Pauli transfer matrix of the Lindblad
+    generator and the trace drift.
     """
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
     # A non-finite schedule field can overflow here; _propagate reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise is None:
             g0, g1 = _schrodinger_generator(schedule.h0), _schrodinger_generator(schedule.h1)
+            drift_of, what = _norm_drift, "norm"
         else:
             g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
             g1 = _pauli_generator(schedule.h1)
-        poly = _step_polynomial(g0, g1, h, h / t_ad).reshape(5, -1)
+            drift_of, what = _trace_drift, "trace"
+        # The stage generators g0 + s*g1 as coefficient stacks in s, up to s^4.
+        stages = np.zeros((3, 5) + g0.shape)
+        stages[:, 0] = g0, g0 + (0.5 * h / t_ad) * g1, g0 + (h / t_ad) * g1
+        stages[:, 1] = g1
+        poly = _rk4_step(*stages, h, mul=_poly_matmul).reshape(5, -1)
     eye = np.eye(len(g0))
 
     def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
@@ -444,8 +432,7 @@ def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
     """
     psi0 = _pure_initial(psi0)
     times, x, drifts = _sweep(schedule, t_ad, None, dt, n_samples,
-                              np.concatenate([psi0.real, psi0.imag], axis=-1), _norm_drift,
-                              "norm")
+                              np.concatenate([psi0.real, psi0.imag], axis=-1))
     return Trajectory(times=times, states=x[..., :4] + 1j * x[..., 4:], drifts=drifts)
 
 
@@ -465,7 +452,7 @@ def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
     def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
         hams = np.broadcast_to(ham(stage_times.ravel()), (stage_times.size, 4, 4))
         gens = _schrodinger_generator(hams.reshape(stage_times.shape + (4, 4)))
-        out[...] = _step_matrices(gens, h)
+        np.add(_rk4_step(gens[:, :-2:2], gens[:, 1::2], gens[:, 2::2], h), np.eye(8), out=out)
 
     x, drifts = _propagate(step_matrices, times, steps, h,
                            np.concatenate([psi0.real, psi0.imag], axis=-1), _norm_drift, "norm")
@@ -483,6 +470,5 @@ def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray
     """
     psi0 = _pure_initial(psi0)
     r0 = np.einsum("...i,kij,...j->...k", psi0.conj(), _PAULIS, psi0).real
-    times, states, drifts = _sweep(schedule, t_ad, noise, dt, n_samples, r0, _trace_drift,
-                                   "trace")
+    times, states, drifts = _sweep(schedule, t_ad, noise, dt, n_samples, r0)
     return Trajectory(times=times, states=states, drifts=drifts)

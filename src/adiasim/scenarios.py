@@ -537,6 +537,8 @@ def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     out.report(label, {"summary": summary})
 
 
+# An extreme j or t_ad overflows; the writers refuse what is not finite.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     j_true = config.j
     t_ad = config.t_ad[0]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import adiasim
 from adiasim import scenarios
 from adiasim.cli import main
 from adiasim.config import SCENARIO_NAMES, validate_config
@@ -84,6 +85,12 @@ t_ad = 1, 2, 3
 dt_us = 0.01
 n_samples = 20
 """
+
+# The environment of a fresh interpreter that imports the same package as
+# these tests, installed or not.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(adiasim.__file__))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -220,6 +227,19 @@ class TestRunCommand:
                                      f"[simulation]\nn_samples = {n_samples}\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
         assert ("simulation.n_samples: chevron" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("field", ["j = 1e300", "t_ad = 1e-300"])
+    def test_chevron_overflow_exits_3_without_numpy_warnings(self, tmp_path, capsys, field):
+        """The map or the Rabi fit overflows; the refusal is all that reaches stderr."""
+        cfg = write_config(tmp_path, f"[scenario]\nname = chevron\n\n[schedule]\n{field}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("run failed (NonFiniteOutput)")
+        assert not (tmp_path / "o").exists()
 
     def test_chevron_has_no_step_bounds(self, tmp_path):
         """chevron integrates nothing, so dt <= t_ad/100 does not apply to it."""
@@ -635,14 +655,14 @@ class TestIntrospection:
                     "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
                     "print('numpy.random' in sys.modules)\n"
                     "print('numpy.ma' in sys.modules)\n")
-            result = subprocess.run([sys.executable, "-c", code],
+            result = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
                                     capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines()[-3:] == ["[]", "False", "False"], name
 
     def test_module_entry_point(self):
         result = subprocess.run(
-            [sys.executable, "-m", "adiasim.cli", "list-scenarios"],
+            [sys.executable, "-m", "adiasim.cli", "list-scenarios"], env=CHILD_ENV,
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0
         assert "fig4" in result.stdout

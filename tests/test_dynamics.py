@@ -13,9 +13,9 @@ from adiasim.dynamics import (
     StepTooLarge,
     UnphysicalNoise,
     _pauli_generator,
+    _poly_matmul,
+    _rk4_step,
     _sample_grid,
-    _step_matrices,
-    _step_polynomial,
     basis_state,
     collapse_operators,
     propagate_custom,
@@ -557,7 +557,8 @@ def complex_interval_maps(ham, t_ad, dt, n_samples):
     for t0 in times[:-1]:
         stage_times = t0 + np.arange(2 * steps + 1) * (0.5 * h)
         gens = -2.0j * math.pi * np.array([ham(t) for t in stage_times])
-        maps.append(allocating_ordered_product(_step_matrices(gens[None], h))[0])
+        step_matrices = np.eye(4) + _rk4_step(gens[:-2:2], gens[1::2], gens[2::2], h)
+        maps.append(allocating_ordered_product(step_matrices[None])[0])
     return times, maps
 
 
@@ -708,13 +709,36 @@ class TestBufferedReduction:
 
 
 class TestStepPolynomial:
-    """I + sum_k s^k P_k against the RK4 step built from the generators at
-    the three stage times of a step from s."""
+    """The one RK4 step formula, ``_rk4_step``, on stacks of stage generators
+    and on coefficient stacks in s."""
+
+    @staticmethod
+    def padded(*coefficients):
+        """A (5, ...) coefficient stack in s, zero past the given coefficients."""
+        stack = np.zeros((5,) + np.shape(coefficients[0]))
+        stack[:len(coefficients)] = coefficients
+        return stack
+
+    @pytest.mark.parametrize("lam", [-1.5, 2.0, -40.0])
+    def test_scalar_generator_gives_the_stability_polynomial(self, lam):
+        """For a 1x1 generator lam, R - I = z + z^2/2 + z^3/6 + z^4/24, z = h*lam."""
+        h = 0.01
+        z = h * lam
+        expected = z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        a = np.full((1, 1), lam)
+        assert _rk4_step(a, a, a, h)[0, 0] == pytest.approx(expected, rel=1e-14)
+        # A constant generator as a polynomial in s: only P_0 is not zero.
+        p = self.padded(a)
+        poly = _rk4_step(p, p, p, h, mul=_poly_matmul)
+        assert poly[0, 0, 0] == pytest.approx(expected, rel=1e-14)
+        assert np.all(poly[1:] == 0.0)
 
     @pytest.mark.parametrize("noise", [None, NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0),
                                                         n_th=(0.02, 0.05))],
                              ids=["schrodinger", "lindblad"])
     def test_matches_steps_from_stage_generators(self, noise):
+        """I + sum_k s^k P_k against the RK4 step built from the generators
+        at the three stage times of a step from s."""
         t_ad = 5.0
         h = 0.002
 
@@ -725,12 +749,14 @@ class TestStepPolynomial:
             return _pauli_generator(ham, collapse_operators(noise))
 
         g0, g1 = generator(0.0), generator(t_ad) - generator(0.0)
-        poly = _step_polynomial(g0, g1, h, h / t_ad)
+        delta = h / t_ad
+        stages = [self.padded(g0 + c * delta * g1, g1) for c in (0.0, 0.5, 1.0)]
+        poly = _rk4_step(*stages, h, mul=_poly_matmul)
         # Step starts: the last step ends at s = 1.
-        s = np.random.default_rng(21).uniform(0.0, 1.0 - h / t_ad, size=20)
+        s = np.random.default_rng(21).uniform(0.0, 1.0 - delta, size=20)
         powers = np.vander(s, 5, increasing=True)
-        steps = np.eye(len(g0)) + np.einsum("nk,kij->nij", powers, poly)
+        steps = np.einsum("nk,kij->nij", powers, poly)
         for s_n, step in zip(s, steps):
             t = s_n * t_ad
-            gens = np.stack([generator(t), generator(t + 0.5 * h), generator(t + h)])
-            assert np.max(np.abs(step - _step_matrices(gens, h)[0])) <= 1e-14
+            a1, a2, a3 = generator(t), generator(t + 0.5 * h), generator(t + h)
+            assert np.max(np.abs(step - _rk4_step(a1, a2, a3, h))) <= 1e-14
