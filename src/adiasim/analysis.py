@@ -87,9 +87,7 @@ def _tracked_eigensystem(schedule, s: np.ndarray):
     raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
     overlap = np.abs(raw)
     best = np.argmax(overlap[:, np.arange(4), _PERMS].sum(axis=2), axis=1)
-    labels = np.tile(np.arange(4), (len(s), 1))
-    for i, perm in enumerate(_PERMS[best], start=1):
-        labels[i] = perm[labels[i - 1]]
+    labels = _continued_labels(_PERMS[best])
     top2 = np.sort(overlap, axis=2)[:, :, -2:]
     tied = top2[:, :, 1] - top2[:, :, 0] < _TIE_TOL
     if tied.any():
@@ -106,6 +104,22 @@ def _tracked_eigensystem(schedule, s: np.ndarray):
     tracked_e = np.take_along_axis(sorted_e, labels, axis=1)
     tracked_v = np.take_along_axis(vecs, labels[:, None, :], axis=2) * phase[:, None, :]
     return sorted_e, tracked_e, tracked_v
+
+
+def _continued_labels(perms: np.ndarray) -> np.ndarray:
+    """The (n+1, 4) labels of n step permutations: row 0 is 0..3 and row i
+    is perms[i-1][row i-1], composed by pointer doubling.
+
+    After the round of span w, row i holds the composition of the up to
+    2w steps ending at row i, so ceil(log2(n)) rounds of one
+    take_along_axis each give every row its whole chain.
+    """
+    labels = np.vstack([np.arange(4), perms])
+    span = 1
+    while span < len(perms):
+        labels[span:] = np.take_along_axis(labels[span:], labels[:-span], axis=1)
+        span *= 2
+    return labels
 
 
 def tracked_levels(schedule, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,15 +143,24 @@ def tracked_levels(schedule, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies[::r], vectors[::r]
 
 
-def _middle_gap(schedule, s: float) -> tuple[float, float]:
-    """E3 - E2 at ``s`` and its derivative in s.
+def _middle_gap(schedule, s: float) -> tuple[float, float, float]:
+    """E3 - E2 at ``s`` and its first and second derivatives in s.
 
     For H(s) = h0 + s*h1 the Hellmann-Feynman theorem gives dE_k/ds =
-    <k|h1|k>, so one eigh yields the gap and its slope.
+    <k|h1|k>, and second-order perturbation theory d^2E_k/ds^2 =
+    2 sum_{m != k} |<m|h1|k>|^2 / (E_k - E_m), so one eigh yields all
+    three.  The curvature is not finite where a level of the pair is
+    degenerate with another.
     """
     energies, vecs = np.linalg.eigh(schedule.hamiltonian(s))
-    slopes = np.einsum("ik,ij,jk->k", vecs.conj(), schedule.h1, vecs).real
-    return float(energies[2] - energies[1]), float(slopes[2] - slopes[1])
+    coupling = vecs.conj().T @ schedule.h1 @ vecs
+    slopes = coupling.diagonal().real
+    spacing = energies[:, None] - energies
+    np.fill_diagonal(spacing, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvatures = 2.0 * (np.abs(coupling) ** 2 / spacing).sum(axis=1)
+    return (float(energies[2] - energies[1]), float(slopes[2] - slopes[1]),
+            float(curvatures[2] - curvatures[1]))
 
 
 def min_gap(schedule) -> tuple[float, float]:
@@ -146,11 +169,14 @@ def min_gap(schedule) -> tuple[float, float]:
     ``schedule`` needs ``hamiltonian(s)`` and the s-derivative ``h1`` of H
     (any ProtocolSchedule qualifies).  Returns ``(a, s_c)``: the gap
     minimum [MHz] and where it lies in s.  One stacked eigvalsh on the
-    uniform 1001-point grid in [0, 1] finds the coarse minimum; bisection on
-    the sign of the Hellmann-Feynman gap derivative inside the two
-    bracketing grid cells then fixes s_c to float resolution.  Raises
-    NoInteriorMinimum when the coarse minimum sits on a grid endpoint, i.e.
-    the gap is monotonic over the grid.
+    uniform 1001-point grid in [0, 1] finds the coarse minimum; Newton
+    steps on the Hellmann-Feynman gap derivative, inside a bracket that
+    starts as the two grid cells around it and shrinks by the sign of the
+    derivative at every point, then fix s_c to float resolution.  A step
+    that leaves the bracket, or a curvature that is not finite and
+    positive, is replaced by bisection.  Raises NoInteriorMinimum when the
+    coarse minimum sits on a grid endpoint, i.e. the gap is monotonic over
+    the grid.
     """
     levels = np.linalg.eigvalsh(schedule.hamiltonian(_GRID))
     idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
@@ -161,13 +187,26 @@ def min_gap(schedule) -> tuple[float, float]:
         )
     lo, hi = float(_GRID[idx - 1]), float(_GRID[idx + 1])
     s_c = 0.5 * (lo + hi)
-    while lo < s_c < hi:
-        if _middle_gap(schedule, s_c)[1] > 0.0:
+    while True:
+        gap, slope, curvature = _middle_gap(schedule, s_c)
+        if slope > 0.0:
             hi = s_c
         else:
             lo = s_c
-        s_c = 0.5 * (lo + hi)
-    return _middle_gap(schedule, s_c)[0], s_c
+        # Written so that a NaN curvature fails the test too.
+        if 0.0 < curvature < math.inf:
+            step = s_c - slope / curvature
+            if step == s_c:
+                return gap, s_c
+            if lo < step < hi:
+                s_c = step
+                continue
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        s_c = mid
+    # Bisection has closed the bracket: lo and hi are adjacent floats.
+    return (gap if mid == s_c else _middle_gap(schedule, mid)[0]), mid
 
 
 def diabatic_slope(schedule: ProtocolSchedule, s_c: float) -> float:

@@ -30,14 +30,16 @@ the generators at the step's start (A1), midpoint (A2) and end (A3):
 Each sample interval is propagated by the product of its step matrices,
 multiplied in time order by pairwise reduction.  Every interval has the same
 number of steps, so whole intervals are built together in groups whose
-batch holds at most ``_BATCH_STEPS`` step matrices; an interval of more
-steps is a group of one, built from several batches.  The propagators take
-one state or a (k, 4) stack, and a group's maps are applied to every state
-of the stack as soon as they are built, then overwritten by the next
-group's: the working memory is allocated once per call and holds the step
-stack of one batch, (g, m, d, d) with g*m <= ``_BATCH_STEPS`` or g = 1, a
-scratch stack of half its steps, between which the levels of the reduction
-alternate, and one group's maps.  It stays bounded however many steps an
+batch of d x d step matrices takes at most ``_BATCH_BYTES``: b =
+_BATCH_BYTES // (8 d^2) steps, 1 024 of the 8x8 pure-state matrices or 256
+of the 16x16 Lindblad ones.  An interval of more than b steps is a group of
+one, built from several batches.  The propagators take one state or a
+(k, 4) stack, and a group's maps are applied to every state of the stack as
+soon as they are built, then overwritten by the next group's: the working
+memory is allocated once per call and holds the step stack of one batch,
+(g, m, d, d) with g*m <= b or g = 1, a scratch stack of half its steps,
+between which the levels of the reduction alternate, and one group's
+maps.  It stays bounded however many steps an
 interval or samples a run holds.  A sweep of duration t_ad is affine in
 s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
 R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per call by the
@@ -75,8 +77,8 @@ __all__ = [
 BASIS_LABELS = ("00", "01", "10", "11")
 
 DRIFT_LIMIT = 1e-4
-# Most RK4 steps whose matrices are held at once; bounds peak memory.
-_BATCH_STEPS = 256
+# Most bytes of RK4 step matrices held at once; bounds peak memory.
+_BATCH_BYTES = 2**19
 _W = -2.0j * math.pi
 
 
@@ -312,7 +314,8 @@ def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.nd
     """Carry the (d,) state or (k, d) states ``x0`` over ``times``.
 
     Returns the (n+1,) + x0.shape states and their drifts.  The interval maps
-    are built in groups of max(1, _BATCH_STEPS // steps) intervals.
+    are built in groups of max(1, b // steps) intervals, for batches of at
+    most b = _BATCH_BYTES // (8 d^2) step matrices.
     ``step_matrices(stage_times, out)`` gets a batch's (g, 2m+1) half-step
     times, one row per interval of the group, and writes its step matrices
     into ``out``, a C-contiguous (g, m, d, d) view of the step stack.  A
@@ -323,10 +326,11 @@ def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.nd
     """
     starts = times[:-1]
     d = x0.shape[-1]
-    group = max(1, _BATCH_STEPS // steps)
+    batch = max(1, _BATCH_BYTES // (8 * d * d))
+    group = max(1, batch // steps)
     size = min(group, len(starts))
-    m_max = min(_BATCH_STEPS, steps)
-    # The stack holds one batch: size * m_max <= _BATCH_STEPS, or size = 1.
+    m_max = min(batch, steps)
+    # The stack holds one batch: size * m_max <= batch, or size = 1.
     # A group of several intervals takes one batch of m_max steps, so every
     # stack[:g, :m] below is contiguous, as step_matrices needs.
     stack = np.empty((size, m_max, d, d))
@@ -342,8 +346,8 @@ def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.nd
         for k in range(0, len(starts), group):
             t0 = starts[k:k + group, None]
             g = len(t0)
-            for first in range(0, steps, _BATCH_STEPS):
-                m = min(_BATCH_STEPS, steps - first)
+            for first in range(0, steps, batch):
+                m = min(batch, steps - first)
                 stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
                 step_matrices(stage_times, stack[:g, :m])
                 if first == 0:
@@ -387,15 +391,16 @@ def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt
         stages[:, 0] = g0, g0 + (0.5 * h / t_ad) * g1, g0 + (h / t_ad) * g1
         stages[:, 1] = g1
         poly = _rk4_step(*stages, h, mul=_poly_matmul).reshape(5, -1)
-    eye = np.eye(len(g0))
+    d = len(g0)
 
     def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
         s = stage_times[:, :-2:2] / t_ad
-        np.matmul(np.vander(s.ravel(), 5, increasing=True), poly,
-                  out=out.reshape(s.size, -1))
+        flat = out.reshape(s.size, -1)
+        np.matmul(np.vander(s.ravel(), 5, increasing=True), poly, out=flat)
         # I is added after the sum, not folded into P_0, so that the
-        # rounding of one shared P_0 + I does not repeat in every step.
-        out += eye
+        # rounding of one shared P_0 + I does not repeat in every step;
+        # only the diagonal, every (d+1)-th entry of a flattened matrix.
+        flat[:, ::d + 1] += 1.0
 
     return (times,) + _propagate(step_matrices, times, steps, h, x0, drift_of, what)
 

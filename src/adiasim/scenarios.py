@@ -360,7 +360,8 @@ class _Outputs:
 
 def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
     """Correlator columns of a trajectory, sampled from the one stream ``key``."""
-    # Exact mode never touches np.random, whose import is a lazy ~20 ms.
+    # Exact mode never touches np.random, whose lazy import takes 13-16 ms
+    # (2-CPU x86-64 host, numpy 2.4).
     seed = np.random.SeedSequence(entropy=config.seed, spawn_key=key) if config.shots else None
     return measure_correlators(states, config.shots, seed)
 

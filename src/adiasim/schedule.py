@@ -37,12 +37,13 @@ __all__ = [
     "constant_frame_hamiltonian",
 ]
 
-_ZI = pauli_2q("ZI")
-_IZ = pauli_2q("IZ")
-_XI = pauli_2q("XI")
-_IX = pauli_2q("IX")
-_XXYY = pauli_2q("XX") + pauli_2q("YY")
-_ZZ = pauli_2q("ZZ")
+# Every term of H(s) is real, so H(s) is real symmetric.
+_ZI = pauli_2q("ZI").real
+_IZ = pauli_2q("IZ").real
+_XI = pauli_2q("XI").real
+_IX = pauli_2q("IX").real
+_XXYY = (pauli_2q("XX") + pauli_2q("YY")).real
+_ZZ = pauli_2q("ZZ").real
 
 
 class TimeOutOfRange(ValueError):
@@ -68,8 +69,9 @@ class ProtocolSchedule:
     j_final: exchange coupling reached at s = 1 [MHz]
     zz     : static ZZ coefficient [MHz]
 
-    ``h0`` and ``h1`` (built once per instance, not fields) are the 4x4
-    matrices of H(s)/h = h0 + s*h1 [MHz]; every evaluation reads them.
+    ``h0`` and ``h1`` (built once per instance, not fields) are the real
+    symmetric float64 4x4 matrices of H(s)/h = h0 + s*h1 [MHz]; every
+    evaluation reads them.
     """
 
     z1: float
@@ -87,7 +89,7 @@ class ProtocolSchedule:
                            + self.j_final * 0.25 * _XXYY)
 
     def hamiltonian(self, s) -> np.ndarray:
-        """H(s)/h [MHz]: a 4x4 Hermitian matrix for a scalar s, an (n, 4, 4)
+        """H(s)/h [MHz]: a real 4x4 symmetric matrix for a scalar s, an (n, 4, 4)
         stack for a 1-D array of n values, each row equal to the scalar call's."""
         s = np.asarray(s, dtype=float)
         _check_window(s, 1.0)

@@ -28,6 +28,7 @@ from adiasim.operators import PAULI_BASIS
 from adiasim.schedule import ProtocolSchedule
 
 FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
+FIG3A = FIG3B.with_(j_final=0.0)
 FIG4 = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
 
 # Frozen regression values for the two standard sweep configurations,
@@ -73,6 +74,30 @@ class LineCrossings:
         lines = (np.array([0.0, 1.1, 2.3, 3.6])
                  + np.asarray(s, dtype=float)[..., None] * np.array([5.0, 1.7, -1.9, -4.4]))
         return (lines[..., None] * np.eye(4)).astype(complex)
+
+
+@dataclass(frozen=True)
+class DegenerateSpectators:
+    """Two copies of one avoided crossing at ``s_star``: each sorted level of
+    the middle pair is degenerate with a spectator at every s."""
+
+    slope: float
+    gap: float
+    s_star: float
+
+    def hamiltonian(self, s) -> np.ndarray:
+        d = self.slope * (np.asarray(s, dtype=float) - self.s_star)
+        h = np.zeros(d.shape + (4, 4), dtype=complex)
+        for i in (0, 2):
+            h[..., i, i] = -d
+            h[..., i + 1, i + 1] = d
+            h[..., i, i + 1] = h[..., i + 1, i] = 0.5 * self.gap
+        return h
+
+    @property
+    def h1(self) -> np.ndarray:
+        """dH/ds."""
+        return np.diag([-self.slope, self.slope, -self.slope, self.slope]).astype(complex)
 
 
 def levels_on_grid(schedule, n_grid):
@@ -182,6 +207,32 @@ class TestBatchedTracking:
         assert np.all(np.abs(successive.imag) <= 1e-12)
         assert np.all(successive.real > 0.0)
 
+    def test_label_continuation_matches_sequential_loop(self, monkeypatch):
+        """Pointer doubling composes the step permutations into the labels
+        of the step-by-step loop bit for bit: on LineCrossings, whose labels
+        end reversed, and on random permutation chains of length 1 to 300."""
+        def sequential(perms):
+            labels = np.tile(np.arange(4), (len(perms) + 1, 1))
+            for i, perm in enumerate(perms, start=1):
+                labels[i] = perm[labels[i - 1]]
+            return labels
+
+        seen = {}
+        doubled = analysis._continued_labels
+
+        def spy(perms):
+            seen["perms"], seen["labels"] = perms, doubled(perms)
+            return seen["labels"]
+
+        monkeypatch.setattr(analysis, "_continued_labels", spy)
+        _tracked_eigensystem(LineCrossings(), np.linspace(0.0, 1.0, 101))
+        assert np.array_equal(seen["labels"], sequential(seen["perms"]))
+        assert list(seen["labels"][-1]) == [3, 2, 1, 0]
+        rng = np.random.default_rng(54)
+        for n in range(1, 301):
+            perms = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)
+            assert np.array_equal(doubled(perms), sequential(perms)), n
+
     def test_degenerate_message_matches_reference(self):
         duck = TwoLevelCrossing(slope=1.0, gap=0.5, s_star=0.75)
         s = np.linspace(0.0, 1.0, 3)
@@ -192,7 +243,72 @@ class TestBatchedTracking:
         assert str(got.value) == str(expected.value)
 
 
+def reference_min_gap(schedule):
+    """min_gap by plain bisection on the sign of the Hellmann-Feynman gap
+    derivative, inside the two grid cells around the coarse minimum, until
+    the bracket holds two adjacent floats."""
+    levels = np.linalg.eigvalsh(schedule.hamiltonian(analysis._GRID))
+    idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
+    lo, hi = float(analysis._GRID[idx - 1]), float(analysis._GRID[idx + 1])
+
+    def gap_and_slope(s):
+        energies, vecs = np.linalg.eigh(schedule.hamiltonian(s))
+        slopes = np.einsum("ik,ij,jk->k", vecs.conj(), schedule.h1, vecs).real
+        return float(energies[2] - energies[1]), float(slopes[2] - slopes[1])
+
+    s_c = 0.5 * (lo + hi)
+    while lo < s_c < hi:
+        if gap_and_slope(s_c)[1] > 0.0:
+            hi = s_c
+        else:
+            lo = s_c
+        s_c = 0.5 * (lo + hi)
+    return gap_and_slope(s_c)[0], s_c
+
+
 class TestMinGap:
+    @pytest.mark.parametrize("schedule", [
+        FIG3A, FIG3B, FIG4, TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4),
+    ], ids=["fig3a", "fig3b", "fig4", "two-level"])
+    def test_newton_matches_reference_bisection(self, monkeypatch, schedule):
+        """Newton steps end where bisection does, to an ulp or so of s_c and
+        of the gap, after at most 12 eigensolves instead of 46-47."""
+        ref_a, ref_s_c = reference_min_gap(schedule)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        a, s_c = min_gap(schedule)
+        assert type(a) is float and type(s_c) is float
+        assert abs(s_c - ref_s_c) <= 1e-15
+        assert abs(a - ref_a) <= 1e-15
+        assert 1 <= len(calls) <= 12
+        assert all(shape == (4, 4) for shape in calls)
+
+    @pytest.mark.parametrize("schedule", [
+        TwoLevelCrossing(slope=20.0, gap=0.0, s_star=0.4 + 1.0 / 3000),
+        DegenerateSpectators(slope=20.0, gap=0.37, s_star=0.4),
+    ], ids=["zero-gap", "degenerate-spectators"])
+    def test_bisection_fallback_matches_reference(self, schedule):
+        """Where the curvature is not finite and positive (a level of the
+        pair degenerate with another), the steps fall back to bisection."""
+        ref_a, ref_s_c = reference_min_gap(schedule)
+        a, s_c = min_gap(schedule)
+        assert type(a) is float and type(s_c) is float
+        assert abs(s_c - ref_s_c) <= 1e-15
+        assert abs(a - ref_a) <= 1e-15
+
+    def test_sweep_hamiltonian_is_real(self):
+        """h0 and h1 are float64, so every eigh of H(s) is a real symmetric one."""
+        for schedule in (FIG3A, FIG3B, FIG4):
+            assert schedule.h0.dtype == np.float64
+            assert schedule.h1.dtype == np.float64
+            assert schedule.hamiltonian(0.5).dtype == np.float64
+
     def test_two_level_crossing_is_exact(self):
         duck = TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4)
         a, s_c = min_gap(duck)
@@ -231,14 +347,16 @@ class TestMinGap:
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_crossing_time_is_not_rounding_noise(self, schedule):
         """An ulp-level change of H moves s_c by no more than rounding:
-        bisection on the sign of the gap derivative ends at float resolution."""
+        Newton steps on the gap derivative, kept inside a bracket by its
+        sign, end at float resolution."""
         _, s_c = min_gap(schedule)
         _, s_c_nudged = min_gap(schedule.with_(z1=schedule.z1 * (1.0 + 1e-15)))
         assert abs(s_c_nudged - s_c) <= 1e-13
 
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_hellmann_feynman_gap_derivative(self, schedule):
-        """The gap slope in s from <k|h1|k> matches a central difference of eigvalsh."""
+        """The gap slope in s from <k|h1|k>, and its curvature from second-order
+        perturbation theory, match central differences of eigvalsh."""
         def gap(s):
             vals = np.linalg.eigvalsh(schedule.hamiltonian(s))
             return vals[2] - vals[1]
@@ -246,10 +364,12 @@ class TestMinGap:
         _, s_c = min_gap(schedule)
         h = 1e-6
         for s in (0.1, s_c - 0.01, s_c, s_c + 0.01, 0.9):
-            value, slope = _middle_gap(schedule, s)
+            value, slope, curvature = _middle_gap(schedule, s)
             assert value == pytest.approx(gap(s), abs=1e-12)
             central = (gap(s + h) - gap(s - h)) / (2.0 * h)
             assert slope == pytest.approx(central, abs=1e-6)
+            second = (gap(s + 1e-4) - 2.0 * gap(s) + gap(s - 1e-4)) / 1e-8
+            assert curvature == pytest.approx(second, rel=1e-4)
 
 
 class TestDiabaticSlope:

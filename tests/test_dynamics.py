@@ -452,29 +452,30 @@ class TestAgainstStepLoop:
     def test_interval_spanning_several_batches(self, monkeypatch):
         psi0 = basis_state("10")
         ref = reference_pure(in_time(FIG4, 2.0), 2.0, psi0, 0.002, 3)
-        # 334 steps per interval: two full batches of 128 and one of 78.
-        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 128)
+        # 334 steps per interval: two full batches of 128 8x8 steps and one of 78.
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(128, 8))
         traj = propagate_unitary(FIG4, 2.0, psi0, dt=0.002, n_samples=3)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
         noise = NoiseModel(t1=20.0, t2=15.0, n_th=0.02)
-        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
+        # 75 steps per interval: fifteen batches of 5 16x16 steps.
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(5, 16))
         mixed = propagate_lindblad(FIG4, 0.3, psi0, noise, dt=0.002, n_samples=2)
         ref_mixed = reference_lindblad(FIG4, 0.3, np.outer(psi0, psi0.conj()), noise, 0.002, 2)
         assert np.max(np.abs(mixed.states - pauli_vector(ref_mixed))) <= 1e-12
 
-    @pytest.mark.parametrize("propagate", [
-        lambda: propagate_unitary(FIG4, 2.0, basis_state("01"), dt=0.002, n_samples=10),
-        lambda: propagate_lindblad(FIG4, 2.0, basis_state("11"), DEFAULT_NOISE, dt=0.002,
-                                   n_samples=10),
-        lambda: propagate_custom(in_time(FIG4, 2.0), 2.0, basis_state("10"), dt=0.002,
-                                 n_samples=10),
+    @pytest.mark.parametrize("propagate, d", [
+        (lambda: propagate_unitary(FIG4, 2.0, basis_state("01"), dt=0.002, n_samples=10), 8),
+        (lambda: propagate_lindblad(FIG4, 2.0, basis_state("11"), DEFAULT_NOISE, dt=0.002,
+                                    n_samples=10), 16),
+        (lambda: propagate_custom(in_time(FIG4, 2.0), 2.0, basis_state("10"), dt=0.002,
+                                  n_samples=10), 8),
     ], ids=["unitary", "lindblad", "custom"])
-    def test_grouped_intervals_match_one_interval_per_batch(self, monkeypatch, propagate):
+    def test_grouped_intervals_match_one_interval_per_batch(self, monkeypatch, propagate, d):
         """10 intervals of 100 steps, built one per batch and then in groups
         of 3, 3, 3 and 1, give the same states bit for bit."""
         runs = []
         for batch_steps in (100, 300):
-            monkeypatch.setattr(dynamics, "_BATCH_STEPS", batch_steps)
+            monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(batch_steps, d))
             runs.append(propagate())
         assert np.array_equal(runs[0].states, runs[1].states)
 
@@ -524,15 +525,16 @@ class TestAgainstStepLoop:
             return np.broadcast_to(op, np.shape(t) + (4, 4))
 
         # 334 steps per interval: two full batches of 128 and one of 78.
-        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 128)
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(128, 8))
         traj = propagate_custom(stack, 2.0, basis_state("00"), dt=0.002, n_samples=3)
         assert calls == [(257,), (257,), (157,)] * 3
         constant = propagate_custom(lambda t: op, 2.0, basis_state("00"), dt=0.002, n_samples=3)
         assert np.array_equal(constant.states, traj.states)
 
     def test_custom_hamiltonian_called_once_per_group(self):
-        """17 steps per interval: groups of 256 // 17 = 15 intervals, so 300
-        samples take 20 calls, each with 15 intervals' 35 stage times."""
+        """17 steps per interval: a batch of 2**19 bytes holds 1024 8x8 step
+        matrices, so groups of 1024 // 17 = 60 intervals, and 300 samples
+        take 5 calls, each with 60 intervals' 35 stage times."""
         op = 0.5 * 2.7 * embed_1q(X, 2)
         calls = []
 
@@ -541,7 +543,7 @@ class TestAgainstStepLoop:
             return np.broadcast_to(op, np.shape(t) + (4, 4))
 
         propagate_custom(stack, 10.0, basis_state("00"), dt=0.002, n_samples=300)
-        assert calls == [(525,)] * 20
+        assert calls == [(2100,)] * 5
 
     def test_non_finite_state_raises(self):
         nan_ham = lambda t: np.multiply.outer(np.where(np.asarray(t) > 0.5, np.nan, 0.0),
@@ -594,15 +596,21 @@ def allocating_ordered_product(mats):
     return mats[..., 0, :, :]
 
 
-def allocating_interval_maps(step_matrices, times, steps, h):
-    """Interval maps from freshly returned (g, m, d, d) step stacks."""
+def batch_bytes(batch_steps, d):
+    """The ``_BATCH_BYTES`` that holds exactly ``batch_steps`` d x d float64 step matrices."""
+    return batch_steps * 8 * d * d
+
+
+def allocating_interval_maps(step_matrices, times, steps, h, batch_steps):
+    """Interval maps from freshly returned (g, m, d, d) step stacks, in
+    batches of at most ``batch_steps`` step matrices."""
     starts = times[:-1]
-    group = max(1, dynamics._BATCH_STEPS // steps)
+    group = max(1, batch_steps // steps)
     maps = None
     for k in range(0, len(starts), group):
         t0 = starts[k:k + group, None]
-        for first in range(0, steps, dynamics._BATCH_STEPS):
-            m = min(dynamics._BATCH_STEPS, steps - first)
+        for first in range(0, steps, batch_steps):
+            m = min(batch_steps, steps - first)
             stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
             batch = allocating_ordered_product(step_matrices(stage_times))
             if maps is None:
@@ -659,7 +667,7 @@ class TestBufferedReduction:
         last group is short (7 intervals), one interval per batch, and
         intervals of two and three batches.  The streamed states equal the
         allocating build's maps applied to each state in turn."""
-        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(5, d))
         make = near_identity_steps(d, seed=steps)
 
         def fill(stage_times, out):
@@ -668,7 +676,8 @@ class TestBufferedReduction:
         times = np.linspace(0.0, 1.0, 8)
         h = 1.0 / 7 / steps
         x0 = np.random.default_rng(steps).normal(size=(3, d))
-        expected = applied_state_by_state(allocating_interval_maps(make, times, steps, h), x0)
+        expected = applied_state_by_state(allocating_interval_maps(make, times, steps, h, 5),
+                                          x0)
         states, drifts = dynamics._propagate(fill, times, steps, h, x0, no_drift, "test")
         assert states.dtype == float
         assert drifts.shape == (8, 3)
@@ -680,7 +689,8 @@ class TestBufferedReduction:
                                                   steps):
         """The sweep's step matrices written into the step stack, in batches
         of 5: intervals of two batches, and groups of 2 with a short last one."""
-        monkeypatch.setattr(dynamics, "_BATCH_STEPS", 5)
+        d = 8 if noise is None else 16
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(5, d))
         streamed = dynamics._propagate
         seen = {}
 
@@ -696,7 +706,6 @@ class TestBufferedReduction:
         else:
             propagate_lindblad(FIG4, t_ad, psi0, noise, 0.01, n_samples)
         fill, times, streamed_steps, h, x0 = seen["args"][:5]
-        d = 8 if noise is None else 16
 
         def make(stage_times):
             out = np.empty(stage_times[:, :-2:2].shape + (d, d))
@@ -704,7 +713,7 @@ class TestBufferedReduction:
             return out
 
         assert streamed_steps == steps
-        maps = allocating_interval_maps(make, times, steps, h)
+        maps = allocating_interval_maps(make, times, steps, h, 5)
         assert np.array_equal(seen["states"], applied_state_by_state(maps, x0))
 
 
