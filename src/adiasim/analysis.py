@@ -75,17 +75,15 @@ class ZeroSlope(ValueError):
 def _tracked_eigensystem(schedule, s: np.ndarray):
     """eigh along ``s`` with continuity labels seeded at the first point.
 
-    All steps at once: tracked vectors are sorted ones permuted and phased,
-    so each step's assignment is the best total ``|vecs[i]^H vecs[i+1]|``
-    of the sorted eigenbases over the 24 permutations, and these compose
-    into the labels.  A tracked vector's phase is the running product of
-    ``conj(r)/|r|`` over its raw overlaps r, which makes its overlap with
-    its predecessor real and positive.  Returns the sorted energies, the
-    tracked energies and the tracked vectors (see tracked_levels).
+    All steps at once: tracked vectors are sorted ones permuted, so each
+    step's assignment is the best total ``|vecs[i]^H vecs[i+1]|`` of the
+    sorted eigenbases over the 24 permutations, and these compose into the
+    labels.  Each vector keeps eigh's phase: every reader of a tracked
+    vector is phase-invariant.  Returns the tracked energies and the tracked
+    vectors (see tracked_levels).
     """
     sorted_e, vecs = np.linalg.eigh(schedule.hamiltonian(s))
-    raw = vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]
-    overlap = np.abs(raw)
+    overlap = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:])
     best = np.argmax(overlap[:, np.arange(4), _PERMS].sum(axis=2), axis=1)
     labels = _continued_labels(_PERMS[best])
     top2 = np.sort(overlap, axis=2)[:, :, -2:]
@@ -97,13 +95,8 @@ def _tracked_eigensystem(schedule, s: np.ndarray):
             f"ambiguous level continuation at s = {s[i + 1]:.6f}: "
             f"two overlaps of tracked level {k + 1} tie at {top2[i, labels[i, k], 1]:.6f}"
         )
-    r = raw[np.arange(len(raw))[:, None], labels[:-1], labels[1:]]
-    unit = np.divide(r.conj(), np.abs(r), out=np.ones_like(r), where=r != 0.0)
-    phase = np.cumprod(np.vstack([np.ones(4), unit]), axis=0)
-    phase /= np.abs(phase)
-    tracked_e = np.take_along_axis(sorted_e, labels, axis=1)
-    tracked_v = np.take_along_axis(vecs, labels[:, None, :], axis=2) * phase[:, None, :]
-    return sorted_e, tracked_e, tracked_v
+    return (np.take_along_axis(sorted_e, labels, axis=1),
+            np.take_along_axis(vecs, labels[:, None, :], axis=2))
 
 
 def _continued_labels(perms: np.ndarray) -> np.ndarray:
@@ -126,20 +119,20 @@ def tracked_levels(schedule, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tracked energies (n, 4) and eigenvectors (n, 4, 4) at uniform points ``s``.
 
     Energy column k follows the level that was k-th lowest at ``s[0]`` and
-    ``vectors[i][:, k]`` is its eigenvector, phased continuously from eigh's
-    at ``s[0]``.  ``schedule`` needs ``hamiltonian(s)`` for an array of s
-    (any ProtocolSchedule qualifies).  The levels are tracked on a grid r
-    times finer than ``s``, with at least _MIN_TRACKING_STEPS steps, that
-    holds every point exactly as its r-th point.  Raises ValueError for
-    fewer than two points, and DegenerateTracking when the label
-    continuation is ambiguous at some step.
+    ``vectors[i][:, k]`` is its eigenvector.  ``schedule`` needs
+    ``hamiltonian(s)`` for an array of s (any ProtocolSchedule qualifies).
+    The levels are tracked on a grid r times finer than ``s``, with at
+    least _MIN_TRACKING_STEPS steps, that holds every point exactly as its
+    r-th point.  Raises ValueError for fewer than two points, and
+    DegenerateTracking when the label continuation is ambiguous at some
+    step.
     """
     if len(s) < 2:
         raise ValueError(f"tracked_levels needs at least two points s, got {len(s)}")
     r = math.ceil(_MIN_TRACKING_STEPS / (len(s) - 1))
     fine = np.linspace(s[0], s[-1], r * (len(s) - 1) + 1)
     fine[::r] = s
-    _, energies, vectors = _tracked_eigensystem(schedule, fine)
+    energies, vectors = _tracked_eigensystem(schedule, fine)
     return energies[::r], vectors[::r]
 
 

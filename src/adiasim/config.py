@@ -120,7 +120,7 @@ SCENARIO_SUMMARIES = {name: row.summary for name, row in _SCENARIOS.items()}
 _NOISE_WHERE = {"t1/t2": "noise", "n_th": "noise.nth"}
 
 # Upper bound on simulation.n_samples: at the bound a Lindblad run holds 12.8 MB
-# of Pauli vectors per initial state, and table1 peaks at 283 MB RSS.
+# of Pauli vectors per initial state, and table1 peaks at 164 MB RSS.
 _MAX_N_SAMPLES = 100_000
 # Upper bound on simulation.shots: numpy draws each count as a C int64.
 _MAX_SHOTS = 2**63 - 1

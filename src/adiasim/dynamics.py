@@ -48,7 +48,8 @@ called once per batch.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample, and once a trajectory is built an error is raised at
-the first sample whose drift exceeds 1e-4 or is not finite.
+the first sample whose drift exceeds 1e-4 or is not finite, or whose state
+holds a non-finite entry.
 """
 
 from __future__ import annotations
@@ -195,10 +196,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     drifts: np.ndarray
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
     @property
     def max_drift(self) -> float:
@@ -358,6 +355,9 @@ def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.nd
             for i in range(g):
                 np.matmul(maps[i], columns[k + i], out=columns[k + i + 1])
         drifts = drift_of(states)
+    # A state with a non-finite entry has no drift, whatever drift_of reads
+    # (r_II stays 1 while the rest of a Pauli vector overflows).
+    drifts[~np.isfinite(states).all(axis=-1)] = np.nan
     # Written so that a NaN drift fails the check too.
     bad = np.flatnonzero(~(drifts <= DRIFT_LIMIT))
     if bad.size:

@@ -8,9 +8,10 @@ end of the sweep (the XI, IX, XX and YY terms of the estimator, named in
 at zero; the mitigated energy is the sum of the extrapolated contributions.
 All terms are fitted by one least-squares solve with one column each.
 
-Every run sweeps the same H(s) and only its duration differs, so each
-run's end row is weighed with H(1).  The ZI and IZ coefficients of H(s)
-vanish there, which is why only the four transverse/coupling terms enter.
+Each run's end row holds the six estimator terms of its last sample, at
+s = 1, as the sweep loop weighed them for its trace.  The ZI and IZ
+coefficients of H(s) vanish there, which is why only the four
+transverse/coupling terms enter.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedule import ProtocolSchedule
-from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms
+from .tomography import ENERGY_TERMS
 
 __all__ = [
     "DegenerateAbscissae",
@@ -58,14 +58,13 @@ def extrapolate_quadratic(t: Sequence[float], values: np.ndarray) -> tuple[np.nd
     return coeffs[0], np.linalg.norm(basis @ coeffs - values, axis=0)
 
 
-def mitigate_energy(schedule: ProtocolSchedule, t_ads: Sequence[float],
-                    end_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mitigate_energy(t_ads: Sequence[float],
+                    end_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extrapolate end-of-protocol energy contributions to zero duration.
 
-    ``schedule`` is the sweep shape shared by every run, ``t_ads`` the
-    run durations [us], and row k of ``end_values`` holds the (10,)
-    correlators, in ``CORRELATOR_LABELS`` order, measured at the end of the
-    run of duration ``t_ads[k]``.  Returns ``(measured, per_term,
+    ``t_ads`` holds the run durations [us], and row k of ``end_terms`` the
+    (6,) estimator terms, in ``ENERGY_TERMS`` order, at the end of the run
+    of duration ``t_ads[k]``.  Returns ``(measured, per_term,
     residuals)``: the (n,) unmitigated end energies [MHz] in ``t_ads``
     order, and the (4,) values at t_ad = 0 and fit residuals of the terms
     in ``END_TERMS`` order.  Each term is extrapolated on its own, which
@@ -74,12 +73,11 @@ def mitigate_energy(schedule: ProtocolSchedule, t_ads: Sequence[float],
     """
     if len(t_ads) == 0:
         raise ValueError("no runs supplied")
-    end_values = np.asarray(end_values, dtype=float)
-    if end_values.shape != (len(t_ads), len(CORRELATOR_LABELS)):
+    end_terms = np.asarray(end_terms, dtype=float)
+    if end_terms.shape != (len(t_ads), len(ENERGY_TERMS)):
         raise ValueError(
-            f"end_values must be a ({len(t_ads)}, {len(CORRELATOR_LABELS)}) array, "
-            f"one correlator row per duration; got shape {end_values.shape}"
+            f"end_terms must be a ({len(t_ads)}, {len(ENERGY_TERMS)}) array, "
+            f"one row of energy terms per duration; got shape {end_terms.shape}"
         )
-    terms = energy_terms(end_values, schedule, np.ones(len(t_ads)))
-    per_term, residuals = extrapolate_quadratic(t_ads, terms[:, _END_COLUMNS])
-    return terms.sum(axis=1), per_term, residuals
+    per_term, residuals = extrapolate_quadratic(t_ads, end_terms[:, _END_COLUMNS])
+    return end_terms.sum(axis=1), per_term, residuals

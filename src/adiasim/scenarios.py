@@ -31,9 +31,9 @@ from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersiv
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
 from .mitigation import END_TERMS, mitigate_energy
-from .operators import PAULI_LABELS_2Q
+from .operators import PAULI_BASIS, PAULI_LABELS_2Q
 from .schedule import ProtocolSchedule, constant_frame_hamiltonian, frame_rotation_angle
-from .tomography import CORRELATOR_LABELS, energy_terms, measure_correlators, rotate_correlators
+from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators, rotate_correlators
 
 __all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
            "CHEVRON_F_CENTER"]
@@ -371,8 +371,10 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
 
     Every duration sweeps the same H(s) on the same n_samples + 1 points of
     s, so one set of tracked levels serves all.  Returns those levels and
-    the end rows as three arrays indexed [duration, state]: the
-    (10,) correlators, the passage fidelity and the final state.
+    the end rows as three arrays indexed [duration, state]: the (6,)
+    estimator terms of the last sample, whose sum is the trace's last
+    energy, the passage fidelity and the final state.  Each duration's
+    trajectory is dropped before the next is propagated.
     """
     noise = config.noise_model()
     schedule = config.schedule()
@@ -380,8 +382,12 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     psi0 = np.array([basis_state(state) for state in config.initial_states])
     # Each state follows the tracked level it overlaps most at s = 0.
     start_levels = np.argmax(np.abs(vectors[0].conj().T @ psi0.T) ** 2, axis=0) + 1
-    end_values, end_fidelities, finals = [], [], []
-    for t_ad_index, t_ad in enumerate(config.t_ad):
+    shape = (len(config.t_ad), len(config.initial_states))
+    end_terms, end_fidelities = np.empty(shape + (len(ENERGY_TERMS),)), np.empty(shape)
+    # A pure final state, or the Pauli vector of a Lindblad run's.
+    finals = np.empty(shape + (4,), complex) if noise is None else np.empty(shape + (len(PAULI_BASIS),))
+
+    def write_trace(t_ad_index: int, t_ad: float) -> None:
         if noise is None:
             traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
         else:
@@ -393,20 +399,20 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
             states = traj.states[:, state_index]
             fidelity = passage_fidelity(states, vectors, level)
             values = _measure(config, states, t_ad_index, state_index)
-            energy = energy_terms(values, schedule, traj.times / t_ad).sum(axis=1)
+            terms = energy_terms(values, schedule, traj.times / t_ad)
             columns.append(f"energy_{state}_mhz")
             columns.extend(f"{term.lower()}_{state}" for term in PAULI_LABELS_2Q)
             columns.append(f"fidelity_{state}")
-            table += [energy, values[:, :len(PAULI_LABELS_2Q)], fidelity]
-            end_values.append(values[-1])
-            end_fidelities.append(fidelity[-1])
-        finals.append(traj.final_state)
+            table += [terms.sum(axis=1), values[:, :len(PAULI_LABELS_2Q)], fidelity]
+            end_terms[t_ad_index, state_index] = terms[-1]
+            end_fidelities[t_ad_index, state_index] = fidelity[-1]
+        finals[t_ad_index] = traj.states[-1]
         out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns,
                   np.column_stack([traj.times] + table))
-    shape = (len(config.t_ad), len(config.initial_states))
-    ends = (np.reshape(end_values, shape + (-1,)), np.reshape(end_fidelities, shape),
-            np.reshape(finals, shape + (-1,)))
-    return levels, ends
+
+    for t_ad_index, t_ad in enumerate(config.t_ad):
+        write_trace(t_ad_index, t_ad)
+    return levels, (end_terms, end_fidelities, finals)
 
 
 def _crossing_payload(config: ScenarioConfig, levels: tuple[np.ndarray, np.ndarray],
@@ -454,7 +460,7 @@ def _run_fig3(config: ScenarioConfig, label: str, out: _Outputs) -> None:
 
 
 def _run_table1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
-    _, (end_values, end_fidelities, _) = _run_durations(config, label, out)
+    _, (end_terms, end_fidelities, _) = _run_durations(config, label, out)
 
     # Exact end-of-protocol reference levels, with and without the static
     # ZZ term: both variants are reported and the one closer to the
@@ -471,7 +477,7 @@ def _run_table1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     keys = [f"{config.t_ad[k]:g}" for k in order]
     states_report = {}
     for j, state in enumerate(config.initial_states):
-        measured, per_term, residuals = mitigate_energy(schedule, config.t_ad, end_values[:, j])
+        measured, per_term, residuals = mitigate_energy(config.t_ad, end_terms[:, j])
         fidelities = end_fidelities[:, j]
         extrapolated = float(per_term.sum())
         entry = {

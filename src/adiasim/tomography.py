@@ -40,17 +40,16 @@ _ROTATED_PAIRS = (("IX", "IY"), ("XX", "XY"), ("YX", "YY"))
 
 
 class CorrelatorOutOfRange(ValueError):
-    """Raised when a measured correlator lies outside [-1, 1] beyond its tolerance."""
+    """Raised when an exact correlator lies outside [-1, 1] beyond the drift tolerance."""
 
 
-def _check_range(values: np.ndarray, shots: int) -> None:
-    """Raise CorrelatorOutOfRange for a correlator outside [-1, 1].
+def _check_range(values: np.ndarray) -> None:
+    """Raise CorrelatorOutOfRange for an exact correlator outside [-1, 1].
 
-    Exact ones may exceed it by the norm drift that the propagators accept
-    (about 2*DRIFT_LIMIT), sampled ones by a few standard errors.
+    It may exceed the range by the norm drift that the propagators accept
+    (about 2*DRIFT_LIMIT); a NaN fails too.
     """
-    eps = 3.0 * DRIFT_LIMIT if shots == 0 else 3.0 / np.sqrt(shots)
-    bad = np.argwhere(np.abs(values) > 1.0 + eps)
+    bad = np.argwhere(~(np.abs(values) <= 1.0 + 3.0 * DRIFT_LIMIT))
     if bad.size:
         row, col = bad[0]
         raise CorrelatorOutOfRange(f"correlator {CORRELATOR_LABELS[col]} = "
@@ -84,13 +83,12 @@ def measure_correlators(states: np.ndarray, shots: int = 0, seed=None) -> np.nda
 
     Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values.  In
     sampled mode all n x 10 counts come from one ``binomial`` call on
-    ``np.random.default_rng(seed)``, in row-major order.
+    ``np.random.default_rng(seed)``, in row-major order.  The exact values
+    are range-checked in both modes, before any sampling.
     """
     values = _exact(states)
-    if shots:
-        values = _sample(values, shots, seed)
-    _check_range(values, shots)
-    return values
+    _check_range(values)
+    return _sample(values, shots, seed) if shots else values
 
 
 def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarray:

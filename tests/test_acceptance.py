@@ -35,7 +35,7 @@ from adiasim.schedule import (
     constant_frame_hamiltonian,
     frame_rotation_angle,
 )
-from adiasim.tomography import CORRELATOR_LABELS, measure_correlators, rotate_correlators
+from adiasim.tomography import CORRELATOR_LABELS, energy_terms, measure_correlators, rotate_correlators
 
 FIG3B = dict(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
 FIG4 = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
@@ -242,11 +242,12 @@ def test_criterion_7_mitigation_ordinality(capsys):
     details = []
     for label in ("00", "11"):
         end_states = np.array([
-            propagate_lindblad(schedule, t_ad, basis_state(label), noise, DT, 4).final_state
+            propagate_lindblad(schedule, t_ad, basis_state(label), noise, DT, 4).states[-1]
             for t_ad in durations
         ])
-        measured, per_term, _ = mitigate_energy(schedule, durations,
-                                                measure_correlators(end_states))
+        end_terms = energy_terms(measure_correlators(end_states), schedule,
+                                 np.ones(len(durations)))
+        measured, per_term, _ = mitigate_energy(durations, end_terms)
         energy = float(per_term.sum())
         variants = exact[label]
         selected = min(variants, key=lambda k: abs(variants[k] - energy))
@@ -320,7 +321,7 @@ def test_criterion_8_property_suites(capsys):
             j_final=rng.uniform(0.0, 2.0), zz=rng.uniform(0.0, 0.5))
         label = ("00", "01", "10", "11")[rng.integers(4)]
         traj = propagate_lindblad(schedule, 0.5, basis_state(label), noise, 0.005, 2)
-        r = traj.final_state
+        r = traj.states[-1]
         rho = np.einsum("k,kij->ij", r, PAULI_BASIS) / 4.0
         trace_ok &= abs(np.trace(rho).real - 1.0) < 1e-6
         trace_ok &= np.allclose(rho, rho.conj().T, atol=1e-9)
@@ -332,7 +333,7 @@ def test_criterion_8_property_suites(capsys):
     # double the apparent order).
     schedule = ProtocolSchedule(**FIG4)
     psi0 = basis_state("01")
-    finals = {dt: propagate_unitary(schedule, 5.0, psi0, dt, 2).final_state
+    finals = {dt: propagate_unitary(schedule, 5.0, psi0, dt, 2).states[-1]
               for dt in (0.002, 0.001, 0.0005)}
     err = {dt: float(np.linalg.norm(finals[dt] - finals[0.0005]))
            for dt in (0.002, 0.001)}

@@ -150,7 +150,7 @@ class TestSpectralTrace:
         r = math.ceil(100 / (n_grid - 1))
         fine = np.linspace(0.0, 1.0, r * (n_grid - 1) + 1)
         fine[::r] = s
-        _, fine_energies, fine_vectors = _tracked_eigensystem(FIG4, fine)
+        fine_energies, fine_vectors = _tracked_eigensystem(FIG4, fine)
         assert np.array_equal(energies, fine_energies[::r])
         assert np.array_equal(vectors, fine_vectors[::r])
 
@@ -164,8 +164,7 @@ def reference_tracked_eigensystem(schedule, s):
     """Sequential level tracking, one grid step at a time: each step's
     overlaps are taken against the previous step's tracked vectors, the
     assignment is the best of the 24 permutations by brute force, and each
-    new vector is phase-fixed so its overlap with its predecessor is real
-    and positive."""
+    vector keeps eigh's phase."""
     sorted_e, vecs = np.linalg.eigh(np.stack([schedule.hamiltonian(v) for v in s]))
     tracked_e, tracked_v = sorted_e.copy(), vecs.copy()
     for i in range(1, len(s)):
@@ -181,11 +180,7 @@ def reference_tracked_eigensystem(schedule, s):
                         key=lambda p: sum(overlap[k, p[k]] for k in range(4))))
         tracked_e[i] = sorted_e[i][perm]
         tracked_v[i] = vecs[i][:, perm]
-        for k in range(4):
-            phase = np.vdot(tracked_v[i - 1][:, k], tracked_v[i][:, k])
-            if abs(phase) > 0.0:
-                tracked_v[i][:, k] *= phase.conj() / abs(phase)
-    return sorted_e, tracked_e, tracked_v
+    return tracked_e, tracked_v
 
 
 class TestBatchedTracking:
@@ -196,16 +191,12 @@ class TestBatchedTracking:
                                                   (FIG4, 2), (LineCrossings(), 101)])
     def test_matches_sequential_reference(self, schedule, n_grid):
         s = np.linspace(0.0, 1.0, n_grid)
-        sorted_e, tracked_e, tracked_v = _tracked_eigensystem(schedule, s)
-        ref_sorted, ref_e, ref_v = reference_tracked_eigensystem(schedule, s)
+        tracked_e, tracked_v = _tracked_eigensystem(schedule, s)
+        ref_e, ref_v = reference_tracked_eigensystem(schedule, s)
         if isinstance(schedule, LineCrossings):
             assert np.array_equal(tracked_e[-1], np.sort(tracked_e[-1])[::-1])
-        assert np.array_equal(sorted_e, ref_sorted)
         assert np.array_equal(tracked_e, ref_e)
-        assert np.max(np.abs(tracked_v - ref_v)) <= 1e-12
-        successive = np.einsum("ijk,ijk->ik", tracked_v[:-1].conj(), tracked_v[1:])
-        assert np.all(np.abs(successive.imag) <= 1e-12)
-        assert np.all(successive.real > 0.0)
+        assert np.array_equal(tracked_v, ref_v)
 
     def test_label_continuation_matches_sequential_loop(self, monkeypatch):
         """Pointer doubling composes the step permutations into the labels
@@ -422,7 +413,7 @@ class TestDiabaticSlope:
         fit to the closed form gives the slope of the tracked bare levels."""
         bare = schedule.with_(j_final=0.0, zz=0.0)
         s = np.linspace(0.0, 1.0, 1001)
-        _, tracked_e, _ = _tracked_eigensystem(bare, s)
+        tracked_e, _ = _tracked_eigensystem(bare, s)
         tracked = tracked_e[:, 2] - tracked_e[:, 1]
         closed = (np.hypot(schedule.z1 * (1 - s), schedule.x1 * s)
                   - np.hypot(schedule.z2 * (1 - s), schedule.x2 * s))

@@ -186,6 +186,13 @@ class TestRunCommand:
         assert "outside [-1, 1] range" in err
         assert "Traceback" not in err
 
+    def test_sampled_correlator_out_of_range_exits_3(self, tmp_path, capsys):
+        """A sampled run checks its exact correlators before it samples them."""
+        cfg = write_config(tmp_path, UNSTABLE_TABLE1.format(x2=55) + "shots = 1000\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "run failed (CorrelatorOutOfRange)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n"
                                      "[simulation]\nshots = 10000\nseed = -1\n")
@@ -698,8 +705,9 @@ class TestExitCodeContract:
     # one-duration twin), a table1 run whose three durations share one
     # eigensystem, a table1 run whose thermal occupation makes the Lindblad
     # steps diverge (exit 3), a table1 run whose large x2 drives its
-    # correlators outside [-1, 1] (exit 3), and a sampled fig1 run and a
-    # three-duration fig4 run that both exit 0.  Generated ones mostly stop
+    # correlators outside [-1, 1] (exit 3), a table1 run whose Pauli vectors
+    # overflow while their trace stays 1 (exit 3), and a sampled fig1 run and
+    # a three-duration fig4 run that both exit 0.  Generated ones mostly stop
     # earlier in validation: most edge values of the noise and simulation
     # fields are out of bounds, and fig1 and chevron take one duration.
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -711,6 +719,10 @@ class TestExitCodeContract:
              other={("noise", "nth"): "1e6"})
     @example(name="table1", fields=dict(NO_FIELDS, x2="55"), t_ad="1, 2, 3", n_samples=20,
              other={("simulation", "dt_us"): "0.01"})
+    @example(name="table1", fields=dict(z1="79.2929", z2="0.0051", x1="0.0", x2="1.077",
+                                        j="-8.199", zz="388.9903"), t_ad="1, 2, 3", n_samples=2,
+             other={("simulation", "dt_us"): "0.005", ("noise", "t1_us"): "5",
+                    ("noise", "t2_us"): "0.5", ("simulation", "shots"): "1"})
     @example(name="fig1", fields=NO_FIELDS, t_ad="2", n_samples=4,
              other={("simulation", "shots"): "1000", ("output", "format"): "json"})
     @example(name="fig4", fields=NO_FIELDS, t_ad="0.5, 1, 2", n_samples=4, other={})

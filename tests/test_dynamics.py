@@ -275,8 +275,8 @@ class TestUnitaryPropagation:
     def test_halving_dt_settles_fidelity(self):
         """At the default step the result is converged: halving dt moves the
         (normalized) final-state fidelity by less than 1e-8."""
-        a = propagate_unitary(FIG4, 10.0, basis_state("01"), dt=0.002, n_samples=10).final_state
-        b = propagate_unitary(FIG4, 10.0, basis_state("01"), dt=0.001, n_samples=10).final_state
+        a = propagate_unitary(FIG4, 10.0, basis_state("01"), dt=0.002, n_samples=10).states[-1]
+        b = propagate_unitary(FIG4, 10.0, basis_state("01"), dt=0.001, n_samples=10).states[-1]
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         assert 1.0 - abs(np.vdot(a, b)) ** 2 < 1e-8
@@ -285,11 +285,11 @@ class TestUnitaryPropagation:
         """Errors of the dt and dt/2 runs, measured against a dt/4 reference,
         shrink by ~2^4."""
         psi0 = basis_state("01")
-        ref = propagate_unitary(FIG4, 5.0, psi0, dt=0.0005, n_samples=4).final_state
+        ref = propagate_unitary(FIG4, 5.0, psi0, dt=0.0005, n_samples=4).states[-1]
         err1 = np.linalg.norm(
-            propagate_unitary(FIG4, 5.0, psi0, dt=0.002, n_samples=4).final_state - ref)
+            propagate_unitary(FIG4, 5.0, psi0, dt=0.002, n_samples=4).states[-1] - ref)
         err2 = np.linalg.norm(
-            propagate_unitary(FIG4, 5.0, psi0, dt=0.001, n_samples=4).final_state - ref)
+            propagate_unitary(FIG4, 5.0, psi0, dt=0.001, n_samples=4).states[-1] - ref)
         order = math.log2(err1 / err2)
         assert 3.5 <= order <= 4.5
 
@@ -389,7 +389,7 @@ class TestLindbladPropagation:
         noise = NoiseModel(t1=1.0, t2=2.0, n_th=nth)
         traj = propagate_lindblad(ZERO_FIELD, 10.0, basis_state("00"), noise,
                                   dt=0.002, n_samples=10)
-        r_end = traj.final_state
+        r_end = traj.states[-1]
         expected = nth / (1 + 2 * nth)
         p1 = 0.5 * (1.0 + r_end[column("ZI")])  # qubit 1 excited marginal
         p2 = 0.5 * (1.0 + r_end[column("IZ")])  # qubit 2 excited marginal
@@ -416,7 +416,7 @@ class TestLindbladPropagation:
         for t_ad in (5.0, 10.0, 20.0, 30.0):
             traj = propagate_lindblad(FIG4, t_ad, basis_state("11"), DEFAULT_NOISE,
                                       n_samples=10)
-            terms = energy_terms(measure_correlators(traj.final_state[None]), FIG4, [1.0])[0]
+            terms = energy_terms(measure_correlators(traj.states[-1][None]), FIG4, [1.0])[0]
             magnitudes.append(dict(zip(ENERGY_TERMS, np.abs(terms))))
         for key in magnitudes[0]:
             seq = [m[key] for m in magnitudes]
@@ -550,6 +550,14 @@ class TestAgainstStepLoop:
                                               np.ones((4, 4)))
         with pytest.raises(StepTooLarge):
             propagate_custom(nan_ham, 1.0, basis_state("00"), dt=0.005, n_samples=4)
+
+    def test_non_finite_pauli_vector_raises(self):
+        """A Lindblad run whose Pauli vectors overflow fails the guard, although
+        their r_II, and with it the trace drift, stays exactly 1."""
+        schedule = ProtocolSchedule(79.2929, 0.0051, 0.0, 1.077, -8.199, 388.9903)
+        psi0 = np.stack([basis_state("00"), basis_state("11")])
+        with pytest.raises(StepTooLarge, match="trace drift nan"):
+            propagate_lindblad(schedule, 1.0, psi0, NoiseModel(5, 0.5), dt=0.005, n_samples=2)
 
 
 def complex_interval_maps(ham, t_ad, dt, n_samples):

@@ -12,7 +12,7 @@ from adiasim.mitigation import (
     mitigate_energy,
 )
 from adiasim.schedule import ProtocolSchedule
-from adiasim.tomography import CORRELATOR_LABELS, energy_terms
+from adiasim.tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms
 
 N_RANDOM = 120
 
@@ -26,6 +26,11 @@ def make_row(values: dict) -> np.ndarray:
 
 
 SCHEDULE = ProtocolSchedule(**FIG4_KW)
+
+
+def end_terms(rows: np.ndarray) -> np.ndarray:
+    """The (n, 6) estimator terms of (n, 10) correlator rows at the end of the sweep, s = 1."""
+    return energy_terms(rows, SCHEDULE, np.ones(len(rows)))
 
 
 class TestExtrapolateQuadratic:
@@ -97,9 +102,9 @@ class TestMitigateEnergy:
     def test_noise_free_runs_change_nothing(self):
         """Identical correlators at every duration extrapolate to themselves."""
         values = {"XI": 0.3, "IX": -0.4, "XX": 0.2, "YY": 0.1}
-        rows = np.array([make_row(values)] * len(T_AD_GRID))
-        measured, per_term, _ = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
-        single = energy_terms(rows[:1], SCHEDULE, [1.0]).sum()
+        terms = end_terms(np.array([make_row(values)] * len(T_AD_GRID)))
+        measured, per_term, _ = mitigate_energy(T_AD_GRID, terms)
+        single = terms[0].sum()
         assert per_term.sum() == pytest.approx(single, abs=1e-9)
         assert measured[0] == pytest.approx(single, abs=1e-12)
 
@@ -113,7 +118,7 @@ class TestMitigateEnergy:
                       for k in zero_values})
             for t_ad in T_AD_GRID
         ])
-        measured, per_term, residuals = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
+        measured, per_term, residuals = mitigate_energy(T_AD_GRID, end_terms(rows))
         sch0 = SCHEDULE
         expected = [0.5 * sch0.x1 * zero_values["XI"], 0.5 * sch0.x2 * zero_values["IX"],
                     0.25 * sch0.j_final * zero_values["XX"], 0.25 * sch0.j_final * zero_values["YY"]]
@@ -131,26 +136,26 @@ class TestMitigateEnergy:
                 make_row({k: rng.uniform(-0.9, 0.9) for k in ("XI", "IX", "XX", "YY")})
                 for _ in T_AD_GRID
             ])
-            measured, per_term, _ = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
+            measured, per_term, _ = mitigate_energy(T_AD_GRID, end_terms(rows))
             total, _ = extrapolate_quadratic(T_AD_GRID, measured)
             assert per_term.sum() == pytest.approx(total, abs=1e-9)
 
     def test_rows_must_match_schedules(self):
-        """One row of all ten correlators per duration, or ValueError."""
+        """One row of all six energy terms per duration, or ValueError."""
         n = len(T_AD_GRID)
-        width = len(CORRELATOR_LABELS)
+        width = len(ENERGY_TERMS)
         for shape in ((n - 1, width), (n + 1, width), (n, width - 2), (n, width + 1), (width,)):
-            with pytest.raises(ValueError, match="one correlator row per duration"):
-                mitigate_energy(SCHEDULE, T_AD_GRID, np.zeros(shape))
+            with pytest.raises(ValueError, match="one row of energy terms per duration"):
+                mitigate_energy(T_AD_GRID, np.zeros(shape))
         with pytest.raises(ValueError, match="no runs"):
-            mitigate_energy(SCHEDULE, [], np.zeros((0, width)))
+            mitigate_energy([], np.zeros((0, width)))
 
     def test_soft_property_on_convex_decay(self):
         """For convexly decaying magnitudes the extrapolated value tends to
         sit at or above the largest measurement.  This is reported, not
         asserted, because quadratic fits can undershoot on non-convex data."""
         rows = np.array([make_row({"IX": 0.9 * math.exp(-t_ad / 20.0)}) for t_ad in T_AD_GRID])
-        measured, per_term, _ = mitigate_energy(SCHEDULE, T_AD_GRID, rows)
+        measured, per_term, _ = mitigate_energy(T_AD_GRID, end_terms(rows))
         energy = per_term.sum()
         largest = np.max(np.abs(measured))
         print(f"soft check: |extrapolated| = {abs(energy):.6f}, "

@@ -1,10 +1,12 @@
 """Tests for scenario runners: files written and report contents."""
 
+import gc
 import json
 import math
 import os
 import sys
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -115,7 +117,7 @@ class TestCrossingPopulations:
             entry = per_t_ad[f"{t_ad:g}"]
             for label in config.initial_states:
                 final = propagate_unitary(schedule, t_ad, basis_state(label), config.dt_us,
-                                          10).final_state
+                                          10).states[-1]
                 pops = sorted_level_populations(final, schedule, 1.0)
                 assert abs(entry[f"p_diabatic_measured_{label}"] - pops[2]) <= 1e-12
                 assert abs(entry[f"p_adiabatic_measured_{label}"] - pops[1]) <= 1e-12
@@ -248,6 +250,27 @@ class TestOnePropagationPerDuration:
         run_scenario(config)
         assert calls == [(t_ad, (states, 4)) for t_ad in (1.0, 2.0, 3.0)]
 
+    @pytest.mark.parametrize("name, propagator", [
+        ("fig3b", "propagate_unitary"), ("table1", "propagate_lindblad")])
+    def test_no_trajectory_outlives_its_duration(self, tmp_path, monkeypatch, name, propagator):
+        """Each duration's states are dead when the next duration is
+        propagated: the run keeps only their end rows."""
+        states, alive = [], []
+        original = getattr(scenarios, propagator)
+
+        def tracked(*args):
+            gc.collect()
+            alive.append([ref() is not None for ref in states])
+            traj = original(*args)
+            states.append(weakref.ref(traj.states))
+            return traj
+
+        monkeypatch.setattr(scenarios, propagator, tracked)
+        config = make_config(f"[scenario]\nname = {name}\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
+                             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        assert alive == [[], [False], [False, False]]
+
 
 def count_tomography_calls(monkeypatch, *names):
     """Record the length of the first argument of each call to the named
@@ -282,9 +305,9 @@ class TestColumnTomography:
             "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
-        # One 5-sample array per duration and state (|00> and |11>), then
-        # mitigation reads each state's three end rows in one call.
-        assert calls == {"measure_correlators": [5] * 6, "energy_terms": [5] * 6 + [3, 3]}
+        # One 5-sample array per duration and state (|00> and |11>); mitigation
+        # reads the end rows of those energy terms and weighs nothing again.
+        assert calls == {"measure_correlators": [5] * 6, "energy_terms": [5] * 6}
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import (
     CORRELATOR_LABELS,
     CROSS_LABELS,
+    CorrelatorOutOfRange,
     ENERGY_TERMS,
     energy_terms,
     measure_correlators,
@@ -243,11 +244,16 @@ class TestCorrelatorArrays:
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_range_check(self, mixed):
+        """Exact values are checked before sampling, whose means of +-1 shots
+        always lie in [-1, 1]; a NaN fails too."""
         states = np.stack([basis_state("00"), PSI0])
         if mixed:
             states = pauli_vector(np.einsum("ni,nj->nij", states, states.conj()))
-        with pytest.raises(ValueError, match="outside"):
-            measure_correlators(1.01 * states)
+        for shots in (0, 1000):
+            with pytest.raises(CorrelatorOutOfRange, match="outside"):
+                measure_correlators(1.01 * states, shots, seed=3)
+        with pytest.raises(CorrelatorOutOfRange, match="nan outside"):
+            measure_correlators(np.where(states == 0, np.nan, states))
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_range_allows_the_drift_the_propagators_accept(self, mixed):
