@@ -177,68 +177,53 @@ class ScenarioConfig:
         return "\n".join(lines[1:]) + "\n"
 
 
-def _parse_float(raw: str, where: str, errors: list[str]) -> float | None:
+def _parse_float(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        errors.append(f"{where}: not a number: {raw!r}")
-        return None
+        raise ValueError(f"not a number: {raw!r}") from None
     if math.isnan(value):
-        errors.append(f"{where}: NaN is not allowed")
-        return None
+        raise ValueError("NaN is not allowed")
     return value
 
 
-def _parse_float_list(raw: str, where: str, errors: list[str]) -> tuple[float, ...] | None:
+def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
-        errors.append(f"{where}: empty list")
-        return None
-    out = []
-    for piece in items:
-        value = _parse_float(piece, where, errors)
-        if value is None:
-            return None
-        out.append(value)
-    return tuple(out)
+        raise ValueError("empty list")
+    return tuple(_parse_float(piece) for piece in items)
 
 
-def _parse_pair(raw: str, where: str, errors: list[str]) -> tuple[float, float] | None:
-    values = _parse_float_list(raw, where, errors)
-    if values is None:
-        return None
-    if len(values) == 1:
-        return (values[0], values[0])
-    if len(values) == 2:
-        return (values[0], values[1])
-    errors.append(f"{where}: expected one or two values, got {len(values)}")
-    return None
+def _parse_pair(raw: str) -> tuple[float, float]:
+    values = _parse_float_list(raw)
+    if len(values) > 2:
+        raise ValueError(f"expected one or two values, got {len(values)}")
+    return (values[0], values[-1])
 
 
-def _parse_int(raw: str, where: str, errors: list[str]) -> int | None:
+def _parse_int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        errors.append(f"{where}: not an integer: {raw!r}")
-        return None
+        raise ValueError(f"not an integer: {raw!r}") from None
 
 
-def _parse_bool(raw: str, where: str, errors: list[str]) -> bool | None:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    errors.append(f"{where}: not a boolean: {raw!r}")
-    return None
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-# (parser, formatter) of each kind of field.
+# (parser, formatter) of each kind of field.  A parser raises ValueError
+# with the text that validate_config reports under the field.
 _FLOAT = (_parse_float, lambda value: repr(float(value)))
 _FLOATS = (_parse_float_list, lambda values: ", ".join(repr(float(v)) for v in values))
 _PAIR = (_parse_pair, _FLOATS[1])
 _INT = (_parse_int, str)
-_TEXT = (lambda raw, where, errors: raw.strip(), str)
+_TEXT = (str.strip, str)
 
 # Single-value bounds, as (predicate, error text formatted with the value).
 _FINITE = (math.isfinite, "must be finite, got {!r}")
@@ -251,7 +236,7 @@ _NONNEGATIVE = (lambda value: value >= 0, "must be >= 0, got {!r}")
 _FIELDS = (
     ("scenario", "name", "name", _TEXT, None, None),
     ("scenario", "initial_states", "initial_states",
-     (lambda raw, where, errors: tuple(p.strip() for p in raw.split(",") if p.strip()),
+     (lambda raw: tuple(p.strip() for p in raw.split(",") if p.strip()),
       ", ".join), ("01",), None),
     *(("schedule", key, key, _FLOAT, None, _FINITE) for key in ("z1", "z2", "x1", "x2")),
     *(("schedule", key, key, _FLOAT, 0.0, _FINITE) for key in ("j", "zz")),
@@ -269,7 +254,7 @@ _FIELDS = (
      (lambda n: 0 <= n <= _MAX_SHOTS, f"must be >= 0 and at most {_MAX_SHOTS}, got {{!r}}")),
     ("simulation", "seed", "seed", _INT, 0, _NONNEGATIVE),
     ("output", "directory", "out_dir", _TEXT, "out", (bool, "must be nonempty")),
-    ("output", "format", "format", (lambda raw, where, errors: raw.strip().lower(), str), "csv",
+    ("output", "format", "format", (lambda raw: raw.strip().lower(), str), "csv",
      (lambda fmt: fmt in ("csv", "json"), "must be csv or json, got {!r}")),
 )
 _KNOWN_KEYS = {section: tuple(row[1] for row in rows)
@@ -323,9 +308,10 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
     for section, key, attr, (parse, fmt), _, bound in _FIELDS:
         where = f"{section}.{key}"
         if key in raw.get(section, {}):
-            value = parse(raw[section][key], where, errors)
-            if value is not None:
-                merged[attr] = value
+            try:
+                merged[attr] = parse(raw[section][key])
+            except ValueError as exc:
+                errors.append(f"{where}: {exc}")
         elif attr not in merged:
             errors.append(f"{where}: missing required field for a custom scenario")
         if attr not in merged:  # missing, or unparseable without a preset
@@ -409,10 +395,11 @@ def validate_config(text: str, override_name: str | None = None) -> tuple[Scenar
 
 
 def read_config_text(path: str) -> str:
-    """The text of a UTF-8 config file; ConfigParse if it cannot be read."""
+    """The text of a UTF-8 config file, without the byte-order mark that some
+    editors write first; ConfigParse if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
 

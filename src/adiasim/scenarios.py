@@ -17,7 +17,6 @@ produced it.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -130,6 +129,11 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Rows hi, lo and the two halves of hi, of 10**(16 - E) for E = _E_MIN .. _E_MAX.
 _POWERS = np.array([_power_of_ten(16 - e) for e in range(_E_MIN, _E_MAX + 1)]).T
 _POWERS = np.vstack([_POWERS, _split(_POWERS[0])])
+# The text "0000" .. "9999" of k at index k, and "e-99" .. "e+99" of E at
+# index E - _E_MIN, each as the bytes of a uint32 word.
+_GROUPS = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_GROUPS = _GROUPS.astype(np.uint8).view(np.uint32)[:, 0]
+_EXPONENTS = np.array([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)]).view(np.uint32)
 
 
 def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -179,39 +183,6 @@ def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return digits, tail, exponent, safe
 
 
-def _digit_words(numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 digits of each int64 in [0, 1e17): the first as its ASCII byte,
-    and the other 16 as two rows of ASCII words, 8 digits in the bytes of an
-    int64 with the first in the lowest byte, so that the words lie in memory
-    as text.
-
-    Every word holds a number below 1e8.  It is split into two lanes of 32
-    bits, its quotient by 10**4 and the remainder, then each lane into two of
-    16 bits by 100, and each of those into bytes by 10.  A lane's quotient is
-    a multiplication by a rounded-up reciprocal, exact below 10**4 (100).
-    """
-    high = numbers // 10**8
-    lead = high // 10**8
-    words = np.empty((2, len(numbers)), np.uint64)
-    np.subtract(high, lead * 10**8, out=words[0], casting="unsafe")
-    np.subtract(numbers, high * 10**8, out=words[1], casting="unsafe")
-    high = words // 10**4
-    words -= high * 10**4
-    words <<= 32
-    words |= high
-    for factor, shift, mask, divisor, width in ((5243, 19, 0x0000007F0000007F, 100, 16),
-                                                (103, 10, 0x000F000F000F000F, 10, 8)):
-        np.multiply(words, factor, out=high)
-        high >>= shift
-        high &= mask
-        words -= high * divisor
-        words <<= width
-        words |= high
-    words |= 0x3030303030303030
-    lead += ord("0")
-    return lead, words.view(np.int64)
-
-
 def _write_texts(fields: np.ndarray, where: np.ndarray, texts: list[str]) -> None:
     """Overwrite the rows ``where`` of the (values, bytes) array ``fields`` by
     ``texts``, padded with zero bytes."""
@@ -225,36 +196,38 @@ def _text(slots: np.ndarray) -> np.ndarray:
     return np.frombuffer(slots.tobytes().translate(None, b"\0"), np.uint8)
 
 
-@functools.cache
-def _exponent_words() -> np.ndarray:
-    """"e-XX" for E = _E_MIN .. _E_MAX as the bytes of an int64, at index E - _E_MIN."""
-    return np.array([int.from_bytes(b"e%+03d" % e, "little") for e in range(_E_MIN, _E_MAX + 1)])
-
-
 def _lines(block: np.ndarray, comma: bytes, newline: bytes) -> np.ndarray:
     """The rows of a 2-D float array as uint8 bytes: each value written as
     format(v, ".16e"), followed by ``comma``, or by ``newline`` at the end of
     its row (each at most 4 bytes).
 
-    Each value fills a slot of four 8-byte words, "-d." and padding, 16
-    digits, "e-dd" and the separator; its zero bytes are padding.
+    Each value fills a slot of seven 4-byte words: "-d." and padding, four
+    groups of 4 digits, "e-dd" and the separator; its zero bytes are padding.
     ``_decimal_digits`` gives the digits; format() itself writes the values
     where they are not exact: not safe, or with a rest within 1e-9 of a half
-    (a tie, or too close to tell).
+    (a tie, or too close to tell); its text, at most 24 bytes, overwrites
+    the first six words.
     """
     values = block.ravel()
     digits, rest, exponent, safe = _decimal_digits(values)
-    lead, (middle, tail) = _digit_words(digits)
-    out = np.empty((values.size, 4), np.int64)
-    out[:, 0] = np.signbit(values) * ord("-") | lead << 8 | ord(".") << 16
-    out[:, 1] = middle
-    out[:, 2] = tail
-    out[:, 3] = _exponent_words()[exponent - _E_MIN]
+    high = digits // 10**8
+    lead = high // 10**8
+    # The 16 digits after the lead, as two lanes of 8 and each lane as two groups of 4.
+    lanes = np.empty((2, values.size), np.int32)
+    np.subtract(high, lead * 10**8, out=lanes[0], casting="unsafe")
+    np.subtract(digits, high * 10**8, out=lanes[1], casting="unsafe")
+    quotients = lanes // 10**4
+    lanes -= quotients * 10**4
+    out = np.empty((values.size, 7), np.uint32)
+    out[:, 0] = np.signbit(values) * ord("-") | (lead + ord("0")) << 8 | ord(".") << 16
+    out[:, 1:5:2] = np.take(_GROUPS, quotients).T
+    out[:, 2:5:2] = np.take(_GROUPS, lanes).T
+    out[:, 5] = np.take(_EXPONENTS, exponent - _E_MIN)
     inexact = np.flatnonzero(~safe | (np.abs(rest) >= 0.5 - 1e-9))
-    _write_texts(out.view(np.uint8)[:, :28], inexact, [format(v, ".16e") for v in values[inexact].tolist()])
-    separators = out.reshape(block.shape + (4,))[..., 3]
-    separators[:, :-1] |= int.from_bytes(comma, "little") << 32
-    separators[:, -1] |= int.from_bytes(newline, "little") << 32
+    _write_texts(out.view(np.uint8)[:, :24], inexact, [format(v, ".16e") for v in values[inexact].tolist()])
+    separators = out.reshape(block.shape + (7,))[..., 6]
+    separators[:, :-1] = int.from_bytes(comma, "little")
+    separators[:, -1] = int.from_bytes(newline, "little")
     return _text(out)
 
 

@@ -157,6 +157,21 @@ class TestRunCommand:
         assert "config error: cannot read" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        """A config that an editor saved with a UTF-8 byte-order mark
+        validates, and runs to the same files as without the mark."""
+        text = "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 1, 2\n\n[simulation]\nn_samples = 5\n"
+        plain = write_config(tmp_path, text, "plain.ini")
+        marked = tmp_path / "marked.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["validate", str(marked)]) == 0
+        assert main(["run", plain, "--out", str(tmp_path / "plain")]) == 0
+        assert main(["run", str(marked), "--out", str(tmp_path / "marked")]) == 0
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert sorted(os.listdir(tmp_path / "marked")) == names
+        for name in names:
+            assert masked_bytes(tmp_path / "marked" / name) == masked_bytes(tmp_path / "plain" / name)
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STIFF_CONFIG)
         rc = main(["run", cfg, "--out", str(tmp_path / "o")])

@@ -212,6 +212,23 @@ class TestValidationErrors:
         errors = invalid(CUSTOM_MINIMAL.replace("z1 = 2.5", "z1 = fast"))
         assert any("schedule.z1" in e and "not a number" in e for e in errors)
 
+    @pytest.mark.parametrize("name, section, line, error", [
+        ("fig4", "schedule", "j = fast", "schedule.j: not a number: 'fast'"),
+        ("fig4", "schedule", "j = nan", "schedule.j: NaN is not allowed"),
+        ("fig4", "schedule", "t_ad = ,", "schedule.t_ad: empty list"),
+        ("fig4", "schedule", "t_ad = 5, 1x", "schedule.t_ad: not a number: '1x'"),
+        ("table1", "noise", "t1_us = 50, 60, 70",
+         "noise.t1_us: expected one or two values, got 3"),
+        ("fig4", "simulation", "n_samples = 3.5", "simulation.n_samples: not an integer: '3.5'"),
+        ("table1", "noise", "enabled = maybe", "noise.enabled: not a boolean: 'maybe'"),
+        ("fig4", "output", "format = xml", "output.format: must be csv or json, got 'xml'"),
+    ], ids=["float", "float-nan", "float-list-empty", "float-list-item", "pair", "int", "bool",
+            "format"])
+    def test_malformed_value_error_text(self, name, section, line, error):
+        """A malformed value of each kind of field is reported once, under
+        its field, with no other error."""
+        assert invalid(f"[scenario]\nname = {name}\n\n[{section}]\n{line}\n") == [error]
+
     def test_nan_rejected(self):
         errors = invalid(CUSTOM_MINIMAL.replace("z1 = 2.5", "z1 = nan"))
         assert any("schedule.z1" in e for e in errors)

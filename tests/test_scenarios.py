@@ -638,6 +638,10 @@ FAMILIES = {
     "integers": neighbours(np.concatenate([
         np.arange(-1000, 1001), np.random.default_rng(24).integers(-2**53, 2**53, 2000),
         [2.0**53, 2.0**53 - 1, 10.0**15, 10.0**15 - 1, 123456789012345.0]])),
+    # Groups of 4 digits after the lead that are all zeros or all nines.
+    "digit-groups": [float(f"{mantissa}e{k}") for k in [*range(-99, 100), -100]
+                     for mantissa in ("1.0000999900009999", "9.9999000099990000",
+                                      "1.9999000099990000", "9.0000999900009999")],
 }
 
 
@@ -662,6 +666,12 @@ class TestCsvFormatting:
         for block in family_blocks(family):
             for comma, newline in SEPARATORS:
                 assert kernel_text(block, comma, newline) == format_text(block, comma, newline)
+
+    def test_digit_tables(self):
+        groups = [scenarios._GROUPS[k].tobytes() for k in range(10**4)]
+        assert groups == [b"%04d" % k for k in range(10**4)]
+        exponents = [word.tobytes() for word in scenarios._EXPONENTS]
+        assert exponents == [b"e%+03d" % e for e in range(-99, 100)]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(FINITE_ROWS)
