@@ -2,7 +2,7 @@
 
 Core pieces:
 
-* schedule     — the sweep Hamiltonian H(s) and the constant drive frame
+* schedule     — the sweep Hamiltonian H(s) and the angle between the drive frames
 * dynamics     — Schrodinger / Lindblad RK4 propagation
 * tomography   — correlator arrays, shot sampling, the energy estimator, frame rotation
 * analysis     — tracked levels, minimum gap, diabatic slope, LZ formula
@@ -45,7 +45,6 @@ from .dynamics import (
     UnphysicalNoise,
     basis_state,
     collapse_operators,
-    propagate_custom,
     propagate_lindblad,
     propagate_unitary,
 )
@@ -57,7 +56,6 @@ from .mitigation import (
 from .schedule import (
     ProtocolSchedule,
     TimeOutOfRange,
-    constant_frame_hamiltonian,
     frame_rotation_angle,
 )
 from .scenarios import Unwritable, read_trace_config, run_scenario

@@ -43,8 +43,7 @@ maps.  It stays bounded however many steps an
 interval or samples a run holds.  A sweep of duration t_ad is affine in
 s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
 R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per call by the
-same step formula on coefficient stacks in s; an arbitrary H(t) callable is
-called once per batch.
+same step formula on coefficient stacks in s.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample, and once a trajectory is built an error is raised at
@@ -72,7 +71,6 @@ __all__ = [
     "collapse_operators",
     "propagate_unitary",
     "propagate_lindblad",
-    "propagate_custom",
 ]
 
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -247,8 +245,7 @@ def _schrodinger_generator(ham: np.ndarray) -> np.ndarray:
     return gen
 
 
-def _rk4_step(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float,
-              mul=np.matmul) -> np.ndarray:
+def _rk4_step(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float, mul) -> np.ndarray:
     """R - I of the RK4 step in the module docstring, as h/6 (K4 + 2 K3 + 2 K2 + K1).
 
     ``mul`` is the product of the stage generators ``a1..a3``: ``np.matmul``
@@ -438,29 +435,6 @@ def propagate_unitary(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray,
     psi0 = _pure_initial(psi0)
     times, x, drifts = _sweep(schedule, t_ad, None, dt, n_samples,
                               np.concatenate([psi0.real, psi0.imag], axis=-1))
-    return Trajectory(times=times, states=x[..., :4] + 1j * x[..., 4:], drifts=drifts)
-
-
-def propagate_custom(ham, t_ad: float, psi0: np.ndarray,
-                     dt: float = 0.002, n_samples: int = 300) -> Trajectory:
-    """Integrate the Schrodinger equation for an arbitrary H(t) callable.
-
-    ``psi0`` is as for propagate_unitary.  ``ham(times)`` gets one group's n
-    stage times in [0, t_ad] as a 1-D array, the 2m+1 half-step times of
-    each interval of the group in turn, so that a boundary between two
-    intervals appears twice.  It returns an (n, 4, 4) stack of Hermitian
-    matrices [MHz], or one 4x4 for all.
-    """
-    psi0 = _pure_initial(psi0)
-    times, steps, h = _sample_grid(t_ad, dt, n_samples)
-
-    def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
-        hams = np.broadcast_to(ham(stage_times.ravel()), (stage_times.size, 4, 4))
-        gens = _schrodinger_generator(hams.reshape(stage_times.shape + (4, 4)))
-        np.add(_rk4_step(gens[:, :-2:2], gens[:, 1::2], gens[:, 2::2], h), np.eye(8), out=out)
-
-    x, drifts = _propagate(step_matrices, times, steps, h,
-                           np.concatenate([psi0.real, psi0.imag], axis=-1), _norm_drift, "norm")
     return Trajectory(times=times, states=x[..., :4] + 1j * x[..., 4:], drifts=drifts)
 
 

@@ -28,10 +28,10 @@ from ._version import __version__
 from .analysis import crossing_report, lz_probability, passage_fidelity, tracked_levels
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
-from .dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
+from .dynamics import basis_state, propagate_lindblad, propagate_unitary
 from .mitigation import END_TERMS, mitigate_energy
-from .operators import PAULI_BASIS, PAULI_LABELS_2Q
-from .schedule import ProtocolSchedule, constant_frame_hamiltonian, frame_rotation_angle
+from .operators import PAULI_BASIS, PAULI_LABELS_2Q, Z, embed_1q
+from .schedule import ProtocolSchedule, frame_rotation_angle
 from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators, rotate_correlators
 
 __all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
@@ -270,15 +270,29 @@ def _write_trace(path: str, config: ScenarioConfig, label: str, t_ad: float,
 
 
 def read_trace_config(path: str) -> ScenarioConfig:
-    """Recover the effective configuration embedded in a trace file."""
+    """Recover the effective configuration embedded in a trace file.
+
+    Only the header is read, which the writer puts first: a CSV trace up to
+    its column line, a JSON trace up to its last key, "rows".  A leading
+    UTF-8 byte-order mark is skipped, as in ``config.read_config_text``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.read(1)
-        handle.seek(0)
+        if first == "\ufeff":
+            first = handle.read(1)
         if first == "{":
-            text = json.load(handle)["config"]
+            # Inside a JSON string a quote is escaped, so '"rows":' is the key.
+            # Each read doubles the text, so the searches cost O(its length).
+            head = first + handle.read(4095)
+            while '"rows":' not in head and (more := handle.read(len(head))):
+                head += more
+            head = head.partition('"rows":')[0].rstrip().removesuffix(",")
+            text = json.loads(head + "}")["config"]
         else:
+            lines = itertools.takewhile(lambda line: line.startswith("#"),
+                                        itertools.chain([first + handle.readline()], handle))
             # A blank line may have lost its trailing space: "# cfg:"[7:] is "".
-            text = "\n".join(line[len("# cfg: "):] for line in handle.read().splitlines()
+            text = "\n".join(line[len("# cfg: "):].rstrip("\n") for line in lines
                               if line.startswith("# cfg:"))
     config, errors = validate_config(text)
     if config is None:
@@ -489,22 +503,24 @@ def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     t_ad = config.t_ad[0]
     psi0 = basis_state(config.initial_states[0])
 
-    # In the chirped frame the sweep is a schedule with qubit 1 idle; the
-    # constant frame's drive axis turns by theta(t), which is not affine in s.
-    chirped = ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x)
-    constant = constant_frame_hamiltonian(z, x, t_ad)
+    # In the chirped frame the sweep is a schedule with qubit 1 idle.  The
+    # constant frame turns about Z on qubit 2 by theta(t), whose rate
+    # 2*pi*z*(1 - s) is the chirped frame's Z term, so its states are the
+    # chirped ones times exp(+i theta IZ / 2): one phase per amplitude.
+    traj = propagate_unitary(ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x), t_ad, psi0,
+                             config.dt_us, config.n_samples)
+    theta = frame_rotation_angle(z, traj.times, t_ad)
+    iz = np.diag(embed_1q(Z, 2)).real
+    constant = np.exp(0.5j * theta[:, None] * iz) * traj.states
     summary: dict[str, float] = {"z_mhz": z, "x_mhz": x, "t_ad_us": t_ad}
-    for frame_index, frame in enumerate(("chirped", "constant")):
-        traj = (propagate_unitary(chirped, t_ad, psi0, config.dt_us, config.n_samples)
-                if frame == "chirped" else
-                propagate_custom(constant, t_ad, psi0, config.dt_us, config.n_samples))
-        values = _measure(config, traj.states, frame_index, 0)
+    frames = (("chirped", traj.states), ("constant", constant))
+    for frame_index, (frame, states) in enumerate(frames):
+        values = _measure(config, states, frame_index, 0)
         columns = ["t_us"] + [term.lower() for term in PAULI_LABELS_2Q]
         table = [traj.times, values[:, :len(PAULI_LABELS_2Q)]]
         ix_iy = raw_ix_iy = values[:, _IX_IY]
         if frame == "constant":
             columns += ["theta_rad", "ix_rotated", "iy_rotated"]
-            theta = frame_rotation_angle(z, traj.times, t_ad)
             ix_iy = rotate_correlators(values, theta)[:, _IX_IY]
             table += [theta, ix_iy]
         out.trace(config, label, f"{label}_{frame}_trace", t_ad, columns, np.column_stack(table))

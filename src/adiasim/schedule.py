@@ -16,9 +16,9 @@ the propagators, reaches s = t/t_ad at time t.
 The single-qubit Z ramp is realized by chirping the drive frequency
 linearly from ``z`` MHz below the qubit up to resonance.  In the frame
 co-moving with the chirp, that sweep is a ProtocolSchedule with the other
-qubit idle (``z1 = x1 = 0`` drives qubit 2 alone).  The frame helpers give
-the same sweep in the constant-frequency frame, and the angle between the
-two frames, in physical time.
+qubit idle (``z1 = x1 = 0`` drives qubit 2 alone).  The constant-frequency
+frame differs from it by a Z rotation of qubit 2 through the angle between
+the two frames, which ``frame_rotation_angle`` gives in physical time.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "TimeOutOfRange",
     "ProtocolSchedule",
     "frame_rotation_angle",
-    "constant_frame_hamiltonian",
 ]
 
 # Every term of H(s) is real, so H(s) is real symmetric.
@@ -47,17 +46,16 @@ _ZZ = pauli_2q("ZZ").real
 
 
 class TimeOutOfRange(ValueError):
-    """Raised when H(s) is evaluated outside [0, 1] or a frame outside [0, t_ad]."""
+    """Raised when H(s) is evaluated outside [0, 1]."""
 
 
-def _check_window(values: np.ndarray, end: float) -> None:
-    """Raise TimeOutOfRange unless every value of an array lies in [0, end]."""
+def _check_window(values: np.ndarray) -> None:
+    """Raise TimeOutOfRange unless every value of an array lies in [0, 1]."""
     # Tolerate float round-off at the endpoints (e.g. linspace end).
-    slack = 1e-9 * max(1.0, end)
     for v in (float(values.min()), float(values.max())) if values.size else ():
         # Written so that NaN fails the check too.
-        if not -slack <= v <= end + slack:
-            raise TimeOutOfRange(f"{v} outside protocol window [0, {end}]")
+        if not -1e-9 <= v <= 1.0 + 1e-9:
+            raise TimeOutOfRange(f"{v} outside protocol window [0, 1.0]")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class ProtocolSchedule:
         """H(s)/h [MHz]: a real 4x4 symmetric matrix for a scalar s, an (n, 4, 4)
         stack for a 1-D array of n values, each row equal to the scalar call's."""
         s = np.asarray(s, dtype=float)
-        _check_window(s, 1.0)
+        _check_window(s)
         return self.h0 + np.clip(s, 0.0, 1.0)[..., None, None] * self.h1
 
     def with_(self, **changes) -> "ProtocolSchedule":
@@ -112,34 +110,3 @@ def frame_rotation_angle(z: float, t, t_ad: float):
     in the constant-frequency frame onto the chirped frame.
     """
     return 2.0 * math.pi * z * t * (1.0 - t / (2.0 * t_ad))
-
-
-def constant_frame_hamiltonian(z: float, x: float, t_ad: float):
-    """The chirped single-qubit sweep viewed from the constant-frequency frame.
-
-    The qubit is resonant in this frame, so no Z term remains, but the
-    drive axis precesses by the running frame angle ``theta(t)``:
-
-        H(t)/h = (t/t_ad)*(x/2)*(cos(theta) X + sin(theta) Y),
-        theta(t) = 2*pi*z*t*(1 - t/(2*t_ad)).
-
-    Returns ``ham(t)`` on qubit 2 (qubit 1 idles, as in fig1): a 4x4
-    matrix for a time, an (n, 4, 4) stack for a 1-D array of n times.
-    """
-
-    def ham(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        _check_window(t, t_ad)
-        theta = frame_rotation_angle(z, t, t_ad)
-        # _check_window lets a stage time pass t_ad by rounding; s stays at 1.
-        amplitude = np.clip(t / t_ad, 0.0, 1.0) * 0.5 * x
-        re, im = amplitude * np.cos(theta), amplitude * np.sin(theta)
-        # cos(theta) IX + sin(theta) IY on qubit 2: entries (0, 1) and (2, 3)
-        # are re - i im, entries (1, 0) and (3, 2) re + i im.
-        h = np.zeros(t.shape + (4, 4), dtype=complex)
-        h.real[..., 0, 1] = h.real[..., 1, 0] = h.real[..., 2, 3] = h.real[..., 3, 2] = re
-        h.imag[..., 1, 0] = h.imag[..., 3, 2] = im
-        h.imag[..., 0, 1] = h.imag[..., 2, 3] = -im
-        return h
-
-    return ham

@@ -18,7 +18,6 @@ from adiasim.dynamics import (
     _sample_grid,
     basis_state,
     collapse_operators,
-    propagate_custom,
     propagate_lindblad,
     propagate_unitary,
 )
@@ -27,13 +26,13 @@ from adiasim.operators import (
     PAULI_BASIS_LABELS,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    X,
     Z,
     embed_1q,
     pauli_2q,
 )
 from adiasim.schedule import ProtocolSchedule
 from adiasim.tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators
+from step_loop import reference_pure
 
 FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
 FIG4_KW = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j_final=1.3, zz=0.2)
@@ -45,25 +44,6 @@ DEFAULT_NOISE = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     return psi / np.linalg.norm(psi)
-
-
-def reference_pure(ham, t_ad, psi0, dt, n_samples):
-    """Sampled states of the step-by-step RK4 loop on |psi>."""
-    times, steps, h = _sample_grid(t_ad, dt, n_samples)
-    w = -2.0j * math.pi
-    psi = np.asarray(psi0, dtype=complex)
-    states = [psi]
-    for t0 in times[:-1]:
-        for step in range(steps):
-            t = t0 + step * h
-            k1 = w * (ham(t) @ psi)
-            h_mid = ham(t + 0.5 * h)
-            k2 = w * (h_mid @ (psi + 0.5 * h * k1))
-            k3 = w * (h_mid @ (psi + 0.5 * h * k2))
-            k4 = w * (ham(t + h) @ (psi + h * k3))
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(psi)
-    return np.array(states)
 
 
 def in_time(schedule, t_ad):
@@ -242,35 +222,39 @@ class TestUnitaryPropagation:
         with pytest.raises(StepTooLarge):
             propagate_unitary(stiff, 1.0, basis_state("00"), dt=0.01, n_samples=20)
 
-    def test_energy_conserved_for_constant_hamiltonian(self):
-        h0 = FIG3B.hamiltonian(0.4)
+    def test_ix_conserved_when_h_commutes_with_it(self):
+        """With no Z fields, H(s) = s (x/2) IX commutes with IX, so <IX> of
+        any initial state stays put while the sweep turns the rest."""
+        sweep = ProtocolSchedule(z1=0.0, z2=0.0, x1=0.0, x2=4.1)
+        ix = pauli_2q("IX")
         rng = np.random.default_rng(21)
         for _ in range(5):
             psi0 = random_pure_state(rng)
-            traj = propagate_custom(lambda t: h0, 10.0, psi0, n_samples=20)
-            e0 = (psi0.conj() @ h0 @ psi0).real
+            traj = propagate_unitary(sweep, 10.0, psi0, n_samples=20)
+            v0 = (psi0.conj() @ ix @ psi0).real
             for psi in traj.states:
-                e = (psi.conj() @ h0 @ psi).real
-                assert abs(e - e0) <= 1e-6 * max(1.0, abs(e0))
+                v = (psi.conj() @ ix @ psi).real
+                assert abs(v - v0) <= 1e-6
 
     def test_single_qubit_rabi_closed_form(self):
-        """Constant H = (x/2) IX flips qubit 2 at frequency x: the analytic
-        <IZ>(t) = -cos(2 pi x t) checks both the propagator and the 2 pi
-        frequency convention."""
-        x = 2.7
-        ham = lambda t: 0.5 * x * embed_1q(X, 2)
-        traj = propagate_custom(ham, 2.0, basis_state("00"), n_samples=100)
+        """H = s (x/2) IX turns qubit 2 by 2 pi x int_0^t s dt' = pi x t^2/t_ad:
+        the analytic <IZ>(t) = -cos(pi x t^2/t_ad) checks both the propagator
+        and the 2 pi frequency convention."""
+        x, t_ad = 2.7, 2.0
+        sweep = ProtocolSchedule(z1=0.0, z2=0.0, x1=0.0, x2=x)
+        traj = propagate_unitary(sweep, t_ad, basis_state("00"), n_samples=100)
         iz = measure_correlators(traj.states)[:, CORRELATOR_LABELS.index("IZ")]
-        assert iz == pytest.approx(-np.cos(2 * np.pi * x * traj.times), abs=1e-7)
+        assert iz == pytest.approx(-np.cos(np.pi * x * traj.times**2 / t_ad), abs=1e-7)
 
     def test_exchange_oscillation_closed_form(self):
-        """Constant H = (j/4)(XX+YY) swaps |01> and |10> with period 1/j."""
-        j = 1.3
-        op = 0.25 * j * (pauli_2q("XX") + pauli_2q("YY"))
-        traj = propagate_custom(lambda t: op, 3.0, basis_state("01"), n_samples=120)
+        """H = s (j/4)(XX+YY) swaps |01> and |10> through the angle
+        pi j t^2/(2 t_ad)."""
+        j, t_ad = 1.3, 3.0
+        sweep = ProtocolSchedule(z1=0.0, z2=0.0, x1=0.0, x2=0.0, j_final=j)
+        traj = propagate_unitary(sweep, t_ad, basis_state("01"), n_samples=120)
         for t, psi in zip(traj.times, traj.states):
             p10 = abs(psi[2]) ** 2
-            assert p10 == pytest.approx(math.sin(math.pi * j * t) ** 2, abs=1e-7)
+            assert p10 == pytest.approx(math.sin(math.pi * j * t**2 / (2 * t_ad)) ** 2, abs=1e-7)
 
     def test_halving_dt_settles_fidelity(self):
         """At the default step the result is converged: halving dt moves the
@@ -440,15 +424,6 @@ class TestAgainstStepLoop:
         ref = reference_lindblad(FIG4, 3.0, np.outer(psi0, psi0.conj()), noise, 0.002, 6)
         assert np.max(np.abs(traj.states - pauli_vector(ref))) <= 1e-12
 
-    def test_custom(self):
-        op_z, op_x = embed_1q(Z, 2), embed_1q(X, 2)
-        ham = lambda t: (np.multiply.outer(1.5 * (1.0 - t / 4.0), op_z)
-                         + np.multiply.outer(1.35 * np.cos(t), op_x))
-        psi0 = basis_state("00")
-        traj = propagate_custom(ham, 4.0, psi0, dt=0.002, n_samples=8)
-        ref = reference_pure(ham, 4.0, psi0, 0.002, 8)
-        assert np.max(np.abs(traj.states - ref)) <= 1e-12
-
     def test_interval_spanning_several_batches(self, monkeypatch):
         psi0 = basis_state("10")
         ref = reference_pure(in_time(FIG4, 2.0), 2.0, psi0, 0.002, 3)
@@ -467,9 +442,7 @@ class TestAgainstStepLoop:
         (lambda: propagate_unitary(FIG4, 2.0, basis_state("01"), dt=0.002, n_samples=10), 8),
         (lambda: propagate_lindblad(FIG4, 2.0, basis_state("11"), DEFAULT_NOISE, dt=0.002,
                                     n_samples=10), 16),
-        (lambda: propagate_custom(in_time(FIG4, 2.0), 2.0, basis_state("10"), dt=0.002,
-                                  n_samples=10), 8),
-    ], ids=["unitary", "lindblad", "custom"])
+    ], ids=["unitary", "lindblad"])
     def test_grouped_intervals_match_one_interval_per_batch(self, monkeypatch, propagate, d):
         """10 intervals of 100 steps, built one per batch and then in groups
         of 3, 3, 3 and 1, give the same states bit for bit."""
@@ -487,8 +460,6 @@ class TestAgainstStepLoop:
             "unitary": lambda psi: propagate_unitary(FIG4, 5.0, psi, n_samples=10),
             "lindblad": lambda psi: propagate_lindblad(FIG4, 5.0, psi, DEFAULT_NOISE,
                                                        n_samples=10),
-            "custom": lambda psi: propagate_custom(in_time(FIG4, 5.0), 5.0, psi,
-                                                   n_samples=10),
         }
         for kind, run in runs.items():
             stacked = run(psi0)
@@ -508,48 +479,14 @@ class TestAgainstStepLoop:
     ], ids=["three-dimensional", "empty", "one-unnormalized-row"])
     def test_rejects_bad_stack(self, psi0, match):
         for run in (lambda: propagate_unitary(FIG4, 1.0, psi0, n_samples=4),
-                    lambda: propagate_custom(in_time(FIG4, 1.0), 1.0, psi0, n_samples=4),
                     lambda: propagate_lindblad(FIG4, 1.0, psi0, DEFAULT_NOISE, n_samples=4)):
             with pytest.raises(ValueError, match=match):
                 run()
 
-    def test_custom_hamiltonian_called_once_per_batch(self, monkeypatch):
-        """ham receives each batch's 2m+1 stage times as one array, and a
-        callable that returns one 4x4 matrix runs like one that returns the
-        stack."""
-        op = 0.5 * 2.7 * embed_1q(X, 2)
-        calls = []
-
-        def stack(t):
-            calls.append(np.shape(t))
-            return np.broadcast_to(op, np.shape(t) + (4, 4))
-
-        # 334 steps per interval: two full batches of 128 and one of 78.
-        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(128, 8))
-        traj = propagate_custom(stack, 2.0, basis_state("00"), dt=0.002, n_samples=3)
-        assert calls == [(257,), (257,), (157,)] * 3
-        constant = propagate_custom(lambda t: op, 2.0, basis_state("00"), dt=0.002, n_samples=3)
-        assert np.array_equal(constant.states, traj.states)
-
-    def test_custom_hamiltonian_called_once_per_group(self):
-        """17 steps per interval: a batch of 2**19 bytes holds 1024 8x8 step
-        matrices, so groups of 1024 // 17 = 60 intervals, and 300 samples
-        take 5 calls, each with 60 intervals' 35 stage times."""
-        op = 0.5 * 2.7 * embed_1q(X, 2)
-        calls = []
-
-        def stack(t):
-            calls.append(np.shape(t))
-            return np.broadcast_to(op, np.shape(t) + (4, 4))
-
-        propagate_custom(stack, 10.0, basis_state("00"), dt=0.002, n_samples=300)
-        assert calls == [(2100,)] * 5
-
     def test_non_finite_state_raises(self):
-        nan_ham = lambda t: np.multiply.outer(np.where(np.asarray(t) > 0.5, np.nan, 0.0),
-                                              np.ones((4, 4)))
-        with pytest.raises(StepTooLarge):
-            propagate_custom(nan_ham, 1.0, basis_state("00"), dt=0.005, n_samples=4)
+        nan_field = ProtocolSchedule(z1=math.nan, z2=1.5, x1=1.0, x2=7.3)
+        with pytest.raises(StepTooLarge, match="norm drift nan"):
+            propagate_unitary(nan_field, 1.0, basis_state("00"), dt=0.005, n_samples=4)
 
     def test_non_finite_pauli_vector_raises(self):
         """A Lindblad run whose Pauli vectors overflow fails the guard, although
@@ -567,7 +504,8 @@ def complex_interval_maps(ham, t_ad, dt, n_samples):
     for t0 in times[:-1]:
         stage_times = t0 + np.arange(2 * steps + 1) * (0.5 * h)
         gens = -2.0j * math.pi * np.array([ham(t) for t in stage_times])
-        step_matrices = np.eye(4) + _rk4_step(gens[:-2:2], gens[1::2], gens[2::2], h)
+        step_matrices = np.eye(4) + _rk4_step(gens[:-2:2], gens[1::2], gens[2::2], h,
+                                              mul=np.matmul)
         maps.append(allocating_ordered_product(step_matrices[None])[0])
     return times, maps
 
@@ -576,15 +514,10 @@ class TestRealForm:
     """Pure states are propagated as [Re psi; Im psi] by real 8x8 maps and
     returned as complex amplitudes."""
 
-    @pytest.mark.parametrize("kind", ["unitary", "custom"])
-    def test_states_match_complex_maps(self, kind):
+    def test_states_match_complex_maps(self):
         psi0 = random_pure_state(np.random.default_rng(4))
-        ham = in_time(FIG4, 3.0)
-        if kind == "unitary":
-            traj = propagate_unitary(FIG4, 3.0, psi0, dt=0.002, n_samples=12)
-        else:
-            traj = propagate_custom(ham, 3.0, psi0, dt=0.002, n_samples=12)
-        times, maps = complex_interval_maps(ham, 3.0, 0.002, 12)
+        traj = propagate_unitary(FIG4, 3.0, psi0, dt=0.002, n_samples=12)
+        times, maps = complex_interval_maps(in_time(FIG4, 3.0), 3.0, 0.002, 12)
         states = [psi0]
         for step in maps:
             states.append(step @ states[-1])
@@ -743,7 +676,7 @@ class TestStepPolynomial:
         z = h * lam
         expected = z + z**2 / 2 + z**3 / 6 + z**4 / 24
         a = np.full((1, 1), lam)
-        assert _rk4_step(a, a, a, h)[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert _rk4_step(a, a, a, h, mul=np.matmul)[0, 0] == pytest.approx(expected, rel=1e-14)
         # A constant generator as a polynomial in s: only P_0 is not zero.
         p = self.padded(a)
         poly = _rk4_step(p, p, p, h, mul=_poly_matmul)
@@ -776,4 +709,4 @@ class TestStepPolynomial:
         for s_n, step in zip(s, steps):
             t = s_n * t_ad
             a1, a2, a3 = generator(t), generator(t + 0.5 * h), generator(t + h)
-            assert np.max(np.abs(step - _rk4_step(a1, a2, a3, h))) <= 1e-14
+            assert np.max(np.abs(step - _rk4_step(a1, a2, a3, h, mul=np.matmul))) <= 1e-14

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from adiasim import analysis, mitigation, scenarios, tomography
 from adiasim.analysis import _tracked_eigensystem, passage_fidelity, tracked_levels
 from adiasim.config import validate_config
-from adiasim.dynamics import basis_state, propagate_custom, propagate_lindblad, propagate_unitary
+from adiasim.dynamics import basis_state, propagate_lindblad, propagate_unitary
 from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
 from adiasim.scenarios import (
     CHEVRON_F_CENTER,
@@ -26,6 +26,9 @@ from adiasim.scenarios import (
     read_trace_config,
     run_scenario,
 )
+from adiasim.schedule import ProtocolSchedule, frame_rotation_angle
+from adiasim.tomography import measure_correlators
+from step_loop import chirped_frame, constant_frame, reference_pure
 
 FAST_OVERRIDES = """
 [schedule]
@@ -194,40 +197,73 @@ def read_columns(path):
     return dict(zip(lines[0].split(","), values.T))
 
 
-def chirped_frame(z, x, t_ad):
-    """The fig1 sweep in the chirped frame, written out: (1 - s) z/2 Z + s x/2 X
-    on qubit 2."""
-    iz, ix = pauli_2q("IZ"), pauli_2q("IX")
-    return lambda t: (np.multiply.outer((1.0 - t / t_ad) * 0.5 * z, iz)
-                      + np.multiply.outer((t / t_ad) * 0.5 * x, ix))
+def exact_columns(states):
+    """Exact <P> of each state, by the column names of a trace."""
+    return {label.lower(): np.real(np.einsum("ni,ij,nj->n", states.conj(), pauli_2q(label), states))
+            for label in PAULI_LABELS_2Q}
 
 
 class TestChirpedFrameAsSchedule:
     def test_fig1_propagates_each_frame_once_and_matches_written_out_h(self, tmp_path,
                                                                       monkeypatch):
+        """fig1 propagates once, in the chirped frame, and derives the constant
+        frame from it; the chirped trace matches the step loop on the
+        written-out chirped H(t)."""
         calls = []
-        for name in ("propagate_unitary", "propagate_custom"):
-            original = getattr(scenarios, name)
+        original = scenarios.propagate_unitary
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(scenarios, name, counted)
+        monkeypatch.setattr(scenarios, "propagate_unitary", counted)
         config = make_config("[scenario]\nname = fig1\n\n[simulation]\nn_samples = 100\n",
                              tmp_path)
         run_scenario(config)
-        assert sorted(calls) == ["propagate_custom", "propagate_unitary"]
+        assert len(calls) == 1
 
+        z, x, t_ad = config.z2, config.x2, config.t_ad[0]
         table = read_columns(tmp_path / "fig1_chirped_trace.csv")
-        ref = propagate_custom(chirped_frame(config.z2, config.x2, config.t_ad[0]),
-                               config.t_ad[0], basis_state(config.initial_states[0]),
-                               config.dt_us, config.n_samples)
-        assert np.max(np.abs(table["t_us"] - ref.times)) <= 1e-12
-        for label in PAULI_LABELS_2Q:
-            op = pauli_2q(label)
-            expected = np.real(np.einsum("ni,ij,nj->n", ref.states.conj(), op, ref.states))
-            assert np.max(np.abs(table[label.lower()] - expected)) <= 1e-12
+        ref = reference_pure(chirped_frame(z, x, t_ad), t_ad,
+                             basis_state(config.initial_states[0]), config.dt_us,
+                             config.n_samples)
+        assert np.max(np.abs(table["t_us"] - np.linspace(0.0, t_ad, 101))) <= 1e-12
+        for column, expected in exact_columns(ref).items():
+            assert np.max(np.abs(table[column] - expected)) <= 1e-12
+
+    def test_fig1_constant_frame_matches_its_own_integration(self, tmp_path):
+        """The preset's constant-frame columns, taken from the chirped states by
+        the frame rotation, agree with the step loop on the constant frame's
+        written-out H(t) to RK4 truncation error; the opposite sign of the
+        rotation would miss by about 2."""
+        config = make_config("[scenario]\nname = fig1\n", tmp_path)
+        run_scenario(config)
+        z, x, t_ad = config.z2, config.x2, config.t_ad[0]
+        table = read_columns(tmp_path / "fig1_constant_trace.csv")
+        ref = reference_pure(constant_frame(z, x, t_ad), t_ad,
+                             basis_state(config.initial_states[0]), config.dt_us,
+                             config.n_samples)
+        for column, expected in exact_columns(ref).items():
+            assert np.max(np.abs(table[column] - expected)) <= 2e-9, column
+
+    def test_sampled_constant_frame_draws_from_its_own_stream(self, tmp_path):
+        """In sampled mode the constant-frame columns are the rotated chirped
+        states measured on the stream of spawn key (1, 0)."""
+        config = make_config("[scenario]\nname = fig1\n\n[simulation]\nn_samples = 100\n"
+                             "shots = 1000\nseed = 7\n", tmp_path)
+        run_scenario(config)
+        z, x, t_ad = config.z2, config.x2, config.t_ad[0]
+        traj = propagate_unitary(ProtocolSchedule(z1=0.0, z2=z, x1=0.0, x2=x), t_ad,
+                                 basis_state(config.initial_states[0]), config.dt_us,
+                                 config.n_samples)
+        theta = frame_rotation_angle(z, traj.times, t_ad)
+        # exp(+i theta IZ / 2), IZ = diag(-1, 1, -1, 1).
+        rotated = np.exp(0.5j * theta[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])) * traj.states
+        seed = np.random.SeedSequence(entropy=7, spawn_key=(1, 0))
+        values = measure_correlators(rotated, 1000, seed)
+        table = read_columns(tmp_path / "fig1_constant_trace.csv")
+        for k, label in enumerate(PAULI_LABELS_2Q):
+            assert np.array_equal(table[label.lower()], values[:, k]), label
 
 
 class TestOnePropagationPerDuration:
@@ -521,6 +557,34 @@ class TestTraceConfigRecovery:
         lines = path.read_text().splitlines()
         assert "# cfg: " in lines
         path.write_text("\n".join(line.rstrip() for line in lines) + "\n")
+        assert read_trace_config(str(path)) == config
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_reads_back_with_or_without_byte_order_mark(self, tmp_path, fmt, bom):
+        """A trace that an editor saved with a UTF-8 byte-order mark reads back
+        as written, in both formats."""
+        config = make_config(f"[scenario]\nname = fig4\n{FAST_OVERRIDES}\n[output]\n"
+                             f"format = {fmt}\n", tmp_path)
+        run_scenario(config)
+        path = tmp_path / f"fig4_trace_tad2.{fmt}"
+        path.write_bytes(bom + path.read_bytes())
+        assert read_trace_config(str(path)) == config
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reads_the_header_only(self, tmp_path, fmt):
+        """Nothing after the CSV column line or the JSON "rows" key is read:
+        a stray "# cfg:" line after the CSV rows and a JSON trace cut off in
+        its rows leave the recovered config as written."""
+        config = make_config(f"[scenario]\nname = fig4\n{FAST_OVERRIDES}\n[output]\n"
+                             f"format = {fmt}\n", tmp_path)
+        run_scenario(config)
+        path = tmp_path / f"fig4_trace_tad2.{fmt}"
+        text = path.read_text()
+        if fmt == "csv":
+            path.write_text(text + "# cfg: name = fig9\n")
+        else:
+            path.write_text(text[:text.index('"rows": [[') + 20])
         assert read_trace_config(str(path)) == config
 
     def test_fractional_duration_in_filename(self, tmp_path):

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from adiasim.dynamics import NoiseModel, basis_state, propagate_custom, propagate_lindblad, propagate_unitary
+from adiasim.dynamics import NoiseModel, basis_state, propagate_lindblad, propagate_unitary
 from adiasim.operators import I2, X, Y, Z, embed_1q, pauli_2q
 from adiasim.schedule import (
     ProtocolSchedule,
     TimeOutOfRange,
-    constant_frame_hamiltonian,
     frame_rotation_angle,
 )
 
@@ -97,8 +96,7 @@ class TestProtocolSchedule:
         psi0 = basis_state("01")
         for t_ad in (0.0, -1.0, math.inf, math.nan):
             runs = (lambda: propagate_unitary(sch, t_ad, psi0, 1e-16, 4),
-                    lambda: propagate_lindblad(sch, t_ad, psi0, NoiseModel(), 1e-16, 4),
-                    lambda: propagate_custom(lambda t: sch.h0, t_ad, psi0, 1e-16, 4))
+                    lambda: propagate_lindblad(sch, t_ad, psi0, NoiseModel(), 1e-16, 4))
             for run in runs:
                 with pytest.raises(ValueError, match="t_ad must be positive and finite"):
                     run()
@@ -134,52 +132,6 @@ class TestFrames:
         assert np.allclose(ham(0.5), 0.25 * z * embed_1q(Z, 2) + 0.25 * x * embed_1q(X, 2),
                            atol=1e-15)
         assert np.allclose(ham(1.0), 0.5 * x * embed_1q(X, 2), atol=1e-15)
-
-    def test_constant_frame_structure(self):
-        """In the constant-frequency frame the transverse field rotates with
-        the accumulated phase difference between the two frames."""
-        z, x, t_ad = 3.0, 2.7, 10.0
-        ham = constant_frame_hamiltonian(z, x, t_ad)
-        rng = np.random.default_rng(14)
-        for _ in range(N_RANDOM):
-            t = rng.uniform(0.0, t_ad)
-            theta = frame_rotation_angle(z, t, t_ad)
-            s = t / t_ad
-            expected = 0.5 * s * x * (
-                math.cos(theta) * embed_1q(X, 2) + math.sin(theta) * embed_1q(Y, 2)
-            )
-            assert np.allclose(ham(t), expected, atol=1e-12)
-
-    def test_constant_frame_on_time_array(self):
-        """An array of times gives the stack of the scalar calls and is
-        checked against the protocol window as a whole."""
-        z, x, t_ad = 3.0, 2.7, 10.0
-        ham = constant_frame_hamiltonian(z, x, t_ad)
-        times = np.linspace(0.0, t_ad, 41)
-        stack = ham(times)
-        assert stack.shape == (41, 4, 4)
-        assert ham(2.5).shape == (4, 4)
-        assert np.max(np.abs(stack - np.stack([ham(float(t)) for t in times]))) <= 1e-15
-        for bad in ([-0.1, 1.0], [1.0, t_ad + 0.1], [1.0, math.nan]):
-            with pytest.raises(TimeOutOfRange):
-                ham(np.array(bad))
-
-    def test_constant_frame_equals_pauli_sum(self):
-        """The eight entries written directly are those of
-        s * x/2 * (cos(theta) IX + sin(theta) IY), bit for bit."""
-        z, x, t_ad = 3.0, 2.7, 10.0
-        ham = constant_frame_hamiltonian(z, x, t_ad)
-
-        def pauli_sum(t):
-            s = np.clip(t / t_ad, 0.0, 1.0)[..., None, None]
-            theta = frame_rotation_angle(z, t, t_ad)[..., None, None]
-            return s * 0.5 * x * (np.cos(theta) * pauli_2q("IX") + np.sin(theta) * pauli_2q("IY"))
-
-        times = np.random.default_rng(15).uniform(0.0, t_ad, 525)
-        assert np.array_equal(ham(times), pauli_sum(times))
-        assert np.array_equal(ham(3.7), pauli_sum(np.asarray(3.7)))
-        # A time past t_ad by rounding, which _check_window lets pass, keeps s = 1.
-        assert np.array_equal(ham(t_ad * (1 + 1e-15)), pauli_sum(np.asarray(t_ad * (1 + 1e-15))))
 
     def test_qubit_one_embedding(self):
         """With z2 = x2 = 0 the same sweep runs on qubit 1."""
