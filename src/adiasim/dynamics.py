@@ -27,23 +27,39 @@ the generators at the step's start (A1), midpoint (A2) and end (A3):
     R = I + h/6 * (K1 + 2*K2 + 2*K3 + K4),
     K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
 
-Each sample interval is propagated by the product of its step matrices,
-multiplied in time order by pairwise reduction.  Every interval has the same
-number of steps, so whole intervals are built together in groups whose
-batch of d x d step matrices takes at most ``_BATCH_BYTES``: b =
-_BATCH_BYTES // (8 d^2) steps, 1 024 of the 8x8 pure-state matrices or 256
-of the 16x16 Lindblad ones.  An interval of more than b steps is a group of
-one, built from several batches.  The propagators take one state or a
-(k, 4) stack, and a group's maps are applied to every state of the stack as
-soon as they are built, then overwritten by the next group's: the working
-memory is allocated once per call and holds the step stack of one batch,
-(g, m, d, d) with g*m <= b or g = 1, a scratch stack of half its steps,
-between which the levels of the reduction alternate, and one group's
-maps.  It stays bounded however many steps an
-interval or samples a run holds.  A sweep of duration t_ad is affine in
-s = t/t_ad, so its generator is A(s) = G0 + s*G1 and
-R(s) = I + sum_{k=0..4} s^k P_k, with the P_k built once per call by the
-same step formula on coefficient stacks in s.
+A sweep of duration t_ad is affine in s = t/t_ad, so its generator is
+A(s) = G0 + s*G1, a step from s is R(s) = I + sum_{k=0..4} s^k P_k, and c
+consecutive steps multiply to
+
+    B_c(s) = R(s + (c-1) delta) ... R(s + delta) R(s),   delta = h / t_ad,
+
+I plus a polynomial of degree 4c in s (the stability-polynomial algebra of
+Hairer, Lubich & Wanner, ch. IV).  Its coefficients are built once per call,
+by the same step formula on coefficient stacks in s, for every c up to the
+block width w.  A block of c steps then costs one row of a
+(rows, 4c+1) @ (4c+1, d^2) product, and no d x d product of its steps.
+
+Each sample interval of m steps is the product of nb = ceil(m / w) block
+matrices, multiplied in time order by pairwise reduction: a lead block of
+m - w*(nb - 1) steps, then nb - 1 blocks of w, so an interval of m <= w
+steps is one block.  The expansion in s loses digits as h*||G1|| grows: a
+block of 4 is 2.2e-12 (relative) off the product of its steps at
+h ||G1||_2 = 3.3, against 6e-16 at the presets.  So w is the largest of 4,
+3, 2 and 1 with w * h * ||G1||_2 <= 1; every preset has 4 h ||G1||_2 <= 0.52.
+
+Every interval has the same number of blocks, so whole intervals are built
+together, in groups of max(1, b // nb) for batches of at most b blocks.  b is
+the most blocks for which each build product has fewer than
+``_BUILD_MULADDS`` = 2^19 multiply-adds, which OpenBLAS runs on one thread:
+481 of the 8x8 pure-state blocks or 120 of the 16x16 Lindblad ones at w = 4.
+An interval of more than b blocks is a group of one, built from several
+batches.  The propagators take one state or a (k, 4) stack, and a group's
+maps are applied to every state of the stack as soon as they are built, then
+overwritten by the next group's: the working memory is allocated once per
+call and holds the block stack of one batch, (b', g, d, d) block-major with
+b'*g <= b or g = 1, a scratch stack of half its blocks, between which the
+levels of the reduction alternate, and one group's maps.  It stays bounded
+however many steps an interval or samples a run holds.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample, and once a trajectory is built an error is raised at
@@ -58,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PAULI_BASIS as _PAULIS, SIGMA_MINUS, SIGMA_PLUS, Z, dagger, embed_1q
+from .operators import CHANNEL_OPERATORS, PAULI_BASIS as _PAULIS
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -76,8 +92,11 @@ __all__ = [
 BASIS_LABELS = ("00", "01", "10", "11")
 
 DRIFT_LIMIT = 1e-4
-# Most bytes of RK4 step matrices held at once; bounds peak memory.
-_BATCH_BYTES = 2**19
+# Most RK4 steps in one block matrix.
+_BLOCK_STEPS = 4
+# Bound on the multiply-adds of each product that builds block matrices:
+# OpenBLAS runs such a product on one thread.  It also bounds the stack.
+_BUILD_MULADDS = 2**19
 _W = -2.0j * math.pi
 
 
@@ -161,21 +180,12 @@ def collapse_operators(noise: NoiseModel) -> list[np.ndarray]:
     with zero rate are omitted.
     """
     ops: list[np.ndarray] = []
-    for q in (1, 2):
-        t1 = noise.t1[q - 1]
-        t2 = noise.t2[q - 1]
-        nth = noise.n_th[q - 1]
+    for q, channels in enumerate(CHANNEL_OPERATORS):
+        t1, t2, nth = noise.t1[q], noise.t2[q], noise.n_th[q]
         # An infinite T1 or T2 gives a zero rate (1/inf == 0); an infinite
         # T2 adds no pure dephasing beyond the T1-induced part.
-        gamma_down = (1.0 + nth) / t1
-        gamma_up = nth / t1
-        rate_phi = max(1.0 / t2 - 0.5 / t1, 0.0)
-        if gamma_down > 0.0:
-            ops.append(math.sqrt(gamma_down) * embed_1q(SIGMA_MINUS, q))
-        if gamma_up > 0.0:
-            ops.append(math.sqrt(gamma_up) * embed_1q(SIGMA_PLUS, q))
-        if rate_phi > 0.0:
-            ops.append(math.sqrt(0.5 * rate_phi) * embed_1q(Z, q))
+        rates = ((1.0 + nth) / t1, nth / t1, 0.5 * max(1.0 / t2 - 0.5 / t1, 0.0))
+        ops.extend(math.sqrt(rate) * op for rate, op in zip(rates, channels) if rate > 0.0)
     return ops
 
 
@@ -229,9 +239,13 @@ def _pauli_generator(ham: np.ndarray, lops=()) -> np.ndarray:
     Hermitian rho to a Hermitian one, so every T_qr is real.
     """
     images = _W * (ham @ _PAULIS - _PAULIS @ ham)
-    for lop in lops:
-        ldl = dagger(lop) @ lop
-        images += lop @ _PAULIS @ dagger(lop) - 0.5 * (ldl @ _PAULIS + _PAULIS @ ldl)
+    if len(lops):
+        lops = np.asarray(lops)[:, None]
+        adjoints = lops.conj().swapaxes(-1, -2)
+        ldl = adjoints @ lops
+        # One operator's term at a time, in order, as a sum over a loop would.
+        for term in lops @ _PAULIS @ adjoints - 0.5 * (ldl @ _PAULIS + _PAULIS @ ldl):
+            images += term
     return np.einsum("qij,rji->qr", _PAULIS, images).real / 4.0
 
 
@@ -271,9 +285,10 @@ def _rk4_step(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float, mul) -> 
 
 
 def _poly_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product of two polynomials in s given as (5, d, d) coefficient stacks.
+    """Product of two polynomials in s given as (n, d, d) coefficient stacks.
 
-    Terms past s^4 are dropped: the RK4 step of an affine generator has none.
+    Terms past s^(len(q)-1) are dropped: the RK4 step of an affine generator
+    has none past s^4, and a block pads its factor to the product's degree.
     """
     out = p[0] @ q
     for i in range(1, len(p)):
@@ -281,54 +296,85 @@ def _poly_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-    """Write the time-ordered product of ``mats`` along axis 1 into ``out``.
+def _block_polynomials(g0: np.ndarray, g1: np.ndarray, h: float, delta: float,
+                       width: int) -> list[np.ndarray]:
+    """B_c(s) - I for c = 1..width, each a (4c+1, d*d) coefficient stack in s.
 
-    For a stack of shape (g, m, d, d) this is mats[:, m-1] @ ... @ mats[:, 0],
-    by pairwise reduction, paired the same way for every leading index.  Each
+    B_c(s) = R(s + (c-1) delta) ... R(s) is the product of c RK4 steps of
+    size h, the first from s, for the generator g0 + s*g1 and delta = h/t_ad.
+    The j-th factor is ``_rk4_step`` on the stages shifted by j*delta*g1,
+    all ``width`` of them in one call, and (I + Y)(I + X) - I = Y + X + Y X
+    keeps I out of every sum.
+    """
+    j = np.arange(width)[:, None, None]
+    stages = np.zeros((3, 5, width) + g0.shape)
+    stages[:, 0] = g0 + (j * delta) * g1, g0 + ((j + 0.5) * delta) * g1, g0 + ((j + 1) * delta) * g1
+    stages[:, 1] = g1
+    steps = _rk4_step(*stages, h, mul=_poly_matmul)
+    block = steps[:, 0]
+    polys = [block.reshape(5, -1)]
+    for step in steps.swapaxes(0, 1)[1:]:
+        # X, the block so far, padded with zeros to the degree of Y X.
+        x = np.zeros((len(block) + 4,) + g0.shape)
+        x[:len(block)] = block
+        block = _poly_matmul(step, x)
+        block += x
+        block[:5] += step
+        polys.append(block.reshape(len(block), -1))
+    return polys
+
+
+def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the time-ordered product of ``mats`` along axis 0 into ``out``.
+
+    For a stack of shape (n, g, d, d) this is mats[n-1] @ ... @ mats[0], by
+    pairwise reduction, paired the same way for every index of axis 1.  Each
     level goes back and forth between ``mats``, which it overwrites, and
-    ``scratch``, of shape (g, >= ceil(m/2), d, d); the last goes into ``out``.
+    ``scratch``, of shape (>= ceil(n/2), g, d, d); the last goes into ``out``.
     """
     src, dst = mats, scratch
-    n = mats.shape[1]
+    n = len(mats)
     while n > 2:
         half, odd = divmod(n, 2)
-        np.matmul(src[:, 1:n - odd:2], src[:, 0:n - odd:2], out=dst[:, :half])
+        np.matmul(src[1:n - odd:2], src[0:n - odd:2], out=dst[:half])
         if odd:
-            dst[:, half] = src[:, n - 1]
+            dst[half] = src[n - 1]
         src, dst, n = dst, src, half + odd
     if n == 2:
-        np.matmul(src[:, 1], src[:, 0], out=out)
+        np.matmul(src[1], src[0], out=out)
     else:
-        out[...] = src[:, 0]
+        out[...] = src[0]
 
 
-def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.ndarray,
-               drift_of, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: float,
+               x0: np.ndarray, drift_of, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Carry the (d,) state or (k, d) states ``x0`` over ``times``.
 
-    Returns the (n+1,) + x0.shape states and their drifts.  The interval maps
-    are built in groups of max(1, b // steps) intervals, for batches of at
-    most b = _BATCH_BYTES // (8 d^2) step matrices.
-    ``step_matrices(stage_times, out)`` gets a batch's (g, 2m+1) half-step
-    times, one row per interval of the group, and writes its step matrices
-    into ``out``, a C-contiguous (g, m, d, d) view of the step stack.  A
-    group's maps are applied to every state as soon as they are built and
-    then overwritten by the next group's; the step stack, the scratch stack
-    of the reduction and one group's maps, allocated once, are all the
-    working memory.
+    Returns the (n+1,) + x0.shape states and their drifts.  Each interval of
+    ``steps`` RK4 steps is the product of its blocks of up to ``width``
+    steps, as in the module docstring.  ``block_matrices(starts, c, out)``
+    gets the (r, M) start times of blocks of c steps and writes their
+    matrices into ``out``, a C-contiguous (r, M, d, d) view of the block
+    stack, by r products of (M, 4c+1) @ (4c+1, d^2).  A group's maps are
+    applied to every state as soon as they are built and then overwritten
+    by the next group's; the block stack, the scratch stack of the reduction
+    and one group's maps, allocated once, are all the working memory.
     """
     starts = times[:-1]
     d = x0.shape[-1]
-    batch = max(1, _BATCH_BYTES // (8 * d * d))
-    group = max(1, batch // steps)
-    size = min(group, len(starts))
-    m_max = min(batch, steps)
-    # The stack holds one batch: size * m_max <= batch, or size = 1.
-    # A group of several intervals takes one batch of m_max steps, so every
-    # stack[:g, :m] below is contiguous, as step_matrices needs.
-    stack = np.empty((size, m_max, d, d))
-    scratch = np.empty((size, (m_max + 1) // 2, d, d))
+    blocks = -(-steps // width)
+    lead = steps - width * (blocks - 1)
+    # Steps from an interval's start to each of its blocks'.
+    offsets = np.concatenate(([0], lead + width * np.arange(blocks - 1)))
+    # Blocks per batch: the most for which a (batch, 4*width + 1) @
+    # (4*width + 1, d^2) build has fewer than _BUILD_MULADDS multiply-adds.
+    batch = max(1, (_BUILD_MULADDS - 1) // ((4 * width + 1) * d * d))
+    group = max(1, batch // blocks)
+    size, depth = min(group, len(starts)), min(batch, blocks)
+    # A batch of b blocks for g intervals is the first b*g matrices of the
+    # stack, block-major, (b, g, d, d), so that it is contiguous for any g.
+    stack = np.empty(depth * size * d * d)
+    scratch = np.empty((depth + 1) // 2 * size * d * d)
     maps = np.empty((size, d, d))
     product = np.empty((1, d, d))  # a later batch of a one-interval group
     states = np.empty((len(times),) + x0.shape)
@@ -338,16 +384,26 @@ def _propagate(step_matrices, times: np.ndarray, steps: int, h: float, x0: np.nd
     # overflow; the drift check at the first bad sample reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, len(starts), group):
-            t0 = starts[k:k + group, None]
+            t0 = starts[k:k + group]
             g = len(t0)
-            for first in range(0, steps, batch):
-                m = min(batch, steps - first)
-                stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
-                step_matrices(stage_times, stack[:g, :m])
+            for first in range(0, blocks, batch):
+                b = min(batch, blocks - first)
+                mats = stack[:b * g * d * d].reshape(b, g, d, d)
                 if first == 0:
-                    _ordered_product(stack[:g, :m], scratch[:g], maps[:g])
+                    # One one-row product per lead: BLAS takes another path
+                    # for one row than for several, and this way a lead's
+                    # rounding does not depend on how many share the batch.
+                    block_matrices(t0[:, None], lead, mats[0].reshape(g, 1, d, d))
+                full = offsets[max(first, 1):first + b]
+                if len(full):
+                    block_starts = t0 + full[:, None] * h
+                    block_matrices(block_starts.reshape(1, -1), width,
+                                   mats[b - len(full):].reshape(1, -1, d, d))
+                half = scratch[:(b + 1) // 2 * g * d * d].reshape(-1, g, d, d)
+                if first == 0:
+                    _ordered_product(mats, half, maps[:g])
                 else:
-                    _ordered_product(stack[:g, :m], scratch[:g], product)
+                    _ordered_product(mats, half, product)
                     np.matmul(product, maps[:g], out=maps[:g])
             for i in range(g):
                 np.matmul(maps[i], columns[k + i], out=columns[k + i + 1])
@@ -383,23 +439,26 @@ def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt
             g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
             g1 = _pauli_generator(schedule.h1)
             drift_of, what = _trace_drift, "trace"
-        # The stage generators g0 + s*g1 as coefficient stacks in s, up to s^4.
-        stages = np.zeros((3, 5) + g0.shape)
-        stages[:, 0] = g0, g0 + (0.5 * h / t_ad) * g1, g0 + (h / t_ad) * g1
-        stages[:, 1] = g1
-        poly = _rk4_step(*stages, h, mul=_poly_matmul).reshape(5, -1)
+        # The expansion in s loses digits as h*||g1|| grows, the more so
+        # the more steps a block holds: keep width * h * ||g1||_2 <= 1.  The
+        # SVD fails on a non-finite g1, whose run _propagate reports.
+        rate = h * np.linalg.norm(g1, 2) if np.isfinite(g1).all() else 0.0
+        width = _BLOCK_STEPS
+        while width > 1 and width * rate > 1.0:
+            width -= 1
+        polys = _block_polynomials(g0, g1, h, h / t_ad, width)
     d = len(g0)
 
-    def step_matrices(stage_times: np.ndarray, out: np.ndarray) -> None:
-        s = stage_times[:, :-2:2] / t_ad
-        flat = out.reshape(s.size, -1)
-        np.matmul(np.vander(s.ravel(), 5, increasing=True), poly, out=flat)
-        # I is added after the sum, not folded into P_0, so that the
-        # rounding of one shared P_0 + I does not repeat in every step;
-        # only the diagonal, every (d+1)-th entry of a flattened matrix.
-        flat[:, ::d + 1] += 1.0
+    def block_matrices(starts: np.ndarray, c: int, out: np.ndarray) -> None:
+        flat = out.reshape(starts.shape + (-1,))
+        powers = np.vander(starts.ravel() / t_ad, 4 * c + 1, increasing=True)
+        np.matmul(powers.reshape(starts.shape + (-1,)), polys[c - 1], out=flat)
+        # I is added after the sum, not folded into the constant term, so
+        # that the rounding of one shared B_0 + I does not repeat in every
+        # block; only the diagonal, every (d+1)-th entry of a flat matrix.
+        flat[..., ::d + 1] += 1.0
 
-    return (times,) + _propagate(step_matrices, times, steps, h, x0, drift_of, what)
+    return (times,) + _propagate(block_matrices, width, times, steps, h, x0, drift_of, what)
 
 
 def _norm_drift(psi: np.ndarray) -> np.ndarray:

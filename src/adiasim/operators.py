@@ -31,6 +31,7 @@ __all__ = [
     "PAULI_BASIS",
     "pauli_2q",
     "embed_1q",
+    "CHANNEL_OPERATORS",
     "dagger",
 ]
 
@@ -79,6 +80,12 @@ def embed_1q(op: np.ndarray, qubit: int) -> np.ndarray:
     if qubit == 2:
         return np.kron(I2, op)
     raise ValueError(f"qubit index must be 1 or 2, got {qubit}")
+
+
+# The noise channels sigma_minus, sigma_plus and Z embedded on qubit 1 (row
+# 0) and on qubit 2 (row 1): a (2, 3, 4, 4) stack.
+CHANNEL_OPERATORS = np.stack([[embed_1q(op, q) for op in (SIGMA_MINUS, SIGMA_PLUS, Z)]
+                              for q in (1, 2)])
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -42,6 +42,9 @@ __all__ = ["Unwritable", "NonFiniteOutput", "run_scenario", "read_trace_config",
 CHEVRON_F_CENTER = 1097.0  # MHz
 CHEVRON_DETUNING_SPAN = 6.0  # MHz, scanned symmetrically around the resonance
 CHEVRON_N_FREQ = 41
+# The Rabi fit resolves j only above one Fourier bin, j >= 1/t_ad: at
+# t_ad = 8 and 160 samples its error is 3.1 % at j*t_ad = 1 and 4.8 % at 0.8.
+CHEVRON_MIN_J_T_AD = 1.0
 _TRUTH_B1, _TRUTH_B3 = 2.2, 1.5
 _TRUTH_C2 = (-0.09, -0.035)
 _TRUTH_C4 = (-0.02, -0.008)
@@ -374,28 +377,37 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     # A pure final state, or the Pauli vector of a Lindblad run's.
     finals = np.empty(shape + (4,), complex) if noise is None else np.empty(shape + (len(PAULI_BASIS),))
 
+    columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
+    for state in config.initial_states:
+        columns.append(f"energy_{state}_mhz")
+        columns.extend(f"{term.lower()}_{state}" for term in PAULI_LABELS_2Q)
+        columns.append(f"fidelity_{state}")
+    # One table, refilled for each duration: t, the tracked levels, then
+    # each state's energy, correlators and passage fidelity.
+    table = np.empty((len(energies), len(columns)))
+    table[:, 1:5] = energies
+    n_pauli = len(PAULI_LABELS_2Q)
+
     def write_trace(t_ad_index: int, t_ad: float) -> None:
         if noise is None:
             traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
         else:
             traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
                                       config.n_samples)
-        columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
-        table = [energies]
-        for state_index, (state, level) in enumerate(zip(config.initial_states, start_levels)):
+        table[:, 0] = traj.times
+        for state_index, level in enumerate(start_levels):
             states = traj.states[:, state_index]
             fidelity = passage_fidelity(states, vectors, level)
             values = _measure(config, states, t_ad_index, state_index)
             terms = energy_terms(values, schedule, traj.times / t_ad)
-            columns.append(f"energy_{state}_mhz")
-            columns.extend(f"{term.lower()}_{state}" for term in PAULI_LABELS_2Q)
-            columns.append(f"fidelity_{state}")
-            table += [terms.sum(axis=1), values[:, :len(PAULI_LABELS_2Q)], fidelity]
+            first = 5 + state_index * (n_pauli + 2)
+            table[:, first] = terms.sum(axis=1)
+            table[:, first + 1:first + 1 + n_pauli] = values[:, :n_pauli]
+            table[:, first + 1 + n_pauli] = fidelity
             end_terms[t_ad_index, state_index] = terms[-1]
             end_fidelities[t_ad_index, state_index] = fidelity[-1]
         finals[t_ad_index] = traj.states[-1]
-        out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns,
-                  np.column_stack([traj.times] + table))
+        out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns, table)
 
     for t_ad_index, t_ad in enumerate(config.t_ad):
         write_trace(t_ad_index, t_ad)
@@ -533,6 +545,25 @@ def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     out.report(label, {"summary": summary})
 
 
+def _unresolved_rabi(j: float, t_ad: float, n_samples: int) -> str | None:
+    """Why the chevron map's Rabi fit cannot recover ``j``, or None.
+
+    Its columns oscillate at sqrt(j^2 + delta^2), |delta| <= the detuning
+    span, sampled at n_samples / t_ad: the edge columns must stay below the
+    Nyquist limit, and j must be resolved against 1/t_ad.
+    """
+    reasons = []
+    edge, nyquist = math.hypot(j, CHEVRON_DETUNING_SPAN), n_samples / (2.0 * t_ad)
+    if edge >= nyquist:
+        reasons.append(f"edge column frequency sqrt(j^2 + {CHEVRON_DETUNING_SPAN:g}^2) = "
+                       f"{edge:.6g} MHz reaches the Nyquist limit n_samples / (2 t_ad) = "
+                       f"{nyquist:.6g} MHz")
+    if j * t_ad < CHEVRON_MIN_J_T_AD:
+        reasons.append(f"j * t_ad = {j * t_ad:.6g} is below {CHEVRON_MIN_J_T_AD:g}: j is "
+                       f"under the Fourier resolution 1/t_ad = {1.0 / t_ad:.6g} MHz")
+    return "; ".join(reasons) or None
+
+
 # An extreme j or t_ad overflows; the writers refuse what is not finite.
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
@@ -560,6 +591,17 @@ def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     shift_data_q1 = [truth.dispersive_shift(a, 1) for a in amps]
     c2_fit, c4_fit, shift_res = fit_dispersive(amps, shift_data_q1)
 
+    rabi_fit = {
+        "j_mhz": j_fit,
+        "f_res_mhz": f_res_fit,
+        "residual": residual,
+        "j_error_relative": abs(j_fit - j_true) / j_true,
+        "f_res_error_mhz": abs(f_res_fit - CHEVRON_F_CENTER),
+    }
+    # Exit 0 stays, with the reason the fitted j is not to be trusted.
+    if unresolved := _unresolved_rabi(j_true, t_ad, config.n_samples):
+        rabi_fit["unresolved"] = unresolved
+
     out.report(label, {
         "map": {
             "j_true_mhz": j_true,
@@ -568,13 +610,7 @@ def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
             "n_frequencies": CHEVRON_N_FREQ,
             "n_times": config.n_samples + 1,
         },
-        "rabi_fit": {
-            "j_mhz": j_fit,
-            "f_res_mhz": f_res_fit,
-            "residual": residual,
-            "j_error_relative": abs(j_fit - j_true) / j_true,
-            "f_res_error_mhz": abs(f_res_fit - CHEVRON_F_CENTER),
-        },
+        "rabi_fit": rabi_fit,
         "column_frequencies": [{"f_tc_mhz": f, "omega_mhz": w} for f, w in omegas],
         "coupling_fit": {
             "b1_true": _TRUTH_B1, "b3_true": _TRUTH_B3,

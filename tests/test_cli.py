@@ -903,3 +903,66 @@ class TestInBoundsRuns:
                  f"seed = {seed}\n\n[output]\nformat = {fmt}\n")
         assert validate_config(text)[1] == []
         assert run_with_finite_outputs(text) in (0, 3)
+
+
+def chevron_rabi_fit(tmp_path, schedule="", simulation=""):
+    """Exit code and ``rabi_fit`` block of a chevron run with the given lines."""
+    cfg = write_config(tmp_path, f"[scenario]\nname = chevron\n\n[schedule]\n{schedule}\n\n"
+                                 f"[simulation]\n{simulation}\n")
+    rc = main(["run", cfg, "--out", str(tmp_path / "o")])
+    return rc, json.loads((tmp_path / "o" / "chevron_report.json").read_text())["rabi_fit"]
+
+
+NYQUIST = "reaches the Nyquist limit"
+RESOLUTION = "under the Fourier resolution"
+
+
+class TestChevronResolution:
+    """A chevron run whose Rabi fit cannot recover j exits 0 and says why in
+    ``rabi_fit.unresolved``: the edge columns' frequency sqrt(j^2 + 6^2)
+    reaches the Nyquist limit n_samples / (2 t_ad), or j * t_ad < 1."""
+
+    # Runs that exited 0 with a wrong j and no word of it, changed from the
+    # defaults t_ad = 8, n_samples = 160 and j = 2, with the j each fits.
+    @pytest.mark.parametrize("schedule, simulation, j_fit, reason", [
+        ("j = 1e-3", "", 0.0319, RESOLUTION),
+        ("j = 12", "", 6.61, NYQUIST),
+        ("j = 500", "", 0.0, NYQUIST),
+        ("", "n_samples = 3", 0.0, NYQUIST),
+        ("", "n_samples = 10", 0.0, NYQUIST),
+        ("", "n_samples = 40", 0.0, NYQUIST),
+        ("", "n_samples = 80", 0.53, NYQUIST),
+        ("t_ad = 0.1", "", 5.77, RESOLUTION),
+    ], ids=["j-1e-3", "j-12", "j-500", "n-3", "n-10", "n-40", "n-80", "t_ad-0.1"])
+    def test_reproductions_exit_0_flagged(self, tmp_path, schedule, simulation, j_fit, reason):
+        rc, fit = chevron_rabi_fit(tmp_path, schedule, simulation)
+        assert rc == 0
+        assert fit["j_mhz"] == pytest.approx(j_fit, abs=0.01)
+        assert reason in fit["unresolved"]
+
+    @pytest.mark.parametrize("schedule, simulation, reason", [
+        # sqrt(8^2 + 6^2) = 10 = 160 / (2 * 8): on the edge is out.
+        ("j = 8", "", NYQUIST),
+        ("j = 7.99", "", None),
+        # 101 / 16 = 6.3125 < sqrt(2^2 + 6^2) = 6.3246 < 102 / 16.
+        ("", "n_samples = 101", NYQUIST),
+        ("", "n_samples = 102", None),
+        # j * t_ad = 0.96 and 1.
+        ("j = 0.12", "", RESOLUTION),
+        ("j = 0.125", "", None),
+    ], ids=["nyquist-on", "nyquist-below", "nyquist-samples-below", "nyquist-samples-above",
+            "resolution-below", "resolution-on"])
+    def test_edges_of_the_window(self, tmp_path, schedule, simulation, reason):
+        rc, fit = chevron_rabi_fit(tmp_path, schedule, simulation)
+        assert rc == 0
+        if reason is None:
+            assert "unresolved" not in fit
+            assert fit["j_error_relative"] < 0.035
+        else:
+            assert reason in fit["unresolved"]
+
+    def test_preset_is_resolved(self, tmp_path):
+        rc, fit = chevron_rabi_fit(tmp_path)
+        assert rc == 0
+        assert list(fit) == ["j_mhz", "f_res_mhz", "residual", "j_error_relative",
+                             "f_res_error_mhz"]

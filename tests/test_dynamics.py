@@ -340,6 +340,22 @@ class TestLindbladPropagation:
                 expected = pauli_vector(lindblad_rhs(ham, lops, rho))
                 assert np.max(np.abs(gen @ pauli_vector(rho) - expected)) <= 1e-12
 
+    def test_pauli_generator_adds_operators_in_order(self):
+        """The dissipator's terms are added one operator at a time, in the
+        order of the collapse operators, so G0 is the sum that a loop over
+        them gives, bit for bit."""
+        lops = collapse_operators(NoiseModel(t1=(20.0, 30.0), t2=(15.0, 40.0),
+                                             n_th=(0.02, 0.05)))
+        assert len(lops) == 6
+        for ham in (FIG4.h0, FIG4.h1, FIG3B.hamiltonian(0.4)):
+            images = -2.0j * math.pi * (ham @ PAULI_BASIS - PAULI_BASIS @ ham)
+            for lop in lops:
+                ldl = lop.conj().T @ lop
+                images += (lop @ PAULI_BASIS @ lop.conj().T
+                           - 0.5 * (ldl @ PAULI_BASIS + PAULI_BASIS @ ldl))
+            expected = np.einsum("qij,rji->qr", PAULI_BASIS, images).real / 4.0
+            assert np.array_equal(_pauli_generator(ham, lops), expected)
+
     def test_t1_decay_closed_form(self):
         """Free decay of the excited qubit follows exp(-t/T1): the rate is a
         true inverse time, with no 2 pi factor."""
@@ -424,16 +440,54 @@ class TestAgainstStepLoop:
         ref = reference_lindblad(FIG4, 3.0, np.outer(psi0, psi0.conj()), noise, 0.002, 6)
         assert np.max(np.abs(traj.states - pauli_vector(ref))) <= 1e-12
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 9, 17, 50])
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["unitary", "lindblad"])
+    def test_steps_per_interval(self, noise, steps):
+        """Every split of an interval into blocks of 4 steps: one block of
+        fewer than 4, exactly one block, and a lead block of 1, 1, 1 and 2
+        steps before 1, 2, 4 and 12 full blocks."""
+        n_samples = -(-100 // steps)
+        t_ad = 1.0
+        dt = t_ad / (n_samples * steps)
+        assert _sample_grid(t_ad, dt, n_samples)[1] == steps
+        psi0 = random_pure_state(np.random.default_rng(steps))
+        if noise is None:
+            traj = propagate_unitary(FIG4, t_ad, psi0, dt, n_samples)
+            ref = reference_pure(in_time(FIG4, t_ad), t_ad, psi0, dt, n_samples)
+        else:
+            traj = propagate_lindblad(FIG4, t_ad, psi0, noise, dt, n_samples)
+            ref = pauli_vector(reference_lindblad(FIG4, t_ad, np.outer(psi0, psi0.conj()), noise,
+                                                  dt, n_samples))
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+    def test_near_the_stability_edge(self):
+        """Near RK4's stability edge: table1's schedule with x2 = 50,
+        dt = 0.01 and 20 samples, where h ||G1||_2 = 3.3 > 1, so every block
+        is one step.  Against the step loop its Pauli vectors agree to
+        1.1e-9 (|11>) and 4.2e-10 (|00>) at t_ad = 3, as one step matrix per
+        step did before blocks (1.1e-9 and 4.3e-10); blocks of 4 steps
+        would give 6.6e-8 and 1.2e-7."""
+        schedule = ProtocolSchedule(z1=2.5, z2=1.5, x1=1.0, x2=50.0, j_final=1.3, zz=0.2)
+        for label in ("00", "11"):
+            psi0 = basis_state(label)
+            for t_ad in (1.0, 2.0, 3.0):
+                traj = propagate_lindblad(schedule, t_ad, psi0, DEFAULT_NOISE, 0.01, 20)
+                ref = reference_lindblad(schedule, t_ad, np.outer(psi0, psi0.conj()),
+                                         DEFAULT_NOISE, 0.01, 20)
+                assert np.max(np.abs(traj.states - pauli_vector(ref))) <= 1e-8, (label, t_ad)
+
     def test_interval_spanning_several_batches(self, monkeypatch):
         psi0 = basis_state("10")
         ref = reference_pure(in_time(FIG4, 2.0), 2.0, psi0, 0.002, 3)
-        # 334 steps per interval: two full batches of 128 8x8 steps and one of 78.
-        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(128, 8))
+        # 334 steps per interval, 84 blocks: two full batches of 30 8x8
+        # blocks and one of 24.
+        monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(30, 8))
         traj = propagate_unitary(FIG4, 2.0, psi0, dt=0.002, n_samples=3)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
         noise = NoiseModel(t1=20.0, t2=15.0, n_th=0.02)
-        # 75 steps per interval: fifteen batches of 5 16x16 steps.
-        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(5, 16))
+        # 75 steps per interval, 19 blocks: four batches of 5 16x16 blocks,
+        # the last of 4.
+        monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(5, 16))
         mixed = propagate_lindblad(FIG4, 0.3, psi0, noise, dt=0.002, n_samples=2)
         ref_mixed = reference_lindblad(FIG4, 0.3, np.outer(psi0, psi0.conj()), noise, 0.002, 2)
         assert np.max(np.abs(mixed.states - pauli_vector(ref_mixed))) <= 1e-12
@@ -444,11 +498,11 @@ class TestAgainstStepLoop:
                                     n_samples=10), 16),
     ], ids=["unitary", "lindblad"])
     def test_grouped_intervals_match_one_interval_per_batch(self, monkeypatch, propagate, d):
-        """10 intervals of 100 steps, built one per batch and then in groups
-        of 3, 3, 3 and 1, give the same states bit for bit."""
+        """10 intervals of 100 steps, 25 blocks each, built one per batch and
+        then in groups of 3, 3, 3 and 1, give the same states bit for bit."""
         runs = []
-        for batch_steps in (100, 300):
-            monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(batch_steps, d))
+        for batch_blocks in (25, 75):
+            monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(batch_blocks, d))
             runs.append(propagate())
         assert np.array_equal(runs[0].states, runs[1].states)
 
@@ -506,7 +560,7 @@ def complex_interval_maps(ham, t_ad, dt, n_samples):
         gens = -2.0j * math.pi * np.array([ham(t) for t in stage_times])
         step_matrices = np.eye(4) + _rk4_step(gens[:-2:2], gens[1::2], gens[2::2], h,
                                               mul=np.matmul)
-        maps.append(allocating_ordered_product(step_matrices[None])[0])
+        maps.append(allocating_ordered_product(step_matrices))
     return times, maps
 
 
@@ -528,32 +582,48 @@ class TestRealForm:
 
 
 def allocating_ordered_product(mats):
-    """Pairwise time-ordered product along axis -3 with a new array per level."""
-    while mats.shape[-3] > 1:
-        n = mats.shape[-3]
+    """Pairwise time-ordered product along axis 0 with a new array per level."""
+    while len(mats) > 1:
+        n = len(mats)
         even = n - n % 2
-        pairs = mats[..., 1:even:2, :, :] @ mats[..., 0:even:2, :, :]
-        mats = np.concatenate([pairs, mats[..., even:, :, :]], axis=-3) if even < n else pairs
-    return mats[..., 0, :, :]
+        pairs = mats[1:even:2] @ mats[0:even:2]
+        mats = np.concatenate([pairs, mats[even:]]) if even < n else pairs
+    return mats[0]
 
 
-def batch_bytes(batch_steps, d):
-    """The ``_BATCH_BYTES`` that holds exactly ``batch_steps`` d x d float64 step matrices."""
-    return batch_steps * 8 * d * d
+def build_bound(batch_blocks, d, width=4):
+    """The ``_BUILD_MULADDS`` for which a batch holds exactly ``batch_blocks``
+    blocks of ``width`` steps, each built from 4*width + 1 coefficients."""
+    return batch_blocks * (4 * width + 1) * d * d + 1
 
 
-def allocating_interval_maps(step_matrices, times, steps, h, batch_steps):
-    """Interval maps from freshly returned (g, m, d, d) step stacks, in
-    batches of at most ``batch_steps`` step matrices."""
+def block_offsets(steps, width):
+    """Steps from an interval's start to each of its blocks': a lead block of
+    the remainder, then full blocks of ``width``."""
+    blocks = -(-steps // width)
+    lead = steps - width * (blocks - 1)
+    return lead, [0] + [lead + width * k for k in range(blocks - 1)]
+
+
+def allocating_interval_maps(make_blocks, times, steps, h, width, batch_blocks):
+    """Interval maps from freshly returned block stacks, in batches of at most
+    ``batch_blocks`` blocks.  ``make_blocks(starts, c)`` returns the
+    starts.shape + (d, d) matrices of the blocks of c steps from the (r, M)
+    ``starts``: each lead its own product, a batch's full blocks one."""
     starts = times[:-1]
-    group = max(1, batch_steps // steps)
+    lead, offsets = block_offsets(steps, width)
+    group = max(1, batch_blocks // len(offsets))
     maps = None
     for k in range(0, len(starts), group):
-        t0 = starts[k:k + group, None]
-        for first in range(0, steps, batch_steps):
-            m = min(batch_steps, steps - first)
-            stage_times = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * h)
-            batch = allocating_ordered_product(step_matrices(stage_times))
+        t0 = starts[k:k + group]
+        for first in range(0, len(offsets), batch_blocks):
+            full = np.array(offsets[max(first, 1):first + batch_blocks])
+            mats = [make_blocks(t0[:, None], lead)[None, :, 0]] if first == 0 else []
+            if len(full):
+                block_starts = t0 + full[:, None] * h
+                built = make_blocks(block_starts.reshape(1, -1), width)
+                mats.append(built.reshape(block_starts.shape + built.shape[-2:]))
+            batch = allocating_ordered_product(np.concatenate(mats))
             if maps is None:
                 maps = np.empty((len(starts),) + batch.shape[1:], dtype=batch.dtype)
             maps[k:k + group] = batch if first == 0 else batch @ maps[k:k + group]
@@ -573,11 +643,18 @@ def no_drift(states):
     return np.zeros(states.shape[:-1])
 
 
-def near_identity_steps(d, seed):
-    """Step matrices I + 0.05 cos(s B) of the step starts s, for a fixed random B."""
+def near_identity_blocks(d, h, seed):
+    """Blocks of c step matrices I + 0.05 cos(s B) of the step starts s, for a
+    fixed random B, multiplied in time order."""
     base = np.random.default_rng(seed).normal(size=(d, d))
-    return lambda stage_times: (np.eye(d)
-                                + 0.05 * np.cos(stage_times[:, :-2:2, None, None] * base))
+
+    def make(starts, c):
+        out = np.eye(d) + 0.05 * np.cos(starts[..., None, None] * base)
+        for j in range(1, c):
+            out = (np.eye(d) + 0.05 * np.cos((starts + j * h)[..., None, None] * base)) @ out
+        return out
+
+    return make
 
 
 class TestBufferedReduction:
@@ -590,11 +667,11 @@ class TestBufferedReduction:
     def test_ordered_product_matches_allocating_reduction(self, d, dtype, group):
         rng = np.random.default_rng(d + group)
         for m in range(1, 18):
-            mats = np.eye(d) + 0.1 * rng.normal(size=(group, m, d, d))
+            mats = np.eye(d) + 0.1 * rng.normal(size=(m, group, d, d))
             if dtype == complex:
-                mats = mats + 0.1j * rng.normal(size=(group, m, d, d))
+                mats = mats + 0.1j * rng.normal(size=(m, group, d, d))
             expected = allocating_ordered_product(mats)
-            scratch = np.empty((group, (m + 1) // 2, d, d), dtype)
+            scratch = np.empty(((m + 1) // 2, group, d, d), dtype)
             out = np.empty((group, d, d), dtype)
             dynamics._ordered_product(mats.copy(), scratch, out)
             assert np.array_equal(out, expected), m
@@ -604,22 +681,23 @@ class TestBufferedReduction:
     @pytest.mark.parametrize("d", [8, 16], ids=["real8", "real16"])
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 12])
     def test_interval_maps_match_allocating_build(self, monkeypatch, d, steps):
-        """Batches of 5 step matrices: groups of 5 and of 2 intervals whose
-        last group is short (7 intervals), one interval per batch, and
-        intervals of two and three batches.  The streamed states equal the
-        allocating build's maps applied to each state in turn."""
-        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(5, d))
-        make = near_identity_steps(d, seed=steps)
-
-        def fill(stage_times, out):
-            out[...] = make(stage_times)
-
+        """Batches of 2 blocks of up to 4 steps: groups of 2 intervals of one
+        block whose last group is short (7 intervals), one interval of a lead
+        and a full block per batch, and an interval of two batches (12
+        steps, 3 blocks).  The streamed states equal the allocating build's
+        maps applied to each state in turn."""
+        monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(2, d))
         times = np.linspace(0.0, 1.0, 8)
         h = 1.0 / 7 / steps
+        make = near_identity_blocks(d, h, seed=steps)
+
+        def fill(starts, c, out):
+            out[...] = make(starts, c)
+
         x0 = np.random.default_rng(steps).normal(size=(3, d))
-        expected = applied_state_by_state(allocating_interval_maps(make, times, steps, h, 5),
+        expected = applied_state_by_state(allocating_interval_maps(make, times, steps, h, 4, 2),
                                           x0)
-        states, drifts = dynamics._propagate(fill, times, steps, h, x0, no_drift, "test")
+        states, drifts = dynamics._propagate(fill, 4, times, steps, h, x0, no_drift, "test")
         assert states.dtype == float
         assert drifts.shape == (8, 3)
         assert np.array_equal(states, expected)
@@ -628,10 +706,15 @@ class TestBufferedReduction:
     @pytest.mark.parametrize("t_ad, n_samples, steps", [(1.05, 15, 7), (1.02, 51, 2)])
     def test_schedule_maps_match_allocating_build(self, monkeypatch, noise, t_ad, n_samples,
                                                   steps):
-        """The sweep's step matrices written into the step stack, in batches
-        of 5: intervals of two batches, and groups of 2 with a short last one."""
-        d = 8 if noise is None else 16
-        monkeypatch.setattr(dynamics, "_BATCH_BYTES", batch_bytes(5, d))
+        """The sweep's block matrices written into the block stack.  At
+        dt = 0.01 on FIG4, h ||G1||_2 is 0.33 for the 8x8 generator and 0.64
+        for the 16x16 one, so blocks hold 3 and 1 steps.  7 steps, in batches
+        of one block, are intervals of 3 and 7 batches; 2 steps, in batches
+        of 2 blocks, are groups of 2 intervals with a short last one, and
+        intervals of one batch."""
+        d, width = (8, 3) if noise is None else (16, 1)
+        batch_blocks = 1 if steps == 7 else 2
+        monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(batch_blocks, d, width))
         streamed = dynamics._propagate
         seen = {}
 
@@ -646,16 +729,45 @@ class TestBufferedReduction:
             propagate_unitary(FIG4, t_ad, psi0, 0.01, n_samples)
         else:
             propagate_lindblad(FIG4, t_ad, psi0, noise, 0.01, n_samples)
-        fill, times, streamed_steps, h, x0 = seen["args"][:5]
+        fill, streamed_width, times, streamed_steps, h, x0 = seen["args"][:6]
 
-        def make(stage_times):
-            out = np.empty(stage_times[:, :-2:2].shape + (d, d))
-            fill(stage_times, out)
+        def make(starts, c):
+            out = np.empty(starts.shape + (d, d))
+            fill(starts, c, out)
             return out
 
-        assert streamed_steps == steps
-        maps = allocating_interval_maps(make, times, steps, h, 5)
+        assert (streamed_steps, streamed_width) == (steps, width)
+        maps = allocating_interval_maps(make, times, steps, h, width, batch_blocks)
         assert np.array_equal(seen["states"], applied_state_by_state(maps, x0))
+
+    @pytest.mark.parametrize("run", [
+        lambda: propagate_unitary(FIG3B, 30.0, np.eye(4)[1:], n_samples=300),
+        lambda: propagate_unitary(FIG4, 5.0, basis_state("01"), n_samples=2),
+        lambda: propagate_lindblad(FIG4, 30.0, np.eye(4)[[0, 3]], DEFAULT_NOISE, n_samples=300),
+        lambda: propagate_lindblad(FIG4, 5.0, basis_state("11"), DEFAULT_NOISE, n_samples=2),
+    ], ids=["unitary-groups", "unitary-long-intervals", "lindblad-groups",
+            "lindblad-long-intervals"])
+    def test_every_product_stays_under_the_thread_bound(self, monkeypatch, run):
+        """Each matrix product of a propagation has M*K*N < 2^19
+        multiply-adds, so OpenBLAS runs it on one thread; the block builds,
+        (blocks, 17) @ (17, d^2), come within a factor 2 of that bound, in
+        groups of intervals and in intervals of several batches alike."""
+        products = []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, **kwargs):
+                products.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(dynamics, "np", SpyNumpy())
+        run()
+        builds = [m * k * n for m, k, n in products if k == 17]
+        assert builds and max(m * k * n for m, k, n in products) < 2**19
+        assert max(builds) >= 2**18
 
 
 class TestStepPolynomial:
@@ -710,3 +822,40 @@ class TestStepPolynomial:
             t = s_n * t_ad
             a1, a2, a3 = generator(t), generator(t + 0.5 * h), generator(t + h)
             assert np.max(np.abs(step - _rk4_step(a1, a2, a3, h, mul=np.matmul))) <= 1e-14
+
+
+FIG1 = ProtocolSchedule(z1=0.0, z2=3.0, x1=0.0, x2=2.7)
+
+
+class TestBlockPolynomials:
+    """B_c(s) - I from ``_block_polynomials`` against the time-ordered product
+    of its c ``_rk4_step`` matrices, at the presets' step sizes."""
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["real8", "real16"])
+    @pytest.mark.parametrize("schedule, t_ad", [(FIG4, 5.0), (FIG4, 30.0), (FIG3B, 30.0),
+                                                (FIG1, 10.0)],
+                             ids=["fig4-5us", "fig4-30us", "fig3b-30us", "fig1-10us"])
+    def test_blocks_match_products_of_steps(self, noise, schedule, t_ad):
+        h = _sample_grid(t_ad, 0.002, 300)[2]
+        if noise is None:
+            g0, g1 = (dynamics._schrodinger_generator(ham) for ham in (schedule.h0, schedule.h1))
+        else:
+            g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
+            g1 = _pauli_generator(schedule.h1)
+        d = len(g0)
+        # Every preset takes blocks of 4: 4 h ||G1||_2 <= 1.
+        assert 4 * h * np.linalg.norm(g1, 2) <= 1.0
+        delta = h / t_ad
+        polys = dynamics._block_polynomials(g0, g1, h, delta, 4)
+        rng = np.random.default_rng(d)
+        for c, poly in enumerate(polys, start=1):
+            assert poly.shape == (4 * c + 1, d * d)
+            # Block starts: the last block ends at s = 1.
+            for s in rng.uniform(0.0, 1.0 - c * delta, size=20):
+                powers = np.vander([s], 4 * c + 1, increasing=True)
+                block = np.eye(d) + (powers @ poly).reshape(d, d)
+                product = np.eye(d)
+                for j in range(c):
+                    a1, a2, a3 = (g0 + (s + (j + f) * delta) * g1 for f in (0.0, 0.5, 1.0))
+                    product = (np.eye(d) + _rk4_step(a1, a2, a3, h, mul=np.matmul)) @ product
+                assert np.max(np.abs(block - product)) <= 1e-14 * np.max(np.abs(product)), (c, s)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adiasim.operators import (
+    CHANNEL_OPERATORS,
     I2,
     PAULI_LABELS_2Q,
     SIGMA_MINUS,
@@ -85,6 +86,13 @@ class TestTwoQubit:
         assert np.allclose(pauli_2q("IZ"), np.kron(I2, Z))
         assert np.allclose(embed_1q(X, 1), pauli_2q("XI"))
         assert np.allclose(embed_1q(Y, 2), pauli_2q("IY"))
+
+    def test_channel_operators_are_the_embedded_channels(self):
+        """Row q-1 holds sigma-, sigma+ and Z on qubit q, bit for bit."""
+        assert CHANNEL_OPERATORS.shape == (2, 3, 4, 4)
+        for q in (1, 2):
+            for op, embedded in zip((SIGMA_MINUS, SIGMA_PLUS, Z), CHANNEL_OPERATORS[q - 1]):
+                assert np.array_equal(embedded, embed_1q(op, q))
 
     def test_embed_rejects_bad_qubit_and_shape(self):
         for qubit in (0, 3):
