@@ -5,7 +5,8 @@ Core pieces:
 * schedule     — the sweep Hamiltonian H(s) and the angle between the drive frames
 * dynamics     — Schrodinger / Lindblad RK4 propagation
 * tomography   — correlator arrays, shot sampling, the energy estimator, frame rotation
-* analysis     — tracked levels, minimum gap, diabatic slope, LZ formula
+* analysis     — tracked levels, passage fidelity, minimum gap from the tracked
+                 levels, diabatic slope, LZ formula
 * mitigation   — zero-protocol-time extrapolation of energy contributions
 * calibration  — chevron maps and coupling/dispersive fits
 * config, scenarios, cli — reproducible scenario runs and data files
@@ -15,13 +16,16 @@ from ._version import __version__
 from .analysis import (
     DegenerateTracking,
     NoInteriorMinimum,
+    TrackedLevels,
     WindowOutOfRange,
     ZeroSlope,
     crossing_report,
     diabatic_slope,
+    level_weights,
     lz_probability,
     min_gap,
     passage_fidelity,
+    pauli_fidelity,
     tracked_levels,
 )
 from .calibration import (

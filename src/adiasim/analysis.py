@@ -12,19 +12,24 @@ Levels are numbered 1..4.  Two labelings coexist:
   at the first one (curves may cross; these are the adiabatically-continued
   branches).
 
-``tracked_levels`` returns the tracked energies and eigenvectors at a
-trajectory's sample points as two arrays; ``passage_fidelity`` reads a state
-stack against those vectors.  Sorted level k at row i is tracked column
-``argsort(energies[i])[k - 1]``, so a one-row read gives its population.
-The crossing of interest in the sweep protocol involves the middle pair,
-sorted levels (2, 3), the one pair the crossing analysis reads.  It reads
-H(s) directly and tracks no levels.
+A sweep shape is diagonalised once: ``tracked_levels`` returns its
+``TrackedLevels``, the tracked energies on the tracker's own grid and the
+tracked energies and eigenvectors at a trajectory's sample points.
+``passage_fidelity`` reads a state stack against those vectors, and
+``pauli_fidelity`` a stack of Pauli vectors against ``level_weights``, which
+a sweep computes once per level.  Sorted level k at row i is tracked
+column ``argsort(energies[i])[k - 1]``, so a one-row read gives its
+population.  The crossing of interest in the sweep protocol involves the
+middle pair, sorted levels (2, 3), the one pair the crossing analysis
+reads: ``min_gap`` takes its coarse minimum from the same tracked levels,
+sorted, and refines it on H(s) itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +41,13 @@ __all__ = [
     "NoInteriorMinimum",
     "WindowOutOfRange",
     "ZeroSlope",
+    "TrackedLevels",
     "tracked_levels",
     "min_gap",
     "diabatic_slope",
     "lz_probability",
+    "level_weights",
+    "pauli_fidelity",
     "passage_fidelity",
     "crossing_report",
 ]
@@ -49,8 +57,8 @@ _TIE_TOL = 1e-9
 # the overlaps of successive eigenbases can tie.
 _MIN_TRACKING_STEPS = 100
 _PERMS = np.array(list(itertools.permutations(range(4))))
-# The uniform grid in s of the crossing analysis, and the width in s of the
-# slope fit window.
+# The uniform grid in s whose points in the slope fit window are the fit's,
+# and the width in s of that window.
 _GRID = np.linspace(0.0, 1.0, 1001)
 _SLOPE_WINDOW = 0.10
 
@@ -115,17 +123,33 @@ def _continued_labels(perms: np.ndarray) -> np.ndarray:
     return labels
 
 
-def tracked_levels(schedule, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tracked energies (n, 4) and eigenvectors (n, 4, 4) at uniform points ``s``.
+@dataclass(frozen=True)
+class TrackedLevels:
+    """The levels of one sweep shape, from one tracked eigensystem.
 
-    Energy column k follows the level that was k-th lowest at ``s[0]`` and
-    ``vectors[i][:, k]`` is its eigenvector.  ``schedule`` needs
-    ``hamiltonian(s)`` for an array of s (any ProtocolSchedule qualifies).
-    The levels are tracked on a grid r times finer than ``s``, with at
-    least _MIN_TRACKING_STEPS steps, that holds every point exactly as its
-    r-th point.  Raises ValueError for fewer than two points, and
-    DegenerateTracking when the label continuation is ambiguous at some
-    step.
+    grid          : (m,) the tracker's points in s
+    grid_energies : (m, 4) tracked energies there
+    energies      : (n, 4) tracked energies at the sample points
+    vectors       : (n, 4, 4) tracked eigenvectors at the sample points,
+                    ``vectors[i][:, k]`` the one of ``energies[i, k]``
+    """
+
+    grid: np.ndarray
+    grid_energies: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+
+def tracked_levels(schedule, s: np.ndarray) -> TrackedLevels:
+    """The levels of ``schedule`` tracked through the uniform points ``s``.
+
+    Energy column k follows the level that was k-th lowest at ``s[0]``.
+    ``schedule`` needs ``hamiltonian(s)`` for an array of s (any
+    ProtocolSchedule qualifies).  The levels are tracked on a grid r times
+    finer than ``s``, with at least _MIN_TRACKING_STEPS steps, that holds
+    every point exactly as its r-th point.  Raises ValueError for fewer than
+    two points, and DegenerateTracking when the label continuation is
+    ambiguous at some step.
     """
     if len(s) < 2:
         raise ValueError(f"tracked_levels needs at least two points s, got {len(s)}")
@@ -133,7 +157,7 @@ def tracked_levels(schedule, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fine = np.linspace(s[0], s[-1], r * (len(s) - 1) + 1)
     fine[::r] = s
     energies, vectors = _tracked_eigensystem(schedule, fine)
-    return energies[::r], vectors[::r]
+    return TrackedLevels(fine, energies, energies[::r], vectors[::r])
 
 
 def _middle_gap(schedule, s: float) -> tuple[float, float, float]:
@@ -156,29 +180,30 @@ def _middle_gap(schedule, s: float) -> tuple[float, float, float]:
             float(curvatures[2] - curvatures[1]))
 
 
-def min_gap(schedule) -> tuple[float, float]:
+def min_gap(schedule, levels: TrackedLevels) -> tuple[float, float]:
     """Minimum separation of the middle sorted levels (2, 3).
 
     ``schedule`` needs ``hamiltonian(s)`` and the s-derivative ``h1`` of H
-    (any ProtocolSchedule qualifies).  Returns ``(a, s_c)``: the gap
-    minimum [MHz] and where it lies in s.  One stacked eigvalsh on the
-    uniform 1001-point grid in [0, 1] finds the coarse minimum; Newton
-    steps on the Hellmann-Feynman gap derivative, inside a bracket that
-    starts as the two grid cells around it and shrinks by the sign of the
-    derivative at every point, then fix s_c to float resolution.  A step
-    that leaves the bracket, or a curvature that is not finite and
-    positive, is replaced by bisection.  Raises NoInteriorMinimum when the
-    coarse minimum sits on a grid endpoint, i.e. the gap is monotonic over
-    the grid.
+    (any ProtocolSchedule qualifies), and ``levels`` are its tracked levels
+    (``tracked_levels``).  Returns ``(a, s_c)``: the gap minimum [MHz] and
+    where it lies in s.  The coarse minimum is that of the sorted levels on
+    the tracker's grid; Newton steps on the Hellmann-Feynman gap derivative,
+    inside a bracket that starts as the two grid cells around it and
+    shrinks by the sign of the derivative at every point, then fix s_c to
+    float resolution.  A step that leaves the bracket, or a curvature that
+    is not finite and positive, is replaced by bisection.  Raises
+    NoInteriorMinimum when the coarse minimum sits on a grid endpoint,
+    i.e. the gap is monotonic over the grid or its minimum lies within one
+    cell of an end.
     """
-    levels = np.linalg.eigvalsh(schedule.hamiltonian(_GRID))
-    idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
-    if idx == 0 or idx == len(_GRID) - 1:
+    grid, sorted_e = levels.grid, np.sort(levels.grid_energies, axis=1)
+    idx = int(np.argmin(sorted_e[:, 2] - sorted_e[:, 1]))
+    if idx == 0 or idx == len(grid) - 1:
         raise NoInteriorMinimum(
             f"gap of sorted levels (2, 3) is minimal at the grid edge "
-            f"s = {_GRID[idx]:.6f}; no interior avoided crossing"
+            f"s = {grid[idx]:.6f}; no interior avoided crossing"
         )
-    lo, hi = float(_GRID[idx - 1]), float(_GRID[idx + 1])
+    lo, hi = float(grid[idx - 1]), float(grid[idx + 1])
     s_c = 0.5 * (lo + hi)
     while True:
         gap, slope, curvature = _middle_gap(schedule, s_c)
@@ -209,8 +234,9 @@ def diabatic_slope(schedule: ProtocolSchedule, s_c: float) -> float:
     single-qubit terms with splittings eps_i(s) = sqrt(z_i**2 (1-s)**2 +
     x_i**2 s**2), and the continuity-labeled middle pair differs by
     +-(eps1 - eps2), a signed quantity that passes through zero at the bare
-    crossing.  A line is fitted to eps1 - eps2 on the about 100 points of
-    min_gap's grid in a window of width 0.1 centered on ``s_c``.  The zz term
+    crossing.  A line is fitted to eps1 - eps2 on the about 100 points of a
+    uniform 1001-point grid in s that lie in a window of width 0.1 centered
+    on ``s_c``.  The zz term
     must go too: it opens its own tiny avoided crossing, which would bend the
     difference through the crossing and make the slope depend on the window.
     Raises WindowOutOfRange when eps1 - eps2 keeps one sign over the window:
@@ -256,30 +282,54 @@ def lz_probability(a: float, alpha: float) -> tuple[float, float]:
     return gamma, math.exp(-2.0 * math.pi * gamma)
 
 
+def _level_vectors(vectors: np.ndarray, level: int) -> np.ndarray:
+    """The (n, 4) vectors of tracked level ``level``, 1..4, from (n, 4, 4) ``vectors``."""
+    if not 1 <= level <= 4:
+        raise ValueError(f"level must be in 1..4, got {level}")
+    return vectors[:, :, level - 1]
+
+
+def level_weights(vectors: np.ndarray, level: int) -> np.ndarray:
+    """Weights <v|P_k|v> of one tracked level at every point, a (16, n) array.
+
+    ``vectors`` are the (n, 4, 4) tracked eigenvectors and ``level`` a
+    tracked label, 1..4; row k belongs to Pauli k.  A sweep computes them
+    once per level and reads every Pauli-vector stack against them with
+    ``pauli_fidelity``.
+    """
+    v = _level_vectors(vectors, level)
+    # One plain einsum: an optimized one would call multithreaded BLAS.
+    return np.ascontiguousarray(np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real.T)
+
+
+def pauli_fidelity(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Tr(rho |v><v|) = sum_k r_k <v|P_k|v> / 4 of (n, 16) Pauli vectors r at
+    every point, from the (16, n) ``level_weights`` of the level v."""
+    # Pauli k is not the contiguous axis of the weights, so einsum sums over
+    # k in order, whatever the layout of r.
+    return np.einsum("nk,kn->n", r, weights) / 4.0
+
+
 def passage_fidelity(states: np.ndarray, vectors: np.ndarray, level: int) -> np.ndarray:
     """Overlap of a state stack with one adiabatically-continued level.
 
     ``states`` is an (n, 4) stack of pure states or an (n, 16) stack of Pauli
     vectors r, and ``vectors`` the (n, 4, 4) tracked eigenvectors at the same
-    times (from ``tracked_levels``).  Returns ``|<v_level(t)|psi(t)>|**2`` (or
-    ``Tr(rho |v><v|) = sum_k r_k <v|P_k|v> / 4``) at every time; ``level`` is
+    times (``TrackedLevels.vectors``).  Returns ``|<v_level(t)|psi(t)>|**2``
+    (or ``Tr(rho |v><v|)``, see pauli_fidelity) at every time; ``level`` is
     a tracked label, 1..4.
     """
-    if not 1 <= level <= 4:
-        raise ValueError(f"level must be in 1..4, got {level}")
-    v = vectors[:, :, level - 1]
     if states.shape[-1] == len(PAULI_BASIS):
-        # Two plain einsums: one optimized einsum would call multithreaded BLAS.
-        weights = np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real
-        return np.einsum("nk,nk->n", states, weights) / 4.0
+        return pauli_fidelity(states, level_weights(vectors, level))
+    v = _level_vectors(vectors, level)
     return np.abs(np.einsum("ij,ij->i", v.conj(), states)) ** 2
 
 
-def crossing_report(schedule: ProtocolSchedule) -> tuple[float, float, float]:
+def crossing_report(schedule: ProtocolSchedule, levels: TrackedLevels) -> tuple[float, float, float]:
     """Crossing analysis: ``(a, s_c, slope)`` from min_gap and diabatic_slope.
 
-    The LZ prediction of a run of duration t_ad is
-    ``lz_probability(a, slope / t_ad)``.
+    ``levels`` are the schedule's tracked levels.  The LZ prediction of a
+    run of duration t_ad is ``lz_probability(a, slope / t_ad)``.
     """
-    a, s_c = min_gap(schedule)
+    a, s_c = min_gap(schedule, levels)
     return a, s_c, diabatic_slope(schedule, s_c)

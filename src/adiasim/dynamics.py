@@ -28,8 +28,11 @@ the generators at the step's start (A1), midpoint (A2) and end (A3):
     K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
 
 A sweep of duration t_ad is affine in s = t/t_ad, so its generator is
-A(s) = G0 + s*G1, a step from s is R(s) = I + sum_{k=0..4} s^k P_k, and c
-consecutive steps multiply to
+A(s) = G0 + s*G1, where G0, G1 and ||G1||_2 depend on the schedule and the
+noise model but not on t_ad: a run propagates one schedule for each of its
+durations, and the pair of the last schedule and noise model propagated is
+kept, so that it is built once per run.  A step from s is
+R(s) = I + sum_{k=0..4} s^k P_k, and c consecutive steps multiply to
 
     B_c(s) = R(s + (c-1) delta) ... R(s + delta) R(s),   delta = h / t_ad,
 
@@ -421,28 +424,50 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     return states, drifts
 
 
-def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt: float,
-           n_samples: int, x0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Times, states and drifts of ``_propagate`` over a sweep of duration ``t_ad``.
+# The schedule, noise model and generators of the last sweep (see the module
+# docstring), matched by identity: an equal schedule with, say, a zero of
+# the other sign builds its own.
+_last_generators: tuple = (None, None, None)
 
-    ``noise`` None selects the real 8x8 Schrodinger generator and the norm
-    drift, otherwise the real Pauli transfer matrix of the Lindblad
-    generator and the trace drift.
+
+def _generators(schedule: ProtocolSchedule, noise: NoiseModel | None):
+    """G0, G1 and ||G1||_2 of the sweep generator A(s) = G0 + s*G1.
+
+    ``noise`` None selects the real 8x8 Schrodinger generator, otherwise
+    the real Pauli transfer matrix of the Lindblad generator.  The norm is
+    0 for a non-finite G1, whose run _propagate reports.
     """
-    times, steps, h = _sample_grid(t_ad, dt, n_samples)
+    global _last_generators
+    last_schedule, last_noise, pair = _last_generators
+    if last_schedule is schedule and last_noise is noise:
+        return pair
     # A non-finite schedule field can overflow here; _propagate reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise is None:
             g0, g1 = _schrodinger_generator(schedule.h0), _schrodinger_generator(schedule.h1)
-            drift_of, what = _norm_drift, "norm"
         else:
             g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
             g1 = _pauli_generator(schedule.h1)
-            drift_of, what = _trace_drift, "trace"
+        # The SVD fails on a non-finite g1.
+        pair = g0, g1, np.linalg.norm(g1, 2) if np.isfinite(g1).all() else 0.0
+    _last_generators = schedule, noise, pair
+    return pair
+
+
+def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt: float,
+           n_samples: int, x0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Times, states and drifts of ``_propagate`` over a sweep of duration ``t_ad``.
+
+    ``noise`` None selects the Schrodinger generator and the norm drift,
+    otherwise the Lindblad generator and the trace drift (see _generators).
+    """
+    times, steps, h = _sample_grid(t_ad, dt, n_samples)
+    g0, g1, norm = _generators(schedule, noise)
+    drift_of, what = (_norm_drift, "norm") if noise is None else (_trace_drift, "trace")
+    with np.errstate(over="ignore", invalid="ignore"):
         # The expansion in s loses digits as h*||g1|| grows, the more so
-        # the more steps a block holds: keep width * h * ||g1||_2 <= 1.  The
-        # SVD fails on a non-finite g1, whose run _propagate reports.
-        rate = h * np.linalg.norm(g1, 2) if np.isfinite(g1).all() else 0.0
+        # the more steps a block holds: keep width * h * ||g1||_2 <= 1.
+        rate = h * norm
         width = _BLOCK_STEPS
         while width > 1 and width * rate > 1.0:
             width -= 1

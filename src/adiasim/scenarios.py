@@ -25,7 +25,8 @@ import os
 import numpy as np
 
 from ._version import __version__
-from .analysis import crossing_report, lz_probability, passage_fidelity, tracked_levels
+from .analysis import (TrackedLevels, crossing_report, level_weights, lz_probability, passage_fidelity,
+                       pauli_fidelity, tracked_levels)
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_lindblad, propagate_unitary
@@ -360,18 +361,24 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     """Simulate and write one trace per duration.
 
     Every duration sweeps the same H(s) on the same n_samples + 1 points of
-    s, so one set of tracked levels serves all.  Returns those levels and
-    the end rows as three arrays indexed [duration, state]: the (6,)
-    estimator terms of the last sample, whose sum is the trace's last
-    energy, the passage fidelity and the final state.  Each duration's
-    trajectory is dropped before the next is propagated.
+    s, so one set of tracked levels serves all, and so do the generators
+    that the propagators build for the first duration and keep for the
+    schedule and noise model of this run.  Returns those levels and the end
+    rows as three arrays indexed [duration, state]: the (6,) estimator terms
+    of the last sample, whose sum is the trace's last energy, the passage
+    fidelity and the final state.  Each duration's trajectory is dropped
+    before the next is propagated.
     """
     noise = config.noise_model()
     schedule = config.schedule()
-    energies, vectors = levels = tracked_levels(schedule, np.linspace(0.0, 1.0, config.n_samples + 1))
+    levels = tracked_levels(schedule, np.linspace(0.0, 1.0, config.n_samples + 1))
+    energies, vectors = levels.energies, levels.vectors
     psi0 = np.array([basis_state(state) for state in config.initial_states])
     # Each state follows the tracked level it overlaps most at s = 0.
     start_levels = np.argmax(np.abs(vectors[0].conj().T @ psi0.T) ** 2, axis=0) + 1
+    # A Lindblad run reads each start level's fidelity against weights
+    # computed once per run.
+    weights = {} if noise is None else {level: level_weights(vectors, level) for level in set(start_levels)}
     shape = (len(config.t_ad), len(config.initial_states))
     end_terms, end_fidelities = np.empty(shape + (len(ENERGY_TERMS),)), np.empty(shape)
     # A pure final state, or the Pauli vector of a Lindblad run's.
@@ -397,7 +404,8 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
         table[:, 0] = traj.times
         for state_index, level in enumerate(start_levels):
             states = traj.states[:, state_index]
-            fidelity = passage_fidelity(states, vectors, level)
+            fidelity = (passage_fidelity(states, vectors, level) if noise is None
+                        else pauli_fidelity(states, weights[level]))
             values = _measure(config, states, t_ad_index, state_index)
             terms = energy_terms(values, schedule, traj.times / t_ad)
             first = 5 + state_index * (n_pauli + 2)
@@ -414,15 +422,16 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     return levels, (end_terms, end_fidelities, finals)
 
 
-def _crossing_payload(config: ScenarioConfig, levels: tuple[np.ndarray, np.ndarray],
+def _crossing_payload(config: ScenarioConfig, levels: TrackedLevels,
                       end_fidelities: np.ndarray, finals: np.ndarray) -> dict:
     """Crossing analysis plus per-duration LZ-vs-simulation comparison.
 
-    The measured populations are those of sorted levels 3 (diabatic) and 2
-    (adiabatic) at s = 1, read from the tracked levels there.
+    The crossing analysis reads the sweep's tracked levels.  The measured
+    populations are those of sorted levels 3 (diabatic) and 2 (adiabatic)
+    at s = 1, read from the tracked levels there.
     """
     try:
-        a, s_c, slope = crossing_report(config.schedule())
+        a, s_c, slope = crossing_report(config.schedule(), levels)
     except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     # The report's times and slopes in us are those of the first duration.
@@ -434,8 +443,8 @@ def _crossing_payload(config: ScenarioConfig, levels: tuple[np.ndarray, np.ndarr
         "slope_times_t_ad_mhz": slope,
         "per_t_ad": {},
     }
-    energies, vectors = levels
-    sorted_level = np.argsort(energies[-1]) + 1
+    vectors = levels.vectors
+    sorted_level = np.argsort(levels.energies[-1]) + 1
     for i, t_ad in enumerate(config.t_ad):
         gamma, p_diabatic = lz_probability(a, slope / t_ad)
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
@@ -526,16 +535,22 @@ def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     constant = np.exp(0.5j * theta[:, None] * iz) * traj.states
     summary: dict[str, float] = {"z_mhz": z, "x_mhz": x, "t_ad_us": t_ad}
     frames = (("chirped", traj.states), ("constant", constant))
+    n_pauli = len(PAULI_LABELS_2Q)
+    # One table for both frames: t, the correlators, then the constant
+    # frame's theta and rotated IX, IY; the chirped trace is its first columns.
+    table = np.empty((len(traj.times), n_pauli + 4))
+    table[:, 0] = traj.times
+    table[:, n_pauli + 1] = theta
     for frame_index, (frame, states) in enumerate(frames):
         values = _measure(config, states, frame_index, 0)
         columns = ["t_us"] + [term.lower() for term in PAULI_LABELS_2Q]
-        table = [traj.times, values[:, :len(PAULI_LABELS_2Q)]]
+        table[:, 1:n_pauli + 1] = values[:, :n_pauli]
         ix_iy = raw_ix_iy = values[:, _IX_IY]
         if frame == "constant":
             columns += ["theta_rad", "ix_rotated", "iy_rotated"]
             ix_iy = rotate_correlators(values, theta)[:, _IX_IY]
-            table += [theta, ix_iy]
-        out.trace(config, label, f"{label}_{frame}_trace", t_ad, columns, np.column_stack(table))
+            table[:, n_pauli + 2:] = ix_iy
+        out.trace(config, label, f"{label}_{frame}_trace", t_ad, columns, table[:, :len(columns)])
         tag = "rotated" if frame == "constant" else frame
         summary[f"max_abs_iy_{tag}"] = float(np.max(np.abs(ix_iy[:, 1])))
         summary[f"final_ix_{tag}"] = float(ix_iy[-1, 0])
@@ -577,9 +592,12 @@ def _run_chevron(config: ScenarioConfig, label: str, out: _Outputs) -> None:
         f_center=CHEVRON_F_CENTER,
     )
     columns = ["f_tc_mhz", "t_us", "p10"]
-    f_grid, t_grid = np.meshgrid(cmap.f_tc, cmap.times, indexing="ij")
-    table = np.column_stack([f_grid.ravel(), t_grid.ravel(), cmap.populations.ravel()])
-    out.trace(config, label, f"{label}_map", t_ad, columns, table)
+    # One row per (frequency, time), frequency-major.
+    table = np.empty(cmap.populations.shape + (len(columns),))
+    table[..., 0] = cmap.f_tc[:, None]
+    table[..., 1] = cmap.times
+    table[..., 2] = cmap.populations
+    out.trace(config, label, f"{label}_map", t_ad, columns, table.reshape(-1, len(columns)))
 
     omegas = list(zip(cmap.f_tc.tolist(), oscillation_frequency(cmap.times, cmap.populations).tolist()))
     j_fit, f_res_fit, residual = fit_rabi(omegas)

@@ -34,6 +34,7 @@ __all__ = [
     "TimeOutOfRange",
     "ProtocolSchedule",
     "frame_rotation_angle",
+    "sweep_points",
 ]
 
 # Every term of H(s) is real, so H(s) is real symmetric.
@@ -49,13 +50,18 @@ class TimeOutOfRange(ValueError):
     """Raised when H(s) is evaluated outside [0, 1]."""
 
 
-def _check_window(values: np.ndarray) -> None:
-    """Raise TimeOutOfRange unless every value of an array lies in [0, 1]."""
-    # Tolerate float round-off at the endpoints (e.g. linspace end).
-    for v in (float(values.min()), float(values.max())) if values.size else ():
+def sweep_points(s) -> np.ndarray:
+    """``s`` as a float array on [0, 1], where H(s) is defined.
+
+    Raises TimeOutOfRange unless every value lies in [0, 1], up to a float
+    round-off of 1e-9 at the ends (e.g. a linspace end), which is clipped.
+    """
+    s = np.asarray(s, dtype=float)
+    for v in (float(s.min()), float(s.max())) if s.size else ():
         # Written so that NaN fails the check too.
         if not -1e-9 <= v <= 1.0 + 1e-9:
             raise TimeOutOfRange(f"{v} outside protocol window [0, 1.0]")
+    return np.clip(s, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,7 @@ class ProtocolSchedule:
     def hamiltonian(self, s) -> np.ndarray:
         """H(s)/h [MHz]: a real 4x4 symmetric matrix for a scalar s, an (n, 4, 4)
         stack for a 1-D array of n values, each row equal to the scalar call's."""
-        s = np.asarray(s, dtype=float)
-        _check_window(s)
-        return self.h0 + np.clip(s, 0.0, 1.0)[..., None, None] * self.h1
+        return self.h0 + sweep_points(s)[..., None, None] * self.h1
 
     def with_(self, **changes) -> "ProtocolSchedule":
         """Return a copy with the given fields replaced."""

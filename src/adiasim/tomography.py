@@ -12,7 +12,8 @@ The energy estimator deliberately uses only the six sweep terms P in
 {ZI, IZ, XI, IX, XX, YY}, each weighted by its coefficient Tr(P H(s))/4 in
 the schedule's H(s), excluding the static ZZ term: the estimate
 reconstructs the controlled part of the Hamiltonian from measured
-correlators.
+correlators.  H(s) = h0 + s*h1 is affine, so the coefficients are
+w0 + s*w1, read from the schedule's h0 and h1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dynamics import DRIFT_LIMIT
 from .operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q
-from .schedule import ProtocolSchedule
+from .schedule import ProtocolSchedule, sweep_points
 
 __all__ = ["measure_correlators", "energy_terms", "rotate_correlators", "CorrelatorOutOfRange",
            "CROSS_LABELS", "CORRELATOR_LABELS", "ENERGY_TERMS"]
@@ -94,10 +95,12 @@ def measure_correlators(states: np.ndarray, shots: int = 0, seed=None) -> np.nda
 def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarray:
     """The six estimator terms of (n, 10) correlators at n sweep points s, an (n, 6) array.
 
-    Columns follow ``ENERGY_TERMS``; the energy is the row sum.
+    Columns follow ``ENERGY_TERMS``; the energy is the row sum.  Raises
+    TimeOutOfRange for an s outside [0, 1].
     """
-    weights = np.einsum("pij,nji->np", _OPS[_ENERGY_COLUMNS], schedule.hamiltonian(s))
-    return weights.real / 4.0 * values[:, _ENERGY_COLUMNS]
+    ops = _OPS[_ENERGY_COLUMNS]
+    w0, w1 = (np.einsum("pij,ji->p", ops, h).real / 4.0 for h in (schedule.h0, schedule.h1))
+    return (w0 + sweep_points(s)[:, None] * w1) * values[:, _ENERGY_COLUMNS]
 
 
 def rotate_correlators(values: np.ndarray, theta) -> np.ndarray:

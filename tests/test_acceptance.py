@@ -45,6 +45,10 @@ END_TOP_TARGET = (4.48, 0.05)
 DT = 0.002
 
 
+def sweep_levels(schedule):
+    """The levels that a run of 300 samples, the default, tracks for its crossing report."""
+    return tracked_levels(schedule, np.linspace(0.0, 1.0, 301))
+
 def _emit(capsys, criterion: int, ok: bool, detail: str) -> str:
     line = f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} -- {detail}"
     with capsys.disabled():
@@ -59,10 +63,12 @@ def _within(value: float, target: tuple) -> bool:
 
 def test_criterion_1_minimum_gaps(capsys):
     t0 = time.perf_counter()
-    gap_b, _ = min_gap(ProtocolSchedule(**FIG3B))
+    fig3b = ProtocolSchedule(**FIG3B)
+    gap_b, _ = min_gap(fig3b, sweep_levels(fig3b))
     elapsed_b = time.perf_counter() - t0
     t0 = time.perf_counter()
-    gap_4, _ = min_gap(ProtocolSchedule(**FIG4))
+    fig4 = ProtocolSchedule(**FIG4)
+    gap_4, _ = min_gap(fig4, sweep_levels(fig4))
     elapsed_4 = time.perf_counter() - t0
 
     ok_b = _within(gap_b, GAP_TARGET_FIG3B)
@@ -81,7 +87,7 @@ def test_criterion_1_minimum_gaps(capsys):
 def test_criterion_2_slope_times_duration(capsys):
     schedule = ProtocolSchedule(**FIG4)
     t0 = time.perf_counter()
-    _, s_c = min_gap(schedule)
+    _, s_c = min_gap(schedule, sweep_levels(schedule))
     # The slope in s is the slope in time times the duration.
     product = diabatic_slope(schedule, s_c=s_c)
     elapsed = time.perf_counter() - t0
@@ -109,7 +115,7 @@ def test_criterion_3_lz_anchor(capsys):
 def test_criterion_4_dynamics_vs_lz_crossover(capsys):
     t0 = time.perf_counter()
     schedule = ProtocolSchedule(**FIG4)
-    a, s_c = min_gap(schedule)
+    a, s_c = min_gap(schedule, sweep_levels(schedule))
     slope = diabatic_slope(schedule, s_c=s_c)
     psi0 = basis_state("01")
 
@@ -119,7 +125,8 @@ def test_criterion_4_dynamics_vs_lz_crossover(capsys):
         # The bare-level slope in time is the slope in s over t_ad.
         _, p_lz = lz_probability(a, slope / t_ad)
         traj = propagate_unitary(schedule, t_ad, psi0, DT, 60)
-        energies, vectors = tracked_levels(schedule, traj.times / t_ad)
+        levels = tracked_levels(schedule, traj.times / t_ad)
+        energies, vectors = levels.energies, levels.vectors
         # The diabatic branch is the third-lowest level at the end of the sweep.
         diabatic = int(np.argsort(energies[-1])[2]) + 1
         p_diabatic = float(passage_fidelity(traj.states[-1:], vectors[-1:], diabatic)[0])
@@ -180,7 +187,7 @@ def test_criterion_6_correlator_signature(capsys):
 
     t_ad = 30.0
     adiabatic = ProtocolSchedule(**FIG3B)
-    s_c = min_gap(adiabatic)[1]
+    s_c = min_gap(adiabatic, sweep_levels(adiabatic))[1]
     t_c = s_c * t_ad
     traj = propagate_unitary(adiabatic, t_ad, basis_state("01"), DT, 300)
     correlators = dict(zip(CORRELATOR_LABELS, measure_correlators(traj.states).T))

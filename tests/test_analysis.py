@@ -18,9 +18,11 @@ from adiasim.analysis import (
     _tracked_eigensystem,
     crossing_report,
     diabatic_slope,
+    level_weights,
     lz_probability,
     min_gap,
     passage_fidelity,
+    pauli_fidelity,
     tracked_levels,
 )
 from adiasim.dynamics import NoiseModel, basis_state, propagate_lindblad, propagate_unitary
@@ -103,7 +105,13 @@ class DegenerateSpectators:
 def levels_on_grid(schedule, n_grid):
     """Uniform grid of ``n_grid`` points over s in [0, 1] and the levels tracked on it."""
     s = np.linspace(0.0, 1.0, n_grid)
-    return (s, *tracked_levels(schedule, s))
+    levels = tracked_levels(schedule, s)
+    return s, levels.energies, levels.vectors
+
+
+def sweep_levels(schedule, n_samples=300):
+    """The levels that a run of ``n_samples`` tracks, for its crossing report too."""
+    return tracked_levels(schedule, np.linspace(0.0, 1.0, n_samples + 1))
 
 
 class TestSpectralTrace:
@@ -153,6 +161,10 @@ class TestSpectralTrace:
         fine_energies, fine_vectors = _tracked_eigensystem(FIG4, fine)
         assert np.array_equal(energies, fine_energies[::r])
         assert np.array_equal(vectors, fine_vectors[::r])
+        # The crossing analysis reads the whole tracker grid.
+        levels = tracked_levels(FIG4, s)
+        assert np.array_equal(levels.grid, fine)
+        assert np.array_equal(levels.grid_energies, fine_energies)
 
     @pytest.mark.parametrize("s", [np.array([0.0]), np.array([])])
     def test_rejects_fewer_than_two_points(self, s):
@@ -234,13 +246,21 @@ class TestBatchedTracking:
         assert str(got.value) == str(expected.value)
 
 
+# The uniform grid on which min_gap took its coarse bracket from a stacked
+# eigvalsh of its own, before it read the tracked levels.
+REFERENCE_GRID = np.linspace(0.0, 1.0, 1001)
+# A custom shape with z1 = 0, whose bare levels tie at s = 0, crossing at
+# s = 0.17 (the crossed run of tests/test_cli.py).
+CUSTOM = ProtocolSchedule(z1=0.0, z2=1.5, x1=7.3, x2=1.0, j_final=1.3)
+
+
 def reference_min_gap(schedule):
     """min_gap by plain bisection on the sign of the Hellmann-Feynman gap
-    derivative, inside the two grid cells around the coarse minimum, until
-    the bracket holds two adjacent floats."""
-    levels = np.linalg.eigvalsh(schedule.hamiltonian(analysis._GRID))
+    derivative, inside the two cells of REFERENCE_GRID around its own coarse
+    minimum, until the bracket holds two adjacent floats."""
+    levels = np.linalg.eigvalsh(schedule.hamiltonian(REFERENCE_GRID))
     idx = int(np.argmin(levels[:, 2] - levels[:, 1]))
-    lo, hi = float(analysis._GRID[idx - 1]), float(analysis._GRID[idx + 1])
+    lo, hi = float(REFERENCE_GRID[idx - 1]), float(REFERENCE_GRID[idx + 1])
 
     def gap_and_slope(s):
         energies, vecs = np.linalg.eigh(schedule.hamiltonian(s))
@@ -259,26 +279,31 @@ def reference_min_gap(schedule):
 
 class TestMinGap:
     @pytest.mark.parametrize("schedule", [
-        FIG3A, FIG3B, FIG4, TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4),
-    ], ids=["fig3a", "fig3b", "fig4", "two-level"])
+        FIG3A, FIG3B, FIG4, CUSTOM, TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4),
+    ], ids=["fig3a", "fig3b", "fig4", "custom", "two-level"])
     def test_newton_matches_reference_bisection(self, monkeypatch, schedule):
-        """Newton steps end where bisection does, to an ulp or so of s_c and
-        of the gap, after at most 12 eigensolves instead of 46-47."""
+        """From the bracket of the tracked levels, on the tracker's grid of
+        101 or 301 points, Newton steps end where bisection from the
+        1001-point bracket does, to an ulp or so of s_c and of the gap,
+        after at most 12 eigensolves instead of 46-47."""
         ref_a, ref_s_c = reference_min_gap(schedule)
-        calls = []
-        eigh = np.linalg.eigh
+        for n_samples in (1, 300):
+            levels = sweep_levels(schedule, n_samples)
+            calls = []
+            eigh = np.linalg.eigh
 
-        def spy(a):
-            calls.append(np.shape(a))
-            return eigh(a)
+            def spy(a):
+                calls.append(np.shape(a))
+                return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        a, s_c = min_gap(schedule)
-        assert type(a) is float and type(s_c) is float
-        assert abs(s_c - ref_s_c) <= 1e-15
-        assert abs(a - ref_a) <= 1e-15
-        assert 1 <= len(calls) <= 12
-        assert all(shape == (4, 4) for shape in calls)
+            monkeypatch.setattr(np.linalg, "eigh", spy)
+            a, s_c = min_gap(schedule, levels)
+            monkeypatch.undo()
+            assert type(a) is float and type(s_c) is float
+            assert abs(s_c - ref_s_c) <= 1e-15
+            assert abs(a - ref_a) <= 1e-15
+            assert 1 <= len(calls) <= 12
+            assert all(shape == (4, 4) for shape in calls)
 
     @pytest.mark.parametrize("schedule", [
         TwoLevelCrossing(slope=20.0, gap=0.0, s_star=0.4 + 1.0 / 3000),
@@ -288,10 +313,31 @@ class TestMinGap:
         """Where the curvature is not finite and positive (a level of the
         pair degenerate with another), the steps fall back to bisection."""
         ref_a, ref_s_c = reference_min_gap(schedule)
-        a, s_c = min_gap(schedule)
+        a, s_c = min_gap(schedule, sweep_levels(schedule))
         assert type(a) is float and type(s_c) is float
         assert abs(s_c - ref_s_c) <= 1e-15
         assert abs(a - ref_a) <= 1e-15
+
+    def test_reads_the_tracked_levels(self):
+        """The coarse minimum is that of the tracked levels: levels whose
+        middle pair is closest at s = 0.5 bracket [0.49, 0.51], which holds
+        no minimum of FIG4's gap, and the steps bisect to that bracket's edge."""
+        grid = np.linspace(0.0, 1.0, 101)
+        energies = np.tile([0.0, 1.0, 3.0, 4.0], (101, 1))
+        energies[50, 2] = 2.0
+        _, s_c = min_gap(FIG4, analysis.TrackedLevels(grid, energies, energies, None))
+        assert 0.49 <= s_c <= 0.51 and abs(s_c - reference_min_gap(FIG4)[1]) > 0.2
+
+    def test_crossing_within_one_cell_of_the_start(self):
+        """A gap minimum within one tracker cell of s = 0 is the grid's first
+        point: min_gap reports NoInteriorMinimum there, at s = 0, where the
+        1001-point bracket found it interior."""
+        duck = TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.003)
+        assert 0.002 < reference_min_gap(duck)[1] < 0.004
+        with pytest.raises(NoInteriorMinimum, match=r"grid edge s = 0\.000000"):
+            min_gap(duck, sweep_levels(duck, n_samples=100))
+        # On a finer tracker grid the same crossing is interior.
+        assert min_gap(duck, sweep_levels(duck, n_samples=1000))[1] == pytest.approx(0.003, abs=1e-7)
 
     def test_sweep_hamiltonian_is_real(self):
         """h0 and h1 are float64, so every eigh of H(s) is a real symmetric one."""
@@ -302,28 +348,28 @@ class TestMinGap:
 
     def test_two_level_crossing_is_exact(self):
         duck = TwoLevelCrossing(slope=20.0, gap=0.37, s_star=0.4)
-        a, s_c = min_gap(duck)
+        a, s_c = min_gap(duck, sweep_levels(duck))
         assert a == pytest.approx(0.37, abs=1e-10)
         assert s_c == pytest.approx(0.4, abs=1e-7)
 
     def test_standard_sweep_gaps(self):
-        a4, sc4 = min_gap(FIG4)
+        a4, sc4 = min_gap(FIG4, sweep_levels(FIG4))
         assert a4 == pytest.approx(FIG4_GAP, abs=1e-4)
         assert sc4 == pytest.approx(FIG4_TC_FRACTION, abs=1e-4)
-        a3, sc3 = min_gap(FIG3B)
+        a3, sc3 = min_gap(FIG3B, sweep_levels(FIG3B))
         assert a3 == pytest.approx(FIG3B_GAP, abs=1e-4)
         assert sc3 == pytest.approx(FIG3B_TC_FRACTION, abs=1e-4)
 
     def test_refinement_beats_dense_grid(self):
         """The refined minimum is no larger than a 20x denser grid scan."""
-        a, _ = min_gap(FIG4)
+        a, _ = min_gap(FIG4, sweep_levels(FIG4))
         dense = np.linalg.eigvalsh(FIG4.hamiltonian(np.linspace(0.0, 1.0, 20001)))
         grid_min = np.min(dense[:, 2] - dense[:, 1])
         assert a <= grid_min + 1e-12
         assert a == pytest.approx(grid_min, abs=1e-6)
 
     def test_local_minimum_returned(self):
-        a, s_c = min_gap(FIG4)
+        a, s_c = min_gap(FIG4, sweep_levels(FIG4))
         for ds in (1e-5, 1e-4):
             for s in (s_c - ds, s_c + ds):
                 vals = np.linalg.eigvalsh(FIG4.hamiltonian(s))
@@ -333,15 +379,16 @@ class TestMinGap:
         """A pure longitudinal ramp has monotonically shrinking gaps."""
         ramp = ProtocolSchedule(z1=2.5, z2=1.5, x1=0.0, x2=0.0)
         with pytest.raises(NoInteriorMinimum):
-            min_gap(ramp)
+            min_gap(ramp, sweep_levels(ramp))
 
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
     def test_crossing_time_is_not_rounding_noise(self, schedule):
         """An ulp-level change of H moves s_c by no more than rounding:
         Newton steps on the gap derivative, kept inside a bracket by its
         sign, end at float resolution."""
-        _, s_c = min_gap(schedule)
-        _, s_c_nudged = min_gap(schedule.with_(z1=schedule.z1 * (1.0 + 1e-15)))
+        _, s_c = min_gap(schedule, sweep_levels(schedule))
+        nudged = schedule.with_(z1=schedule.z1 * (1.0 + 1e-15))
+        _, s_c_nudged = min_gap(nudged, sweep_levels(nudged))
         assert abs(s_c_nudged - s_c) <= 1e-13
 
     @pytest.mark.parametrize("schedule", [FIG3B, FIG4])
@@ -352,7 +399,7 @@ class TestMinGap:
             vals = np.linalg.eigvalsh(schedule.hamiltonian(s))
             return vals[2] - vals[1]
 
-        _, s_c = min_gap(schedule)
+        _, s_c = min_gap(schedule, sweep_levels(schedule))
         h = 1e-6
         for s in (0.1, s_c - 0.01, s_c, s_c + 0.01, 0.9):
             value, slope, curvature = _middle_gap(schedule, s)
@@ -367,7 +414,7 @@ class TestDiabaticSlope:
     def test_slope_matches_bare_gap_growth(self):
         """Away from the crossing point the bare sorted gap grows linearly at
         the fitted rate on both sides."""
-        _, s_c = min_gap(FIG4)
+        _, s_c = min_gap(FIG4, sweep_levels(FIG4))
         alpha = diabatic_slope(FIG4, s_c=s_c)
         bare = FIG4.with_(j_final=0.0, zz=0.0)
 
@@ -381,14 +428,14 @@ class TestDiabaticSlope:
         assert alpha == pytest.approx(abs(fd_left), rel=5e-2)
 
     def test_standard_sweep_slope(self):
-        _, s_c = min_gap(FIG4)
+        _, s_c = min_gap(FIG4, sweep_levels(FIG4))
         alpha = diabatic_slope(FIG4, s_c=s_c)
         assert alpha / 10.0 == pytest.approx(FIG4_SLOPE_AT_10US, abs=1e-4)
 
     def test_window_stability(self, monkeypatch):
         """The fitted slope moves by < 2% when the window is 5% or 15% of
         the protocol instead of 10%."""
-        _, s_c = min_gap(FIG4)
+        _, s_c = min_gap(FIG4, sweep_levels(FIG4))
         assert analysis._SLOPE_WINDOW == 0.10
         base = diabatic_slope(FIG4, s_c=s_c)
         for frac in (0.05, 0.15):
@@ -419,7 +466,7 @@ class TestDiabaticSlope:
                   - np.hypot(schedule.z2 * (1 - s), schedule.x2 * s))
         assert min(np.max(np.abs(tracked - closed)), np.max(np.abs(tracked + closed))) <= 1e-12
 
-        _, s_c = min_gap(schedule)
+        _, s_c = min_gap(schedule, sweep_levels(schedule))
         window = np.abs(s - s_c) <= 0.05
         fitted = abs(np.polyfit(s[window], tracked[window], 1)[0])
         assert diabatic_slope(schedule, s_c=s_c) == pytest.approx(fitted, abs=1e-12)
@@ -471,7 +518,7 @@ class TestLzProbability:
 class TestPassageFidelity:
     def test_adiabatic_run_stays_on_level(self):
         traj = propagate_unitary(FIG3B, 30.0, basis_state("01"), n_samples=40)
-        _, vectors = tracked_levels(FIG3B, traj.times / 30.0)
+        vectors = tracked_levels(FIG3B, traj.times / 30.0).vectors
         fid = passage_fidelity(traj.states, vectors, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-9)
         assert fid[-1] > 0.95
@@ -479,24 +526,45 @@ class TestPassageFidelity:
 
     def test_levels_partition_unity(self):
         traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=20)
-        _, vectors = tracked_levels(FIG4, traj.times / 10.0)
+        vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
         total = sum(passage_fidelity(traj.states, vectors, level=k) for k in (1, 2, 3, 4))
         assert np.allclose(total, 1.0, atol=1e-7)
 
     def test_mixed_state_variant(self):
         traj = propagate_lindblad(FIG4, 10.0, basis_state("01"), NoiseModel(),
                                   n_samples=10)
-        _, vectors = tracked_levels(FIG4, traj.times / 10.0)
+        vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
         fid = passage_fidelity(traj.states, vectors, level=2)
         assert fid[0] == pytest.approx(1.0, abs=1e-6)
         assert np.all((fid >= -1e-9) & (fid <= 1 + 1e-9))
 
+    def test_pauli_weights_read_once_give_the_same_bits(self):
+        """A Lindblad run's fidelity reads its Pauli vectors against weights
+        computed once per level: bit for bit the einsum of <v|P_k|v> against
+        r_k, then divided by 4, that passage_fidelity computed on every call,
+        for a state of a stack (as a sweep reads it) and in any layout."""
+        noise = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
+        psi0 = np.array([basis_state("00"), basis_state("11")])
+        traj = propagate_lindblad(FIG4, 10.0, psi0, noise, n_samples=30)
+        vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
+        for level in (1, 2, 3, 4):
+            v = vectors[:, :, level - 1]
+            old = np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real
+            weights = level_weights(vectors, level)
+            for r in (traj.states[:, 0], traj.states[:, 1]):
+                expected = np.einsum("nk,nk->n", r, old) / 4.0
+                for layout in (r, np.ascontiguousarray(r), np.asfortranarray(r)):
+                    assert np.array_equal(pauli_fidelity(layout, weights), expected)
+                    assert np.array_equal(passage_fidelity(layout, vectors, level), expected)
+
     def test_level_bounds(self):
         traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=10)
-        _, vectors = tracked_levels(FIG4, traj.times / 10.0)
+        vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
         for level in (0, 5):
             with pytest.raises(ValueError):
                 passage_fidelity(traj.states, vectors, level=level)
+            with pytest.raises(ValueError):
+                level_weights(vectors, level)
 
 
 class TestLevelBookkeeping:
@@ -511,7 +579,7 @@ class TestLevelBookkeeping:
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
             r = np.einsum("kij,ji->k", PAULI_BASIS, rho).real
-            _, vectors = tracked_levels(FIG4, np.array([0.0, rng.uniform(0, 1)]))
+            vectors = tracked_levels(FIG4, np.array([0.0, rng.uniform(0, 1)])).vectors
             for state in (psi, r):
                 pops = np.array([passage_fidelity(state[None], vectors[-1:], level)[0]
                                  for level in (1, 2, 3, 4)])
@@ -530,12 +598,13 @@ class TestLevelBookkeeping:
 
 class TestCrossingReport:
     def test_composition(self):
-        a, s_c, slope = crossing_report(FIG4)
-        assert (a, s_c) == min_gap(FIG4)
+        levels = sweep_levels(FIG4)
+        a, s_c, slope = crossing_report(FIG4, levels)
+        assert (a, s_c) == min_gap(FIG4, levels)
         assert slope == diabatic_slope(FIG4, s_c=s_c)
 
     def test_invariants_enforced(self):
-        a, s_c, slope = crossing_report(FIG3B)
+        a, s_c, slope = crossing_report(FIG3B, sweep_levels(FIG3B))
         assert a >= 0
         assert 0 < s_c < 1
         assert slope > 0

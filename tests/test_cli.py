@@ -290,12 +290,13 @@ class TestRunCommand:
                 for line in data_lines(tmp_path / "o" / "custom_trace_tad2.csv")]
         assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
 
-    def test_crossing_report_needs_no_level_tracking(self, tmp_path):
+    def test_crossing_report_needs_no_bare_level_tracking(self, tmp_path):
         """z1 = 0 leaves the bare levels degenerate at t = 0, where tracking
-        them ties; the crossing report reads H(s) without tracking.  With
-        x1 = 1, x2 = 7.3 the bare levels never cross, so the report holds an
-        error and the run still exits 0; with x1 and x2 swapped they cross
-        and every number of the report is finite."""
+        them ties; the crossing report reads the coupled levels that the
+        sweep tracks, and the bare slope in closed form.  With x1 = 1,
+        x2 = 7.3 the bare levels never cross, so the report holds an error
+        and the run still exits 0; with x1 and x2 swapped they cross and
+        every number of the report is finite."""
         def crossing(x1, x2, out):
             cfg = write_config(tmp_path, "[scenario]\nname = custom\ninitial_states = 01\n\n"
                                          f"[schedule]\nz1 = 0\nz2 = 1.5\nx1 = {x1}\nx2 = {x2}\n"

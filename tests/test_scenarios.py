@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiasim import analysis, mitigation, scenarios, tomography
+from adiasim import analysis, dynamics, mitigation, scenarios, tomography
 from adiasim.analysis import _tracked_eigensystem, passage_fidelity, tracked_levels
 from adiasim.config import validate_config
 from adiasim.dynamics import basis_state, propagate_lindblad, propagate_unitary
@@ -141,21 +141,59 @@ def count_eigensystems(monkeypatch):
 class TestOneEigensystemPerSweep:
     def test_fig4_tracks_once_per_sweep(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
+        built = []
+        schrodinger_generator = dynamics._schrodinger_generator
+        monkeypatch.setattr(dynamics, "_schrodinger_generator",
+                            lambda ham: built.append(ham) or schrodinger_generator(ham))
         config = make_config(
             "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         # One for both durations on a 101-point grid that holds the 5
-        # trajectory times; the crossing report tracks no levels.
+        # trajectory times; the crossing report reads the same levels.
         assert calls == [101]
+        assert len(built) == 2  # G0 and G1, for both durations
 
     def test_fig3_tracks_once_per_sweep(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
+        stacked = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def spy(a, _solver=solver, _name=name):
+                if np.ndim(a) > 2:
+                    stacked.append((_name, len(a)))
+                return _solver(a)
+
+            monkeypatch.setattr(np.linalg, name, spy)
         config = make_config(
             "[scenario]\nname = fig3\n\n[schedule]\nt_ad = 2\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         assert calls == [101, 101]  # fig3a, then fig3b
+        # One eigen-decomposition of each shape, and no eigvalsh over the
+        # 1001-point grid of analysis._GRID: the crossing report brackets
+        # its minimum on the tracked levels.
+        assert stacked == [("eigh", 101), ("eigh", 101)]
+
+    def test_table1_builds_one_generator_pair_per_run(self, tmp_path, monkeypatch):
+        """G0 and G1 of the Lindblad generator are built once for the run's
+        three durations, and each start level's weights once for its state."""
+        built, weighed = [], []
+        pauli_generator, level_weights = dynamics._pauli_generator, analysis.level_weights
+        monkeypatch.setattr(dynamics, "_pauli_generator",
+                            lambda *args: built.append(len(args)) or pauli_generator(*args))
+        monkeypatch.setattr(scenarios, "level_weights",
+                            lambda vectors, level: weighed.append(level) or level_weights(vectors, level))
+        config = make_config(
+            "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        assert built == [2, 1]  # G0 with the collapse operators, then G1
+        assert sorted(weighed) == [1, 4]  # |00> and |11> start on levels 1 and 4
+        # A new schedule of equal value builds its own pair.
+        run_scenario(config)
+        assert built == [2, 1, 2, 1]
 
     def test_table1_tracks_once_per_sweep(self, tmp_path, monkeypatch):
         calls = count_eigensystems(monkeypatch)
@@ -178,7 +216,8 @@ class TestOneEigensystemPerSweep:
         schedule = config.schedule()
         for t_ad in t_ads:
             table = read_columns(tmp_path / f"{name}_trace_tad{t_ad:g}.csv")
-            energies, vectors = tracked_levels(schedule, np.linspace(0.0, t_ad, 5) / t_ad)
+            levels = tracked_levels(schedule, np.linspace(0.0, t_ad, 5) / t_ad)
+            energies, vectors = levels.energies, levels.vectors
             for k in range(4):
                 assert np.max(np.abs(table[f"e{k + 1}_mhz"] - energies[:, k])) <= 1e-12
             for label in config.initial_states:

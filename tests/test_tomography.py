@@ -15,7 +15,7 @@ from adiasim.dynamics import (
 )
 from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q, pauli_2q
 from adiasim.scenarios import _measure
-from adiasim.schedule import ProtocolSchedule
+from adiasim.schedule import ProtocolSchedule, TimeOutOfRange
 from adiasim.tomography import (
     CORRELATOR_LABELS,
     CROSS_LABELS,
@@ -292,6 +292,19 @@ class TestCorrelatorArrays:
             reference = reference_energy(dict(zip(CORRELATOR_LABELS, row)), sch, t / t_ad)
             assert np.max(np.abs(term_row - [reference[k] for k in ENERGY_TERMS])) <= 1e-12
             assert abs(term_row.sum() - sum(reference.values())) <= 1e-12
+        # The affine weights w0 + s*w1 against Tr(P H(s))/4 of the H(s) stack,
+        # relative to each term's scale over the sweep.
+        labels = ("ZI", "IZ", "XI", "IX", "XX", "YY")
+        ops = np.array([pauli_2q(label) for label in labels])
+        weights = np.einsum("pij,nji->np", ops, sch.hamiltonian(traj.times / t_ad)).real / 4.0
+        stacked = weights * values[:, [CORRELATOR_LABELS.index(label) for label in labels]]
+        assert np.all(np.abs(terms - stacked) <= 1e-15 * np.abs(stacked).max(axis=0))
+
+    @pytest.mark.parametrize("s", [[-0.01], [0.5, 1.0 + 1e-6], [math.nan]])
+    def test_energy_terms_outside_the_sweep(self, s):
+        values = measure_correlators(np.tile(PSI0, (len(s), 1)))
+        with pytest.raises(TimeOutOfRange):
+            energy_terms(values, FIG4_SCHEDULE, s)
 
 
 class TestEnergyEstimate:
