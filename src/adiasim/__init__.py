@@ -2,6 +2,7 @@
 
 Core pieces:
 
+* operators    — Pauli operators and the Pauli vectors r_k = <P_k> of states
 * schedule     — the sweep Hamiltonian H(s) and the angle between the drive frames
 * dynamics     — Schrodinger / Lindblad RK4 propagation
 * tomography   — correlator arrays, shot sampling, the energy estimator, frame rotation
@@ -24,7 +25,6 @@ from .analysis import (
     level_weights,
     lz_probability,
     min_gap,
-    passage_fidelity,
     pauli_fidelity,
     tracked_levels,
 )
@@ -57,6 +57,7 @@ from .mitigation import (
     extrapolate_quadratic,
     mitigate_energy,
 )
+from .operators import pauli_vector
 from .schedule import (
     ProtocolSchedule,
     TimeOutOfRange,

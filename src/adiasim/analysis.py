@@ -15,14 +15,14 @@ Levels are numbered 1..4.  Two labelings coexist:
 A sweep shape is diagonalised once: ``tracked_levels`` returns its
 ``TrackedLevels``, the tracked energies on the tracker's own grid and the
 tracked energies and eigenvectors at a trajectory's sample points.
-``passage_fidelity`` reads a state stack against those vectors, and
-``pauli_fidelity`` a stack of Pauli vectors against ``level_weights``, which
-a sweep computes once per level.  Sorted level k at row i is tracked
-column ``argsort(energies[i])[k - 1]``, so a one-row read gives its
-population.  The crossing of interest in the sweep protocol involves the
-middle pair, sorted levels (2, 3), the one pair the crossing analysis
-reads: ``min_gap`` takes its coarse minimum from the same tracked levels,
-sorted, and refines it on H(s) itself.
+``pauli_fidelity`` reads a stack of Pauli vectors (those of a Lindblad run,
+or ``operators.pauli_vector`` of pure states) against the ``level_weights``
+of one level's vectors.  Sorted level k at row i is tracked column
+``argsort(energies[i])[k - 1]``, so a one-row read gives its population.
+The crossing of interest in the sweep protocol involves the middle pair,
+sorted levels (2, 3), the one pair the crossing analysis reads:
+``min_gap`` takes its coarse minimum from the same tracked levels, sorted,
+and refines it on H(s) itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PAULI_BASIS
+from .operators import pauli_vector
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "lz_probability",
     "level_weights",
     "pauli_fidelity",
-    "passage_fidelity",
     "crossing_report",
 ]
 
@@ -282,47 +281,25 @@ def lz_probability(a: float, alpha: float) -> tuple[float, float]:
     return gamma, math.exp(-2.0 * math.pi * gamma)
 
 
-def _level_vectors(vectors: np.ndarray, level: int) -> np.ndarray:
-    """The (n, 4) vectors of tracked level ``level``, 1..4, from (n, 4, 4) ``vectors``."""
-    if not 1 <= level <= 4:
-        raise ValueError(f"level must be in 1..4, got {level}")
-    return vectors[:, :, level - 1]
-
-
 def level_weights(vectors: np.ndarray, level: int) -> np.ndarray:
     """Weights <v|P_k|v> of one tracked level at every point, a (16, n) array.
 
     ``vectors`` are the (n, 4, 4) tracked eigenvectors and ``level`` a
-    tracked label, 1..4; row k belongs to Pauli k.  A sweep computes them
-    once per level and reads every Pauli-vector stack against them with
-    ``pauli_fidelity``.
+    tracked label, 1..4; row k belongs to Pauli k.  ``pauli_fidelity``
+    reads Pauli-vector stacks against them.
     """
-    v = _level_vectors(vectors, level)
-    # One plain einsum: an optimized one would call multithreaded BLAS.
-    return np.ascontiguousarray(np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real.T)
+    if not 1 <= level <= 4:
+        raise ValueError(f"level must be in 1..4, got {level}")
+    return np.ascontiguousarray(pauli_vector(vectors[:, :, level - 1]).T)
 
 
 def pauli_fidelity(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Tr(rho |v><v|) = sum_k r_k <v|P_k|v> / 4 of (n, 16) Pauli vectors r at
-    every point, from the (16, n) ``level_weights`` of the level v."""
+    every point, from the (16, n) ``level_weights`` of the level v: those of a
+    pure state psi give |<v|psi>|**2."""
     # Pauli k is not the contiguous axis of the weights, so einsum sums over
     # k in order, whatever the layout of r.
     return np.einsum("nk,kn->n", r, weights) / 4.0
-
-
-def passage_fidelity(states: np.ndarray, vectors: np.ndarray, level: int) -> np.ndarray:
-    """Overlap of a state stack with one adiabatically-continued level.
-
-    ``states`` is an (n, 4) stack of pure states or an (n, 16) stack of Pauli
-    vectors r, and ``vectors`` the (n, 4, 4) tracked eigenvectors at the same
-    times (``TrackedLevels.vectors``).  Returns ``|<v_level(t)|psi(t)>|**2``
-    (or ``Tr(rho |v><v|)``, see pauli_fidelity) at every time; ``level`` is
-    a tracked label, 1..4.
-    """
-    if states.shape[-1] == len(PAULI_BASIS):
-        return pauli_fidelity(states, level_weights(vectors, level))
-    v = _level_vectors(vectors, level)
-    return np.abs(np.einsum("ij,ij->i", v.conj(), states)) ** 2
 
 
 def crossing_report(schedule: ProtocolSchedule, levels: TrackedLevels) -> tuple[float, float, float]:

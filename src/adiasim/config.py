@@ -124,8 +124,8 @@ _NOISE_WHERE = {"t1/t2": "noise", "n_th": "noise.nth"}
 _MAX_N_SAMPLES = 100_000
 # Upper bound on simulation.shots: numpy draws each count as a C int64.
 _MAX_SHOTS = 2**63 - 1
-# Upper bound on the RK4 steps of one run over all its durations: at 0.9-1.2
-# us per real 16x16 Lindblad step (2-CPU x86-64 host), minutes, not days.
+# Upper bound on the RK4 steps of one run over all its durations: at 0.6 us per
+# 16x16 Lindblad step in four-step blocks (2-CPU x86-64 host), a minute, not days.
 _MAX_RK4_STEPS = 10**8
 
 

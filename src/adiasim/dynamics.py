@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import CHANNEL_OPERATORS, PAULI_BASIS as _PAULIS
+from .operators import CHANNEL_OPERATORS, PAULI_BASIS as _PAULIS, pauli_vector
 from .schedule import ProtocolSchedule
 
 __all__ = [
@@ -532,6 +532,5 @@ def propagate_lindblad(schedule: ProtocolSchedule, t_ad: float, psi0: np.ndarray
     model this reduces to the unitary evolution of propagate_unitary.
     """
     psi0 = _pure_initial(psi0)
-    r0 = np.einsum("...i,kij,...j->...k", psi0.conj(), _PAULIS, psi0).real
-    times, states, drifts = _sweep(schedule, t_ad, noise, dt, n_samples, r0)
+    times, states, drifts = _sweep(schedule, t_ad, noise, dt, n_samples, pauli_vector(psi0))
     return Trajectory(times=times, states=states, drifts=drifts)

@@ -1,4 +1,4 @@
-"""Pauli operators and two-qubit embeddings.
+"""Pauli operators, two-qubit embeddings and the Pauli vectors of states.
 
 Sign convention used throughout the package: the computational basis is
 ordered ``|00>, |01>, |10>, |11>`` and the Z operator is
@@ -32,7 +32,7 @@ __all__ = [
     "pauli_2q",
     "embed_1q",
     "CHANNEL_OPERATORS",
-    "dagger",
+    "pauli_vector",
 ]
 
 I2 = np.eye(2, dtype=complex)
@@ -65,6 +65,27 @@ def pauli_2q(label: str) -> np.ndarray:
 # The 16 two-qubit Paulis, II first: the basis of a Pauli vector, r_k = <P_k>.
 PAULI_BASIS_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 PAULI_BASIS = np.stack([pauli_2q(label) for label in PAULI_BASIS_LABELS])
+# <psi|P_k|psi> = sum_ij P_k[i, j] rho_ij with rho_ij = conj(psi_i) psi_j is
+# real: the 16 (Re, Im) pairs of rho's entries times this (32, 16) matrix.
+# Row-major, for which OpenBLAS reads a one-state stack as a row of a longer one.
+_READ = np.stack([PAULI_BASIS.real, -PAULI_BASIS.imag], axis=-1).reshape(16, 32).T.copy()
+# States converted at a time by pauli_vector, which bounds its working
+# memory: a (512, 32) @ (32, 16) product, which OpenBLAS runs on one thread.
+_BLOCK_ROWS = 512
+
+
+def pauli_vector(psi: np.ndarray) -> np.ndarray:
+    """The Pauli vectors r_k = <psi|P_k|psi> over PAULI_BASIS of a (..., 4)
+    state stack, a real (..., 16) array."""
+    psi = np.asarray(psi)
+    flat = psi.reshape(-1, 4)
+    # Column-major, so that r.T, the (16, n) layout of level weights, is no copy.
+    r = np.empty((len(PAULI_BASIS), len(flat))).T
+    for k in range(0, len(flat), _BLOCK_ROWS):
+        block = flat[k:k + _BLOCK_ROWS]
+        rho = np.multiply(block.conj()[:, :, None], block[:, None, :], dtype=complex)
+        r[k:k + len(block)] = rho.reshape(len(block), -1).view(float) @ _READ
+    return r.reshape(psi.shape[:-1] + (len(PAULI_BASIS),))
 
 
 def embed_1q(op: np.ndarray, qubit: int) -> np.ndarray:
@@ -86,8 +107,3 @@ def embed_1q(op: np.ndarray, qubit: int) -> np.ndarray:
 # 0) and on qubit 2 (row 1): a (2, 3, 4, 4) stack.
 CHANNEL_OPERATORS = np.stack([[embed_1q(op, q) for op in (SIGMA_MINUS, SIGMA_PLUS, Z)]
                               for q in (1, 2)])
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Return the conjugate transpose of ``a``."""
-    return np.asarray(a).conj().T

@@ -25,13 +25,12 @@ import os
 import numpy as np
 
 from ._version import __version__
-from .analysis import (TrackedLevels, crossing_report, level_weights, lz_probability, passage_fidelity,
-                       pauli_fidelity, tracked_levels)
+from .analysis import TrackedLevels, crossing_report, level_weights, lz_probability, pauli_fidelity, tracked_levels
 from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersive, fit_rabi, oscillation_frequency
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_lindblad, propagate_unitary
 from .mitigation import END_TERMS, mitigate_energy
-from .operators import PAULI_BASIS, PAULI_LABELS_2Q, Z, embed_1q
+from .operators import PAULI_BASIS, PAULI_LABELS_2Q, Z, embed_1q, pauli_vector
 from .schedule import ProtocolSchedule, frame_rotation_angle
 from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators, rotate_correlators
 
@@ -349,15 +348,15 @@ class _Outputs:
                 os.rmdir(directory)
 
 
-def _measure(config: ScenarioConfig, states: np.ndarray, *key: int) -> np.ndarray:
-    """Correlator columns of a trajectory, sampled from the one stream ``key``."""
+def _measure(config: ScenarioConfig, r: np.ndarray, *key: int) -> np.ndarray:
+    """Correlator columns of a trajectory's Pauli vectors, sampled from the one stream ``key``."""
     # Exact mode never touches np.random, whose lazy import takes 13-16 ms
     # (2-CPU x86-64 host, numpy 2.4).
     seed = np.random.SeedSequence(entropy=config.seed, spawn_key=key) if config.shots else None
-    return measure_correlators(states, config.shots, seed)
+    return measure_correlators(r, config.shots, seed)
 
 
-def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[tuple, tuple]:
+def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: int) -> tuple[tuple, tuple]:
     """Simulate and write one trace per duration.
 
     Every duration sweeps the same H(s) on the same n_samples + 1 points of
@@ -366,8 +365,10 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     schedule and noise model of this run.  Returns those levels and the end
     rows as three arrays indexed [duration, state]: the (6,) estimator terms
     of the last sample, whose sum is the trace's last energy, the passage
-    fidelity and the final state.  Each duration's trajectory is dropped
-    before the next is propagated.
+    fidelity and the final Pauli vector.  Each duration's trajectory is
+    dropped before the next is propagated.  The shots of (duration, state)
+    are drawn from the stream keyed ``sweep + (duration, state)``: a run
+    of two sweeps gives the second the key prefix (1,).
     """
     noise = config.noise_model()
     schedule = config.schedule()
@@ -376,13 +377,9 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     psi0 = np.array([basis_state(state) for state in config.initial_states])
     # Each state follows the tracked level it overlaps most at s = 0.
     start_levels = np.argmax(np.abs(vectors[0].conj().T @ psi0.T) ** 2, axis=0) + 1
-    # A Lindblad run reads each start level's fidelity against weights
-    # computed once per run.
-    weights = {} if noise is None else {level: level_weights(vectors, level) for level in set(start_levels)}
     shape = (len(config.t_ad), len(config.initial_states))
     end_terms, end_fidelities = np.empty(shape + (len(ENERGY_TERMS),)), np.empty(shape)
-    # A pure final state, or the Pauli vector of a Lindblad run's.
-    finals = np.empty(shape + (4,), complex) if noise is None else np.empty(shape + (len(PAULI_BASIS),))
+    finals = np.empty(shape + (len(PAULI_BASIS),))
 
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
     for state in config.initial_states:
@@ -396,17 +393,19 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
     n_pauli = len(PAULI_LABELS_2Q)
 
     def write_trace(t_ad_index: int, t_ad: float) -> None:
+        # Pure states become Pauli vectors one state at a time: no (n, k, 16) stack.
         if noise is None:
             traj = propagate_unitary(schedule, t_ad, psi0, config.dt_us, config.n_samples)
+            read = pauli_vector
         else:
             traj = propagate_lindblad(schedule, t_ad, psi0, noise, config.dt_us,
                                       config.n_samples)
+            read = np.asarray
         table[:, 0] = traj.times
         for state_index, level in enumerate(start_levels):
-            states = traj.states[:, state_index]
-            fidelity = (passage_fidelity(states, vectors, level) if noise is None
-                        else pauli_fidelity(states, weights[level]))
-            values = _measure(config, states, t_ad_index, state_index)
+            r = read(traj.states[:, state_index])
+            fidelity = pauli_fidelity(r, level_weights(vectors, level))
+            values = _measure(config, r, *sweep, t_ad_index, state_index)
             terms = energy_terms(values, schedule, traj.times / t_ad)
             first = 5 + state_index * (n_pauli + 2)
             table[:, first] = terms.sum(axis=1)
@@ -414,7 +413,7 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs) -> tuple[t
             table[:, first + 1 + n_pauli] = fidelity
             end_terms[t_ad_index, state_index] = terms[-1]
             end_fidelities[t_ad_index, state_index] = fidelity[-1]
-        finals[t_ad_index] = traj.states[-1]
+            finals[t_ad_index, state_index] = r[-1]
         out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns, table)
 
     for t_ad_index, t_ad in enumerate(config.t_ad):
@@ -428,7 +427,7 @@ def _crossing_payload(config: ScenarioConfig, levels: TrackedLevels,
 
     The crossing analysis reads the sweep's tracked levels.  The measured
     populations are those of sorted levels 3 (diabatic) and 2 (adiabatic)
-    at s = 1, read from the tracked levels there.
+    at s = 1, read from the final Pauli vectors against the tracked levels.
     """
     try:
         a, s_c, slope = crossing_report(config.schedule(), levels)
@@ -443,28 +442,28 @@ def _crossing_payload(config: ScenarioConfig, levels: TrackedLevels,
         "slope_times_t_ad_mhz": slope,
         "per_t_ad": {},
     }
-    vectors = levels.vectors
     sorted_level = np.argsort(levels.energies[-1]) + 1
+    end_weights = {kind: level_weights(levels.vectors[-1:], sorted_level[k])
+                   for kind, k in (("diabatic", 2), ("adiabatic", 1))}
     for i, t_ad in enumerate(config.t_ad):
         gamma, p_diabatic = lz_probability(a, slope / t_ad)
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
         for j, label in enumerate(config.initial_states):
-            for kind, k in (("diabatic", 2), ("adiabatic", 1)):
-                entry[f"p_{kind}_measured_{label}"] = float(
-                    passage_fidelity(finals[i, j][None], vectors[-1:], sorted_level[k])[0])
+            for kind, weights in end_weights.items():
+                entry[f"p_{kind}_measured_{label}"] = float(pauli_fidelity(finals[i, j][None], weights)[0])
             entry[f"end_fidelity_{label}"] = float(end_fidelities[i, j])
         payload["per_t_ad"][f"{t_ad:g}"] = entry
     return payload
 
 
-def _run_sweep(config: ScenarioConfig, label: str, out: _Outputs) -> None:
-    levels, (_, end_fidelities, finals) = _run_durations(config, label, out)
+def _run_sweep(config: ScenarioConfig, label: str, out: _Outputs, *sweep: int) -> None:
+    levels, (_, end_fidelities, finals) = _run_durations(config, label, out, *sweep)
     out.report(label, {"crossing": _crossing_payload(config, levels, end_fidelities, finals)})
 
 
 def _run_fig3(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     _run_sweep(config.with_(j=0.0), "fig3a", out)
-    _run_sweep(config, "fig3b", out)
+    _run_sweep(config, "fig3b", out, 1)
 
 
 def _run_table1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
@@ -542,7 +541,7 @@ def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     table[:, 0] = traj.times
     table[:, n_pauli + 1] = theta
     for frame_index, (frame, states) in enumerate(frames):
-        values = _measure(config, states, frame_index, 0)
+        values = _measure(config, pauli_vector(states), frame_index, 0)
         columns = ["t_us"] + [term.lower() for term in PAULI_LABELS_2Q]
         table[:, 1:n_pauli + 1] = values[:, :n_pauli]
         ix_iy = raw_ix_iy = values[:, _IX_IY]

@@ -4,9 +4,10 @@ Whole trajectories are measured as (n, 10) arrays, one row per sample and
 one column per entry of ``CORRELATOR_LABELS``: the eight recorded
 correlators {XI, IX, YI, IY, ZI, IZ, XX, YY} plus the cross terms XY and
 YX, which are needed to rotate two-qubit correlators between drive frames.
-Shot count 0 means exact values: <psi|P|psi> of a pure state, or ten columns
-of a Lindblad run's Pauli vectors, which hold every <P>.  In sampled mode one
-random stream draws every count of a state stack.
+They are read from the trajectory's Pauli vectors, which hold every <P>
+(``operators.pauli_vector`` gives those of pure states).  Shot count 0
+means exact values; in sampled mode one random stream draws every count of
+a stack.
 
 The energy estimator deliberately uses only the six sweep terms P in
 {ZI, IZ, XI, IX, XX, YY}, each weighted by its coefficient Tr(P H(s))/4 in
@@ -34,7 +35,6 @@ ENERGY_TERMS = ("z1", "z2", "x1", "x2", "xx", "yy")
 
 _INDEX = {label: k for k, label in enumerate(CORRELATOR_LABELS)}
 _COLUMNS = [PAULI_BASIS_LABELS.index(label) for label in CORRELATOR_LABELS]
-_OPS = PAULI_BASIS[_COLUMNS]
 _ENERGY_COLUMNS = [_INDEX[label] for label in ("ZI", "IZ", "XI", "IX", "XX", "YY")]
 # (X-like, Y-like) label pairs that mix under a Z rotation of qubit 2.
 _ROTATED_PAIRS = (("IX", "IY"), ("XX", "XY"), ("YX", "YY"))
@@ -57,16 +57,6 @@ def _check_range(values: np.ndarray) -> None:
                                    f"{values[row, col]} outside [-1, 1] range")
 
 
-def _exact(states: np.ndarray) -> np.ndarray:
-    """<P> for every state of a pure (n, 4) or Pauli-vector (n, 16) stack, an (n, 10) array."""
-    states = np.asarray(states)
-    if states.ndim == 2 and states.shape[1] == 4:
-        return np.einsum("ni,pij,nj->np", states.conj(), _OPS, states).real
-    if states.ndim == 2 and states.shape[1] == len(PAULI_BASIS):
-        return states[:, _COLUMNS]
-    raise ValueError(f"states must be an (n, 4) or (n, 16) stack, got {states.shape}")
-
-
 def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
     """Mean of ``shots`` +-1 outcomes per value, all from ``np.random.default_rng(seed)``.
 
@@ -79,15 +69,18 @@ def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
     return (2.0 * n_plus - shots) / shots
 
 
-def measure_correlators(states: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
-    """Correlators of a pure (n, 4) or Pauli-vector (n, 16) state stack, an (n, 10) array.
+def measure_correlators(r: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
+    """Correlators of an (n, 16) stack of Pauli vectors, an (n, 10) array.
 
     Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values.  In
     sampled mode all n x 10 counts come from one ``binomial`` call on
     ``np.random.default_rng(seed)``, in row-major order.  The exact values
     are range-checked in both modes, before any sampling.
     """
-    values = _exact(states)
+    r = np.asarray(r)
+    if r.ndim != 2 or r.shape[1] != len(PAULI_BASIS):
+        raise ValueError(f"r must be an (n, 16) stack of Pauli vectors, got shape {r.shape}")
+    values = r[:, _COLUMNS]
     _check_range(values)
     return _sample(values, shots, seed) if shots else values
 
@@ -98,7 +91,7 @@ def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarra
     Columns follow ``ENERGY_TERMS``; the energy is the row sum.  Raises
     TimeOutOfRange for an s outside [0, 1].
     """
-    ops = _OPS[_ENERGY_COLUMNS]
+    ops = PAULI_BASIS[_COLUMNS][_ENERGY_COLUMNS]
     w0, w1 = (np.einsum("pij,ji->p", ops, h).real / 4.0 for h in (schedule.h0, schedule.h1))
     return (w0 + sweep_points(s)[:, None] * w1) * values[:, _ENERGY_COLUMNS]
 

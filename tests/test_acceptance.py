@@ -15,9 +15,10 @@ import pytest
 
 from adiasim.analysis import (
     diabatic_slope,
+    level_weights,
     lz_probability,
     min_gap,
-    passage_fidelity,
+    pauli_fidelity,
     tracked_levels,
 )
 from adiasim.calibration import fit_coupling, fit_dispersive, fit_rabi
@@ -28,7 +29,7 @@ from adiasim.dynamics import (
     propagate_unitary,
 )
 from adiasim.mitigation import extrapolate_quadratic, mitigate_energy
-from adiasim.operators import PAULI_BASIS, PAULI_LABELS_2Q, pauli_2q
+from adiasim.operators import PAULI_BASIS, PAULI_LABELS_2Q, pauli_2q, pauli_vector
 from adiasim.schedule import ProtocolSchedule, frame_rotation_angle
 from adiasim.tomography import CORRELATOR_LABELS, energy_terms, measure_correlators, rotate_correlators
 from step_loop import constant_frame, reference_pure
@@ -129,10 +130,11 @@ def test_criterion_4_dynamics_vs_lz_crossover(capsys):
         energies, vectors = levels.energies, levels.vectors
         # The diabatic branch is the third-lowest level at the end of the sweep.
         diabatic = int(np.argsort(energies[-1])[2]) + 1
-        p_diabatic = float(passage_fidelity(traj.states[-1:], vectors[-1:], diabatic)[0])
+        r = pauli_vector(traj.states)
+        p_diabatic = float(pauli_fidelity(r[-1:], level_weights(vectors[-1:], diabatic))[0])
         diffs[t_ad] = abs(p_diabatic - p_lz)
         level = int(np.argmax(np.abs(vectors[0].conj().T @ psi0) ** 2)) + 1
-        fidelities[t_ad] = float(passage_fidelity(traj.states, vectors, level)[-1])
+        fidelities[t_ad] = float(pauli_fidelity(r, level_weights(vectors, level))[-1])
     elapsed = time.perf_counter() - t0
 
     worst = max(diffs.values())
@@ -190,7 +192,7 @@ def test_criterion_6_correlator_signature(capsys):
     s_c = min_gap(adiabatic, sweep_levels(adiabatic))[1]
     t_c = s_c * t_ad
     traj = propagate_unitary(adiabatic, t_ad, basis_state("01"), DT, 300)
-    correlators = dict(zip(CORRELATOR_LABELS, measure_correlators(traj.states).T))
+    correlators = dict(zip(CORRELATOR_LABELS, measure_correlators(pauli_vector(traj.states)).T))
     window = 0.10 * t_ad
     crossings = {}
     ok_crossing = True
@@ -201,7 +203,7 @@ def test_criterion_6_correlator_signature(capsys):
 
     diabatic = adiabatic.with_(j_final=0.0)
     traj0 = propagate_unitary(diabatic, t_ad, basis_state("01"), DT, 300)
-    correlators0 = dict(zip(CORRELATOR_LABELS, measure_correlators(traj0.states).T))
+    correlators0 = dict(zip(CORRELATOR_LABELS, measure_correlators(pauli_vector(traj0.states)).T))
     ok_monotone = True
     margins = {}
     for term in ("IZ", "ZI"):
@@ -387,7 +389,7 @@ def test_criterion_9_frame_transform(capsys):
     # the frame rotation by which fig1 derives it from the chirped frame.
     z, x, t_ad = 3.0, 2.7, 10.0
     states = reference_pure(constant_frame(z, x, t_ad), t_ad, basis_state("01"), DT, 200)
-    values = measure_correlators(states)
+    values = measure_correlators(pauli_vector(states))
     times = np.linspace(0.0, t_ad, 201)
     rotated = rotate_correlators(values, frame_rotation_angle(z, times, t_ad))
     ix, iy = CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")

@@ -21,12 +21,11 @@ from adiasim.analysis import (
     level_weights,
     lz_probability,
     min_gap,
-    passage_fidelity,
     pauli_fidelity,
     tracked_levels,
 )
 from adiasim.dynamics import NoiseModel, basis_state, propagate_lindblad, propagate_unitary
-from adiasim.operators import PAULI_BASIS
+from adiasim.operators import PAULI_BASIS, pauli_vector
 from adiasim.schedule import ProtocolSchedule
 
 FIG3B = ProtocolSchedule(z1=2.5, z2=1.5, x1=2.0, x2=4.1, j_final=1.7, zz=0.2)
@@ -519,7 +518,7 @@ class TestPassageFidelity:
     def test_adiabatic_run_stays_on_level(self):
         traj = propagate_unitary(FIG3B, 30.0, basis_state("01"), n_samples=40)
         vectors = tracked_levels(FIG3B, traj.times / 30.0).vectors
-        fid = passage_fidelity(traj.states, vectors, level=2)
+        fid = pauli_fidelity(pauli_vector(traj.states), level_weights(vectors, 2))
         assert fid[0] == pytest.approx(1.0, abs=1e-9)
         assert fid[-1] > 0.95
         assert fid.min() > 0.5
@@ -527,42 +526,40 @@ class TestPassageFidelity:
     def test_levels_partition_unity(self):
         traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=20)
         vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
-        total = sum(passage_fidelity(traj.states, vectors, level=k) for k in (1, 2, 3, 4))
+        r = pauli_vector(traj.states)
+        total = sum(pauli_fidelity(r, level_weights(vectors, k)) for k in (1, 2, 3, 4))
         assert np.allclose(total, 1.0, atol=1e-7)
 
     def test_mixed_state_variant(self):
         traj = propagate_lindblad(FIG4, 10.0, basis_state("01"), NoiseModel(),
                                   n_samples=10)
         vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
-        fid = passage_fidelity(traj.states, vectors, level=2)
+        fid = pauli_fidelity(traj.states, level_weights(vectors, 2))
         assert fid[0] == pytest.approx(1.0, abs=1e-6)
         assert np.all((fid >= -1e-9) & (fid <= 1 + 1e-9))
 
     def test_pauli_weights_read_once_give_the_same_bits(self):
-        """A Lindblad run's fidelity reads its Pauli vectors against weights
-        computed once per level: bit for bit the einsum of <v|P_k|v> against
-        r_k, then divided by 4, that passage_fidelity computed on every call,
-        for a state of a stack (as a sweep reads it) and in any layout."""
+        """A Lindblad run's fidelity reads its Pauli vectors against the
+        weights <v|P_k|v>: bit for bit the sum over k, in order, of r_k times
+        the level's Pauli vectors, then divided by 4, for a state of a stack
+        (as a sweep reads it) and in any layout."""
         noise = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
         psi0 = np.array([basis_state("00"), basis_state("11")])
         traj = propagate_lindblad(FIG4, 10.0, psi0, noise, n_samples=30)
         vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
         for level in (1, 2, 3, 4):
             v = vectors[:, :, level - 1]
-            old = np.einsum("ni,kij,nj->nk", v.conj(), PAULI_BASIS, v).real
+            old = pauli_vector(v)
             weights = level_weights(vectors, level)
             for r in (traj.states[:, 0], traj.states[:, 1]):
-                expected = np.einsum("nk,nk->n", r, old) / 4.0
+                expected = sum(r[:, k] * old[:, k] for k in range(16)) / 4.0
                 for layout in (r, np.ascontiguousarray(r), np.asfortranarray(r)):
                     assert np.array_equal(pauli_fidelity(layout, weights), expected)
-                    assert np.array_equal(passage_fidelity(layout, vectors, level), expected)
 
     def test_level_bounds(self):
         traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=10)
         vectors = tracked_levels(FIG4, traj.times / 10.0).vectors
         for level in (0, 5):
-            with pytest.raises(ValueError):
-                passage_fidelity(traj.states, vectors, level=level)
             with pytest.raises(ValueError):
                 level_weights(vectors, level)
 
@@ -580,8 +577,8 @@ class TestLevelBookkeeping:
             rho /= np.trace(rho).real
             r = np.einsum("kij,ji->k", PAULI_BASIS, rho).real
             vectors = tracked_levels(FIG4, np.array([0.0, rng.uniform(0, 1)])).vectors
-            for state in (psi, r):
-                pops = np.array([passage_fidelity(state[None], vectors[-1:], level)[0]
+            for state in (pauli_vector(psi), r):
+                pops = np.array([pauli_fidelity(state[None], level_weights(vectors[-1:], level))[0]
                                  for level in (1, 2, 3, 4)])
                 assert np.all(pops >= -1e-12)
                 assert np.sum(pops) == pytest.approx(1.0, abs=1e-9)

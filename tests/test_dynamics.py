@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adiasim import dynamics
+from adiasim import dynamics, operators
 from adiasim.dynamics import (
     BASIS_LABELS,
     BadIndex,
@@ -243,7 +243,7 @@ class TestUnitaryPropagation:
         x, t_ad = 2.7, 2.0
         sweep = ProtocolSchedule(z1=0.0, z2=0.0, x1=0.0, x2=x)
         traj = propagate_unitary(sweep, t_ad, basis_state("00"), n_samples=100)
-        iz = measure_correlators(traj.states)[:, CORRELATOR_LABELS.index("IZ")]
+        iz = measure_correlators(operators.pauli_vector(traj.states))[:, CORRELATOR_LABELS.index("IZ")]
         assert iz == pytest.approx(-np.cos(np.pi * x * traj.times**2 / t_ad), abs=1e-7)
 
     def test_exchange_oscillation_closed_form(self):
@@ -284,6 +284,13 @@ class TestLindbladPropagation:
                                   n_samples=4)
         r0 = traj.states[0]
         assert np.allclose(r0, pauli_vector(np.outer(basis_state("01"), basis_state("01"))))
+
+    def test_first_sample_is_the_pauli_vector_of_psi0(self):
+        """A run starts from operators.pauli_vector of each initial state, bit for bit."""
+        psi0 = np.array([random_pure_state(np.random.default_rng(seed)) for seed in range(3)])
+        for start in (psi0, psi0[1]):
+            traj = propagate_lindblad(FIG4, 5.0, start, DEFAULT_NOISE, n_samples=4)
+            assert np.array_equal(traj.states[0], operators.pauli_vector(start))
 
     def test_rejects_bad_density_matrix(self):
         """A trace-1 density matrix is no stack of normalized states: the

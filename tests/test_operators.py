@@ -6,15 +6,16 @@ import pytest
 from adiasim.operators import (
     CHANNEL_OPERATORS,
     I2,
+    PAULI_BASIS,
     PAULI_LABELS_2Q,
     SIGMA_MINUS,
     SIGMA_PLUS,
     X,
     Y,
     Z,
-    dagger,
     embed_1q,
     pauli_2q,
+    pauli_vector,
 )
 
 N_RANDOM = 120
@@ -137,7 +138,30 @@ class TestTwoQubit:
         assert set(PAULI_LABELS_2Q) == {"XI", "IX", "YI", "IY", "ZI", "IZ", "XX", "YY"}
         for lbl in PAULI_LABELS_2Q:
             p = pauli_2q(lbl)
-            assert np.allclose(p, dagger(p))
+            assert np.allclose(p, p.conj().T)
+
+
+class TestPauliVector:
+    """r_k = <psi|P_k|psi> over PAULI_BASIS, checked against its definition."""
+
+    # 4097 states span more than one block of any size up to 4096.
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 4), (4097, 4)],
+                             ids=["one", "stack", "nested", "blocks"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_definition(self, shape, dtype):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        psi = rng.normal(size=shape)
+        if dtype is complex:
+            psi = psi + 1j * rng.normal(size=shape)
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        r = pauli_vector(psi)
+        assert r.shape == shape[:-1] + (16,) and r.dtype == np.float64
+        definition = np.array([[np.vdot(state, p @ state) for p in PAULI_BASIS]
+                               for state in psi.reshape(-1, 4)])
+        assert np.max(np.abs(definition.imag)) <= 1e-15
+        assert np.max(np.abs(r.reshape(-1, 16) - definition.real)) <= 1e-15
+        # A state's vector does not depend on the stack it is read in.
+        assert np.array_equal(pauli_vector(psi.reshape(-1, 4)[-1]), r.reshape(-1, 16)[-1])
 
 
 class TestEigendecomposition:

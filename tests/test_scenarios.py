@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiasim import analysis, dynamics, mitigation, scenarios, tomography
-from adiasim.analysis import _tracked_eigensystem, passage_fidelity, tracked_levels
+from adiasim.analysis import _tracked_eigensystem, level_weights, pauli_fidelity, tracked_levels
 from adiasim.config import validate_config
 from adiasim.dynamics import basis_state, propagate_lindblad, propagate_unitary
-from adiasim.operators import PAULI_LABELS_2Q, pauli_2q
+from adiasim.operators import PAULI_LABELS_2Q, pauli_2q, pauli_vector
 from adiasim.scenarios import (
     CHEVRON_F_CENTER,
     Unwritable,
@@ -84,6 +84,40 @@ class TestSweepScenarios:
             assert 0.0 <= entry["p_diabatic_lz"] <= 1.0
             assert 0.0 <= entry["p_diabatic_measured_01"] <= 1.0
             assert 0.0 <= entry["end_fidelity_01"] <= 1.0
+
+    def test_fidelity_column_is_the_overlap_with_the_start_level(self, tmp_path):
+        """A pure run's fidelity column, read from Pauli vectors, is
+        |<v|psi>|^2 of each sample's state and tracked start level."""
+        config = make_config(
+            "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2, 4\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 20\n", tmp_path)
+        run_scenario(config)
+        schedule, psi0 = config.schedule(), basis_state("01")
+        vectors = tracked_levels(schedule, np.linspace(0.0, 1.0, 21)).vectors
+        for t_ad in config.t_ad:
+            states = propagate_unitary(schedule, t_ad, psi0, 0.005, 20).states
+            v = vectors[:, :, 1]  # |01> starts on tracked level 2
+            overlap = np.abs(np.einsum("ni,ni->n", v.conj(), states)) ** 2
+            table = read_columns(tmp_path / f"fig4_trace_tad{t_ad:g}.csv")
+            assert np.max(np.abs(table["fidelity_01"] - overlap)) <= 1e-15
+
+    def test_sampled_fig3_draws_each_trajectory_from_its_own_stream(self, tmp_path, monkeypatch):
+        """Every (sweep, duration, state) of a sampled fig3 run draws from a
+        stream (entropy, spawn_key) of its own: fig3b's are not fig3a's."""
+        streams = []
+        measure = scenarios.measure_correlators
+
+        def recorded(r, shots, seed):
+            streams.append((seed.entropy, seed.spawn_key))
+            return measure(r, shots, seed)
+
+        monkeypatch.setattr(scenarios, "measure_correlators", recorded)
+        config = make_config(
+            "[scenario]\nname = fig3\n\n[schedule]\nt_ad = 2, 3\n\n"
+            "[simulation]\ndt_us = 0.005\nn_samples = 4\nshots = 100\nseed = 3\n", tmp_path)
+        run_scenario(config)
+        assert len(streams) == 2 * 2 * 3  # sweeps, durations, states
+        assert len(set(streams)) == len(streams)
 
     def test_lz_probability_scales_with_duration(self, tmp_path):
         config = make_config(
@@ -178,7 +212,8 @@ class TestOneEigensystemPerSweep:
 
     def test_table1_builds_one_generator_pair_per_run(self, tmp_path, monkeypatch):
         """G0 and G1 of the Lindblad generator are built once for the run's
-        three durations, and each start level's weights once for its state."""
+        three durations; each start level's weights are computed where they
+        are read, once per (duration, state)."""
         built, weighed = [], []
         pauli_generator, level_weights = dynamics._pauli_generator, analysis.level_weights
         monkeypatch.setattr(dynamics, "_pauli_generator",
@@ -190,7 +225,7 @@ class TestOneEigensystemPerSweep:
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         assert built == [2, 1]  # G0 with the collapse operators, then G1
-        assert sorted(weighed) == [1, 4]  # |00> and |11> start on levels 1 and 4
+        assert sorted(weighed) == [1, 1, 1, 4, 4, 4]  # |00> and |11> start on levels 1 and 4
         # A new schedule of equal value builds its own pair.
         run_scenario(config)
         assert built == [2, 1, 2, 1]
@@ -225,7 +260,8 @@ class TestOneEigensystemPerSweep:
                 traj = (propagate_unitary(schedule, t_ad, psi0, 0.005, 4) if noise is None
                         else propagate_lindblad(schedule, t_ad, psi0, noise, 0.005, 4))
                 level = int(np.argmax(np.abs(vectors[0].conj().T @ psi0) ** 2)) + 1
-                fidelity = passage_fidelity(traj.states, vectors, level)
+                r = traj.states if noise is not None else pauli_vector(traj.states)
+                fidelity = pauli_fidelity(r, level_weights(vectors, level))
                 assert np.max(np.abs(table[f"fidelity_{label}"] - fidelity)) <= 1e-12
 
 
@@ -299,7 +335,7 @@ class TestChirpedFrameAsSchedule:
         # exp(+i theta IZ / 2), IZ = diag(-1, 1, -1, 1).
         rotated = np.exp(0.5j * theta[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])) * traj.states
         seed = np.random.SeedSequence(entropy=7, spawn_key=(1, 0))
-        values = measure_correlators(rotated, 1000, seed)
+        values = measure_correlators(pauli_vector(rotated), 1000, seed)
         table = read_columns(tmp_path / "fig1_constant_trace.csv")
         for k, label in enumerate(PAULI_LABELS_2Q):
             assert np.array_equal(table[label.lower()], values[:, k]), label

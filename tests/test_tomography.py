@@ -13,7 +13,7 @@ from adiasim.dynamics import (
     propagate_lindblad,
     propagate_unitary,
 )
-from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q, pauli_2q
+from adiasim.operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q, pauli_2q, pauli_vector
 from adiasim.scenarios import _measure
 from adiasim.schedule import ProtocolSchedule, TimeOutOfRange
 from adiasim.tomography import (
@@ -47,14 +47,16 @@ def random_schedule(rng: np.random.Generator) -> ProtocolSchedule:
     )
 
 
-def pauli_vector(rho: np.ndarray) -> np.ndarray:
+def mixed_pauli_vector(rho: np.ndarray) -> np.ndarray:
     """r_k = Tr(P_k rho) over the Pauli basis, for one rho or a stack."""
     return np.einsum("kij,...ji->...k", PAULI_BASIS, rho).real
 
 
 def labelled(state: np.ndarray, shots: int = 0, seed=None) -> dict:
     """The correlators of one state (a 4-vector or a Pauli vector of 16), by label."""
-    row = measure_correlators(np.asarray(state)[None], shots, seed)[0]
+    state = np.asarray(state)
+    r = pauli_vector(state) if state.shape == (4,) else state
+    row = measure_correlators(r[None], shots, seed)[0]
     return dict(zip(CORRELATOR_LABELS, row))
 
 
@@ -69,7 +71,7 @@ def direct(state: np.ndarray, label: str) -> float:
 
 def energy(state: np.ndarray, sch: ProtocolSchedule, s: float) -> float:
     """Estimated E/h of one state at sweep point s: the row sum of its six terms."""
-    return float(energy_terms(measure_correlators(np.asarray(state)[None]), sch, [s]).sum())
+    return float(energy_terms(measure_correlators(pauli_vector(state)[None]), sch, [s]).sum())
 
 
 class TestExpectation:
@@ -83,7 +85,7 @@ class TestExpectation:
         assert correlator(bell, "YY") == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
-        r = pauli_vector(np.eye(4, dtype=complex) / 4.0)
+        r = mixed_pauli_vector(np.eye(4, dtype=complex) / 4.0)
         for label in PAULI_LABELS_2Q:
             assert correlator(r, label) == pytest.approx(0.0, abs=1e-12)
 
@@ -91,7 +93,7 @@ class TestExpectation:
         rng = np.random.default_rng(31)
         for _ in range(N_RANDOM):
             psi = random_pure_state(rng)
-            r = pauli_vector(np.outer(psi, psi.conj()))
+            r = mixed_pauli_vector(np.outer(psi, psi.conj()))
             label = PAULI_LABELS_2Q[rng.integers(len(PAULI_LABELS_2Q))]
             assert correlator(psi, label) == pytest.approx(
                 correlator(r, label), abs=1e-12)
@@ -100,7 +102,7 @@ class TestExpectation:
         rng = np.random.default_rng(32)
         for _ in range(N_RANDOM):
             psi = random_pure_state(rng)
-            values = measure_correlators(psi[None])
+            values = measure_correlators(pauli_vector(psi)[None])
             assert values.dtype == np.float64
             assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
@@ -143,14 +145,14 @@ class TestSampling:
 
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError):
-            measure_correlators(basis_state("00")[None], -1, seed=0)
+            measure_correlators(pauli_vector(basis_state("00"))[None], -1, seed=0)
 
 
 class TestTomogram:
     """One state's (1, 10) row of ``measure_correlators``."""
 
     def test_contains_all_standard_terms(self):
-        values = measure_correlators(basis_state("00")[None])
+        values = measure_correlators(pauli_vector(basis_state("00"))[None])
         assert values.shape == (1, len(CORRELATOR_LABELS))
         assert CORRELATOR_LABELS == PAULI_LABELS_2Q + CROSS_LABELS
 
@@ -158,7 +160,7 @@ class TestTomogram:
         rng = np.random.default_rng(34)
         for _ in range(20):
             psi = random_pure_state(rng)
-            row = measure_correlators(psi[None])[0]
+            row = measure_correlators(pauli_vector(psi)[None])[0]
             for k, label in enumerate(PAULI_LABELS_2Q):
                 assert row[k] == pytest.approx(direct(psi, label), abs=1e-12)
 
@@ -166,7 +168,7 @@ class TestTomogram:
         rng = np.random.default_rng(35)
         for seed in range(30):
             psi = random_pure_state(rng)
-            row = measure_correlators(psi[None], shots=400, seed=seed)[0]
+            row = measure_correlators(pauli_vector(psi)[None], shots=400, seed=seed)[0]
             eps = 3.0 / math.sqrt(400)
             for k, label in enumerate(PAULI_LABELS_2Q):
                 assert -1 - eps <= row[k] <= 1 + eps
@@ -183,15 +185,15 @@ class TestTomogram:
 
     def test_sampled_reproducible(self):
         psi = (basis_state("01") + basis_state("10")) / math.sqrt(2)
-        a = measure_correlators(psi[None], shots=300, seed=11)
-        b = measure_correlators(psi[None], shots=300, seed=11)
+        a = measure_correlators(pauli_vector(psi)[None], shots=300, seed=11)
+        b = measure_correlators(pauli_vector(psi)[None], shots=300, seed=11)
         assert np.array_equal(a, b)
 
     def test_construction_rejects_out_of_range(self):
         # An over-normalised |+0> reads <XI> = 1.5.
         plus0 = (basis_state("00") + basis_state("10")) / math.sqrt(2)
         with pytest.raises(ValueError, match="XI"):
-            measure_correlators(math.sqrt(1.5) * plus0[None])
+            measure_correlators(pauli_vector(math.sqrt(1.5) * plus0[None]))
 
 
 def reference_energy(values: dict, sch: ProtocolSchedule, s: float) -> dict:
@@ -212,7 +214,7 @@ class TestCorrelatorArrays:
 
     def test_pure_trajectory_matches_per_state_loop(self):
         traj = propagate_unitary(FIG4_SCHEDULE, 10.0, PSI0, 0.01, 50)
-        values = measure_correlators(traj.states)
+        values = measure_correlators(pauli_vector(traj.states))
         assert values.shape == (51, len(CORRELATOR_LABELS))
         loop = [[np.vdot(psi, op @ psi).real for op in self.OPS] for psi in traj.states]
         assert np.max(np.abs(values - loop)) <= 1e-12
@@ -248,7 +250,9 @@ class TestCorrelatorArrays:
         always lie in [-1, 1]; a NaN fails too."""
         states = np.stack([basis_state("00"), PSI0])
         if mixed:
-            states = pauli_vector(np.einsum("ni,nj->nij", states, states.conj()))
+            states = mixed_pauli_vector(np.einsum("ni,nj->nij", states, states.conj()))
+        else:
+            states = pauli_vector(states)
         for shots in (0, 1000):
             with pytest.raises(CorrelatorOutOfRange, match="outside"):
                 measure_correlators(1.01 * states, shots, seed=3)
@@ -260,13 +264,16 @@ class TestCorrelatorArrays:
         """A state whose norm or trace is off by DRIFT_LIMIT still measures."""
         scale = 1.0 + DRIFT_LIMIT
         psi = basis_state("10")
-        state = scale * pauli_vector(np.outer(psi, psi)) if mixed else scale * psi
+        state = scale * mixed_pauli_vector(np.outer(psi, psi)) if mixed else pauli_vector(scale * psi)
         zi = measure_correlators(state[None])[0, CORRELATOR_LABELS.index("ZI")]
         assert abs(zi) == pytest.approx(scale if mixed else scale**2, abs=1e-15)
 
     def test_rejects_non_stack(self):
-        with pytest.raises(ValueError, match="stack"):
-            measure_correlators(PSI0)
+        """Only (n, 16) Pauli vectors are read: neither one state nor an
+        (n, 4) stack of pure states."""
+        for states in (PSI0, PSI0[None]):
+            with pytest.raises(ValueError, match="stack"):
+                measure_correlators(states)
 
     def test_sampled_columns_are_one_binomial_draw_per_stream(self):
         """A trajectory's n x 10 counts come from one binomial call on the
@@ -274,9 +281,9 @@ class TestCorrelatorArrays:
         config, errors = validate_config("[scenario]\nname = fig4\n\n"
                                          "[simulation]\nshots = 500\nseed = 17\n")
         assert errors == []
-        traj = propagate_unitary(FIG4_SCHEDULE, 10.0, PSI0, 0.01, 20)
-        columns = _measure(config, traj.states, 2, 1)
-        p_plus = np.clip(0.5 * (1.0 + measure_correlators(traj.states)), 0.0, 1.0)
+        r = pauli_vector(propagate_unitary(FIG4_SCHEDULE, 10.0, PSI0, 0.01, 20).states)
+        columns = _measure(config, r, 2, 1)
+        p_plus = np.clip(0.5 * (1.0 + measure_correlators(r)), 0.0, 1.0)
         assert p_plus.shape == (21, len(CORRELATOR_LABELS))
         stream = np.random.SeedSequence(entropy=config.seed, spawn_key=(2, 1))
         counts = np.random.default_rng(stream).binomial(500, p_plus)
@@ -286,7 +293,7 @@ class TestCorrelatorArrays:
     def test_energy_terms_match_reference_formula(self, sch):
         t_ad = T_AD[sch]
         traj = propagate_unitary(sch, t_ad, PSI0, 0.01, 40)
-        values = measure_correlators(traj.states)
+        values = measure_correlators(pauli_vector(traj.states))
         terms = energy_terms(values, sch, traj.times / t_ad)
         for row, t, term_row in zip(values, traj.times, terms):
             reference = reference_energy(dict(zip(CORRELATOR_LABELS, row)), sch, t / t_ad)
@@ -302,7 +309,7 @@ class TestCorrelatorArrays:
 
     @pytest.mark.parametrize("s", [[-0.01], [0.5, 1.0 + 1e-6], [math.nan]])
     def test_energy_terms_outside_the_sweep(self, s):
-        values = measure_correlators(np.tile(PSI0, (len(s), 1)))
+        values = measure_correlators(np.tile(pauli_vector(PSI0), (len(s), 1)))
         with pytest.raises(TimeOutOfRange):
             energy_terms(values, FIG4_SCHEDULE, s)
 
@@ -319,7 +326,7 @@ class TestEnergyEstimate:
             sch = random_schedule(rng)
             s = rng.uniform(0, 1)
             psi = random_pure_state(rng)
-            terms = energy_terms(measure_correlators(psi[None]), sch, [s])
+            terms = energy_terms(measure_correlators(pauli_vector(psi)[None]), sch, [s])
             assert terms.shape == (1, len(ENERGY_TERMS))
             expected = (psi.conj() @ sch.hamiltonian(s) @ psi).real
             assert expected == pytest.approx(terms.sum(), abs=1e-9)
@@ -354,7 +361,7 @@ class TestEnergyEstimate:
 
 def rotated(psi: np.ndarray, theta: float) -> dict:
     """Correlators of one state with qubit 2 rotated into another frame, by label."""
-    row = rotate_correlators(measure_correlators(psi[None]), theta)[0]
+    row = rotate_correlators(measure_correlators(pauli_vector(psi)[None]), theta)[0]
     return dict(zip(CORRELATOR_LABELS, row))
 
 
@@ -390,7 +397,7 @@ class TestRotateFrame:
 
     def test_rotation_composes(self):
         rng = np.random.default_rng(41)
-        values = measure_correlators(random_pure_state(rng)[None])
+        values = measure_correlators(pauli_vector(random_pure_state(rng))[None])
         once = rotate_correlators(rotate_correlators(values, 0.3), 0.4)
         combined = rotate_correlators(values, 0.7)
         assert np.max(np.abs(once - combined)[:, :len(PAULI_LABELS_2Q)]) <= 1e-12
