@@ -297,9 +297,13 @@ def pauli_fidelity(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Tr(rho |v><v|) = sum_k r_k <v|P_k|v> / 4 of (n, 16) Pauli vectors r at
     every point, from the (16, n) ``level_weights`` of the level v: those of a
     pure state psi give |<v|psi>|**2."""
-    # Pauli k is not the contiguous axis of the weights, so einsum sums over
-    # k in order, whatever the layout of r.
-    return np.einsum("nk,kn->n", r, weights) / 4.0
+    # The sum runs over k in order, whatever the shapes, so a population read
+    # from one row has the bits it has in a stack (einsum and numpy's
+    # reductions reorder a sum along a contiguous axis).
+    total = r[:, 0] * weights[0]
+    for k in range(1, 16):
+        total += r[:, k] * weights[k]
+    return total / 4.0
 
 
 def crossing_report(schedule: ProtocolSchedule, levels: TrackedLevels) -> tuple[float, float, float]:

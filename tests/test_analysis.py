@@ -542,7 +542,8 @@ class TestPassageFidelity:
         """A Lindblad run's fidelity reads its Pauli vectors against the
         weights <v|P_k|v>: bit for bit the sum over k, in order, of r_k times
         the level's Pauli vectors, then divided by 4, for a state of a stack
-        (as a sweep reads it) and in any layout."""
+        (as a sweep reads it), in any layout, and one row at a time (as the
+        crossing report reads end populations)."""
         noise = NoiseModel(t1=50.0, t2=40.0, n_th=0.01)
         psi0 = np.array([basis_state("00"), basis_state("11")])
         traj = propagate_lindblad(FIG4, 10.0, psi0, noise, n_samples=30)
@@ -555,6 +556,9 @@ class TestPassageFidelity:
                 expected = sum(r[:, k] * old[:, k] for k in range(16)) / 4.0
                 for layout in (r, np.ascontiguousarray(r), np.asfortranarray(r)):
                     assert np.array_equal(pauli_fidelity(layout, weights), expected)
+                rows = [pauli_fidelity(r[i:i + 1], level_weights(vectors[i:i + 1], level))[0]
+                        for i in range(len(r))]
+                assert np.array_equal(rows, expected)
 
     def test_level_bounds(self):
         traj = propagate_unitary(FIG4, 10.0, basis_state("01"), n_samples=10)

@@ -137,6 +137,19 @@ class TestRunCommand:
         assert rc == 0
         assert (tmp_path / "o" / "fig3b_trace_tad2.csv").exists()
 
+    def test_option_forms(self, tmp_path):
+        """``--out=DIR``, a unique prefix of a long option, and options before
+        the config all run."""
+        assert main(["run", f"--out={tmp_path / 'a'}", "--sc", "fig4"]) == 0
+        assert (tmp_path / "a" / "fig4_report.json").exists()
+        cfg = write_config(tmp_path, CUSTOM_SMALL)
+        assert main(["run", "--out", str(tmp_path / "b"), cfg]) == 0
+        assert (tmp_path / "b" / "custom_report.json").exists()
+
+    def test_unknown_scenario_exits_2_from_validation(self, capsys):
+        assert main(["run", "--scenario", "bogus"]) == 2
+        assert "unknown scenario 'bogus'; choose from fig1," in capsys.readouterr().err
+
     def test_requires_config_or_scenario(self, capsys):
         rc = main(["run"])
         assert rc == 2
@@ -662,33 +675,68 @@ class TestIntrospection:
         assert excinfo.value.code == 0
         assert re.match(r"adiasim \d+\.\d+", capsys.readouterr().out)
 
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["run", "--bogus"], ["--bogus", "run"], ["run", "--out"],
+        ["run", "--seed", "abc"], ["run", "--s", "1"], ["run", "a.ini", "b.ini"], ["validate"],
+        ["list-scenarios", "extra"],
+    ], ids=["no-command", "unknown-command", "unknown-option", "unknown-option-before-command",
+            "out-without-value", "non-integer-seed", "ambiguous-prefix", "two-configs",
+            "validate-without-config", "list-scenarios-with-argument"])
+    def test_malformed_command_line_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(adiasim.cli.__doc__)
+        assert re.search(r"^adiasim: error: \S", err, re.MULTILINE)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["validate", "--help"]])
+    def test_help_prints_usage_and_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (adiasim.cli.__doc__, "")
+
     def test_run_imports_no_scipy(self, tmp_path):
         """A run loads numpy only, and an exact run not even numpy.random
-        (a lazy import of about 20 ms) or numpy.ma; run in a fresh
-        interpreter because other tests may have imported them into this one."""
+        (a lazy import of 13-16 ms) or numpy.ma; neither a run nor validate
+        loads argparse or locale (the command line is read with getopt).  Run
+        in a fresh interpreter because other tests may have imported them into
+        this one."""
         for name, text in (
                 ("fig4", "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2\n\n"
                          "[simulation]\nn_samples = 4\n"),
                 ("table1", "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 1.5, 2\n\n"
                            "[simulation]\ndt_us = 0.01\nn_samples = 4\n")):
             cfg = write_config(tmp_path, text, f"{name}.ini")
-            code = ("import sys\n"
-                    "import adiasim.cli\n"
-                    f"assert adiasim.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / name)!r}]) == 0\n"
-                    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-                    "print('numpy.random' in sys.modules)\n"
-                    "print('numpy.ma' in sys.modules)\n")
-            result = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
-                                    capture_output=True, text=True, timeout=120)
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines()[-3:] == ["[]", "False", "False"], name
+            for argv in (["run", cfg, "--out", str(tmp_path / name)], ["validate", cfg]):
+                code = ("import sys\n"
+                        "import adiasim.cli\n"
+                        f"assert adiasim.cli.main({argv!r}) == 0\n"
+                        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+                        "print([m for m in ('numpy.random', 'numpy.ma', 'argparse', 'locale')"
+                        " if m in sys.modules])\n")
+                result = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                                        capture_output=True, text=True, timeout=120)
+                assert result.returncode == 0, result.stderr
+                assert result.stdout.splitlines()[-2:] == ["[]", "[]"], argv
 
     def test_module_entry_point(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "adiasim.cli", "list-scenarios"], env=CHILD_ENV,
-            capture_output=True, text=True, timeout=60)
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "adiasim.cli", *argv], env=CHILD_ENV,
+                                  capture_output=True, text=True, timeout=60)
+
+        result = run("list-scenarios")
         assert result.returncode == 0
         assert "fig4" in result.stdout
+        result = run("-h")
+        assert (result.returncode, result.stdout, result.stderr) == (0, adiasim.cli.__doc__, "")
+        result = run("run", "--seed", "abc")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(adiasim.cli.__doc__)
+        assert "Traceback" not in result.stderr
 
 
 # Schedule values at the edges of the accepted range: zero, negative, tiny,

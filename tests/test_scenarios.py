@@ -159,6 +159,17 @@ class TestCrossingPopulations:
                 assert abs(entry[f"p_diabatic_measured_{label}"] - pops[2]) <= 1e-12
                 assert abs(entry[f"p_adiabatic_measured_{label}"] - pops[1]) <= 1e-12
 
+    def test_adiabatic_population_of_01_is_its_end_fidelity(self, tmp_path):
+        """In fig4, |01> starts in tracked level 2, which ends as sorted level 2:
+        the report reads its one end population with the same bits twice, once
+        from the trace's fidelity column and once against the end weights."""
+        config = make_config("[scenario]\nname = fig4\n", tmp_path)
+        run_scenario(config)
+        per_t_ad = load_report(tmp_path / "fig4_report.json")["crossing"]["per_t_ad"]
+        for t_ad in config.t_ad:
+            entry = per_t_ad[f"{t_ad:g}"]
+            assert entry["p_adiabatic_measured_01"] == entry["end_fidelity_01"], t_ad
+
 
 def count_eigensystems(monkeypatch):
     """Count tracked-eigensystem builds, wherever the package calls them."""
