@@ -349,11 +349,9 @@ class _Outputs:
 
 
 def _measure(config: ScenarioConfig, r: np.ndarray, *key: int) -> np.ndarray:
-    """Correlator columns of a trajectory's Pauli vectors, sampled from the one stream ``key``."""
-    # Exact mode never touches np.random, whose lazy import takes 13-16 ms
-    # (2-CPU x86-64 host, numpy 2.4).
-    seed = np.random.SeedSequence(entropy=config.seed, spawn_key=key) if config.shots else None
-    return measure_correlators(r, config.shots, seed)
+    """Correlator columns of a trajectory's Pauli vectors, sampled under the
+    stream key (seed, *key) that no other trajectory of the run shares."""
+    return measure_correlators(r, config.shots, (config.seed, *key))
 
 
 def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: int) -> tuple[tuple, tuple]:
@@ -367,8 +365,8 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: in
     of the last sample, whose sum is the trace's last energy, the passage
     fidelity and the final Pauli vector.  Each duration's trajectory is
     dropped before the next is propagated.  The shots of (duration, state)
-    are drawn from the stream keyed ``sweep + (duration, state)``: a run
-    of two sweeps gives the second the key prefix (1,).
+    are drawn under the stream key ``(seed, *sweep, duration, state)``: a
+    run of two sweeps gives the second the prefix 1 after the seed.
     """
     noise = config.noise_model()
     schedule = config.schedule()

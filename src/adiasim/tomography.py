@@ -6,8 +6,9 @@ correlators {XI, IX, YI, IY, ZI, IZ, XX, YY} plus the cross terms XY and
 YX, which are needed to rotate two-qubit correlators between drive frames.
 They are read from the trajectory's Pauli vectors, which hold every <P>
 (``operators.pauli_vector`` gives those of pure states).  Shot count 0
-means exact values; in sampled mode one random stream draws every count of
-a stack.
+means exact values.  In sampled mode each value's shot count is an exact
+binomial draw from a SplitMix64 counter stream of its own, under a key the
+caller gives; numpy.random is never imported.
 
 The energy estimator deliberately uses only the six sweep terms P in
 {ZI, IZ, XI, IX, XX, YY}, each weighted by its coefficient Tr(P H(s))/4 in
@@ -18,6 +19,9 @@ w0 + s*w1, read from the schedule's h0 and h1.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -57,25 +61,143 @@ def _check_range(values: np.ndarray) -> None:
                                    f"{values[row, col]} outside [-1, 1] range")
 
 
+# SplitMix64 (Steele, Lea & Flood 2014): the Weyl increment and the
+# finalizer's multipliers.  uint64 arrays wrap silently; numpy scalars would
+# warn on overflow, so every wrapping operation has an array operand.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_WORD = (1 << 64) - 1
+# log k! for k < 16; Stirling's series takes over above.
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(16)])
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _stream_bases(seed, size: int) -> np.ndarray:
+    """Base counters of ``size`` per-value streams keyed by ``seed``.
+
+    The seed is a nonnegative int or a tuple of them; an int n is the key
+    (n,).  The key absorbs its length, then each part's 64-bit word count
+    and words, so (1, 0) and (1, 0, 0) differ, as do 5 and 2**64 + 5.
+    """
+    parts = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    words = [len(parts)]
+    for part in map(operator.index, parts):
+        if part < 0:
+            raise ValueError(f"seed parts must be >= 0, got {seed!r}")
+        chunk = [part & _WORD]
+        while part := part >> 64:
+            chunk.append(part & _WORD)
+        words += [len(chunk), *chunk]
+    key = np.zeros(1, np.uint64)
+    for word in words:
+        key = _mix(key ^ np.uint64(word)) + _GAMMA
+    return _mix(key + _GAMMA * np.arange(1, size + 1, dtype=np.uint64))
+
+
+def _uniforms(state: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` uniforms in the open interval (0, 1) of each stream,
+    a (count, streams) array, and the stream counters after them."""
+    steps = _GAMMA * np.arange(count + 1, dtype=np.uint64)
+    bits = _mix(state + steps[:-1, None]) >> np.uint64(12)
+    return (bits.astype(float) + 0.5) * 2.0**-52, state + steps[-1]
+
+
+def _log_factorial(x: np.ndarray) -> np.ndarray:
+    """log x! of integer-valued floats x >= 0."""
+    y = np.maximum(x, 16.0)
+    r2 = 1.0 / (y * y)
+    series = ((y + 0.5) * np.log(y) - y + 0.5 * math.log(2.0 * math.pi)
+              + (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0))) / y)
+    return np.where(x < 16.0, _LOG_FACTORIAL[np.minimum(x, 15.0).astype(int)], series)
+
+
+def _inversion(n: float, q: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Binomial(n, q) counts, 0 < q <= 1/2 and n*q < 10, by geometric gaps
+    between successes (Devroye 1986, X.4), one uniform per gap: the count is
+    the number of running gap sums <= n.  Pass p draws 2**p gaps per value."""
+    counts, live, c = np.zeros(q.size), np.arange(q.size), np.log1p(-q)
+    total, draws = np.zeros(q.size), 1
+    while live.size:
+        u, state = _uniforms(state, draws)
+        sums = np.cumsum(np.vstack([total, np.floor(np.log(u) / c) + 1.0]), axis=0)[1:]
+        counts[live] += np.count_nonzero(sums <= n, axis=0)
+        more = sums[-1] <= n
+        live, c, total, state, draws = live[more], c[more], sums[-1, more], state[more], 2 * draws
+    return counts
+
+
+def _btrs(n: float, q: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Binomial(n, q) counts, q <= 1/2 and n*q >= 10, by Hoermann's BTRS
+    transformed rejection (1993), as CPython's ``random.binomialvariate``,
+    except that every attempt takes both of its uniforms."""
+    spq = np.sqrt(n * q * (1.0 - q))
+    b = 1.15 + 2.53 * spq
+    rows = np.array([-0.0873 + 0.0248 * b + 0.01 * q, b, n * q + 0.5, 0.92 - 4.2 / b, spq, q])
+    counts, live = np.empty(q.size), np.arange(q.size)
+    while live.size:
+        a, b, c, vr, spq, q = rows
+        (u, v), state = _uniforms(state, 2)
+        u = u - 0.5
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a / us + b) * u + c)
+        inside = (k >= 0.0) & (k <= n)
+        done = inside & (us >= 0.07) & (v <= vr)  # the squeeze
+        i = np.flatnonzero(inside & ~done)
+        a, b, spq, q, us, k_i = a[i], b[i], spq[i], q[i], us[i], k[i]
+        m = np.floor((n + 1.0) * q)  # the mode
+        log_f = _log_factorial(np.array([m, n - m, k_i, n - k_i]))
+        alpha = (2.83 + 5.1 / b) * spq
+        done[i] = (np.log(v[i] * (alpha / (a / (us * us) + b)))
+                   <= log_f[0] + log_f[1] - log_f[2] - log_f[3] + (k_i - m) * np.log(q / (1.0 - q)))
+        counts[live[done]] = k[done]
+        keep = ~done
+        live, rows, state = live[keep], rows.compress(keep, axis=1), state[keep]
+    return counts
+
+
+def _binomial(n: float, p: np.ndarray, seed) -> np.ndarray:
+    """Binomial(n, p) counts of a flat array of p, as float64, which holds
+    n = 2**63 - 1.  Value i reads the uniforms of stream i under the key
+    ``seed``, so its count depends on the key, i, p and n only.  Each count
+    is drawn exactly for q = min(p, 1 - p) and mirrored for p > 1/2."""
+    flip = p > 0.5
+    q = np.where(flip, 1.0 - p, p)
+    state = _stream_bases(seed, q.size)
+    counts = np.zeros(q.size)
+    for branch, sampler in (((q > 0.0) & (n * q < 10.0), _inversion), (n * q >= 10.0, _btrs)):
+        counts[branch] = sampler(n, q[branch], state[branch])
+    return np.where(flip, n - counts, counts)
+
+
 def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Mean of ``shots`` +-1 outcomes per value, all from ``np.random.default_rng(seed)``.
+    """Mean of ``shots`` +-1 outcomes per value, each value in row-major
+    order drawing from its own stream under the key ``seed``.
 
     Each shot is +1 with probability (1 + <P>)/2.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p_plus = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
-    n_plus = np.random.default_rng(seed).binomial(shots, p_plus)
-    return (2.0 * n_plus - shots) / shots
+    if seed is None:
+        raise ValueError("sampled mode needs a seed")
+    n = float(shots)
+    counts = _binomial(n, np.clip(0.5 * (1.0 + exact), 0.0, 1.0).ravel(), seed)
+    return ((2.0 * counts - n) / n).reshape(exact.shape)
 
 
 def measure_correlators(r: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
     """Correlators of an (n, 16) stack of Pauli vectors, an (n, 10) array.
 
-    Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values.  In
-    sampled mode all n x 10 counts come from one ``binomial`` call on
-    ``np.random.default_rng(seed)``, in row-major order.  The exact values
-    are range-checked in both modes, before any sampling.
+    Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values and
+    ignores the seed.  In sampled mode the seed is required: a nonnegative
+    int or a tuple of them, and each of the n x 10 values in row-major order
+    draws from a stream of its own under that key.  The exact values are
+    range-checked in both modes, before any sampling.
     """
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[1] != len(PAULI_BASIS):

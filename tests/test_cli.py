@@ -700,24 +700,27 @@ class TestIntrospection:
         assert capsys.readouterr() == (adiasim.cli.__doc__, "")
 
     def test_run_imports_no_scipy(self, tmp_path):
-        """A run loads numpy only, and an exact run not even numpy.random
-        (a lazy import of 13-16 ms) or numpy.ma; neither a run nor validate
-        loads argparse or locale (the command line is read with getopt).  Run
-        in a fresh interpreter because other tests may have imported them into
-        this one."""
+        """A run loads numpy only, and no run, exact or sampled, loads
+        numpy.random (a lazy import of 9-17 ms that pulls in secrets, hmac
+        and hashlib) or numpy.ma: shots are drawn from counter streams in
+        plain numpy.  Neither a run nor validate loads argparse or locale (the
+        command line is read with getopt).  Run in a fresh interpreter
+        because other tests may have imported them into this one."""
         for name, text in (
                 ("fig4", "[scenario]\nname = fig4\n\n[schedule]\nt_ad = 2\n\n"
                          "[simulation]\nn_samples = 4\n"),
                 ("table1", "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 1.5, 2\n\n"
-                           "[simulation]\ndt_us = 0.01\nn_samples = 4\n")):
+                           "[simulation]\ndt_us = 0.01\nn_samples = 4\n"),
+                ("fig1", "[scenario]\nname = fig1\n\n"
+                         "[simulation]\nn_samples = 20\nshots = 10000\nseed = 3\n")):
             cfg = write_config(tmp_path, text, f"{name}.ini")
             for argv in (["run", cfg, "--out", str(tmp_path / name)], ["validate", cfg]):
                 code = ("import sys\n"
                         "import adiasim.cli\n"
                         f"assert adiasim.cli.main({argv!r}) == 0\n"
                         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-                        "print([m for m in ('numpy.random', 'numpy.ma', 'argparse', 'locale')"
-                        " if m in sys.modules])\n")
+                        "print([m for m in ('numpy.random', 'secrets', 'numpy.ma', 'argparse',"
+                        " 'locale') if m in sys.modules])\n")
                 result = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
                                         capture_output=True, text=True, timeout=120)
                 assert result.returncode == 0, result.stderr

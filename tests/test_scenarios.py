@@ -102,13 +102,14 @@ class TestSweepScenarios:
             assert np.max(np.abs(table["fidelity_01"] - overlap)) <= 1e-15
 
     def test_sampled_fig3_draws_each_trajectory_from_its_own_stream(self, tmp_path, monkeypatch):
-        """Every (sweep, duration, state) of a sampled fig3 run draws from a
-        stream (entropy, spawn_key) of its own: fig3b's are not fig3a's."""
+        """Every (sweep, duration, state) of a sampled fig3 run draws under a
+        stream key (seed, sweep, duration, state) of its own: fig3b's are not
+        fig3a's."""
         streams = []
         measure = scenarios.measure_correlators
 
         def recorded(r, shots, seed):
-            streams.append((seed.entropy, seed.spawn_key))
+            streams.append(seed)
             return measure(r, shots, seed)
 
         monkeypatch.setattr(scenarios, "measure_correlators", recorded)
@@ -118,6 +119,7 @@ class TestSweepScenarios:
         run_scenario(config)
         assert len(streams) == 2 * 2 * 3  # sweeps, durations, states
         assert len(set(streams)) == len(streams)
+        assert {key[0] for key in streams} == {3}
 
     def test_lz_probability_scales_with_duration(self, tmp_path):
         config = make_config(
@@ -334,7 +336,7 @@ class TestChirpedFrameAsSchedule:
 
     def test_sampled_constant_frame_draws_from_its_own_stream(self, tmp_path):
         """In sampled mode the constant-frame columns are the rotated chirped
-        states measured on the stream of spawn key (1, 0)."""
+        states measured under the stream key (seed, 1, 0)."""
         config = make_config("[scenario]\nname = fig1\n\n[simulation]\nn_samples = 100\n"
                              "shots = 1000\nseed = 7\n", tmp_path)
         run_scenario(config)
@@ -345,8 +347,7 @@ class TestChirpedFrameAsSchedule:
         theta = frame_rotation_angle(z, traj.times, t_ad)
         # exp(+i theta IZ / 2), IZ = diag(-1, 1, -1, 1).
         rotated = np.exp(0.5j * theta[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])) * traj.states
-        seed = np.random.SeedSequence(entropy=7, spawn_key=(1, 0))
-        values = measure_correlators(pauli_vector(rotated), 1000, seed)
+        values = measure_correlators(pauli_vector(rotated), 1000, (7, 1, 0))
         table = read_columns(tmp_path / "fig1_constant_trace.csv")
         for k, label in enumerate(PAULI_LABELS_2Q):
             assert np.array_equal(table[label.lower()], values[:, k]), label

@@ -1,10 +1,12 @@
 """Unit tests for correlator measurement, energy estimation, frame rotation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from adiasim import tomography
 from adiasim.config import validate_config
 from adiasim.dynamics import (
     DRIFT_LIMIT,
@@ -148,6 +150,176 @@ class TestSampling:
             measure_correlators(pauli_vector(basis_state("00"))[None], -1, seed=0)
 
 
+WORD = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & WORD
+    return z ^ (z >> 31)
+
+
+def reference_uniforms(key, index: int):
+    """Value ``index``'s uniforms under ``key``, one Python int at a time."""
+    parts = key if isinstance(key, tuple) else (key,)
+    words = [len(parts)]
+    for part in parts:
+        chunk = [part & WORD]
+        while part := part >> 64:
+            chunk.append(part & WORD)
+        words += [len(chunk), *chunk]
+    h = 0
+    for word in words:
+        h = (splitmix(h ^ word) + GAMMA) & WORD
+    base = splitmix((h + (index + 1) * GAMMA) & WORD)
+    for j in itertools.count():
+        yield (float(splitmix((base + j * GAMMA) & WORD) >> 12) + 0.5) * 2.0**-52
+
+
+def reference_count(n: float, p: float, key, index: int) -> float:
+    """One value's Binomial(n, p) count from its own stream, drawn as CPython's
+    ``random.binomialvariate`` draws it, except that every BTRS attempt
+    takes both of its uniforms.  numpy's log keeps it bit-equal to the
+    batched sampler."""
+    draws = reference_uniforms(key, index)
+    q = min(p, 1.0 - p)
+    mirror = (lambda k: n - k) if p > 0.5 else (lambda k: k)
+    if q == 0.0:
+        return mirror(0.0)
+    if n * q < 10.0:
+        c, x, y = np.log1p(-q), 0.0, 0.0
+        while True:
+            y += np.floor(np.log(next(draws)) / c) + 1.0
+            if y > n:
+                return mirror(x)
+            x += 1.0
+    spq = np.sqrt(n * q * (1.0 - q))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * q
+    c = n * q + 0.5
+    vr = 0.92 - 4.2 / b
+    while True:
+        u, v = next(draws) - 0.5, next(draws)
+        us = 0.5 - abs(u)
+        k = np.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= vr:
+            return mirror(k)
+        alpha = (2.83 + 5.1 / b) * spq
+        m = np.floor((n + 1.0) * q)
+        log_f = tomography._log_factorial(np.array([m, n - m, k, n - k]))
+        if (np.log(v * (alpha / (a / (us * us) + b)))
+                <= log_f[0] + log_f[1] - log_f[2] - log_f[3] + (k - m) * np.log(q / (1.0 - q))):
+            return mirror(k)
+
+
+def chi_square_limit(df: int, z: float = 4.75) -> float:
+    """The chi-square quantile at a normal z-score (about 1e-6 false alarms),
+    by the Wilson-Hilferty cube."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+class TestBinomialSampler:
+    """``tomography._sample``: SplitMix64 counter streams and an exact binomial."""
+
+    @pytest.mark.parametrize("n, p, branch", [
+        (20, 0.2, "inversion"), (20, 0.8, "inversion"), (79, 0.125, "inversion"),
+        (79, 0.875, "inversion"), (80, 0.125, "btrs"), (80, 0.875, "btrs"), (300, 0.3, "btrs"),
+        (300, 0.7, "btrs")])
+    def test_counts_follow_the_binomial_pmf(self, n, p, branch):
+        """20 000 draws against the exact pmf, for each branch (n*q < 10 or
+        not, q = min(p, 1 - p)) on both sides of p = 1/2; tails are pooled
+        into bins of at least 5 expected draws."""
+        draws = 20_000
+        assert (n * min(p, 1.0 - p) < 10.0) == (branch == "inversion")
+        counts = tomography._binomial(float(n), np.full(draws, p), (36, n))
+        observed = np.bincount(counts.astype(int), minlength=n + 1)
+        assert observed.sum() == draws and np.array_equal(counts, np.floor(counts))
+        expected = draws * np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+                                     for k in range(n + 1)])
+        bins, acc_o, acc_e = [], 0.0, 0.0
+        for o, e in zip(observed, expected):
+            acc_o, acc_e = acc_o + o, acc_e + e
+            if acc_e >= 5.0:
+                bins.append([acc_o, acc_e])
+                acc_o = acc_e = 0.0
+        bins[-1][0] += acc_o
+        bins[-1][1] += acc_e
+        o, e = np.array(bins).T
+        statistic = float(np.sum((o - e) ** 2 / e))
+        assert statistic <= chi_square_limit(len(bins) - 1), (statistic, len(bins))
+
+    @pytest.mark.parametrize("shots", [1, 7, 60, 1000, 10**6])
+    def test_batched_counts_match_the_scalar_reference(self, shots):
+        """Every count equals the one-value-at-a-time reference bit for bit,
+        over p that reach both branches, both sides of p = 1/2 and both ends."""
+        p = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-3, 1.0 - 1e-3, 5e-6, 1.0 - 5e-6]])
+        key = (11, 2, 0)
+        counts = tomography._binomial(float(shots), p, key)
+        reference = [reference_count(float(shots), float(p_i), key, i) for i, p_i in enumerate(p)]
+        assert np.array_equal(counts, reference)
+
+    def test_a_count_does_not_depend_on_the_batch(self):
+        """Value i's count depends on the key, i, p and shots only: a prefix of
+        the stack, or the same stack as (n, 10), draws the same counts."""
+        exact = np.random.default_rng(36).uniform(-1.0, 1.0, 300)
+        whole = tomography._sample(exact, 500, (4, 1))
+        assert np.array_equal(tomography._sample(exact[:37], 500, (4, 1)), whole[:37])
+        assert np.array_equal(tomography._sample(exact.reshape(30, 10), 500, (4, 1)),
+                              whole.reshape(30, 10))
+
+    def test_saturated_means_are_exact(self):
+        for shots in (1, 1000, 2**63 - 1):
+            values = tomography._sample(np.array([-1.0, 1.0]), shots, 3)
+            assert values.tolist() == [-1.0, 1.0]
+
+    def test_one_shot_gives_plus_or_minus_one(self):
+        exact = np.linspace(-0.9, 0.9, 2000)
+        values = tomography._sample(exact, 1, 8)
+        assert set(values.tolist()) == {-1.0, 1.0}
+        # E[value] = <P>; the mean of 2000 such draws is within 5 sigma.
+        assert abs(np.mean(values - exact)) <= 5.0 / math.sqrt(2000)
+
+    def test_largest_shot_count_gives_finite_values_in_range(self):
+        """2**63 - 1 shots stay float64 counts; no int64 cast overflows."""
+        exact = np.linspace(-1.0, 1.0, 101)
+        values = tomography._sample(exact, 2**63 - 1, (1, 2))
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values) <= 1.0)
+        assert np.max(np.abs(values - exact)) <= 1e-6
+
+    @pytest.mark.parametrize("key, other", [(5, 2**64 + 5), ((1, 0), (1, 0, 0)), ((0, 1), (1, 0)),
+                                            ((2**64,), (0, 1))])
+    def test_distinct_keys_draw_distinct_streams(self, key, other):
+        exact = np.zeros(200)
+        assert not np.array_equal(tomography._sample(exact, 1000, key),
+                                  tomography._sample(exact, 1000, other))
+
+    def test_an_int_seed_is_a_one_part_key(self):
+        exact = np.zeros(50)
+        assert np.array_equal(tomography._sample(exact, 1000, 5), tomography._sample(exact, 1000, (5,)))
+
+    @pytest.mark.parametrize("seed", [-1, (3, -2)])
+    def test_rejects_negative_seed_parts(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            measure_correlators(pauli_vector(basis_state("00"))[None], 10, seed)
+
+    def test_sampled_mode_requires_a_seed(self):
+        """Without a seed a sampled run would draw OS entropy; it raises instead."""
+        with pytest.raises(ValueError, match="seed"):
+            measure_correlators(pauli_vector(basis_state("00"))[None], 10)
+        assert measure_correlators(pauli_vector(basis_state("00"))[None]).shape == (1, 10)
+
+    def test_log_factorial_matches_lgamma(self):
+        x = np.array([0.0, 1.0, 2.0, 15.0, 16.0, 17.0, 100.0, 1e4, 1e9])
+        got = tomography._log_factorial(x)
+        want = np.array([math.lgamma(v + 1.0) for v in x])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(want, 1.0))
+
+
 class TestTomogram:
     """One state's (1, 10) row of ``measure_correlators``."""
 
@@ -276,8 +448,8 @@ class TestCorrelatorArrays:
                 measure_correlators(states)
 
     def test_sampled_columns_are_one_binomial_draw_per_stream(self):
-        """A trajectory's n x 10 counts come from one binomial call on the
-        generator of its stream key, in row-major order."""
+        """A trajectory's n x 10 counts are binomial draws, value i in
+        row-major order from stream i under the key (seed, *key)."""
         config, errors = validate_config("[scenario]\nname = fig4\n\n"
                                          "[simulation]\nshots = 500\nseed = 17\n")
         assert errors == []
@@ -285,8 +457,8 @@ class TestCorrelatorArrays:
         columns = _measure(config, r, 2, 1)
         p_plus = np.clip(0.5 * (1.0 + measure_correlators(r)), 0.0, 1.0)
         assert p_plus.shape == (21, len(CORRELATOR_LABELS))
-        stream = np.random.SeedSequence(entropy=config.seed, spawn_key=(2, 1))
-        counts = np.random.default_rng(stream).binomial(500, p_plus)
+        counts = np.array([reference_count(500.0, p, (config.seed, 2, 1), i)
+                           for i, p in enumerate(p_plus.ravel())]).reshape(p_plus.shape)
         assert np.array_equal(columns, (2.0 * counts - 500) / 500)
 
     @pytest.mark.parametrize("sch", [FIG4_SCHEDULE, FIG3_SCHEDULE], ids=["fig4", "fig3b"])
