@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 from .dynamics import BASIS_LABELS, NoiseModel, noise_violations, steps_per_interval
 from .schedule import ProtocolSchedule
+from .tomography import MAX_SHOTS
 
 __all__ = [
     "ConfigParse",
@@ -122,8 +123,6 @@ _NOISE_WHERE = {"t1/t2": "noise", "n_th": "noise.nth"}
 # Upper bound on simulation.n_samples: at the bound a Lindblad run holds 12.8 MB
 # of Pauli vectors per initial state, and table1 peaks at 164 MB RSS.
 _MAX_N_SAMPLES = 100_000
-# Upper bound on simulation.shots: numpy draws each count as a C int64.
-_MAX_SHOTS = 2**63 - 1
 # Upper bound on the RK4 steps of one run over all its durations: at 0.6 us per
 # 16x16 Lindblad step in four-step blocks (2-CPU x86-64 host), a minute, not days.
 _MAX_RK4_STEPS = 10**8
@@ -251,7 +250,7 @@ _FIELDS = (
     ("simulation", "n_samples", "n_samples", _INT, 300,
      (lambda n: 1 <= n <= _MAX_N_SAMPLES, f"must be in 1..{_MAX_N_SAMPLES}, got {{!r}}")),
     ("simulation", "shots", "shots", _INT, 0,
-     (lambda n: 0 <= n <= _MAX_SHOTS, f"must be >= 0 and at most {_MAX_SHOTS}, got {{!r}}")),
+     (lambda n: 0 <= n <= MAX_SHOTS, f"must be >= 0 and at most {MAX_SHOTS}, got {{!r}}")),
     ("simulation", "seed", "seed", _INT, 0, _NONNEGATIVE),
     ("output", "directory", "out_dir", _TEXT, "out", (bool, "must be nonempty")),
     ("output", "format", "format", (lambda raw: raw.strip().lower(), str), "csv",

@@ -30,7 +30,7 @@ from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersiv
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_lindblad, propagate_unitary
 from .mitigation import END_TERMS, mitigate_energy
-from .operators import PAULI_BASIS, PAULI_LABELS_2Q, Z, embed_1q, pauli_vector
+from .operators import PAULI_LABELS_2Q, Z, embed_1q, pauli_vector
 from .schedule import ProtocolSchedule, frame_rotation_angle
 from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators, rotate_correlators
 
@@ -354,19 +354,21 @@ def _measure(config: ScenarioConfig, r: np.ndarray, *key: int) -> np.ndarray:
     return measure_correlators(r, config.shots, (config.seed, *key))
 
 
-def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: int) -> tuple[tuple, tuple]:
+def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: int) -> tuple:
     """Simulate and write one trace per duration.
 
     Every duration sweeps the same H(s) on the same n_samples + 1 points of
     s, so one set of tracked levels serves all, and so do the generators
     that the propagators build for the first duration and keep for the
-    schedule and noise model of this run.  Returns those levels and the end
-    rows as three arrays indexed [duration, state]: the (6,) estimator terms
-    of the last sample, whose sum is the trace's last energy, the passage
-    fidelity and the final Pauli vector.  Each duration's trajectory is
-    dropped before the next is propagated.  The shots of (duration, state)
-    are drawn under the stream key ``(seed, *sweep, duration, state)``: a
-    run of two sweeps gives the second the prefix 1 after the seed.
+    schedule and noise model of this run.  Returns those levels, each
+    state's start level and the end record, two arrays indexed [duration,
+    state]: the (6,) estimator terms of the last sample, whose sum is the
+    trace's last energy, and the (4,) populations of levels 1..4 at s = 1,
+    the start level's being the last passage fidelity.  Each duration's
+    trajectory is dropped before the next is propagated.  The shots of
+    (duration, state) are drawn under the stream key ``(seed, *sweep,
+    duration, state)``: a run of two sweeps gives the second the prefix 1
+    after the seed.
     """
     noise = config.noise_model()
     schedule = config.schedule()
@@ -376,8 +378,9 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: in
     # Each state follows the tracked level it overlaps most at s = 0.
     start_levels = np.argmax(np.abs(vectors[0].conj().T @ psi0.T) ** 2, axis=0) + 1
     shape = (len(config.t_ad), len(config.initial_states))
-    end_terms, end_fidelities = np.empty(shape + (len(ENERGY_TERMS),)), np.empty(shape)
-    finals = np.empty(shape + (len(PAULI_BASIS),))
+    end_terms, end_populations = np.empty(shape + (len(ENERGY_TERMS),)), np.empty(shape + (4,))
+    # Levels 1..4 at s = 1 as (16, 4) weights; a one-row read keeps a stack's bits.
+    end_weights = np.hstack([level_weights(vectors[-1:], k) for k in (1, 2, 3, 4)])
 
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
     for state in config.initial_states:
@@ -402,30 +405,28 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: in
         table[:, 0] = traj.times
         for state_index, level in enumerate(start_levels):
             r = read(traj.states[:, state_index])
-            fidelity = pauli_fidelity(r, level_weights(vectors, level))
             values = _measure(config, r, *sweep, t_ad_index, state_index)
             terms = energy_terms(values, schedule, traj.times / t_ad)
             first = 5 + state_index * (n_pauli + 2)
             table[:, first] = terms.sum(axis=1)
             table[:, first + 1:first + 1 + n_pauli] = values[:, :n_pauli]
-            table[:, first + 1 + n_pauli] = fidelity
+            table[:, first + 1 + n_pauli] = pauli_fidelity(r, level_weights(vectors, level))
             end_terms[t_ad_index, state_index] = terms[-1]
-            end_fidelities[t_ad_index, state_index] = fidelity[-1]
-            finals[t_ad_index, state_index] = r[-1]
+            end_populations[t_ad_index, state_index] = pauli_fidelity(r[-1:], end_weights)
         out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns, table)
 
     for t_ad_index, t_ad in enumerate(config.t_ad):
         write_trace(t_ad_index, t_ad)
-    return levels, (end_terms, end_fidelities, finals)
+    return levels, start_levels, end_terms, end_populations
 
 
-def _crossing_payload(config: ScenarioConfig, levels: TrackedLevels,
-                      end_fidelities: np.ndarray, finals: np.ndarray) -> dict:
+def _crossing_payload(config: ScenarioConfig, levels: TrackedLevels, start_levels: np.ndarray,
+                      end_populations: np.ndarray) -> dict:
     """Crossing analysis plus per-duration LZ-vs-simulation comparison.
 
-    The crossing analysis reads the sweep's tracked levels.  The measured
-    populations are those of sorted levels 3 (diabatic) and 2 (adiabatic)
-    at s = 1, read from the final Pauli vectors against the tracked levels.
+    The crossing analysis reads the sweep's tracked levels; the measured
+    populations, sorted levels 3 (diabatic) and 2 (adiabatic) at s = 1, and
+    the end fidelities are entries of its end record (``_run_durations``).
     """
     try:
         a, s_c, slope = crossing_report(config.schedule(), levels)
@@ -440,23 +441,22 @@ def _crossing_payload(config: ScenarioConfig, levels: TrackedLevels,
         "slope_times_t_ad_mhz": slope,
         "per_t_ad": {},
     }
-    sorted_level = np.argsort(levels.energies[-1]) + 1
-    end_weights = {kind: level_weights(levels.vectors[-1:], sorted_level[k])
-                   for kind, k in (("diabatic", 2), ("adiabatic", 1))}
+    diabatic, adiabatic = np.argsort(levels.energies[-1])[[2, 1]]
     for i, t_ad in enumerate(config.t_ad):
         gamma, p_diabatic = lz_probability(a, slope / t_ad)
         entry = {"gamma": gamma, "p_diabatic_lz": p_diabatic}
         for j, label in enumerate(config.initial_states):
-            for kind, weights in end_weights.items():
-                entry[f"p_{kind}_measured_{label}"] = float(pauli_fidelity(finals[i, j][None], weights)[0])
-            entry[f"end_fidelity_{label}"] = float(end_fidelities[i, j])
+            populations = end_populations[i, j].tolist()
+            entry[f"p_diabatic_measured_{label}"] = populations[diabatic]
+            entry[f"p_adiabatic_measured_{label}"] = populations[adiabatic]
+            entry[f"end_fidelity_{label}"] = populations[start_levels[j] - 1]
         payload["per_t_ad"][f"{t_ad:g}"] = entry
     return payload
 
 
 def _run_sweep(config: ScenarioConfig, label: str, out: _Outputs, *sweep: int) -> None:
-    levels, (_, end_fidelities, finals) = _run_durations(config, label, out, *sweep)
-    out.report(label, {"crossing": _crossing_payload(config, levels, end_fidelities, finals)})
+    levels, start_levels, _, end_populations = _run_durations(config, label, out, *sweep)
+    out.report(label, {"crossing": _crossing_payload(config, levels, start_levels, end_populations)})
 
 
 def _run_fig3(config: ScenarioConfig, label: str, out: _Outputs) -> None:
@@ -465,7 +465,7 @@ def _run_fig3(config: ScenarioConfig, label: str, out: _Outputs) -> None:
 
 
 def _run_table1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
-    _, (end_terms, end_fidelities, _) = _run_durations(config, label, out)
+    _, start_levels, end_terms, end_populations = _run_durations(config, label, out)
 
     # Exact end-of-protocol reference levels, with and without the static
     # ZZ term: both variants are reported and the one closer to the
@@ -483,7 +483,7 @@ def _run_table1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
     states_report = {}
     for j, state in enumerate(config.initial_states):
         measured, per_term, residuals = mitigate_energy(config.t_ad, end_terms[:, j])
-        fidelities = end_fidelities[:, j]
+        fidelities = end_populations[:, j, start_levels[j] - 1]
         extrapolated = float(per_term.sum())
         entry = {
             "measured_by_t_ad": dict(zip(keys, measured[order].tolist())),

@@ -590,6 +590,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("text, key", [
         ("[scenario]\nname = fig1\n\n[simulation]\nshots = 100000000000000000000\n"
          "n_samples = 10\n", "simulation.shots"),
+        ("[scenario]\nname = fig1\n\n[simulation]\nshots = 1000000001\nn_samples = 10\n",
+         "simulation.shots: must be >= 0 and at most 1000000000"),
         ("[scenario]\nname = fig4\ninitial_states = 01, 01\n", "scenario.initial_states"),
         ("[scenario]\nname = table1\ninitial_states = 00, 00\n", "scenario.initial_states"),
         ("[scenario]\nname = fig1\n\n[schedule]\nt_ad = 10, 20\n", "schedule.t_ad: fig1"),
@@ -611,8 +613,8 @@ class TestValidateCommand:
          "got 10.0 and 10.000001"),
         ("[scenario]\nname = table1\n\n[schedule]\nt_ad = 10, 10.000001, 5, 20\n",
          "durations must be distinct"),
-    ], ids=["shots-beyond-int64", "fig4-repeated-state", "table1-repeated-state",
-            "fig1-two-durations", "fig1-two-states", "chevron-two-durations",
+    ], ids=["shots-beyond-int64", "shots-beyond-cap", "fig4-repeated-state",
+            "table1-repeated-state", "fig1-two-durations", "fig1-two-states", "chevron-two-durations",
             "chevron-with-state", "fig1-z1", "fig1-x1", "fig1-j", "fig1-zz", "chevron-z1",
             "chevron-z2", "chevron-x1", "chevron-x2", "chevron-zz", "fig1-noise",
             "chevron-noise", "chevron-dt", "chevron-tiny-dt", "fig4-same-labels",
@@ -646,7 +648,7 @@ class TestValidateCommand:
 
     def test_largest_shot_count_runs(self, tmp_path):
         cfg = write_config(tmp_path, "[scenario]\nname = fig1\n\n[simulation]\n"
-                                     "shots = 9223372036854775807\nn_samples = 10\n")
+                                     "shots = 1000000000\nn_samples = 10\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_file(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from adiasim.config import (
     validate_config,
 )
 from adiasim.dynamics import NoiseModel, UnphysicalNoise
+from adiasim.tomography import MAX_SHOTS
 
 CUSTOM_MINIMAL = """\
 [scenario]
@@ -251,15 +252,14 @@ class TestValidationErrors:
         assert any("n_samples" in e for e in errors)
         assert any("shots" in e for e in errors)
 
-    def test_shots_bounded_by_int64(self):
-        """numpy draws the counts with a C int64 shot count."""
-        errors = invalid("[scenario]\nname = fig1\n\n[simulation]\n"
-                         "shots = 100000000000000000000\n")
-        assert any(e.startswith("simulation.shots: must be >= 0 and at most 9223372036854775807")
-                   for e in errors)
-        config = valid("[scenario]\nname = fig1\n\n[simulation]\n"
-                       "shots = 9223372036854775807\n")
-        assert config.shots == 2**63 - 1
+    def test_shots_bounded_by_exact_sampling_cap(self):
+        """Shot counts are drawn exactly up to tomography.MAX_SHOTS = 10**9."""
+        for shots in (10**9 + 1, 10**20):
+            errors = invalid(f"[scenario]\nname = fig1\n\n[simulation]\nshots = {shots}\n")
+            assert any(e.startswith("simulation.shots: must be >= 0 and at most 1000000000")
+                       for e in errors), shots
+        config = valid("[scenario]\nname = fig1\n\n[simulation]\nshots = 1000000000\n")
+        assert config.shots == MAX_SHOTS
 
     def test_noise_consistency(self):
         errors = invalid("[scenario]\nname = table1\n\n[noise]\n"

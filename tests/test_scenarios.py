@@ -163,14 +163,50 @@ class TestCrossingPopulations:
 
     def test_adiabatic_population_of_01_is_its_end_fidelity(self, tmp_path):
         """In fig4, |01> starts in tracked level 2, which ends as sorted level 2:
-        the report reads its one end population with the same bits twice, once
-        from the trace's fidelity column and once against the end weights."""
+        the report takes both keys from one entry of the end record."""
         config = make_config("[scenario]\nname = fig4\n", tmp_path)
         run_scenario(config)
         per_t_ad = load_report(tmp_path / "fig4_report.json")["crossing"]["per_t_ad"]
         for t_ad in config.t_ad:
             entry = per_t_ad[f"{t_ad:g}"]
             assert entry["p_adiabatic_measured_01"] == entry["end_fidelity_01"], t_ad
+
+    @pytest.mark.parametrize("name, noisy", [("fig3", False), ("fig4", False), ("table1", True),
+                                             ("fig4", True)])
+    def test_end_record_holds_each_traces_last_fidelity(self, tmp_path, name, noisy):
+        """Every end fidelity of a report equals the last fidelity_<state> of
+        its trace bit for bit: the one-row end read and the trace's stacked
+        read give the same bits, pure or Lindblad."""
+        config = make_config(f"[scenario]\nname = {name}\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
+                             f"[noise]\nenabled = {str(noisy).lower()}\n\n"
+                             "[simulation]\ndt_us = 0.005\nn_samples = 10\n", tmp_path)
+        run_scenario(config)
+        for label in ("fig3a", "fig3b") if name == "fig3" else (name,):
+            report = load_report(tmp_path / f"{label}_report.json")
+            for t_ad in config.t_ad:
+                trace = read_columns(tmp_path / f"{label}_trace_tad{t_ad:g}.csv")
+                last = {state: trace[f"fidelity_{state}"][-1] for state in config.initial_states}
+                if name == "table1":
+                    ends = {state: entry["end_passage_fidelity_by_t_ad"][f"{t_ad:g}"]
+                            for state, entry in report["states"].items()}
+                else:
+                    entry = report["crossing"]["per_t_ad"][f"{t_ad:g}"]
+                    ends = {state: entry[f"end_fidelity_{state}"] for state in config.initial_states}
+                assert ends == last, (label, t_ad)
+
+    def test_crossing_report_reads_no_populations_of_its_own(self, tmp_path, monkeypatch):
+        """Each (duration, state) is read twice, its fidelity column at every
+        point and its end populations at s = 1; the crossing report only
+        indexes the end record."""
+        reads = []
+        monkeypatch.setattr(scenarios, "pauli_fidelity",
+                            lambda r, weights: reads.append(len(r)) or pauli_fidelity(r, weights))
+        config = make_config("[scenario]\nname = fig4\ninitial_states = 01, 10\n\n"
+                             "[schedule]\nt_ad = 1, 2\n\n"
+                             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
+        run_scenario(config)
+        assert reads == [5, 1] * 4
+        assert set(load_report(tmp_path / "fig4_report.json")["crossing"]["per_t_ad"]) == {"1", "2"}
 
 
 def count_eigensystems(monkeypatch):
@@ -226,19 +262,22 @@ class TestOneEigensystemPerSweep:
     def test_table1_builds_one_generator_pair_per_run(self, tmp_path, monkeypatch):
         """G0 and G1 of the Lindblad generator are built once for the run's
         three durations; each start level's weights are computed where they
-        are read, once per (duration, state)."""
+        are read, once per (duration, state), and the one-point weights of
+        the four levels at s = 1 once per run."""
         built, weighed = [], []
         pauli_generator, level_weights = dynamics._pauli_generator, analysis.level_weights
         monkeypatch.setattr(dynamics, "_pauli_generator",
                             lambda *args: built.append(len(args)) or pauli_generator(*args))
         monkeypatch.setattr(scenarios, "level_weights",
-                            lambda vectors, level: weighed.append(level) or level_weights(vectors, level))
+                            lambda vectors, level: weighed.append((len(vectors), level))
+                            or level_weights(vectors, level))
         config = make_config(
             "[scenario]\nname = table1\n\n[schedule]\nt_ad = 1, 2, 3\n\n"
             "[simulation]\ndt_us = 0.005\nn_samples = 4\n", tmp_path)
         run_scenario(config)
         assert built == [2, 1]  # G0 with the collapse operators, then G1
-        assert sorted(weighed) == [1, 1, 1, 4, 4, 4]  # |00> and |11> start on levels 1 and 4
+        # |00> and |11> start on levels 1 and 4, weighed at all 5 points.
+        assert sorted(weighed) == [(1, 1), (1, 2), (1, 3), (1, 4)] + [(5, 1)] * 3 + [(5, 4)] * 3
         # A new schedule of equal value builds its own pair.
         run_scenario(config)
         assert built == [2, 1, 2, 1]

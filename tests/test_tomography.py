@@ -272,7 +272,7 @@ class TestBinomialSampler:
                               whole.reshape(30, 10))
 
     def test_saturated_means_are_exact(self):
-        for shots in (1, 1000, 2**63 - 1):
+        for shots in (1, 1000, tomography.MAX_SHOTS):
             values = tomography._sample(np.array([-1.0, 1.0]), shots, 3)
             assert values.tolist() == [-1.0, 1.0]
 
@@ -284,12 +284,31 @@ class TestBinomialSampler:
         assert abs(np.mean(values - exact)) <= 5.0 / math.sqrt(2000)
 
     def test_largest_shot_count_gives_finite_values_in_range(self):
-        """2**63 - 1 shots stay float64 counts; no int64 cast overflows."""
+        """MAX_SHOTS shots give means within 6 sigma, 6 / sqrt(MAX_SHOTS), of <P>."""
         exact = np.linspace(-1.0, 1.0, 101)
-        values = tomography._sample(exact, 2**63 - 1, (1, 2))
+        values = tomography._sample(exact, tomography.MAX_SHOTS, (1, 2))
         assert np.all(np.isfinite(values))
         assert np.all(np.abs(values) <= 1.0)
-        assert np.max(np.abs(values - exact)) <= 1e-6
+        assert np.max(np.abs(values - exact)) <= 6.0 / math.sqrt(tomography.MAX_SHOTS)
+
+    def test_shots_above_the_cap_are_refused(self):
+        r = pauli_vector(basis_state("00"))[None]
+        with pytest.raises(ValueError, match="shots must be in 1..1000000000"):
+            measure_correlators(r, tomography.MAX_SHOTS + 1, (1, 2))
+
+    @pytest.mark.parametrize("p, key", [(3e-9, (3, 9)), (0.3, (4, 2))])
+    def test_moments_at_the_cap(self, p, key):
+        """200 000 counts at MAX_SHOTS, from the inversion branch (n*p = 3)
+        and from BTRS: the mean within 5 sigma of n*p, and the variance within
+        5 of its standard errors of n*p*q.  Rounding in BTRS's log-factorials
+        widens the variance by 1.3 % at 1e14 shots."""
+        n, draws = float(tomography.MAX_SHOTS), 200_000
+        counts = tomography._binomial(n, np.full(draws, p), key)
+        mean, var = n * p, n * p * (1.0 - p)
+        assert abs(counts.mean() - mean) <= 5.0 * math.sqrt(var / draws)
+        # The sample variance's standard error, (mu4 / var**2 - 1) / draws under the root.
+        kurtosis = 3.0 + (1.0 - 6.0 * p * (1.0 - p)) / var
+        assert abs(counts.var() / var - 1.0) <= 5.0 * math.sqrt((kurtosis - 1.0) / draws)
 
     @pytest.mark.parametrize("key, other", [(5, 2**64 + 5), ((1, 0), (1, 0, 0)), ((0, 1), (1, 0)),
                                             ((2**64,), (0, 1))])
