@@ -1,25 +1,3 @@
-"""adiasim: two-qubit adiabatic-sweep simulator and analysis toolkit.
-
-Usage:
-
-    adiasim run [config] [--scenario NAME] [--out DIR] [--seed N]
-    adiasim validate <config>
-    adiasim list-scenarios
-    adiasim --version
-    adiasim [command] -h | --help
-
-``run`` takes a config file, a built-in scenario name, or both (the name
-then overrides the one in the file).  Options may come before or after the
-config, as ``--out DIR`` or ``--out=DIR``, and by any unique prefix
-(``--sc fig4``).  Output-directory precedence: ``--out`` flag, then the
-ADIASIM_OUT_DIR environment variable, then the config.  ``validate``
-checks a config file and lists every problem; ``list-scenarios`` lists
-the built-in scenarios.
-
-Exit codes: 0 success, 2 configuration error (a malformed command line
-included), 3 numeric or I/O failure during the run.
-"""
-
 from __future__ import annotations
 
 import getopt
@@ -40,6 +18,31 @@ from .config import (
 from .dynamics import StepTooLarge, UnphysicalNoise
 from .scenarios import NonFiniteOutput, Unwritable, run_scenario
 from .tomography import CorrelatorOutOfRange
+
+# The help that -h and a malformed command line print.  It is the module's
+# docstring by assignment, which python -OO does not strip.
+_HELP = """adiasim: two-qubit adiabatic-sweep simulator and analysis toolkit.
+
+Usage:
+
+    adiasim run [config] [--scenario NAME] [--out DIR] [--seed N]
+    adiasim validate <config>
+    adiasim list-scenarios
+    adiasim --version
+    adiasim [command] -h | --help
+
+``run`` takes a config file, a built-in scenario name, or both (the name
+then overrides the one in the file).  Options may come before or after the
+config, as ``--out DIR`` or ``--out=DIR``, and by any unique prefix
+(``--sc fig4``).  Output-directory precedence: ``--out`` flag, then the
+ADIASIM_OUT_DIR environment variable, then the config.  ``validate``
+checks a config file and lists every problem; ``list-scenarios`` lists
+the built-in scenarios.
+
+Exit codes: 0 success, 2 configuration error (a malformed command line
+included), 3 numeric or I/O failure during the run.
+"""
+__doc__ = _HELP
 
 OUT_DIR_ENV = "ADIASIM_OUT_DIR"
 
@@ -69,7 +72,7 @@ _COMMANDS = {
 
 
 def _fail(message: str) -> NoReturn:
-    print(__doc__, file=sys.stderr)
+    print(_HELP, file=sys.stderr)
     print(f"adiasim: error: {message}", file=sys.stderr)
     raise SystemExit(_EXIT_CONFIG)
 
@@ -77,7 +80,7 @@ def _fail(message: str) -> NoReturn:
 def _exit_on_help_or_version(opts: list[tuple[str, str]]) -> None:
     for name, _ in opts:
         if name in ("-h", "--help"):
-            print(__doc__, end="")
+            print(_HELP, end="")
             raise SystemExit(_EXIT_OK)
         if name == "--version":
             print(f"adiasim {__version__}")

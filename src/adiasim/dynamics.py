@@ -362,6 +362,7 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     applied to every state as soon as they are built and then overwritten
     by the next group's; the block stack, the scratch stack of the reduction
     and one group's maps, allocated once, are all the working memory.
+    Overflow is left to ``_sweep``'s error state: the drift check reports it.
     """
     starts = times[:-1]
     d = x0.shape[-1]
@@ -383,34 +384,31 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     states = np.empty((len(times),) + x0.shape)
     states[0] = x0
     columns = states[..., None]  # each state a (d, 1) column: one gemv per state
-    # An unstable step size, a non-finite H or a diverging state may
-    # overflow; the drift check at the first bad sample reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, len(starts), group):
-            t0 = starts[k:k + group]
-            g = len(t0)
-            for first in range(0, blocks, batch):
-                b = min(batch, blocks - first)
-                mats = stack[:b * g * d * d].reshape(b, g, d, d)
-                if first == 0:
-                    # One one-row product per lead: BLAS takes another path
-                    # for one row than for several, and this way a lead's
-                    # rounding does not depend on how many share the batch.
-                    block_matrices(t0[:, None], lead, mats[0].reshape(g, 1, d, d))
-                full = offsets[max(first, 1):first + b]
-                if len(full):
-                    block_starts = t0 + full[:, None] * h
-                    block_matrices(block_starts.reshape(1, -1), width,
-                                   mats[b - len(full):].reshape(1, -1, d, d))
-                half = scratch[:(b + 1) // 2 * g * d * d].reshape(-1, g, d, d)
-                if first == 0:
-                    _ordered_product(mats, half, maps[:g])
-                else:
-                    _ordered_product(mats, half, product)
-                    np.matmul(product, maps[:g], out=maps[:g])
-            for i in range(g):
-                np.matmul(maps[i], columns[k + i], out=columns[k + i + 1])
-        drifts = drift_of(states)
+    for k in range(0, len(starts), group):
+        t0 = starts[k:k + group]
+        g = len(t0)
+        for first in range(0, blocks, batch):
+            b = min(batch, blocks - first)
+            mats = stack[:b * g * d * d].reshape(b, g, d, d)
+            if first == 0:
+                # One one-row product per lead: BLAS takes another path
+                # for one row than for several, and this way a lead's
+                # rounding does not depend on how many share the batch.
+                block_matrices(t0[:, None], lead, mats[0].reshape(g, 1, d, d))
+            full = offsets[max(first, 1):first + b]
+            if len(full):
+                block_starts = t0 + full[:, None] * h
+                block_matrices(block_starts.reshape(1, -1), width,
+                               mats[b - len(full):].reshape(1, -1, d, d))
+            half = scratch[:(b + 1) // 2 * g * d * d].reshape(-1, g, d, d)
+            if first == 0:
+                _ordered_product(mats, half, maps[:g])
+            else:
+                _ordered_product(mats, half, product)
+                np.matmul(product, maps[:g], out=maps[:g])
+        for i in range(g):
+            np.matmul(maps[i], columns[k + i], out=columns[k + i + 1])
+    drifts = drift_of(states)
     # A state with a non-finite entry has no drift, whatever drift_of reads
     # (r_II stays 1 while the rest of a Pauli vector overflows).
     drifts[~np.isfinite(states).all(axis=-1)] = np.nan
@@ -419,7 +417,7 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     if bad.size:
         raise StepTooLarge(
             f"{what} drift {drifts.flat[bad[0]]:.3e} exceeds {DRIFT_LIMIT:.0e} at "
-            f"t = {times[np.unravel_index(bad[0], drifts.shape)[0]]:.4f} us; reduce dt"
+            f"t = {times[np.unravel_index(bad[0], drifts.shape)[0]]:.6g} us; reduce dt"
         )
     return states, drifts
 
@@ -441,19 +439,21 @@ def _generators(schedule: ProtocolSchedule, noise: NoiseModel | None):
     last_schedule, last_noise, pair = _last_generators
     if last_schedule is schedule and last_noise is noise:
         return pair
-    # A non-finite schedule field can overflow here; _propagate reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if noise is None:
-            g0, g1 = _schrodinger_generator(schedule.h0), _schrodinger_generator(schedule.h1)
-        else:
-            g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
-            g1 = _pauli_generator(schedule.h1)
-        # The SVD fails on a non-finite g1.
-        pair = g0, g1, np.linalg.norm(g1, 2) if np.isfinite(g1).all() else 0.0
+    if noise is None:
+        g0, g1 = _schrodinger_generator(schedule.h0), _schrodinger_generator(schedule.h1)
+    else:
+        g0 = _pauli_generator(schedule.h0, collapse_operators(noise))
+        g1 = _pauli_generator(schedule.h1)
+    # The SVD fails on a non-finite g1.
+    pair = g0, g1, np.linalg.norm(g1, 2) if np.isfinite(g1).all() else 0.0
     _last_generators = schedule, noise, pair
     return pair
 
 
+# A non-finite schedule field, an unstable step size or a diverging state may
+# overflow in the generators, the block polynomials or the propagation; the
+# drift check at the first bad sample reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt: float,
            n_samples: int, x0: np.ndarray) -> tuple[np.ndarray, ...]:
     """Times, states and drifts of ``_propagate`` over a sweep of duration ``t_ad``.
@@ -464,14 +464,13 @@ def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
     g0, g1, norm = _generators(schedule, noise)
     drift_of, what = (_norm_drift, "norm") if noise is None else (_trace_drift, "trace")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # The expansion in s loses digits as h*||g1|| grows, the more so
-        # the more steps a block holds: keep width * h * ||g1||_2 <= 1.
-        rate = h * norm
-        width = _BLOCK_STEPS
-        while width > 1 and width * rate > 1.0:
-            width -= 1
-        polys = _block_polynomials(g0, g1, h, h / t_ad, width)
+    # The expansion in s loses digits as h*||g1|| grows, the more so the
+    # more steps a block holds: keep width * h * ||g1||_2 <= 1.
+    rate = h * norm
+    width = _BLOCK_STEPS
+    while width > 1 and width * rate > 1.0:
+        width -= 1
+    polys = _block_polynomials(g0, g1, h, h / t_ad, width)
     d = len(g0)
 
     def block_matrices(starts: np.ndarray, c: int, out: np.ndarray) -> None:

@@ -26,7 +26,6 @@ __all__ = [
     "Z",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
-    "PAULI_LABELS_2Q",
     "PAULI_BASIS_LABELS",
     "PAULI_BASIS",
     "pauli_2q",
@@ -45,10 +44,6 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 _PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-# The eight correlators recorded by the tomography layer, in file order.
-PAULI_LABELS_2Q = ("XI", "IX", "YI", "IY", "ZI", "IZ", "XX", "YY")
-
 
 def pauli_2q(label: str) -> np.ndarray:
     """Return the two-qubit Pauli product for a two-letter ``label``.

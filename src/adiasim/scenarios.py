@@ -30,7 +30,7 @@ from .calibration import CouplingModel, chevron_map, fit_coupling, fit_dispersiv
 from .config import ScenarioConfig, validate_config
 from .dynamics import basis_state, propagate_lindblad, propagate_unitary
 from .mitigation import END_TERMS, mitigate_energy
-from .operators import PAULI_LABELS_2Q, Z, embed_1q, pauli_vector
+from .operators import Z, embed_1q, pauli_vector
 from .schedule import ProtocolSchedule, frame_rotation_angle
 from .tomography import CORRELATOR_LABELS, ENERGY_TERMS, energy_terms, measure_correlators, rotate_correlators
 
@@ -48,7 +48,7 @@ CHEVRON_MIN_J_T_AD = 1.0
 _TRUTH_B1, _TRUTH_B3 = 2.2, 1.5
 _TRUTH_C2 = (-0.09, -0.035)
 _TRUTH_C4 = (-0.02, -0.008)
-_IX_IY = [CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")]
+_IX, _IY = CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")
 
 
 class Unwritable(OSError):
@@ -385,13 +385,13 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: in
     columns = ["t_us"] + [f"e{k}_mhz" for k in (1, 2, 3, 4)]
     for state in config.initial_states:
         columns.append(f"energy_{state}_mhz")
-        columns.extend(f"{term.lower()}_{state}" for term in PAULI_LABELS_2Q)
+        columns.extend(f"{term.lower()}_{state}" for term in CORRELATOR_LABELS)
         columns.append(f"fidelity_{state}")
     # One table, refilled for each duration: t, the tracked levels, then
     # each state's energy, correlators and passage fidelity.
     table = np.empty((len(energies), len(columns)))
     table[:, 1:5] = energies
-    n_pauli = len(PAULI_LABELS_2Q)
+    n_terms = len(CORRELATOR_LABELS)
 
     def write_trace(t_ad_index: int, t_ad: float) -> None:
         # Pure states become Pauli vectors one state at a time: no (n, k, 16) stack.
@@ -407,10 +407,10 @@ def _run_durations(config: ScenarioConfig, label: str, out: _Outputs, *sweep: in
             r = read(traj.states[:, state_index])
             values = _measure(config, r, *sweep, t_ad_index, state_index)
             terms = energy_terms(values, schedule, traj.times / t_ad)
-            first = 5 + state_index * (n_pauli + 2)
+            first = 5 + state_index * (n_terms + 2)
             table[:, first] = terms.sum(axis=1)
-            table[:, first + 1:first + 1 + n_pauli] = values[:, :n_pauli]
-            table[:, first + 1 + n_pauli] = pauli_fidelity(r, level_weights(vectors, level))
+            table[:, first + 1:first + 1 + n_terms] = values
+            table[:, first + 1 + n_terms] = pauli_fidelity(r, level_weights(vectors, level))
             end_terms[t_ad_index, state_index] = terms[-1]
             end_populations[t_ad_index, state_index] = pauli_fidelity(r[-1:], end_weights)
         out.trace(config, label, f"{label}_trace_tad{_fmt_tad(t_ad)}", t_ad, columns, table)
@@ -529,32 +529,25 @@ def _run_fig1(config: ScenarioConfig, label: str, out: _Outputs) -> None:
                              config.dt_us, config.n_samples)
     theta = frame_rotation_angle(z, traj.times, t_ad)
     iz = np.diag(embed_1q(Z, 2)).real
-    constant = np.exp(0.5j * theta[:, None] * iz) * traj.states
-    summary: dict[str, float] = {"z_mhz": z, "x_mhz": x, "t_ad_us": t_ad}
-    frames = (("chirped", traj.states), ("constant", constant))
-    n_pauli = len(PAULI_LABELS_2Q)
-    # One table for both frames: t, the correlators, then the constant
-    # frame's theta and rotated IX, IY; the chirped trace is its first columns.
-    table = np.empty((len(traj.times), n_pauli + 4))
-    table[:, 0] = traj.times
-    table[:, n_pauli + 1] = theta
-    for frame_index, (frame, states) in enumerate(frames):
-        values = _measure(config, pauli_vector(states), frame_index, 0)
-        columns = ["t_us"] + [term.lower() for term in PAULI_LABELS_2Q]
-        table[:, 1:n_pauli + 1] = values[:, :n_pauli]
-        ix_iy = raw_ix_iy = values[:, _IX_IY]
-        if frame == "constant":
-            columns += ["theta_rad", "ix_rotated", "iy_rotated"]
-            ix_iy = rotate_correlators(values, theta)[:, _IX_IY]
-            table[:, n_pauli + 2:] = ix_iy
-        out.trace(config, label, f"{label}_{frame}_trace", t_ad, columns, table[:, :len(columns)])
-        tag = "rotated" if frame == "constant" else frame
-        summary[f"max_abs_iy_{tag}"] = float(np.max(np.abs(ix_iy[:, 1])))
-        summary[f"final_ix_{tag}"] = float(ix_iy[-1, 0])
-        if frame == "constant":
-            summary["max_abs_iy_constant_raw"] = float(np.max(np.abs(raw_ix_iy[:, 1])))
+    chirped = _measure(config, pauli_vector(traj.states), 0, 0)
+    constant = _measure(config, pauli_vector(np.exp(0.5j * theta[:, None] * iz) * traj.states), 1, 0)
+    rotated = rotate_correlators(constant, theta)
 
-    out.report(label, {"summary": summary})
+    columns = ["t_us"] + [term.lower() for term in CORRELATOR_LABELS]
+    out.trace(config, label, f"{label}_chirped_trace", t_ad, columns,
+              np.column_stack([traj.times, chirped]))
+    # The constant frame's trace adds theta and its IX, IY rotated back into the chirped frame.
+    out.trace(config, label, f"{label}_constant_trace", t_ad,
+              columns + ["theta_rad", "ix_rotated", "iy_rotated"],
+              np.column_stack([traj.times, constant, theta, rotated]))
+    out.report(label, {"summary": {
+        "z_mhz": z, "x_mhz": x, "t_ad_us": t_ad,
+        "max_abs_iy_chirped": float(np.max(np.abs(chirped[:, _IY]))),
+        "final_ix_chirped": float(chirped[-1, _IX]),
+        "max_abs_iy_rotated": float(np.max(np.abs(rotated[:, 1]))),
+        "final_ix_rotated": float(rotated[-1, 0]),
+        "max_abs_iy_constant_raw": float(np.max(np.abs(constant[:, _IY]))),
+    }})
 
 
 def _unresolved_rabi(j: float, t_ad: float, n_samples: int) -> str | None:

@@ -1,11 +1,10 @@
 """Pauli correlators, shot sampling, energy reconstruction, frame rotation.
 
-Whole trajectories are measured as (n, 10) arrays, one row per sample and
-one column per entry of ``CORRELATOR_LABELS``: the eight recorded
-correlators {XI, IX, YI, IY, ZI, IZ, XX, YY} plus the cross terms XY and
-YX, which are needed to rotate two-qubit correlators between drive frames.
-They are read from the trajectory's Pauli vectors, which hold every <P>
-(``operators.pauli_vector`` gives those of pure states).  Shot count 0
+Whole trajectories are measured as (n, 8) arrays, one row per sample and
+one column per entry of ``CORRELATOR_LABELS``: the eight correlators
+{XI, IX, YI, IY, ZI, IZ, XX, YY} that the trace files record, in file
+order.  They are read from the trajectory's Pauli vectors, which hold every
+<P> (``operators.pauli_vector`` gives those of pure states).  Shot count 0
 means exact values.  In sampled mode, up to ``MAX_SHOTS`` shots, each
 value's count is an exact binomial draw from a SplitMix64 counter stream
 of its own, under a key the caller gives; numpy.random is never imported.
@@ -15,7 +14,8 @@ The energy estimator deliberately uses only the six sweep terms P in
 the schedule's H(s), excluding the static ZZ term: the estimate
 reconstructs the controlled part of the Hamiltonian from measured
 correlators.  H(s) = h0 + s*h1 is affine, so the coefficients are
-w0 + s*w1, read from the schedule's h0 and h1.
+w0 + s*w1, read from the schedule's h0 and h1.  The frame rotation turns
+qubit 2's (IX, IY) about Z, the one pair that fig1 writes rotated.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import operator
 import numpy as np
 
 from .dynamics import DRIFT_LIMIT
-from .operators import PAULI_BASIS, PAULI_BASIS_LABELS, PAULI_LABELS_2Q
+from .operators import PAULI_BASIS, PAULI_BASIS_LABELS
 from .schedule import ProtocolSchedule, sweep_points
 
 __all__ = ["measure_correlators", "energy_terms", "rotate_correlators", "CorrelatorOutOfRange",
-           "CROSS_LABELS", "CORRELATOR_LABELS", "ENERGY_TERMS", "MAX_SHOTS"]
+           "CORRELATOR_LABELS", "ENERGY_TERMS", "MAX_SHOTS"]
 
-CROSS_LABELS = ("XY", "YX")
-CORRELATOR_LABELS = PAULI_LABELS_2Q + CROSS_LABELS
+# The eight correlators that traces record, in file order.
+CORRELATOR_LABELS = ("XI", "IX", "YI", "IY", "ZI", "IZ", "XX", "YY")
 # Estimator contribution keys, in the order of the Paulis they weigh.
 ENERGY_TERMS = ("z1", "z2", "x1", "x2", "xx", "yy")
 # Most shots drawn exactly.  BTRS accepts by a sum of four log-factorials of
@@ -41,11 +41,9 @@ ENERGY_TERMS = ("z1", "z2", "x1", "x2", "xx", "yy")
 # at 1e14 the variance of the counts is 1.3 % too large, at 2**63 six-fold.
 MAX_SHOTS = 10**9
 
-_INDEX = {label: k for k, label in enumerate(CORRELATOR_LABELS)}
 _COLUMNS = [PAULI_BASIS_LABELS.index(label) for label in CORRELATOR_LABELS]
-_ENERGY_COLUMNS = [_INDEX[label] for label in ("ZI", "IZ", "XI", "IX", "XX", "YY")]
-# (X-like, Y-like) label pairs that mix under a Z rotation of qubit 2.
-_ROTATED_PAIRS = (("IX", "IY"), ("XX", "XY"), ("YX", "YY"))
+_ENERGY_COLUMNS = [CORRELATOR_LABELS.index(label) for label in ("ZI", "IZ", "XI", "IX", "XX", "YY")]
+_IX, _IY = CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")
 
 
 class CorrelatorOutOfRange(ValueError):
@@ -195,12 +193,12 @@ def _sample(exact: np.ndarray, shots: int, seed) -> np.ndarray:
 
 
 def measure_correlators(r: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
-    """Correlators of an (n, 16) stack of Pauli vectors, an (n, 10) array.
+    """Correlators of an (n, 16) stack of Pauli vectors, an (n, 8) array.
 
     Columns follow ``CORRELATOR_LABELS``; shots = 0 gives exact values and
     ignores the seed; at most ``MAX_SHOTS`` are drawn.  In sampled mode the
     seed is required: a nonnegative int or a tuple of them, and each of the
-    n x 10 values in row-major order draws from a stream of its own under
+    n x 8 values in row-major order draws from a stream of its own under
     that key.  The exact values are range-checked in both modes, before any
     sampling.
     """
@@ -213,7 +211,7 @@ def measure_correlators(r: np.ndarray, shots: int = 0, seed=None) -> np.ndarray:
 
 
 def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarray:
-    """The six estimator terms of (n, 10) correlators at n sweep points s, an (n, 6) array.
+    """The six estimator terms of (n, 8) correlators at n sweep points s, an (n, 6) array.
 
     Columns follow ``ENERGY_TERMS``; the energy is the row sum.  Raises
     TimeOutOfRange for an s outside [0, 1].
@@ -224,16 +222,12 @@ def energy_terms(values: np.ndarray, schedule: ProtocolSchedule, s) -> np.ndarra
 
 
 def rotate_correlators(values: np.ndarray, theta) -> np.ndarray:
-    """Rotate qubit 2's frame of (n, 10) correlators about Z by ``theta`` (one per row).
+    """Qubit 2's (IX, IY) of (n, 8) correlators, rotated about Z by ``theta``
+    (one per row), an (n, 2) array.
 
     <X>' = cos(theta)<X> + sin(theta)<Y> and <Y>' = -sin(theta)<X> +
-    cos(theta)<Y> for qubit 2, the driven qubit of fig1; terms with I or Z on
-    qubit 2 are unchanged.
+    cos(theta)<Y> for qubit 2, the driven qubit of fig1.
     """
     c, s = np.cos(theta), np.sin(theta)
-    rotated = np.array(values, dtype=float)
-    for x_lab, y_lab in _ROTATED_PAIRS:
-        vx, vy = values[:, _INDEX[x_lab]], values[:, _INDEX[y_lab]]
-        rotated[:, _INDEX[x_lab]] = c * vx + s * vy
-        rotated[:, _INDEX[y_lab]] = -s * vx + c * vy
-    return rotated
+    vx, vy = values[:, _IX], values[:, _IY]
+    return np.column_stack([c * vx + s * vy, -s * vx + c * vy])

@@ -29,7 +29,7 @@ from adiasim.dynamics import (
     propagate_unitary,
 )
 from adiasim.mitigation import extrapolate_quadratic, mitigate_energy
-from adiasim.operators import PAULI_BASIS, PAULI_LABELS_2Q, pauli_2q, pauli_vector
+from adiasim.operators import PAULI_BASIS, pauli_2q, pauli_vector
 from adiasim.schedule import ProtocolSchedule, frame_rotation_angle
 from adiasim.tomography import CORRELATOR_LABELS, energy_terms, measure_correlators, rotate_correlators
 from step_loop import constant_frame, reference_pure
@@ -281,7 +281,7 @@ def test_criterion_8_property_suites(capsys):
     checks = []
 
     # Pauli algebra: involution, Hermiticity, Hilbert-Schmidt orthogonality.
-    labels = list(PAULI_LABELS_2Q) + ["II"]
+    labels = list(CORRELATOR_LABELS) + ["II"]
     algebra_ok = True
     for _ in range(100):
         a, b = rng.choice(labels, size=2)
@@ -391,9 +391,8 @@ def test_criterion_9_frame_transform(capsys):
     states = reference_pure(constant_frame(z, x, t_ad), t_ad, basis_state("01"), DT, 200)
     values = measure_correlators(pauli_vector(states))
     times = np.linspace(0.0, t_ad, 201)
-    rotated = rotate_correlators(values, frame_rotation_angle(z, times, t_ad))
-    ix, iy = CORRELATOR_LABELS.index("IX"), CORRELATOR_LABELS.index("IY")
-    raw_iy, rot_ix, rot_iy = values[:, iy], rotated[:, ix], rotated[:, iy]
+    rot_ix, rot_iy = rotate_correlators(values, frame_rotation_angle(z, times, t_ad)).T
+    raw_iy = values[:, CORRELATOR_LABELS.index("IY")]
 
     sign_flips = int(np.sum(raw_iy[:-1] * raw_iy[1:] < 0.0))
     spiral_ok = float(np.max(np.abs(raw_iy))) > 0.5 and sign_flips >= 4

@@ -18,8 +18,8 @@ import adiasim
 from adiasim import scenarios
 from adiasim.cli import main
 from adiasim.config import SCENARIO_NAMES, validate_config
-from adiasim.operators import PAULI_LABELS_2Q
 from adiasim.scenarios import read_trace_config
+from adiasim.tomography import CORRELATOR_LABELS
 
 CUSTOM_SMALL = """\
 [scenario]
@@ -494,7 +494,7 @@ class TestDeterminism:
             values, exact = (np.array([[float(v) for v in line.split(",")]
                                        for line in data_lines(tmp_path / sub / name)])
                              for sub in ("a", "exact"))
-            correlators = slice(1, 1 + len(PAULI_LABELS_2Q))
+            correlators = slice(1, 1 + len(CORRELATOR_LABELS))
             assert np.array_equal(values[:, 0], exact[:, 0])
             assert np.max(np.abs(values[:, correlators] - exact[:, correlators])) \
                 <= 6.0 / math.sqrt(shots)
@@ -729,19 +729,22 @@ class TestIntrospection:
                 assert result.stdout.splitlines()[-2:] == ["[]", "[]"], argv
 
     def test_module_entry_point(self):
-        def run(*argv):
-            return subprocess.run([sys.executable, "-m", "adiasim.cli", *argv], env=CHILD_ENV,
-                                  capture_output=True, text=True, timeout=60)
+        def run(*argv, flags=()):
+            return subprocess.run([sys.executable, *flags, "-m", "adiasim.cli", *argv],
+                                  env=CHILD_ENV, capture_output=True, text=True, timeout=60)
 
         result = run("list-scenarios")
         assert result.returncode == 0
         assert "fig4" in result.stdout
-        result = run("-h")
-        assert (result.returncode, result.stdout, result.stderr) == (0, adiasim.cli.__doc__, "")
-        result = run("run", "--seed", "abc")
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith(adiasim.cli.__doc__)
-        assert "Traceback" not in result.stderr
+        # -OO strips docstrings; the help is kept all the same.
+        for flags in ((), ("-OO",)):
+            result = run("-h", flags=flags)
+            assert (result.returncode, result.stdout, result.stderr) == \
+                (0, adiasim.cli.__doc__, ""), flags
+            result = run("run", "--seed", "abc", flags=flags)
+            assert (result.returncode, result.stdout) == (2, ""), flags
+            assert result.stderr.startswith(adiasim.cli.__doc__), flags
+            assert "Traceback" not in result.stderr
 
 
 # Schedule values at the edges of the accepted range: zero, negative, tiny,

@@ -557,6 +557,17 @@ class TestAgainstStepLoop:
         with pytest.raises(StepTooLarge, match="trace drift nan"):
             propagate_lindblad(schedule, 1.0, psi0, NoiseModel(5, 0.5), dt=0.005, n_samples=2)
 
+    @pytest.mark.parametrize("t_ad, dt, at", [(1e-5, 1e-7, "3.33333e-08"),
+                                              (1e300, 1e297, "3.33333e+297")],
+                             ids=["short", "long"])
+    def test_step_too_large_gives_the_time_to_six_significant_digits(self, t_ad, dt, at):
+        """z1 = 1e300 fails at the first sample after t = 0, t_ad / 300: the
+        time is neither rounded to 0.0000 nor written out in 300 digits."""
+        schedule = ProtocolSchedule(**dict(FIG4_KW, z1=1e300))
+        with pytest.raises(StepTooLarge, match="norm drift") as info:
+            propagate_unitary(schedule, t_ad, basis_state("01"), dt=dt, n_samples=300)
+        assert str(info.value).endswith(f" at t = {at} us; reduce dt")
+
 
 def complex_interval_maps(ham, t_ad, dt, n_samples):
     """Interval maps of -2 pi i H(t) as complex 4x4 products, one interval at a time."""

@@ -7,7 +7,6 @@ from adiasim.operators import (
     CHANNEL_OPERATORS,
     I2,
     PAULI_BASIS,
-    PAULI_LABELS_2Q,
     SIGMA_MINUS,
     SIGMA_PLUS,
     X,
@@ -17,6 +16,7 @@ from adiasim.operators import (
     pauli_2q,
     pauli_vector,
 )
+from adiasim.tomography import CORRELATOR_LABELS
 
 N_RANDOM = 120
 ALL_1Q = ("I", "X", "Y", "Z")
@@ -135,8 +135,9 @@ class TestTwoQubit:
         assert np.allclose(sorted(vals), [-1.0, -1.0, 1.0, 1.0])
 
     def test_standard_label_tuple(self):
-        assert set(PAULI_LABELS_2Q) == {"XI", "IX", "YI", "IY", "ZI", "IZ", "XX", "YY"}
-        for lbl in PAULI_LABELS_2Q:
+        """The recorded correlators, in file order, are Hermitian Paulis."""
+        assert CORRELATOR_LABELS == ("XI", "IX", "YI", "IY", "ZI", "IZ", "XX", "YY")
+        for lbl in CORRELATOR_LABELS:
             p = pauli_2q(lbl)
             assert np.allclose(p, p.conj().T)
 

@@ -19,7 +19,7 @@ from adiasim import analysis, dynamics, mitigation, scenarios, tomography
 from adiasim.analysis import _tracked_eigensystem, level_weights, pauli_fidelity, tracked_levels
 from adiasim.config import validate_config
 from adiasim.dynamics import basis_state, propagate_lindblad, propagate_unitary
-from adiasim.operators import PAULI_LABELS_2Q, pauli_2q, pauli_vector
+from adiasim.operators import pauli_2q, pauli_vector
 from adiasim.scenarios import (
     CHEVRON_F_CENTER,
     Unwritable,
@@ -27,7 +27,7 @@ from adiasim.scenarios import (
     run_scenario,
 )
 from adiasim.schedule import ProtocolSchedule, frame_rotation_angle
-from adiasim.tomography import measure_correlators
+from adiasim.tomography import CORRELATOR_LABELS, measure_correlators
 from step_loop import chirped_frame, constant_frame, reference_pure
 
 FAST_OVERRIDES = """
@@ -327,7 +327,7 @@ def read_columns(path):
 def exact_columns(states):
     """Exact <P> of each state, by the column names of a trace."""
     return {label.lower(): np.real(np.einsum("ni,ij,nj->n", states.conj(), pauli_2q(label), states))
-            for label in PAULI_LABELS_2Q}
+            for label in CORRELATOR_LABELS}
 
 
 class TestChirpedFrameAsSchedule:
@@ -388,7 +388,7 @@ class TestChirpedFrameAsSchedule:
         rotated = np.exp(0.5j * theta[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])) * traj.states
         values = measure_correlators(pauli_vector(rotated), 1000, (7, 1, 0))
         table = read_columns(tmp_path / "fig1_constant_trace.csv")
-        for k, label in enumerate(PAULI_LABELS_2Q):
+        for k, label in enumerate(CORRELATOR_LABELS):
             assert np.array_equal(table[label.lower()], values[:, k]), label
 
 
@@ -470,6 +470,25 @@ class TestColumnTomography:
         # One 5-sample array per duration and state (|00> and |11>); mitigation
         # reads the end rows of those energy terms and weighs nothing again.
         assert calls == {"measure_correlators": [5] * 6, "energy_terms": [5] * 6}
+
+    @pytest.mark.parametrize("text, trajectories", [
+        ("[scenario]\nname = fig1\n\n[simulation]\nn_samples = 20\n", 2),
+        ("[scenario]\nname = fig4\ninitial_states = 01, 10\n\n[schedule]\nt_ad = 2, 4\n\n"
+         "[simulation]\ndt_us = 0.005\nn_samples = 20\n", 4)], ids=["fig1", "fig4"])
+    def test_sampled_mode_draws_only_the_recorded_values(self, tmp_path, monkeypatch, text,
+                                                         trajectories):
+        """Each sampled trajectory draws one count per written correlator,
+        (n_samples + 1) x 8: both fig1 frames, every (duration, state) of fig4."""
+        draws = []
+        binomial = tomography._binomial
+
+        def counted(n, p, seed):
+            draws.append(p.size)
+            return binomial(n, p, seed)
+
+        monkeypatch.setattr(tomography, "_binomial", counted)
+        run_scenario(make_config(text + "shots = 100\nseed = 3\n", tmp_path))
+        assert draws == [21 * 8] * trajectories
 
 
 @pytest.fixture(scope="module")
