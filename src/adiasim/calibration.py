@@ -111,7 +111,7 @@ def oscillation_frequency(times: np.ndarray, values: np.ndarray) -> float | np.n
     if values.ndim not in (1, 2) or values.shape[-1] != len(times) or len(times) < 4:
         raise ValueError("need at least 4 samples with matching time axis")
     dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
+    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
         raise ValueError("time axis must be uniform")
     records = values.reshape(-1, len(times))
     data = records - records.mean(axis=1, keepdims=True)

@@ -21,11 +21,12 @@ complex psi.  A mixed state is its real Pauli vector r over
 ``operators.PAULI_BASIS``, rho = sum_k r_k sigma_k / 4, so r_k = <sigma_k>
 and r_II = Tr rho; a Lindblad run returns r at every sample.  A is the real
 16x16 Pauli transfer matrix T_qr = Tr(sigma_q L(sigma_r)) / 4 of the
-Lindblad generator L.  One RK4 step is therefore a fixed matrix built from
-the generators at the step's start (A1), midpoint (A2) and end (A3):
+Lindblad generator L.  One RK4 step is a fixed matrix built from h times the
+generators at its start, midpoint and end, Z1 = h A1, Z2 = h A2, Z3 = h A3,
+so that it sees energies and times only as their products:
 
-    R = I + h/6 * (K1 + 2*K2 + 2*K3 + K4),
-    K1 = A1,  K2 = A2 + (h/2) A2 K1,  K3 = A2 + (h/2) A2 K2,  K4 = A3 + h A3 K3.
+    R = I + (K1 + 2*K2 + 2*K3 + K4) / 6,
+    K1 = Z1,  K2 = Z2 + Z2 K1 / 2,  K3 = Z2 + Z2 K2 / 2,  K4 = Z3 + Z3 K3.
 
 A sweep of duration t_ad is affine in s = t/t_ad, so its generator is
 A(s) = G0 + s*G1, where G0, G1 and ||G1||_2 depend on the schedule and the
@@ -55,14 +56,15 @@ together, in groups of max(1, b // nb) for batches of at most b blocks.  b is
 the most blocks for which each build product has fewer than
 ``_BUILD_MULADDS`` = 2^19 multiply-adds, which OpenBLAS runs on one thread:
 481 of the 8x8 pure-state blocks or 120 of the 16x16 Lindblad ones at w = 4.
-An interval of more than b blocks is a group of one, built from several
-batches.  The propagators take one state or a (k, 4) stack, and a group's
-maps are applied to every state of the stack as soon as they are built, then
-overwritten by the next group's: the working memory is allocated once per
-call and holds the block stack of one batch, (b', g, d, d) block-major with
-b'*g <= b or g = 1, a scratch stack of half its blocks, between which the
-levels of the reduction alternate, and one group's maps.  It stays bounded
-however many steps an interval or samples a run holds.
+A group's leads are built into its maps, and each batch, the maps so far and
+up to b - 1 full blocks, is reduced into them: an interval of more than b
+blocks is a group of one over several batches.  The propagators take one
+state or a (k, 4) stack, and a group's maps are applied to every state as
+soon as they are built, then overwritten by the next group's: the working
+memory is allocated once per call and holds the block stack of one batch,
+(b', g, d, d) block-major with b'*g <= b or g = 1, a scratch stack of half
+its blocks, between which the levels of the reduction alternate, and one
+group's maps.  It stays bounded however many steps a run holds.
 
 There is no renormalization during integration; norm/trace drift is
 recorded per sample, and once a trajectory is built an error is raised at
@@ -218,7 +220,7 @@ def _sample_grid(t_ad: float, dt: float, n_samples: int) -> tuple[np.ndarray, in
         raise ValueError(f"t_ad must be positive and finite, got {t_ad}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if dt > t_ad / 100.0 + 1e-15:
+    if dt > t_ad / 100.0 * (1.0 + 1e-12):  # relative: the same in any unit
         raise ValueError(f"dt = {dt} us too coarse; need dt <= t_ad/100 = {t_ad / 100.0}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -262,28 +264,27 @@ def _schrodinger_generator(ham: np.ndarray) -> np.ndarray:
     return gen
 
 
-def _rk4_step(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float, mul) -> np.ndarray:
-    """R - I of the RK4 step in the module docstring, as h/6 (K4 + 2 K3 + 2 K2 + K1).
+def _rk4_step(z1: np.ndarray, z2: np.ndarray, z3: np.ndarray, mul) -> np.ndarray:
+    """R - I of the RK4 step in the module docstring, as (K4 + 2 K3 + 2 K2 + K1) / 6.
 
-    ``mul`` is the product of the stage generators ``a1..a3``: ``np.matmul``
-    for stacks of matrices, ``_poly_matmul`` for coefficient stacks in s.
-    Updated in place, so that few batch-sized arrays are alive at once.
+    ``mul`` is the product of the stage generators ``z1..z3`` = h*A1 .. h*A3:
+    ``np.matmul`` for stacks of matrices, ``_poly_matmul`` for coefficient
+    stacks in s.  Updated in place, so that few batch-sized arrays are alive.
     """
-    k2 = mul(a2, a1)
-    k2 *= 0.5 * h
-    k2 += a2
-    k3 = mul(a2, k2)
-    k3 *= 0.5 * h
-    k3 += a2
-    k4 = mul(a3, k3)
-    k4 *= h
-    k4 += a3
+    k2 = mul(z2, z1)
+    k2 *= 0.5
+    k2 += z2
+    k3 = mul(z2, k2)
+    k3 *= 0.5
+    k3 += z2
+    k4 = mul(z3, k3)
+    k4 += z3
     k3 *= 2.0
     k4 += k3
     k2 *= 2.0
     k4 += k2
-    k4 += a1
-    k4 *= h / 6.0
+    k4 += z1
+    k4 /= 6.0
     return k4
 
 
@@ -299,26 +300,26 @@ def _poly_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_polynomials(g0: np.ndarray, g1: np.ndarray, h: float, delta: float,
+def _block_polynomials(z0: np.ndarray, z1: np.ndarray, delta: float,
                        width: int) -> list[np.ndarray]:
     """B_c(s) - I for c = 1..width, each a (4c+1, d*d) coefficient stack in s.
 
     B_c(s) = R(s + (c-1) delta) ... R(s) is the product of c RK4 steps of
-    size h, the first from s, for the generator g0 + s*g1 and delta = h/t_ad.
-    The j-th factor is ``_rk4_step`` on the stages shifted by j*delta*g1,
+    size h, the first from s, for h*A(s) = z0 + s*z1 and delta = h/t_ad.
+    The j-th factor is ``_rk4_step`` on the stages shifted by j*delta*z1,
     all ``width`` of them in one call, and (I + Y)(I + X) - I = Y + X + Y X
     keeps I out of every sum.
     """
     j = np.arange(width)[:, None, None]
-    stages = np.zeros((3, 5, width) + g0.shape)
-    stages[:, 0] = g0 + (j * delta) * g1, g0 + ((j + 0.5) * delta) * g1, g0 + ((j + 1) * delta) * g1
-    stages[:, 1] = g1
-    steps = _rk4_step(*stages, h, mul=_poly_matmul)
+    stages = np.zeros((3, 5, width) + z0.shape)
+    stages[:, 0] = z0 + (j * delta) * z1, z0 + ((j + 0.5) * delta) * z1, z0 + ((j + 1) * delta) * z1
+    stages[:, 1] = z1
+    steps = _rk4_step(*stages, mul=_poly_matmul)
     block = steps[:, 0]
     polys = [block.reshape(5, -1)]
     for step in steps.swapaxes(0, 1)[1:]:
         # X, the block so far, padded with zeros to the degree of Y X.
-        x = np.zeros((len(block) + 4,) + g0.shape)
+        x = np.zeros((len(block) + 4,) + z0.shape)
         x[:len(block)] = block
         block = _poly_matmul(step, x)
         block += x
@@ -330,9 +331,9 @@ def _block_polynomials(g0: np.ndarray, g1: np.ndarray, h: float, delta: float,
 def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
     """Write the time-ordered product of ``mats`` along axis 0 into ``out``.
 
-    For a stack of shape (n, g, d, d) this is mats[n-1] @ ... @ mats[0], by
-    pairwise reduction, paired the same way for every index of axis 1.  Each
-    level goes back and forth between ``mats``, which it overwrites, and
+    For a stack of shape (n >= 2, g, d, d) this is mats[n-1] @ ... @ mats[0],
+    by pairwise reduction, paired the same way for every index of axis 1.
+    Each level goes back and forth between ``mats``, which it overwrites, and
     ``scratch``, of shape (>= ceil(n/2), g, d, d); the last goes into ``out``.
     """
     src, dst = mats, scratch
@@ -343,10 +344,7 @@ def _ordered_product(mats: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> 
         if odd:
             dst[half] = src[n - 1]
         src, dst, n = dst, src, half + odd
-    if n == 2:
-        np.matmul(src[1], src[0], out=out)
-    else:
-        out[...] = src[0]
+    np.matmul(src[1], src[0], out=out)
 
 
 def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: float,
@@ -357,9 +355,9 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     ``steps`` RK4 steps is the product of its blocks of up to ``width``
     steps, as in the module docstring.  ``block_matrices(starts, c, out)``
     gets the (r, M) start times of blocks of c steps and writes their
-    matrices into ``out``, a C-contiguous (r, M, d, d) view of the block
-    stack, by r products of (M, 4c+1) @ (4c+1, d^2).  A group's maps are
-    applied to every state as soon as they are built and then overwritten
+    matrices into ``out``, a C-contiguous (r, M, d, d) view of the maps or the
+    block stack, by r products of (M, 4c+1) @ (4c+1, d^2).  A group's maps
+    are applied to every state as soon as they are built and then overwritten
     by the next group's; the block stack, the scratch stack of the reduction
     and one group's maps, allocated once, are all the working memory.
     Overflow is left to ``_sweep``'s error state: the drift check reports it.
@@ -368,11 +366,12 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     d = x0.shape[-1]
     blocks = -(-steps // width)
     lead = steps - width * (blocks - 1)
-    # Steps from an interval's start to each of its blocks'.
-    offsets = np.concatenate(([0], lead + width * np.arange(blocks - 1)))
-    # Blocks per batch: the most for which a (batch, 4*width + 1) @
-    # (4*width + 1, d^2) build has fewer than _BUILD_MULADDS multiply-adds.
-    batch = max(1, (_BUILD_MULADDS - 1) // ((4 * width + 1) * d * d))
+    # Steps from an interval's start to each of its full blocks'.
+    offsets = lead + width * np.arange(blocks - 1)
+    # Blocks per batch, the map so far among them: the most for which a
+    # (batch, 4*width + 1) @ (4*width + 1, d^2) build has fewer than
+    # _BUILD_MULADDS multiply-adds, and at least the map and one block.
+    batch = max(2, (_BUILD_MULADDS - 1) // ((4 * width + 1) * d * d))
     group = max(1, batch // blocks)
     size, depth = min(group, len(starts)), min(batch, blocks)
     # A batch of b blocks for g intervals is the first b*g matrices of the
@@ -380,32 +379,26 @@ def _propagate(block_matrices, width: int, times: np.ndarray, steps: int, h: flo
     stack = np.empty(depth * size * d * d)
     scratch = np.empty((depth + 1) // 2 * size * d * d)
     maps = np.empty((size, d, d))
-    product = np.empty((1, d, d))  # a later batch of a one-interval group
     states = np.empty((len(times),) + x0.shape)
     states[0] = x0
     columns = states[..., None]  # each state a (d, 1) column: one gemv per state
     for k in range(0, len(starts), group):
         t0 = starts[k:k + group]
         g = len(t0)
-        for first in range(0, blocks, batch):
-            b = min(batch, blocks - first)
+        carried = maps[:g]
+        # One one-row product per lead: BLAS takes another path for one row
+        # than for several, and this way a lead's rounding does not depend
+        # on how many share the batch.
+        block_matrices(t0[:, None], lead, carried.reshape(g, 1, d, d))
+        for first in range(0, blocks - 1, batch - 1):
+            full = offsets[first:first + batch - 1]
+            b = len(full) + 1
             mats = stack[:b * g * d * d].reshape(b, g, d, d)
-            if first == 0:
-                # One one-row product per lead: BLAS takes another path
-                # for one row than for several, and this way a lead's
-                # rounding does not depend on how many share the batch.
-                block_matrices(t0[:, None], lead, mats[0].reshape(g, 1, d, d))
-            full = offsets[max(first, 1):first + b]
-            if len(full):
-                block_starts = t0 + full[:, None] * h
-                block_matrices(block_starts.reshape(1, -1), width,
-                               mats[b - len(full):].reshape(1, -1, d, d))
-            half = scratch[:(b + 1) // 2 * g * d * d].reshape(-1, g, d, d)
-            if first == 0:
-                _ordered_product(mats, half, maps[:g])
-            else:
-                _ordered_product(mats, half, product)
-                np.matmul(product, maps[:g], out=maps[:g])
+            mats[0] = carried
+            block_starts = t0 + full[:, None] * h
+            block_matrices(block_starts.reshape(1, -1), width, mats[1:].reshape(1, -1, d, d))
+            _ordered_product(mats, scratch[:(b + 1) // 2 * g * d * d].reshape(-1, g, d, d),
+                             carried)
         for i in range(g):
             np.matmul(maps[i], columns[k + i], out=columns[k + i + 1])
     drifts = drift_of(states)
@@ -470,7 +463,8 @@ def _sweep(schedule: ProtocolSchedule, t_ad: float, noise: NoiseModel | None, dt
     width = _BLOCK_STEPS
     while width > 1 and width * rate > 1.0:
         width -= 1
-    polys = _block_polynomials(g0, g1, h, h / t_ad, width)
+    # Products of h*A only: a product of A with A under- or overflows in extreme units.
+    polys = _block_polynomials(h * g0, h * g1, h / t_ad, width)
     d = len(g0)
 
     def block_matrices(starts: np.ndarray, c: int, out: np.ndarray) -> None:

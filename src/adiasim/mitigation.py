@@ -45,7 +45,8 @@ def extrapolate_quadratic(t: Sequence[float], values: np.ndarray) -> tuple[np.nd
     Returns ``(at_zero, residuals)``, each of shape () or (k,): the fitted
     c0 of v(t) = c0 + c1*t + c2*t**2, and the L2 norm of the fit residuals
     (zero to machine precision for exactly three points).  One lstsq solves
-    every column on abscissae scaled by their largest magnitude, for conditioning.
+    every column on abscissae scaled by their largest magnitude, for conditioning;
+    the norm is a ``hypot`` reduction, which neither under- nor overflows in extreme units.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -55,7 +56,7 @@ def extrapolate_quadratic(t: Sequence[float], values: np.ndarray) -> tuple[np.nd
     u = t / np.max(np.abs(t))
     basis = np.column_stack([np.ones_like(u), u, u * u])
     coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return coeffs[0], np.linalg.norm(basis @ coeffs - values, axis=0)
+    return coeffs[0], np.hypot.reduce(basis @ coeffs - values, axis=0)
 
 
 def mitigate_energy(t_ads: Sequence[float],

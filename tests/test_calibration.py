@@ -161,6 +161,18 @@ class TestOscillationFrequency:
         with pytest.raises(ValueError, match="uniform"):
             oscillation_frequency(times, np.cos(times))
 
+    def test_uniform_axis_in_any_unit(self):
+        """Uniformity is judged relative to the time step: a record on a
+        1e-20 us axis is read like one in microseconds, and a non-uniform
+        axis at that scale is rejected."""
+        times = np.linspace(0.0, 8.0, 161)
+        values = np.cos(2.0 * np.pi * 1.7 * times)
+        assert (oscillation_frequency(times * 1e-20, values) * 1e-20
+                == pytest.approx(oscillation_frequency(times, values), rel=1e-12))
+        uneven = np.array([0.0, 1.0, 3.0, 4.0, 7.0]) * 1e-20
+        with pytest.raises(ValueError, match="uniform"):
+            oscillation_frequency(uneven, np.cos(uneven))
+
     def test_stack_of_records_equals_each_record(self):
         """A chevron's columns in one call give each column's own call, bit for bit."""
         cmap = chevron_map(2.0, (-6.0, 6.0), (0.0, 8.0), (41, 161), f_center=1097.0)

@@ -962,6 +962,51 @@ class TestInBoundsRuns:
         assert run_with_finite_outputs(text) in (0, 3)
 
 
+def table1_report(tmp_path, k):
+    """The 60-sample table1 report with every field times k and every time
+    divided by k."""
+    fields = dict(z1=2.5, z2=1.5, x1=1.0, x2=7.3, j=1.3, zz=0.2)
+    text = ("[scenario]\nname = table1\n\n[schedule]\n"
+            + "".join(f"{key} = {value * k!r}\n" for key, value in fields.items())
+            + f"t_ad = {', '.join(repr(t / k) for t in (5.0, 10.0, 20.0, 30.0))}\n\n"
+            f"[noise]\nt1_us = {50.0 / k!r}\nt2_us = {40.0 / k!r}\n\n"
+            f"[simulation]\nn_samples = 60\ndt_us = {0.002 / k!r}\n")
+    out = tmp_path / f"k{k:g}"
+    assert main(["run", write_config(tmp_path, text, f"k{k:g}.ini"), "--out", str(out)]) == 0
+    return json.loads((out / "table1_report.json").read_text())
+
+
+def report_energies(state):
+    """The energies [MHz] of one state's table1 report, in report order."""
+    exact = state["exact"]
+    return [*state["measured_by_t_ad"].values(), state["shortest_t_ad_value"],
+            state["extrapolated"], *state["per_term"].values(),
+            *state["fit_residuals"].values(),
+            exact["with_zz"], exact["without_zz"], exact["selected_value"]]
+
+
+class TestUnitScale:
+    def test_table1_report_does_not_depend_on_the_unit_scale(self, tmp_path):
+        """table1 in units of 1e-160 MHz and 1e160 us: the report's energies
+        divided by k, its times times k and its fidelities and labels equal
+        the unscaled report's."""
+        k = 1e-160
+        base, scaled = table1_report(tmp_path, 1.0), table1_report(tmp_path, k)
+        for key in ("t1_us", "t2_us"):
+            assert [t * k for t in scaled["noise"][key]] == pytest.approx(base["noise"][key],
+                                                                         rel=1e-12)
+        assert scaled["states"].keys() == base["states"].keys()
+        for label, want in base["states"].items():
+            got = scaled["states"][label]
+            assert got["warning"] == want["warning"]
+            assert (got["exact"]["closer_to_extrapolated"]
+                    == want["exact"]["closer_to_extrapolated"])
+            fidelities = [list(r["end_passage_fidelity_by_t_ad"].values()) for r in (got, want)]
+            assert fidelities[0] == pytest.approx(fidelities[1], rel=1e-12)
+            assert ([e / k for e in report_energies(got)]
+                    == pytest.approx(report_energies(want), rel=1e-12))
+
+
 def chevron_rabi_fit(tmp_path, schedule="", simulation=""):
     """Exit code and ``rabi_fit`` block of a chevron run with the given lines."""
     cfg = write_config(tmp_path, f"[scenario]\nname = chevron\n\n[schedule]\n{schedule}\n\n"

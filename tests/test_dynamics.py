@@ -217,6 +217,18 @@ class TestUnitaryPropagation:
         with pytest.raises(ValueError):
             propagate_unitary(ZERO_FIELD, 10.0, basis_state("00"), dt=0.2)
 
+    def test_coarse_step_bound_is_relative(self):
+        """dt <= t_ad/100 reads the same in any unit of time: a step 10 times
+        the bound fails however short the sweep, and dt = t_ad/100 passes
+        for every preset duration, in microseconds or scaled by 1e+-290."""
+        with pytest.raises(ValueError, match="too coarse"):
+            _sample_grid(1e-14, 1e-15, 1)
+        with pytest.raises(ValueError, match="too coarse"):
+            propagate_unitary(FIG4, 1e-300, basis_state("01"), dt=1e-16, n_samples=1)
+        for t_ad in (5.0, 8.0, 10.0, 20.0, 30.0):
+            for scale in (1e-290, 1.0, 1e290):
+                assert _sample_grid(t_ad * scale, t_ad * scale / 100.0, 1)[1] == 100
+
     def test_step_too_large_on_stiff_problem(self):
         stiff = ProtocolSchedule(z1=400.0, z2=1.0, x1=1.0, x2=1.0)
         with pytest.raises(StepTooLarge):
@@ -486,14 +498,14 @@ class TestAgainstStepLoop:
     def test_interval_spanning_several_batches(self, monkeypatch):
         psi0 = basis_state("10")
         ref = reference_pure(in_time(FIG4, 2.0), 2.0, psi0, 0.002, 3)
-        # 334 steps per interval, 84 blocks: two full batches of 30 8x8
-        # blocks and one of 24.
+        # 334 steps per interval, 84 blocks: a lead, then batches of 30 8x8
+        # blocks, the map and 29, 29 or 25 full blocks.
         monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(30, 8))
         traj = propagate_unitary(FIG4, 2.0, psi0, dt=0.002, n_samples=3)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
         noise = NoiseModel(t1=20.0, t2=15.0, n_th=0.02)
-        # 75 steps per interval, 19 blocks: four batches of 5 16x16 blocks,
-        # the last of 4.
+        # 75 steps per interval, 19 blocks: a lead, then batches of the map
+        # and 4, 4, 4, 4 or 2 full 16x16 blocks.
         monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(5, 16))
         mixed = propagate_lindblad(FIG4, 0.3, psi0, noise, dt=0.002, n_samples=2)
         ref_mixed = reference_lindblad(FIG4, 0.3, np.outer(psi0, psi0.conj()), noise, 0.002, 2)
@@ -569,14 +581,34 @@ class TestAgainstStepLoop:
         assert str(info.value).endswith(f" at t = {at} us; reduce dt")
 
 
+class TestUnitScale:
+    """Fields times k with every time divided by k give the same sweep: RK4
+    sees only h*G, whatever unit the energies and times are in."""
+
+    @staticmethod
+    def run(k):
+        schedule = ProtocolSchedule(**{key: k * value for key, value in FIG4_KW.items()})
+        noise = NoiseModel(t1=50.0 / k, t2=40.0 / k, n_th=0.01)
+        psi0 = np.array([basis_state("01"), random_pure_state(np.random.default_rng(6))])
+        t_ad, dt = 5.0 / k, 0.002 / k
+        return (propagate_unitary(schedule, t_ad, psi0, dt, n_samples=10),
+                propagate_lindblad(schedule, t_ad, psi0, noise, dt, n_samples=10))
+
+    @pytest.mark.parametrize("k", [1e-290, 1e-200, 1e-160, 1e160, 1e200, 1e290])
+    def test_states_do_not_depend_on_the_unit_scale(self, k):
+        for base, scaled in zip(self.run(1.0), self.run(k)):
+            assert np.max(np.abs(scaled.states - base.states)) <= 1e-12
+            assert np.allclose(scaled.times * k, base.times, rtol=1e-15, atol=0.0)
+
+
 def complex_interval_maps(ham, t_ad, dt, n_samples):
     """Interval maps of -2 pi i H(t) as complex 4x4 products, one interval at a time."""
     times, steps, h = _sample_grid(t_ad, dt, n_samples)
     maps = []
     for t0 in times[:-1]:
         stage_times = t0 + np.arange(2 * steps + 1) * (0.5 * h)
-        gens = -2.0j * math.pi * np.array([ham(t) for t in stage_times])
-        step_matrices = np.eye(4) + _rk4_step(gens[:-2:2], gens[1::2], gens[2::2], h,
+        gens = -2.0j * math.pi * h * np.array([ham(t) for t in stage_times])
+        step_matrices = np.eye(4) + _rk4_step(gens[:-2:2], gens[1::2], gens[2::2],
                                               mul=np.matmul)
         maps.append(allocating_ordered_product(step_matrices))
     return times, maps
@@ -620,32 +652,29 @@ def block_offsets(steps, width):
     the remainder, then full blocks of ``width``."""
     blocks = -(-steps // width)
     lead = steps - width * (blocks - 1)
-    return lead, [0] + [lead + width * k for k in range(blocks - 1)]
+    return lead, [lead + width * k for k in range(blocks - 1)]
 
 
 def allocating_interval_maps(make_blocks, times, steps, h, width, batch_blocks):
     """Interval maps from freshly returned block stacks, in batches of at most
-    ``batch_blocks`` blocks.  ``make_blocks(starts, c)`` returns the
-    starts.shape + (d, d) matrices of the blocks of c steps from the (r, M)
-    ``starts``: each lead its own product, a batch's full blocks one."""
+    ``batch_blocks`` blocks, the map so far first.  ``make_blocks(starts, c)``
+    returns the starts.shape + (d, d) matrices of the blocks of c steps from
+    the (r, M) ``starts``: each lead its own product, a batch's full blocks
+    one."""
     starts = times[:-1]
     lead, offsets = block_offsets(steps, width)
-    group = max(1, batch_blocks // len(offsets))
-    maps = None
+    group = max(1, batch_blocks // (len(offsets) + 1))
+    maps = []
     for k in range(0, len(starts), group):
         t0 = starts[k:k + group]
-        for first in range(0, len(offsets), batch_blocks):
-            full = np.array(offsets[max(first, 1):first + batch_blocks])
-            mats = [make_blocks(t0[:, None], lead)[None, :, 0]] if first == 0 else []
-            if len(full):
-                block_starts = t0 + full[:, None] * h
-                built = make_blocks(block_starts.reshape(1, -1), width)
-                mats.append(built.reshape(block_starts.shape + built.shape[-2:]))
-            batch = allocating_ordered_product(np.concatenate(mats))
-            if maps is None:
-                maps = np.empty((len(starts),) + batch.shape[1:], dtype=batch.dtype)
-            maps[k:k + group] = batch if first == 0 else batch @ maps[k:k + group]
-    return maps
+        carried = make_blocks(t0[:, None], lead)[:, 0]
+        for first in range(0, len(offsets), batch_blocks - 1):
+            block_starts = t0 + np.array(offsets[first:first + batch_blocks - 1])[:, None] * h
+            built = make_blocks(block_starts.reshape(1, -1), width)
+            full = built.reshape(block_starts.shape + built.shape[-2:])
+            carried = allocating_ordered_product(np.concatenate([carried[None], full]))
+        maps.append(carried)
+    return np.concatenate(maps)
 
 
 def applied_state_by_state(maps, x0):
@@ -684,7 +713,7 @@ class TestBufferedReduction:
     @pytest.mark.parametrize("group", [1, 3])
     def test_ordered_product_matches_allocating_reduction(self, d, dtype, group):
         rng = np.random.default_rng(d + group)
-        for m in range(1, 18):
+        for m in range(2, 18):
             mats = np.eye(d) + 0.1 * rng.normal(size=(m, group, d, d))
             if dtype == complex:
                 mats = mats + 0.1j * rng.normal(size=(m, group, d, d))
@@ -699,11 +728,11 @@ class TestBufferedReduction:
     @pytest.mark.parametrize("d", [8, 16], ids=["real8", "real16"])
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 12])
     def test_interval_maps_match_allocating_build(self, monkeypatch, d, steps):
-        """Batches of 2 blocks of up to 4 steps: groups of 2 intervals of one
-        block whose last group is short (7 intervals), one interval of a lead
-        and a full block per batch, and an interval of two batches (12
-        steps, 3 blocks).  The streamed states equal the allocating build's
-        maps applied to each state in turn."""
+        """Batches of the map and one block of up to 4 steps: groups of 2
+        intervals of one block whose last group is short (7 intervals),
+        intervals of a lead and one batch (5 and 7 steps), and of a lead and
+        two batches (12 steps, 3 blocks).  The streamed states equal the
+        allocating build's maps applied to each state in turn."""
         monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(2, d))
         times = np.linspace(0.0, 1.0, 8)
         h = 1.0 / 7 / steps
@@ -720,18 +749,50 @@ class TestBufferedReduction:
         assert drifts.shape == (8, 3)
         assert np.array_equal(states, expected)
 
+    @pytest.mark.parametrize("d", [8, 16], ids=["real8", "real16"])
+    def test_later_batches_reduce_from_the_carried_map(self, monkeypatch, d):
+        """Batches of the map and 3 blocks over 30 steps: a lead of 2 steps,
+        then batches of 3, 3 and 1 full blocks, so that a later batch holds
+        four matrices.  Its map is (f6 f5)(f4 M), not f6 (f5 f4) M: the
+        states equal the allocating build's bit for bit, and differ from
+        those of the product of each later batch's blocks multiplied onto
+        the map."""
+        monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(4, d))
+        steps = 30
+        times = np.linspace(0.0, 1.0, 4)
+        h = 1.0 / 3 / steps
+        make = near_identity_blocks(d, h, seed=d)
+        built = []  # each interval's (1, c, d, d) block stacks, in build order
+
+        def fill(starts, c, out):
+            out[...] = make(starts, c)
+            built.append(out.copy())
+
+        x0 = np.random.default_rng(d).normal(size=(2, d))
+        expected = applied_state_by_state(allocating_interval_maps(make, times, steps, h, 4, 4),
+                                          x0)
+        states = dynamics._propagate(fill, 4, times, steps, h, x0, no_drift, "test")[0]
+        assert np.array_equal(states, expected)
+        # One interval per group: its lead and three batches of full blocks.
+        assert [stack.shape[1] for stack in built[:4]] == [1, 3, 3, 1]
+        batches = [np.concatenate(built[k:k + 4], axis=1)[0] for k in range(0, len(built), 4)]
+        maps = [allocating_ordered_product(mats[4:7]) @ allocating_ordered_product(mats[:4])
+                for mats in batches]
+        maps = [mats[7] @ step for mats, step in zip(batches, maps)]
+        assert not np.array_equal(states, applied_state_by_state(maps, x0))
+
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["schrodinger", "lindblad"])
     @pytest.mark.parametrize("t_ad, n_samples, steps", [(1.05, 15, 7), (1.02, 51, 2)])
     def test_schedule_maps_match_allocating_build(self, monkeypatch, noise, t_ad, n_samples,
                                                   steps):
-        """The sweep's block matrices written into the block stack.  At
-        dt = 0.01 on FIG4, h ||G1||_2 is 0.33 for the 8x8 generator and 0.64
-        for the 16x16 one, so blocks hold 3 and 1 steps.  7 steps, in batches
-        of one block, are intervals of 3 and 7 batches; 2 steps, in batches
-        of 2 blocks, are groups of 2 intervals with a short last one, and
-        intervals of one batch."""
+        """The sweep's block matrices written into the maps and the block
+        stack.  At dt = 0.01 on FIG4, h ||G1||_2 is 0.33 for the 8x8
+        generator and 0.64 for the 16x16 one, so blocks hold 3 and 1 steps.
+        In batches of the map and one block, 7 steps are a lead and 2 or 6
+        batches; 2 steps are groups of 2 intervals with a short last one,
+        and a lead and one batch."""
         d, width = (8, 3) if noise is None else (16, 1)
-        batch_blocks = 1 if steps == 7 else 2
+        batch_blocks = 2
         monkeypatch.setattr(dynamics, "_BUILD_MULADDS", build_bound(batch_blocks, d, width))
         streamed = dynamics._propagate
         seen = {}
@@ -790,7 +851,7 @@ class TestBufferedReduction:
 
 class TestStepPolynomial:
     """The one RK4 step formula, ``_rk4_step``, on stacks of stage generators
-    and on coefficient stacks in s."""
+    times h and on coefficient stacks in s."""
 
     @staticmethod
     def padded(*coefficients):
@@ -805,11 +866,11 @@ class TestStepPolynomial:
         h = 0.01
         z = h * lam
         expected = z + z**2 / 2 + z**3 / 6 + z**4 / 24
-        a = np.full((1, 1), lam)
-        assert _rk4_step(a, a, a, h, mul=np.matmul)[0, 0] == pytest.approx(expected, rel=1e-14)
+        a = np.full((1, 1), z)
+        assert _rk4_step(a, a, a, mul=np.matmul)[0, 0] == pytest.approx(expected, rel=1e-14)
         # A constant generator as a polynomial in s: only P_0 is not zero.
         p = self.padded(a)
-        poly = _rk4_step(p, p, p, h, mul=_poly_matmul)
+        poly = _rk4_step(p, p, p, mul=_poly_matmul)
         assert poly[0, 0, 0] == pytest.approx(expected, rel=1e-14)
         assert np.all(poly[1:] == 0.0)
 
@@ -830,8 +891,8 @@ class TestStepPolynomial:
 
         g0, g1 = generator(0.0), generator(t_ad) - generator(0.0)
         delta = h / t_ad
-        stages = [self.padded(g0 + c * delta * g1, g1) for c in (0.0, 0.5, 1.0)]
-        poly = _rk4_step(*stages, h, mul=_poly_matmul)
+        stages = [self.padded(h * (g0 + c * delta * g1), h * g1) for c in (0.0, 0.5, 1.0)]
+        poly = _rk4_step(*stages, mul=_poly_matmul)
         # Step starts: the last step ends at s = 1.
         s = np.random.default_rng(21).uniform(0.0, 1.0 - delta, size=20)
         powers = np.vander(s, 5, increasing=True)
@@ -839,7 +900,8 @@ class TestStepPolynomial:
         for s_n, step in zip(s, steps):
             t = s_n * t_ad
             a1, a2, a3 = generator(t), generator(t + 0.5 * h), generator(t + h)
-            assert np.max(np.abs(step - _rk4_step(a1, a2, a3, h, mul=np.matmul))) <= 1e-14
+            assert np.max(np.abs(step - _rk4_step(h * a1, h * a2, h * a3,
+                                                  mul=np.matmul))) <= 1e-14
 
 
 FIG1 = ProtocolSchedule(z1=0.0, z2=3.0, x1=0.0, x2=2.7)
@@ -864,7 +926,7 @@ class TestBlockPolynomials:
         # Every preset takes blocks of 4: 4 h ||G1||_2 <= 1.
         assert 4 * h * np.linalg.norm(g1, 2) <= 1.0
         delta = h / t_ad
-        polys = dynamics._block_polynomials(g0, g1, h, delta, 4)
+        polys = dynamics._block_polynomials(h * g0, h * g1, delta, 4)
         rng = np.random.default_rng(d)
         for c, poly in enumerate(polys, start=1):
             assert poly.shape == (4 * c + 1, d * d)
@@ -875,5 +937,6 @@ class TestBlockPolynomials:
                 product = np.eye(d)
                 for j in range(c):
                     a1, a2, a3 = (g0 + (s + (j + f) * delta) * g1 for f in (0.0, 0.5, 1.0))
-                    product = (np.eye(d) + _rk4_step(a1, a2, a3, h, mul=np.matmul)) @ product
+                    step = _rk4_step(h * a1, h * a2, h * a3, mul=np.matmul)
+                    product = (np.eye(d) + step) @ product
                 assert np.max(np.abs(block - product)) <= 1e-14 * np.max(np.abs(product)), (c, s)

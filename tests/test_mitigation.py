@@ -89,6 +89,18 @@ class TestExtrapolateQuadratic:
         assert value == pytest.approx(2.0, abs=5e-3)
         assert residual > 0.0
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_residuals_scale_with_the_values(self, scale):
+        """Values in units of 1e-160 or 1e160 give the residuals times that
+        unit: the norm neither underflows nor overflows."""
+        rng = np.random.default_rng(67)
+        ts = np.array([5.0, 10.0, 20.0, 30.0])
+        values = rng.normal(size=(4, 3))
+        at_zero, residuals = extrapolate_quadratic(ts, values)
+        scaled_zero, scaled_residuals = extrapolate_quadratic(ts, values * scale)
+        assert np.allclose(scaled_zero / scale, at_zero, rtol=1e-12, atol=0.0)
+        assert np.allclose(scaled_residuals / scale, residuals, rtol=1e-12, atol=0.0)
+
     def test_requires_three_distinct_abscissae(self):
         with pytest.raises(DegenerateAbscissae):
             extrapolate_quadratic([1.0, 2.0], [0.0, 1.0])
